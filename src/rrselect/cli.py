@@ -14,15 +14,13 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
 from . import analysis, simulate
-from .designs import DesignMatrix, SignalSpec, make_gaussian, make_identity_hadamard
+from .designs import SignalSpec, load_design_csv
 from .errors import ParseError, ValidationError
-from .linalg import load_matrix_csv, load_vector_csv, save_matrix_csv
-from .omp import default_kmax, solution_path, stop_fixed, stop_rcsc, stop_rpsc
-from .selectors import RrtaParams, residual_ratios, rrm_select, rrt_select, rrta_select
-from .simulate import AlgorithmSpec, DesignSpec, ExperimentConfig, supported_roster
+from .linalg import load_vector_csv, save_matrix_csv
+from .omp import default_kmax, solution_path
+from .selectors import residual_ratios
+from .simulate import ALGORITHMS, PARAMETER_DOMAINS, AlgorithmSpec, DesignSpec, ExperimentConfig, Oracle
 from .special import build_threshold_table
 
 _CONFIG_KEYS = {
@@ -37,7 +35,7 @@ _CONFIG_KEYS = {
 }
 _DESIGN_KEYS = {"kind", "n", "p", "seed", "normalize", "path"}
 _SIGNAL_KEYS = {"k0", "kind", "ratio"}
-_ALG_KEYS = {"name", "rule", "alpha", "eta", "pfd", "q"}
+_ALG_KEYS = {"name", "rule", *PARAMETER_DOMAINS}
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -92,30 +90,15 @@ def parse_config(json_text: str) -> ExperimentConfig:
         raise ValidationError("snr_db: must be a nonempty list of numbers")
 
     algorithms = []
-    roster = supported_roster()
     for i, entry in enumerate(_require(raw, "algorithms", "config")):
         if isinstance(entry, str):
             entry = {"name": entry}
         if not isinstance(entry, dict):
             raise ValidationError(f"algorithms[{i}]: must be a name or an object")
         _reject_unknown(entry, _ALG_KEYS, f"algorithms[{i}]")
+        params = {key: float(entry[key]) for key in PARAMETER_DOMAINS if key in entry}
         name = _require(entry, "name", f"algorithms[{i}]")
-        if name not in roster:
-            raise ValidationError(
-                f"algorithms[{i}]: unknown name {name!r}; supported: {sorted(roster)}"
-            )
-        defaults = {"alpha": 0.1, "eta": 0.1, "pfd": 0.1, "q": 2.0}
-        defaults.update(roster[name])
-        algorithms.append(
-            AlgorithmSpec(
-                name=name,
-                rule=entry.get("rule", "omp"),
-                alpha=float(entry.get("alpha", defaults["alpha"])),
-                eta=float(entry.get("eta", defaults["eta"])),
-                pfd=float(entry.get("pfd", defaults["pfd"])),
-                q=float(entry.get("q", defaults["q"])),
-            )
-        )
+        algorithms.append(AlgorithmSpec(name, entry.get("rule", "omp"), **params))
 
     config = ExperimentConfig(
         design=design,
@@ -139,21 +122,21 @@ _FIG_BASELINES = (
     AlgorithmSpec("fixed_k0"),
     AlgorithmSpec("rpsc"),
     AlgorithmSpec("rcsc"),
-    AlgorithmSpec("rpsc_hsc", eta=0.1),
-    AlgorithmSpec("rcsc_hsc", eta=0.1),
-    AlgorithmSpec("rrt", alpha=0.1),
+    AlgorithmSpec("rpsc_hsc"),
+    AlgorithmSpec("rcsc_hsc"),
+    AlgorithmSpec("rrt"),
     AlgorithmSpec("rrt", alpha=0.01),
     AlgorithmSpec("rrm"),
-    AlgorithmSpec("rrta", pfd=0.1, q=2.0),
+    AlgorithmSpec("rrta"),
 )
 _FIG_Q_SWEEP = (
-    AlgorithmSpec("rrta", pfd=0.1, q=1.0),
-    AlgorithmSpec("rrta", pfd=0.1, q=2.0),
-    AlgorithmSpec("rrta", pfd=0.1, q=5.0),
-    AlgorithmSpec("rrta", pfd=0.1, q=10.0),
+    AlgorithmSpec("rrta", q=1.0),
+    AlgorithmSpec("rrta", q=2.0),
+    AlgorithmSpec("rrta", q=5.0),
+    AlgorithmSpec("rrta", q=10.0),
     AlgorithmSpec("fixed_k0"),
-    AlgorithmSpec("rpsc_hsc", eta=0.1),
-    AlgorithmSpec("rcsc_hsc", eta=0.1),
+    AlgorithmSpec("rpsc_hsc"),
+    AlgorithmSpec("rcsc_hsc"),
 )
 _HADAMARD_32 = DesignSpec(kind="identity_hadamard", n=32, p=64)
 _GAUSSIAN_32 = DesignSpec(kind="gaussian", n=32, p=64)
@@ -211,62 +194,54 @@ def _write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def _method_params(text: str | None) -> list[float]:
-    if not text:
-        return []
-    return [float(tok) for tok in text.split(",") if tok]
+# Older spellings that `recover --method` still accepts.
+_OLD_METHOD_NAMES = {"fixed": "fixed_k0", "rpsc-hsc": "rpsc_hsc", "rcsc-hsc": "rcsc_hsc"}
 
 
-def _load_external_design(path: str) -> DesignMatrix:
-    matrix = load_matrix_csv(path)
-    norms = np.linalg.norm(matrix.values, axis=0)
-    return DesignMatrix(matrix, "external", bool(np.allclose(norms, 1.0, atol=1e-10)))
+def _method_fields(name: str) -> tuple[str, ...]:
+    """The positional values of `--method name:v1,v2`: k0 for a rule that
+    needs the sparsity, then the parameters."""
+    entry = ALGORITHMS[name]
+    return (("k0",) if entry.needs == "k0" else ()) + entry.params
 
 
-def _run_recover(args) -> dict:
-    design = _load_external_design(args.matrix)
+_METHOD_SYNTAX = "|".join(
+    f"{name}:{','.join(_method_fields(name))}" if _method_fields(name) else name for name in ALGORITHMS
+)
+
+
+def _parse_method(method: str, rule: str) -> tuple[AlgorithmSpec, int | None]:
+    """`name[:v1,v2,...]` as an AlgorithmSpec, plus k0 for the fixed_k0 rule."""
+    typed, _, text = method.partition(":")
+    name = _OLD_METHOD_NAMES.get(typed, typed)
+    if name not in ALGORITHMS:
+        raise ValidationError(f"unknown method {typed!r}; expected {_METHOD_SYNTAX}")
+    fields = _method_fields(name)
+    values = [float(tok) for tok in text.split(",") if tok]
+    if len(values) > len(fields):
+        raise ValidationError(f"method {typed!r} takes at most {len(fields)} value(s), got {text!r}")
+    params = dict(zip(fields, values))
+    k0 = params.pop("k0", None)
+    if "k0" in fields and (k0 is None or not k0.is_integer() or k0 < 0):
+        raise ValidationError(f"method {typed!r} needs a nonnegative integer k0: {typed}:k0")
+    spec = AlgorithmSpec(name, rule, **params)
+    spec.check(f"--method {typed}")
+    return spec, None if k0 is None else int(k0)
+
+
+def _cmd_recover(args) -> int:
+    spec, k0 = _parse_method(args.method, args.rule)
+    algorithm = ALGORITHMS[spec.name]
+    if algorithm.needs == "sigma" and args.sigma is None:
+        raise ValidationError(f"--sigma is required for method {spec.name!r}")
+    design = load_design_csv(args.matrix)
     y = load_vector_csv(args.y)
-    n, p = design.n, design.p
-    k_max = args.k_max if args.k_max is not None else default_kmax(n)
-
-    name, _, param_text = args.method.partition(":")
-    params = _method_params(param_text)
-    rule = args.rule
-    path = solution_path(design, y, k_max, rule)
+    k_max = args.k_max if args.k_max is not None else default_kmax(design.n)
+    path = solution_path(design, y, k_max, spec.rule)
     ratios = residual_ratios(path)
-
-    if name == "fixed":
-        k0 = int(params[0]) if params else 0
-        estimate = stop_fixed(path, k0)
-    elif name in ("rpsc", "rpsc-hsc"):
-        if args.sigma is None:
-            raise ValidationError(f"--sigma is required for method {name!r}")
-        eta = (params[0] if params else args.eta) if name == "rpsc-hsc" else None
-        estimate = stop_rpsc(path, args.sigma, n, eta=eta)
-    elif name in ("rcsc", "rcsc-hsc"):
-        if args.sigma is None:
-            raise ValidationError(f"--sigma is required for method {name!r}")
-        eta = (params[0] if params else args.eta) if name == "rcsc-hsc" else None
-        estimate = stop_rcsc(path, args.sigma, p, eta=eta)
-    elif name == "rrt":
-        alpha = params[0] if params else args.alpha
-        table = build_threshold_table(n, p, k_max, alpha)
-        if len(ratios) < len(table):
-            table = table.truncated(len(ratios))
-        estimate = path.estimate(rrt_select(ratios, table))
-    elif name == "rrm":
-        estimate = path.estimate(rrm_select(ratios))
-    elif name == "rrta":
-        q = params[0] if params else args.q
-        pfd = params[1] if len(params) > 1 else args.pfd
-        estimate = path.estimate(rrta_select(ratios, n, p, k_max, RrtaParams(pfd, q)))
-    else:
-        raise ValidationError(
-            f"unknown method {name!r}; expected fixed:k|rpsc|rcsc|rpsc-hsc:eta|"
-            f"rcsc-hsc:eta|rrt:alpha|rrm|rrta:q,pfd"
-        )
-
-    return {
+    oracle = Oracle(design.n, design.p, k_max, sigma=args.sigma, k0=k0)
+    estimate = algorithm.select(path, lambda: ratios, oracle, spec)
+    payload = {
         "support": sorted(i + 1 for i in estimate.support),
         "k_selected": estimate.k_selected,
         "status": estimate.status,
@@ -275,17 +250,14 @@ def _run_recover(args) -> dict:
         else float(path.residual_norms[0]),
         "rr_values": [float(v) for v in ratios.values],
     }
+    print(json.dumps(payload, indent=2))
+    return 0
 
 
 def _cmd_gen_matrix(args) -> int:
-    if args.kind == "identity_hadamard":
-        design = make_identity_hadamard(args.n)
-    elif args.kind == "gaussian":
-        if args.p is None:
-            raise ValidationError("--p is required for gaussian matrices")
-        design = make_gaussian(args.n, args.p, args.seed, args.normalize)
-    else:
-        raise ValidationError(f"unknown kind {args.kind!r}")
+    if args.kind == "gaussian" and args.p is None:
+        raise ValidationError("--p is required for gaussian matrices")
+    design = simulate.build_design(DesignSpec(args.kind, args.n, args.p, args.seed, args.normalize))
     buf = io.StringIO()
     save_matrix_csv(buf, design.matrix)
     _write_text_atomic(args.out, buf.getvalue())
@@ -316,13 +288,8 @@ def _cmd_threshold(args) -> int:
     return 0
 
 
-def _cmd_recover(args) -> int:
-    print(json.dumps(_run_recover(args), indent=2))
-    return 0
-
-
 def _cmd_diagnose(args) -> int:
-    design = _load_external_design(args.matrix)
+    design = load_design_csv(args.matrix)
     support = None
     if args.support:
         support = [int(tok) - 1 for tok in args.support.split(",") if tok]
@@ -436,15 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--stop",
         dest="method",
         required=True,
-        help="fixed:k|rpsc|rcsc|rpsc-hsc:eta|rcsc-hsc:eta|rrt:alpha|rrm|rrta:q,pfd",
+        help=f"{_METHOD_SYNTAX}; a value left out takes its default "
+        "(fixed, rpsc-hsc and rcsc-hsc are accepted as old spellings)",
     )
     rec.add_argument("--rule", choices=["omp", "ols"], default="omp")
     rec.add_argument("--k-max", type=int)
     rec.add_argument("--sigma", type=float)
-    rec.add_argument("--alpha", type=float, default=0.1)
-    rec.add_argument("--eta", type=float, default=0.1)
-    rec.add_argument("--pfd", type=float, default=0.1)
-    rec.add_argument("--q", type=float, default=2.0)
     rec.set_defaults(func=_cmd_recover)
 
     diag = sub.add_parser("diagnose", help="print regularity diagnostics and recovery margins as JSON")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import DenseMatrix
+from .linalg import DenseMatrix, load_matrix_csv
 
 DESIGN_KINDS = ("identity_hadamard", "gaussian", "external")
 SIGNAL_KINDS = ("pm_one", "geometric")
@@ -84,6 +84,13 @@ def make_identity_hadamard(n: int) -> DesignMatrix:
     h = sylvester_hadamard(n)
     x = np.hstack([np.eye(n), h / math.sqrt(n)])
     return DesignMatrix(DenseMatrix(x), "identity_hadamard", unit_norm_columns=True)
+
+
+def load_design_csv(path) -> DesignMatrix:
+    """An external design read from CSV (one line per row, no header)."""
+    dense = load_matrix_csv(path)
+    norms = np.linalg.norm(dense.values, axis=0)
+    return DesignMatrix(dense, "external", unit_norm_columns=bool(np.allclose(norms, 1.0, atol=1e-10)))
 
 
 def make_gaussian(n: int, p: int, seed: int, normalize: bool = False) -> DesignMatrix:

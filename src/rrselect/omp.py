@@ -44,7 +44,6 @@ class SolutionPath:
     selected: tuple[int, ...]
     residual_norms: np.ndarray
     residual_corr_inf: np.ndarray
-    coeffs_final: np.ndarray
     K: int
     status: str  # "complete" | "rank_deficient"
 
@@ -130,13 +129,11 @@ def solution_path(design: DesignMatrix, y: np.ndarray, k_max: int, rule: str = "
             qx = q @ x
             np.maximum(res_col_sq - qx * qx, 0.0, out=res_col_sq)
 
-    coeffs = state.least_squares_coeffs(y) if selected else np.zeros(0)
     return SolutionPath(
         rule=rule,
         selected=tuple(selected),
         residual_norms=np.array(norms),
         residual_corr_inf=np.array(corr_inf),
-        coeffs_final=coeffs,
         K=len(selected),
         status=status,
     )

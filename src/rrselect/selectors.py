@@ -59,6 +59,12 @@ def residual_ratios(path: SolutionPath) -> ResidualRatios:
     return ResidualRatios(np.clip(rr, 0.0, 1.0))
 
 
+def trim_table(table: ThresholdTable, ratios: ResidualRatios) -> ThresholdTable:
+    """The table cut to the steps an early-terminated path realized; the
+    thresholds keep the configured k_max in their level."""
+    return table.truncated(len(ratios)) if len(ratios) < len(table) else table
+
+
 def rrt_select(ratios: ResidualRatios, thresholds: ThresholdTable) -> int | None:
     """Largest k with RR(k) < Gamma(k); None when no step qualifies."""
     rr = ratios.values
@@ -93,12 +99,7 @@ def rrta_select(
 ) -> int | None:
     """RRT at the data-adaptive level rrta_alpha(ratios, params)."""
     alpha_star = rrta_alpha(ratios, params)
-    table = build_threshold_table(n, p, k_max, alpha_star)
-    if len(ratios) < len(table):
-        # Early-terminated path: compare only the realized steps (thresholds
-        # keep the configured k_max in their level).
-        table = table.truncated(len(ratios))
-    return rrt_select(ratios, table)
+    return rrt_select(ratios, trim_table(build_threshold_table(n, p, k_max, alpha_star), ratios))
 
 
 def minimal_superset_index(path: SolutionPath, true_support) -> int | float:

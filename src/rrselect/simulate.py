@@ -8,17 +8,20 @@ output.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .designs import (
     DesignMatrix,
     SignalSpec,
+    load_design_csv,
     make_gaussian,
     make_identity_hadamard,
     make_signal,
@@ -26,26 +29,87 @@ from .designs import (
     synthesize,
 )
 from .errors import ValidationError
-from .linalg import load_matrix_csv
-from .omp import SolutionPath, SupportEstimate, default_kmax, solution_path, stop_fixed, stop_rcsc, stop_rpsc
-from .selectors import RrtaParams, residual_ratios, rrm_select, rrt_select, rrta_select
+from .omp import RULES, STATUS_EXHAUSTED, SolutionPath, SupportEstimate, default_kmax, solution_path
+from .omp import stop_fixed, stop_rcsc, stop_rpsc
+from .selectors import RrtaParams, residual_ratios, rrm_select, rrt_select, rrta_select, trim_table
 from .special import build_threshold_table
 
 _MASK64 = (1 << 64) - 1
 
+# The open interval each AlgorithmSpec parameter must lie in: the domains the
+# kernels enforce (rrt_threshold for alpha, RrtaParams for pfd and q); eta,
+# the exponent of the sigma^-eta scaling, only needs to be finite.
+PARAMETER_DOMAINS = {
+    "alpha": (0.0, 1.0),
+    "eta": (-math.inf, math.inf),
+    "pfd": (0.0, 1.0),
+    "q": (0.0, math.inf),
+}
+
+
+class Oracle(NamedTuple):
+    """What a rule knows besides its path: the problem size, and the noise
+    level sigma or the sparsity k0 for the rules that need them."""
+
+    n: int
+    p: int
+    k_max: int
+    sigma: float | None = None
+    k0: int | None = None
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """A registry entry: select(path, ratios, oracle, spec) -> SupportEstimate,
+    where ratios() gives the path's residual ratios and spec is the
+    AlgorithmSpec; the spec fields it reads, in `recover --method name:v1,v2`
+    order; and the oracle input it needs."""
+
+    select: Callable[..., SupportEstimate]
+    params: tuple[str, ...] = ()
+    needs: str | None = None  # "sigma" | "k0"
+
+
+# The select functions look the kernels up by module-global name at call time,
+# so a caller may wrap those names (as a tracer does).
+
+
+def _fixed_k0(path, ratios, oracle, spec):
+    if oracle.k0 > path.K:
+        # The path ended first (k0 > k_max, or a rank-deficient early stop):
+        # keep all of it and say so, as the sigma rules do when none qualifies.
+        return SupportEstimate(path.support_at(path.K), path.K, STATUS_EXHAUSTED)
+    return stop_fixed(path, oracle.k0)
+
+
+def _rrt(path, ratios, oracle, spec):
+    rr = ratios()
+    table = build_threshold_table(oracle.n, oracle.p, oracle.k_max, spec.alpha)
+    return path.estimate(rrt_select(rr, trim_table(table, rr)))
+
+
+def _rrta(path, ratios, oracle, spec):
+    params = RrtaParams(pfd_finite=spec.pfd, q=spec.q)
+    return path.estimate(rrta_select(ratios(), oracle.n, oracle.p, oracle.k_max, params))
+
+
+# Every stopping rule and selector, read by config validation, the sweep and
+# the `recover` subcommand alike.
+ALGORITHMS: dict[str, Algorithm] = {
+    "fixed_k0": Algorithm(_fixed_k0, needs="k0"),
+    "rpsc": Algorithm(lambda path, rr, o, s: stop_rpsc(path, o.sigma, o.n), needs="sigma"),
+    "rcsc": Algorithm(lambda path, rr, o, s: stop_rcsc(path, o.sigma, o.p), needs="sigma"),
+    "rpsc_hsc": Algorithm(lambda path, rr, o, s: stop_rpsc(path, o.sigma, o.n, eta=s.eta), ("eta",), "sigma"),
+    "rcsc_hsc": Algorithm(lambda path, rr, o, s: stop_rcsc(path, o.sigma, o.p, eta=s.eta), ("eta",), "sigma"),
+    "rrt": Algorithm(_rrt, ("alpha",)),
+    "rrm": Algorithm(lambda path, rr, o, s: path.estimate(rrm_select(rr()))),
+    "rrta": Algorithm(_rrta, ("q", "pfd")),
+}
+
 
 def supported_roster() -> dict[str, dict[str, float]]:
     """Algorithm families and their default parameters (each runs on omp or ols)."""
-    return {
-        "fixed_k0": {},
-        "rpsc": {},
-        "rcsc": {},
-        "rpsc_hsc": {"eta": 0.1},
-        "rcsc_hsc": {"eta": 0.1},
-        "rrt": {"alpha": 0.1},
-        "rrm": {},
-        "rrta": {"pfd": 0.1, "q": 2.0},
-    }
+    return {name: AlgorithmSpec(name).params for name in ALGORITHMS}
 
 
 @dataclass(frozen=True)
@@ -62,7 +126,8 @@ class DesignSpec:
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
-    """One configured algorithm; irrelevant parameters keep their defaults."""
+    """One configured algorithm. The field defaults are every entry point's
+    defaults; parameters the algorithm does not read keep them."""
 
     name: str
     rule: str = "omp"
@@ -72,14 +137,27 @@ class AlgorithmSpec:
     q: float = 2.0
 
     @property
+    def params(self) -> dict[str, float]:
+        """The parameters this algorithm reads, by name."""
+        return {key: getattr(self, key) for key in ALGORITHMS[self.name].params}
+
+    @property
     def label(self) -> str:
-        base = {
-            "rrt": f"rrt(alpha={self.alpha:g})",
-            "rrta": f"rrta(pfd={self.pfd:g},q={self.q:g})",
-            "rpsc_hsc": f"rpsc_hsc(eta={self.eta:g})",
-            "rcsc_hsc": f"rcsc_hsc(eta={self.eta:g})",
-        }.get(self.name, self.name)
+        params = ",".join(f"{key}={value:g}" for key, value in sorted(self.params.items()))
+        base = f"{self.name}({params})" if params else self.name
         return base if self.rule == "omp" else f"{base}|{self.rule}"
+
+    def check(self, where: str) -> None:
+        """Raise ValidationError, naming `where`, for an unknown name or rule
+        or a parameter outside its domain."""
+        if self.name not in ALGORITHMS:
+            raise ValidationError(f"{where}: unknown name {self.name!r}; supported: {sorted(ALGORITHMS)}")
+        if self.rule not in RULES:
+            raise ValidationError(f"{where}: unknown rule {self.rule!r}")
+        for key, value in self.params.items():
+            low, high = PARAMETER_DOMAINS[key]
+            if not low < value < high:
+                raise ValidationError(f"{where}.{key}: must lie in ({low:g},{high:g}), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -124,14 +202,8 @@ class ExperimentConfig:
             raise ValidationError(f"trials: must be >= 1, got {self.trials}")
         if not self.algorithms:
             raise ValidationError("algorithms: must be nonempty")
-        roster = supported_roster()
-        for alg in self.algorithms:
-            if alg.name not in roster:
-                raise ValidationError(
-                    f"algorithms: unknown name {alg.name!r}; supported: {sorted(roster)}"
-                )
-            if alg.rule not in ("omp", "ols"):
-                raise ValidationError(f"algorithms: unknown rule {alg.rule!r}")
+        for i, alg in enumerate(self.algorithms):
+            alg.check(f"algorithms[{i}]")
         labels = [a.label for a in self.algorithms]
         if len(set(labels)) != len(labels):
             raise ValidationError(f"algorithms: duplicate entries {labels}")
@@ -149,32 +221,11 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return {
-            "design": {
-                "kind": self.design.kind,
-                "n": self.design.n,
-                "p": self.design.p,
-                "seed": self.design.seed,
-                "normalize": self.design.normalize,
-                "path": self.design.path,
-            },
-            "signal": {
-                "k0": self.signal.k0,
-                "kind": self.signal.kind,
-                "ratio": self.signal.ratio,
-            },
+            "design": asdict(self.design),
+            "signal": asdict(self.signal),
             "snr_db": list(self.snr_db_list),
             "trials": self.trials,
-            "algorithms": [
-                {
-                    "name": a.name,
-                    "rule": a.rule,
-                    "alpha": a.alpha,
-                    "eta": a.eta,
-                    "pfd": a.pfd,
-                    "q": a.q,
-                }
-                for a in self.algorithms
-            ],
+            "algorithms": [asdict(a) for a in self.algorithms],
             "root_seed": self.root_seed,
             "k_max": self.k_max,
             "regenerate_matrix_per_trial": self.regenerate_matrix,
@@ -240,14 +291,12 @@ def build_design(spec: DesignSpec) -> DesignMatrix:
     if spec.kind == "gaussian":
         return make_gaussian(spec.n, spec.p, spec.seed, spec.normalize)
     if spec.kind == "external":
-        dense = load_matrix_csv(spec.path)
-        if (dense.rows, dense.cols) != (spec.n, spec.p):
+        design = load_design_csv(spec.path)
+        if (design.n, design.p) != (spec.n, spec.p):
             raise ValidationError(
-                f"external matrix is {dense.rows}x{dense.cols}, config says {spec.n}x{spec.p}"
+                f"external matrix is {design.n}x{design.p}, config says {spec.n}x{spec.p}"
             )
-        norms = np.linalg.norm(dense.values, axis=0)
-        unit = bool(np.allclose(norms, 1.0, atol=1e-10))
-        return DesignMatrix(dense, "external", unit_norm_columns=unit)
+        return design
     raise ValidationError(f"unknown design kind {spec.kind!r}")
 
 
@@ -259,32 +308,9 @@ def score_estimate(estimate: SupportEstimate, true_support: frozenset[int]) -> A
     return AlgorithmOutcome(estimate, exact, false_discovery, card_error)
 
 
-def _apply_algorithm(alg: AlgorithmSpec, path: SolutionPath, sigma: float, config: ExperimentConfig):
-    n, p, k_max = config.design.n, config.design.p, config.k_max
-    if alg.name == "fixed_k0":
-        # paths can only be shorter than k0 after a rank-deficient early stop;
-        # scoring the truncated support as-is keeps the trial comparable
-        return stop_fixed(path, min(config.signal.k0, path.K))
-    if alg.name == "rpsc":
-        return stop_rpsc(path, sigma, n)
-    if alg.name == "rpsc_hsc":
-        return stop_rpsc(path, sigma, n, eta=alg.eta)
-    if alg.name == "rcsc":
-        return stop_rcsc(path, sigma, p)
-    if alg.name == "rcsc_hsc":
-        return stop_rcsc(path, sigma, p, eta=alg.eta)
-    ratios = residual_ratios(path)
-    if alg.name == "rrm":
-        return path.estimate(rrm_select(ratios))
-    if alg.name == "rrt":
-        table = build_threshold_table(n, p, k_max, alg.alpha)
-        if len(ratios) < len(table):
-            table = table.truncated(len(ratios))
-        return path.estimate(rrt_select(ratios, table))
-    if alg.name == "rrta":
-        params = RrtaParams(pfd_finite=alg.pfd, q=alg.q)
-        return path.estimate(rrta_select(ratios, n, p, k_max, params))
-    raise ValidationError(f"unknown algorithm {alg.name!r}")
+def _lazy_ratios(path: SolutionPath):
+    """residual_ratios(path), computed on the first call only."""
+    return functools.cache(lambda: residual_ratios(path))
 
 
 def run_trial(
@@ -318,14 +344,15 @@ def run_trial(
     snr = 10.0 ** (snr_db / 10.0)
     problem = synthesize(design, beta, support, snr, noise_seed)
 
-    paths: dict[str, SolutionPath] = {}
+    oracle = Oracle(config.design.n, p, config.k_max, sigma=problem.sigma, k0=k0)
+    paths: dict[str, tuple] = {}  # rule -> (path, its lazy ratios)
     record = TrialRecord(trial_index=trial_index, snr_db=snr_db, true_support=support)
     for alg in config.algorithms:
-        path = paths.get(alg.rule)
-        if path is None:
+        computed = paths.get(alg.rule)
+        if computed is None:
             path = solution_path(design, problem.observation, config.k_max, alg.rule)
-            paths[alg.rule] = path
-        estimate = _apply_algorithm(alg, path, problem.sigma, config)
+            computed = paths[alg.rule] = (path, _lazy_ratios(path))
+        estimate = ALGORITHMS[alg.name].select(*computed, oracle, alg)
         record.outcomes[alg.label] = score_estimate(estimate, problem.true_support)
     return record
 

@@ -1,12 +1,30 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rrselect.cli import figure_config, main, parse_config
+from rrselect.designs import SignalSpec, make_identity_hadamard
 from rrselect.errors import ParseError, ValidationError
-from rrselect.linalg import load_matrix_csv
+from rrselect.linalg import load_matrix_csv, save_matrix_csv
+from rrselect.simulate import (
+    AlgorithmSpec,
+    DesignSpec,
+    ExperimentConfig,
+    build_design,
+    run_sweep,
+    run_trial,
+    supported_roster,
+)
 from rrselect.special import build_threshold_table
+
+# A noisy 32x64 identity+Hadamard problem: k0=3 random-sign signal at 3 dB
+# (sample_support seed 11, make_signal seed 12, synthesize seed 13), with the
+# stdout of `recover` for every algorithm and rule. The outputs were recorded
+# with the per-command dispatch that the algorithm registry replaced, under its
+# spellings fixed:3, rpsc-hsc and rcsc-hsc.
+RECOVER_FIXTURE = json.loads((Path(__file__).parent / "data" / "recover_hadamard32.json").read_text())
 
 MINIMAL_CONFIG = {
     "design": {"kind": "identity_hadamard", "n": 32},
@@ -64,6 +82,27 @@ def test_parse_config_errors():
     with pytest.raises(ValidationError) as err:
         parse_config(json.dumps(missing))
     assert "signal" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "entry, field",
+    [
+        ({"name": "rrt", "alpha": 1.5}, "alpha"),
+        ({"name": "rrta", "pfd": 0}, "pfd"),
+        ({"name": "rrta", "q": -1}, "q"),
+        ({"name": "rpsc_hsc", "eta": float("nan")}, "eta"),
+    ],
+)
+def test_parse_config_rejects_parameters_outside_their_domain(entry, field):
+    raw = dict(MINIMAL_CONFIG, algorithms=["rrm", entry])
+    with pytest.raises(ValidationError) as err:
+        parse_config(json.dumps(raw))
+    assert f"algorithms[1].{field}:" in str(err.value)
+
+
+def test_parse_config_ignores_parameters_an_algorithm_does_not_read():
+    raw = dict(MINIMAL_CONFIG, algorithms=[{"name": "rrm", "alpha": 1.5}])
+    assert parse_config(json.dumps(raw)).algorithms[0].label == "rrm"
 
 
 def test_gen_matrix_and_sidecar(tmp_path, capsys):
@@ -168,6 +207,73 @@ def test_recover_stop_alias_and_sigma_rules(tmp_path, capsys):
     ]) == 1
 
 
+def test_recover_rejects_incomplete_or_invalid_methods(tmp_path, capsys):
+    mpath, ypath = _write_identity_problem(tmp_path)
+    for method, reason in (
+        ("fixed", "k0"),  # bare fixed used to mean k0 = 0
+        ("fixed_k0:1.5", "k0"),
+        ("rrt:1.5", "alpha"),
+        ("rrta:2,1", "pfd"),
+        ("rrm:0.5", "at most 0"),
+    ):
+        assert main(["recover", "--matrix", str(mpath), "--y", str(ypath), "--method", method]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and reason in err, (method, err)
+
+
+def _write_rank_deficient_design(tmp_path):
+    """8x6 design whose columns all lie in span(e1, e2): every path stops after
+    two steps, short of k0 = 3."""
+    x = np.zeros((8, 6))
+    for j, (a, b) in enumerate([(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1)]):
+        x[:2, j] = np.array([a, b]) / np.hypot(a, b)
+    mpath = tmp_path / "X.csv"
+    save_matrix_csv(mpath, x)
+    return mpath
+
+
+def test_fixed_k0_past_the_path_keeps_the_path_as_exhausted(tmp_path, capsys):
+    mpath = _write_rank_deficient_design(tmp_path)
+    config = ExperimentConfig(
+        design=DesignSpec(kind="external", n=8, p=6, path=str(mpath)),
+        signal=SignalSpec(k0=3),
+        snr_db_list=(20.0,),
+        trials=3,
+        algorithms=(AlgorithmSpec("fixed_k0"), AlgorithmSpec("rrt"), AlgorithmSpec("rrta")),
+        root_seed=7,
+    )
+    config.validate()
+    record = run_trial(config, build_design(config.design), 20.0, 0)
+    estimate = record.outcomes["fixed_k0"].estimate
+    assert (estimate.k_selected, estimate.status) == (2, "exhausted")
+    assert len(estimate.support) == 2
+    # the threshold selectors compare only the two realized steps
+    assert all(o.estimate.k_selected <= 2 for o in record.outcomes.values())
+    assert run_sweep(config).rows[0].pe == 1.0  # fixed_k0 can never hold all three
+
+    ypath = tmp_path / "y.csv"
+    np.savetxt(ypath, np.arange(1.0, 9.0).reshape(-1, 1), delimiter=",", fmt="%.17g")
+    for method in ("fixed:3", "fixed_k0:3"):
+        assert main(["recover", "--matrix", str(mpath), "--y", str(ypath), "--method", method]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["k_selected"], payload["status"]) == (2, "exhausted")
+        assert len(payload["support"]) == 2
+
+
+@pytest.mark.parametrize("rule", ["omp", "ols"])
+@pytest.mark.parametrize("name", sorted(supported_roster()))
+def test_recover_every_algorithm_on_noisy_hadamard(tmp_path, capsys, name, rule):
+    mpath, ypath = tmp_path / "X.csv", tmp_path / "y.csv"
+    save_matrix_csv(mpath, make_identity_hadamard(32).matrix)
+    np.savetxt(ypath, np.array(RECOVER_FIXTURE["y"]).reshape(-1, 1), delimiter=",", fmt="%.17g")
+    method = f"{name}:{RECOVER_FIXTURE['k0']}" if name == "fixed_k0" else name
+    assert main([
+        "recover", "--matrix", str(mpath), "--y", str(ypath), "--method", method,
+        "--rule", rule, "--sigma", repr(RECOVER_FIXTURE["sigma"]),
+    ]) == 0
+    assert capsys.readouterr().out == RECOVER_FIXTURE["stdout"][f"{name}|{rule}"]
+
+
 def test_recover_ols_rule(tmp_path, capsys):
     mpath, ypath = _write_identity_problem(tmp_path)
     assert main([
@@ -188,7 +294,7 @@ def test_recover_unknown_method(tmp_path, capsys):
 
 def test_diagnose_json(tmp_path, capsys):
     mpath = tmp_path / "X.csv"
-    from rrselect.designs import make_identity_hadamard
+    from rrselect.designs import SignalSpec, make_identity_hadamard
     from rrselect.linalg import save_matrix_csv
 
     save_matrix_csv(mpath, make_identity_hadamard(4).matrix)

@@ -76,7 +76,6 @@ def test_orthonormal_design_selects_by_coefficient_magnitude():
     path = solution_path(design, y, 2, "omp")
     assert path.selected == (2, 0)
     assert path.residual_norms[2] == pytest.approx(0.0, abs=1e-12)
-    assert np.allclose(sorted(path.coeffs_final), [1.0, 3.0])
 
 
 def test_path_matches_naive_reference():

@@ -29,7 +29,6 @@ def _path(norms, selected=None, rule="omp"):
         selected=selected,
         residual_norms=norms,
         residual_corr_inf=np.zeros(k + 1),
-        coeffs_final=np.zeros(k),
         K=k,
         status="complete",
     )

@@ -252,3 +252,18 @@ def test_ols_rule_runs_through_sweep():
     rows = run_sweep(config).rows
     labels = {row.algorithm for row in rows}
     assert labels == {"rrm", "rrm|ols"}
+
+
+def test_run_trial_computes_residual_ratios_once_per_path(monkeypatch):
+    from rrselect import simulate
+
+    # The registry looks the kernels up in simulate's namespace at call time,
+    # so a wrapper installed there sees every call.
+    calls = []
+    original = simulate.residual_ratios
+    monkeypatch.setattr(simulate, "residual_ratios", lambda path: calls.append(path.rule) or original(path))
+    algorithms = tuple(AlgorithmSpec(name, rule) for rule in ("omp", "ols") for name in supported_roster())
+    config = _config(algorithms=algorithms)
+    record = run_trial(config, build_design(config.design), 20.0, 0)
+    assert len(record.outcomes) == 16
+    assert sorted(calls) == ["ols", "omp"]
