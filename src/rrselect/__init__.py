@@ -54,11 +54,11 @@ from .simulate import (
     supported_roster,
 )
 from .special import (
-    ThresholdTable,
     beta_cdf,
     beta_cdf_inv,
     build_threshold_table,
     log_beta_fn,
+    rrt_level,
     rrt_threshold,
 )
 
@@ -80,7 +80,6 @@ __all__ = [
     "SparseProblem",
     "SupportEstimate",
     "SweepResult",
-    "ThresholdTable",
     "beta_cdf",
     "beta_cdf_inv",
     "build_threshold_table",
@@ -98,6 +97,7 @@ __all__ = [
     "ric_bruteforce",
     "rrm_select",
     "rrt_error_lower_bound",
+    "rrt_level",
     "rrt_select",
     "rrt_threshold",
     "rrta_alpha",

@@ -170,7 +170,7 @@ def epsilon_bounds(
     else:
         eps_omp = 0.0
 
-    gammas = build_threshold_table(n, p, k_max, alpha).values
+    gammas = build_threshold_table(n, p, k_max, alpha)
     g_k0 = float(gammas[k0 - 1])
     g_min = float(np.min(gammas))
     scale = math.sqrt(1.0 - delta_k0) * beta_min

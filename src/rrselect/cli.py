@@ -278,7 +278,7 @@ def _cmd_threshold(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["k", "gamma"])
-    for k, gamma in enumerate(table.values, start=1):
+    for k, gamma in enumerate(table, start=1):
         writer.writerow([k, repr(float(gamma))])
     if args.out:
         _write_text_atomic(args.out, buf.getvalue())

@@ -21,10 +21,6 @@ class EmptyPathError(ValueError):
     """Operation requires a solution path with at least one step."""
 
 
-class LengthMismatchError(ValueError):
-    """Ratio and threshold sequences have different lengths."""
-
-
 class TooManySubsetsError(ValueError):
     """Exhaustive subset enumeration would exceed the configured guard."""
 

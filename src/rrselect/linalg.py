@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyBasisError, RankDeficientError
+from .errors import DimensionMismatchError, EmptyBasisError, RankDeficientError, ValidationError
 
 # Relative tolerance below which an orthogonalized column counts as dependent.
 RANK_TOL = 1e-12
@@ -169,10 +169,13 @@ def load_matrix_csv(path) -> DenseMatrix:
 
 
 def load_vector_csv(path) -> np.ndarray:
-    """Read a vector from CSV, accepting either a single column or row."""
+    """Read a vector from CSV, accepting either a single column or row; every
+    entry must be finite."""
     arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     if 1 not in arr.shape:
         raise DimensionMismatchError(f"expected a vector, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError("vector entries must be finite")
     return arr.reshape(-1)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import DesignMatrix
-from .errors import DimensionMismatchError, RankDeficientError
+from .errors import DimensionMismatchError, RankDeficientError, ValidationError
 from .linalg import RANK_TOL, OrthoBasisState
 
 RULES = ("omp", "ols")
@@ -81,6 +81,8 @@ def solution_path(design: DesignMatrix, y: np.ndarray, k_max: int, rule: str = "
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (n,):
         raise DimensionMismatchError(f"y has shape {y.shape}, expected ({n},)")
+    if not np.isfinite(y).all():
+        raise ValidationError("y must be finite")
     if not 1 <= k_max <= min(n - 1, p):
         raise ValueError(f"k_max={k_max} must lie in [1, min(n-1, p)={min(n - 1, p)}]")
 

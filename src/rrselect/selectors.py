@@ -1,9 +1,11 @@
 """Residual-ratio statistic and the noise-statistics-oblivious selectors.
 
 RRT keeps the last step whose residual ratio falls below a fixed Beta-quantile
-threshold; RRM keeps the step with the smallest ratio (hyperparameter free);
-RRTA is RRT with a data-adaptive level that shrinks as the smallest observed
-ratio shrinks, which restores consistency as the noise vanishes.
+threshold, tested as "Beta CDF at RR(k)^2 below the step's level" so that no
+quantile is inverted; RRM keeps the step with the smallest ratio
+(hyperparameter free); RRTA is RRT with a data-adaptive level that shrinks as
+the smallest observed ratio shrinks, which restores consistency as the noise
+vanishes.
 
 None of these read the noise level or the sparsity: they consume only the
 solution path.
@@ -11,13 +13,14 @@ solution path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyPathError, LengthMismatchError
+from . import special
+from .errors import EmptyPathError
 from .omp import SolutionPath
-from .special import ALPHA_FLOOR, ThresholdTable, build_threshold_table
+from .special import ALPHA_FLOOR, rrt_level
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,9 +28,22 @@ class ResidualRatios:
     """RR(k) = ||r^k|| / ||r^(k-1)|| for k = 1..K; always within [0,1]."""
 
     values: np.ndarray
+    _cdf: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.values)
+
+    def cdf(self, n: int) -> np.ndarray:
+        """c(k) = I_{RR(k)^2}((n-k)/2, 1/2) for k = 1..K, the Beta CDF that
+        bounds RR(k)^2 once the true support is covered; computed once per n."""
+        c = self._cdf.get(n)
+        if c is None:
+            # special.beta_cdf is looked up at call time, so a wrapper
+            # installed on it (a call counter) sees every evaluation.
+            c = self._cdf[n] = np.array(
+                [special.beta_cdf((n - k) / 2.0, 0.5, rr * rr) for k, rr in enumerate(self.values.tolist(), 1)]
+            )
+        return c
 
 
 @dataclass(frozen=True)
@@ -59,20 +75,12 @@ def residual_ratios(path: SolutionPath) -> ResidualRatios:
     return ResidualRatios(np.clip(rr, 0.0, 1.0))
 
 
-def trim_table(table: ThresholdTable, ratios: ResidualRatios) -> ThresholdTable:
-    """The table cut to the steps an early-terminated path realized; the
-    thresholds keep the configured k_max in their level."""
-    return table.truncated(len(ratios)) if len(ratios) < len(table) else table
-
-
-def rrt_select(ratios: ResidualRatios, thresholds: ThresholdTable) -> int | None:
-    """Largest k with RR(k) < Gamma(k); None when no step qualifies."""
-    rr = ratios.values
-    if len(rr) != len(thresholds):
-        raise LengthMismatchError(
-            f"{len(rr)} ratios vs {len(thresholds)} thresholds"
-        )
-    hits = np.nonzero(rr < thresholds.values)[0]
+def rrt_select(ratios: ResidualRatios, n: int, p: int, k_max: int, alpha: float) -> int | None:
+    """Largest k with RR(k) < Gamma(k), i.e. c(k) < rrt_level(n, p, k_max,
+    alpha, k); None when no step qualifies. A path that ended early simply has
+    fewer steps; the levels keep the configured k_max."""
+    levels = [rrt_level(n, p, k_max, alpha, k) for k in range(1, len(ratios) + 1)]
+    hits = np.nonzero(ratios.cdf(n) < levels)[0]
     if len(hits) == 0:
         return None
     return int(hits[-1]) + 1
@@ -98,8 +106,7 @@ def rrta_select(
     ratios: ResidualRatios, n: int, p: int, k_max: int, params: RrtaParams
 ) -> int | None:
     """RRT at the data-adaptive level rrta_alpha(ratios, params)."""
-    alpha_star = rrta_alpha(ratios, params)
-    return rrt_select(ratios, trim_table(build_threshold_table(n, p, k_max, alpha_star), ratios))
+    return rrt_select(ratios, n, p, k_max, rrta_alpha(ratios, params))
 
 
 def minimal_superset_index(path: SolutionPath, true_support) -> int | float:

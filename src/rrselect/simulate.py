@@ -31,8 +31,7 @@ from .designs import (
 from .errors import ValidationError
 from .omp import RULES, STATUS_EXHAUSTED, SolutionPath, SupportEstimate, default_kmax, solution_path
 from .omp import stop_fixed, stop_rcsc, stop_rpsc
-from .selectors import RrtaParams, residual_ratios, rrm_select, rrt_select, rrta_select, trim_table
-from .special import build_threshold_table
+from .selectors import RrtaParams, residual_ratios, rrm_select, rrt_select, rrta_select
 
 _MASK64 = (1 << 64) - 1
 
@@ -82,12 +81,6 @@ def _fixed_k0(path, ratios, oracle, spec):
     return stop_fixed(path, oracle.k0)
 
 
-def _rrt(path, ratios, oracle, spec):
-    rr = ratios()
-    table = build_threshold_table(oracle.n, oracle.p, oracle.k_max, spec.alpha)
-    return path.estimate(rrt_select(rr, trim_table(table, rr)))
-
-
 def _rrta(path, ratios, oracle, spec):
     params = RrtaParams(pfd_finite=spec.pfd, q=spec.q)
     return path.estimate(rrta_select(ratios(), oracle.n, oracle.p, oracle.k_max, params))
@@ -101,7 +94,7 @@ ALGORITHMS: dict[str, Algorithm] = {
     "rcsc": Algorithm(lambda path, rr, o, s: stop_rcsc(path, o.sigma, o.p), needs="sigma"),
     "rpsc_hsc": Algorithm(lambda path, rr, o, s: stop_rpsc(path, o.sigma, o.n, eta=s.eta), ("eta",), "sigma"),
     "rcsc_hsc": Algorithm(lambda path, rr, o, s: stop_rcsc(path, o.sigma, o.p, eta=s.eta), ("eta",), "sigma"),
-    "rrt": Algorithm(_rrt, ("alpha",)),
+    "rrt": Algorithm(lambda path, rr, o, s: path.estimate(rrt_select(rr(), o.n, o.p, o.k_max, s.alpha)), ("alpha",)),
     "rrm": Algorithm(lambda path, rr, o, s: path.estimate(rrm_select(rr()))),
     "rrta": Algorithm(_rrta, ("q", "pfd")),
 }

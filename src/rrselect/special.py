@@ -2,14 +2,12 @@
 threshold sequence Gamma(k) used by the RRT/RRTA selectors.
 
 Everything here is scalar and dependency-free (math module only): the
-selectors drive the inverse CDF at probabilities as small as 1e-300, a regime
-where library wrappers that do not work in the log domain underflow.
+selectors compare CDF values with levels as small as 1e-300, a regime where
+library wrappers that do not work in the log domain underflow.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -122,13 +120,13 @@ def _beta_inv_core(a: float, b: float, z: float) -> float:
             lo = x
         else:
             return x
-        if abs(f) <= 1e-13 * z or abs(f) < 1e-16:
+        if abs(f) <= 1e-13 * z:
             return x
         pdf = _beta_pdf(a, b, x, ln_beta)
         x_new = x - f / pdf if pdf > 0.0 else -1.0
-        if not lo < x_new < hi:
+        if x_new != x and not lo < x_new < hi:
             x_new = 0.5 * (lo + hi)
-        if x_new == x:
+        if x_new == x:  # no double is closer to the root
             return x
         x = x_new
     return x
@@ -137,8 +135,10 @@ def _beta_inv_core(a: float, b: float, z: float) -> float:
 def beta_cdf_inv(a: float, b: float, z: float) -> float:
     """Inverse of beta_cdf in its first argument: x with I_x(a,b) = z.
 
-    Accurate to |beta_cdf(a, b, x) - z| <= 1e-10; for z -> 1 the achievable
-    accuracy is limited by the spacing of doubles near x = 1.
+    Stops once |beta_cdf(a, b, x) - z| <= 1e-13 z, relative to z so that
+    tiny levels keep their digits; otherwise the spacing of doubles at x
+    limits the accuracy (near x = 1, and for quantiles below the smallest
+    normal double).
     """
     _check_ab(a, b)
     if not 0.0 <= z <= 1.0:
@@ -153,13 +153,12 @@ def beta_cdf_inv(a: float, b: float, z: float) -> float:
     return _beta_inv_core(a, b, z)
 
 
-def rrt_threshold(n: int, p: int, k_max: int, alpha: float, k: int) -> float:
-    """Threshold Gamma(k) = sqrt(F^-1_{(n-k)/2, 1/2}(alpha / (k_max (p-k+1)))).
+def rrt_level(n: int, p: int, k_max: int, alpha: float, k: int) -> float:
+    """Per-step level z(k) = alpha / (k_max (p-k+1)), with alpha floored at
+    ALPHA_FLOOR and an underflowing quotient raised to the smallest double.
 
-    The residual ratio at step k of a greedy path, conditioned on the true
-    support being covered, is stochastically bounded by a Beta((n-k)/2, 1/2)
-    variable; Gamma(k) is the quantile that puts total level alpha across all
-    steps and candidate columns.
+    The Beta CDF is increasing, so RR(k) < Gamma(k) is the same test as
+    beta_cdf((n-k)/2, 1/2, RR(k)^2) < z(k).
     """
     if k >= n:
         raise DomainError(f"k={k} must be < n={n} (beta parameter would be <= 0)")
@@ -171,45 +170,24 @@ def rrt_threshold(n: int, p: int, k_max: int, alpha: float, k: int) -> float:
         raise DomainError(f"p={p} must be >= k={k}")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0,1), got {alpha}")
-    alpha = max(alpha, ALPHA_FLOOR)
-    z = alpha / (k_max * (p - k + 1))
-    if z == 0.0:  # denominator huge enough to underflow the clamped alpha
-        z = 5e-324
+    z = max(alpha, ALPHA_FLOOR) / (k_max * (p - k + 1))
+    return z if z > 0.0 else 5e-324  # denominator huge enough to underflow the clamped alpha
+
+
+def rrt_threshold(n: int, p: int, k_max: int, alpha: float, k: int) -> float:
+    """Threshold Gamma(k) = sqrt(F^-1_{(n-k)/2, 1/2}(rrt_level(...))).
+
+    The residual ratio at step k of a greedy path, conditioned on the true
+    support being covered, is stochastically bounded by a Beta((n-k)/2, 1/2)
+    variable; Gamma(k) is the quantile that puts total level alpha across all
+    steps and candidate columns.
+    """
+    z = rrt_level(n, p, k_max, alpha, k)
     return math.sqrt(beta_cdf_inv((n - k) / 2.0, 0.5, z))
 
 
-@dataclass(frozen=True, eq=False)
-class ThresholdTable:
-    """Thresholds Gamma(1..len(values)) for fixed (n, p, k_max, alpha).
-
-    k_max is the parameter entering the per-step level alpha/(k_max (p-k+1));
-    values normally has k_max entries but may be truncated for paths that
-    terminated early.
-    """
-
-    n: int
-    p: int
-    k_max: int
-    alpha: float
-    values: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def truncated(self, m: int) -> "ThresholdTable":
-        """First m thresholds, unchanged (same k_max in the level)."""
-        if m > len(self.values):
-            raise ValueError(f"cannot extend table of length {len(self.values)} to {m}")
-        return ThresholdTable(self.n, self.p, self.k_max, self.alpha, self.values[:m])
-
-
-@lru_cache(maxsize=512)
-def _threshold_values(n: int, p: int, k_max: int, alpha: float) -> tuple[float, ...]:
-    return tuple(rrt_threshold(n, p, k_max, alpha, k) for k in range(1, k_max + 1))
-
-
-def build_threshold_table(n: int, p: int, k_max: int, alpha: float) -> ThresholdTable:
-    """Evaluate rrt_threshold for k = 1..k_max (cached on the parameters)."""
-    values = np.array(_threshold_values(n, p, k_max, float(alpha)))
+def build_threshold_table(n: int, p: int, k_max: int, alpha: float) -> np.ndarray:
+    """Gamma(1..k_max) as a read-only array."""
+    values = np.array([rrt_threshold(n, p, k_max, alpha, k) for k in range(1, k_max + 1)])
     values.flags.writeable = False
-    return ThresholdTable(n, p, k_max, float(alpha), values)
+    return values

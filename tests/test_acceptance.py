@@ -121,7 +121,7 @@ def test_criterion_3_threshold_coverage_beyond_minimal_superset():
         if math.isinf(k_min):
             continue
         tail = np.arange(int(k_min), len(rr))  # positions of k = k_min+1 .. K
-        if tail.size and np.any(rr[tail] <= table.values[tail]):
+        if tail.size and np.any(rr[tail] <= table[tail]):
             hits += 1
     rate = hits / trials
     bound = 0.1 + 3.0 * math.sqrt(0.1 * 0.9 / trials)
@@ -278,7 +278,6 @@ def test_criterion_8_bruteforce_oracles():
 
 def test_criterion_9_selector_scale_invariance():
     design = make_identity_hadamard(32)
-    table = build_threshold_table(32, 64, 16, 0.1)
     params = RrtaParams(0.1, 2.0)
     all_ok = True
     for seed in range(100):
@@ -291,7 +290,7 @@ def test_criterion_9_selector_scale_invariance():
             rr = residual_ratios(path)
             keys = (
                 path.selected,
-                rrt_select(rr, table),
+                rrt_select(rr, 32, 64, 16, 0.1),
                 rrm_select(rr),
                 rrta_select(rr, 32, 64, 16, params),
             )

@@ -154,7 +154,7 @@ def test_epsilon_bounds_closed_forms():
     )
     assert b.eps_omp == pytest.approx(0.5, rel=1e-12)
     assert b.eps_sigma == pytest.approx(7.2843771718571296622, rel=1e-12)
-    gammas = build_threshold_table(32, 64, 16, 0.1).values
+    gammas = build_threshold_table(32, 64, 16, 0.1)
     g1, gmin = float(gammas[0]), float(np.min(gammas))
     assert b.eps_rrt == pytest.approx(g1 / (1.0 + g1), rel=1e-12)
     assert b.eps_rrt_tilde == pytest.approx(gmin / (1.0 + gmin), rel=1e-12)

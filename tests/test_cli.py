@@ -136,7 +136,7 @@ def test_threshold_subcommand(tmp_path, capsys):
     for k, line in enumerate(lines[1:], start=1):
         fields = line.split(",")
         assert int(fields[0]) == k
-        assert float(fields[1]) == table.values[k - 1]
+        assert float(fields[1]) == table[k - 1]
 
     out = tmp_path / "thr.csv"
     assert main([
@@ -165,6 +165,16 @@ def test_recover_rrm(tmp_path, capsys):
     assert payload["status"] == "ok"
     assert payload["residual_norm"] == pytest.approx(0.0, abs=1e-12)
     assert payload["rr_values"][0] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("method", ["rrm", "rrta", "rrt"])
+def test_recover_rejects_non_finite_y(tmp_path, capsys, method):
+    mpath, ypath = _write_identity_problem(tmp_path)
+    ypath.write_text("0.0\nnan\n0.0\n0.0\n")
+    assert main(["recover", "--matrix", str(mpath), "--y", str(ypath), "--method", method]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: vector entries must be finite\n"
 
 
 def test_recover_rrt_and_fixed(tmp_path, capsys):

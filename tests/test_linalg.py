@@ -7,6 +7,7 @@ from rrselect.errors import (
     DimensionMismatchError,
     EmptyBasisError,
     RankDeficientError,
+    ValidationError,
 )
 from rrselect.linalg import (
     DenseMatrix,
@@ -213,4 +214,12 @@ def test_csv_round_trip(tmp_path):
 
     with pytest.raises(DimensionMismatchError):
         save_matrix_csv(vpath, rng.normal(size=(2, 2)))
+        load_vector_csv(vpath)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_load_vector_csv_rejects_non_finite_entries(tmp_path, bad):
+    vpath = tmp_path / "v.csv"
+    vpath.write_text(f"1.0\n{bad}\n2.0\n")
+    with pytest.raises(ValidationError):
         load_vector_csv(vpath)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rrselect.designs import DesignMatrix, make_identity_hadamard, sylvester_hadamard
-from rrselect.errors import DimensionMismatchError
+from rrselect.errors import DimensionMismatchError, ValidationError
 from rrselect.linalg import DenseMatrix
 from rrselect.omp import (
     default_kmax,
@@ -258,3 +258,13 @@ def test_estimate_accessors():
         path.estimate(4)
     with pytest.raises(ValueError):
         path.support_at(-1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("rule", ["omp", "ols"])
+def test_solution_path_rejects_non_finite_y(bad, rule):
+    design = make_identity_hadamard(8)
+    y = np.ones(8)
+    y[3] = bad
+    with pytest.raises(ValidationError):
+        solution_path(design, y, 4, rule)

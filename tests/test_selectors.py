@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rrselect.analysis import ric_bruteforce
 from rrselect.designs import SignalSpec, make_identity_hadamard, make_signal, sample_support, synthesize
-from rrselect.errors import EmptyPathError, LengthMismatchError
+from rrselect.errors import DomainError, EmptyPathError
 from rrselect.omp import SolutionPath, solution_path
 from rrselect.selectors import (
     ResidualRatios,
@@ -17,7 +19,7 @@ from rrselect.selectors import (
     rrta_alpha,
     rrta_select,
 )
-from rrselect.special import ALPHA_FLOOR, ThresholdTable, build_threshold_table
+from rrselect.special import ALPHA_FLOOR, beta_cdf, build_threshold_table, rrt_level
 
 
 def _path(norms, selected=None, rule="omp"):
@@ -34,9 +36,11 @@ def _path(norms, selected=None, rule="omp"):
     )
 
 
-def _table(values):
-    vals = np.asarray(values, dtype=float)
-    return ThresholdTable(n=32, p=64, k_max=len(vals), alpha=0.1, values=vals)
+def _table_rule(rr, n, p, k_max, alpha):
+    """The reference rule: largest k with RR(k) < Gamma(k) from the threshold table."""
+    table = build_threshold_table(n, p, k_max, alpha)
+    hits = np.nonzero(np.asarray(rr) < table[: len(rr)])[0]
+    return int(hits[-1]) + 1 if len(hits) else None
 
 
 def test_residual_ratios_examples():
@@ -58,12 +62,58 @@ def test_residual_ratios_bounded():
 
 
 def test_rrt_select_examples():
-    assert rrt_select(ResidualRatios(np.array([0.9, 0.02, 0.95])), _table([0.3, 0.3, 0.3])) == 2
-    assert rrt_select(ResidualRatios(np.array([0.99, 0.99])), _table([0.9, 0.9])) is None
+    # Gamma(1..3) at n=32, p=64, k_max=3, alpha=0.1 lie between 0.81 and 0.83
+    assert rrt_select(ResidualRatios(np.array([0.9, 0.02, 0.95])), 32, 64, 3, 0.1) == 2
+    assert rrt_select(ResidualRatios(np.array([0.99, 0.99])), 32, 64, 3, 0.1) is None
     # max semantics, not min
-    assert rrt_select(ResidualRatios(np.array([0.2, 0.2])), _table([0.3, 0.3])) == 2
-    with pytest.raises(LengthMismatchError):
-        rrt_select(ResidualRatios(np.array([0.5])), _table([0.3, 0.3]))
+    assert rrt_select(ResidualRatios(np.array([0.2, 0.2])), 32, 64, 3, 0.1) == 2
+    assert rrt_select(ResidualRatios(np.array([])), 32, 64, 3, 0.1) is None
+    # more steps than k_max, or a level outside (0,1), is a domain error
+    with pytest.raises(DomainError):
+        rrt_select(ResidualRatios(np.array([0.5, 0.5, 0.5, 0.5])), 32, 64, 3, 0.1)
+    with pytest.raises(DomainError):
+        rrt_select(ResidualRatios(np.array([0.5])), 32, 64, 3, 1.0)
+
+
+def test_cdf_vector_is_the_beta_cdf_of_each_squared_ratio_and_memoized():
+    rr = ResidualRatios(np.array([0.9, 0.0, 1.0]))
+    c = rr.cdf(32)
+    assert list(c) == [beta_cdf(15.5, 0.5, 0.81), 0.0, 1.0]
+    assert rr.cdf(32) is c
+    assert rr.cdf(16) is not c
+
+
+# Steps whose CDF value lies within this relative distance of the level are
+# too close to call: both rules then decide on rounding (the inverse stops at
+# 1e-13 relative, the forward CDF carries ~1e-13 relative error at 1e-300).
+_MARGIN = 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 200),
+    data=st.data(),
+    log_alpha=st.floats(math.log(1e-300), math.log(0.5)),
+)
+def test_cdf_rule_matches_threshold_table_rule(n, data, log_alpha):
+    k_max = data.draw(st.integers(1, n - 1), label="k_max")
+    p = data.draw(st.integers(k_max, 1000), label="p")
+    length = data.draw(st.integers(0, k_max), label="K")
+    alpha = min(math.exp(log_alpha), 0.5)
+    table = build_threshold_table(n, p, k_max, alpha)
+    # Each ratio anywhere in [0,1], or within 0.1% of its threshold.
+    rr = [
+        data.draw(st.one_of(st.floats(0.0, 1.0), st.floats(0.999, 1.001).map(lambda f: min(f * g, 1.0))))
+        for g in table[:length]
+    ]
+    ratios = ResidualRatios(np.array(rr, dtype=float))
+    for k, (c, x, gamma) in enumerate(zip(ratios.cdf(n), rr, table), 1):
+        z = rrt_level(n, p, k_max, alpha, k)
+        assume(abs(c - z) > _MARGIN * z)
+        # A quantile below the smallest double rounds Gamma(k) to 0, where the
+        # table rule cannot take RR(k) = 0 although 0 < Gamma(k) holds.
+        assume(not (x == 0.0 and gamma == 0.0))
+    assert rrt_select(ratios, n, p, k_max, alpha) == _table_rule(rr, n, p, k_max, alpha)
 
 
 def test_rrm_select_examples():
@@ -133,8 +183,9 @@ def test_selectors_on_exact_zero_tail():
     rr = ResidualRatios(np.array([0.5, 0.0, 0.0, 0.0]))
     assert rrm_select(rr) == 2
     assert rrta_select(rr, 32, 64, 4, RrtaParams(0.1, 2.0)) == 4
-    table = build_threshold_table(32, 64, 4, 0.1)
-    assert rrt_select(rr, table) == 4
+    assert rrt_select(rr, 32, 64, 4, 0.1) == 4
+    assert _table_rule(rr.values, 32, 64, 4, 0.1) == 4
+    assert _table_rule(rr.values, 32, 64, 4, rrta_alpha(rr, RrtaParams(0.1, 2.0))) == 4
 
 
 def test_rrta_matches_rrt_when_pfd_binds():
@@ -142,8 +193,7 @@ def test_rrta_matches_rrt_when_pfd_binds():
     rr = ResidualRatios(np.array([0.8, 0.7, 0.9, 0.95]))
     params = RrtaParams(pfd_finite=0.1, q=2.0)
     assert rrta_alpha(rr, params) == pytest.approx(0.1)
-    table = build_threshold_table(32, 64, 4, 0.1)
-    assert rrta_select(rr, 32, 64, 4, params) == rrt_select(rr, table)
+    assert rrta_select(rr, 32, 64, 4, params) == rrt_select(rr, 32, 64, 4, 0.1)
 
 
 def test_rrta_agrees_with_rrt_on_seeded_trials():
@@ -151,7 +201,6 @@ def test_rrta_agrees_with_rrt_on_seeded_trials():
     # selectors coincide; the premise fires at low SNR (large ratios)
     design = make_identity_hadamard(32)
     spec = SignalSpec(k0=3, kind="pm_one")
-    table = build_threshold_table(32, 64, 16, 0.1)
     params = RrtaParams(0.1, 2.0)
     agree_checked = 0
     for snr, tag in ((100.0, 0), (1.0, 10_000)):  # 20 dB and 0 dB
@@ -162,17 +211,24 @@ def test_rrta_agrees_with_rrt_on_seeded_trials():
             path = solution_path(design, problem.observation, 16)
             rr = residual_ratios(path)
             if float(np.min(rr.values)) ** 2 >= 0.1:
-                assert rrta_select(rr, 32, 64, 16, params) == rrt_select(rr, table)
+                assert rrta_select(rr, 32, 64, 16, params) == rrt_select(rr, 32, 64, 16, 0.1)
                 agree_checked += 1
     assert agree_checked > 0
 
 
 def test_rrta_handles_truncated_paths():
     rr = ResidualRatios(np.array([0.2, 0.9]))
-    # path shorter than k_max: thresholds for steps 1..2 still use k_max=4
+    # path shorter than k_max: the levels of steps 1..2 still use k_max=4,
+    # so the decision matches the first two entries of the k_max=4 table
+    alpha = rrta_alpha(rr, RrtaParams(0.1, 2.0))
     k = rrta_select(rr, 32, 64, 4, RrtaParams(0.1, 2.0))
-    full = build_threshold_table(32, 64, 4, rrta_alpha(rr, RrtaParams(0.1, 2.0)))
-    assert k == rrt_select(rr, full.truncated(2))
+    assert k == rrt_select(rr, 32, 64, 4, alpha) == _table_rule(rr.values, 32, 64, 4, alpha) == 1
+    # with k_max=2 the level of step 1 is twice as large: a ratio between the
+    # two thresholds tells the configured k_max apart from the path length
+    between = float(np.mean([build_threshold_table(32, 64, 4, 0.1)[0], build_threshold_table(32, 64, 2, 0.1)[0]]))
+    short = ResidualRatios(np.array([between, 0.99]))
+    assert rrt_select(short, 32, 64, 4, 0.1) is None
+    assert rrt_select(short, 32, 64, 2, 0.1) == 1
 
 
 def test_minimal_superset_examples():
@@ -187,7 +243,6 @@ def test_selector_scale_invariance_quick():
     design = make_identity_hadamard(32)
     spec = SignalSpec(k0=3, kind="pm_one")
     params = RrtaParams(0.1, 2.0)
-    table = build_threshold_table(32, 64, 16, 0.1)
     for seed in range(10):
         support = sample_support(64, 3, seed=seed)
         beta = make_signal(64, support, spec, seed=seed + 50)
@@ -196,7 +251,7 @@ def test_selector_scale_invariance_quick():
         for c in (1e-6, 1.0, 1e6):
             path = solution_path(design, c * problem.observation, 16)
             rr = residual_ratios(path)
-            keys = (path.selected, rrt_select(rr, table), rrm_select(rr), rrta_select(rr, 32, 64, 16, params))
+            keys = (path.selected, rrt_select(rr, 32, 64, 16, 0.1), rrm_select(rr), rrta_select(rr, 32, 64, 16, params))
             if baseline is None:
                 baseline = keys
             else:
@@ -222,7 +277,7 @@ def test_threshold_coverage_statistics():
         if math.isinf(k_min):
             continue
         tail = np.arange(int(k_min), len(rr))
-        if tail.size and np.any(rr[tail] <= table.values[tail]):
+        if tail.size and np.any(rr[tail] <= table[tail]):
             hits += 1
     bound = 0.1 + 3.0 * math.sqrt(0.1 * 0.9 / trials)
     assert hits / trials <= bound

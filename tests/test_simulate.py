@@ -267,3 +267,24 @@ def test_run_trial_computes_residual_ratios_once_per_path(monkeypatch):
     record = run_trial(config, build_design(config.design), 20.0, 0)
     assert len(record.outcomes) == 16
     assert sorted(calls) == ["ols", "omp"]
+
+
+@pytest.mark.parametrize(
+    "algorithms, builds",
+    [
+        ((AlgorithmSpec("rrt"), AlgorithmSpec("rrt", alpha=0.01), AlgorithmSpec("rrta"), AlgorithmSpec("rrm")), 1),
+        ((AlgorithmSpec("rrm"), AlgorithmSpec("rrm", rule="ols"), AlgorithmSpec("fixed_k0")), 0),
+    ],
+)
+def test_run_trial_builds_the_cdf_vector_once_per_path_and_only_for_rrt(monkeypatch, algorithms, builds):
+    from rrselect import special
+
+    # One CDF vector is one beta_cdf call per step of the path (k_max = 16).
+    calls = []
+    original = special.beta_cdf
+    monkeypatch.setattr(special, "beta_cdf", lambda a, b, x: calls.append(a) or original(a, b, x))
+    config = _config(algorithms=algorithms)
+    for trial in range(3):
+        calls.clear()
+        run_trial(config, build_design(config.design), 20.0, trial)
+        assert sorted(calls) == sorted([(32 - k) / 2.0 for k in range(1, 17)] * builds)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from rrselect.special import (
     beta_cdf_inv,
     build_threshold_table,
     log_beta_fn,
+    rrt_level,
     rrt_threshold,
 )
 
@@ -148,17 +150,65 @@ def test_threshold_table_properties():
 
     table = build_threshold_table(32, 64, 16, 0.1)
     assert len(table) == 16
-    assert np.all(table.values > 0.0) and np.all(table.values < 1.0)
-    assert table.values[15] == rrt_threshold(32, 64, 16, 0.1, 16)
+    assert np.all(table > 0.0) and np.all(table < 1.0)
+    assert table[15] == rrt_threshold(32, 64, 16, 0.1, 16)
+    with pytest.raises(ValueError):
+        table[0] = 0.5  # read-only
 
     smaller = build_threshold_table(32, 64, 16, 0.01)
-    assert np.all(smaller.values <= table.values)
+    assert np.all(smaller <= table)
 
-    trunc = table.truncated(5)
-    assert len(trunc) == 5
-    assert np.array_equal(trunc.values, table.values[:5])
-    with pytest.raises(ValueError):
-        table.truncated(17)
+
+# Gamma(k) = sqrt(F^-1(z)) from 40-digit mpmath Newton iterations on betainc,
+# keyed by (n, p, k_max, alpha, k).
+GAMMA_MPMATH = {
+    (32, 64, 16, 0.01, 1): 0.72594558240441573,
+    (32, 64, 16, 1e-12, 1): 0.34856035023075759,
+    (32, 64, 16, 1e-12, 5): 0.29832707658193538,
+    (32, 64, 16, 1e-12, 16): 0.12974240639103303,
+    (64, 128, 32, 1e-100, 1): 0.023508334461938532,
+    (100, 1000, 50, 0.05, 37): 0.82629303762207297,
+}
+
+
+@pytest.mark.parametrize("args", sorted(GAMMA_MPMATH))
+def test_rrt_threshold_matches_mpmath(args):
+    assert rrt_threshold(*args) == pytest.approx(GAMMA_MPMATH[args], rel=1e-14, abs=0.0)
+
+
+def test_rrt_level_is_the_level_of_the_threshold():
+    assert rrt_level(32, 64, 16, 0.1, 1) == 0.1 / (16 * 64)
+    assert rrt_level(32, 64, 16, 1e-320, 3) == ALPHA_FLOOR / (16 * 62)  # alpha floored
+    assert rrt_level(32, 10**30, 16, ALPHA_FLOOR, 1) == 5e-324  # underflow raised
+    for k in (1, 8, 16):
+        gamma = rrt_threshold(32, 64, 16, 0.1, k)
+        level = rrt_level(32, 64, 16, 0.1, k)
+        assert beta_cdf((32 - k) / 2.0, 0.5, gamma**2) == pytest.approx(level, rel=1e-12, abs=0.0)
+    with pytest.raises(DomainError):
+        rrt_level(32, 64, 16, 0.1, 17)
+
+
+@pytest.mark.parametrize("a", [0.5, 8.0, 15.5])
+def test_inverse_level_relative_error_against_mpmath(a):
+    # The level reached by the returned quantile, I_x(a, 1/2) evaluated in
+    # 50-digit arithmetic, must match z to 1e-12 relative for every z from
+    # 1e-8 down to 1e-300. Where the quantile lies among the subnormal
+    # doubles, or below them (a = 0.5, z < 1e-161), their spacing puts that
+    # out of reach; there x must be within one double of the true quantile.
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+
+    def level(x):
+        return mp.betainc(a, 0.5, 0, x, regularized=True)
+
+    for e in range(8, 301):
+        z = 10.0**-e
+        x = beta_cdf_inv(a, 0.5, z)
+        rel = float(abs(level(x) - z) / z)
+        if x < sys.float_info.min and rel > 1e-12:
+            assert level(math.nextafter(x, 0.0)) <= z <= level(math.nextafter(x, 1.0)), (z, x)
+        else:
+            assert rel <= 1e-12, (z, x, rel)
 
 
 def test_oracle_recompute_spot_check():
