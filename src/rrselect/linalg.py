@@ -28,7 +28,7 @@ class DenseMatrix:
         if arr.ndim != 2:
             raise DimensionMismatchError(f"expected a 2-d array, got ndim={arr.ndim}")
         if arr.size and not np.isfinite(arr).all():
-            raise ValueError("matrix entries must be finite")
+            raise ValidationError("matrix entries must be finite")
         self.values = arr
 
     @property

@@ -86,10 +86,16 @@ def solution_path(design: DesignMatrix, y: np.ndarray, k_max: int, rule: str = "
     if not 1 <= k_max <= min(n - 1, p):
         raise ValueError(f"k_max={k_max} must lie in [1, min(n-1, p)={min(n - 1, p)}]")
 
+    # Run on y scaled by an exact power of two to max|y| in [0.5, 1) and scale
+    # the norms back: binary scaling is exact in every step, and no squared
+    # norm under- or overflows at any scale of y.
+    e = math.frexp(float(np.abs(y).max()))[1]
     state = OrthoBasisState(n, capacity=k_max)
-    r = y.copy()
+    r = np.ldexp(y, -e)
     corr = x.T @ r
     norms = [float(np.linalg.norm(r))]
+    if math.frexp(norms[0])[1] + e > 1024:  # ||y|| = norms[0] * 2**e is past the float64 range
+        raise ValidationError("||y|| overflows float64")
     corr_inf = [float(np.max(np.abs(corr)))]
     selected: list[int] = []
     taken = np.zeros(p, dtype=bool)
@@ -134,8 +140,8 @@ def solution_path(design: DesignMatrix, y: np.ndarray, k_max: int, rule: str = "
     return SolutionPath(
         rule=rule,
         selected=tuple(selected),
-        residual_norms=np.array(norms),
-        residual_corr_inf=np.array(corr_inf),
+        residual_norms=np.ldexp(norms, e),
+        residual_corr_inf=np.ldexp(corr_inf, e),
         K=len(selected),
         status=status,
     )

@@ -2,7 +2,8 @@
 
 RRT keeps the last step whose residual ratio falls below a fixed Beta-quantile
 threshold, tested as "Beta CDF at RR(k)^2 below the step's level" so that no
-quantile is inverted; RRM keeps the step with the smallest ratio
+quantile is inverted (the CDF is taken from RR(k), so a square that underflows
+does not read as 0); RRM keeps the step with the smallest ratio
 (hyperparameter free); RRTA is RRT with a data-adaptive level that shrinks as
 the smallest observed ratio shrinks, which restores consistency as the noise
 vanishes.
@@ -39,9 +40,10 @@ class ResidualRatios:
         c = self._cdf.get(n)
         if c is None:
             # special.beta_cdf is looked up at call time, so a wrapper
-            # installed on it (a call counter) sees every evaluation.
+            # installed on it (a call counter) sees every evaluation whose
+            # square is a normal double.
             c = self._cdf[n] = np.array(
-                [special.beta_cdf((n - k) / 2.0, 0.5, rr * rr) for k, rr in enumerate(self.values.tolist(), 1)]
+                [special.beta_cdf_of_square((n - k) / 2.0, 0.5, rr) for k, rr in enumerate(self.values.tolist(), 1)]
             )
         return c
 

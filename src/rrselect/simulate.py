@@ -12,6 +12,7 @@ import functools
 import hashlib
 import json
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
@@ -350,16 +351,15 @@ def run_trial(
     return record
 
 
-def _count_block(args) -> dict[str, list[int]]:
+def _count_block(args) -> Counter:
+    """(snr_db, label, "pe" | "pfd") -> how many trials in [start, stop) the
+    algorithm got wrong | made a false discovery on."""
     config, matrix, snr_db, start, stop = args
-    counts = {alg.label: [0, 0] for alg in config.algorithms}
+    counts = Counter()
     for trial_index in range(start, stop):
-        record = run_trial(config, matrix, snr_db, trial_index)
-        for label, outcome in record.outcomes.items():
-            if not outcome.exact:
-                counts[label][0] += 1
-            if outcome.false_discovery:
-                counts[label][1] += 1
+        for label, outcome in run_trial(config, matrix, snr_db, trial_index).outcomes.items():
+            counts[snr_db, label, "pe"] += not outcome.exact
+            counts[snr_db, label, "pfd"] += outcome.false_discovery
     return counts
 
 
@@ -371,31 +371,32 @@ def _binomial_stderr(successes: int, trials: int) -> float:
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     """Full sweep over the configured SNR points.
 
-    Trials are independent and seed-determined, so any worker count produces
-    the identical SweepResult.
+    Every trial block of the sweep (one per SNR point on 1 worker, else up to
+    4 per worker) goes through one ordered map, in one process pool when
+    workers > 1. Trials are independent and seed-determined, so any worker
+    count produces the identical SweepResult.
     """
     config.validate()
+    if workers < 1:
+        raise ValidationError(f"workers: must be >= 1, got {workers}")
     matrix = None if config.regenerate_matrix else build_design(config.design)
     trials = config.trials
+    blocks = min(workers * 4, trials) if workers > 1 else 1
+    bounds = np.linspace(0, trials, blocks + 1, dtype=int).tolist()
+    jobs = [
+        (config, matrix, snr_db, start, stop)
+        for snr_db in config.snr_db_list
+        for start, stop in zip(bounds[:-1], bounds[1:])
+    ]
+    if workers == 1:
+        counts = sum(map(_count_block, jobs), Counter())
+    else:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            counts = sum(pool.map(_count_block, jobs), Counter())
     rows: list[SweepRow] = []
     for snr_db in config.snr_db_list:
-        if workers <= 1:
-            counts = _count_block((config, matrix, snr_db, 0, trials))
-        else:
-            bounds = np.linspace(0, trials, min(workers * 4, trials) + 1, dtype=int)
-            blocks = [
-                (config, matrix, snr_db, int(a), int(b))
-                for a, b in zip(bounds[:-1], bounds[1:])
-                if a < b
-            ]
-            counts = {alg.label: [0, 0] for alg in config.algorithms}
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for part in pool.map(_count_block, blocks):
-                    for label, (err, fd) in part.items():
-                        counts[label][0] += err
-                        counts[label][1] += fd
         for alg in config.algorithms:
-            err, fd = counts[alg.label]
+            err, fd = counts[snr_db, alg.label, "pe"], counts[snr_db, alg.label, "pfd"]
             rows.append(
                 SweepRow(
                     snr_db=float(snr_db),

@@ -8,6 +8,7 @@ library wrappers that do not work in the log domain underflow.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -16,6 +17,9 @@ from .errors import DomainError
 # Probabilities below this floor are clamped up before threshold evaluation so
 # log-domain arithmetic stays finite while "threshold -> 0" behavior survives.
 ALPHA_FLOOR = 1e-300
+
+# Smallest normal double: a square below it has lost digits or rounded to 0.
+_NORMAL_MIN = sys.float_info.min
 
 _CF_EPS = 1e-15
 _CF_TINY = 1e-300
@@ -89,6 +93,23 @@ def beta_cdf(a: float, b: float, x: float) -> float:
     return min(max(val, 0.0), 1.0)
 
 
+def beta_cdf_of_square(a: float, b: float, r: float) -> float:
+    """I_{r^2}(a,b) for r in [0,1]: the Beta(a,b) CDF at r^2.
+
+    Where r^2 falls below the normal doubles (0 < r < 1.5e-154) the square
+    loses digits or rounds to 0, so the leading term r^(2a) / (a B(a,b)) is
+    taken in the log domain; the continued fraction and (1-r^2)^b equal 1 to
+    double precision there.
+    """
+    if not 0.0 <= r <= 1.0:
+        raise DomainError(f"r must lie in [0,1], got {r}")
+    x = r * r
+    if r == 0.0 or x >= _NORMAL_MIN:
+        return beta_cdf(a, b, x)
+    ln_val = 2.0 * a * math.log(r) - math.log(a) - log_beta_fn(a, b)
+    return math.exp(ln_val) if ln_val > -745.0 else 0.0
+
+
 def _beta_pdf(a: float, b: float, x: float, ln_beta: float) -> float:
     if not 0.0 < x < 1.0:
         return 0.0
@@ -158,7 +179,7 @@ def rrt_level(n: int, p: int, k_max: int, alpha: float, k: int) -> float:
     ALPHA_FLOOR and an underflowing quotient raised to the smallest double.
 
     The Beta CDF is increasing, so RR(k) < Gamma(k) is the same test as
-    beta_cdf((n-k)/2, 1/2, RR(k)^2) < z(k).
+    beta_cdf_of_square((n-k)/2, 1/2, RR(k)) < z(k).
     """
     if k >= n:
         raise DomainError(f"k={k} must be < n={n} (beta parameter would be <= 0)")

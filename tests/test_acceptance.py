@@ -279,28 +279,31 @@ def test_criterion_8_bruteforce_oracles():
 def test_criterion_9_selector_scale_invariance():
     design = make_identity_hadamard(32)
     params = RrtaParams(0.1, 2.0)
+
+    def decisions(y):
+        path = solution_path(design, y, 16)
+        rr = residual_ratios(path)
+        keys = (path.selected, rrt_select(rr, 32, 64, 16, 0.1), rrm_select(rr), rrta_select(rr, 32, 64, 16, params))
+        return keys, rr.values
+
     all_ok = True
+    worst = 0.0
     for seed in range(100):
         support = sample_support(64, 3, seed=90_000 + seed)
         beta = make_signal(64, support, PM_ONE3, seed=91_000 + seed)
-        problem = synthesize(design, beta, support, snr=100.0, seed=92_000 + seed)
-        baseline = None
-        for c in (1e-6, 1.0, 1e6):
-            path = solution_path(design, c * problem.observation, 16)
-            rr = residual_ratios(path)
-            keys = (
-                path.selected,
-                rrt_select(rr, 32, 64, 16, 0.1),
-                rrm_select(rr),
-                rrta_select(rr, 32, 64, 16, params),
-            )
-            if baseline is None:
-                baseline, base_rr = keys, rr.values
-            else:
-                all_ok &= keys == baseline
-                all_ok &= np.allclose(rr.values, base_rr, rtol=1e-9, atol=0.0)
+        y = synthesize(design, beta, support, snr=100.0, seed=92_000 + seed).observation
+        baseline, base_rr = decisions(y)
+        for c in (1e-300, 1e-200, 1e-6, 1e6, 1e200, 1e300):
+            # c * y is rounded entrywise, so its ratios agree to rounding ...
+            keys, rr = decisions(c * y)
+            all_ok &= keys == baseline and np.allclose(rr, base_rr, rtol=1e-9, atol=0.0)
+            worst = max(worst, float(np.max(np.abs(rr / base_rr - 1.0))))
+            # ... and the nearest power of two scales y exactly: bit-equal ratios.
+            keys, rr = decisions(np.ldexp(y, round(math.log2(c))))
+            all_ok &= keys == baseline and np.array_equal(rr, base_rr)
     _check(
         "criterion 9 (scale invariance)",
         all_ok,
-        "selected indices, k_rrt/k_rrm/k_rrta and ratios invariant under y -> c y",
+        "selected indices, k_rrt/k_rrm/k_rrta and ratios invariant under y -> c y for c = 1e-300..1e300; "
+        f"ratios bit-equal at powers of two, within {worst:.1e} relative at powers of ten",
     )

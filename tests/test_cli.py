@@ -177,6 +177,15 @@ def test_recover_rejects_non_finite_y(tmp_path, capsys, method):
     assert captured.err == "error: vector entries must be finite\n"
 
 
+def test_recover_rejects_non_finite_matrix(tmp_path, capsys):
+    mpath, ypath = _write_identity_problem(tmp_path)
+    mpath.write_text("1,0,0,0\n0,nan,0,0\n0,0,1,0\n0,0,0,1\n")
+    assert main(["recover", "--matrix", str(mpath), "--y", str(ypath), "--method", "rrm"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: matrix entries must be finite\n"
+
+
 def test_recover_rrt_and_fixed(tmp_path, capsys):
     mpath, ypath = _write_identity_problem(tmp_path)
     assert main([
@@ -384,6 +393,15 @@ def test_figure_subcommand_shape_and_determinism(tmp_path):
     n_rows = len(results.strip().splitlines()) - 1
     assert n_rows == len(config.snr_db_list) * len(config.algorithms)
     assert plot.splitlines()[0] == "snr_db,algorithm,pe"
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_figure_rejects_thread_counts_below_one(tmp_path, capsys, threads):
+    out = tmp_path / "out"
+    assert main(["figure", "fig1_hadamard", "--trials", "2", "--threads", threads, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: workers: must be >= 1, got {threads}\n"
+    assert not out.exists()
 
 
 def test_unknown_flag_rejected(capsys):

@@ -24,9 +24,9 @@ def test_dense_matrix_validates_shape_and_finiteness():
     assert m.values.flags.f_contiguous
     with pytest.raises(DimensionMismatchError):
         DenseMatrix([1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         DenseMatrix([[1.0, np.nan]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         DenseMatrix([[np.inf, 0.0]])
 
 
@@ -215,6 +215,14 @@ def test_csv_round_trip(tmp_path):
     with pytest.raises(DimensionMismatchError):
         save_matrix_csv(vpath, rng.normal(size=(2, 2)))
         load_vector_csv(vpath)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_load_matrix_csv_rejects_non_finite_entries(tmp_path, bad):
+    mpath = tmp_path / "m.csv"
+    mpath.write_text(f"1.0,0.0\n{bad},1.0\n")
+    with pytest.raises(ValidationError, match="matrix entries must be finite"):
+        load_matrix_csv(mpath)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

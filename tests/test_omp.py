@@ -268,3 +268,19 @@ def test_solution_path_rejects_non_finite_y(bad, rule):
     y[3] = bad
     with pytest.raises(ValidationError):
         solution_path(design, y, 4, rule)
+
+
+@pytest.mark.parametrize("rule", ["omp", "ols"])
+def test_solution_path_of_zero_y_has_zero_norms(rule):
+    path = solution_path(make_identity_hadamard(8), np.zeros(8), 4, rule)
+    assert path.K == 4
+    assert not path.residual_norms.any() and not path.residual_corr_inf.any()
+
+
+def test_solution_path_rejects_y_whose_norm_overflows():
+    design = make_identity_hadamard(8)
+    with pytest.raises(ValidationError, match="overflows"):
+        solution_path(design, np.full(8, 1e308), 4)
+    # ||y|| = 5e307 sqrt(8) ~ 1.4e308 is still a double
+    path = solution_path(design, np.full(8, 5e307), 4)
+    assert path.residual_norms[0] == pytest.approx(5e307 * math.sqrt(8), rel=1e-15)

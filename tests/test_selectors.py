@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from rrselect.selectors import (
     rrta_alpha,
     rrta_select,
 )
-from rrselect.special import ALPHA_FLOOR, beta_cdf, build_threshold_table, rrt_level
+from rrselect.special import ALPHA_FLOOR, beta_cdf, build_threshold_table, log_beta_fn, rrt_level
 
 
 def _path(norms, selected=None, rule="omp"):
@@ -37,10 +38,23 @@ def _path(norms, selected=None, rule="omp"):
 
 
 def _table_rule(rr, n, p, k_max, alpha):
-    """The reference rule: largest k with RR(k) < Gamma(k) from the threshold table."""
+    """The reference rule: largest k with RR(k) < Gamma(k) from the threshold table.
+
+    Where Gamma(k)^2 lies below the normal doubles the table has lost digits
+    or rounded Gamma(k) to 0, so there RR(k) is compared with the exact
+    quantile in the log domain: I_q(a, 1/2) = q^a / (a B(a, 1/2)) to double
+    precision for such q, hence ln Gamma(k) = ln(a z B(a, 1/2)) / (2a).
+    """
     table = build_threshold_table(n, p, k_max, alpha)
-    hits = np.nonzero(np.asarray(rr) < table[: len(rr)])[0]
-    return int(hits[-1]) + 1 if len(hits) else None
+    hits = []
+    for k, (x, gamma) in enumerate(zip(rr, table), 1):
+        if gamma * gamma >= sys.float_info.min:
+            hits.append(x < gamma)
+        else:
+            a = (n - k) / 2.0
+            ln_gamma = (math.log(a * rrt_level(n, p, k_max, alpha, k)) + log_beta_fn(a, 0.5)) / (2.0 * a)
+            hits.append(x == 0.0 or math.log(x) < ln_gamma)
+    return max((k for k, hit in enumerate(hits, 1) if hit), default=None)
 
 
 def test_residual_ratios_examples():
@@ -83,6 +97,16 @@ def test_cdf_vector_is_the_beta_cdf_of_each_squared_ratio_and_memoized():
     assert rr.cdf(16) is not c
 
 
+def test_ratio_whose_square_underflows_keeps_its_cdf():
+    # At n = 2 the level-1e-300 threshold is Gamma(1) = pi z / 2 ~ 1.6e-300.
+    # RR(1) = 1e-200 lies far above it, although RR(1)^2 rounds to 0, and
+    # RR(1) = 1e-301 lies below it although Gamma(1)^2 rounds to 0.
+    for rr, selected in ((1e-200, None), (1e-301, 1)):
+        ratios = ResidualRatios(np.array([rr]))
+        assert ratios.cdf(2)[0] == pytest.approx(2.0 * rr / math.pi, rel=1e-12, abs=0.0)
+        assert rrt_select(ratios, 2, 1, 1, 1e-300) == selected
+
+
 # Steps whose CDF value lies within this relative distance of the level are
 # too close to call: both rules then decide on rounding (the inverse stops at
 # 1e-13 relative, the forward CDF carries ~1e-13 relative error at 1e-300).
@@ -107,12 +131,9 @@ def test_cdf_rule_matches_threshold_table_rule(n, data, log_alpha):
         for g in table[:length]
     ]
     ratios = ResidualRatios(np.array(rr, dtype=float))
-    for k, (c, x, gamma) in enumerate(zip(ratios.cdf(n), rr, table), 1):
+    for k, c in enumerate(ratios.cdf(n), 1):
         z = rrt_level(n, p, k_max, alpha, k)
         assume(abs(c - z) > _MARGIN * z)
-        # A quantile below the smallest double rounds Gamma(k) to 0, where the
-        # table rule cannot take RR(k) = 0 although 0 < Gamma(k) holds.
-        assume(not (x == 0.0 and gamma == 0.0))
     assert rrt_select(ratios, n, p, k_max, alpha) == _table_rule(rr, n, p, k_max, alpha)
 
 
@@ -257,6 +278,41 @@ def test_selector_scale_invariance_quick():
             else:
                 assert keys[0] == baseline[0]
                 assert keys[1:] == baseline[1:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    kind=st.sampled_from(["pm_one", "geometric"]),
+    snr_db=st.floats(-10.0, 60.0),
+    rule=st.sampled_from(["omp", "ols"]),
+    m=st.integers(-1000, 1000),
+)
+def test_path_ratios_and_selections_are_invariant_under_binary_scaling(seed, kind, snr_db, rule, m):
+    # y -> 2**m y is exact while every entry stays a normal double, so the
+    # path, scaled norms, ratios and selections must all be bit-identical,
+    # including scales where the squared norms of y under- or overflow.
+    design = make_identity_hadamard(32)
+    support = sample_support(64, 3, seed)
+    beta = make_signal(64, support, SignalSpec(k0=3, kind=kind), seed + 1)
+    y = synthesize(design, beta, support, 10.0 ** (snr_db / 10.0), seed + 2).observation
+    scaled = np.ldexp(y, m)
+    assume(np.all(np.abs(scaled) >= np.finfo(float).tiny))
+    base, path = (solution_path(design, v, 16, rule) for v in (y, scaled))
+    norms = np.ldexp(base.residual_norms, m)
+    assume(np.all(norms >= np.finfo(float).tiny))
+    assert path.selected == base.selected
+    assert np.array_equal(path.residual_norms, norms)
+    assert np.array_equal(path.residual_corr_inf, np.ldexp(base.residual_corr_inf, m))
+    base_rr, rr = residual_ratios(base), residual_ratios(path)
+    assert np.array_equal(rr.values, base_rr.values)
+    params = RrtaParams(0.1, 2.0)
+    for select in (
+        rrm_select,
+        lambda r: rrt_select(r, 32, 64, 16, 0.1),
+        lambda r: rrta_select(r, 32, 64, 16, params),
+    ):
+        assert select(rr) == select(base_rr)
 
 
 def test_threshold_coverage_statistics():

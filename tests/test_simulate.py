@@ -288,3 +288,70 @@ def test_run_trial_builds_the_cdf_vector_once_per_path_and_only_for_rrt(monkeypa
         calls.clear()
         run_trial(config, build_design(config.design), 20.0, trial)
         assert sorted(calls) == sorted([(32 - k) / 2.0 for k in range(1, 17)] * builds)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_run_sweep_rejects_worker_counts_below_one(workers):
+    with pytest.raises(ValidationError, match="workers"):
+        run_sweep(_config(), workers=workers)
+
+
+@pytest.mark.parametrize(
+    "snr_db_list, trials, workers, pool_size",
+    [((20.0,), 2, 500, 2), ((0.0, 20.0), 1, 3, 2), ((0.0, 10.0, 20.0), 5, 3, 3)],
+)
+def test_pool_is_never_larger_than_the_job_list(monkeypatch, snr_db_list, trials, workers, pool_size):
+    from rrselect import simulate
+
+    created = []
+
+    class InProcessExecutor:
+        """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", InProcessExecutor)
+    config = _config(snr_db_list=snr_db_list, trials=trials)
+    assert run_sweep(config, workers=workers).rows == run_sweep(config).rows
+    assert created == [pool_size]
+
+
+@pytest.mark.parametrize("workers, pools", [(1, 0), (2, 1)])
+def test_one_pool_per_sweep(monkeypatch, workers, pools):
+    from rrselect import simulate
+
+    created = []
+    real = simulate.ProcessPoolExecutor
+
+    def counted(*args, **kwargs):
+        created.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", counted)
+    run_sweep(_config(snr_db_list=(0.0, 10.0, 20.0), trials=4), workers=workers)
+    assert len(created) == pools
+
+
+def test_sweep_csv_is_byte_identical_for_any_worker_count():
+    # 5 trials per point: 1 block on 1 worker, 5 one-trial blocks on 2 or 3.
+    config = _config(
+        snr_db_list=(0.0, 10.0, 20.0),
+        trials=5,
+        algorithms=(AlgorithmSpec("rrm"), AlgorithmSpec("rrta"), AlgorithmSpec("rpsc", rule="ols")),
+    )
+    texts = set()
+    for workers in (1, 2, 3):
+        buf = io.StringIO()
+        write_sweep_csv(buf, run_sweep(config, workers=workers), config)
+        texts.add(buf.getvalue())
+    assert len(texts) == 1

@@ -9,6 +9,7 @@ from rrselect.special import (
     ALPHA_FLOOR,
     beta_cdf,
     beta_cdf_inv,
+    beta_cdf_of_square,
     build_threshold_table,
     log_beta_fn,
     rrt_level,
@@ -59,6 +60,31 @@ def test_beta_cdf_boundaries_monotone_domain():
         beta_cdf(1.0, 1.0, -0.1)
     with pytest.raises(DomainError):
         beta_cdf(1.0, 1.0, 1.1)
+
+
+def test_beta_cdf_of_square_matches_beta_cdf_where_the_square_is_normal():
+    for a in (0.5, 8.0, 15.5):
+        for r in (0.0, 1.5e-154, 1e-100, 0.3, 0.9, 1.0):
+            assert beta_cdf_of_square(a, 0.5, r) == beta_cdf(a, 0.5, r * r)
+    with pytest.raises(DomainError):
+        beta_cdf_of_square(2.0, 0.5, -1e-200)
+    with pytest.raises(DomainError):
+        beta_cdf_of_square(2.0, 0.5, 1.5)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.5])
+def test_beta_cdf_of_square_against_mpmath_where_the_square_underflows(a):
+    # r^2 is subnormal or rounds to 0 for r < 1.5e-154, where beta_cdf(a, b,
+    # r * r) loses digits or reads 0. Checked wherever the CDF is at least
+    # 1e-300, to 1e-12 relative: exp() of a log near -700 carries ~1e-13.
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    for e in range(155, 301, 5):
+        r = 10.0**-e
+        expected = mp.betainc(a, 0.5, 0, mp.mpf(r) ** 2, regularized=True)
+        if expected < 1e-300:
+            continue
+        assert beta_cdf_of_square(a, 0.5, r) == pytest.approx(float(expected), rel=1e-12, abs=0.0), (a, r)
 
 
 def test_beta_cdf_inv_trivial_and_frozen_values():
