@@ -6,6 +6,8 @@ columns is obtained by projecting against the orthonormal basis.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptyBasisError, RankDeficientError, ValidationError
@@ -96,11 +98,14 @@ class OrthoBasisState:
         column falls below RANK_TOL relative to its norm, and IndexError for
         an out-of-range column index.
         """
-        if matrix.rows != self.ambient_dim:
+        values = matrix.values
+        if values.shape[0] != self.ambient_dim:
             raise DimensionMismatchError(
-                f"matrix has {matrix.rows} rows, basis lives in dim {self.ambient_dim}"
+                f"matrix has {values.shape[0]} rows, basis lives in dim {self.ambient_dim}"
             )
-        col = matrix.column(col_index)
+        if not 0 <= col_index < values.shape[1]:
+            raise IndexError(f"column index {col_index} out of range for {values.shape[1]} columns")
+        col = values[:, col_index]
         k = self.size
         if k >= self._q.shape[1]:
             self._grow()
@@ -108,21 +113,22 @@ class OrthoBasisState:
             raise RankDeficientError("basis already spans the ambient space")
 
         q = self._q[:, :k]
-        v = col.astype(np.float64, copy=True)
+        qt = q.T
+        v = col.copy()
         coeffs = np.zeros(k)
         # Two MGS passes: the second pass mops up cancellation in the first.
         for _ in range(2):
-            h = q.T @ v
-            v -= q @ h
+            h = qt.dot(v)
+            v -= q.dot(h)
             coeffs += h
-        norm = float(np.linalg.norm(v))
-        col_norm = float(np.linalg.norm(col))
+        norm = math.sqrt(v.dot(v))
+        col_norm = math.sqrt(col.dot(col))
         if norm <= RANK_TOL * col_norm or norm == 0.0:
             raise RankDeficientError(
                 f"column {col_index} is in the span of the current basis "
                 f"(remainder {norm:.3e} vs column norm {col_norm:.3e})"
             )
-        self._q[:, k] = v / norm
+        np.divide(v, norm, out=self._q[:, k])
         self._r[:k, k] = coeffs
         self._r[k, k] = norm
         self.selected_cols.append(int(col_index))

@@ -76,7 +76,8 @@ def solution_path(design: DesignMatrix, y: np.ndarray, k_max: int, rule: str = "
     """
     if rule not in RULES:
         raise ValueError(f"rule must be one of {RULES}, got {rule!r}")
-    x = design.matrix.values
+    matrix = design.matrix
+    x = matrix.values
     n, p = x.shape
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (n,):
@@ -92,49 +93,61 @@ def solution_path(design: DesignMatrix, y: np.ndarray, k_max: int, rule: str = "
     e = math.frexp(float(np.abs(y).max()))[1]
     state = OrthoBasisState(n, capacity=k_max)
     r = np.ldexp(y, -e)
-    corr = x.T @ r
-    norms = [float(np.linalg.norm(r))]
+    xt = x.T
+    # ndarray.dot runs the BLAS call of @ without the matmul dispatch, and
+    # sqrt(v.dot(v)) is how numpy takes the 2-norm of a vector: same bits.
+    corr = xt.dot(r)
+    norms = [math.sqrt(r.dot(r))]
     if math.frexp(norms[0])[1] + e > 1024:  # ||y|| = norms[0] * 2**e is past the float64 range
         raise ValidationError("||y|| overflows float64")
-    corr_inf = [float(np.max(np.abs(corr)))]
+    score = np.abs(corr)
+    top = int(score.argmax())  # score[top] is the max, without the reduction set-up
+    corr_inf = [float(score[top])]
     selected: list[int] = []
     taken = np.zeros(p, dtype=bool)
     status = "complete"
     if rule == "ols":
         col_sq = np.einsum("ij,ij->j", x, x)
         res_col_sq = col_sq.copy()
+        dependent_sq = (RANK_TOL * RANK_TOL) * col_sq  # at or below: in the span of the basis
 
     for k in range(k_max):
         if rule == "omp":
-            score = np.abs(corr)
-            score[taken] = -1.0
-            t = int(np.argmax(score))
-            if score[t] < 0.0:  # every column already selected (p exhausted)
-                status = "rank_deficient"
-                break
+            # The first column of largest |correlation| is the pick unless it
+            # is taken; then mask every taken column and look again.
+            t = top
+            if taken[t]:
+                score[taken] = -1.0
+                t = int(score.argmax())
+                if score[t] < 0.0:  # every column already selected (p exhausted)
+                    status = "rank_deficient"
+                    break
         else:
-            admissible = ~taken & (res_col_sq > (RANK_TOL * RANK_TOL) * col_sq)
+            admissible = ~taken & (res_col_sq > dependent_sq)
             if not admissible.any():
                 status = "rank_deficient"
                 break
             score = np.where(admissible, corr * corr / np.where(admissible, res_col_sq, 1.0), -1.0)
-            t = int(np.argmax(score))
+            t = int(score.argmax())
         try:
-            state.append(design.matrix, t)
+            # Called through the class, so a wrapper installed on
+            # OrthoBasisState.append (a tracer) sees every update.
+            q = state.append(matrix, t).orthonormal_basis[:, k]
         except RankDeficientError:
             status = "rank_deficient"
             break
         selected.append(t)
         taken[t] = True
-        q = state.orthonormal_basis[:, k]
-        r -= q * (q @ r)
+        r -= q * q.dot(r)
         # The exact residual norm is nonincreasing; clamp out rounding jitter
         # at machine-noise level so downstream ratios stay in [0,1].
-        norms.append(min(float(np.linalg.norm(r)), norms[-1]))
-        corr = x.T @ r
-        corr_inf.append(float(np.max(np.abs(corr))))
+        norms.append(min(math.sqrt(r.dot(r)), norms[-1]))
+        corr = xt.dot(r)
+        score = np.abs(corr)
+        top = int(score.argmax())
+        corr_inf.append(float(score[top]))
         if rule == "ols":
-            qx = q @ x
+            qx = q.dot(x)
             np.maximum(res_col_sq - qx * qx, 0.0, out=res_col_sq)
 
     return SolutionPath(

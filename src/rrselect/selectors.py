@@ -3,7 +3,8 @@
 RRT keeps the last step whose residual ratio falls below a fixed Beta-quantile
 threshold, tested as "Beta CDF at RR(k)^2 below the step's level" so that no
 quantile is inverted (the CDF is taken from RR(k), so a square that underflows
-does not read as 0); RRM keeps the step with the smallest ratio
+does not read as 0, and skipped where an exact lower bound of it already
+exceeds every level the step can have); RRM keeps the step with the smallest ratio
 (hyperparameter free); RRTA is RRT with a data-adaptive level that shrinks as
 the smallest observed ratio shrinks, which restores consistency as the noise
 vanishes.
@@ -21,30 +22,53 @@ import numpy as np
 from . import special
 from .errors import EmptyPathError
 from .omp import SolutionPath
-from .special import ALPHA_FLOOR, rrt_level
+from .special import ALPHA_FLOOR, rrt_levels
+
+
+# Margin, in ln, by which the CDF's lower bound must exceed ln(1/(k_max (p-k+1)))
+# to settle a step: orders above the ~1e-13 relative rounding of the CDF.
+_SCREEN_MARGIN = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class ResidualRatios:
-    """RR(k) = ||r^k|| / ||r^(k-1)|| for k = 1..K; always within [0,1]."""
+    """RR(k) = ||r^k|| / ||r^(k-1)|| for k = 1..K; always within [0,1].
+
+    zero_observation marks a path of y = 0, where no step explains anything.
+    """
 
     values: np.ndarray
+    zero_observation: bool = False
     _cdf: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.values)
 
-    def cdf(self, n: int) -> np.ndarray:
-        """c(k) = I_{RR(k)^2}((n-k)/2, 1/2) for k = 1..K, the Beta CDF that
-        bounds RR(k)^2 once the true support is covered; computed once per n."""
-        c = self._cdf.get(n)
+    def screened_cdf(self, n: int, p: int, k_max: int) -> np.ndarray:
+        """c(k) = I_{RR(k)^2}((n-k)/2, 1/2) for k = 1..K wherever c(k) can lie
+        below z_sup(k) = 1/(k_max (p-k+1)), the bound of every level that
+        rrt_level gives step k; elsewhere a lower bound of c(k) above
+        z_sup(k), so that no level passes there. Computed once per (n, p, k_max).
+
+        The lower bound is special.log_cdf_of_square_floor; only the steps it
+        leaves open run the continued fraction.
+        """
+        key = (n, p, k_max)
+        c = self._cdf.get(key)
         if c is None:
-            # special.beta_cdf is looked up at call time, so a wrapper
-            # installed on it (a call counter) sees every evaluation whose
-            # square is a normal double.
-            c = self._cdf[n] = np.array(
-                [special.beta_cdf_of_square((n - k) / 2.0, 0.5, rr) for k, rr in enumerate(self.values.tolist(), 1)]
-            )
+            c = []
+            for k, rr in enumerate(self.values.tolist(), 1):
+                a = (n - k) / 2.0
+                if 0.0 < rr < 1.0:
+                    ln_floor = special.log_cdf_of_square_floor(a, 0.5, rr)
+                    if ln_floor > _SCREEN_MARGIN - math.log(k_max * (p - k + 1)):
+                        c.append(math.exp(ln_floor))
+                        continue
+                # special.beta_cdf is looked up at call time, so a wrapper
+                # installed on it (a call counter) sees every evaluation whose
+                # square is a normal double.
+                c.append(special.beta_cdf_of_square(a, 0.5, rr))
+            c = self._cdf[key] = np.array(c)
         return c
 
 
@@ -67,6 +91,8 @@ def residual_ratios(path: SolutionPath) -> ResidualRatios:
 
     A zero previous residual means the fit was already perfect, so further
     ratios are taken as 0 (keeps the selectors at the earliest perfect model).
+    A zero observation is flagged instead: its earliest perfect model is the
+    empty one.
     """
     if path.K < 1:
         raise EmptyPathError("path has no steps")
@@ -74,24 +100,30 @@ def residual_ratios(path: SolutionPath) -> ResidualRatios:
     cur = path.residual_norms[1:]
     safe_prev = np.where(prev > 0.0, prev, 1.0)
     rr = np.where(prev > 0.0, cur / safe_prev, 0.0)
-    return ResidualRatios(np.clip(rr, 0.0, 1.0))
+    return ResidualRatios(np.clip(rr, 0.0, 1.0), zero_observation=bool(path.residual_norms[0] == 0.0))
 
 
 def rrt_select(ratios: ResidualRatios, n: int, p: int, k_max: int, alpha: float) -> int | None:
     """Largest k with RR(k) < Gamma(k), i.e. c(k) < rrt_level(n, p, k_max,
-    alpha, k); None when no step qualifies. A path that ended early simply has
-    fewer steps; the levels keep the configured k_max."""
-    levels = [rrt_level(n, p, k_max, alpha, k) for k in range(1, len(ratios) + 1)]
-    hits = np.nonzero(ratios.cdf(n) < levels)[0]
+    alpha, k); None when no step qualifies or the observation is zero. A path
+    that ended early simply has fewer steps; the levels keep the configured
+    k_max."""
+    levels = rrt_levels(n, p, k_max, alpha, len(ratios))
+    if not levels or ratios.zero_observation:
+        return None
+    hits = np.nonzero(ratios.screened_cdf(n, p, k_max) < levels)[0]
     if len(hits) == 0:
         return None
     return int(hits[-1]) + 1
 
 
-def rrm_select(ratios: ResidualRatios) -> int:
-    """The k minimizing RR(k); ties resolve to the smallest k."""
+def rrm_select(ratios: ResidualRatios) -> int | None:
+    """The k minimizing RR(k); ties resolve to the smallest k. None for a
+    zero observation."""
     if len(ratios) == 0:
         raise EmptyPathError("no residual ratios")
+    if ratios.zero_observation:
+        return None
     return int(np.argmin(ratios.values)) + 1
 
 

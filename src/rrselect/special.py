@@ -1,9 +1,16 @@
 """Regularized incomplete Beta CDF, its inverse, and the residual-ratio
 threshold sequence Gamma(k) used by the RRT/RRTA selectors.
 
+The selectors compare c(k) = I_{RR(k)^2}((n-k)/2, 1/2) with the step's level
+z(k) = rrt_level(...). Most steps are settled without the continued fraction:
+the leading term of the CDF's series (log_cdf_of_square_floor) is a lower
+bound of c(k), and once it exceeds 1/(k_max (p-k+1)) no level can pass. The
+inverse serves only the reported threshold table.
+
 Everything here is scalar and dependency-free (math module only): the
 selectors compare CDF values with levels as small as 1e-300, a regime where
-library wrappers that do not work in the log domain underflow.
+library wrappers that do not work in the log domain underflow; a threshold
+whose square underflows is taken from the leading term of the series.
 """
 from __future__ import annotations
 
@@ -20,6 +27,7 @@ ALPHA_FLOOR = 1e-300
 
 # Smallest normal double: a square below it has lost digits or rounded to 0.
 _NORMAL_MIN = sys.float_info.min
+_LN_NORMAL_MIN = math.log(_NORMAL_MIN)
 
 _CF_EPS = 1e-15
 _CF_TINY = 1e-300
@@ -110,6 +118,16 @@ def beta_cdf_of_square(a: float, b: float, r: float) -> float:
     return math.exp(ln_val) if ln_val > -745.0 else 0.0
 
 
+def log_cdf_of_square_floor(a: float, b: float, r: float) -> float:
+    """ln L for r in (0,1), where L = x^a (1-x)^b / (a B(a,b)) at x = r^2.
+
+    I_x(a,b) = L * 2F1(a+b, 1; a+1; x), a series of positive terms that
+    starts at 1, so L <= I_x(a,b): the first factor of beta_cdf, without the
+    continued fraction.
+    """
+    return 2.0 * a * math.log(r) + b * math.log1p(-r * r) - math.log(a) - log_beta_fn(a, b)
+
+
 def _beta_pdf(a: float, b: float, x: float, ln_beta: float) -> float:
     if not 0.0 < x < 1.0:
         return 0.0
@@ -179,7 +197,8 @@ def rrt_level(n: int, p: int, k_max: int, alpha: float, k: int) -> float:
     ALPHA_FLOOR and an underflowing quotient raised to the smallest double.
 
     The Beta CDF is increasing, so RR(k) < Gamma(k) is the same test as
-    beta_cdf_of_square((n-k)/2, 1/2, RR(k)) < z(k).
+    beta_cdf_of_square((n-k)/2, 1/2, RR(k)) < z(k). Since alpha < 1, z(k)
+    never exceeds 1/(k_max (p-k+1)).
     """
     if k >= n:
         raise DomainError(f"k={k} must be < n={n} (beta parameter would be <= 0)")
@@ -191,8 +210,22 @@ def rrt_level(n: int, p: int, k_max: int, alpha: float, k: int) -> float:
         raise DomainError(f"p={p} must be >= k={k}")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0,1), got {alpha}")
-    z = max(alpha, ALPHA_FLOOR) / (k_max * (p - k + 1))
-    return z if z > 0.0 else 5e-324  # denominator huge enough to underflow the clamped alpha
+    return _levels(p, k_max, alpha, (k,))[0]
+
+
+def rrt_levels(n: int, p: int, k_max: int, alpha: float, steps: int) -> list[float]:
+    """[rrt_level(n, p, k_max, alpha, k) for k = 1..steps], checking the
+    arguments once: every check holds for all k <= steps once it holds at
+    k = steps."""
+    if steps:
+        rrt_level(n, p, k_max, alpha, steps)
+    return _levels(p, k_max, alpha, range(1, steps + 1))
+
+
+def _levels(p: int, k_max: int, alpha: float, ks) -> list[float]:
+    scale = max(alpha, ALPHA_FLOOR)
+    # A denominator huge enough to underflow the quotient gives the smallest double.
+    return [scale / (k_max * (p - k + 1)) or 5e-324 for k in ks]
 
 
 def rrt_threshold(n: int, p: int, k_max: int, alpha: float, k: int) -> float:
@@ -202,9 +235,18 @@ def rrt_threshold(n: int, p: int, k_max: int, alpha: float, k: int) -> float:
     support being covered, is stochastically bounded by a Beta((n-k)/2, 1/2)
     variable; Gamma(k) is the quantile that puts total level alpha across all
     steps and candidate columns.
+
+    Where Gamma(k)^2 lies below the normal doubles (possible for a = (n-k)/2
+    <= 1 only), the inverse would lose digits or round it to 0. There
+    I_q(a, 1/2) = q^a / (a B(a, 1/2)) to double precision, so Gamma(k) is
+    taken as (a z B(a, 1/2))^(1/(2a)), the square root first.
     """
     z = rrt_level(n, p, k_max, alpha, k)
-    return math.sqrt(beta_cdf_inv((n - k) / 2.0, 0.5, z))
+    a = (n - k) / 2.0
+    lead = z * (a * math.exp(log_beta_fn(a, 0.5)))  # a z B(a, 1/2) > z
+    if math.log(lead) < a * _LN_NORMAL_MIN:
+        return lead ** (0.5 / a)
+    return math.sqrt(beta_cdf_inv(a, 0.5, z))
 
 
 def build_threshold_table(n: int, p: int, k_max: int, alpha: float) -> np.ndarray:

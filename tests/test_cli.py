@@ -293,6 +293,23 @@ def test_recover_every_algorithm_on_noisy_hadamard(tmp_path, capsys, name, rule)
     assert capsys.readouterr().out == RECOVER_FIXTURE["stdout"][f"{name}|{rule}"]
 
 
+@pytest.mark.parametrize("rule", ["omp", "ols"])
+@pytest.mark.parametrize("method", ["rrm", "rrt", "rrta", "rpsc"])
+def test_recover_zero_observation_selects_nothing(tmp_path, capsys, method, rule):
+    # y = 0 holds nothing: the residual-ratio selectors return an empty
+    # selection, and the sigma rules stop at k = 0 with the empty support.
+    mpath, ypath = tmp_path / "X.csv", tmp_path / "y.csv"
+    save_matrix_csv(mpath, make_identity_hadamard(32).matrix)
+    np.savetxt(ypath, np.zeros((32, 1)), delimiter=",", fmt="%.17g")
+    assert main([
+        "recover", "--matrix", str(mpath), "--y", str(ypath), "--method", method, "--rule", rule, "--sigma", "0.1",
+    ]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["support"] == [] and payload["k_selected"] == 0
+    assert payload["status"] == ("ok" if method == "rpsc" else "empty_selection")
+    assert payload["residual_norm"] == 0.0
+
+
 def test_recover_ols_rule(tmp_path, capsys):
     mpath, ypath = _write_identity_problem(tmp_path)
     assert main([

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rrselect.designs import DesignMatrix, make_identity_hadamard, sylvester_hadamard
+from rrselect.designs import DesignMatrix, make_gaussian, make_identity_hadamard, sylvester_hadamard
 from rrselect.errors import DimensionMismatchError, ValidationError
 from rrselect.linalg import DenseMatrix
 from rrselect.omp import (
@@ -284,3 +286,30 @@ def test_solution_path_rejects_y_whose_norm_overflows():
     # ||y|| = 5e307 sqrt(8) ~ 1.4e308 is still a double
     path = solution_path(design, np.full(8, 5e307), 4)
     assert path.residual_norms[0] == pytest.approx(5e307 * math.sqrt(8), rel=1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    n=st.integers(4, 40),
+    extra=st.integers(0, 40),
+    rule=st.sampled_from(["omp", "ols"]),
+    normalize=st.booleans(),
+)
+def test_path_is_equivariant_under_column_permutation(seed, n, extra, rule, normalize):
+    # On a Gaussian design ties have probability 0, so permuting the columns
+    # of X maps each selection through the permutation; the selected columns
+    # are the same vectors in the same order, so every residual is the same.
+    design = make_gaussian(n, n + extra, seed, normalize)
+    x = design.matrix.values
+    rng = np.random.default_rng(seed + 1)
+    perm = rng.permutation(x.shape[1])
+    y = rng.normal(size=n)
+    k_max = min(n - 1, x.shape[1])
+    base = solution_path(design, y, k_max, rule)
+    permuted = solution_path(_wrap(x[:, perm]), y, k_max, rule)
+    inverse = np.argsort(perm)
+    assert permuted.selected == tuple(int(inverse[t]) for t in base.selected)
+    assert np.array_equal(permuted.residual_norms, base.residual_norms)
+    assert np.allclose(permuted.residual_corr_inf, base.residual_corr_inf, rtol=1e-12, atol=0.0)
+    assert permuted.status == base.status

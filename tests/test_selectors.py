@@ -20,7 +20,15 @@ from rrselect.selectors import (
     rrta_alpha,
     rrta_select,
 )
-from rrselect.special import ALPHA_FLOOR, beta_cdf, build_threshold_table, log_beta_fn, rrt_level
+from rrselect.special import (
+    ALPHA_FLOOR,
+    beta_cdf,
+    beta_cdf_of_square,
+    build_threshold_table,
+    log_beta_fn,
+    log_cdf_of_square_floor,
+    rrt_level,
+)
 
 
 def _path(norms, selected=None, rule="omp"):
@@ -90,11 +98,29 @@ def test_rrt_select_examples():
 
 
 def test_cdf_vector_is_the_beta_cdf_of_each_squared_ratio_and_memoized():
+    # At p = 64, k_max = 3 the bound settles none of these steps: the vector
+    # holds c(k) itself (RR = 0 and RR = 1 always run the exact CDF).
     rr = ResidualRatios(np.array([0.9, 0.0, 1.0]))
-    c = rr.cdf(32)
+    c = rr.screened_cdf(32, 64, 3)
     assert list(c) == [beta_cdf(15.5, 0.5, 0.81), 0.0, 1.0]
-    assert rr.cdf(32) is c
-    assert rr.cdf(16) is not c
+    assert rr.screened_cdf(32, 64, 3) is c
+    assert rr.screened_cdf(16, 64, 3) is not c
+    assert rr.screened_cdf(32, 64, 4) is not c
+
+
+def test_settled_steps_hold_a_lower_bound_above_every_level():
+    # RR = 0.99 at n = 32, p = 64, k_max = 16: c(k) lies far above
+    # z_sup(k) = 1/(k_max (p-k+1)), and so does its lower bound.
+    n, p, k_max = 32, 64, 16
+    ratios = ResidualRatios(np.array([0.99, 0.3, 0.99]))
+    screened = ratios.screened_cdf(n, p, k_max)
+    exact = [beta_cdf_of_square((n - k) / 2.0, 0.5, rr) for k, rr in enumerate(ratios.values, 1)]
+    z_sup = [1.0 / (k_max * (p - k + 1)) for k in (1, 2, 3)]
+    assert screened[1] == exact[1] < z_sup[1]  # open: the exact CDF
+    for i in (0, 2):  # settled
+        assert z_sup[i] < screened[i] <= exact[i]
+        assert screened[i] == math.exp(log_cdf_of_square_floor((n - i - 1) / 2.0, 0.5, 0.99))
+    assert rrt_select(ratios, n, p, k_max, 1.0 - 1e-12) == 2
 
 
 def test_ratio_whose_square_underflows_keeps_its_cdf():
@@ -103,7 +129,7 @@ def test_ratio_whose_square_underflows_keeps_its_cdf():
     # RR(1) = 1e-301 lies below it although Gamma(1)^2 rounds to 0.
     for rr, selected in ((1e-200, None), (1e-301, 1)):
         ratios = ResidualRatios(np.array([rr]))
-        assert ratios.cdf(2)[0] == pytest.approx(2.0 * rr / math.pi, rel=1e-12, abs=0.0)
+        assert ratios.screened_cdf(2, 1, 1)[0] == pytest.approx(2.0 * rr / math.pi, rel=1e-12, abs=0.0)
         assert rrt_select(ratios, 2, 1, 1, 1e-300) == selected
 
 
@@ -130,11 +156,72 @@ def test_cdf_rule_matches_threshold_table_rule(n, data, log_alpha):
         data.draw(st.one_of(st.floats(0.0, 1.0), st.floats(0.999, 1.001).map(lambda f: min(f * g, 1.0))))
         for g in table[:length]
     ]
-    ratios = ResidualRatios(np.array(rr, dtype=float))
-    for k, c in enumerate(ratios.cdf(n), 1):
-        z = rrt_level(n, p, k_max, alpha, k)
+    for k, x in enumerate(rr, 1):
+        c, z = beta_cdf_of_square((n - k) / 2.0, 0.5, x), rrt_level(n, p, k_max, alpha, k)
         assume(abs(c - z) > _MARGIN * z)
+    ratios = ResidualRatios(np.array(rr, dtype=float))
     assert rrt_select(ratios, n, p, k_max, alpha) == _table_rule(rr, n, p, k_max, alpha)
+
+
+def _unscreened_rule(rr, n, p, k_max, alpha):
+    """Largest k with c(k) < z(k), the exact CDF taken at every step."""
+    hits = [
+        k
+        for k, x in enumerate(rr, 1)
+        if beta_cdf_of_square((n - k) / 2.0, 0.5, x) < rrt_level(n, p, k_max, alpha, k)
+    ]
+    return max(hits, default=None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 200),
+    data=st.data(),
+    # Levels near 1 put z(k) next to the screen's cut, where a loose bound would show.
+    alpha=st.one_of(
+        st.floats(math.log(1e-300), math.log(0.5)).map(math.exp),
+        st.floats(0.5, 1.0, exclude_max=True),
+    ),
+)
+def test_screened_rule_matches_the_unscreened_rule(n, data, alpha):
+    # No margin and no exclusion: the screen settles a step only where no
+    # level can pass, so the two rules agree exactly, also on ratios drawn
+    # within 1e-6 of their thresholds or of the screen's own cut.
+    k_max = data.draw(st.integers(1, n - 1), label="k_max")
+    p = data.draw(st.integers(k_max, 1000), label="p")
+    length = data.draw(st.integers(0, k_max), label="K")
+    table = build_threshold_table(n, p, k_max, alpha)
+    # The ratio at which the CDF reaches z_sup(k), where the screen starts to settle.
+    cut = build_threshold_table(n, p, k_max, 1.0 - 1e-15)
+    rr = [
+        data.draw(
+            st.one_of(
+                st.floats(0.0, 1.0),
+                st.floats(1.0 - 1e-6, 1.0 + 1e-6).map(lambda f: min(f * g, 1.0)),
+                st.floats(1.0 - 1e-6, 1.0 + 1e-6).map(lambda f: min(f * h, 1.0)),
+            )
+        )
+        for g, h in zip(table[:length], cut[:length])
+    ]
+    ratios = ResidualRatios(np.array(rr, dtype=float))
+    assert rrt_select(ratios, n, p, k_max, alpha) == _unscreened_rule(rr, n, p, k_max, alpha)
+
+
+def test_zero_observation_selects_nothing():
+    # y = 0 holds nothing to explain: rrm, rrt and rrta select the empty
+    # support, as the sigma rules do at k = 0.
+    design = make_identity_hadamard(32)
+    path = solution_path(design, np.zeros(32), 16)
+    rr = residual_ratios(path)
+    assert rr.zero_observation and np.all(rr.values == 0.0)
+    assert rrm_select(rr) is None
+    assert rrt_select(rr, 32, 64, 16, 0.1) is None
+    assert rrta_select(rr, 32, 64, 16, RrtaParams(0.1, 2.0)) is None
+    assert path.estimate(rrm_select(rr)).status == "empty_selection"
+    # A perfect fit after one step is not a zero observation.
+    fitted = residual_ratios(solution_path(design, design.matrix.values[:, 7].copy(), 16))
+    assert not fitted.zero_observation
+    assert rrm_select(fitted) == 1
 
 
 def test_rrm_select_examples():

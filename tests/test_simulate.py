@@ -1,10 +1,12 @@
 import dataclasses
 import io
 import math
+import os
 
 import numpy as np
 import pytest
 
+from rrselect import cli
 from rrselect.designs import SignalSpec
 from rrselect.errors import ValidationError
 from rrselect.omp import SupportEstimate
@@ -21,6 +23,8 @@ from rrselect.simulate import (
     supported_roster,
     write_sweep_csv,
 )
+
+REFERENCE_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "reference")
 
 
 def _config(**overrides):
@@ -277,17 +281,33 @@ def test_run_trial_computes_residual_ratios_once_per_path(monkeypatch):
     ],
 )
 def test_run_trial_builds_the_cdf_vector_once_per_path_and_only_for_rrt(monkeypatch, algorithms, builds):
-    from rrselect import special
+    from rrselect import selectors, simulate, special
 
-    # One CDF vector is one beta_cdf call per step of the path (k_max = 16).
-    calls = []
-    original = special.beta_cdf
+    # One screened CDF vector per path: one beta_cdf call on each step the
+    # lower bound leaves open (at 20 dB no ratio's square underflows, so
+    # every open step reaches beta_cdf), none on the steps it settles.
+    calls, paths = [], []
+    original, original_ratios = special.beta_cdf, simulate.residual_ratios
     monkeypatch.setattr(special, "beta_cdf", lambda a, b, x: calls.append(a) or original(a, b, x))
+    monkeypatch.setattr(simulate, "residual_ratios", lambda path: paths.append(path) or original_ratios(path))
     config = _config(algorithms=algorithms)
+    settled = 0
     for trial in range(3):
         calls.clear()
+        paths.clear()
         run_trial(config, build_design(config.design), 20.0, trial)
-        assert sorted(calls) == sorted([(32 - k) / 2.0 for k in range(1, 17)] * builds)
+        open_steps = []
+        for path in paths:
+            for k, rr in enumerate(selectors.residual_ratios(path).values.tolist(), 1):
+                a = (32 - k) / 2.0
+                bound = special.log_cdf_of_square_floor(a, 0.5, rr) if 0.0 < rr < 1.0 else -math.inf
+                if bound > selectors._SCREEN_MARGIN - math.log(16 * (64 - k + 1)):
+                    settled += 1
+                else:
+                    open_steps.append(a)
+        assert sorted(calls) == sorted(open_steps * builds)
+        assert len(calls) <= 16 * builds
+    assert settled > 0 or builds == 0
 
 
 @pytest.mark.parametrize("workers", [0, -1])
@@ -355,3 +375,25 @@ def test_sweep_csv_is_byte_identical_for_any_worker_count():
         write_sweep_csv(buf, run_sweep(config, workers=workers), config)
         texts.add(buf.getvalue())
     assert len(texts) == 1
+
+
+def _benchmark_config(name):
+    """The benchmark's two configurations at root seed 0, 100 trials per point."""
+    config = cli.figure_config(name, 100, 0)
+    if name == "fig2_gaussian":  # the sigma rules and rrm on both paths
+        algorithms = tuple(
+            AlgorithmSpec(alg, rule=rule) for rule in ("omp", "ols") for alg in ("fixed_k0", "rpsc", "rcsc", "rrm")
+        )
+        config = dataclasses.replace(config, algorithms=algorithms)
+    return config
+
+
+@pytest.mark.parametrize(
+    "name, reference", [("fig1_hadamard", "fig1_hadamard.csv"), ("fig2_gaussian", "gauss_ols_oracle.csv")]
+)
+def test_sweep_csv_is_byte_identical_to_the_benchmark_reference(name, reference):
+    config = _benchmark_config(name)
+    buf = io.StringIO()
+    write_sweep_csv(buf, run_sweep(config), config)
+    with open(os.path.join(REFERENCE_DIR, reference), newline="") as fh:
+        assert buf.getvalue() == fh.read()

@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrselect.errors import DomainError
 from rrselect.special import (
@@ -12,6 +14,7 @@ from rrselect.special import (
     beta_cdf_of_square,
     build_threshold_table,
     log_beta_fn,
+    log_cdf_of_square_floor,
     rrt_level,
     rrt_threshold,
 )
@@ -244,3 +247,60 @@ def test_oracle_recompute_spot_check():
     assert float(mp.log(quad_b)) == pytest.approx(LN_BETA_15P5_0P5, rel=1e-12)
     num = mp.quad(lambda t: t ** mp.mpf("14.5") * (1 - t) ** mp.mpf("-0.5"), [0, mp.mpf("0.9")])
     assert float(num / quad_b) == pytest.approx(CDF_15P5_0P5_AT_0P9, rel=1e-11)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(0.5, 100.0), x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_cdf_floor_is_a_lower_bound_of_the_cdf(a, x):
+    # ln L <= ln I_x(a, 1/2) for x = r^2, against 40-digit mpmath; the slack
+    # covers double rounding where L and I agree (x -> 0).
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    r = math.sqrt(x)
+    if not 0.0 < r < 1.0:
+        return
+    exact = mp.betainc(a, 0.5, 0, mp.mpf(r) ** 2, regularized=True)
+    floor = log_cdf_of_square_floor(a, 0.5, r)
+    slack = 1e-12 * max(1.0, abs(floor))
+    assert floor <= float(mp.log(exact)) + slack
+    # The double CDF reads 0 once its first factor falls below exp(-745).
+    c = beta_cdf_of_square(a, 0.5, r)
+    assert floor <= math.log(c) + slack if c > 0.0 else floor < -744.0
+
+
+# (n, p, k_max, alpha, k) whose Gamma(k)^2 lies below the normal doubles or
+# below every double; Gamma(k) is checked against mpmath below.
+UNDERFLOW_CASES = [
+    (2, 1, 1, 1e-300, 1),  # a = 1/2: Gamma = sin(pi z / 2) ~ 1.57e-300
+    (32, 64, 31, 1e-152, 31),  # Gamma^2 ~ 2e-310, subnormal
+    (32, 64, 31, 1e-200, 31),  # Gamma^2 below every double
+    (3, 10**9, 1, 1e-300, 1),  # a = 1: Gamma^2 = 2 z ~ 2e-309
+    (4, 10**20, 2, 1e-300, 2),
+    (4, 10**30, 2, ALPHA_FLOOR, 2),  # the level itself underflows to 5e-324
+]
+
+
+@pytest.mark.parametrize("args", UNDERFLOW_CASES)
+def test_rrt_threshold_where_its_square_underflows_matches_mpmath(args):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    n, p, k_max, alpha, k = args
+    a, z = mp.mpf(n - k) / 2, mp.mpf(rrt_level(*args))
+    # Solve I_{g^2}(a, 1/2) = z for ln g.
+    ln_g = mp.findroot(lambda t: mp.log(mp.betainc(a, 0.5, 0, mp.exp(2 * t), regularized=True)) - mp.log(z), -300)
+    gamma = rrt_threshold(*args)
+    assert gamma * gamma < sys.float_info.min
+    assert gamma == pytest.approx(float(mp.exp(ln_g)), rel=1e-13, abs=0.0)
+    assert build_threshold_table(n, p, k_max, alpha)[k - 1] == gamma
+
+
+def test_rrt_threshold_is_exact_on_both_sides_of_the_underflow_switch():
+    # At n = 32, k = 31 (a = 1/2), I_q(1/2, 1/2) = (2/pi) asin(sqrt q), so
+    # Gamma = sin(pi z / 2); Gamma^2 leaves the normal doubles near alpha = 1e-151.
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    for e in range(148, 158):
+        alpha = 10.0**-e
+        z = rrt_level(32, 64, 31, alpha, 31)
+        gamma = rrt_threshold(32, 64, 31, alpha, 31)
+        assert gamma == pytest.approx(float(mp.sin(mp.pi * mp.mpf(z) / 2)), rel=1e-13, abs=0.0), e
