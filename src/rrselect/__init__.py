@@ -37,6 +37,7 @@ from .selectors import (
     ResidualRatios,
     RrtaParams,
     minimal_superset_index,
+    prefix_hits,
     residual_ratios,
     rrm_select,
     rrt_select,
@@ -93,6 +94,7 @@ __all__ = [
     "make_signal",
     "minimal_superset_index",
     "mutual_incoherence",
+    "prefix_hits",
     "residual_ratios",
     "ric_bruteforce",
     "rrm_select",

@@ -240,14 +240,12 @@ def _cmd_recover(args) -> int:
     path = solution_path(design, y, k_max, spec.rule)
     ratios = residual_ratios(path)
     oracle = Oracle(design.n, design.p, k_max, sigma=args.sigma, k0=k0)
-    estimate = algorithm.select(path, lambda: ratios, oracle, spec)
+    estimate = algorithm.select(path, ratios, oracle, spec)
     payload = {
-        "support": sorted(i + 1 for i in estimate.support),
+        "support": sorted(i + 1 for i in path.support_at(estimate.k_selected)),
         "k_selected": estimate.k_selected,
         "status": estimate.status,
-        "residual_norm": float(path.residual_norms[estimate.k_selected])
-        if estimate.status != "empty_selection"
-        else float(path.residual_norms[0]),
+        "residual_norm": float(path.residual_norms[estimate.k_selected]),
         "rr_values": [float(v) for v in ratios.values],
     }
     print(json.dumps(payload, indent=2))

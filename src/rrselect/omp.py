@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,11 +23,10 @@ STATUS_EMPTY = "empty_selection"
 STATUS_EXHAUSTED = "exhausted"
 
 
-@dataclass(frozen=True)
-class SupportEstimate:
-    """An estimated support with how it was terminated."""
+class SupportEstimate(NamedTuple):
+    """A selected model order with how it was terminated; the estimated
+    support is path.support_at(k_selected), the first k_selected picks."""
 
-    support: frozenset[int]
     k_selected: int
     status: str  # "ok" | "empty_selection" | "exhausted"
 
@@ -36,8 +36,7 @@ class SolutionPath:
     """Greedy selections t^1..t^K with per-step residual statistics.
 
     residual_norms[k] = ||r^k||_2 and residual_corr_inf[k] = ||X^T r^k||_inf
-    for k = 0..K (index 0 is the raw observation). Supports are nested:
-    the estimate after k steps is the first k selected indices.
+    for k = 0..K (index 0 is the raw observation).
     """
 
     rule: str
@@ -47,16 +46,20 @@ class SolutionPath:
     K: int
     status: str  # "complete" | "rank_deficient"
 
-    def support_at(self, k: int) -> frozenset[int]:
+    def _order(self, k: int) -> int:
         if not 0 <= k <= self.K:
             raise ValueError(f"k={k} outside [0, K={self.K}]")
-        return frozenset(self.selected[:k])
+        return k
+
+    def support_at(self, k: int) -> frozenset[int]:
+        """The first k selected indices."""
+        return frozenset(self.selected[: self._order(k)])
 
     def estimate(self, k: int | None) -> SupportEstimate:
         """SupportEstimate for model order k; None marks an empty selection."""
         if k is None:
-            return SupportEstimate(frozenset(), 0, STATUS_EMPTY)
-        return SupportEstimate(self.support_at(k), k, STATUS_OK)
+            return SupportEstimate(0, STATUS_EMPTY)
+        return SupportEstimate(self._order(k), STATUS_OK)
 
 
 def default_kmax(n: int) -> int:
@@ -164,7 +167,7 @@ def _first_below(path: SolutionPath, values: np.ndarray, tau: float) -> SupportE
     hits = np.nonzero(values <= tau)[0]
     if len(hits):
         return path.estimate(int(hits[0]))
-    return SupportEstimate(path.support_at(path.K), path.K, STATUS_EXHAUSTED)
+    return SupportEstimate(path.K, STATUS_EXHAUSTED)
 
 
 def rpsc_threshold(sigma: float, n: int, eta: float | None = None) -> float:
@@ -189,9 +192,11 @@ def rcsc_threshold(sigma: float, p: int, eta: float | None = None) -> float:
 
 
 def stop_fixed(path: SolutionPath, k0: int) -> SupportEstimate:
-    """Keep exactly the first k0 selections."""
+    """Keep exactly the first k0 selections. A path that ended first (k0 >
+    k_max, or a rank-deficient early stop) is kept whole and marked
+    exhausted, as the sigma rules do when no step qualifies."""
     if k0 > path.K:
-        raise ValueError(f"k0={k0} exceeds path length K={path.K}")
+        return SupportEstimate(path.K, STATUS_EXHAUSTED)
     return path.estimate(k0)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -32,7 +33,8 @@ _SCREEN_MARGIN = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class ResidualRatios:
-    """RR(k) = ||r^k|| / ||r^(k-1)|| for k = 1..K; always within [0,1].
+    """RR(k) = ||r^k|| / ||r^(k-1)|| for k = 1..K; within [0,1] on every path
+    from solution_path, whose residual norms are nonincreasing.
 
     zero_observation marks a path of y = 0, where no step explains anything.
     """
@@ -96,11 +98,9 @@ def residual_ratios(path: SolutionPath) -> ResidualRatios:
     """
     if path.K < 1:
         raise EmptyPathError("path has no steps")
-    prev = path.residual_norms[:-1]
-    cur = path.residual_norms[1:]
-    safe_prev = np.where(prev > 0.0, prev, 1.0)
-    rr = np.where(prev > 0.0, cur / safe_prev, 0.0)
-    return ResidualRatios(np.clip(rr, 0.0, 1.0), zero_observation=bool(path.residual_norms[0] == 0.0))
+    norms = path.residual_norms.tolist()
+    rr = [cur / prev if prev > 0.0 else 0.0 for prev, cur in zip(norms, norms[1:])]
+    return ResidualRatios(np.array(rr), zero_observation=norms[0] == 0.0)
 
 
 def rrt_select(ratios: ResidualRatios, n: int, p: int, k_max: int, alpha: float) -> int | None:
@@ -143,17 +143,18 @@ def rrta_select(
     return rrt_select(ratios, n, p, k_max, rrta_alpha(ratios, params))
 
 
+def prefix_hits(path: SolutionPath, support) -> list[int]:
+    """[h(0), ..., h(K)]: h(k) counts the indices of `support` among the
+    first k selections. With k0 = |support|, the first k picks are the
+    support exactly when h(k) = k = k0, and hold a false index when h(k) < k."""
+    return list(accumulate((t in support for t in path.selected), initial=0))
+
+
 def minimal_superset_index(path: SolutionPath, true_support) -> int | float:
     """Smallest k whose support contains the true support; inf when none does.
 
     The empty support is contained in every prefix, so it yields 0.
     """
     target = frozenset(int(i) for i in true_support)
-    if not target:
-        return 0
-    seen: set[int] = set()
-    for j, t in enumerate(path.selected):
-        seen.add(t)
-        if target <= seen:
-            return j + 1
-    return math.inf
+    hits = prefix_hits(path, target)
+    return hits.index(len(target)) if hits[-1] == len(target) else math.inf

@@ -8,7 +8,6 @@ output.
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import json
 import math
@@ -30,9 +29,8 @@ from .designs import (
     synthesize,
 )
 from .errors import ValidationError
-from .omp import RULES, STATUS_EXHAUSTED, SolutionPath, SupportEstimate, default_kmax, solution_path
-from .omp import stop_fixed, stop_rcsc, stop_rpsc
-from .selectors import RrtaParams, residual_ratios, rrm_select, rrt_select, rrta_select
+from .omp import RULES, SupportEstimate, default_kmax, solution_path, stop_fixed, stop_rcsc, stop_rpsc
+from .selectors import RrtaParams, prefix_hits, residual_ratios, rrm_select, rrt_select, rrta_select
 
 _MASK64 = (1 << 64) - 1
 
@@ -61,9 +59,9 @@ class Oracle(NamedTuple):
 @dataclass(frozen=True)
 class Algorithm:
     """A registry entry: select(path, ratios, oracle, spec) -> SupportEstimate,
-    where ratios() gives the path's residual ratios and spec is the
-    AlgorithmSpec; the spec fields it reads, in `recover --method name:v1,v2`
-    order; and the oracle input it needs."""
+    where ratios are the path's residual ratios and spec is the AlgorithmSpec;
+    the spec fields it reads, in `recover --method name:v1,v2` order; and the
+    oracle input it needs."""
 
     select: Callable[..., SupportEstimate]
     params: tuple[str, ...] = ()
@@ -74,29 +72,21 @@ class Algorithm:
 # so a caller may wrap those names (as a tracer does).
 
 
-def _fixed_k0(path, ratios, oracle, spec):
-    if oracle.k0 > path.K:
-        # The path ended first (k0 > k_max, or a rank-deficient early stop):
-        # keep all of it and say so, as the sigma rules do when none qualifies.
-        return SupportEstimate(path.support_at(path.K), path.K, STATUS_EXHAUSTED)
-    return stop_fixed(path, oracle.k0)
-
-
 def _rrta(path, ratios, oracle, spec):
     params = RrtaParams(pfd_finite=spec.pfd, q=spec.q)
-    return path.estimate(rrta_select(ratios(), oracle.n, oracle.p, oracle.k_max, params))
+    return path.estimate(rrta_select(ratios, oracle.n, oracle.p, oracle.k_max, params))
 
 
 # Every stopping rule and selector, read by config validation, the sweep and
 # the `recover` subcommand alike.
 ALGORITHMS: dict[str, Algorithm] = {
-    "fixed_k0": Algorithm(_fixed_k0, needs="k0"),
+    "fixed_k0": Algorithm(lambda path, rr, o, s: stop_fixed(path, o.k0), needs="k0"),
     "rpsc": Algorithm(lambda path, rr, o, s: stop_rpsc(path, o.sigma, o.n), needs="sigma"),
     "rcsc": Algorithm(lambda path, rr, o, s: stop_rcsc(path, o.sigma, o.p), needs="sigma"),
     "rpsc_hsc": Algorithm(lambda path, rr, o, s: stop_rpsc(path, o.sigma, o.n, eta=s.eta), ("eta",), "sigma"),
     "rcsc_hsc": Algorithm(lambda path, rr, o, s: stop_rcsc(path, o.sigma, o.p, eta=s.eta), ("eta",), "sigma"),
-    "rrt": Algorithm(lambda path, rr, o, s: path.estimate(rrt_select(rr(), o.n, o.p, o.k_max, s.alpha)), ("alpha",)),
-    "rrm": Algorithm(lambda path, rr, o, s: path.estimate(rrm_select(rr()))),
+    "rrt": Algorithm(lambda path, rr, o, s: path.estimate(rrt_select(rr, o.n, o.p, o.k_max, s.alpha)), ("alpha",)),
+    "rrm": Algorithm(lambda path, rr, o, s: path.estimate(rrm_select(rr))),
     "rrta": Algorithm(_rrta, ("q", "pfd")),
 }
 
@@ -230,12 +220,10 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
-@dataclass
-class AlgorithmOutcome:
+class AlgorithmOutcome(NamedTuple):
     estimate: SupportEstimate
     exact: bool
     false_discovery: bool
-    card_error: int
 
 
 @dataclass
@@ -294,17 +282,13 @@ def build_design(spec: DesignSpec) -> DesignMatrix:
     raise ValidationError(f"unknown design kind {spec.kind!r}")
 
 
-def score_estimate(estimate: SupportEstimate, true_support: frozenset[int]) -> AlgorithmOutcome:
-    """Exactness / false-discovery / cardinality bookkeeping for one estimate."""
-    exact = estimate.support == true_support
-    false_discovery = bool(estimate.support - true_support)
-    card_error = len(estimate.support) - len(true_support)
-    return AlgorithmOutcome(estimate, exact, false_discovery, card_error)
-
-
-def _lazy_ratios(path: SolutionPath):
-    """residual_ratios(path), computed on the first call only."""
-    return functools.cache(lambda: residual_ratios(path))
+def score_estimate(estimate: SupportEstimate, hits: list[int], k0: int) -> AlgorithmOutcome:
+    """Score an estimate of a k0-sparse support from its path's prefix hits
+    (selectors.prefix_hits): the first k picks are the support exactly when
+    k = k0 = h(k), and hold a false index when h(k) < k."""
+    k = estimate.k_selected
+    h = hits[k]
+    return AlgorithmOutcome(estimate, k == k0 == h, h < k)
 
 
 def run_trial(
@@ -339,15 +323,16 @@ def run_trial(
     problem = synthesize(design, beta, support, snr, noise_seed)
 
     oracle = Oracle(config.design.n, p, config.k_max, sigma=problem.sigma, k0=k0)
-    paths: dict[str, tuple] = {}  # rule -> (path, its lazy ratios)
+    paths: dict[str, tuple] = {}  # rule -> (path, its residual ratios, its prefix hits)
     record = TrialRecord(trial_index=trial_index, snr_db=snr_db, true_support=support)
     for alg in config.algorithms:
         computed = paths.get(alg.rule)
         if computed is None:
             path = solution_path(design, problem.observation, config.k_max, alg.rule)
-            computed = paths[alg.rule] = (path, _lazy_ratios(path))
-        estimate = ALGORITHMS[alg.name].select(*computed, oracle, alg)
-        record.outcomes[alg.label] = score_estimate(estimate, problem.true_support)
+            computed = paths[alg.rule] = (path, residual_ratios(path), prefix_hits(path, support))
+        path, ratios, hits = computed
+        estimate = ALGORITHMS[alg.name].select(path, ratios, oracle, alg)
+        record.outcomes[alg.label] = score_estimate(estimate, hits, k0)
     return record
 
 

@@ -93,7 +93,7 @@ def beta_cdf(a: float, b: float, x: float) -> float:
     if x == 1.0:
         return 1.0
     ln_front = a * math.log(x) + b * math.log1p(-x) - log_beta_fn(a, b)
-    front = math.exp(ln_front) if ln_front > -745.0 else 0.0
+    front = math.exp(ln_front)
     if x < (a + 1.0) / (a + b + 2.0):
         val = front * _beta_continued_fraction(a, b, x) / a
     else:
@@ -115,7 +115,7 @@ def beta_cdf_of_square(a: float, b: float, r: float) -> float:
     if r == 0.0 or x >= _NORMAL_MIN:
         return beta_cdf(a, b, x)
     ln_val = 2.0 * a * math.log(r) - math.log(a) - log_beta_fn(a, b)
-    return math.exp(ln_val) if ln_val > -745.0 else 0.0
+    return math.exp(ln_val)
 
 
 def log_cdf_of_square_floor(a: float, b: float, r: float) -> float:

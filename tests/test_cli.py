@@ -265,7 +265,7 @@ def test_fixed_k0_past_the_path_keeps_the_path_as_exhausted(tmp_path, capsys):
     record = run_trial(config, build_design(config.design), 20.0, 0)
     estimate = record.outcomes["fixed_k0"].estimate
     assert (estimate.k_selected, estimate.status) == (2, "exhausted")
-    assert len(estimate.support) == 2
+    assert not record.outcomes["fixed_k0"].exact
     # the threshold selectors compare only the two realized steps
     assert all(o.estimate.k_selected <= 2 for o in record.outcomes.values())
     assert run_sweep(config).rows[0].pe == 1.0  # fixed_k0 can never hold all three

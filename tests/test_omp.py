@@ -9,6 +9,7 @@ from rrselect.designs import DesignMatrix, make_gaussian, make_identity_hadamard
 from rrselect.errors import DimensionMismatchError, ValidationError
 from rrselect.linalg import DenseMatrix
 from rrselect.omp import (
+    SupportEstimate,
     default_kmax,
     rcsc_threshold,
     rpsc_threshold,
@@ -176,17 +177,18 @@ def test_stop_fixed():
     design = _wrap(np.eye(12), unit=True)
     y = np.arange(12.0) + 1.0
     path = solution_path(design, y, 4)
-    est0 = stop_fixed(path, 0)
-    assert est0.support == frozenset() and est0.k_selected == 0 and est0.status == "ok"
-    est2 = stop_fixed(path, 2)
-    assert est2.support == frozenset(path.selected[:2])
+    assert stop_fixed(path, 0) == SupportEstimate(0, "ok")
+    assert stop_fixed(path, 2) == SupportEstimate(2, "ok")
+    assert path.support_at(2) == frozenset(path.selected[:2])
+    # past the path's end: the whole path, marked exhausted
+    assert stop_fixed(path, 5) == SupportEstimate(4, "exhausted")
     with pytest.raises(ValueError):
-        stop_fixed(path, 5)
+        stop_fixed(path, -1)
 
 
 def test_stop_fixed_recovers_first_selections():
     path = solution_path(_wrap(np.eye(12), unit=True), np.eye(12)[:, 5] * 3.0, 3)
-    assert stop_fixed(path, 1).support == {5}
+    assert path.support_at(stop_fixed(path, 1).k_selected) == {5}
 
 
 def test_rpsc_threshold_values():
@@ -213,16 +215,15 @@ def test_stop_rules_scan_semantics():
     path = solution_path(design, y, 16)
 
     huge = stop_rpsc(path, sigma=1e6, n=32)
-    assert huge.support == frozenset() and huge.k_selected == 0 and huge.status == "ok"
+    assert huge == SupportEstimate(0, "ok")
 
     tiny = stop_rpsc(path, sigma=1e-30, n=32)
-    assert tiny.status == "exhausted"
-    assert tiny.support == path.support_at(path.K)
+    assert tiny == SupportEstimate(path.K, "exhausted")
 
     # noiseless-style path: first k with zero residual is k0 = 1
     exact = solution_path(design, design.matrix.values @ (np.eye(64)[:, 7] * 4.0), 16)
     small_sigma = stop_rpsc(exact, sigma=1e-200, n=32)
-    assert small_sigma.k_selected == 1 and small_sigma.support == {7}
+    assert small_sigma.k_selected == 1 and exact.support_at(1) == {7}
 
     huge_c = stop_rcsc(path, sigma=1e6, p=64)
     assert huge_c.k_selected == 0
@@ -254,10 +255,11 @@ def test_stop_scan_returns_minimal_k():
 def test_estimate_accessors():
     design = _wrap(np.eye(6), unit=True)
     path = solution_path(design, np.arange(6.0), 3)
-    est = path.estimate(None)
-    assert est.status == "empty_selection" and est.support == frozenset()
-    with pytest.raises(ValueError):
-        path.estimate(4)
+    assert path.estimate(None) == SupportEstimate(0, "empty_selection")
+    assert path.estimate(3) == SupportEstimate(3, "ok")
+    for k in (-1, 4):
+        with pytest.raises(ValueError):
+            path.estimate(k)
     with pytest.raises(ValueError):
         path.support_at(-1)
 

@@ -1,0 +1,29 @@
+"""The README's library quick start runs as written, and at 0 dB, where rrt
+and rrta find no step and return None."""
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import pytest
+
+README = (Path(__file__).parent.parent / "README.md").read_text()
+QUICK_START = re.search(r"## Library quick start\s+```python\n(.*?)```", README, re.S).group(1)
+
+
+@pytest.mark.parametrize(
+    "snr, support_seed",
+    [("100.0", "1"), ("1.0", "0")],  # 20 dB as written; 0 dB with a support on which rrt/rrta select nothing
+)
+def test_readme_quick_start_runs(snr, support_seed):
+    code = QUICK_START.replace("snr=100.0", f"snr={snr}").replace(
+        "sample_support(64, 3, seed=1)", f"sample_support(64, 3, seed={support_seed})"
+    )
+    assert f"snr={snr}" in code and f"seed={support_seed})" in code
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    lines = out.getvalue().splitlines()
+    assert [line.split()[0] for line in lines] == ["RRM", "RRT", "RRTA"]
+    if snr == "1.0":
+        assert lines[1:] == ["RRT empty_selection []", "RRTA empty_selection []"]

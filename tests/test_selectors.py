@@ -14,6 +14,7 @@ from rrselect.selectors import (
     ResidualRatios,
     RrtaParams,
     minimal_superset_index,
+    prefix_hits,
     residual_ratios,
     rrm_select,
     rrt_select,
@@ -345,6 +346,19 @@ def test_minimal_superset_examples():
     assert minimal_superset_index(path, {9}) == math.inf
     assert minimal_superset_index(path, set()) == 0
     assert minimal_superset_index(path, {2}) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    selected=st.lists(st.integers(0, 11), unique=True, max_size=8),
+    support=st.frozensets(st.integers(0, 11), max_size=5),
+)
+def test_prefix_hits_and_minimal_superset_match_brute_force(selected, support):
+    path = _path(np.ones(len(selected) + 1), selected)
+    prefixes = [set(selected[:k]) for k in range(len(selected) + 1)]
+    assert prefix_hits(path, support) == [len(prefix & support) for prefix in prefixes]
+    brute = next((k for k, prefix in enumerate(prefixes) if support <= prefix), math.inf)
+    assert minimal_superset_index(path, support) == brute
 
 
 def test_selector_scale_invariance_quick():

@@ -5,11 +5,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrselect import cli
 from rrselect.designs import SignalSpec
 from rrselect.errors import ValidationError
-from rrselect.omp import SupportEstimate
+from rrselect.omp import SolutionPath, SupportEstimate, stop_fixed
+from rrselect.selectors import prefix_hits
 from rrselect.simulate import (
     AlgorithmSpec,
     DesignSpec,
@@ -92,9 +95,7 @@ def test_run_trial_deterministic():
     a = run_trial(config, matrix, 20.0, 1)
     b = run_trial(config, matrix, 20.0, 1)
     assert a.true_support == b.true_support
-    for label in a.outcomes:
-        assert a.outcomes[label].estimate.support == b.outcomes[label].estimate.support
-        assert a.outcomes[label].exact == b.outcomes[label].exact
+    assert a.outcomes == b.outcomes
 
 
 def test_run_trial_high_snr_fixed_k0_exact():
@@ -106,22 +107,46 @@ def test_run_trial_high_snr_fixed_k0_exact():
 
 
 def test_score_estimate_bookkeeping():
-    est = SupportEstimate(frozenset({1, 2}), 2, "ok")
-    out = score_estimate(est, frozenset({1, 2}))
-    assert out.exact and not out.false_discovery and out.card_error == 0
+    # prefix hits of a path whose picks are (1, 2, ...) and (1, 3, ...)
+    # against the true support {1, 2}
+    est = SupportEstimate(2, "ok")
+    out = score_estimate(est, [0, 1, 2], 2)
+    assert out.exact and not out.false_discovery
 
-    out = score_estimate(SupportEstimate(frozenset({1, 3}), 2, "ok"), frozenset({1, 2}))
-    assert not out.exact and out.false_discovery and out.card_error == 0
+    out = score_estimate(est, [0, 1, 1], 2)
+    assert not out.exact and out.false_discovery
 
-    out = score_estimate(SupportEstimate(frozenset(), 0, "empty_selection"), frozenset({1}))
-    assert not out.exact and not out.false_discovery and out.card_error == -1
+    # an empty selection against the true support {1}
+    out = score_estimate(SupportEstimate(0, "empty_selection"), [0, 1, 1], 1)
+    assert not out.exact and not out.false_discovery
 
     # degenerate empty truth: an empty estimate is exact
-    out = score_estimate(SupportEstimate(frozenset(), 0, "ok"), frozenset())
-    assert out.exact and not out.false_discovery and out.card_error == 0
+    out = score_estimate(SupportEstimate(0, "ok"), [0, 0, 0], 0)
+    assert out.exact and not out.false_discovery
 
     # exact implies no false discovery by construction
-    assert not score_estimate(est, frozenset({1, 2})).false_discovery
+    assert not score_estimate(est, [0, 1, 2], 2).false_discovery
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    selected=st.lists(st.integers(0, 11), unique=True, max_size=8),
+    support=st.frozensets(st.integers(0, 11), max_size=5),
+    data=st.data(),
+)
+def test_score_from_prefix_hits_matches_the_set_definition(selected, support, data):
+    # exact: the first k picks are the true support; false discovery: one of
+    # them is not in it. k is an empty selection, any order 0..K, or the
+    # exhausted estimate at K.
+    K = len(selected)
+    path = SolutionPath("omp", tuple(selected), np.zeros(K + 1), np.zeros(K + 1), K, "complete")
+    k = data.draw(st.sampled_from([None, "exhausted", *range(K + 1)]))
+    estimate = stop_fixed(path, K + 1) if k == "exhausted" else path.estimate(k)
+    picked = set(selected[: estimate.k_selected])
+    out = score_estimate(estimate, prefix_hits(path, support), len(support))
+    assert out.estimate == estimate
+    assert out.exact == (picked == support)
+    assert out.false_discovery == bool(picked - support)
 
 
 def test_sweep_shapes_and_determinism():

@@ -90,6 +90,30 @@ def test_beta_cdf_of_square_against_mpmath_where_the_square_underflows(a):
         assert beta_cdf_of_square(a, 0.5, r) == pytest.approx(float(expected), rel=1e-12, abs=0.0), (a, r)
 
 
+def _nearest_double(mp, v) -> float:
+    """v rounded once to the nearest double. float() of an mpf below the
+    normal doubles rounds twice (to 53 bits, then to the subnormal grid), so
+    there it is rounded on the grid of multiples of 2^-1074 directly."""
+    if v >= sys.float_info.min:
+        return float(v)
+    return float(mp.nint(v * mp.mpf(2) ** 1074)) * 5e-324
+
+
+def test_cdf_below_exp_minus_745_rounds_to_the_nearest_subnormal():
+    # Where the CDF's first factor falls below exp(-745), math.exp returns
+    # the nearest subnormal (or 0), not a cut-off 0. 400 digits resolve the
+    # second case: I_x(1, 1/2) = 1 - sqrt(1 - x) at x = 2^-1074 exceeds
+    # 2^-1075, half the smallest double, by a relative x/4.
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(400):
+        r = 2.317197903108824e-162
+        expected = mp.betainc(1, 0.5, 0, mp.mpf(r) ** 2, regularized=True)
+        assert beta_cdf_of_square(1.0, 0.5, r) == _nearest_double(mp, expected) == 5e-324
+        x = 5e-324
+        expected = mp.betainc(1, 0.5, 0, mp.mpf(x), regularized=True)
+        assert beta_cdf(1.0, 0.5, x) == _nearest_double(mp, expected) == 5e-324
+
+
 def test_beta_cdf_inv_trivial_and_frozen_values():
     assert beta_cdf_inv(1.0, 1.0, 0.42) == pytest.approx(0.42, abs=1e-12)
     assert beta_cdf_inv(3.0, 2.0, 0.0) == 0.0
