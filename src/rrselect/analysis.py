@@ -45,7 +45,7 @@ def _normalized_columns(design: DesignMatrix) -> np.ndarray:
         return x
     norms = np.linalg.norm(x, axis=0)
     if np.any(norms == 0.0):
-        raise ValueError("design has a zero column; incoherence is undefined")
+        raise DomainError("design has a zero column; incoherence is undefined")
     return x / norms
 
 

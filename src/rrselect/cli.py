@@ -23,92 +23,104 @@ from .selectors import residual_ratios
 from .simulate import ALGORITHMS, PARAMETER_DOMAINS, AlgorithmSpec, DesignSpec, ExperimentConfig, Oracle
 from .special import build_threshold_table
 
-_CONFIG_KEYS = {
-    "design",
-    "signal",
-    "snr_db",
-    "trials",
-    "algorithms",
-    "root_seed",
-    "k_max",
-    "regenerate_matrix_per_trial",
+
+def _integer(value, field: str) -> int:
+    """A JSON integer, or a number with an integral value such as 100.0."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{field}: must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, field: str) -> float:
+    # abs(v) <= max compares an int of any size exactly, and fails for nan.
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ValidationError(f"{field}: must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _of_type(kind: type, what: str):
+    """A field check that accepts exactly the JSON values of `kind`."""
+
+    def check(value, field: str):
+        if not isinstance(value, kind):
+            raise ValidationError(f"{field}: must be {what}, got {value!r}")
+        return value
+
+    return check
+
+
+_flag = _of_type(bool, "true or false")
+_text = _of_type(str, "a string")
+_object = _of_type(dict, "a JSON object")
+_list = _of_type(list, "a list")
+
+
+# The fields each config object accepts, with the type each must have.
+_CONFIG_FIELDS = {
+    "design": _object,
+    "signal": _object,
+    "snr_db": _list,
+    "trials": _integer,
+    "algorithms": _list,
+    "root_seed": _integer,
+    "k_max": _integer,
+    "regenerate_matrix_per_trial": _flag,
 }
-_DESIGN_KEYS = {"kind", "n", "p", "seed", "normalize", "path"}
-_SIGNAL_KEYS = {"k0", "kind", "ratio"}
-_ALG_KEYS = {"name", "rule", *PARAMETER_DOMAINS}
+_DESIGN_FIELDS = {"kind": _text, "n": _integer, "p": _integer, "seed": _integer, "normalize": _flag, "path": _text}
+_SIGNAL_FIELDS = {"k0": _integer, "kind": _text, "ratio": _number}
+_ALG_FIELDS = {"name": _text, "rule": _text, **dict.fromkeys(PARAMETER_DOMAINS, _number)}
 
 
-def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
-        raise ValidationError(f"{context}.{key}: required field missing")
-    return mapping[key]
-
-
-def _reject_unknown(mapping: dict, allowed: set, context: str) -> None:
-    unknown = set(mapping) - allowed
+def _fields(raw, types: dict, context: str, required=()) -> dict:
+    """The fields present in the JSON object `raw`, each checked against its
+    type in `types`; a field missing from `required` or unknown to `types` is
+    a ValidationError naming it."""
+    _object(raw, context)
+    unknown = set(raw) - set(types)
     if unknown:
         raise ValidationError(f"{context}: unknown field(s) {sorted(unknown)}")
+    for key in required:
+        if key not in raw:
+            raise ValidationError(f"{context}.{key}: required field missing")
+    return {key: check(raw[key], f"{context}.{key}") for key, check in types.items() if key in raw}
 
 
 def parse_config(json_text: str) -> ExperimentConfig:
-    """Parse and validate an experiment config; fills all defaults."""
+    """Parse and validate an experiment config. A field left out takes the
+    default of its dataclass field; a field of the wrong type is a
+    ValidationError naming it."""
     try:
         raw = json.loads(json_text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise ValidationError("config: top level must be a JSON object")
-    _reject_unknown(raw, _CONFIG_KEYS, "config")
+    required = ("design", "signal", "snr_db", "trials", "algorithms", "root_seed")
+    top = _fields(raw, _CONFIG_FIELDS, "config", required)
 
-    design_raw = _require(raw, "design", "config")
-    _reject_unknown(design_raw, _DESIGN_KEYS, "design")
-    kind = _require(design_raw, "kind", "design")
-    n = int(_require(design_raw, "n", "design"))
-    if kind == "identity_hadamard":
-        p = int(design_raw.get("p", 2 * n))
-    else:
-        p = int(_require(design_raw, "p", "design"))
-    design = DesignSpec(
-        kind=kind,
-        n=n,
-        p=p,
-        seed=int(design_raw.get("seed", 0)),
-        normalize=bool(design_raw.get("normalize", False)),
-        path=design_raw.get("path"),
-    )
-
-    signal_raw = _require(raw, "signal", "config")
-    _reject_unknown(signal_raw, _SIGNAL_KEYS, "signal")
-    signal = SignalSpec(
-        k0=int(_require(signal_raw, "k0", "signal")),
-        kind=signal_raw.get("kind", "pm_one"),
-        ratio=float(signal_raw.get("ratio", 1.0 / 3.0)),
-    )
-
-    snr_db = _require(raw, "snr_db", "config")
-    if not isinstance(snr_db, list) or not snr_db:
-        raise ValidationError("snr_db: must be a nonempty list of numbers")
+    design = _fields(top["design"], _DESIGN_FIELDS, "design", ("kind", "n"))
+    if design["kind"] == "identity_hadamard":
+        design.setdefault("p", 2 * design["n"])
+    elif "p" not in design:
+        raise ValidationError("design.p: required field missing")
 
     algorithms = []
-    for i, entry in enumerate(_require(raw, "algorithms", "config")):
+    for i, entry in enumerate(top["algorithms"]):
         if isinstance(entry, str):
             entry = {"name": entry}
-        if not isinstance(entry, dict):
+        elif not isinstance(entry, dict):
             raise ValidationError(f"algorithms[{i}]: must be a name or an object")
-        _reject_unknown(entry, _ALG_KEYS, f"algorithms[{i}]")
-        params = {key: float(entry[key]) for key in PARAMETER_DOMAINS if key in entry}
-        name = _require(entry, "name", f"algorithms[{i}]")
-        algorithms.append(AlgorithmSpec(name, entry.get("rule", "omp"), **params))
+        algorithms.append(AlgorithmSpec(**_fields(entry, _ALG_FIELDS, f"algorithms[{i}]", ("name",))))
 
     config = ExperimentConfig(
-        design=design,
-        signal=signal,
-        snr_db_list=tuple(float(v) for v in snr_db),
-        trials=int(_require(raw, "trials", "config")),
+        design=DesignSpec(**design),
+        signal=SignalSpec(**_fields(top["signal"], _SIGNAL_FIELDS, "signal", ("k0",))),
+        snr_db_list=tuple(_number(v, f"snr_db[{i}]") for i, v in enumerate(top["snr_db"])),
+        trials=top["trials"],
         algorithms=tuple(algorithms),
-        root_seed=int(_require(raw, "root_seed", "config")),
-        k_max_override=int(raw["k_max"]) if "k_max" in raw else None,
-        regenerate_matrix_per_trial=raw.get("regenerate_matrix_per_trial"),
+        root_seed=top["root_seed"],
+        k_max_override=top.get("k_max"),
+        regenerate_matrix_per_trial=top.get("regenerate_matrix_per_trial"),
     )
     config.validate()
     return config
@@ -239,7 +251,7 @@ def _cmd_recover(args) -> int:
     k_max = args.k_max if args.k_max is not None else default_kmax(design.n)
     path = solution_path(design, y, k_max, spec.rule)
     ratios = residual_ratios(path)
-    oracle = Oracle(design.n, design.p, k_max, sigma=args.sigma, k0=k0)
+    oracle = Oracle(sigma=args.sigma, k0=k0)
     estimate = algorithm.select(path, ratios, oracle, spec)
     payload = {
         "support": sorted(i + 1 for i in path.support_at(estimate.k_selected)),

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyBasisError, RankDeficientError, ValidationError
+from .errors import DimensionMismatchError, DomainError, EmptyBasisError, RankDeficientError, ValidationError
 
 # Relative tolerance below which an orthogonalized column counts as dependent.
 RANK_TOL = 1e-12
@@ -61,7 +61,7 @@ class OrthoBasisState:
 
     def __init__(self, ambient_dim: int, capacity: int = 8) -> None:
         if ambient_dim < 1:
-            raise ValueError("ambient_dim must be >= 1")
+            raise DomainError(f"ambient_dim must be >= 1, got {ambient_dim}")
         capacity = max(1, min(capacity, ambient_dim))
         self.ambient_dim = int(ambient_dim)
         self.selected_cols: list[int] = []

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .designs import DesignMatrix
-from .errors import DimensionMismatchError, RankDeficientError, ValidationError
+from .errors import DimensionMismatchError, DomainError, RankDeficientError, ValidationError
 from .linalg import RANK_TOL, OrthoBasisState
 
 RULES = ("omp", "ols")
@@ -33,7 +33,8 @@ class SupportEstimate(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class SolutionPath:
-    """Greedy selections t^1..t^K with per-step residual statistics.
+    """Greedy selections t^1..t^K on an n x p problem, run for up to k_max
+    steps, with per-step residual statistics.
 
     residual_norms[k] = ||r^k||_2 and residual_corr_inf[k] = ||X^T r^k||_inf
     for k = 0..K (index 0 is the raw observation).
@@ -43,12 +44,19 @@ class SolutionPath:
     selected: tuple[int, ...]
     residual_norms: np.ndarray
     residual_corr_inf: np.ndarray
-    K: int
     status: str  # "complete" | "rank_deficient"
+    n: int
+    p: int
+    k_max: int
+
+    @property
+    def K(self) -> int:
+        """Steps taken: k_max, or fewer after a rank-deficient early stop."""
+        return len(self.selected)
 
     def _order(self, k: int) -> int:
         if not 0 <= k <= self.K:
-            raise ValueError(f"k={k} outside [0, K={self.K}]")
+            raise DomainError(f"k={k} outside [0, K={self.K}]")
         return k
 
     def support_at(self, k: int) -> frozenset[int]:
@@ -65,7 +73,7 @@ class SolutionPath:
 def default_kmax(n: int) -> int:
     """Largest sparsity any recovery scheme can hope to identify: floor((n+1)/2)."""
     if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+        raise DomainError(f"n must be >= 2, got {n}")
     return (n + 1) // 2
 
 
@@ -78,7 +86,7 @@ def solution_path(design: DesignMatrix, y: np.ndarray, k_max: int, rule: str = "
     path early with status "rank_deficient" (K < k_max), never with an error.
     """
     if rule not in RULES:
-        raise ValueError(f"rule must be one of {RULES}, got {rule!r}")
+        raise ValidationError(f"rule must be one of {RULES}, got {rule!r}")
     matrix = design.matrix
     x = matrix.values
     n, p = x.shape
@@ -88,7 +96,7 @@ def solution_path(design: DesignMatrix, y: np.ndarray, k_max: int, rule: str = "
     if not np.isfinite(y).all():
         raise ValidationError("y must be finite")
     if not 1 <= k_max <= min(n - 1, p):
-        raise ValueError(f"k_max={k_max} must lie in [1, min(n-1, p)={min(n - 1, p)}]")
+        raise ValidationError(f"k_max={k_max} must lie in [1, min(n-1, p)={min(n - 1, p)}]")
 
     # Run on y scaled by an exact power of two to max|y| in [0.5, 1) and scale
     # the norms back: binary scaling is exact in every step, and no squared
@@ -158,8 +166,10 @@ def solution_path(design: DesignMatrix, y: np.ndarray, k_max: int, rule: str = "
         selected=tuple(selected),
         residual_norms=np.ldexp(norms, e),
         residual_corr_inf=np.ldexp(corr_inf, e),
-        K=len(selected),
         status=status,
+        n=n,
+        p=p,
+        k_max=k_max,
     )
 
 
@@ -170,11 +180,17 @@ def _first_below(path: SolutionPath, values: np.ndarray, tau: float) -> SupportE
     return SupportEstimate(path.K, STATUS_EXHAUSTED)
 
 
+def _check_noise(sigma: float, eta: float | None) -> None:
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise DomainError(f"sigma must be finite and positive, got {sigma}")
+    if eta is not None and not math.isfinite(eta):
+        raise DomainError(f"eta must be finite, got {eta}")
+
+
 def rpsc_threshold(sigma: float, n: int, eta: float | None = None) -> float:
     """Residual-power stopping level sigma*sqrt(n + 2 sqrt(n ln n)), with the
     optional high-SNR-consistent scaling by sigma^-eta."""
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    _check_noise(sigma, eta)
     tau = sigma * math.sqrt(n + 2.0 * math.sqrt(n * math.log(n)))
     if eta is not None:
         tau *= sigma ** (-eta)
@@ -183,8 +199,7 @@ def rpsc_threshold(sigma: float, n: int, eta: float | None = None) -> float:
 
 def rcsc_threshold(sigma: float, p: int, eta: float | None = None) -> float:
     """Residual-correlation stopping level sigma*sqrt(2 ln p) (optional sigma^-eta)."""
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    _check_noise(sigma, eta)
     tau = sigma * math.sqrt(2.0 * math.log(p))
     if eta is not None:
         tau *= sigma ** (-eta)
@@ -200,11 +215,11 @@ def stop_fixed(path: SolutionPath, k0: int) -> SupportEstimate:
     return path.estimate(k0)
 
 
-def stop_rpsc(path: SolutionPath, sigma: float, n: int, eta: float | None = None) -> SupportEstimate:
-    """Smallest k with ||r^k||_2 <= rpsc_threshold; exhausted if none qualifies."""
-    return _first_below(path, path.residual_norms, rpsc_threshold(sigma, n, eta))
+def stop_rpsc(path: SolutionPath, sigma: float, eta: float | None = None) -> SupportEstimate:
+    """Smallest k with ||r^k||_2 <= rpsc_threshold(sigma, path.n, eta); exhausted if none qualifies."""
+    return _first_below(path, path.residual_norms, rpsc_threshold(sigma, path.n, eta))
 
 
-def stop_rcsc(path: SolutionPath, sigma: float, p: int, eta: float | None = None) -> SupportEstimate:
-    """Smallest k with ||X^T r^k||_inf <= rcsc_threshold; exhausted if none qualifies."""
-    return _first_below(path, path.residual_corr_inf, rcsc_threshold(sigma, p, eta))
+def stop_rcsc(path: SolutionPath, sigma: float, eta: float | None = None) -> SupportEstimate:
+    """Smallest k with ||X^T r^k||_inf <= rcsc_threshold(sigma, path.p, eta); exhausted if none qualifies."""
+    return _first_below(path, path.residual_corr_inf, rcsc_threshold(sigma, path.p, eta))

@@ -15,13 +15,14 @@ solution path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
 from . import special
-from .errors import EmptyPathError
+from .errors import DomainError, EmptyPathError
 from .omp import SolutionPath
 from .special import ALPHA_FLOOR, rrt_levels
 
@@ -33,45 +34,45 @@ _SCREEN_MARGIN = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class ResidualRatios:
-    """RR(k) = ||r^k|| / ||r^(k-1)|| for k = 1..K; within [0,1] on every path
-    from solution_path, whose residual norms are nonincreasing.
+    """RR(k) = ||r^k|| / ||r^(k-1)|| for k = 1..K of a path on an n x p
+    problem run for up to k_max steps; within [0,1] on every path from
+    solution_path, whose residual norms are nonincreasing.
 
     zero_observation marks a path of y = 0, where no step explains anything.
     """
 
     values: np.ndarray
+    n: int
+    p: int
+    k_max: int
     zero_observation: bool = False
-    _cdf: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.values)
 
-    def screened_cdf(self, n: int, p: int, k_max: int) -> np.ndarray:
+    @cached_property
+    def screened_cdf(self) -> np.ndarray:
         """c(k) = I_{RR(k)^2}((n-k)/2, 1/2) for k = 1..K wherever c(k) can lie
         below z_sup(k) = 1/(k_max (p-k+1)), the bound of every level that
         rrt_level gives step k; elsewhere a lower bound of c(k) above
-        z_sup(k), so that no level passes there. Computed once per (n, p, k_max).
+        z_sup(k), so that no level passes there. Computed once per path.
 
         The lower bound is special.log_cdf_of_square_floor; only the steps it
         leaves open run the continued fraction.
         """
-        key = (n, p, k_max)
-        c = self._cdf.get(key)
-        if c is None:
-            c = []
-            for k, rr in enumerate(self.values.tolist(), 1):
-                a = (n - k) / 2.0
-                if 0.0 < rr < 1.0:
-                    ln_floor = special.log_cdf_of_square_floor(a, 0.5, rr)
-                    if ln_floor > _SCREEN_MARGIN - math.log(k_max * (p - k + 1)):
-                        c.append(math.exp(ln_floor))
-                        continue
-                # special.beta_cdf is looked up at call time, so a wrapper
-                # installed on it (a call counter) sees every evaluation whose
-                # square is a normal double.
-                c.append(special.beta_cdf_of_square(a, 0.5, rr))
-            c = self._cdf[key] = np.array(c)
-        return c
+        c = []
+        for k, rr in enumerate(self.values.tolist(), 1):
+            a = (self.n - k) / 2.0
+            if 0.0 < rr < 1.0:
+                ln_floor = special.log_cdf_of_square_floor(a, 0.5, rr)
+                if ln_floor > _SCREEN_MARGIN - math.log(self.k_max * (self.p - k + 1)):
+                    c.append(math.exp(ln_floor))
+                    continue
+            # special.beta_cdf is looked up at call time, so a wrapper
+            # installed on it (a call counter) sees every evaluation whose
+            # square is a normal double.
+            c.append(special.beta_cdf_of_square(a, 0.5, rr))
+        return np.array(c)
 
 
 @dataclass(frozen=True)
@@ -83,13 +84,14 @@ class RrtaParams:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.pfd_finite < 1.0:
-            raise ValueError(f"pfd_finite must lie in (0,1), got {self.pfd_finite}")
+            raise DomainError(f"pfd_finite must lie in (0,1), got {self.pfd_finite}")
         if self.q <= 0.0:
-            raise ValueError(f"q must be positive, got {self.q}")
+            raise DomainError(f"q must be positive, got {self.q}")
 
 
 def residual_ratios(path: SolutionPath) -> ResidualRatios:
-    """Per-step relative residual decay along the path.
+    """Per-step relative residual decay along the path, with the path's
+    problem size (n, p, k_max).
 
     A zero previous residual means the fit was already perfect, so further
     ratios are taken as 0 (keeps the selectors at the earliest perfect model).
@@ -100,18 +102,17 @@ def residual_ratios(path: SolutionPath) -> ResidualRatios:
         raise EmptyPathError("path has no steps")
     norms = path.residual_norms.tolist()
     rr = [cur / prev if prev > 0.0 else 0.0 for prev, cur in zip(norms, norms[1:])]
-    return ResidualRatios(np.array(rr), zero_observation=norms[0] == 0.0)
+    return ResidualRatios(np.array(rr), path.n, path.p, path.k_max, zero_observation=norms[0] == 0.0)
 
 
-def rrt_select(ratios: ResidualRatios, n: int, p: int, k_max: int, alpha: float) -> int | None:
-    """Largest k with RR(k) < Gamma(k), i.e. c(k) < rrt_level(n, p, k_max,
-    alpha, k); None when no step qualifies or the observation is zero. A path
-    that ended early simply has fewer steps; the levels keep the configured
-    k_max."""
-    levels = rrt_levels(n, p, k_max, alpha, len(ratios))
+def rrt_select(ratios: ResidualRatios, alpha: float) -> int | None:
+    """Largest k with RR(k) < Gamma(k), i.e. c(k) < rrt_level(n, p, k_max, alpha, k)
+    at the ratios' n, p and k_max; None when no step qualifies or the observation
+    is zero. A path that ended early has fewer steps; the levels keep k_max."""
+    levels = rrt_levels(ratios.n, ratios.p, ratios.k_max, alpha, len(ratios))
     if not levels or ratios.zero_observation:
         return None
-    hits = np.nonzero(ratios.screened_cdf(n, p, k_max) < levels)[0]
+    hits = np.nonzero(ratios.screened_cdf < levels)[0]
     if len(hits) == 0:
         return None
     return int(hits[-1]) + 1
@@ -136,11 +137,9 @@ def rrta_alpha(ratios: ResidualRatios, params: RrtaParams) -> float:
     return max(level, ALPHA_FLOOR)
 
 
-def rrta_select(
-    ratios: ResidualRatios, n: int, p: int, k_max: int, params: RrtaParams
-) -> int | None:
+def rrta_select(ratios: ResidualRatios, params: RrtaParams) -> int | None:
     """RRT at the data-adaptive level rrta_alpha(ratios, params)."""
-    return rrt_select(ratios, n, p, k_max, rrta_alpha(ratios, params))
+    return rrt_select(ratios, rrta_alpha(ratios, params))
 
 
 def prefix_hits(path: SolutionPath, support) -> list[int]:

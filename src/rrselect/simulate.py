@@ -46,12 +46,9 @@ PARAMETER_DOMAINS = {
 
 
 class Oracle(NamedTuple):
-    """What a rule knows besides its path: the problem size, and the noise
-    level sigma or the sparsity k0 for the rules that need them."""
+    """What a rule knows besides its path: the noise level sigma or the
+    sparsity k0, for the rules that need them."""
 
-    n: int
-    p: int
-    k_max: int
     sigma: float | None = None
     k0: int | None = None
 
@@ -68,26 +65,19 @@ class Algorithm:
     needs: str | None = None  # "sigma" | "k0"
 
 
-# The select functions look the kernels up by module-global name at call time,
-# so a caller may wrap those names (as a tracer does).
-
-
-def _rrta(path, ratios, oracle, spec):
-    params = RrtaParams(pfd_finite=spec.pfd, q=spec.q)
-    return path.estimate(rrta_select(ratios, oracle.n, oracle.p, oracle.k_max, params))
-
-
 # Every stopping rule and selector, read by config validation, the sweep and
-# the `recover` subcommand alike.
+# the `recover` subcommand alike. The select functions look the kernels up by
+# module-global name at call time, so a caller may wrap those names (as a
+# tracer does).
 ALGORITHMS: dict[str, Algorithm] = {
     "fixed_k0": Algorithm(lambda path, rr, o, s: stop_fixed(path, o.k0), needs="k0"),
-    "rpsc": Algorithm(lambda path, rr, o, s: stop_rpsc(path, o.sigma, o.n), needs="sigma"),
-    "rcsc": Algorithm(lambda path, rr, o, s: stop_rcsc(path, o.sigma, o.p), needs="sigma"),
-    "rpsc_hsc": Algorithm(lambda path, rr, o, s: stop_rpsc(path, o.sigma, o.n, eta=s.eta), ("eta",), "sigma"),
-    "rcsc_hsc": Algorithm(lambda path, rr, o, s: stop_rcsc(path, o.sigma, o.p, eta=s.eta), ("eta",), "sigma"),
-    "rrt": Algorithm(lambda path, rr, o, s: path.estimate(rrt_select(rr, o.n, o.p, o.k_max, s.alpha)), ("alpha",)),
+    "rpsc": Algorithm(lambda path, rr, o, s: stop_rpsc(path, o.sigma), needs="sigma"),
+    "rcsc": Algorithm(lambda path, rr, o, s: stop_rcsc(path, o.sigma), needs="sigma"),
+    "rpsc_hsc": Algorithm(lambda path, rr, o, s: stop_rpsc(path, o.sigma, eta=s.eta), ("eta",), "sigma"),
+    "rcsc_hsc": Algorithm(lambda path, rr, o, s: stop_rcsc(path, o.sigma, eta=s.eta), ("eta",), "sigma"),
+    "rrt": Algorithm(lambda path, rr, o, s: path.estimate(rrt_select(rr, s.alpha)), ("alpha",)),
     "rrm": Algorithm(lambda path, rr, o, s: path.estimate(rrm_select(rr))),
-    "rrta": Algorithm(_rrta, ("q", "pfd")),
+    "rrta": Algorithm(lambda path, rr, o, s: path.estimate(rrta_select(rr, RrtaParams(s.pfd, s.q))), ("q", "pfd")),
 }
 
 
@@ -322,7 +312,7 @@ def run_trial(
     snr = 10.0 ** (snr_db / 10.0)
     problem = synthesize(design, beta, support, snr, noise_seed)
 
-    oracle = Oracle(config.design.n, p, config.k_max, sigma=problem.sigma, k0=k0)
+    oracle = Oracle(sigma=problem.sigma, k0=k0)
     paths: dict[str, tuple] = {}  # rule -> (path, its residual ratios, its prefix hits)
     record = TrialRecord(trial_index=trial_index, snr_db=snr_db, true_support=support)
     for alg in config.algorithms:

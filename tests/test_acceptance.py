@@ -283,7 +283,7 @@ def test_criterion_9_selector_scale_invariance():
     def decisions(y):
         path = solution_path(design, y, 16)
         rr = residual_ratios(path)
-        keys = (path.selected, rrt_select(rr, 32, 64, 16, 0.1), rrm_select(rr), rrta_select(rr, 32, 64, 16, params))
+        keys = (path.selected, rrt_select(rr, 0.1), rrm_select(rr), rrta_select(rr, params))
         return keys, rr.values
 
     all_ok = True

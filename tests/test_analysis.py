@@ -42,6 +42,8 @@ def test_mutual_incoherence_normalizes_internally():
     assert a == pytest.approx(b, rel=1e-12)
     with pytest.raises(DomainError):
         mutual_incoherence(_wrap(np.ones((4, 1))))
+    with pytest.raises(DomainError):  # a zero column has no direction
+        mutual_incoherence(_wrap(np.array([[1.0, 0.0], [0.0, 0.0]])))
 
 
 def test_mic_sparsity_limit():

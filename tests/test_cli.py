@@ -100,6 +100,43 @@ def test_parse_config_rejects_parameters_outside_their_domain(entry, field):
     assert f"algorithms[1].{field}:" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        (None, "trials", 10.9),
+        ("signal", "k0", 2.5),
+        (None, "root_seed", 7.5),
+        ("design", "normalize", "false"),
+        (None, "regenerate_matrix_per_trial", "no"),
+        (None, "snr_db", [0, True]),
+        ("design", "n", "abc"),
+        (None, "k_max", "8"),
+        ("signal", "ratio", "0.5"),
+        ("design", "kind", 3),
+    ],
+)
+def test_parse_config_rejects_a_value_of_the_wrong_type(section, key, value):
+    raw = json.loads(json.dumps(MINIMAL_CONFIG))
+    (raw[section] if section else raw)[key] = value
+    with pytest.raises(ValidationError) as err:
+        parse_config(json.dumps(raw))
+    assert key in str(err.value)
+
+
+def test_parse_config_accepts_integral_floats_and_leaves_defaults_to_the_dataclasses():
+    raw = dict(MINIMAL_CONFIG, trials=100.0, root_seed=7.0, k_max=8.0, signal={"k0": 3.0})
+    config = parse_config(json.dumps(raw))
+    assert [(v, type(v)) for v in (config.trials, config.root_seed, config.k_max, config.signal.k0)] == [
+        (100, int),
+        (7, int),
+        (8, int),
+        (3, int),
+    ]
+    assert config.design == DesignSpec("identity_hadamard", 32, 64)
+    assert config.signal == SignalSpec(3)
+    assert config.algorithms == (AlgorithmSpec("rrm"),)
+
+
 def test_parse_config_ignores_parameters_an_algorithm_does_not_read():
     raw = dict(MINIMAL_CONFIG, algorithms=[{"name": "rrm", "alpha": 1.5}])
     assert parse_config(json.dumps(raw)).algorithms[0].label == "rrm"
@@ -224,6 +261,16 @@ def test_recover_stop_alias_and_sigma_rules(tmp_path, capsys):
     assert main([
         "recover", "--matrix", str(mpath), "--y", str(ypath), "--method", "rpsc"
     ]) == 1
+
+
+@pytest.mark.parametrize("method", ["rpsc", "rcsc_hsc:0.2"])
+@pytest.mark.parametrize("sigma", ["nan", "inf", "0", "-1"])
+def test_recover_rejects_a_sigma_that_is_not_finite_and_positive(tmp_path, capsys, method, sigma):
+    mpath, ypath = _write_identity_problem(tmp_path)
+    assert main(["recover", "--matrix", str(mpath), "--y", str(ypath), "--method", method, f"--sigma={sigma}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: sigma must be finite and positive")
 
 
 def test_recover_rejects_incomplete_or_invalid_methods(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from rrselect.errors import (
     DimensionMismatchError,
+    DomainError,
     EmptyBasisError,
     RankDeficientError,
     ValidationError,
@@ -37,6 +38,11 @@ def test_dense_matrix_column_access():
         m.column(3)
     with pytest.raises(IndexError):
         m.column(-1)
+
+
+def test_basis_needs_an_ambient_dimension():
+    with pytest.raises(DomainError):
+        OrthoBasisState(0)
 
 
 def test_append_unit_vector():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrselect.designs import DesignMatrix, make_gaussian, make_identity_hadamard, sylvester_hadamard
-from rrselect.errors import DimensionMismatchError, ValidationError
+from rrselect.errors import DimensionMismatchError, DomainError, ValidationError
 from rrselect.linalg import DenseMatrix
 from rrselect.omp import (
     SupportEstimate,
@@ -58,7 +58,7 @@ def test_default_kmax():
     assert default_kmax(32) == 16
     assert default_kmax(2) == 1
     assert default_kmax(33) == 17
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         default_kmax(1)
 
 
@@ -143,6 +143,8 @@ def test_rank_deficient_path_terminates_early():
     assert path.selected == (0,)
     assert path.K == 1
     assert path.status == "rank_deficient"
+    # The path keeps the configured k_max, not the steps it took.
+    assert (path.n, path.p, path.k_max) == (3, 3, 2)
 
     ols_path = solution_path(design, y, 2, "ols")
     # ols masks dependent candidates and can still append column 2
@@ -154,11 +156,11 @@ def test_solution_path_validation():
     design = _wrap(np.eye(4), unit=True)
     with pytest.raises(DimensionMismatchError):
         solution_path(design, np.ones(5), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         solution_path(design, np.ones(4), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         solution_path(design, np.ones(4), 4)  # k_max must stay below n
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         solution_path(design, np.ones(4), 2, rule="lars")
 
 
@@ -182,7 +184,7 @@ def test_stop_fixed():
     assert path.support_at(2) == frozenset(path.selected[:2])
     # past the path's end: the whole path, marked exhausted
     assert stop_fixed(path, 5) == SupportEstimate(4, "exhausted")
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         stop_fixed(path, -1)
 
 
@@ -197,8 +199,19 @@ def test_rpsc_threshold_values():
     assert rpsc_threshold(0.01, 32, eta=0.1) == pytest.approx(
         0.01 * ETA_SCALE_001_01 * TAU_RPSC_N32_SIGMA1, rel=1e-12
     )
-    with pytest.raises(ValueError):
-        rpsc_threshold(0.0, 32)
+
+
+@pytest.mark.parametrize(
+    "sigma, eta",
+    [(0.0, None), (-1.0, None), (math.nan, None), (math.inf, None), (1.0, math.nan), (1.0, math.inf), (0.5, -math.inf)],
+)
+def test_sigma_rules_need_a_finite_positive_sigma_and_a_finite_eta(sigma, eta):
+    path = solution_path(make_identity_hadamard(8), np.arange(8.0), 4)
+    for threshold, stop, size in ((rpsc_threshold, stop_rpsc, 8), (rcsc_threshold, stop_rcsc, 16)):
+        with pytest.raises(DomainError):
+            threshold(sigma, size, eta)
+        with pytest.raises(DomainError):
+            stop(path, sigma, eta)
 
 
 def test_rcsc_threshold_values():
@@ -214,18 +227,18 @@ def test_stop_rules_scan_semantics():
     y = design.matrix.values @ (np.eye(64)[:, 7] * 4.0) + rng.normal(0, 1e-9, 32)
     path = solution_path(design, y, 16)
 
-    huge = stop_rpsc(path, sigma=1e6, n=32)
+    huge = stop_rpsc(path, sigma=1e6)
     assert huge == SupportEstimate(0, "ok")
 
-    tiny = stop_rpsc(path, sigma=1e-30, n=32)
+    tiny = stop_rpsc(path, sigma=1e-30)
     assert tiny == SupportEstimate(path.K, "exhausted")
 
     # noiseless-style path: first k with zero residual is k0 = 1
     exact = solution_path(design, design.matrix.values @ (np.eye(64)[:, 7] * 4.0), 16)
-    small_sigma = stop_rpsc(exact, sigma=1e-200, n=32)
+    small_sigma = stop_rpsc(exact, sigma=1e-200)
     assert small_sigma.k_selected == 1 and exact.support_at(1) == {7}
 
-    huge_c = stop_rcsc(path, sigma=1e6, p=64)
+    huge_c = stop_rcsc(path, sigma=1e6)
     assert huge_c.k_selected == 0
 
 
@@ -235,7 +248,7 @@ def test_stop_scan_returns_minimal_k():
     y = rng.normal(size=16)
     path = solution_path(design, y, 8)
     for sigma in (0.05, 0.2, 1.0):
-        est = stop_rpsc(path, sigma, 16)
+        est = stop_rpsc(path, sigma)
         tau = rpsc_threshold(sigma, 16)
         qualifying = [k for k in range(path.K + 1) if path.residual_norms[k] <= tau]
         if est.status == "ok":
@@ -243,7 +256,7 @@ def test_stop_scan_returns_minimal_k():
         else:
             assert not qualifying
 
-        est_c = stop_rcsc(path, sigma, 32)
+        est_c = stop_rcsc(path, sigma)
         tau_c = rcsc_threshold(sigma, 32)
         qual_c = [k for k in range(path.K + 1) if path.residual_corr_inf[k] <= tau_c]
         if est_c.status == "ok":
@@ -258,9 +271,9 @@ def test_estimate_accessors():
     assert path.estimate(None) == SupportEstimate(0, "empty_selection")
     assert path.estimate(3) == SupportEstimate(3, "ok")
     for k in (-1, 4):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             path.estimate(k)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         path.support_at(-1)
 
 

@@ -7,9 +7,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rrselect.analysis import ric_bruteforce
-from rrselect.designs import SignalSpec, make_identity_hadamard, make_signal, sample_support, synthesize
+from rrselect.designs import (
+    DesignMatrix,
+    SignalSpec,
+    make_gaussian,
+    make_identity_hadamard,
+    make_signal,
+    sample_support,
+    synthesize,
+)
 from rrselect.errors import DomainError, EmptyPathError
-from rrselect.omp import SolutionPath, solution_path
+from rrselect.linalg import DenseMatrix
+from rrselect.omp import RULES, SolutionPath, solution_path
 from rrselect.selectors import (
     ResidualRatios,
     RrtaParams,
@@ -33,6 +42,7 @@ from rrselect.special import (
 
 
 def _path(norms, selected=None, rule="omp"):
+    """A complete path of len(norms) - 1 steps on a 32 x 64 problem."""
     norms = np.asarray(norms, dtype=float)
     k = len(norms) - 1
     selected = tuple(range(k)) if selected is None else tuple(selected)
@@ -41,9 +51,16 @@ def _path(norms, selected=None, rule="omp"):
         selected=selected,
         residual_norms=norms,
         residual_corr_inf=np.zeros(k + 1),
-        K=k,
         status="complete",
+        n=32,
+        p=64,
+        k_max=k,
     )
+
+
+def _ratios(values, n=32, p=64, k_max=3):
+    """Residual ratios of a path on an n x p problem run for up to k_max steps."""
+    return ResidualRatios(np.array(values, dtype=float), n, p, k_max)
 
 
 def _table_rule(rr, n, p, k_max, alpha):
@@ -86,42 +103,42 @@ def test_residual_ratios_bounded():
 
 def test_rrt_select_examples():
     # Gamma(1..3) at n=32, p=64, k_max=3, alpha=0.1 lie between 0.81 and 0.83
-    assert rrt_select(ResidualRatios(np.array([0.9, 0.02, 0.95])), 32, 64, 3, 0.1) == 2
-    assert rrt_select(ResidualRatios(np.array([0.99, 0.99])), 32, 64, 3, 0.1) is None
+    assert rrt_select(_ratios([0.9, 0.02, 0.95]), 0.1) == 2
+    assert rrt_select(_ratios([0.99, 0.99]), 0.1) is None
     # max semantics, not min
-    assert rrt_select(ResidualRatios(np.array([0.2, 0.2])), 32, 64, 3, 0.1) == 2
-    assert rrt_select(ResidualRatios(np.array([])), 32, 64, 3, 0.1) is None
+    assert rrt_select(_ratios([0.2, 0.2]), 0.1) == 2
+    assert rrt_select(_ratios([]), 0.1) is None
     # more steps than k_max, or a level outside (0,1), is a domain error
     with pytest.raises(DomainError):
-        rrt_select(ResidualRatios(np.array([0.5, 0.5, 0.5, 0.5])), 32, 64, 3, 0.1)
+        rrt_select(_ratios([0.5, 0.5, 0.5, 0.5]), 0.1)
     with pytest.raises(DomainError):
-        rrt_select(ResidualRatios(np.array([0.5])), 32, 64, 3, 1.0)
+        rrt_select(_ratios([0.5]), 1.0)
 
 
 def test_cdf_vector_is_the_beta_cdf_of_each_squared_ratio_and_memoized():
     # At p = 64, k_max = 3 the bound settles none of these steps: the vector
     # holds c(k) itself (RR = 0 and RR = 1 always run the exact CDF).
-    rr = ResidualRatios(np.array([0.9, 0.0, 1.0]))
-    c = rr.screened_cdf(32, 64, 3)
+    rr = _ratios([0.9, 0.0, 1.0])
+    c = rr.screened_cdf
     assert list(c) == [beta_cdf(15.5, 0.5, 0.81), 0.0, 1.0]
-    assert rr.screened_cdf(32, 64, 3) is c
-    assert rr.screened_cdf(16, 64, 3) is not c
-    assert rr.screened_cdf(32, 64, 4) is not c
+    assert rr.screened_cdf is c
+    # The vector is the ratios' own: ratios of another size have their own.
+    assert _ratios([0.5], n=16).screened_cdf[0] == beta_cdf_of_square(7.5, 0.5, 0.5)
 
 
 def test_settled_steps_hold_a_lower_bound_above_every_level():
     # RR = 0.99 at n = 32, p = 64, k_max = 16: c(k) lies far above
     # z_sup(k) = 1/(k_max (p-k+1)), and so does its lower bound.
     n, p, k_max = 32, 64, 16
-    ratios = ResidualRatios(np.array([0.99, 0.3, 0.99]))
-    screened = ratios.screened_cdf(n, p, k_max)
+    ratios = _ratios([0.99, 0.3, 0.99], n, p, k_max)
+    screened = ratios.screened_cdf
     exact = [beta_cdf_of_square((n - k) / 2.0, 0.5, rr) for k, rr in enumerate(ratios.values, 1)]
     z_sup = [1.0 / (k_max * (p - k + 1)) for k in (1, 2, 3)]
     assert screened[1] == exact[1] < z_sup[1]  # open: the exact CDF
     for i in (0, 2):  # settled
         assert z_sup[i] < screened[i] <= exact[i]
         assert screened[i] == math.exp(log_cdf_of_square_floor((n - i - 1) / 2.0, 0.5, 0.99))
-    assert rrt_select(ratios, n, p, k_max, 1.0 - 1e-12) == 2
+    assert rrt_select(ratios, 1.0 - 1e-12) == 2
 
 
 def test_ratio_whose_square_underflows_keeps_its_cdf():
@@ -129,9 +146,9 @@ def test_ratio_whose_square_underflows_keeps_its_cdf():
     # RR(1) = 1e-200 lies far above it, although RR(1)^2 rounds to 0, and
     # RR(1) = 1e-301 lies below it although Gamma(1)^2 rounds to 0.
     for rr, selected in ((1e-200, None), (1e-301, 1)):
-        ratios = ResidualRatios(np.array([rr]))
-        assert ratios.screened_cdf(2, 1, 1)[0] == pytest.approx(2.0 * rr / math.pi, rel=1e-12, abs=0.0)
-        assert rrt_select(ratios, 2, 1, 1, 1e-300) == selected
+        ratios = _ratios([rr], 2, 1, 1)
+        assert ratios.screened_cdf[0] == pytest.approx(2.0 * rr / math.pi, rel=1e-12, abs=0.0)
+        assert rrt_select(ratios, 1e-300) == selected
 
 
 # Steps whose CDF value lies within this relative distance of the level are
@@ -160,8 +177,7 @@ def test_cdf_rule_matches_threshold_table_rule(n, data, log_alpha):
     for k, x in enumerate(rr, 1):
         c, z = beta_cdf_of_square((n - k) / 2.0, 0.5, x), rrt_level(n, p, k_max, alpha, k)
         assume(abs(c - z) > _MARGIN * z)
-    ratios = ResidualRatios(np.array(rr, dtype=float))
-    assert rrt_select(ratios, n, p, k_max, alpha) == _table_rule(rr, n, p, k_max, alpha)
+    assert rrt_select(_ratios(rr, n, p, k_max), alpha) == _table_rule(rr, n, p, k_max, alpha)
 
 
 def _unscreened_rule(rr, n, p, k_max, alpha):
@@ -204,8 +220,53 @@ def test_screened_rule_matches_the_unscreened_rule(n, data, alpha):
         )
         for g, h in zip(table[:length], cut[:length])
     ]
-    ratios = ResidualRatios(np.array(rr, dtype=float))
-    assert rrt_select(ratios, n, p, k_max, alpha) == _unscreened_rule(rr, n, p, k_max, alpha)
+    assert rrt_select(_ratios(rr, n, p, k_max), alpha) == _unscreened_rule(rr, n, p, k_max, alpha)
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_ratios_carry_the_problem_size_of_their_path(rule):
+    # A 4 x 5 design whose column 1 duplicates column 0: y = e_0 is fitted by
+    # column 0, and OMP's next pick is the duplicate, which stops the path
+    # after one step. OLS masks the duplicate and runs to k_max.
+    x = np.hstack([np.eye(4)[:, :1], np.eye(4)])
+    design = DesignMatrix(DenseMatrix(x), "external", True)
+    path = solution_path(design, np.eye(4)[:, 0] * 2.0, 3, rule)
+    assert path.K == len(path.selected) == (1 if rule == "omp" else 3)
+    assert path.status == ("rank_deficient" if rule == "omp" else "complete")
+    ratios = residual_ratios(path)
+    assert (path.n, path.p, path.k_max) == (ratios.n, ratios.p, ratios.k_max) == (4, 5, 3)
+    assert len(ratios) == path.K
+    # The levels keep the configured k_max: the one step of the OMP path is
+    # tested at z(1) = alpha / (3 * 5), not alpha / (1 * 5).
+    assert rrt_select(ratios, 0.1) == _unscreened_rule(ratios.values, 4, 5, 3, 0.1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 40),
+    extra=st.integers(0, 40),
+    snr_db=st.floats(-10.0, 40.0),
+    rule=st.sampled_from(RULES),
+    alpha=st.floats(1e-6, 0.5),
+    data=st.data(),
+)
+def test_rrt_select_applies_the_rule_at_its_path_size(seed, n, extra, snr_db, rule, alpha, data):
+    # On a Gaussian n x p design, rrt_select(residual_ratios(path), alpha) is
+    # the largest k with c(k) = I_{RR(k)^2}((n-k)/2, 1/2) below
+    # rrt_level(n, p, k_max, alpha, k), with n, p and k_max those of the path.
+    p = n + extra
+    k_max = data.draw(st.integers(1, n - 1), label="k_max")
+    k0 = data.draw(st.integers(1, k_max), label="k0")
+    design = make_gaussian(n, p, seed)
+    support = sample_support(p, k0, seed + 1)
+    beta = make_signal(p, support, SignalSpec(k0=k0), seed + 2)
+    y = synthesize(design, beta, support, 10.0 ** (snr_db / 10.0), seed + 3).observation
+    path = solution_path(design, y, k_max, rule)
+    ratios = residual_ratios(path)
+    assert (ratios.n, ratios.p, ratios.k_max) == (path.n, path.p, path.k_max) == (n, p, k_max)
+    assert path.K == len(path.selected) == len(ratios)
+    assert rrt_select(ratios, alpha) == _unscreened_rule(ratios.values, n, p, k_max, alpha)
 
 
 def test_zero_observation_selects_nothing():
@@ -216,8 +277,8 @@ def test_zero_observation_selects_nothing():
     rr = residual_ratios(path)
     assert rr.zero_observation and np.all(rr.values == 0.0)
     assert rrm_select(rr) is None
-    assert rrt_select(rr, 32, 64, 16, 0.1) is None
-    assert rrta_select(rr, 32, 64, 16, RrtaParams(0.1, 2.0)) is None
+    assert rrt_select(rr, 0.1) is None
+    assert rrta_select(rr, RrtaParams(0.1, 2.0)) is None
     assert path.estimate(rrm_select(rr)).status == "empty_selection"
     # A perfect fit after one step is not a zero observation.
     fitted = residual_ratios(solution_path(design, design.matrix.values[:, 7].copy(), 16))
@@ -226,10 +287,10 @@ def test_zero_observation_selects_nothing():
 
 
 def test_rrm_select_examples():
-    assert rrm_select(ResidualRatios(np.array([0.9, 0.05, 0.8]))) == 2
-    assert rrm_select(ResidualRatios(np.array([0.5, 0.5]))) == 1  # tie -> smallest
+    assert rrm_select(_ratios([0.9, 0.05, 0.8])) == 2
+    assert rrm_select(_ratios([0.5, 0.5])) == 1  # tie -> smallest
     with pytest.raises(EmptyPathError):
-        rrm_select(ResidualRatios(np.array([])))
+        rrm_select(_ratios([]))
 
 
 def test_rrm_finds_exact_recovery_step():
@@ -244,18 +305,18 @@ def test_rrm_finds_exact_recovery_step():
 
 def test_rrta_alpha_examples():
     params = RrtaParams(pfd_finite=0.1, q=2.0)
-    assert rrta_alpha(ResidualRatios(np.array([0.3, 0.9])), params) == pytest.approx(0.09)
-    assert rrta_alpha(ResidualRatios(np.array([0.5, 0.9])), params) == pytest.approx(0.1)
-    assert rrta_alpha(ResidualRatios(np.array([0.0, 0.9])), params) == ALPHA_FLOOR
+    assert rrta_alpha(_ratios([0.3, 0.9]), params) == pytest.approx(0.09)
+    assert rrta_alpha(_ratios([0.5, 0.9]), params) == pytest.approx(0.1)
+    assert rrta_alpha(_ratios([0.0, 0.9]), params) == ALPHA_FLOOR
     # deep underflow also clamps
-    tiny = rrta_alpha(ResidualRatios(np.array([1e-200])), params)
+    tiny = rrta_alpha(_ratios([1e-200]), params)
     assert tiny == ALPHA_FLOOR
 
 
 def test_rrta_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         RrtaParams(pfd_finite=0.0, q=2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         RrtaParams(pfd_finite=0.1, q=0.0)
 
 
@@ -263,8 +324,8 @@ def test_rrta_select_recovery_dip():
     # A single vanishing ratio at k0 with the rest near one: the adaptive
     # level clamps to the floor, the thresholds stay positive, and only the
     # k0 step qualifies.
-    rr = ResidualRatios(np.array([0.8, 0.9, 0.0, 0.95, 0.97, 0.9, 0.92, 0.99]))
-    k = rrta_select(rr, 32, 64, 8, RrtaParams(0.1, 2.0))
+    rr = _ratios([0.8, 0.9, 0.0, 0.95, 0.97, 0.9, 0.92, 0.99], k_max=8)
+    k = rrta_select(rr, RrtaParams(0.1, 2.0))
     assert k == 3
     assert rrta_alpha(rr, RrtaParams(0.1, 2.0)) == ALPHA_FLOOR
 
@@ -280,7 +341,7 @@ def test_rrta_select_noiseless_path():
     path = solution_path(design, y, 16)
     rr = residual_ratios(path)
     assert rrm_select(rr) == 3
-    assert rrta_select(rr, 32, 64, 16, RrtaParams(0.1, 2.0)) == 3
+    assert rrta_select(rr, RrtaParams(0.1, 2.0)) == 3
     assert path.support_at(3) == {5, 17, 50}
 
 
@@ -289,20 +350,20 @@ def test_selectors_on_exact_zero_tail():
     # and the 0/0 convention zeroes every later ratio: argmin ties keep RRM at
     # the earliest perfect model while max-semantics push RRT/RRTA to the
     # path end. Unreachable at any finite SNR.
-    rr = ResidualRatios(np.array([0.5, 0.0, 0.0, 0.0]))
+    rr = _ratios([0.5, 0.0, 0.0, 0.0], k_max=4)
     assert rrm_select(rr) == 2
-    assert rrta_select(rr, 32, 64, 4, RrtaParams(0.1, 2.0)) == 4
-    assert rrt_select(rr, 32, 64, 4, 0.1) == 4
+    assert rrta_select(rr, RrtaParams(0.1, 2.0)) == 4
+    assert rrt_select(rr, 0.1) == 4
     assert _table_rule(rr.values, 32, 64, 4, 0.1) == 4
     assert _table_rule(rr.values, 32, 64, 4, rrta_alpha(rr, RrtaParams(0.1, 2.0))) == 4
 
 
 def test_rrta_matches_rrt_when_pfd_binds():
     # when (min RR)^q >= pfd the adaptive level equals pfd exactly
-    rr = ResidualRatios(np.array([0.8, 0.7, 0.9, 0.95]))
+    rr = _ratios([0.8, 0.7, 0.9, 0.95], k_max=4)
     params = RrtaParams(pfd_finite=0.1, q=2.0)
     assert rrta_alpha(rr, params) == pytest.approx(0.1)
-    assert rrta_select(rr, 32, 64, 4, params) == rrt_select(rr, 32, 64, 4, 0.1)
+    assert rrta_select(rr, params) == rrt_select(rr, 0.1)
 
 
 def test_rrta_agrees_with_rrt_on_seeded_trials():
@@ -320,24 +381,23 @@ def test_rrta_agrees_with_rrt_on_seeded_trials():
             path = solution_path(design, problem.observation, 16)
             rr = residual_ratios(path)
             if float(np.min(rr.values)) ** 2 >= 0.1:
-                assert rrta_select(rr, 32, 64, 16, params) == rrt_select(rr, 32, 64, 16, 0.1)
+                assert rrta_select(rr, params) == rrt_select(rr, 0.1)
                 agree_checked += 1
     assert agree_checked > 0
 
 
 def test_rrta_handles_truncated_paths():
-    rr = ResidualRatios(np.array([0.2, 0.9]))
+    rr = _ratios([0.2, 0.9], k_max=4)
     # path shorter than k_max: the levels of steps 1..2 still use k_max=4,
     # so the decision matches the first two entries of the k_max=4 table
     alpha = rrta_alpha(rr, RrtaParams(0.1, 2.0))
-    k = rrta_select(rr, 32, 64, 4, RrtaParams(0.1, 2.0))
-    assert k == rrt_select(rr, 32, 64, 4, alpha) == _table_rule(rr.values, 32, 64, 4, alpha) == 1
+    k = rrta_select(rr, RrtaParams(0.1, 2.0))
+    assert k == rrt_select(rr, alpha) == _table_rule(rr.values, 32, 64, 4, alpha) == 1
     # with k_max=2 the level of step 1 is twice as large: a ratio between the
     # two thresholds tells the configured k_max apart from the path length
     between = float(np.mean([build_threshold_table(32, 64, 4, 0.1)[0], build_threshold_table(32, 64, 2, 0.1)[0]]))
-    short = ResidualRatios(np.array([between, 0.99]))
-    assert rrt_select(short, 32, 64, 4, 0.1) is None
-    assert rrt_select(short, 32, 64, 2, 0.1) == 1
+    assert rrt_select(_ratios([between, 0.99], k_max=4), 0.1) is None
+    assert rrt_select(_ratios([between, 0.99], k_max=2), 0.1) == 1
 
 
 def test_minimal_superset_examples():
@@ -373,7 +433,7 @@ def test_selector_scale_invariance_quick():
         for c in (1e-6, 1.0, 1e6):
             path = solution_path(design, c * problem.observation, 16)
             rr = residual_ratios(path)
-            keys = (path.selected, rrt_select(rr, 32, 64, 16, 0.1), rrm_select(rr), rrta_select(rr, 32, 64, 16, params))
+            keys = (path.selected, rrt_select(rr, 0.1), rrm_select(rr), rrta_select(rr, params))
             if baseline is None:
                 baseline = keys
             else:
@@ -410,8 +470,8 @@ def test_path_ratios_and_selections_are_invariant_under_binary_scaling(seed, kin
     params = RrtaParams(0.1, 2.0)
     for select in (
         rrm_select,
-        lambda r: rrt_select(r, 32, 64, 16, 0.1),
-        lambda r: rrta_select(r, 32, 64, 16, params),
+        lambda r: rrt_select(r, 0.1),
+        lambda r: rrta_select(r, params),
     ):
         assert select(rr) == select(base_rr)
 

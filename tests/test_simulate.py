@@ -139,7 +139,7 @@ def test_score_from_prefix_hits_matches_the_set_definition(selected, support, da
     # them is not in it. k is an empty selection, any order 0..K, or the
     # exhausted estimate at K.
     K = len(selected)
-    path = SolutionPath("omp", tuple(selected), np.zeros(K + 1), np.zeros(K + 1), K, "complete")
+    path = SolutionPath("omp", tuple(selected), np.zeros(K + 1), np.zeros(K + 1), "complete", 12, 12, max(K, 1))
     k = data.draw(st.sampled_from([None, "exhausted", *range(K + 1)]))
     estimate = stop_fixed(path, K + 1) if k == "exhausted" else path.estimate(k)
     picked = set(selected[: estimate.k_selected])
@@ -422,3 +422,19 @@ def test_sweep_csv_is_byte_identical_to_the_benchmark_reference(name, reference)
     write_sweep_csv(buf, run_sweep(config), config)
     with open(os.path.join(REFERENCE_DIR, reference), newline="") as fh:
         assert buf.getvalue() == fh.read()
+
+
+FIGURE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "figures")
+
+
+@pytest.mark.parametrize("name", cli.FIGURE_NAMES)
+def test_every_preset_csv_is_byte_identical_to_its_record_on_one_and_two_workers(name):
+    """tests/data/figures/<preset>_results.csv: each preset at 30 trials per
+    point, root seed 7, as `rrselect figure` writes it."""
+    config = cli.figure_config(name, 30, 7)
+    with open(os.path.join(FIGURE_DIR, f"{name}_results.csv"), newline="") as fh:
+        recorded = fh.read()
+    for workers in (1, 2):
+        buf = io.StringIO()
+        write_sweep_csv(buf, run_sweep(config, workers=workers), config)
+        assert buf.getvalue() == recorded, f"{workers} worker(s)"
