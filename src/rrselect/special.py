@@ -95,7 +95,12 @@ def beta_cdf(a: float, b: float, x: float) -> float:
     ln_front = a * math.log(x) + b * math.log1p(-x) - log_beta_fn(a, b)
     front = math.exp(ln_front)
     if x < (a + 1.0) / (a + b + 2.0):
-        val = front * _beta_continued_fraction(a, b, x) / a
+        cf = _beta_continued_fraction(a, b, x)
+        if ln_front < _LN_NORMAL_MIN:
+            # A subnormal front has already been rounded to the coarse
+            # subnormal grid; taking the product in the log domain rounds once.
+            return math.exp(ln_front + math.log(cf / a))
+        val = front * cf / a
     else:
         val = 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
     return min(max(val, 0.0), 1.0)

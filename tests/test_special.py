@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rrselect.errors import DomainError
@@ -112,6 +112,28 @@ def test_cdf_below_exp_minus_745_rounds_to_the_nearest_subnormal():
         x = 5e-324
         expected = mp.betainc(1, 0.5, 0, mp.mpf(x), regularized=True)
         assert beta_cdf(1.0, 0.5, x) == _nearest_double(mp, expected) == 5e-324
+
+
+@pytest.mark.parametrize(
+    "a, x",
+    [
+        (20.375, 2.220446049250313e-16),
+        (26.576118519616486, 7.240466228700206e-13),
+        (1.392046909008365, 1.980240320268648e-231),
+        (2.1619172167985186, 6.980967218164191e-150),
+        (2.882735594636041, 2.990902435724475e-112),
+    ],
+)
+def test_subnormal_cdf_is_the_nearest_double(a, x):
+    # A CDF below the normal doubles whose square r^2 is normal: the first
+    # factor is subnormal, and rounding it before the continued fraction and
+    # the division by a would round twice.
+    mp = pytest.importorskip("mpmath")
+    r = math.sqrt(x)
+    with mp.workdps(60):
+        expected = mp.betainc(a, 0.5, 0, mp.mpf(r) ** 2, regularized=True)
+        assert 0 < expected < sys.float_info.min
+        assert beta_cdf_of_square(a, 0.5, r) == _nearest_double(mp, expected)
 
 
 def test_beta_cdf_inv_trivial_and_frozen_values():
@@ -275,6 +297,8 @@ def test_oracle_recompute_spot_check():
 
 @settings(max_examples=200, deadline=None)
 @given(a=st.floats(0.5, 100.0), x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(a=20.375, x=2.220446049250313e-16)  # I ~ 2878.37 subnormal steps
+@example(a=26.576118519616486, x=7.240466228700206e-13)  # I ~ 0.7 of 5e-324
 def test_cdf_floor_is_a_lower_bound_of_the_cdf(a, x):
     # ln L <= ln I_x(a, 1/2) for x = r^2, against 40-digit mpmath; the slack
     # covers double rounding where L and I agree (x -> 0).
@@ -287,9 +311,12 @@ def test_cdf_floor_is_a_lower_bound_of_the_cdf(a, x):
     floor = log_cdf_of_square_floor(a, 0.5, r)
     slack = 1e-12 * max(1.0, abs(floor))
     assert floor <= float(mp.log(exact)) + slack
-    # The double CDF reads 0 once its first factor falls below exp(-745).
+    # Rounding to doubles is monotone, so L <= I carries over to the double
+    # CDF. It is taken on the double grid, not in ln: below the normal
+    # doubles a value keeps few digits, and the nearest double to I can lie
+    # under L by up to half a step of 5e-324.
     c = beta_cdf_of_square(a, 0.5, r)
-    assert floor <= math.log(c) + slack if c > 0.0 else floor < -744.0
+    assert c >= math.exp(floor - slack)
 
 
 # (n, p, k_max, alpha, k) whose Gamma(k)^2 lies below the normal doubles or
