@@ -16,6 +16,10 @@ from .linalg import DenseMatrix, load_matrix_csv
 DESIGN_KINDS = ("identity_hadamard", "gaussian", "external")
 SIGNAL_KINDS = ("pm_one", "geometric")
 
+# The +-1 values of a pm_one signal, indexed by a uniform draw from {0, 1}:
+# the draw Generator.choice([-1.0, 1.0], size) makes, without its set-up.
+_PM_ONE = np.array([-1.0, 1.0])
+
 
 @dataclass(frozen=True, eq=False)
 class DesignMatrix:
@@ -110,7 +114,7 @@ def sample_support(p: int, k0: int, seed: int) -> tuple[int, ...]:
         raise ValidationError(f"k0 must lie in [1, p={p}], got {k0}")
     rng = np.random.default_rng(seed)
     idx = rng.choice(p, size=k0, replace=False)
-    return tuple(sorted(int(i) for i in idx))
+    return tuple(sorted(idx.tolist()))
 
 
 def make_signal(p: int, support, spec: SignalSpec, seed: int) -> np.ndarray:
@@ -125,7 +129,7 @@ def make_signal(p: int, support, spec: SignalSpec, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     beta = np.zeros(p)
     if spec.kind == "pm_one":
-        beta[list(support)] = rng.choice([-1.0, 1.0], size=spec.k0)
+        beta[list(support)] = _PM_ONE[rng.integers(0, 2, size=spec.k0)]
     else:
         values = spec.ratio ** np.arange(spec.k0)
         beta[list(support)] = rng.permutation(values)
@@ -149,7 +153,7 @@ def synthesize(design: DesignMatrix, beta: np.ndarray, support, snr: float, seed
     if beta.shape != (design.p,):
         raise ValidationError(f"beta has shape {beta.shape}, expected ({design.p},)")
     signal = x @ beta
-    signal_norm = float(np.linalg.norm(signal))
+    signal_norm = math.sqrt(signal.dot(signal))  # np.linalg.norm of a 1-d vector, same bits
     if signal_norm == 0.0:
         raise ValidationError("X beta vanishes; SNR is undefined for a zero signal")
     n = design.n

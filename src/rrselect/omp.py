@@ -6,6 +6,7 @@ identical randomness at zero extra cost.
 """
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -13,8 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .designs import DesignMatrix
-from .errors import DimensionMismatchError, DomainError, RankDeficientError, ValidationError
-from .linalg import RANK_TOL, OrthoBasisState
+from .errors import DimensionMismatchError, DomainError, ValidationError
+from .linalg import RANK_TOL
 
 RULES = ("omp", "ols")
 
@@ -87,8 +88,7 @@ def solution_path(design: DesignMatrix, y: np.ndarray, k_max: int, rule: str = "
     """
     if rule not in RULES:
         raise ValidationError(f"rule must be one of {RULES}, got {rule!r}")
-    matrix = design.matrix
-    x = matrix.values
+    x = design.matrix.values
     n, p = x.shape
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (n,):
@@ -102,7 +102,9 @@ def solution_path(design: DesignMatrix, y: np.ndarray, k_max: int, rule: str = "
     # the norms back: binary scaling is exact in every step, and no squared
     # norm under- or overflows at any scale of y.
     e = math.frexp(float(np.abs(y).max()))[1]
-    state = OrthoBasisState(n, capacity=k_max)
+    # Orthonormal basis of the selected columns, grown one column per step by
+    # two Gram-Schmidt passes, as linalg.OrthoBasisState does (same bits).
+    basis = np.zeros((n, k_max), order="F")
     r = np.ldexp(y, -e)
     xt = x.T
     # ndarray.dot runs the BLAS call of @ without the matmul dispatch, and
@@ -140,13 +142,19 @@ def solution_path(design: DesignMatrix, y: np.ndarray, k_max: int, rule: str = "
                 break
             score = np.where(admissible, corr * corr / np.where(admissible, res_col_sq, 1.0), -1.0)
             t = int(score.argmax())
-        try:
-            # Called through the class, so a wrapper installed on
-            # OrthoBasisState.append (a tracer) sees every update.
-            q = state.append(matrix, t).orthonormal_basis[:, k]
-        except RankDeficientError:
+        col = x[:, t]
+        v = col
+        if k:  # the passes v -= Q (Q^T v) are exact no-ops while Q is empty
+            q = basis[:, :k]
+            qt = q.T
+            v = col - q.dot(qt.dot(col))
+            v -= q.dot(qt.dot(v))  # second pass: mops up cancellation in the first
+        norm = math.sqrt(v.dot(v))
+        if norm <= RANK_TOL * math.sqrt(col.dot(col)) or norm == 0.0:  # in the span of the basis
             status = "rank_deficient"
             break
+        q = basis[:, k]
+        np.divide(v, norm, out=q)
         selected.append(t)
         taken[t] = True
         r -= q * q.dot(r)
@@ -174,9 +182,10 @@ def solution_path(design: DesignMatrix, y: np.ndarray, k_max: int, rule: str = "
 
 
 def _first_below(path: SolutionPath, values: np.ndarray, tau: float) -> SupportEstimate:
-    hits = np.nonzero(values <= tau)[0]
-    if len(hits):
-        return path.estimate(int(hits[0]))
+    below = values <= tau
+    k = int(below.argmax())  # the first True, or 0 when there is none
+    if below[k]:
+        return SupportEstimate(k, STATUS_OK)
     return SupportEstimate(path.K, STATUS_EXHAUSTED)
 
 
@@ -187,23 +196,47 @@ def _check_noise(sigma: float, eta: float | None) -> None:
         raise DomainError(f"eta must be finite, got {eta}")
 
 
+# Enough digits that rounding the level to a double happens once, in effect.
+_WIDE = decimal.Context(prec=40)
+
+
+def _noise_level(sigma: float, c: float, eta: float | None) -> float:
+    """sigma * c, scaled by sigma^-eta when eta is given.
+
+    Where sigma^-eta or the scaled product leaves the doubles (overflow, or
+    underflow to 0) the level itself may not: it is then the double nearest
+    exp((1-eta) ln sigma + ln c), taken in 40-digit decimal arithmetic and
+    rounded once, and inf past the double range.
+    """
+    tau = sigma * c
+    if eta is None or c == 0.0:
+        return tau
+    try:
+        scaled = tau * sigma ** (-eta)
+    except OverflowError:
+        scaled = math.inf
+    if 0.0 < scaled < math.inf:
+        return scaled
+    sigma_, c_, eta_ = map(decimal.Decimal, (sigma, c, eta))  # exact: every float is a decimal
+    ln_level = _WIDE.add(_WIDE.multiply(_WIDE.subtract(1, eta_), _WIDE.ln(sigma_)), _WIDE.ln(c_))
+    if ln_level > 710:  # past the largest double, e^709.78
+        return math.inf
+    if ln_level < -746:  # below half the smallest double, e^-744.44
+        return 0.0
+    return float(_WIDE.exp(ln_level))
+
+
 def rpsc_threshold(sigma: float, n: int, eta: float | None = None) -> float:
     """Residual-power stopping level sigma*sqrt(n + 2 sqrt(n ln n)), with the
     optional high-SNR-consistent scaling by sigma^-eta."""
     _check_noise(sigma, eta)
-    tau = sigma * math.sqrt(n + 2.0 * math.sqrt(n * math.log(n)))
-    if eta is not None:
-        tau *= sigma ** (-eta)
-    return tau
+    return _noise_level(sigma, math.sqrt(n + 2.0 * math.sqrt(n * math.log(n))), eta)
 
 
 def rcsc_threshold(sigma: float, p: int, eta: float | None = None) -> float:
     """Residual-correlation stopping level sigma*sqrt(2 ln p) (optional sigma^-eta)."""
     _check_noise(sigma, eta)
-    tau = sigma * math.sqrt(2.0 * math.log(p))
-    if eta is not None:
-        tau *= sigma ** (-eta)
-    return tau
+    return _noise_level(sigma, math.sqrt(2.0 * math.log(p)), eta)
 
 
 def stop_fixed(path: SolutionPath, k0: int) -> SupportEstimate:

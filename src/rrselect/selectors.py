@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -30,6 +30,12 @@ from .special import ALPHA_FLOOR, rrt_levels
 # Margin, in ln, by which the CDF's lower bound must exceed ln(1/(k_max (p-k+1)))
 # to settle a step: orders above the ~1e-13 relative rounding of the CDF.
 _SCREEN_MARGIN = 1e-9
+
+
+@lru_cache(maxsize=64)
+def _screen_bounds(p: int, k_max: int) -> tuple[float, ...]:
+    """_SCREEN_MARGIN + ln z_sup(k), z_sup(k) = 1/(k_max (p-k+1)), for k = 1..k_max."""
+    return tuple(_SCREEN_MARGIN - math.log(d) for d in special.level_denominators(p, k_max).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,12 +66,17 @@ class ResidualRatios:
         The lower bound is special.log_cdf_of_square_floor; only the steps it
         leaves open run the continued fraction.
         """
+        values = self.values.tolist()
+        if len(values) > min(self.k_max, self.n - 1):
+            raise DomainError(f"{len(values)} ratios exceed k_max={self.k_max} or n-1={self.n - 1} steps")
         c = []
-        for k, rr in enumerate(self.values.tolist(), 1):
-            a = (self.n - k) / 2.0
+        terms = special.half_beta_log_terms(self.n)
+        for (a, ln_a, ln_beta), bound, rr in zip(terms, _screen_bounds(self.p, self.k_max), values):
             if 0.0 < rr < 1.0:
-                ln_floor = special.log_cdf_of_square_floor(a, 0.5, rr)
-                if ln_floor > _SCREEN_MARGIN - math.log(self.k_max * (self.p - k + 1)):
+                # log_cdf_of_square_floor(a, 0.5, rr), operation for operation,
+                # with its per-size constants looked up.
+                ln_floor = 2.0 * a * math.log(rr) + 0.5 * math.log1p(-rr * rr) - ln_a - ln_beta
+                if ln_floor > bound:
                     c.append(math.exp(ln_floor))
                     continue
             # special.beta_cdf is looked up at call time, so a wrapper
@@ -110,7 +121,7 @@ def rrt_select(ratios: ResidualRatios, alpha: float) -> int | None:
     at the ratios' n, p and k_max; None when no step qualifies or the observation
     is zero. A path that ended early has fewer steps; the levels keep k_max."""
     levels = rrt_levels(ratios.n, ratios.p, ratios.k_max, alpha, len(ratios))
-    if not levels or ratios.zero_observation:
+    if not len(levels) or ratios.zero_observation:
         return None
     hits = np.nonzero(ratios.screened_cdf < levels)[0]
     if len(hits) == 0:

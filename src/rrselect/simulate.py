@@ -11,9 +11,11 @@ import csv
 import hashlib
 import json
 import math
+import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -115,8 +117,11 @@ class AlgorithmSpec:
         """The parameters this algorithm reads, by name."""
         return {key: getattr(self, key) for key in ALGORITHMS[self.name].params}
 
-    @property
+    @cached_property
     def label(self) -> str:
+        """name(key=value,...)[|rule], e.g. rrt(alpha=0.1) or rrm|ols; built
+        once per spec (the cache is not a field: equality, hashing and
+        dataclasses.replace ignore it)."""
         params = ",".join(f"{key}={value:g}" for key, value in sorted(self.params.items()))
         base = f"{self.name}({params})" if params else self.name
         return base if self.rule == "omp" else f"{base}|{self.rule}"
@@ -130,7 +135,7 @@ class AlgorithmSpec:
             raise ValidationError(f"{where}: unknown rule {self.rule!r}")
         for key, value in self.params.items():
             low, high = PARAMETER_DOMAINS[key]
-            if not low < value < high:
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not low < value < high:
                 raise ValidationError(f"{where}.{key}: must lie in ({low:g},{high:g}), got {value!r}")
 
 
@@ -157,6 +162,23 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         d = self.design
+        integers = {
+            "trials": self.trials,
+            "root_seed": self.root_seed,
+            "design.n": d.n,
+            "design.p": d.p,
+            "design.seed": d.seed,
+            "signal.k0": self.signal.k0,
+        }
+        if self.k_max_override is not None:
+            integers["k_max_override"] = self.k_max_override
+        for where, value in integers.items():
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValidationError(f"{where}: must be an integer, got {value!r}")
+        for i, value in enumerate(self.snr_db_list):
+            # abs(v) <= max fails for nan and both infinities
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+                raise ValidationError(f"snr_db[{i}]: must be a finite number, got {value!r}")
         if d.kind not in ("identity_hadamard", "gaussian", "external"):
             raise ValidationError(f"design.kind: unknown kind {d.kind!r}")
         if d.kind == "identity_hadamard":

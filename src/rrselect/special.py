@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -133,6 +134,13 @@ def log_cdf_of_square_floor(a: float, b: float, r: float) -> float:
     return 2.0 * a * math.log(r) + b * math.log1p(-r * r) - math.log(a) - log_beta_fn(a, b)
 
 
+@lru_cache(maxsize=64)
+def half_beta_log_terms(n: int) -> tuple[tuple[float, float, float], ...]:
+    """(a, ln a, ln B(a, 1/2)) for a = (n-k)/2 at k = 1..n-1: the per-step
+    constants of log_cdf_of_square_floor(a, 0.5, r), computed once per n."""
+    return tuple((a, math.log(a), log_beta_fn(a, 0.5)) for a in ((n - k) / 2.0 for k in range(1, n)))
+
+
 def _beta_pdf(a: float, b: float, x: float, ln_beta: float) -> float:
     if not 0.0 < x < 1.0:
         return 0.0
@@ -215,22 +223,29 @@ def rrt_level(n: int, p: int, k_max: int, alpha: float, k: int) -> float:
         raise DomainError(f"p={p} must be >= k={k}")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0,1), got {alpha}")
-    return _levels(p, k_max, alpha, (k,))[0]
-
-
-def rrt_levels(n: int, p: int, k_max: int, alpha: float, steps: int) -> list[float]:
-    """[rrt_level(n, p, k_max, alpha, k) for k = 1..steps], checking the
-    arguments once: every check holds for all k <= steps once it holds at
-    k = steps."""
-    if steps:
-        rrt_level(n, p, k_max, alpha, steps)
-    return _levels(p, k_max, alpha, range(1, steps + 1))
-
-
-def _levels(p: int, k_max: int, alpha: float, ks) -> list[float]:
-    scale = max(alpha, ALPHA_FLOOR)
     # A denominator huge enough to underflow the quotient gives the smallest double.
-    return [scale / (k_max * (p - k + 1)) or 5e-324 for k in ks]
+    return max(alpha, ALPHA_FLOOR) / (k_max * (p - k + 1)) or 5e-324
+
+
+@lru_cache(maxsize=64)
+def level_denominators(p: int, k_max: int) -> np.ndarray:
+    """k_max (p-k+1) for k = 1..k_max as a read-only float array, built once
+    per (p, k_max): each the double that float / int division converts the
+    integer to (exact below 2^53)."""
+    values = np.array([k_max * (p - k + 1) for k in range(1, k_max + 1)], dtype=np.float64)
+    values.flags.writeable = False
+    return values
+
+
+def rrt_levels(n: int, p: int, k_max: int, alpha: float, steps: int) -> np.ndarray:
+    """[rrt_level(n, p, k_max, alpha, k) for k = 1..steps] as a new array,
+    checking the arguments once: every check holds for all k <= steps once it
+    holds at k = steps. Each level is the one IEEE division rrt_level makes."""
+    if not steps:
+        return np.empty(0)
+    rrt_level(n, p, k_max, alpha, steps)
+    levels = max(alpha, ALPHA_FLOOR) / level_denominators(p, k_max)[:steps]
+    return np.maximum(levels, 5e-324, out=levels)
 
 
 def rrt_threshold(n: int, p: int, k_max: int, alpha: float, k: int) -> float:

@@ -44,6 +44,17 @@ def test_identity_hadamard_unit_columns():
     assert (d.n, d.p) == (32, 64)
 
 
+def test_pm_one_signs_are_the_draw_of_generator_choice():
+    # make_signal draws the signs by indexing [-1, 1] with integers(0, 2),
+    # which is the draw rng.choice([-1.0, 1.0], size=k0) makes.
+    spec = SignalSpec(k0=3, kind="pm_one")
+    for seed in range(1000):
+        beta = make_signal(64, (4, 17, 40), spec, seed)
+        expected = np.random.default_rng(seed).choice([-1.0, 1.0], size=3)
+        assert np.array_equal(beta[[4, 17, 40]], expected)
+        assert np.count_nonzero(beta) == 3
+
+
 def test_gaussian_determinism_and_normalization():
     a = make_gaussian(16, 24, seed=123)
     b = make_gaussian(16, 24, seed=123)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -219,6 +220,49 @@ def test_rcsc_threshold_values():
     assert rcsc_threshold(0.01, 64, eta=0.1) == pytest.approx(
         0.01 * ETA_SCALE_001_01 * TAU_RCSC_P64_SIGMA1, rel=1e-12
     )
+
+
+def _nearest_double(sigma, c, eta):
+    """The double nearest exp((1-eta) ln sigma + ln c), from 60-digit arithmetic."""
+    mpmath.mp.dps = 60
+    level = mpmath.exp((1 - mpmath.mpf(eta)) * mpmath.log(mpmath.mpf(sigma)) + mpmath.log(mpmath.mpf(c)))
+    return float(mpmath.nstr(level, 40))  # str -> float rounds once, subnormals included
+
+
+@pytest.mark.parametrize("threshold, size", [(rpsc_threshold, 32), (rcsc_threshold, 64)])
+@pytest.mark.parametrize(
+    "sigma, eta",
+    [
+        (1e-300, 2.0),  # sigma^-eta overflows, the level is about 1e300
+        (1e300, 2.0),  # sigma^-eta underflows to 0, the level is about 1e-300
+        (1e-300, -2.0),  # level far below the doubles: 0
+        (1e300, -2.0),  # level far above the doubles: inf
+        (1e308, 0.5),  # sigma * c overflows, the level is about 1e154
+        (1e300, 2.075),  # level subnormal
+        (5e-324, 1.5),  # smallest sigma
+        (1e-200, 2.5),
+        (1e200, 2.5),
+    ],
+)
+def test_hsc_levels_outside_the_double_range_of_sigma_to_the_eta(threshold, size, sigma, eta):
+    c = threshold(1.0, size)
+    assert threshold(sigma, size, eta) == _nearest_double(sigma, c, eta)
+
+
+@pytest.mark.parametrize("sigma", [1e-150, 1e-8, 0.01, 1.0, 3.7, 1e8, 1e150])
+@pytest.mark.parametrize("eta", [-1.5, 0.1, 2.0])
+def test_hsc_levels_inside_the_double_range_keep_the_plain_product(sigma, eta):
+    for threshold, size in ((rpsc_threshold, 32), (rcsc_threshold, 64)):
+        tau = sigma * threshold(1.0, size)
+        assert threshold(sigma, size, eta) == tau * sigma ** (-eta)
+        exact = _nearest_double(sigma, threshold(1.0, size), eta)
+        assert threshold(sigma, size, eta) == pytest.approx(exact, rel=1e-13)
+
+
+def test_hsc_level_of_a_zero_constant_is_zero():
+    # rcsc at p = 1: sqrt(2 ln 1) = 0, at any scale of sigma
+    assert rcsc_threshold(1e-300, 1, eta=2.0) == 0.0
+    assert rcsc_threshold(1e300, 1, eta=2.0) == 0.0
 
 
 def test_stop_rules_scan_semantics():

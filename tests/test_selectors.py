@@ -141,6 +141,13 @@ def test_settled_steps_hold_a_lower_bound_above_every_level():
     assert rrt_select(ratios, 1.0 - 1e-12) == 2
 
 
+def test_screened_cdf_rejects_more_ratios_than_steps():
+    # k_max = 3 steps on a 32 x 64 problem, or n - 1 = 2 steps at n = 3
+    for ratios in (_ratios([0.5] * 4), _ratios([0.5] * 3, n=3, p=8, k_max=3)):
+        with pytest.raises(DomainError):
+            ratios.screened_cdf
+
+
 def test_ratio_whose_square_underflows_keeps_its_cdf():
     # At n = 2 the level-1e-300 threshold is Gamma(1) = pi z / 2 ~ 1.6e-300.
     # RR(1) = 1e-200 lies far above it, although RR(1)^2 rounds to 0, and

@@ -2,6 +2,8 @@ import dataclasses
 import io
 import math
 import os
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +63,22 @@ def test_roster_families_and_defaults():
     assert roster["rrta"] == {"pfd": 0.1, "q": 2.0}
     # non-default levels are accepted configuration
     _config(algorithms=(AlgorithmSpec("rrt", alpha=0.01),)).validate()
+
+
+def test_algorithm_label_is_cached_outside_the_fields():
+    spec = AlgorithmSpec("rrt", alpha=0.1)
+    assert spec.label == "rrt(alpha=0.1)"
+    assert "label" in vars(spec)  # built once, then read from the instance
+    clone = pickle.loads(pickle.dumps(spec))
+    assert clone.label == spec.label and clone == spec
+    changed = dataclasses.replace(spec, alpha=0.01)
+    assert changed.label == "rrt(alpha=0.01)"
+    assert dataclasses.replace(AlgorithmSpec("rrm"), rule="ols").label == "rrm|ols"
+    # equality and hashing read the fields only, cached or not
+    fresh = AlgorithmSpec("rrt", alpha=0.1)
+    assert "label" not in vars(fresh)
+    assert fresh == spec and hash(fresh) == hash(spec)
+    assert {spec: 1}[fresh] == 1
 
 
 def test_derive_trial_seed_deterministic_and_distinct():
@@ -250,6 +268,41 @@ def test_config_validation_errors():
     with pytest.raises(ValidationError):
         _config(snr_db_list=(10.0, 10.0)).validate()
     _config().validate()
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"trials": 2.5}, "trials"),
+        ({"trials": True}, "trials"),
+        ({"trials": 3.0}, "trials"),
+        ({"root_seed": 7.5}, "root_seed"),
+        ({"root_seed": False}, "root_seed"),
+        ({"k_max_override": 8.0}, "k_max_override"),
+        ({"k_max_override": True}, "k_max_override"),
+        ({"design": DesignSpec(kind="identity_hadamard", n=32.0, p=64)}, "design.n"),
+        ({"design": DesignSpec(kind="identity_hadamard", n=32, p=True)}, "design.p"),
+        ({"design": DesignSpec(kind="gaussian", n=32, p=64, seed=1.5)}, "design.seed"),
+        ({"signal": SignalSpec(k0=3.0)}, "signal.k0"),
+        ({"signal": SignalSpec(k0=True)}, "signal.k0"),
+        ({"snr_db_list": (20.0, math.nan)}, "snr_db[1]"),
+        ({"snr_db_list": (math.inf,)}, "snr_db[0]"),
+        ({"snr_db_list": (-math.inf,)}, "snr_db[0]"),
+        ({"snr_db_list": ("20",)}, "snr_db[0]"),
+        ({"algorithms": (AlgorithmSpec("rrt", alpha="0.1"),)}, "algorithms[0].alpha"),
+        ({"algorithms": (AlgorithmSpec("rpsc_hsc", eta=None),)}, "algorithms[0].eta"),
+    ],
+)
+def test_config_validation_names_a_field_of_the_wrong_type(overrides, field):
+    config = _config(**overrides)
+    with pytest.raises(ValidationError, match=rf"^{re.escape(field)}: must "):
+        config.validate()
+    with pytest.raises(ValidationError, match=rf"^{re.escape(field)}: must "):
+        run_sweep(config)
+
+
+def test_config_validation_accepts_integer_snr_points_and_k_max():
+    _config(snr_db_list=(0, 20), k_max_override=8).validate()
 
 
 def test_sweep_csv_round_trip():

@@ -13,9 +13,11 @@ from rrselect.special import (
     beta_cdf_inv,
     beta_cdf_of_square,
     build_threshold_table,
+    half_beta_log_terms,
     log_beta_fn,
     log_cdf_of_square_floor,
     rrt_level,
+    rrt_levels,
     rrt_threshold,
 )
 
@@ -249,6 +251,29 @@ GAMMA_MPMATH = {
 @pytest.mark.parametrize("args", sorted(GAMMA_MPMATH))
 def test_rrt_threshold_matches_mpmath(args):
     assert rrt_threshold(*args) == pytest.approx(GAMMA_MPMATH[args], rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("p, k_max, alpha", [(64, 16, 0.1), (64, 16, 1e-320), (10**30, 16, ALPHA_FLOOR), (7, 3, 0.5)])
+def test_rrt_levels_are_the_scalar_levels(p, k_max, alpha):
+    levels = rrt_levels(k_max + 1, p, k_max, alpha, k_max)
+    assert levels.tolist() == [rrt_level(k_max + 1, p, k_max, alpha, k) for k in range(1, k_max + 1)]
+    assert rrt_levels(k_max + 1, p, k_max, alpha, 0).tolist() == []
+
+
+def test_writing_into_returned_levels_leaves_later_levels_alone():
+    first = rrt_levels(32, 64, 16, 0.1, 16)
+    expected = first.tolist()
+    first[:] = 7.0
+    assert rrt_levels(32, 64, 16, 0.1, 16).tolist() == expected
+    shorter = rrt_levels(32, 64, 16, 0.1, 4)
+    shorter *= 0.0
+    assert rrt_levels(32, 64, 16, 0.1, 16).tolist() == expected
+
+
+def test_half_beta_log_terms_are_the_constants_of_the_floor():
+    for n in (2, 3, 32):
+        halves = [(n - k) / 2.0 for k in range(1, n)]
+        assert half_beta_log_terms(n) == tuple((a, math.log(a), log_beta_fn(a, 0.5)) for a in halves)
 
 
 def test_rrt_level_is_the_level_of_the_threshold():
