@@ -52,6 +52,12 @@ class SignalSpec:
     ratio: float = 1.0 / 3.0
 
     def __post_init__(self) -> None:
+        # Types first: a string or a float would otherwise reach the range
+        # checks, which raise a bare TypeError or let 3.5 and True through.
+        if isinstance(self.k0, bool) or not isinstance(self.k0, int):
+            raise ValidationError(f"signal.k0: must be an integer, got {self.k0!r}")
+        if isinstance(self.ratio, bool) or not isinstance(self.ratio, (int, float)):
+            raise ValidationError(f"signal.ratio: must be a number, got {self.ratio!r}")
         if self.k0 < 1:
             raise ValidationError(f"k0 must be >= 1, got {self.k0}")
         if self.kind not in SIGNAL_KINDS:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,6 +23,11 @@ RULES = ("omp", "ols")
 STATUS_OK = "ok"
 STATUS_EMPTY = "empty_selection"
 STATUS_EXHAUSTED = "exhausted"
+
+# Per design, ||x_j|| = math.sqrt(x_j.dot(x_j)) of each column a path has
+# taken, the scale of the rank test: a design shared by many trials computes
+# each once. A design's matrix is not changed once paths run on it.
+_column_norms: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class SupportEstimate(NamedTuple):
@@ -102,9 +108,10 @@ def solution_path(design: DesignMatrix, y: np.ndarray, k_max: int, rule: str = "
     # the norms back: binary scaling is exact in every step, and no squared
     # norm under- or overflows at any scale of y.
     e = math.frexp(float(np.abs(y).max()))[1]
-    # Orthonormal basis of the selected columns, grown one column per step by
-    # two Gram-Schmidt passes, as linalg.OrthoBasisState does (same bits).
-    basis = np.zeros((n, k_max), order="F")
+    # Orthonormal basis of the selected columns, one row per step, grown by
+    # two Gram-Schmidt passes, as linalg.OrthoBasisState does (same bits): the
+    # rows basis[:k] are the memory of its Fortran-order (n, k) Q factor.
+    basis = np.zeros((k_max, n))
     r = np.ldexp(y, -e)
     xt = x.T
     # ndarray.dot runs the BLAS call of @ without the matmul dispatch, and
@@ -113,16 +120,21 @@ def solution_path(design: DesignMatrix, y: np.ndarray, k_max: int, rule: str = "
     norms = [math.sqrt(r.dot(r))]
     if math.frexp(norms[0])[1] + e > 1024:  # ||y|| = norms[0] * 2**e is past the float64 range
         raise ValidationError("||y|| overflows float64")
-    score = np.abs(corr)
-    top = int(score.argmax())  # score[top] is the max, without the reduction set-up
-    corr_inf = [float(score[top])]
+    magnitude = np.abs(corr)
+    top = int(magnitude.argmax())  # magnitude[top] is the max, without the reduction set-up
+    corr_inf = [float(magnitude[top])]
     selected: list[int] = []
-    taken = np.zeros(p, dtype=bool)
+    taken = [False] * p
+    col_norms = _column_norms.get(design)
+    if col_norms is None:
+        col_norms = _column_norms[design] = [None] * p
     status = "complete"
     if rule == "ols":
         col_sq = np.einsum("ij,ij->j", x, x)
-        res_col_sq = col_sq.copy()
+        res_col_sq = col_sq.copy()  # a taken column's entry is set to 0: never admissible again
         dependent_sq = (RANK_TOL * RANK_TOL) * col_sq  # at or below: in the span of the basis
+        admissible = np.empty(p, dtype=bool)
+        score = np.empty(p)
 
     for k in range(k_max):
         if rule == "omp":
@@ -130,30 +142,34 @@ def solution_path(design: DesignMatrix, y: np.ndarray, k_max: int, rule: str = "
             # is taken; then mask every taken column and look again.
             t = top
             if taken[t]:
-                score[taken] = -1.0
-                t = int(score.argmax())
-                if score[t] < 0.0:  # every column already selected (p exhausted)
+                magnitude[selected] = -1.0
+                t = int(magnitude.argmax())
+                if magnitude[t] < 0.0:  # every column already selected (p exhausted)
                     status = "rank_deficient"
                     break
         else:
-            admissible = ~taken & (res_col_sq > dependent_sq)
-            if not admissible.any():
+            np.greater(res_col_sq, dependent_sq, out=admissible)
+            score.fill(-1.0)
+            np.divide(corr * corr, res_col_sq, out=score, where=admissible)
+            t = int(score.argmax())
+            if score[t] < 0.0:  # no admissible column: every score is nonnegative
                 status = "rank_deficient"
                 break
-            score = np.where(admissible, corr * corr / np.where(admissible, res_col_sq, 1.0), -1.0)
-            t = int(score.argmax())
         col = x[:, t]
         v = col
         if k:  # the passes v -= Q (Q^T v) are exact no-ops while Q is empty
-            q = basis[:, :k]
-            qt = q.T
+            qt = basis[:k]
+            q = qt.T
             v = col - q.dot(qt.dot(col))
             v -= q.dot(qt.dot(v))  # second pass: mops up cancellation in the first
         norm = math.sqrt(v.dot(v))
-        if norm <= RANK_TOL * math.sqrt(col.dot(col)) or norm == 0.0:  # in the span of the basis
+        col_norm = col_norms[t]
+        if col_norm is None:
+            col_norm = col_norms[t] = math.sqrt(col.dot(col))
+        if norm <= RANK_TOL * col_norm or norm == 0.0:  # in the span of the basis
             status = "rank_deficient"
             break
-        q = basis[:, k]
+        q = basis[k]
         np.divide(v, norm, out=q)
         selected.append(t)
         taken[t] = True
@@ -162,10 +178,11 @@ def solution_path(design: DesignMatrix, y: np.ndarray, k_max: int, rule: str = "
         # at machine-noise level so downstream ratios stay in [0,1].
         norms.append(min(math.sqrt(r.dot(r)), norms[-1]))
         corr = xt.dot(r)
-        score = np.abs(corr)
-        top = int(score.argmax())
-        corr_inf.append(float(score[top]))
+        np.abs(corr, out=magnitude)
+        top = int(magnitude.argmax())
+        corr_inf.append(float(magnitude[top]))
         if rule == "ols":
+            res_col_sq[t] = 0.0
             qx = q.dot(x)
             np.maximum(res_col_sq - qx * qx, 0.0, out=res_col_sq)
 

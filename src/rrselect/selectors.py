@@ -3,8 +3,8 @@
 RRT keeps the last step whose residual ratio falls below a fixed Beta-quantile
 threshold, tested as "Beta CDF at RR(k)^2 below the step's level" so that no
 quantile is inverted (the CDF is taken from RR(k), so a square that underflows
-does not read as 0, and skipped where an exact lower bound of it already
-exceeds every level the step can have); RRM keeps the step with the smallest ratio
+does not read as 0, and skipped wherever a lower or an upper bound of it
+already decides the comparison); RRM keeps the step with the smallest ratio
 (hyperparameter free); RRTA is RRT with a data-adaptive level that shrinks as
 the smallest observed ratio shrinks, which restores consistency as the noise
 vanishes.
@@ -15,8 +15,9 @@ solution path.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -24,18 +25,15 @@ import numpy as np
 from . import special
 from .errors import DomainError, EmptyPathError
 from .omp import SolutionPath
-from .special import ALPHA_FLOOR, rrt_levels
+from .special import ALPHA_FLOOR, rrt_level
 
-
-# Margin, in ln, by which the CDF's lower bound must exceed ln(1/(k_max (p-k+1)))
-# to settle a step: orders above the ~1e-13 relative rounding of the CDF.
-_SCREEN_MARGIN = 1e-9
-
-
-@lru_cache(maxsize=64)
-def _screen_bounds(p: int, k_max: int) -> tuple[float, ...]:
-    """_SCREEN_MARGIN + ln z_sup(k), z_sup(k) = 1/(k_max (p-k+1)), for k = 1..k_max."""
-    return tuple(_SCREEN_MARGIN - math.log(d) for d in special.level_denominators(p, k_max).tolist())
+# Margin, in ln, by which a bound of c(k) must clear ln z(k) to decide step k
+# without the exact CDF: orders above the ~1e-13 relative rounding of the
+# bounds and of the CDF.
+_DECIDE_MARGIN = 1e-9
+# Below the normal doubles c(k) rounds on a grid as coarse as z(k) itself, so
+# an upper bound under z(k) does not decide how the rounded c(k) compares.
+_NORMAL_MIN = sys.float_info.min
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,33 +55,28 @@ class ResidualRatios:
         return len(self.values)
 
     @cached_property
-    def screened_cdf(self) -> np.ndarray:
-        """c(k) = I_{RR(k)^2}((n-k)/2, 1/2) for k = 1..K wherever c(k) can lie
-        below z_sup(k) = 1/(k_max (p-k+1)), the bound of every level that
-        rrt_level gives step k; elsewhere a lower bound of c(k) above
-        z_sup(k), so that no level passes there. Computed once per path.
+    def log_cdf_bounds(self) -> tuple[list[float], list[float]]:
+        """([ln L(k)], [ln U(k)]) with L(k) <= c(k) = I_{RR(k)^2}((n-k)/2, 1/2)
+        <= U(k) for k = 1..K (special.half_beta_log_cdf_bounds), computed
+        once per path."""
+        return special.half_beta_log_cdf_bounds(self.n, self.values.tolist())
 
-        The lower bound is special.log_cdf_of_square_floor; only the steps it
-        leaves open run the continued fraction.
-        """
-        values = self.values.tolist()
-        if len(values) > min(self.k_max, self.n - 1):
-            raise DomainError(f"{len(values)} ratios exceed k_max={self.k_max} or n-1={self.n - 1} steps")
-        c = []
-        terms = special.half_beta_log_terms(self.n)
-        for (a, ln_a, ln_beta), bound, rr in zip(terms, _screen_bounds(self.p, self.k_max), values):
-            if 0.0 < rr < 1.0:
-                # log_cdf_of_square_floor(a, 0.5, rr), operation for operation,
-                # with its per-size constants looked up.
-                ln_floor = 2.0 * a * math.log(rr) + 0.5 * math.log1p(-rr * rr) - ln_a - ln_beta
-                if ln_floor > bound:
-                    c.append(math.exp(ln_floor))
-                    continue
+    @cached_property
+    def _cdf_memo(self) -> dict[int, float]:
+        return {}
+
+    def cdf(self, k: int) -> float:
+        """c(k) = I_{RR(k)^2}((n-k)/2, 1/2), computed once per step: every
+        rrt/rrta level applied to the path shares it."""
+        if not 1 <= k <= len(self.values):
+            raise DomainError(f"k={k} outside [1, K={len(self.values)}]")
+        memo = self._cdf_memo
+        if k not in memo:
             # special.beta_cdf is looked up at call time, so a wrapper
             # installed on it (a call counter) sees every evaluation whose
             # square is a normal double.
-            c.append(special.beta_cdf_of_square(a, 0.5, rr))
-        return np.array(c)
+            memo[k] = special.beta_cdf_of_square((self.n - k) / 2.0, 0.5, float(self.values[k - 1]))
+        return memo[k]
 
 
 @dataclass(frozen=True)
@@ -119,14 +112,31 @@ def residual_ratios(path: SolutionPath) -> ResidualRatios:
 def rrt_select(ratios: ResidualRatios, alpha: float) -> int | None:
     """Largest k with RR(k) < Gamma(k), i.e. c(k) < rrt_level(n, p, k_max, alpha, k)
     at the ratios' n, p and k_max; None when no step qualifies or the observation
-    is zero. A path that ended early has fewer steps; the levels keep k_max."""
-    levels = rrt_levels(ratios.n, ratios.p, ratios.k_max, alpha, len(ratios))
-    if not len(levels) or ratios.zero_observation:
+    is zero. A path that ended early has fewer steps; the levels keep k_max.
+
+    Steps are scanned from the last: a step whose lower bound of c(k) lies
+    above z(k) is a miss, one whose upper bound lies below it is the answer,
+    and only a step between the two reads the exact c(k) (ratios.cdf).
+    """
+    steps = len(ratios)
+    n, p, k_max = ratios.n, ratios.p, ratios.k_max
+    # Checks the sizes and alpha once for every step up to the last: each
+    # check that holds at k = steps holds below it (and a path has a step 1).
+    rrt_level(n, p, k_max, alpha, max(steps, 1))
+    if not steps or ratios.zero_observation:
         return None
-    hits = np.nonzero(ratios.screened_cdf < levels)[0]
-    if len(hits) == 0:
-        return None
-    return int(hits[-1]) + 1
+    lows, highs = ratios.log_cdf_bounds
+    level = max(alpha, ALPHA_FLOOR)
+    for k in range(steps, 0, -1):
+        z = level / (k_max * (p - k + 1)) or 5e-324  # rrt_level(n, p, k_max, alpha, k)
+        ln_z = math.log(z)
+        if lows[k - 1] > ln_z + _DECIDE_MARGIN:
+            continue
+        if highs[k - 1] < ln_z - _DECIDE_MARGIN and z >= _NORMAL_MIN:
+            return k
+        if ratios.cdf(k) < z:
+            return k
+    return None
 
 
 def rrm_select(ratios: ResidualRatios) -> int | None:

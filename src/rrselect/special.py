@@ -2,10 +2,11 @@
 threshold sequence Gamma(k) used by the RRT/RRTA selectors.
 
 The selectors compare c(k) = I_{RR(k)^2}((n-k)/2, 1/2) with the step's level
-z(k) = rrt_level(...). Most steps are settled without the continued fraction:
+z(k) = rrt_level(...). Most steps are decided without the continued fraction:
 the leading term of the CDF's series (log_cdf_of_square_floor) is a lower
-bound of c(k), and once it exceeds 1/(k_max (p-k+1)) no level can pass. The
-inverse serves only the reported threshold table.
+bound of c(k), the series' geometric tail gives an upper bound
+(log_cdf_of_square_ceiling), and a step is exact only where z(k) falls
+between the two. The inverse serves only the reported threshold table.
 
 Everything here is scalar and dependency-free (math module only): the
 selectors compare CDF values with levels as small as 1e-300, a regime where
@@ -134,11 +135,50 @@ def log_cdf_of_square_floor(a: float, b: float, r: float) -> float:
     return 2.0 * a * math.log(r) + b * math.log1p(-r * r) - math.log(a) - log_beta_fn(a, b)
 
 
+def log_cdf_of_square_ceiling(a: float, b: float, r: float) -> float:
+    """ln U for r in (0,1) and 0 < b <= 1, where U = L (1 + x (a+b) / ((a+1) (1-x)))
+    at x = r^2 and L is the floor above.
+
+    The terms of 2F1(a+b, 1; a+1; x) are positive and, for b <= 1, each is at
+    most x times the one before, so the series is at most 1 + t1 / (1-x) with
+    t1 = x (a+b) / (a+1): I_x(a,b) <= U.
+    """
+    x = r * r
+    return log_cdf_of_square_floor(a, b, r) + math.log1p(x * (a + b) / ((a + 1.0) * (1.0 - x)))
+
+
 @lru_cache(maxsize=64)
 def half_beta_log_terms(n: int) -> tuple[tuple[float, float, float], ...]:
     """(a, ln a, ln B(a, 1/2)) for a = (n-k)/2 at k = 1..n-1: the per-step
     constants of log_cdf_of_square_floor(a, 0.5, r), computed once per n."""
     return tuple((a, math.log(a), log_beta_fn(a, 0.5)) for a in ((n - k) / 2.0 for k in range(1, n)))
+
+
+def half_beta_log_cdf_bounds(n: int, ratios: list[float]) -> tuple[list[float], list[float]]:
+    """([ln L(k)], [ln U(k)]) with L(k) <= c(k) = I_{RR(k)^2}((n-k)/2, 1/2) <= U(k)
+    for RR(k) = ratios[k-1], k = 1..len(ratios).
+
+    In (0,1) these are log_cdf_of_square_floor and _ceiling at b = 1/2,
+    operation for operation, with the per-n constants of half_beta_log_terms;
+    both are -inf at RR = 0 (c = 0) and +inf at RR = 1 (c = 1).
+    """
+    if len(ratios) > n - 1:
+        raise DomainError(f"{len(ratios)} ratios exceed the n-1={n - 1} steps of an n={n} problem")
+    lows, highs = [], []
+    for (a, ln_a, ln_beta), r in zip(half_beta_log_terms(n), ratios):
+        if 0.0 < r < 1.0:
+            x = r * r
+            low = 2.0 * a * math.log(r) + 0.5 * math.log1p(-x) - ln_a - ln_beta
+            high = low + math.log1p(x * (a + 0.5) / ((a + 1.0) * (1.0 - x)))
+        elif r == 0.0:
+            low = high = -math.inf
+        elif r == 1.0:
+            low = high = math.inf
+        else:
+            raise DomainError(f"r must lie in [0,1], got {r}")
+        lows.append(low)
+        highs.append(high)
+    return lows, highs
 
 
 def _beta_pdf(a: float, b: float, x: float, ln_beta: float) -> float:

@@ -143,6 +143,24 @@ def test_make_signal_validation():
         SignalSpec(k0=2, kind="unknown")
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"k0": "3"}, "signal.k0"),
+        ({"k0": 3.5}, "signal.k0"),
+        ({"k0": 3.0}, "signal.k0"),
+        ({"k0": True}, "signal.k0"),
+        ({"k0": 3, "kind": "geometric", "ratio": "x"}, "signal.ratio"),
+        ({"k0": 3, "kind": "geometric", "ratio": True}, "signal.ratio"),
+    ],
+)
+def test_signal_spec_checks_types_before_ranges(kwargs, field):
+    # A string would reach the comparisons (a bare TypeError), and 3.5 or
+    # True would pass them.
+    with pytest.raises(ValidationError, match=rf"^{field}: must "):
+        SignalSpec(**kwargs)
+
+
 def test_synthesize_sigma_formula():
     design = make_identity_hadamard(32)
     beta = np.zeros(64)

@@ -10,6 +10,7 @@ from rrselect.designs import DesignMatrix, make_gaussian, make_identity_hadamard
 from rrselect.errors import DimensionMismatchError, DomainError, ValidationError
 from rrselect.linalg import DenseMatrix
 from rrselect.omp import (
+    RULES,
     SupportEstimate,
     default_kmax,
     rcsc_threshold,
@@ -372,3 +373,59 @@ def test_path_is_equivariant_under_column_permutation(seed, n, extra, rule, norm
     assert np.array_equal(permuted.residual_norms, base.residual_norms)
     assert np.allclose(permuted.residual_corr_inf, base.residual_corr_inf, rtol=1e-12, atol=0.0)
     assert permuted.status == base.status
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 12),
+    bases=st.integers(1, 6),
+    copies=st.lists(st.tuples(st.integers(0, 5), st.sampled_from([1.0, -1.0, 2.0, -0.5, 3.0])), max_size=6),
+    dense=st.integers(0, 6),
+    in_span=st.integers(0, 3),
+    rule=st.sampled_from(RULES),
+)
+def test_greedy_step_matches_the_naive_path_on_repeated_columns(seed, n, bases, copies, dense, in_span, rule):
+    # Columns are copies, scaled or exact, of `bases` independent base
+    # columns, in a random order: `dense` of them Gaussian on the first
+    # coordinates, the others unit vectors on the rest, so that projections
+    # onto unit vectors are exact and a residual in the dense block has no
+    # correlation with them at all. y is Gaussian or, for in_span > 0, a
+    # combination of that many columns. While a step still explains part of
+    # y, the pick is from the naive path's class of parallel columns and the
+    # norms agree. After that the residual is rounding noise or orthogonal
+    # to every column: OMP then meets taken columns at the top and masks
+    # them, OLS runs out of admissible columns, and neither may take a
+    # second column of a class, nor stop while an independent one is left.
+    rng = np.random.default_rng(seed)
+    bases = min(bases, n)
+    dense = min(dense, bases)
+    base = np.zeros((n, bases))
+    base[:dense, :dense] = rng.normal(size=(dense, dense))
+    base[dense:, dense:] = np.eye(n - dense)[:, : bases - dense]
+    cls = list(range(bases)) + [b % bases for b, _ in copies]
+    x = np.hstack([base] + [scale * base[:, b % bases : b % bases + 1] for b, scale in copies])
+    order = rng.permutation(len(cls))
+    x, cls = x[:, order], [cls[j] for j in order]
+    p = len(cls)
+    if in_span:
+        picks = rng.permutation(p)[: min(in_span, p)]
+        y = x[:, picks] @ rng.normal(size=len(picks))
+    else:
+        y = rng.normal(size=n)
+    k_max = min(n - 1, p)
+    path = solution_path(_wrap(x), y, k_max, rule)
+    selected, norms = naive_greedy_path(x, y, k_max, rule)
+    explaining = 0
+    while explaining < k_max and norms[explaining] - norms[explaining + 1] > 1e-6 * norms[0]:
+        explaining += 1
+    assert path.K >= explaining
+    for k in range(explaining):
+        assert cls[path.selected[k]] == cls[selected[k]], k
+        assert path.residual_norms[k + 1] == pytest.approx(norms[k + 1], rel=1e-9, abs=1e-12 * norms[0])
+    assert len({cls[t] for t in path.selected}) == path.K
+    assert (path.status == "rank_deficient") == (path.K < k_max)
+    if bases < k_max:
+        assert path.status == "rank_deficient"
+    if not copies:  # independent columns: there is always one more to take
+        assert path.status == "complete"

@@ -35,9 +35,12 @@ from rrselect.special import (
     beta_cdf,
     beta_cdf_of_square,
     build_threshold_table,
+    half_beta_log_cdf_bounds,
     log_beta_fn,
+    log_cdf_of_square_ceiling,
     log_cdf_of_square_floor,
     rrt_level,
+    rrt_threshold,
 )
 
 
@@ -115,37 +118,81 @@ def test_rrt_select_examples():
         rrt_select(_ratios([0.5]), 1.0)
 
 
-def test_cdf_vector_is_the_beta_cdf_of_each_squared_ratio_and_memoized():
-    # At p = 64, k_max = 3 the bound settles none of these steps: the vector
-    # holds c(k) itself (RR = 0 and RR = 1 always run the exact CDF).
+def test_cdf_vector_is_the_beta_cdf_of_each_squared_ratio_and_memoized(monkeypatch):
+    from rrselect import special
+
     rr = _ratios([0.9, 0.0, 1.0])
-    c = rr.screened_cdf
-    assert list(c) == [beta_cdf(15.5, 0.5, 0.81), 0.0, 1.0]
-    assert rr.screened_cdf is c
-    # The vector is the ratios' own: ratios of another size have their own.
-    assert _ratios([0.5], n=16).screened_cdf[0] == beta_cdf_of_square(7.5, 0.5, 0.5)
+    assert [rr.cdf(k) for k in (1, 2, 3)] == [beta_cdf(15.5, 0.5, 0.81), 0.0, 1.0]
+    # Each step's value is computed once, whichever level reads it next.
+    calls = []
+    original = special.beta_cdf
+    monkeypatch.setattr(special, "beta_cdf", lambda a, b, x: calls.append(a) or original(a, b, x))
+    assert [rr.cdf(k) for k in (3, 2, 1)] == [1.0, 0.0, beta_cdf(15.5, 0.5, 0.81)]
+    assert calls == []
+    # The values are the ratios' own: ratios of another size have their own.
+    expected = original(7.5, 0.5, 0.25)
+    assert _ratios([0.5], n=16).cdf(1) == expected
+    assert calls == [7.5]
+    for k in (0, 4):
+        with pytest.raises(DomainError):
+            rr.cdf(k)
 
 
 def test_settled_steps_hold_a_lower_bound_above_every_level():
     # RR = 0.99 at n = 32, p = 64, k_max = 16: c(k) lies far above
-    # z_sup(k) = 1/(k_max (p-k+1)), and so does its lower bound.
+    # z_sup(k) = 1/(k_max (p-k+1)), and so does its lower bound; RR = 0.3
+    # puts an upper bound of c(2) far below the levels of alpha >= 1e-6.
+    # Neither reads the exact CDF.
     n, p, k_max = 32, 64, 16
     ratios = _ratios([0.99, 0.3, 0.99], n, p, k_max)
-    screened = ratios.screened_cdf
+    lows, highs = ratios.log_cdf_bounds
     exact = [beta_cdf_of_square((n - k) / 2.0, 0.5, rr) for k, rr in enumerate(ratios.values, 1)]
-    z_sup = [1.0 / (k_max * (p - k + 1)) for k in (1, 2, 3)]
-    assert screened[1] == exact[1] < z_sup[1]  # open: the exact CDF
-    for i in (0, 2):  # settled
-        assert z_sup[i] < screened[i] <= exact[i]
-        assert screened[i] == math.exp(log_cdf_of_square_floor((n - i - 1) / 2.0, 0.5, 0.99))
-    assert rrt_select(ratios, 1.0 - 1e-12) == 2
+    for k, rr in enumerate(ratios.values, 1):
+        a = (n - k) / 2.0
+        assert lows[k - 1] == log_cdf_of_square_floor(a, 0.5, rr)
+        assert highs[k - 1] == log_cdf_of_square_ceiling(a, 0.5, rr)
+        assert math.exp(lows[k - 1]) <= exact[k - 1] <= math.exp(highs[k - 1])
+    for i in (0, 2):
+        assert lows[i] > math.log(1.0 / (k_max * (p - i))) + 1e-9
+    assert highs[1] < math.log(rrt_level(n, p, k_max, 1e-6, 2)) - 1e-9
+    for alpha in (1.0 - 1e-12, 0.1, 1e-6):
+        assert rrt_select(ratios, alpha) == 2
+    assert ratios._cdf_memo == {}
 
 
-def test_screened_cdf_rejects_more_ratios_than_steps():
+def test_rrt_select_rejects_more_ratios_than_steps():
     # k_max = 3 steps on a 32 x 64 problem, or n - 1 = 2 steps at n = 3
     for ratios in (_ratios([0.5] * 4), _ratios([0.5] * 3, n=3, p=8, k_max=3)):
         with pytest.raises(DomainError):
-            ratios.screened_cdf
+            rrt_select(ratios, 0.1)
+    with pytest.raises(DomainError):
+        half_beta_log_cdf_bounds(3, [0.5] * 3)
+
+
+def test_rrt_select_checks_its_arguments_without_ratios():
+    # No step to test, but a level outside (0,1), or sizes without a first
+    # step, are as wrong as they are for a path with steps.
+    assert rrt_select(ResidualRatios(np.array([]), 32, 64, 3), 0.1) is None
+    for ratios, alpha in (
+        (ResidualRatios(np.array([]), 32, 64, 3), 5.0),
+        (ResidualRatios(np.array([]), 32, 64, 3), 0.0),
+        (ResidualRatios(np.array([]), 32, 64, 32), 0.1),
+        (ResidualRatios(np.array([]), 32, 0, 3), 0.1),
+        (ResidualRatios(np.array([0.5]), 32, 64, 3), 5.0),
+    ):
+        with pytest.raises(DomainError):
+            rrt_select(ratios, alpha)
+
+
+def test_bounds_of_each_ratio_and_outside_zero_one():
+    lows, highs = half_beta_log_cdf_bounds(32, [0.0, 0.25, 1.0])
+    assert (lows[0], highs[0], lows[2], highs[2]) == (-math.inf, -math.inf, math.inf, math.inf)
+    assert (lows[1], highs[1]) == (log_cdf_of_square_floor(15.0, 0.5, 0.25), log_cdf_of_square_ceiling(15.0, 0.5, 0.25))
+    for bad in (-0.1, 1.5, math.nan):
+        with pytest.raises(DomainError):
+            half_beta_log_cdf_bounds(32, [0.5, bad])
+        with pytest.raises(DomainError):
+            rrt_select(_ratios([0.5, bad]), 0.1)
 
 
 def test_ratio_whose_square_underflows_keeps_its_cdf():
@@ -154,7 +201,7 @@ def test_ratio_whose_square_underflows_keeps_its_cdf():
     # RR(1) = 1e-301 lies below it although Gamma(1)^2 rounds to 0.
     for rr, selected in ((1e-200, None), (1e-301, 1)):
         ratios = _ratios([rr], 2, 1, 1)
-        assert ratios.screened_cdf[0] == pytest.approx(2.0 * rr / math.pi, rel=1e-12, abs=0.0)
+        assert ratios.cdf(1) == pytest.approx(2.0 * rr / math.pi, rel=1e-12, abs=0.0)
         assert rrt_select(ratios, 1e-300) == selected
 
 
@@ -201,21 +248,22 @@ def _unscreened_rule(rr, n, p, k_max, alpha):
 @given(
     n=st.integers(2, 200),
     data=st.data(),
-    # Levels near 1 put z(k) next to the screen's cut, where a loose bound would show.
+    # Levels near 1 put z(k) next to z_sup(k) = 1/(k_max (p-k+1)), the largest level of step k.
     alpha=st.one_of(
         st.floats(math.log(1e-300), math.log(0.5)).map(math.exp),
         st.floats(0.5, 1.0, exclude_max=True),
     ),
 )
 def test_screened_rule_matches_the_unscreened_rule(n, data, alpha):
-    # No margin and no exclusion: the screen settles a step only where no
-    # level can pass, so the two rules agree exactly, also on ratios drawn
-    # within 1e-6 of their thresholds or of the screen's own cut.
+    # No margin and no exclusion: the bounds decide a step only where the
+    # exact CDF decides it the same way, so the two rules agree exactly, also
+    # on ratios drawn within 1e-6 of their thresholds or of the ratio where
+    # c(k) reaches z_sup(k).
     k_max = data.draw(st.integers(1, n - 1), label="k_max")
     p = data.draw(st.integers(k_max, 1000), label="p")
     length = data.draw(st.integers(0, k_max), label="K")
     table = build_threshold_table(n, p, k_max, alpha)
-    # The ratio at which the CDF reaches z_sup(k), where the screen starts to settle.
+    # The ratio at which c(k) reaches z_sup(k).
     cut = build_threshold_table(n, p, k_max, 1.0 - 1e-15)
     rr = [
         data.draw(
@@ -228,6 +276,98 @@ def test_screened_rule_matches_the_unscreened_rule(n, data, alpha):
         for g, h in zip(table[:length], cut[:length])
     ]
     assert rrt_select(_ratios(rr, n, p, k_max), alpha) == _unscreened_rule(rr, n, p, k_max, alpha)
+
+
+def _doubles_away(x, steps):
+    """The double `steps` doubles above x (below it for steps < 0)."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.inf if steps > 0 else 0.0)
+    return x
+
+
+def test_a_cdf_rounded_up_to_a_subnormal_level_is_not_below_it():
+    # At n = 2, p = 1e30 the level 1e-300 / 1e30 underflows and is raised to
+    # 5e-324. RR(1) = 5e-324 gives c(1) = 2 RR / pi ~ 3.1e-324, whose upper
+    # bound lies below the level, but the double nearest c(1) is 5e-324: not
+    # below it, so no step is selected.
+    ratios = _ratios([5e-324], 2, 10**30, 1)
+    assert ratios.log_cdf_bounds[1][0] < math.log(5e-324) - 1e-9
+    assert ratios.cdf(1) == 5e-324 == rrt_level(2, 10**30, 1, 1e-300, 1)
+    assert rrt_select(ratios, 1e-300) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 200),
+    data=st.data(),
+    log_alpha=st.floats(math.log(1e-300), math.log(0.5)),
+    log_p=st.floats(0.0, math.log(1e30)),
+)
+def test_two_sided_decision_matches_the_unscreened_rule_at_extreme_sizes(n, data, log_alpha, log_p):
+    # Levels down to alpha = 1e-300 over up to 1e30 columns reach the
+    # subnormal levels and the 5e-324 floor of rrt_level. Ratios drawn
+    # within 1e-6, 1e-9 and 1e-12 of Gamma(k), or a few doubles from it, put
+    # c(k) next to z(k), inside the bounds' margin, where only the exact CDF
+    # can decide.
+    k_max = data.draw(st.integers(1, n - 1), label="k_max")
+    p = max(k_max, int(math.exp(log_p)))
+    length = data.draw(st.integers(0, k_max), label="K")
+    alpha = math.exp(log_alpha)
+    table = build_threshold_table(n, p, k_max, alpha)
+    near = [st.floats(1.0 - d, 1.0 + d) for d in (1e-6, 1e-9, 1e-12)]
+    rr = [
+        data.draw(
+            st.one_of(
+                st.floats(0.0, 1.0),
+                *(f.map(lambda f: min(f * g, 1.0)) for f in near),
+                st.integers(-6, 6).map(lambda i: min(_doubles_away(float(g), i), 1.0)),
+            )
+        )
+        for g in table[:length]
+    ]
+    assert rrt_select(_ratios(rr, n, p, k_max), alpha) == _unscreened_rule(rr, n, p, k_max, alpha)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    n=st.integers(2, 200),
+    data=st.data(),
+    log_alpha=st.floats(math.log(1e-300), math.log(0.5)),
+    log_p=st.floats(0.0, math.log(1e30)),
+    steps=st.integers(-6, 6),
+)
+def test_decision_a_few_doubles_from_the_threshold(n, data, log_alpha, log_p, steps):
+    # One step k whose ratio lies a few doubles from Gamma(k), below steps
+    # that never qualify (RR = 1). Where the bounds are tight (small RR(k)^2)
+    # the rounding of the exact CDF exceeds their gap to it, and only the
+    # margin keeps them from deciding a step that the exact CDF decides
+    # the other way.
+    k_max = data.draw(st.integers(1, n - 1), label="k_max")
+    k = data.draw(st.integers(1, k_max), label="k")
+    p = max(k_max, int(math.exp(log_p)))
+    alpha = math.exp(log_alpha)
+    rr = [1.0] * (k - 1) + [min(_doubles_away(rrt_threshold(n, p, k_max, alpha, k), steps), 1.0)]
+    assert rrt_select(_ratios(rr, n, p, k_max), alpha) == _unscreened_rule(rr, n, p, k_max, alpha)
+
+
+# (n, p, k_max, k, alpha) where, at Gamma(k), beta_cdf reads 1.1e-13
+# relative above 40-digit mpmath, and so above the upper bound U(k).
+CDF_ROUNDING_CASES = [
+    (51, 45269932611295747127413571584, 22, 15, 1.4955331689308145e-215),
+    (78, 522, 73, 35, 1.4238134816150255e-283),
+]
+
+
+@pytest.mark.parametrize("n, p, k_max, k, alpha", CDF_ROUNDING_CASES)
+def test_bounds_within_the_cdf_rounding_of_the_level_leave_the_step_to_the_cdf(n, p, k_max, k, alpha):
+    # The rule compares the double CDF with z(k); a bound no farther from
+    # z(k) than that double's rounding must not decide the step.
+    gamma = rrt_threshold(n, p, k_max, alpha, k)
+    a = (n - k) / 2.0
+    assert math.exp(log_cdf_of_square_ceiling(a, 0.5, gamma)) < beta_cdf_of_square(a, 0.5, gamma)
+    for steps in range(-6, 7):
+        rr = [1.0] * (k - 1) + [_doubles_away(gamma, steps)]
+        assert rrt_select(_ratios(rr, n, p, k_max), alpha) == _unscreened_rule(rr, n, p, k_max, alpha)
 
 
 @pytest.mark.parametrize("rule", RULES)

@@ -14,7 +14,7 @@ from rrselect import cli
 from rrselect.designs import SignalSpec
 from rrselect.errors import ValidationError
 from rrselect.omp import SolutionPath, SupportEstimate, stop_fixed
-from rrselect.selectors import prefix_hits
+from rrselect.selectors import RrtaParams, prefix_hits
 from rrselect.simulate import (
     AlgorithmSpec,
     DesignSpec,
@@ -270,6 +270,14 @@ def test_config_validation_errors():
     _config().validate()
 
 
+def _unchecked_signal(k0):
+    """A SignalSpec whose k0 was set past its own type check, which
+    ExperimentConfig.validate must still catch."""
+    spec = SignalSpec(k0=3)
+    object.__setattr__(spec, "k0", k0)
+    return spec
+
+
 @pytest.mark.parametrize(
     "overrides, field",
     [
@@ -283,8 +291,8 @@ def test_config_validation_errors():
         ({"design": DesignSpec(kind="identity_hadamard", n=32.0, p=64)}, "design.n"),
         ({"design": DesignSpec(kind="identity_hadamard", n=32, p=True)}, "design.p"),
         ({"design": DesignSpec(kind="gaussian", n=32, p=64, seed=1.5)}, "design.seed"),
-        ({"signal": SignalSpec(k0=3.0)}, "signal.k0"),
-        ({"signal": SignalSpec(k0=True)}, "signal.k0"),
+        ({"signal": _unchecked_signal(k0=3.0)}, "signal.k0"),
+        ({"signal": _unchecked_signal(k0=True)}, "signal.k0"),
         ({"snr_db_list": (20.0, math.nan)}, "snr_db[1]"),
         ({"snr_db_list": (math.inf,)}, "snr_db[0]"),
         ({"snr_db_list": (-math.inf,)}, "snr_db[0]"),
@@ -361,31 +369,41 @@ def test_run_trial_computes_residual_ratios_once_per_path(monkeypatch):
 def test_run_trial_builds_the_cdf_vector_once_per_path_and_only_for_rrt(monkeypatch, algorithms, builds):
     from rrselect import selectors, simulate, special
 
-    # One screened CDF vector per path: one beta_cdf call on each step the
-    # lower bound leaves open (at 20 dB no ratio's square underflows, so
-    # every open step reaches beta_cdf), none on the steps it settles.
+    # Exactly one beta_cdf call per path and per step that some rrt or rrta
+    # scan reaches without its bounds deciding it (the value is memoized on
+    # the path's ratios, and no ratio's square underflows at 5 dB); none for
+    # rrm or fixed_k0. Trials 1, 4 and 25 at 5 dB hold such steps.
     calls, paths = [], []
     original, original_ratios = special.beta_cdf, simulate.residual_ratios
     monkeypatch.setattr(special, "beta_cdf", lambda a, b, x: calls.append(a) or original(a, b, x))
     monkeypatch.setattr(simulate, "residual_ratios", lambda path: paths.append(path) or original_ratios(path))
-    config = _config(algorithms=algorithms)
-    settled = 0
-    for trial in range(3):
+    config = _config(algorithms=algorithms, snr_db_list=(5.0,))
+    undecided_steps = 0
+    for trial in (0, 1, 4, 25):
         calls.clear()
         paths.clear()
-        run_trial(config, build_design(config.design), 20.0, trial)
-        open_steps = []
+        run_trial(config, build_design(config.design), 5.0, trial)
+        made = sorted(calls)
+        expected = []
         for path in paths:
-            for k, rr in enumerate(selectors.residual_ratios(path).values.tolist(), 1):
-                a = (32 - k) / 2.0
-                bound = special.log_cdf_of_square_floor(a, 0.5, rr) if 0.0 < rr < 1.0 else -math.inf
-                if bound > selectors._SCREEN_MARGIN - math.log(16 * (64 - k + 1)):
-                    settled += 1
-                else:
-                    open_steps.append(a)
-        assert sorted(calls) == sorted(open_steps * builds)
-        assert len(calls) <= 16 * builds
-    assert settled > 0 or builds == 0
+            ratios = selectors.residual_ratios(path)
+            undecided = set()
+            for alpha in (0.1, 0.01, selectors.rrta_alpha(ratios, RrtaParams())):
+                for k in range(path.K, 0, -1):
+                    a, rr = (32 - k) / 2.0, float(ratios.values[k - 1])
+                    z = special.rrt_level(32, 64, 16, alpha, k)
+                    ln_z = math.log(z)
+                    if special.log_cdf_of_square_floor(a, 0.5, rr) > ln_z + 1e-9:
+                        continue
+                    if special.log_cdf_of_square_ceiling(a, 0.5, rr) < ln_z - 1e-9:
+                        break
+                    undecided.add(a)
+                    if special.beta_cdf_of_square(a, 0.5, rr) < z:
+                        break
+            expected += sorted(undecided) * builds
+        assert made == sorted(expected)
+        undecided_steps += len(expected)
+    assert undecided_steps >= 3 or builds == 0
 
 
 @pytest.mark.parametrize("workers", [0, -1])

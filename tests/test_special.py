@@ -15,6 +15,7 @@ from rrselect.special import (
     build_threshold_table,
     half_beta_log_terms,
     log_beta_fn,
+    log_cdf_of_square_ceiling,
     log_cdf_of_square_floor,
     rrt_level,
     rrt_levels,
@@ -342,6 +343,32 @@ def test_cdf_floor_is_a_lower_bound_of_the_cdf(a, x):
     # under L by up to half a step of 5e-324.
     c = beta_cdf_of_square(a, 0.5, r)
     assert c >= math.exp(floor - slack)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.floats(0.5, 100.0),
+    b=st.sampled_from([0.5, 0.05, 1.0]),
+    x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+@example(a=20.375, b=0.5, x=2.220446049250313e-16)  # I ~ 2878.37 subnormal steps
+@example(a=0.5, b=0.5, x=0.999999)
+def test_cdf_ceiling_is_an_upper_bound_of_the_cdf(a, b, x):
+    # ln I_x(a, b) <= ln U for x = r^2 and b <= 1, against 40-digit mpmath;
+    # the slack covers double rounding where U and I agree (x -> 0).
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    r = math.sqrt(x)
+    if not 0.0 < r < 1.0:
+        return
+    exact = mp.betainc(a, b, 0, mp.mpf(r) ** 2, regularized=True)
+    floor = log_cdf_of_square_floor(a, b, r)
+    ceiling = log_cdf_of_square_ceiling(a, b, r)
+    slack = 1e-12 * max(1.0, abs(ceiling))
+    assert floor <= ceiling
+    assert ceiling >= float(mp.log(exact)) - slack
+    # On the double grid, as for the floor: rounding is monotone.
+    assert beta_cdf_of_square(a, b, r) <= math.exp(ceiling + slack)
 
 
 # (n, p, k_max, alpha, k) whose Gamma(k)^2 lies below the normal doubles or
