@@ -20,108 +20,64 @@ from .errors import ParseError, ValidationError
 from .linalg import load_vector_csv, save_matrix_csv
 from .omp import default_kmax, solution_path
 from .selectors import residual_ratios
-from .simulate import ALGORITHMS, PARAMETER_DOMAINS, AlgorithmSpec, DesignSpec, ExperimentConfig, Oracle
+from .simulate import ALGORITHMS, AlgorithmSpec, DesignSpec, ExperimentConfig, Oracle
 from .special import build_threshold_table
 
 
-def _integer(value, field: str) -> int:
-    """A JSON integer, or a number with an integral value such as 100.0."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{field}: must be an integer, got {value!r}")
-    return value
+# The JSON names of the ExperimentConfig fields that are spelled differently.
+_JSON_NAMES = {"snr_db_list": "snr_db", "k_max_override": "k_max"}
 
 
-def _number(value, field: str) -> float:
-    # abs(v) <= max compares an int of any size exactly, and fails for nan.
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-        raise ValidationError(f"{field}: must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _of_type(kind: type, what: str):
-    """A field check that accepts exactly the JSON values of `kind`."""
-
-    def check(value, field: str):
-        if not isinstance(value, kind):
-            raise ValidationError(f"{field}: must be {what}, got {value!r}")
-        return value
-
-    return check
-
-
-_flag = _of_type(bool, "true or false")
-_text = _of_type(str, "a string")
-_object = _of_type(dict, "a JSON object")
-_list = _of_type(list, "a list")
-
-
-# The fields each config object accepts, with the type each must have.
-_CONFIG_FIELDS = {
-    "design": _object,
-    "signal": _object,
-    "snr_db": _list,
-    "trials": _integer,
-    "algorithms": _list,
-    "root_seed": _integer,
-    "k_max": _integer,
-    "regenerate_matrix_per_trial": _flag,
-}
-_DESIGN_FIELDS = {"kind": _text, "n": _integer, "p": _integer, "seed": _integer, "normalize": _flag, "path": _text}
-_SIGNAL_FIELDS = {"k0": _integer, "kind": _text, "ratio": _number}
-_ALG_FIELDS = {"name": _text, "rule": _text, **dict.fromkeys(PARAMETER_DOMAINS, _number)}
-
-
-def _fields(raw, types: dict, context: str, required=()) -> dict:
-    """The fields present in the JSON object `raw`, each checked against its
-    type in `types`; a field missing from `required` or unknown to `types` is
-    a ValidationError naming it."""
-    _object(raw, context)
-    unknown = set(raw) - set(types)
+def _fields(raw, cls, context: str, optional=()) -> dict:
+    """The keyword arguments of the dataclass `cls` that the JSON object `raw`
+    gives. An unknown field, or a missing one that has no default and is not
+    `optional`, is a ValidationError naming it; an integral number such as
+    100.0 for a field annotated int becomes an int. The values' types are
+    left to the library's checks."""
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{context}: must be a JSON object, got {raw!r}")
+    fields = {_JSON_NAMES.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+    unknown = set(raw) - set(fields)
     if unknown:
         raise ValidationError(f"{context}: unknown field(s) {sorted(unknown)}")
-    for key in required:
-        if key not in raw:
+    kwargs = {}
+    for key, f in fields.items():
+        if key in raw:
+            value = raw[key]
+            if f.type in ("int", "int | None") and isinstance(value, float) and value.is_integer():
+                value = int(value)
+            kwargs[f.name] = value
+        elif f.default is dataclasses.MISSING and key not in optional:
             raise ValidationError(f"{context}.{key}: required field missing")
-    return {key: check(raw[key], f"{context}.{key}") for key, check in types.items() if key in raw}
+    return kwargs
 
 
 def parse_config(json_text: str) -> ExperimentConfig:
-    """Parse and validate an experiment config. A field left out takes the
-    default of its dataclass field; a field of the wrong type is a
-    ValidationError naming it."""
+    """Parse an experiment config and validate it (ExperimentConfig.validate
+    checks each field's type and range). A field left out takes the default
+    of its dataclass field; design.p of identity_hadamard defaults to 2n."""
     try:
         raw = json.loads(json_text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    required = ("design", "signal", "snr_db", "trials", "algorithms", "root_seed")
-    top = _fields(raw, _CONFIG_FIELDS, "config", required)
-
-    design = _fields(top["design"], _DESIGN_FIELDS, "design", ("kind", "n"))
-    if design["kind"] == "identity_hadamard":
+    top = _fields(raw, ExperimentConfig, "config")
+    design = _fields(top["design"], DesignSpec, "design", optional=("p",))
+    if design["kind"] == "identity_hadamard" and isinstance(design["n"], int):
         design.setdefault("p", 2 * design["n"])
-    elif "p" not in design:
-        raise ValidationError("design.p: required field missing")
-
-    algorithms = []
-    for i, entry in enumerate(top["algorithms"]):
-        if isinstance(entry, str):
-            entry = {"name": entry}
-        elif not isinstance(entry, dict):
-            raise ValidationError(f"algorithms[{i}]: must be a name or an object")
-        algorithms.append(AlgorithmSpec(**_fields(entry, _ALG_FIELDS, f"algorithms[{i}]", ("name",))))
-
-    config = ExperimentConfig(
-        design=DesignSpec(**design),
-        signal=SignalSpec(**_fields(top["signal"], _SIGNAL_FIELDS, "signal", ("k0",))),
-        snr_db_list=tuple(_number(v, f"snr_db[{i}]") for i, v in enumerate(top["snr_db"])),
-        trials=top["trials"],
-        algorithms=tuple(algorithms),
-        root_seed=top["root_seed"],
-        k_max_override=top.get("k_max"),
-        regenerate_matrix_per_trial=top.get("regenerate_matrix_per_trial"),
-    )
+    # A p still missing reaches validate as None; validate reports a wrong
+    # design.kind or design.n before it.
+    top["design"] = DesignSpec(**{"p": None, **design})
+    top["signal"] = SignalSpec(**_fields(top["signal"], SignalSpec, "signal"))
+    if isinstance(top["snr_db_list"], list):
+        top["snr_db_list"] = tuple(top["snr_db_list"])
+    if isinstance(top["algorithms"], list):  # each entry a name or an object
+        top["algorithms"] = tuple(
+            AlgorithmSpec(entry)
+            if isinstance(entry, str)
+            else AlgorithmSpec(**_fields(entry, AlgorithmSpec, f"algorithms[{i}]"))
+            for i, entry in enumerate(top["algorithms"])
+        )
+    config = ExperimentConfig(**top)
     config.validate()
     return config
 

@@ -6,6 +6,7 @@ concatenation [I_n, H_n/sqrt(n)] and i.i.d. Gaussian entries N(0, 1/n).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,12 @@ SIGNAL_KINDS = ("pm_one", "geometric")
 # The +-1 values of a pm_one signal, indexed by a uniform draw from {0, 1}:
 # the draw Generator.choice([-1.0, 1.0], size) makes, without its set-up.
 _PM_ONE = np.array([-1.0, 1.0])
+
+
+def is_finite_number(value) -> bool:
+    """An int or float, not a bool, of finite value: abs(v) <= max compares
+    an int of any size exactly, and fails for nan and both infinities."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,8 +63,8 @@ class SignalSpec:
         # checks, which raise a bare TypeError or let 3.5 and True through.
         if isinstance(self.k0, bool) or not isinstance(self.k0, int):
             raise ValidationError(f"signal.k0: must be an integer, got {self.k0!r}")
-        if isinstance(self.ratio, bool) or not isinstance(self.ratio, (int, float)):
-            raise ValidationError(f"signal.ratio: must be a number, got {self.ratio!r}")
+        if not is_finite_number(self.ratio):  # also for pm_one, which reads no ratio
+            raise ValidationError(f"signal.ratio: must be a finite number, got {self.ratio!r}")
         if self.k0 < 1:
             raise ValidationError(f"k0 must be >= 1, got {self.k0}")
         if self.kind not in SIGNAL_KINDS:

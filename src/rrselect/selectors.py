@@ -40,7 +40,9 @@ _NORMAL_MIN = sys.float_info.min
 class ResidualRatios:
     """RR(k) = ||r^k|| / ||r^(k-1)|| for k = 1..K of a path on an n x p
     problem run for up to k_max steps; within [0,1] on every path from
-    solution_path, whose residual norms are nonincreasing.
+    solution_path, whose residual norms are nonincreasing. Ratios built by
+    hand are checked on construction: a DomainError unless the values are a
+    vector of K <= k_max <= n - 1 ratios, each in [0,1].
 
     zero_observation marks a path of y = 0, where no step explains anything.
     """
@@ -50,6 +52,16 @@ class ResidualRatios:
     p: int
     k_max: int
     zero_observation: bool = False
+
+    def __post_init__(self) -> None:
+        values = self.values
+        if not (values.ndim == 1 and 2 <= self.n and 1 <= self.k_max < self.n and len(values) <= self.k_max):
+            raise DomainError(
+                f"ratios of shape {values.shape} do not fit a path of up to k_max={self.k_max} steps at n={self.n}"
+            )
+        # ndarray.min/max propagate nan, which fails both comparisons.
+        if len(values) and not (values.min() >= 0.0 and values.max() <= 1.0):
+            raise DomainError(f"residual ratios must lie in [0,1], got {values.tolist()}")
 
     def __len__(self) -> int:
         return len(self.values)

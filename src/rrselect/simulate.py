@@ -11,7 +11,6 @@ import csv
 import hashlib
 import json
 import math
-import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -21,8 +20,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .designs import (
+    DESIGN_KINDS,
     DesignMatrix,
     SignalSpec,
+    is_finite_number,
     load_design_csv,
     make_gaussian,
     make_identity_hadamard,
@@ -83,6 +84,12 @@ ALGORITHMS: dict[str, Algorithm] = {
 }
 
 
+def _require(ok: bool, where: str, what: str, value) -> None:
+    """Raise ValidationError "where: must what, got value" unless ok."""
+    if not ok:
+        raise ValidationError(f"{where}: must {what}, got {value!r}")
+
+
 def supported_roster() -> dict[str, dict[str, float]]:
     """Algorithm families and their default parameters (each runs on omp or ols)."""
     return {name: AlgorithmSpec(name).params for name in ALGORITHMS}
@@ -127,16 +134,17 @@ class AlgorithmSpec:
         return base if self.rule == "omp" else f"{base}|{self.rule}"
 
     def check(self, where: str) -> None:
-        """Raise ValidationError, naming `where`, for an unknown name or rule
-        or a parameter outside its domain."""
-        if self.name not in ALGORITHMS:
-            raise ValidationError(f"{where}: unknown name {self.name!r}; supported: {sorted(ALGORITHMS)}")
-        if self.rule not in RULES:
-            raise ValidationError(f"{where}: unknown rule {self.rule!r}")
-        for key, value in self.params.items():
-            low, high = PARAMETER_DOMAINS[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not low < value < high:
-                raise ValidationError(f"{where}.{key}: must lie in ({low:g},{high:g}), got {value!r}")
+        """Raise ValidationError, naming `where` and the field, for a name or
+        rule that is not a known string, a parameter that is not a finite
+        number, or a parameter the algorithm reads outside its domain."""
+        name, rule = self.name, self.rule
+        _require(isinstance(name, str) and name in ALGORITHMS, f"{where}.name", f"be one of {sorted(ALGORITHMS)}", name)
+        _require(isinstance(rule, str) and rule in RULES, f"{where}.rule", f"be one of {RULES}", rule)
+        read = ALGORITHMS[name].params
+        for key, (low, high) in PARAMETER_DOMAINS.items():
+            value = getattr(self, key)
+            _require(is_finite_number(value), f"{where}.{key}", "be a finite number", value)
+            _require(key not in read or low < value < high, f"{where}.{key}", f"lie in ({low:g},{high:g})", value)
 
 
 @dataclass(frozen=True)
@@ -161,7 +169,13 @@ class ExperimentConfig:
         return self.regenerate_matrix_per_trial
 
     def validate(self) -> None:
+        """Raise ValidationError, naming the field, for a field of the wrong
+        type or out of range. The one check of a config, for library and JSON
+        callers alike; run_sweep runs it once per sweep."""
         d = self.design
+        _require(isinstance(d, DesignSpec), "design", "be a DesignSpec", d)
+        _require(isinstance(self.signal, SignalSpec), "signal", "be a SignalSpec", self.signal)
+        _require(isinstance(d.kind, str) and d.kind in DESIGN_KINDS, "design.kind", f"be one of {DESIGN_KINDS}", d.kind)
         integers = {
             "trials": self.trials,
             "root_seed": self.root_seed,
@@ -173,14 +187,19 @@ class ExperimentConfig:
         if self.k_max_override is not None:
             integers["k_max_override"] = self.k_max_override
         for where, value in integers.items():
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(f"{where}: must be an integer, got {value!r}")
+            _require(not isinstance(value, bool) and isinstance(value, int), where, "be an integer", value)
+        _require(isinstance(d.normalize, bool), "design.normalize", "be true or false", d.normalize)
+        _require(d.path is None or isinstance(d.path, str), "design.path", "be a string or None", d.path)
+        regenerate = self.regenerate_matrix_per_trial
+        is_flag = regenerate is None or isinstance(regenerate, bool)
+        _require(is_flag, "regenerate_matrix_per_trial", "be a bool or None", regenerate)
+        _require(isinstance(self.snr_db_list, tuple), "snr_db", "be a tuple (a JSON list)", self.snr_db_list)
         for i, value in enumerate(self.snr_db_list):
-            # abs(v) <= max fails for nan and both infinities
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-                raise ValidationError(f"snr_db[{i}]: must be a finite number, got {value!r}")
-        if d.kind not in ("identity_hadamard", "gaussian", "external"):
-            raise ValidationError(f"design.kind: unknown kind {d.kind!r}")
+            _require(is_finite_number(value), f"snr_db[{i}]", "be a finite number", value)
+        _require(isinstance(self.algorithms, tuple), "algorithms", "be a tuple (a JSON list)", self.algorithms)
+        for i, alg in enumerate(self.algorithms):
+            _require(isinstance(alg, AlgorithmSpec), f"algorithms[{i}]", "be an AlgorithmSpec", alg)
+            alg.check(f"algorithms[{i}]")
         if d.kind == "identity_hadamard":
             if d.n < 1 or d.n & (d.n - 1):
                 raise ValidationError(f"design.n: must be a power of two, got {d.n}")
@@ -198,8 +217,6 @@ class ExperimentConfig:
             raise ValidationError(f"trials: must be >= 1, got {self.trials}")
         if not self.algorithms:
             raise ValidationError("algorithms: must be nonempty")
-        for i, alg in enumerate(self.algorithms):
-            alg.check(f"algorithms[{i}]")
         labels = [a.label for a in self.algorithms]
         if len(set(labels)) != len(labels):
             raise ValidationError(f"algorithms: duplicate entries {labels}")
@@ -210,18 +227,23 @@ class ExperimentConfig:
             raise ValidationError(
                 f"k_max={k_max} must lie in [k0={self.signal.k0}, min(n-1, p)={min(d.n - 1, d.p)}]"
             )
-        if self.regenerate_matrix_per_trial and d.kind != "gaussian":
+        if regenerate and d.kind != "gaussian":
             raise ValidationError("regenerate_matrix_per_trial: only meaningful for gaussian designs")
         if self.root_seed < 0:
             raise ValidationError(f"root_seed: must be nonnegative, got {self.root_seed}")
 
     def to_dict(self) -> dict:
+        """The config as JSON values, with the SNR points, signal.ratio and
+        the algorithm parameters as floats: an experiment's digest does not
+        depend on whether a number was written as an int or a float."""
         return {
             "design": asdict(self.design),
-            "signal": asdict(self.signal),
-            "snr_db": list(self.snr_db_list),
+            "signal": dict(asdict(self.signal), ratio=float(self.signal.ratio)),
+            "snr_db": [float(v) for v in self.snr_db_list],
             "trials": self.trials,
-            "algorithms": [asdict(a) for a in self.algorithms],
+            "algorithms": [
+                dict(asdict(a), **{key: float(getattr(a, key)) for key in PARAMETER_DOMAINS}) for a in self.algorithms
+            ],
             "root_seed": self.root_seed,
             "k_max": self.k_max,
             "regenerate_matrix_per_trial": self.regenerate_matrix,

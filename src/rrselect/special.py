@@ -267,27 +267,6 @@ def rrt_level(n: int, p: int, k_max: int, alpha: float, k: int) -> float:
     return max(alpha, ALPHA_FLOOR) / (k_max * (p - k + 1)) or 5e-324
 
 
-@lru_cache(maxsize=64)
-def level_denominators(p: int, k_max: int) -> np.ndarray:
-    """k_max (p-k+1) for k = 1..k_max as a read-only float array, built once
-    per (p, k_max): each the double that float / int division converts the
-    integer to (exact below 2^53)."""
-    values = np.array([k_max * (p - k + 1) for k in range(1, k_max + 1)], dtype=np.float64)
-    values.flags.writeable = False
-    return values
-
-
-def rrt_levels(n: int, p: int, k_max: int, alpha: float, steps: int) -> np.ndarray:
-    """[rrt_level(n, p, k_max, alpha, k) for k = 1..steps] as a new array,
-    checking the arguments once: every check holds for all k <= steps once it
-    holds at k = steps. Each level is the one IEEE division rrt_level makes."""
-    if not steps:
-        return np.empty(0)
-    rrt_level(n, p, k_max, alpha, steps)
-    levels = max(alpha, ALPHA_FLOOR) / level_denominators(p, k_max)[:steps]
-    return np.maximum(levels, 5e-324, out=levels)
-
-
 def rrt_threshold(n: int, p: int, k_max: int, alpha: float, k: int) -> float:
     """Threshold Gamma(k) = sqrt(F^-1_{(n-k)/2, 1/2}(rrt_level(...))).
 

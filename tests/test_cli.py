@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rrselect.cli import figure_config, main, parse_config
+from rrselect.cli import FIGURE_NAMES, figure_config, main, parse_config
 from rrselect.designs import SignalSpec, make_identity_hadamard
 from rrselect.errors import ParseError, ValidationError
 from rrselect.linalg import load_matrix_csv, save_matrix_csv
@@ -113,6 +113,12 @@ def test_parse_config_rejects_parameters_outside_their_domain(entry, field):
         (None, "k_max", "8"),
         ("signal", "ratio", "0.5"),
         ("design", "kind", 3),
+        ("signal", "ratio", float("nan")),
+        ("signal", "ratio", float("inf")),
+        (None, "algorithms", [{"name": "rrm", "alpha": "x"}]),
+        (None, "algorithms", [{"name": "rrm", "eta": float("nan")}]),
+        (None, "algorithms", ["rrm", 5]),
+        ("design", "path", 5),
     ],
 )
 def test_parse_config_rejects_a_value_of_the_wrong_type(section, key, value):
@@ -140,6 +146,19 @@ def test_parse_config_accepts_integral_floats_and_leaves_defaults_to_the_datacla
 def test_parse_config_ignores_parameters_an_algorithm_does_not_read():
     raw = dict(MINIMAL_CONFIG, algorithms=[{"name": "rrm", "alpha": 1.5}])
     assert parse_config(json.dumps(raw)).algorithms[0].label == "rrm"
+
+
+def test_experiment_ids_are_those_recorded():
+    # One experiment, one id: recorded while parse_config turned the JSON
+    # numbers of float fields into floats, which to_dict does now.
+    assert parse_config(json.dumps(MINIMAL_CONFIG)).digest() == "26e39ab41939"
+    assert {name: figure_config(name, 100, 0).digest() for name in FIGURE_NAMES} == {
+        "fig1_hadamard": "e290eb3310c8",
+        "fig1_gaussian": "c2fc02106e1a",
+        "fig2_hadamard": "35be1828eb8d",
+        "fig2_gaussian": "7711499d8db4",
+        "fig3_q_sweep": "a69424963242",
+    }
 
 
 def test_gen_matrix_and_sidecar(tmp_path, capsys):

@@ -152,6 +152,8 @@ def test_make_signal_validation():
         ({"k0": True}, "signal.k0"),
         ({"k0": 3, "kind": "geometric", "ratio": "x"}, "signal.ratio"),
         ({"k0": 3, "kind": "geometric", "ratio": True}, "signal.ratio"),
+        ({"k0": 2, "ratio": math.nan}, "signal.ratio"),  # pm_one reads no ratio, but it must be finite
+        ({"k0": 2, "kind": "geometric", "ratio": -math.inf}, "signal.ratio"),
     ],
 )
 def test_signal_spec_checks_types_before_ranges(kwargs, field):

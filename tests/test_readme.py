@@ -1,5 +1,6 @@
 """The README's library quick start runs as written, and at 0 dB, where rrt
-and rrta find no step and return None."""
+and rrta find no step and return None; its config example keeps its
+experiment id."""
 import contextlib
 import io
 import re
@@ -7,8 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from rrselect.cli import parse_config
+
 README = (Path(__file__).parent.parent / "README.md").read_text()
 QUICK_START = re.search(r"## Library quick start\s+```python\n(.*?)```", README, re.S).group(1)
+CONFIG_EXAMPLE = re.search(r"### Experiment config schema\s+```json\n(.*?)```", README, re.S).group(1)
 
 
 @pytest.mark.parametrize(
@@ -27,3 +31,7 @@ def test_readme_quick_start_runs(snr, support_seed):
     assert [line.split()[0] for line in lines] == ["RRM", "RRT", "RRTA"]
     if snr == "1.0":
         assert lines[1:] == ["RRT empty_selection []", "RRTA empty_selection []"]
+
+
+def test_readme_config_example_keeps_its_experiment_id():
+    assert parse_config(CONFIG_EXAMPLE).digest() == "8a8f6129cb96"

@@ -161,10 +161,11 @@ def test_settled_steps_hold_a_lower_bound_above_every_level():
 
 
 def test_rrt_select_rejects_more_ratios_than_steps():
-    # k_max = 3 steps on a 32 x 64 problem, or n - 1 = 2 steps at n = 3
-    for ratios in (_ratios([0.5] * 4), _ratios([0.5] * 3, n=3, p=8, k_max=3)):
+    # k_max = 3 steps on a 32 x 64 problem, or n - 1 = 2 steps at n = 3: the
+    # ratios themselves are rejected
+    for values, n, p, k_max in (([0.5] * 4, 32, 64, 3), ([0.5] * 3, 3, 8, 3)):
         with pytest.raises(DomainError):
-            rrt_select(ratios, 0.1)
+            rrt_select(_ratios(values, n, p, k_max), 0.1)
     with pytest.raises(DomainError):
         half_beta_log_cdf_bounds(3, [0.5] * 3)
 
@@ -173,15 +174,30 @@ def test_rrt_select_checks_its_arguments_without_ratios():
     # No step to test, but a level outside (0,1), or sizes without a first
     # step, are as wrong as they are for a path with steps.
     assert rrt_select(ResidualRatios(np.array([]), 32, 64, 3), 0.1) is None
-    for ratios, alpha in (
-        (ResidualRatios(np.array([]), 32, 64, 3), 5.0),
-        (ResidualRatios(np.array([]), 32, 64, 3), 0.0),
-        (ResidualRatios(np.array([]), 32, 64, 32), 0.1),
-        (ResidualRatios(np.array([]), 32, 0, 3), 0.1),
-        (ResidualRatios(np.array([0.5]), 32, 64, 3), 5.0),
+    for values, n, p, k_max, alpha in (
+        ([], 32, 64, 3, 5.0),
+        ([], 32, 64, 3, 0.0),
+        ([], 32, 64, 32, 0.1),
+        ([], 32, 0, 3, 0.1),
+        ([0.5], 32, 64, 3, 5.0),
     ):
         with pytest.raises(DomainError):
-            rrt_select(ratios, alpha)
+            rrt_select(_ratios(values, n, p, k_max), alpha)
+
+
+@pytest.mark.parametrize("values", [[math.nan, 0.5], [0.5, math.nan], [1.5, -0.2], [0.5] * 5])
+def test_every_selector_rejects_ratios_outside_zero_one_or_past_k_max(values):
+    # k_max = 3; built by hand, since residual_ratios(path) never gives these
+    selectors = (rrm_select, lambda rr: rrta_alpha(rr, RrtaParams()), lambda rr: rrt_select(rr, 0.1))
+    for select in selectors:
+        with pytest.raises(DomainError):
+            select(_ratios(values))
+
+
+def test_ratios_need_a_vector_and_a_path_size():
+    for values, n, k_max in (([[0.5]], 32, 3), ([], 1, 1), ([], 32, 0)):
+        with pytest.raises(DomainError):
+            _ratios(values, n, 64, k_max)
 
 
 def test_bounds_of_each_ratio_and_outside_zero_one():

@@ -299,6 +299,18 @@ def _unchecked_signal(k0):
         ({"snr_db_list": ("20",)}, "snr_db[0]"),
         ({"algorithms": (AlgorithmSpec("rrt", alpha="0.1"),)}, "algorithms[0].alpha"),
         ({"algorithms": (AlgorithmSpec("rpsc_hsc", eta=None),)}, "algorithms[0].eta"),
+        ({"design": DesignSpec("gaussian", 8, 16, normalize="false")}, "design.normalize"),
+        ({"regenerate_matrix_per_trial": "no"}, "regenerate_matrix_per_trial"),
+        ({"algorithms": (AlgorithmSpec("rrm", alpha="x"),)}, "algorithms[0].alpha"),
+        ({"design": DesignSpec("external", 8, 16, path=5)}, "design.path"),
+        ({"design": DesignSpec(3, 8, 16)}, "design.kind"),
+        ({"algorithms": (AlgorithmSpec(["rrt"]),)}, "algorithms[0].name"),
+        ({"algorithms": (AlgorithmSpec("rrt", rule=["omp"]),)}, "algorithms[0].rule"),
+        ({"snr_db_list": 5}, "snr_db"),
+        ({"algorithms": AlgorithmSpec("rrm")}, "algorithms"),
+        ({"algorithms": (5,)}, "algorithms[0]"),
+        ({"design": None}, "design"),
+        ({"signal": None}, "signal"),
     ],
 )
 def test_config_validation_names_a_field_of_the_wrong_type(overrides, field):
@@ -311,6 +323,20 @@ def test_config_validation_names_a_field_of_the_wrong_type(overrides, field):
 
 def test_config_validation_accepts_integer_snr_points_and_k_max():
     _config(snr_db_list=(0, 20), k_max_override=8).validate()
+
+
+def test_an_experiment_has_one_digest_whether_its_numbers_are_ints_or_floats():
+    def config(snr_db_list, q, ratio):
+        return _config(
+            design=DesignSpec("identity_hadamard", 8, 16),
+            signal=SignalSpec(2, ratio=ratio),
+            snr_db_list=snr_db_list,
+            algorithms=(AlgorithmSpec("rrta", q=q),),
+        )
+
+    as_ints, as_floats = config((0, 10), 2, 0), config((0.0, 10.0), 2.0, 0.0)
+    assert as_ints.digest() == as_floats.digest()
+    assert run_sweep(as_ints) == run_sweep(as_floats)
 
 
 def test_sweep_csv_round_trip():

@@ -18,7 +18,6 @@ from rrselect.special import (
     log_cdf_of_square_ceiling,
     log_cdf_of_square_floor,
     rrt_level,
-    rrt_levels,
     rrt_threshold,
 )
 
@@ -252,23 +251,6 @@ GAMMA_MPMATH = {
 @pytest.mark.parametrize("args", sorted(GAMMA_MPMATH))
 def test_rrt_threshold_matches_mpmath(args):
     assert rrt_threshold(*args) == pytest.approx(GAMMA_MPMATH[args], rel=1e-14, abs=0.0)
-
-
-@pytest.mark.parametrize("p, k_max, alpha", [(64, 16, 0.1), (64, 16, 1e-320), (10**30, 16, ALPHA_FLOOR), (7, 3, 0.5)])
-def test_rrt_levels_are_the_scalar_levels(p, k_max, alpha):
-    levels = rrt_levels(k_max + 1, p, k_max, alpha, k_max)
-    assert levels.tolist() == [rrt_level(k_max + 1, p, k_max, alpha, k) for k in range(1, k_max + 1)]
-    assert rrt_levels(k_max + 1, p, k_max, alpha, 0).tolist() == []
-
-
-def test_writing_into_returned_levels_leaves_later_levels_alone():
-    first = rrt_levels(32, 64, 16, 0.1, 16)
-    expected = first.tolist()
-    first[:] = 7.0
-    assert rrt_levels(32, 64, 16, 0.1, 16).tolist() == expected
-    shorter = rrt_levels(32, 64, 16, 0.1, 4)
-    shorter *= 0.0
-    assert rrt_levels(32, 64, 16, 0.1, 16).tolist() == expected
 
 
 def test_half_beta_log_terms_are_the_constants_of_the_floor():
