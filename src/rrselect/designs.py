@@ -2,6 +2,10 @@
 
 Two matrix models are built in: the deterministic identity+Hadamard
 concatenation [I_n, H_n/sqrt(n)] and i.i.d. Gaussian entries N(0, 1/n).
+
+Every random draw takes a `seed`: an int stands for the stream of
+np.random.default_rng(seed), a streams.Stream for a stream prepared by the
+caller (a sweep seeds its trials' streams a block at a time).
 """
 from __future__ import annotations
 
@@ -13,6 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import DenseMatrix, load_matrix_csv
+from .streams import Stream
 
 DESIGN_KINDS = ("identity_hadamard", "gaussian", "external")
 SIGNAL_KINDS = ("pm_one", "geometric")
@@ -110,27 +115,25 @@ def load_design_csv(path) -> DesignMatrix:
     return DesignMatrix(dense, "external", unit_norm_columns=bool(np.allclose(norms, 1.0, atol=1e-10)))
 
 
-def make_gaussian(n: int, p: int, seed: int, normalize: bool = False) -> DesignMatrix:
+def make_gaussian(n: int, p: int, seed: int | Stream, normalize: bool = False) -> DesignMatrix:
     """i.i.d. N(0, 1/n) entries; optionally rescale each column to unit norm."""
     if n < 1 or p < 1:
         raise ValidationError(f"n and p must be >= 1, got n={n}, p={p}")
-    rng = np.random.default_rng(seed)
-    x = rng.normal(0.0, 1.0 / math.sqrt(n), size=(n, p))
+    x = Stream.of(seed).generator().normal(0.0, 1.0 / math.sqrt(n), size=(n, p))
     if normalize:
         x /= np.linalg.norm(x, axis=0, keepdims=True)
     return DesignMatrix(DenseMatrix(x), "gaussian", unit_norm_columns=normalize)
 
 
-def sample_support(p: int, k0: int, seed: int) -> tuple[int, ...]:
-    """Uniformly random k0-subset of {0, ..., p-1}, sorted ascending."""
+def sample_support(p: int, k0: int, seed: int | Stream) -> tuple[int, ...]:
+    """Uniformly random k0-subset of {0, ..., p-1}, sorted ascending: the
+    draw Generator.choice(p, k0, replace=False) makes."""
     if not 1 <= k0 <= p:
         raise ValidationError(f"k0 must lie in [1, p={p}], got {k0}")
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(p, size=k0, replace=False)
-    return tuple(sorted(idx.tolist()))
+    return tuple(Stream.of(seed).support(p, k0))
 
 
-def make_signal(p: int, support, spec: SignalSpec, seed: int) -> np.ndarray:
+def make_signal(p: int, support, spec: SignalSpec, seed: int | Stream) -> np.ndarray:
     """Sparse coefficient vector with the given support and value model."""
     support = tuple(sorted(int(i) for i in support))
     if len(set(support)) != len(support):
@@ -139,17 +142,17 @@ def make_signal(p: int, support, spec: SignalSpec, seed: int) -> np.ndarray:
         raise ValidationError(f"support indices must lie in [0, {p})")
     if len(support) != spec.k0:
         raise ValidationError(f"support size {len(support)} != spec k0 {spec.k0}")
-    rng = np.random.default_rng(seed)
+    stream = Stream.of(seed)
     beta = np.zeros(p)
     if spec.kind == "pm_one":
-        beta[list(support)] = _PM_ONE[rng.integers(0, 2, size=spec.k0)]
+        beta[list(support)] = _PM_ONE[stream.bits(spec.k0)]
     else:
         values = spec.ratio ** np.arange(spec.k0)
-        beta[list(support)] = rng.permutation(values)
+        beta[list(support)] = stream.generator().permutation(values)
     return beta
 
 
-def synthesize(design: DesignMatrix, beta: np.ndarray, support, snr: float, seed: int) -> SparseProblem:
+def synthesize(design: DesignMatrix, beta: np.ndarray, support, snr: float, seed: int | Stream) -> SparseProblem:
     """Assemble y = X beta + w with sigma chosen so ||X beta||^2/(n sigma^2) = snr.
 
     sigma is derived from the realized ||X beta||, so the SNR identity holds
@@ -171,8 +174,7 @@ def synthesize(design: DesignMatrix, beta: np.ndarray, support, snr: float, seed
         raise ValidationError("X beta vanishes; SNR is undefined for a zero signal")
     n = design.n
     sigma = signal_norm / math.sqrt(n * snr)
-    rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, sigma, size=n)
+    noise = Stream.of(seed).generator().normal(0.0, sigma, size=n)
     return SparseProblem(
         design=design,
         true_support=support,

@@ -25,7 +25,7 @@ import numpy as np
 from . import special
 from .errors import DomainError, EmptyPathError
 from .omp import SolutionPath
-from .special import ALPHA_FLOOR, rrt_level
+from .special import ALPHA_FLOOR
 
 # Margin, in ln, by which a bound of c(k) must clear ln z(k) to decide step k
 # without the exact CDF: orders above the ~1e-13 relative rounding of the
@@ -131,10 +131,14 @@ def rrt_select(ratios: ResidualRatios, alpha: float) -> int | None:
     and only a step between the two reads the exact c(k) (ratios.cdf).
     """
     steps = len(ratios)
-    n, p, k_max = ratios.n, ratios.p, ratios.k_max
-    # Checks the sizes and alpha once for every step up to the last: each
-    # check that holds at k = steps holds below it (and a path has a step 1).
-    rrt_level(n, p, k_max, alpha, max(steps, 1))
+    p, k_max = ratios.p, ratios.k_max
+    # rrt_level's checks at every step up to the last, made once: ratios
+    # already hold steps <= k_max < n, and p >= k holds below k = steps (a
+    # path has a step 1).
+    if p < max(steps, 1):
+        raise DomainError(f"p={p} must be >= k={max(steps, 1)}")
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0,1), got {alpha}")
     if not steps or ratios.zero_observation:
         return None
     lows, highs = ratios.log_cdf_bounds

@@ -34,6 +34,7 @@ from .designs import (
 from .errors import ValidationError
 from .omp import RULES, SupportEstimate, default_kmax, solution_path, stop_fixed, stop_rcsc, stop_rpsc
 from .selectors import RrtaParams, prefix_hits, residual_ratios, rrm_select, rrt_select, rrta_select
+from .streams import Stream, pcg64_states
 
 _MASK64 = (1 << 64) - 1
 
@@ -293,12 +294,47 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """_splitmix64 of each word of a uint64 array (its products wrap mod 2**64)."""
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
 def derive_trial_seed(root_seed: int, snr_index: int, trial_index: int) -> int:
     """Collision-resistant 64-bit stream id for one (snr point, trial) cell."""
     h = _splitmix64(root_seed & _MASK64)
     h = _splitmix64(h ^ (snr_index & _MASK64))
     h = _splitmix64(h ^ (trial_index & _MASK64))
     return h
+
+
+def _derive_trial_seeds(root_seed: int, snr_index: int, start: int, stop: int) -> np.ndarray:
+    """derive_trial_seed(root_seed, snr_index, t) for t in [start, stop), as uint64."""
+    h = _splitmix64(_splitmix64(root_seed & _MASK64) ^ (snr_index & _MASK64))
+    # astype wraps an index mod 2**64, as derive_trial_seed's mask does.
+    return _splitmix64_array(np.uint64(h) ^ np.arange(start, stop, dtype=np.int64).astype(np.uint64))
+
+
+class TrialStreams(NamedTuple):
+    """One trial's random streams: those of np.random.default_rng(_splitmix64(seed ^ c))
+    for its derived seed and c = 1, 2, 3 and 4. matrix is None unless the
+    sweep draws a Gaussian design per trial."""
+
+    support: Stream
+    signal: Stream
+    noise: Stream
+    matrix: Stream | None = None
+
+
+def trial_streams(config: ExperimentConfig, snr_index: int, start: int, stop: int) -> list[TrialStreams]:
+    """The streams of trials [start, stop) at one SNR point, seeded in one pass."""
+    tags = np.arange(1, 5 if config.regenerate_matrix else 4, dtype=np.uint64)
+    seeds = _splitmix64_array(_derive_trial_seeds(config.root_seed, snr_index, start, stop)[:, None] ^ tags)
+    streams = [Stream(state, inc) for state, inc in pcg64_states(seeds)]  # trial by trial
+    kinds = len(tags)
+    return [TrialStreams(*streams[i : i + kinds]) for i in range(0, len(streams), kinds)]
 
 
 def build_design(spec: DesignSpec) -> DesignMatrix:
@@ -330,31 +366,33 @@ def run_trial(
     matrix: DesignMatrix | None,
     snr_db: float,
     trial_index: int,
+    streams: TrialStreams | None = None,
 ) -> TrialRecord:
     """One synthetic trial: draw data, compute one path per rule, apply all
     algorithms to identical data, and record outcomes.
 
+    streams are the trial's own (trial_streams), for a caller that seeds a
+    block of trials at once; without them the trial seeds its own. Either way
+    the record depends only on (config, snr_db, trial_index).
+
     Selectors (rrt/rrm/rrta) see only the path; known-sigma rules receive the
     trial's true sigma and fixed_k0 the true sparsity, as oracles by design.
     """
-    snr_index = config.snr_db_list.index(snr_db)
-    seed = derive_trial_seed(config.root_seed, snr_index, trial_index)
-    support_seed = _splitmix64(seed ^ 0x1)
-    signal_seed = _splitmix64(seed ^ 0x2)
-    noise_seed = _splitmix64(seed ^ 0x3)
-    matrix_seed = _splitmix64(seed ^ 0x4)
+    if streams is None:
+        snr_index = config.snr_db_list.index(snr_db)
+        (streams,) = trial_streams(config, snr_index, trial_index, trial_index + 1)
 
     design = matrix
     if config.regenerate_matrix:
-        design = make_gaussian(config.design.n, config.design.p, matrix_seed, config.design.normalize)
+        design = make_gaussian(config.design.n, config.design.p, streams.matrix, config.design.normalize)
     if design is None:
         design = build_design(config.design)
 
     p, k0 = config.design.p, config.signal.k0
-    support = sample_support(p, k0, support_seed)
-    beta = make_signal(p, support, config.signal, signal_seed)
+    support = sample_support(p, k0, streams.support)
+    beta = make_signal(p, support, config.signal, streams.signal)
     snr = 10.0 ** (snr_db / 10.0)
-    problem = synthesize(design, beta, support, snr, noise_seed)
+    problem = synthesize(design, beta, support, snr, streams.noise)
 
     oracle = Oracle(sigma=problem.sigma, k0=k0)
     paths: dict[str, tuple] = {}  # rule -> (path, its residual ratios, its prefix hits)
@@ -374,9 +412,10 @@ def _count_block(args) -> Counter:
     """(snr_db, label, "pe" | "pfd") -> how many trials in [start, stop) the
     algorithm got wrong | made a false discovery on."""
     config, matrix, snr_db, start, stop = args
+    streams = trial_streams(config, config.snr_db_list.index(snr_db), start, stop)
     counts = Counter()
-    for trial_index in range(start, stop):
-        for label, outcome in run_trial(config, matrix, snr_db, trial_index).outcomes.items():
+    for trial_index, trial in zip(range(start, stop), streams):
+        for label, outcome in run_trial(config, matrix, snr_db, trial_index, trial).outcomes.items():
             counts[snr_db, label, "pe"] += not outcome.exact
             counts[snr_db, label, "pfd"] += outcome.false_discovery
     return counts

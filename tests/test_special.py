@@ -389,3 +389,75 @@ def test_rrt_threshold_is_exact_on_both_sides_of_the_underflow_switch():
         z = rrt_level(32, 64, 31, alpha, 31)
         gamma = rrt_threshold(32, 64, 31, alpha, 31)
         assert gamma == pytest.approx(float(mp.sin(mp.pi * mp.mpf(z) / 2)), rel=1e-13, abs=0.0), e
+
+
+def _threshold_output(capsys, n, p, k_max, alpha):
+    from rrselect.cli import main
+
+    assert main(["threshold", "--n", str(n), "--p", str(p), "--k-max", str(k_max), "--alpha", repr(alpha)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "k,gamma"
+    return [float(line.split(",")[1]) for line in lines[1:]]
+
+
+@pytest.mark.parametrize("n, p, k_max, alpha", [(4000, 8000, 16, 0.1), (3000, 3000, 8, 0.5)])
+def test_threshold_output_where_the_density_cut_binds_matches_mpmath(monkeypatch, capsys, n, p, k_max, alpha):
+    # With z >= 1e-8 the inverse starts at x = 1/2, where the Beta((n-k)/2, 1/2)
+    # density of a large a lies below exp(-745): _beta_pdf returns 0 there,
+    # and that step bisects instead of taking a Newton step. The output must
+    # still be Gamma(k) to the 1e-14 of the other 40-digit mpmath checks.
+    from rrselect import special
+
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    cut = []
+    original = special._beta_pdf
+
+    def recording_pdf(a, b, x, ln_beta):
+        value = original(a, b, x, ln_beta)
+        if 0.0 < x < 1.0 and value == 0.0:
+            cut.append((a, x))
+        return value
+
+    monkeypatch.setattr(special, "_beta_pdf", recording_pdf)
+    gammas = _threshold_output(capsys, n, p, k_max, alpha)
+    assert len(gammas) == k_max
+    assert {(n - k) / 2.0 for k in range(1, k_max + 1)} <= {a for a, _ in cut}
+    for k, gamma in enumerate(gammas, start=1):
+        a, z = mp.mpf(n - k) / 2, mp.mpf(rrt_level(n, p, k_max, alpha, k))
+        # Solve ln I_{g^2}(a, 1/2) = ln z for g in a bracket around the output.
+        root = mp.findroot(
+            lambda g: mp.log(mp.betainc(a, 0.5, 0, g * g, regularized=True)) - mp.log(z),
+            (mp.mpf(gamma) * (1 - mp.mpf("1e-6")), mp.mpf(gamma) * (1 + mp.mpf("1e-6"))),
+            solver="anderson",
+        )
+        assert gamma == pytest.approx(float(root), rel=1e-14, abs=0.0), k
+
+
+@pytest.mark.parametrize("n", [2, 3, 32, 4000, 10**6])
+@pytest.mark.parametrize("alpha", [ALPHA_FLOOR, 1e-100, 1e-10, 0.1, 1.0 - 2.0**-53])
+def test_no_threshold_reaches_the_cut_of_the_inverse_seed(monkeypatch, n, alpha):
+    # _beta_inv_core seeds a level z < 1e-8 at ln x = ln(a z B(a, b)) / a and
+    # cuts it to x = 0 at ln x <= -745. rrt_threshold calls the inverse only
+    # where ln(a z B(a, 1/2)) >= a ln(smallest normal), so ln x >= -708.4.
+    # The reflected call for z > 0.75 seeds with a = 1/2 at 1 - z >= 2**-53,
+    # which puts ln x at -745 only for B(1/2, a) below e^-335, at a > e^670
+    # (n > 1e291); there Gamma^2 = 1 - x rounds to 1.0 with the cut or without.
+    from rrselect import special
+
+    seeds = []
+    original = special._beta_inv_core
+
+    def recording_core(a, b, z):
+        if z < 1e-8:
+            seeds.append((math.log(a) + math.log(z) + log_beta_fn(a, b)) / a)
+        return original(a, b, z)
+
+    monkeypatch.setattr(special, "_beta_inv_core", recording_core)
+    for k_max in sorted({1, min(16, n - 1), n - 1} - {0}):
+        for p in (k_max, 2 * n, 10**30):
+            for k in sorted({1, k_max}):
+                rrt_threshold(n, p, k_max, alpha, k)
+    if n >= 32 and alpha <= 1e-10:
+        assert seeds  # the seeded branch ran
+    assert all(ln_x > -745.0 for ln_x in seeds)
