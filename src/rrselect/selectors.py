@@ -135,10 +135,7 @@ def rrt_select(ratios: ResidualRatios, alpha: float) -> int | None:
     # rrt_level's checks at every step up to the last, made once: ratios
     # already hold steps <= k_max < n, and p >= k holds below k = steps (a
     # path has a step 1).
-    if p < max(steps, 1):
-        raise DomainError(f"p={p} must be >= k={max(steps, 1)}")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0,1), got {alpha}")
+    special.check_level_args(p, alpha, max(steps, 1))
     if not steps or ratios.zero_observation:
         return None
     lows, highs = ratios.log_cdf_bounds

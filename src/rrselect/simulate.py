@@ -37,6 +37,8 @@ from .selectors import RrtaParams, prefix_hits, residual_ratios, rrm_select, rrt
 from .streams import Stream, pcg64_states
 
 _MASK64 = (1 << 64) - 1
+# Trials whose streams _count_block seeds in one pass.
+_SEED_CHUNK = 1024
 
 # The open interval each AlgorithmSpec parameter must lie in: the domains the
 # kernels enforce (rrt_threshold for alpha, RrtaParams for pfd and q); eta,
@@ -371,9 +373,11 @@ def run_trial(
     """One synthetic trial: draw data, compute one path per rule, apply all
     algorithms to identical data, and record outcomes.
 
-    streams are the trial's own (trial_streams), for a caller that seeds a
-    block of trials at once; without them the trial seeds its own. Either way
-    the record depends only on (config, snr_db, trial_index).
+    streams, if given, must be trial_streams' for this trial: a caller that
+    seeds a block of trials at once passes them, and without them the trial
+    seeds its own. The draws leave the given streams where they were, so the
+    same streams draw the same data on every call and the record depends
+    only on (config, snr_db, trial_index).
 
     Selectors (rrt/rrm/rrta) see only the path; known-sigma rules receive the
     trial's true sigma and fixed_k0 the true sparsity, as oracles by design.
@@ -412,12 +416,15 @@ def _count_block(args) -> Counter:
     """(snr_db, label, "pe" | "pfd") -> how many trials in [start, stop) the
     algorithm got wrong | made a false discovery on."""
     config, matrix, snr_db, start, stop = args
-    streams = trial_streams(config, config.snr_db_list.index(snr_db), start, stop)
+    snr_index = config.snr_db_list.index(snr_db)
     counts = Counter()
-    for trial_index, trial in zip(range(start, stop), streams):
-        for label, outcome in run_trial(config, matrix, snr_db, trial_index, trial).outcomes.items():
-            counts[snr_db, label, "pe"] += not outcome.exact
-            counts[snr_db, label, "pfd"] += outcome.false_discovery
+    # Seeding _SEED_CHUNK trials at a time bounds the streams held at once.
+    for chunk in range(start, stop, _SEED_CHUNK):
+        end = min(chunk + _SEED_CHUNK, stop)
+        for trial_index, trial in enumerate(trial_streams(config, snr_index, chunk, end), start=chunk):
+            for label, outcome in run_trial(config, matrix, snr_db, trial_index, trial).outcomes.items():
+                counts[snr_db, label, "pe"] += not outcome.exact
+                counts[snr_db, label, "pfd"] += outcome.false_discovery
     return counts
 
 

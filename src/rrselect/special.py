@@ -245,6 +245,14 @@ def beta_cdf_inv(a: float, b: float, z: float) -> float:
     return _beta_inv_core(a, b, z)
 
 
+def check_level_args(p: int, alpha: float, k: int) -> None:
+    """rrt_level's checks of p and alpha at step k."""
+    if p < k:
+        raise DomainError(f"p={p} must be >= k={k}")
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0,1), got {alpha}")
+
+
 def rrt_level(n: int, p: int, k_max: int, alpha: float, k: int) -> float:
     """Per-step level z(k) = alpha / (k_max (p-k+1)), with alpha floored at
     ALPHA_FLOOR and an underflowing quotient raised to the smallest double.
@@ -259,10 +267,7 @@ def rrt_level(n: int, p: int, k_max: int, alpha: float, k: int) -> float:
         raise DomainError(f"k={k} must lie in [1, k_max={k_max}]")
     if k_max >= n:
         raise DomainError(f"k_max={k_max} must be < n={n}")
-    if p < k:
-        raise DomainError(f"p={p} must be >= k={k}")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0,1), got {alpha}")
+    check_level_args(p, alpha, k)
     # A denominator huge enough to underflow the quotient gives the smallest double.
     return max(alpha, ALPHA_FLOOR) / (k_max * (p - k + 1)) or 5e-324
 

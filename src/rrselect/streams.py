@@ -116,11 +116,12 @@ class Stream:
 
     @classmethod
     def of(cls, seed: int | Stream) -> Stream:
-        """`seed` itself if it is a Stream, else the stream of
-        `np.random.default_rng(seed)` for an int seed, which
+        """A new Stream at `seed`'s position if it is a Stream, so drawing
+        from it leaves `seed` where it was, as an int seed would; else the
+        stream of `np.random.default_rng(seed)` for an int seed, which
         `np.random.PCG64(seed)` checks as default_rng does."""
         if isinstance(seed, Stream):
-            return seed
+            return cls(seed.state, seed.inc, seed.half)
         state = np.random.PCG64(seed).state["state"]
         return cls(state["state"], state["inc"])
 

@@ -10,12 +10,15 @@ import threading
 import numpy as np
 import pytest
 
+from rrselect import simulate
 from rrselect.cli import figure_config
 from rrselect.designs import SignalSpec, make_gaussian, make_identity_hadamard, make_signal, sample_support, synthesize
 from rrselect.simulate import (
+    _count_block,
     _derive_trial_seeds,
     _splitmix64,
     _splitmix64_array,
+    build_design,
     derive_trial_seed,
     run_trial,
     trial_streams,
@@ -148,6 +151,15 @@ def test_int_seed_and_its_stream_draw_alike():
     assert sample_support(64, 3, 2**70) == tuple(sorted(np.random.default_rng(2**70).choice(64, 3, replace=False).tolist()))
 
 
+def test_a_stream_draws_the_same_on_every_call():
+    stream = Stream.of(12345)
+    assert sample_support(64, 3, stream) == sample_support(64, 3, stream) == sample_support(64, 3, 12345)
+    for spec in (SignalSpec(k0=3), SignalSpec(k0=3, kind="geometric")):
+        first = make_signal(64, (1, 5, 9), spec, stream)
+        assert np.array_equal(make_signal(64, (1, 5, 9), spec, stream), first)
+    assert (stream.state, stream.inc, stream.half) == (Stream.of(12345).state, Stream.of(12345).inc, None)
+
+
 def test_threads_each_draw_their_own_streams():
     seeds = _trial_seeds(40, 4)
     expected = {s: np.random.default_rng(s).normal(size=(8, 8)) * (1.0 / np.sqrt(8)) for s in seeds}
@@ -198,11 +210,20 @@ def test_trial_streams_are_the_trials_seeds():
 
 @pytest.mark.parametrize("name", ["fig1_hadamard", "fig2_gaussian"])
 def test_run_trial_with_and_without_streams(name):
-    from rrselect.simulate import build_design
-
     config = figure_config(name, 20, 3)
     matrix = None if config.regenerate_matrix else build_design(config.design)
     for snr_index, snr_db in enumerate(config.snr_db_list[:3]):
         streams = trial_streams(config, snr_index, 0, 20)
         for t in range(0, 20, 3):
-            assert run_trial(config, matrix, snr_db, t, streams[t]) == run_trial(config, matrix, snr_db, t)
+            record = run_trial(config, matrix, snr_db, t, streams[t])
+            assert record == run_trial(config, matrix, snr_db, t)
+            assert record == run_trial(config, matrix, snr_db, t, streams[t])
+
+
+def test_block_counts_do_not_depend_on_the_seeding_chunk(monkeypatch):
+    config = figure_config("fig1_hadamard", 40, 5)
+    matrix = build_design(config.design)
+    job = (config, matrix, config.snr_db_list[4], 3, 40)
+    whole = _count_block(job)
+    monkeypatch.setattr(simulate, "_SEED_CHUNK", 8)
+    assert _count_block(job) == whole
