@@ -23,7 +23,7 @@ from .designs import (
     sample_support,
     synthesize,
 )
-from .linalg import DenseMatrix, OrthoBasisState
+from .linalg import OrthoBasisState
 from .omp import (
     SolutionPath,
     SupportEstimate,
@@ -67,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgorithmSpec",
-    "DenseMatrix",
     "DesignMatrix",
     "DesignSpec",
     "EpsilonBounds",

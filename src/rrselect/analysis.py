@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import DesignMatrix
-from .errors import DomainError, TooManySubsetsError
-from .linalg import OrthoBasisState
+from .errors import DomainError, RankDeficientError, TooManySubsetsError
+from .linalg import RANK_TOL
 from .special import build_threshold_table
 
 SUBSET_GUARD = 1_000_000
@@ -40,7 +40,7 @@ class EpsilonBounds:
 
 
 def _normalized_columns(design: DesignMatrix) -> np.ndarray:
-    x = design.matrix.values
+    x = design.matrix
     if design.unit_norm_columns:
         return x
     norms = np.linalg.norm(x, axis=0)
@@ -81,7 +81,7 @@ def ric_bruteforce(design: DesignMatrix, order: int) -> float:
     count = math.comb(p, order)
     if count > SUBSET_GUARD:
         raise TooManySubsetsError(f"C({p},{order}) = {count} exceeds guard {SUBSET_GUARD}")
-    x = design.matrix.values
+    x = design.matrix
     gram = x.T @ x
     delta = 0.0
     for subset in itertools.combinations(range(p), order):
@@ -96,19 +96,26 @@ def erc_constant(design: DesignMatrix, support) -> float:
 
     Values below 1 certify that greedy selection started on S never leaves it
     in the noiseless case.
+
+    X_S^+ X_j solves R c = Q^T X_j for X_S = Q R. RankDeficientError for
+    |S| > n or any |R_jj| <= RANK_TOL ||x_j||, OrthoBasisState.append's test.
     """
     support = sorted(int(i) for i in support)
     if not support:
         raise DomainError("support must be nonempty")
-    state = OrthoBasisState(design.n, capacity=len(support))
-    for j in support:
-        state.append(design.matrix, j)  # RankDeficientError propagates
-    outside = [j for j in range(design.p) if j not in set(support)]
-    worst = 0.0
-    for j in outside:
-        coeffs = state.least_squares_coeffs(design.matrix.column(j))
-        worst = max(worst, float(np.sum(np.abs(coeffs))))
-    return worst
+    if not 0 <= support[0] <= support[-1] < design.p:
+        raise IndexError(f"support indices must lie in [0, {design.p})")
+    if len(support) > design.n:
+        raise RankDeficientError(f"{len(support)} support columns in dimension {design.n} are dependent")
+    x = design.matrix
+    xs = x[:, support]
+    q, r = np.linalg.qr(xs)
+    dependent = np.abs(np.diagonal(r)) <= RANK_TOL * np.linalg.norm(xs, axis=0)
+    if dependent.any():
+        j = support[int(dependent.argmax())]
+        raise RankDeficientError(f"column {j} is in the span of the support columns before it")
+    coeffs = np.linalg.solve(r, q.T @ np.delete(x, support, axis=1))
+    return float(np.abs(coeffs).sum(axis=0).max(initial=0.0))
 
 
 def rrt_error_lower_bound(alpha: float, k_max: int, p: int, k0: int) -> float:

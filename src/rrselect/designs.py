@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .linalg import DenseMatrix, load_matrix_csv
+from .errors import DimensionMismatchError, ValidationError
+from .linalg import load_matrix_csv
 from .streams import Stream
 
 DESIGN_KINDS = ("identity_hadamard", "gaussian", "external")
@@ -35,19 +35,33 @@ def is_finite_number(value) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class DesignMatrix:
-    """An n x p sensing matrix plus provenance metadata."""
+    """An n x p sensing matrix plus provenance metadata.
 
-    matrix: DenseMatrix
+    `matrix` is a read-only float64 copy of the array given, in column-major
+    (Fortran) order: greedy paths read whole columns, and a design shared by
+    many paths is not changed under them. Every entry must be finite.
+    """
+
+    matrix: np.ndarray
     kind: str
     unit_norm_columns: bool
 
+    def __post_init__(self) -> None:
+        x = np.array(self.matrix, dtype=np.float64, order="F")
+        if x.ndim != 2:
+            raise DimensionMismatchError(f"expected a 2-d array, got ndim={x.ndim}")
+        if x.size and not np.isfinite(x).all():
+            raise ValidationError("matrix entries must be finite")
+        x.flags.writeable = False
+        object.__setattr__(self, "matrix", x)
+
     @property
     def n(self) -> int:
-        return self.matrix.rows
+        return self.matrix.shape[0]
 
     @property
     def p(self) -> int:
-        return self.matrix.cols
+        return self.matrix.shape[1]
 
 
 @dataclass(frozen=True)
@@ -105,14 +119,14 @@ def make_identity_hadamard(n: int) -> DesignMatrix:
     """[I_n, H_n/sqrt(n)]: 2n unit-norm columns with mutual incoherence 1/sqrt(n)."""
     h = sylvester_hadamard(n)
     x = np.hstack([np.eye(n), h / math.sqrt(n)])
-    return DesignMatrix(DenseMatrix(x), "identity_hadamard", unit_norm_columns=True)
+    return DesignMatrix(x, "identity_hadamard", unit_norm_columns=True)
 
 
 def load_design_csv(path) -> DesignMatrix:
     """An external design read from CSV (one line per row, no header)."""
-    dense = load_matrix_csv(path)
-    norms = np.linalg.norm(dense.values, axis=0)
-    return DesignMatrix(dense, "external", unit_norm_columns=bool(np.allclose(norms, 1.0, atol=1e-10)))
+    x = load_matrix_csv(path)
+    norms = np.linalg.norm(x, axis=0)
+    return DesignMatrix(x, "external", unit_norm_columns=bool(np.allclose(norms, 1.0, atol=1e-10)))
 
 
 def make_gaussian(n: int, p: int, seed: int | Stream, normalize: bool = False) -> DesignMatrix:
@@ -122,7 +136,7 @@ def make_gaussian(n: int, p: int, seed: int | Stream, normalize: bool = False) -
     x = Stream.of(seed).generator().normal(0.0, 1.0 / math.sqrt(n), size=(n, p))
     if normalize:
         x /= np.linalg.norm(x, axis=0, keepdims=True)
-    return DesignMatrix(DenseMatrix(x), "gaussian", unit_norm_columns=normalize)
+    return DesignMatrix(x, "gaussian", unit_norm_columns=normalize)
 
 
 def sample_support(p: int, k0: int, seed: int | Stream) -> tuple[int, ...]:
@@ -165,7 +179,7 @@ def synthesize(design: DesignMatrix, beta: np.ndarray, support, snr: float, seed
     nonzero = {int(i) for i in np.nonzero(beta)[0]}
     if nonzero != support:
         raise ValidationError("beta must be nonzero exactly on the given support")
-    x = design.matrix.values
+    x = design.matrix
     if beta.shape != (design.p,):
         raise ValidationError(f"beta has shape {beta.shape}, expected ({design.p},)")
     signal = x @ beta

@@ -1,8 +1,9 @@
-"""Dense matrix storage and an incrementally updatable thin QR factorization.
+"""An incrementally updatable thin QR factorization, and matrix CSV I/O.
 
-The QR state is the workhorse behind greedy residual updates: appending one
-column costs O(n*k) and the residual of a least-squares fit on the selected
-columns is obtained by projecting against the orthonormal basis.
+Appending one column to the QR state costs O(n*k), and the residual of a
+least-squares fit on the selected columns is obtained by projecting against
+the orthonormal basis. It serves library callers: the greedy path grows its
+own basis by the same two Gram-Schmidt passes.
 """
 from __future__ import annotations
 
@@ -14,40 +15,6 @@ from .errors import DimensionMismatchError, DomainError, EmptyBasisError, RankDe
 
 # Relative tolerance below which an orthogonalized column counts as dependent.
 RANK_TOL = 1e-12
-
-
-class DenseMatrix:
-    """Real n x p matrix held in column-major (Fortran) order.
-
-    All entries must be finite; greedy algorithms read whole columns, so
-    column-major storage keeps those reads contiguous.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values) -> None:
-        arr = np.array(values, dtype=np.float64, order="F")
-        if arr.ndim != 2:
-            raise DimensionMismatchError(f"expected a 2-d array, got ndim={arr.ndim}")
-        if arr.size and not np.isfinite(arr).all():
-            raise ValidationError("matrix entries must be finite")
-        self.values = arr
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
-
-    def column(self, j: int) -> np.ndarray:
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column index {j} out of range for {self.cols} columns")
-        return self.values[:, j]
-
-    def __repr__(self) -> str:
-        return f"DenseMatrix({self.rows}x{self.cols})"
 
 
 class OrthoBasisState:
@@ -91,21 +58,22 @@ class OrthoBasisState:
         r[:cap, :cap] = self._r
         self._q, self._r = q, r
 
-    def append(self, matrix: DenseMatrix, col_index: int) -> "OrthoBasisState":
-        """Add one matrix column to the basis.
+    def append(self, matrix: np.ndarray, col_index: int) -> "OrthoBasisState":
+        """Add column col_index of the 2-d array `matrix` to the basis.
 
         Raises RankDeficientError when the orthogonalized remainder of the
-        column falls below RANK_TOL relative to its norm, and IndexError for
-        an out-of-range column index.
+        column falls below RANK_TOL relative to its norm, IndexError for an
+        out-of-range column index and ValidationError for a non-finite column.
         """
-        values = matrix.values
-        if values.shape[0] != self.ambient_dim:
+        if matrix.shape[0] != self.ambient_dim:
             raise DimensionMismatchError(
-                f"matrix has {values.shape[0]} rows, basis lives in dim {self.ambient_dim}"
+                f"matrix has {matrix.shape[0]} rows, basis lives in dim {self.ambient_dim}"
             )
-        if not 0 <= col_index < values.shape[1]:
-            raise IndexError(f"column index {col_index} out of range for {values.shape[1]} columns")
-        col = values[:, col_index]
+        if not 0 <= col_index < matrix.shape[1]:
+            raise IndexError(f"column index {col_index} out of range for {matrix.shape[1]} columns")
+        col = matrix[:, col_index]
+        if not np.isfinite(col).all():  # a nan norm would pass the rank test
+            raise ValidationError(f"column {col_index} has a non-finite entry")
         k = self.size
         if k >= self._q.shape[1]:
             self._grow()
@@ -168,10 +136,10 @@ class OrthoBasisState:
         return c
 
 
-def load_matrix_csv(path) -> DenseMatrix:
-    """Read a matrix from CSV: one line per row, comma separated, no header."""
-    arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    return DenseMatrix(arr)
+def load_matrix_csv(path) -> np.ndarray:
+    """Read a matrix from CSV: one line per row, comma separated, no header.
+    The entries are not checked: designs.DesignMatrix checks them."""
+    return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
 
 
 def load_vector_csv(path) -> np.ndarray:
@@ -185,7 +153,6 @@ def load_vector_csv(path) -> np.ndarray:
     return arr.reshape(-1)
 
 
-def save_matrix_csv(path, matrix: DenseMatrix | np.ndarray) -> None:
+def save_matrix_csv(path, matrix: np.ndarray) -> None:
     """Write a matrix as CSV with full float64 round-trip precision."""
-    arr = matrix.values if isinstance(matrix, DenseMatrix) else np.asarray(matrix)
-    np.savetxt(path, np.atleast_2d(arr), delimiter=",", fmt="%.17g")
+    np.savetxt(path, np.atleast_2d(matrix), delimiter=",", fmt="%.17g")

@@ -26,7 +26,7 @@ STATUS_EXHAUSTED = "exhausted"
 
 # Per design, ||x_j|| = math.sqrt(x_j.dot(x_j)) of each column a path has
 # taken, the scale of the rank test: a design shared by many trials computes
-# each once. A design's matrix is not changed once paths run on it.
+# each once. A design's matrix is read-only.
 _column_norms: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -94,7 +94,7 @@ def solution_path(design: DesignMatrix, y: np.ndarray, k_max: int, rule: str = "
     """
     if rule not in RULES:
         raise ValidationError(f"rule must be one of {RULES}, got {rule!r}")
-    x = design.matrix.values
+    x = design.matrix
     n, p = x.shape
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (n,):

@@ -185,7 +185,6 @@ class ExperimentConfig:
             "design.n": d.n,
             "design.p": d.p,
             "design.seed": d.seed,
-            "signal.k0": self.signal.k0,
         }
         if self.k_max_override is not None:
             integers["k_max_override"] = self.k_max_override

@@ -245,12 +245,18 @@ def beta_cdf_inv(a: float, b: float, z: float) -> float:
     return _beta_inv_core(a, b, z)
 
 
-def check_level_args(p: int, alpha: float, k: int) -> None:
-    """rrt_level's checks of p and alpha at step k."""
+def check_level_args(p: int, alpha: float, k: int, k_max: int) -> None:
+    """rrt_level's checks of p and alpha at step k, and of the denominators
+    k_max (p - j + 1) of the levels of steps j = 1..k: the largest, k_max p,
+    must be a finite double."""
     if p < k:
         raise DomainError(f"p={p} must be >= k={k}")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0,1), got {alpha}")
+    try:
+        float(k_max * p)
+    except OverflowError:  # p itself is not printed: it may have more digits than str() takes
+        raise DomainError(f"the level denominator k_max * p at k_max={k_max} is past the double range") from None
 
 
 def rrt_level(n: int, p: int, k_max: int, alpha: float, k: int) -> float:
@@ -267,7 +273,7 @@ def rrt_level(n: int, p: int, k_max: int, alpha: float, k: int) -> float:
         raise DomainError(f"k={k} must lie in [1, k_max={k_max}]")
     if k_max >= n:
         raise DomainError(f"k_max={k_max} must be < n={n}")
-    check_level_args(p, alpha, k)
+    check_level_args(p, alpha, k, k_max)
     # A denominator huge enough to underflow the quotient gives the smallest double.
     return max(alpha, ALPHA_FLOOR) / (k_max * (p - k + 1)) or 5e-324
 

@@ -231,7 +231,7 @@ def test_criterion_7_numerical_kernels():
         design = make_gaussian(16, 32, seed=1_000 + seed)
         y = np.random.default_rng(2_000 + seed).normal(size=16)
         path = solution_path(design, y, default_kmax(16))
-        x = design.matrix.values
+        x = design.matrix
         selected = []
         r = y.copy()
         norms = [float(np.linalg.norm(y))]
@@ -259,7 +259,7 @@ def test_criterion_7_numerical_kernels():
 def test_criterion_8_bruteforce_oracles():
     d4 = make_identity_hadamard(4)
     delta2 = ric_bruteforce(d4, 2)
-    gram = d4.matrix.values.T @ d4.matrix.values
+    gram = d4.matrix.T @ d4.matrix
     np.fill_diagonal(gram, 0.0)
     closed_form = float(np.max(np.abs(gram)))
     exact_ok = delta2 == closed_form == 0.5

@@ -14,7 +14,7 @@ from rrselect.analysis import (
 )
 from rrselect.designs import DesignMatrix, make_gaussian, make_identity_hadamard
 from rrselect.errors import DomainError, RankDeficientError, TooManySubsetsError
-from rrselect.linalg import DenseMatrix
+from rrselect.linalg import OrthoBasisState
 from rrselect.special import build_threshold_table
 
 RRT_LB_01_16_64_3 = 1.0245901639344262e-4  # 0.1 / (16 * 61)
@@ -22,7 +22,7 @@ RRT_LB_09_8_32_3 = 3.8793103448275862e-3  # 0.9 / (8 * 29)
 
 
 def _wrap(array, unit=False):
-    return DesignMatrix(DenseMatrix(array), "external", unit)
+    return DesignMatrix(array, "external", unit)
 
 
 def test_mutual_incoherence_values():
@@ -71,7 +71,7 @@ def test_ric_order2_closed_form_identity_hadamard():
     # largest pairwise inner product; exact equality expected on [I_4, H_4/2].
     d = make_identity_hadamard(4)
     delta = ric_bruteforce(d, 2)
-    gram = d.matrix.values.T @ d.matrix.values
+    gram = d.matrix.T @ d.matrix
     np.fill_diagonal(gram, 0.0)
     assert delta == np.max(np.abs(gram))
     assert delta == 0.5
@@ -139,6 +139,34 @@ def test_erc_rank_deficient_support():
     x[1, 2] = 1.0
     with pytest.raises(RankDeficientError):
         erc_constant(_wrap(x), (0, 1))
+
+
+def test_erc_raises_where_the_basis_append_raises():
+    # Column 3 is in the span of columns 0 and 1, column 4 is zero, and a
+    # repeated index repeats a column: each support fails the rank test of
+    # OrthoBasisState.append as it fails erc_constant's.
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(6, 5))
+    x[:, 3] = x[:, 0] + 2.0 * x[:, 1]
+    x[:, 4] = 0.0
+    for support in ((0, 0), (0, 1, 3), (4,), (2, 4)):
+        with pytest.raises(RankDeficientError):
+            erc_constant(_wrap(x), support)
+        state = OrthoBasisState(6)
+        with pytest.raises(RankDeficientError):
+            for j in sorted(support):
+                state.append(x, j)
+    for support in ((-1,), (5,), (0, 5)):
+        with pytest.raises(IndexError):
+            erc_constant(_wrap(x), support)
+
+def test_erc_support_larger_than_n_is_rank_deficient():
+    # Five columns in dimension 4 are dependent, however well conditioned
+    # each four of them are.
+    d = make_identity_hadamard(4)
+    assert erc_constant(d, (0, 1, 2, 3)) > 0.0
+    with pytest.raises(RankDeficientError):
+        erc_constant(d, (0, 1, 2, 3, 4))
 
 
 def test_epsilon_bounds_closed_forms():

@@ -168,7 +168,7 @@ def test_gen_matrix_and_sidecar(tmp_path, capsys):
     ])
     assert code == 0
     matrix = load_matrix_csv(out)
-    assert (matrix.rows, matrix.cols) == (8, 16)
+    assert matrix.shape == (8, 16)
     sidecar = json.loads((tmp_path / "m.csv.json").read_text())
     assert sidecar == {"kind": "identity_hadamard", "n": 8, "p": 16, "seed": 0, "normalize": False}
 
@@ -199,6 +199,13 @@ def test_threshold_subcommand(tmp_path, capsys):
         "threshold", "--n", "32", "--p", "64", "--k-max", "4", "--out", str(out)
     ]) == 0
     assert out.read_text().splitlines()[0] == "k,gamma"
+
+
+def test_threshold_subcommand_rejects_a_level_denominator_past_the_doubles(capsys):
+    assert main(["threshold", "--n", "10", "--p", str(10**400), "--k-max", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the level denominator k_max * p") and "past the double range" in captured.err
 
 
 def _write_identity_problem(tmp_path):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from rrselect.designs import (
+    DesignMatrix,
     SignalSpec,
+    load_design_csv,
     make_gaussian,
     make_identity_hadamard,
     make_signal,
@@ -12,7 +14,38 @@ from rrselect.designs import (
     sylvester_hadamard,
     synthesize,
 )
-from rrselect.errors import ValidationError
+from rrselect.errors import DimensionMismatchError, ValidationError
+
+
+def test_design_matrix_validates_shape_and_finiteness():
+    d = DesignMatrix([[1.0, 2.0], [3.0, 4.0]], "external", False)
+    assert (d.n, d.p) == (2, 2)
+    assert d.matrix.dtype == np.float64 and d.matrix.flags.f_contiguous
+    with pytest.raises(DimensionMismatchError):
+        DesignMatrix([1.0, 2.0, 3.0], "external", False)
+    with pytest.raises(ValidationError, match="matrix entries must be finite"):
+        DesignMatrix([[1.0, np.nan]], "external", False)
+    with pytest.raises(ValidationError, match="matrix entries must be finite"):
+        DesignMatrix([[np.inf, 0.0]], "external", False)
+
+
+def test_design_matrix_holds_a_read_only_fortran_order_copy():
+    x = np.arange(6.0).reshape(2, 3)  # C order
+    d = DesignMatrix(x, "external", False)
+    assert d.matrix.flags.f_contiguous and not d.matrix.flags.c_contiguous
+    assert np.array_equal(d.matrix, x) and not np.shares_memory(d.matrix, x)
+    x[0, 0] = 7.0
+    assert d.matrix[0, 0] == 0.0
+    with pytest.raises(ValueError):
+        d.matrix[0, 0] = 7.0
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_load_design_csv_rejects_non_finite_entries(tmp_path, bad):
+    mpath = tmp_path / "m.csv"
+    mpath.write_text(f"1.0,0.0\n{bad},1.0\n")
+    with pytest.raises(ValidationError, match="matrix entries must be finite"):
+        load_design_csv(mpath)
 
 
 def test_hadamard_orthogonality_exact_integers():
@@ -27,19 +60,19 @@ def test_hadamard_orthogonality_exact_integers():
 
 def test_identity_hadamard_small_cases():
     d1 = make_identity_hadamard(1)
-    assert np.array_equal(d1.matrix.values, [[1.0, 1.0]])
+    assert np.array_equal(d1.matrix, [[1.0, 1.0]])
 
     d2 = make_identity_hadamard(2)
     s = 1.0 / math.sqrt(2.0)
     expected = np.array([[1.0, 0.0, s, s], [0.0, 1.0, s, -s]])
-    assert np.allclose(d2.matrix.values, expected)
+    assert np.allclose(d2.matrix, expected)
     assert d2.unit_norm_columns
     assert d2.kind == "identity_hadamard"
 
 
 def test_identity_hadamard_unit_columns():
     d = make_identity_hadamard(32)
-    norms = np.linalg.norm(d.matrix.values, axis=0)
+    norms = np.linalg.norm(d.matrix, axis=0)
     assert np.max(np.abs(norms - 1.0)) < 1e-10
     assert (d.n, d.p) == (32, 64)
 
@@ -58,12 +91,12 @@ def test_pm_one_signs_are_the_draw_of_generator_choice():
 def test_gaussian_determinism_and_normalization():
     a = make_gaussian(16, 24, seed=123)
     b = make_gaussian(16, 24, seed=123)
-    assert np.array_equal(a.matrix.values, b.matrix.values)
+    assert np.array_equal(a.matrix, b.matrix)
     c = make_gaussian(16, 24, seed=124)
-    assert not np.array_equal(a.matrix.values, c.matrix.values)
+    assert not np.array_equal(a.matrix, c.matrix)
 
     norm = make_gaussian(16, 24, seed=5, normalize=True)
-    norms = np.linalg.norm(norm.matrix.values, axis=0)
+    norms = np.linalg.norm(norm.matrix, axis=0)
     assert np.max(np.abs(norms - 1.0)) < 1e-10
     assert norm.unit_norm_columns and not a.unit_norm_columns
 
@@ -76,7 +109,7 @@ def test_gaussian_column_norm_concentration():
     all_norms = []
     for seed in range(50):
         d = make_gaussian(32, 64, seed=seed)
-        all_norms.append(np.linalg.norm(d.matrix.values, axis=0))
+        all_norms.append(np.linalg.norm(d.matrix, axis=0))
     norms = np.concatenate(all_norms)
     assert norms.min() > 0.35 and norms.max() < 1.8
     within = np.mean((norms > 0.6) & (norms < 1.4))
@@ -169,9 +202,9 @@ def test_synthesize_sigma_formula():
     beta[2] = math.sqrt(3.0)  # ||X beta||^2 = 3 on a unit-norm column
     problem = synthesize(design, beta, (2,), snr=1.0, seed=0)
     assert problem.sigma**2 == pytest.approx(3.0 / 32.0, rel=1e-12)
-    assert np.array_equal(problem.observation, design.matrix.values @ beta + problem.noise)
+    assert np.array_equal(problem.observation, design.matrix @ beta + problem.noise)
     # the SNR identity holds exactly per trial
-    xb = design.matrix.values @ beta
+    xb = design.matrix @ beta
     snr = np.linalg.norm(xb) ** 2 / (32 * problem.sigma**2)
     assert snr == pytest.approx(1.0, rel=1e-9)
 
@@ -182,7 +215,7 @@ def test_synthesize_high_snr_limit():
     support = sample_support(64, 3, seed=1)
     beta = make_signal(64, support, spec, seed=2)
     problem = synthesize(design, beta, support, snr=1e12, seed=3)
-    xb = design.matrix.values @ beta
+    xb = design.matrix @ beta
     assert np.linalg.norm(problem.noise) / np.linalg.norm(xb) <= 1e-4
 
 

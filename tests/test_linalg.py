@@ -11,33 +11,11 @@ from rrselect.errors import (
     ValidationError,
 )
 from rrselect.linalg import (
-    DenseMatrix,
     OrthoBasisState,
     load_matrix_csv,
     load_vector_csv,
     save_matrix_csv,
 )
-
-
-def test_dense_matrix_validates_shape_and_finiteness():
-    m = DenseMatrix([[1.0, 2.0], [3.0, 4.0]])
-    assert (m.rows, m.cols) == (2, 2)
-    assert m.values.flags.f_contiguous
-    with pytest.raises(DimensionMismatchError):
-        DenseMatrix([1.0, 2.0, 3.0])
-    with pytest.raises(ValidationError):
-        DenseMatrix([[1.0, np.nan]])
-    with pytest.raises(ValidationError):
-        DenseMatrix([[np.inf, 0.0]])
-
-
-def test_dense_matrix_column_access():
-    m = DenseMatrix(np.arange(6.0).reshape(2, 3))
-    assert np.array_equal(m.column(1), [1.0, 4.0])
-    with pytest.raises(IndexError):
-        m.column(3)
-    with pytest.raises(IndexError):
-        m.column(-1)
 
 
 def test_basis_needs_an_ambient_dimension():
@@ -46,7 +24,7 @@ def test_basis_needs_an_ambient_dimension():
 
 
 def test_append_unit_vector():
-    m = DenseMatrix(np.eye(3))
+    m = np.eye(3)
     state = OrthoBasisState(3)
     state.append(m, 0)
     assert np.array_equal(state.orthonormal_basis[:, 0], [1.0, 0.0, 0.0])
@@ -54,7 +32,7 @@ def test_append_unit_vector():
 
 
 def test_append_orthogonal_columns_gives_identity_r():
-    m = DenseMatrix(np.eye(3))
+    m = np.eye(3)
     state = OrthoBasisState(3)
     state.append(m, 0)
     state.append(m, 1)
@@ -66,7 +44,7 @@ def test_append_hand_gram_schmidt_case():
     # Q = [(1,0)], new column (1,1)/sqrt(2): second basis vector is (0,1) and
     # R = [[1, 1/sqrt(2)], [0, 1/sqrt(2)]].
     s = 1.0 / math.sqrt(2.0)
-    m = DenseMatrix(np.array([[1.0, s], [0.0, s]]))
+    m = np.array([[1.0, s], [0.0, s]])
     state = OrthoBasisState(2)
     state.append(m, 0)
     state.append(m, 1)
@@ -75,7 +53,7 @@ def test_append_hand_gram_schmidt_case():
 
 
 def test_append_rejects_dependent_and_duplicate_columns():
-    m = DenseMatrix(np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0]]))
+    m = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
     state = OrthoBasisState(2)
     state.append(m, 0)
     with pytest.raises(RankDeficientError):
@@ -88,18 +66,29 @@ def test_append_rejects_dependent_and_duplicate_columns():
         state2.append(m, 7)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_append_rejects_a_non_finite_column(bad):
+    # The array is taken as given, so the column is checked where it is read.
+    m = np.array([[1.0, 0.0], [0.0, bad]])
+    state = OrthoBasisState(2)
+    state.append(m, 0)
+    with pytest.raises(ValidationError, match="column 1 has a non-finite entry"):
+        state.append(m, 1)
+    assert state.size == 1
+
+
 def test_project_out_examples():
     state = OrthoBasisState(3)
     y = np.array([1.0, 2.0, 3.0])
     assert np.array_equal(state.project_out(y), y)  # empty basis: projector is 0
 
-    m = DenseMatrix(np.eye(2))
+    m = np.eye(2)
     state = OrthoBasisState(2)
     state.append(m, 0)
     assert np.allclose(state.project_out(np.array([5.0, 7.0])), [0.0, 7.0])
 
     s = 1.0 / math.sqrt(2.0)
-    diag = DenseMatrix(np.array([[s], [s]]))
+    diag = np.array([[s], [s]])
     state = OrthoBasisState(2)
     state.append(diag, 0)
     assert np.allclose(state.project_out(np.array([2.0, 0.0])), [1.0, -1.0])
@@ -112,7 +101,7 @@ def test_project_out_dimension_check():
 
 
 def test_least_squares_examples():
-    m = DenseMatrix(np.eye(3))
+    m = np.eye(3)
     state = OrthoBasisState(3)
     state.append(m, 1)
     assert np.allclose(state.least_squares_coeffs(np.array([0.0, 4.0, 0.0])), [4.0])
@@ -121,11 +110,11 @@ def test_least_squares_examples():
     state = OrthoBasisState(3)
     state.append(m, 0)
     state.append(m, 2)
-    y = 3.0 * m.column(0) - 1.0 * m.column(2)
+    y = 3.0 * m[:, 0] - 1.0 * m[:, 2]
     assert np.allclose(state.least_squares_coeffs(y), [3.0, -1.0])
 
     # columns (1,0), (1,1), y = (3,2): solve the 2x2 system by hand -> (1, 2)
-    m2 = DenseMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    m2 = np.array([[1.0, 1.0], [0.0, 1.0]])
     state = OrthoBasisState(2)
     state.append(m2, 0)
     state.append(m2, 1)
@@ -136,7 +125,7 @@ def test_least_squares_errors():
     state = OrthoBasisState(2)
     with pytest.raises(EmptyBasisError):
         state.least_squares_coeffs(np.zeros(2))
-    state.append(DenseMatrix(np.eye(2)), 0)
+    state.append(np.eye(2), 0)
     with pytest.raises(DimensionMismatchError):
         state.least_squares_coeffs(np.zeros(3))
 
@@ -146,21 +135,21 @@ def test_reconstruction_and_orthonormality_invariants():
     for trial in range(20):
         n = int(rng.integers(4, 17))
         k = int(rng.integers(1, min(n, 8) + 1))
-        m = DenseMatrix(rng.normal(size=(n, k + 2)))
+        m = rng.normal(size=(n, k + 2))
         state = OrthoBasisState(n)
         for j in range(k):
             state.append(m, j)
         q = state.orthonormal_basis
         assert np.max(np.abs(q.T @ q - np.eye(k))) < 1e-10
         recon = q @ state.triangular_factor
-        cols = m.values[:, :k]
+        cols = m[:, :k]
         assert np.max(np.abs(recon - cols)) < 1e-10 * max(1.0, np.max(np.abs(cols)))
         assert np.all(np.diag(state.triangular_factor) > 0)
 
 
 def test_monotone_residual_and_idempotence():
     rng = np.random.default_rng(11)
-    m = DenseMatrix(rng.normal(size=(12, 6)))
+    m = rng.normal(size=(12, 6))
     y = rng.normal(size=12)
     state = OrthoBasisState(12)
     prev = np.linalg.norm(y)
@@ -181,12 +170,12 @@ def test_incremental_matches_normal_equations_oracle():
     for trial in range(30):
         n = int(rng.integers(3, 17))
         k_tot = int(rng.integers(1, min(n, 8) + 1))
-        m = DenseMatrix(rng.normal(size=(n, k_tot)))
+        m = rng.normal(size=(n, k_tot))
         y = rng.normal(size=n)
         state = OrthoBasisState(n)
         for k in range(1, k_tot + 1):
             state.append(m, k - 1)
-            xs = m.values[:, :k]
+            xs = m[:, :k]
             coef = np.linalg.solve(xs.T @ xs, xs.T @ y)
             r_oracle = y - xs @ coef
             r = state.project_out(y)
@@ -195,23 +184,23 @@ def test_incremental_matches_normal_equations_oracle():
 
 def test_least_squares_reconstructs_observation():
     rng = np.random.default_rng(5)
-    m = DenseMatrix(rng.normal(size=(10, 4)))
+    m = rng.normal(size=(10, 4))
     y = rng.normal(size=10)
     state = OrthoBasisState(10)
     for j in range(4):
         state.append(m, j)
     c = state.least_squares_coeffs(y)
-    recon = m.values[:, :4] @ c + state.project_out(y)
+    recon = m[:, :4] @ c + state.project_out(y)
     assert np.linalg.norm(recon - y) <= 1e-9 * np.linalg.norm(y)
 
 
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(9)
-    m = DenseMatrix(rng.normal(size=(5, 3)))
+    m = rng.normal(size=(5, 3))
     path = tmp_path / "m.csv"
     save_matrix_csv(path, m)
     back = load_matrix_csv(path)
-    assert np.array_equal(back.values, m.values)
+    assert np.array_equal(back, m)
 
     v = rng.normal(size=6)
     vpath = tmp_path / "v.csv"
@@ -221,14 +210,6 @@ def test_csv_round_trip(tmp_path):
     with pytest.raises(DimensionMismatchError):
         save_matrix_csv(vpath, rng.normal(size=(2, 2)))
         load_vector_csv(vpath)
-
-
-@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-def test_load_matrix_csv_rejects_non_finite_entries(tmp_path, bad):
-    mpath = tmp_path / "m.csv"
-    mpath.write_text(f"1.0,0.0\n{bad},1.0\n")
-    with pytest.raises(ValidationError, match="matrix entries must be finite"):
-        load_matrix_csv(mpath)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from rrselect.designs import DesignMatrix, make_gaussian, make_identity_hadamard, sylvester_hadamard
 from rrselect.errors import DimensionMismatchError, DomainError, ValidationError
-from rrselect.linalg import DenseMatrix
 from rrselect.omp import (
     RULES,
     SupportEstimate,
@@ -27,7 +26,7 @@ ETA_SCALE_001_01 = 1.5848931924611134852  # 0.01 ** -0.1
 
 
 def _wrap(array, unit=False):
-    return DesignMatrix(DenseMatrix(array), "external", unit)
+    return DesignMatrix(array, "external", unit)
 
 
 def naive_greedy_path(x, y, k_max, rule="omp"):
@@ -173,7 +172,7 @@ def test_residual_norms_nonincreasing_and_corr_recorded():
     path = solution_path(design, y, 8)
     assert np.all(np.diff(path.residual_norms) <= 0.0)
     assert len(path.residual_corr_inf) == path.K + 1
-    x = design.matrix.values
+    x = design.matrix
     assert path.residual_corr_inf[0] == pytest.approx(np.max(np.abs(x.T @ y)), rel=1e-12)
 
 
@@ -269,7 +268,7 @@ def test_hsc_level_of_a_zero_constant_is_zero():
 def test_stop_rules_scan_semantics():
     design = make_identity_hadamard(32)
     rng = np.random.default_rng(5)
-    y = design.matrix.values @ (np.eye(64)[:, 7] * 4.0) + rng.normal(0, 1e-9, 32)
+    y = design.matrix @ (np.eye(64)[:, 7] * 4.0) + rng.normal(0, 1e-9, 32)
     path = solution_path(design, y, 16)
 
     huge = stop_rpsc(path, sigma=1e6)
@@ -279,7 +278,7 @@ def test_stop_rules_scan_semantics():
     assert tiny == SupportEstimate(path.K, "exhausted")
 
     # noiseless-style path: first k with zero residual is k0 = 1
-    exact = solution_path(design, design.matrix.values @ (np.eye(64)[:, 7] * 4.0), 16)
+    exact = solution_path(design, design.matrix @ (np.eye(64)[:, 7] * 4.0), 16)
     small_sigma = stop_rpsc(exact, sigma=1e-200)
     assert small_sigma.k_selected == 1 and exact.support_at(1) == {7}
 
@@ -361,7 +360,7 @@ def test_path_is_equivariant_under_column_permutation(seed, n, extra, rule, norm
     # of X maps each selection through the permutation; the selected columns
     # are the same vectors in the same order, so every residual is the same.
     design = make_gaussian(n, n + extra, seed, normalize)
-    x = design.matrix.values
+    x = design.matrix
     rng = np.random.default_rng(seed + 1)
     perm = rng.permutation(x.shape[1])
     y = rng.normal(size=n)

@@ -17,7 +17,6 @@ from rrselect.designs import (
     synthesize,
 )
 from rrselect.errors import DomainError, EmptyPathError
-from rrselect.linalg import DenseMatrix
 from rrselect.omp import RULES, SolutionPath, solution_path
 from rrselect.selectors import (
     ResidualRatios,
@@ -183,6 +182,15 @@ def test_rrt_select_checks_its_arguments_without_ratios():
     ):
         with pytest.raises(DomainError):
             rrt_select(_ratios(values, n, p, k_max), alpha)
+
+
+def test_rrt_select_rejects_a_level_denominator_past_the_doubles():
+    # k_max p = 3 * 10^400 is no double: the level of step 1 does not exist,
+    # whether or not the scan would reach it.
+    for values in ([], [0.5], [0.5, 0.0, 1e-300]):
+        with pytest.raises(DomainError, match="past the double range"):
+            rrt_select(_ratios(values, 32, 10**400, 3), 0.1)
+    assert rrt_select(_ratios([0.5, 0.0, 1e-300], 32, 10**300, 3), 0.1) == 3
 
 
 @pytest.mark.parametrize("values", [[math.nan, 0.5], [0.5, math.nan], [1.5, -0.2], [0.5] * 5])
@@ -392,7 +400,7 @@ def test_ratios_carry_the_problem_size_of_their_path(rule):
     # column 0, and OMP's next pick is the duplicate, which stops the path
     # after one step. OLS masks the duplicate and runs to k_max.
     x = np.hstack([np.eye(4)[:, :1], np.eye(4)])
-    design = DesignMatrix(DenseMatrix(x), "external", True)
+    design = DesignMatrix(x, "external", True)
     path = solution_path(design, np.eye(4)[:, 0] * 2.0, 3, rule)
     assert path.K == len(path.selected) == (1 if rule == "omp" else 3)
     assert path.status == ("rank_deficient" if rule == "omp" else "complete")
@@ -444,7 +452,7 @@ def test_zero_observation_selects_nothing():
     assert rrta_select(rr, RrtaParams(0.1, 2.0)) is None
     assert path.estimate(rrm_select(rr)).status == "empty_selection"
     # A perfect fit after one step is not a zero observation.
-    fitted = residual_ratios(solution_path(design, design.matrix.values[:, 7].copy(), 16))
+    fitted = residual_ratios(solution_path(design, design.matrix[:, 7].copy(), 16))
     assert not fitted.zero_observation
     assert rrm_select(fitted) == 1
 
@@ -460,7 +468,7 @@ def test_rrm_finds_exact_recovery_step():
     design = make_identity_hadamard(32)
     beta = np.zeros(64)
     beta[[3, 40]] = 1.0
-    y = design.matrix.values @ beta
+    y = design.matrix @ beta
     path = solution_path(design, y, 16)
     rr = residual_ratios(path)
     assert rrm_select(rr) == 2  # RR(k0) = 0 at the exact-recovery step
@@ -500,7 +508,7 @@ def test_rrta_select_noiseless_path():
     design = make_identity_hadamard(32)
     beta = np.zeros(64)
     beta[[5, 17, 50]] = [1.0, -1.0, 1.0]
-    y = design.matrix.values @ beta
+    y = design.matrix @ beta
     path = solution_path(design, y, 16)
     rr = residual_ratios(path)
     assert rrm_select(rr) == 3

@@ -219,7 +219,7 @@ def test_gaussian_redraw_gives_fresh_matrices_per_trial():
     ]
     m0 = make_gaussian(16, 24, seeds[0])
     m1 = make_gaussian(16, 24, seeds[1])
-    assert not np.array_equal(m0.matrix.values, m1.matrix.values)
+    assert not np.array_equal(m0.matrix, m1.matrix)
 
     fixed = dataclasses.replace(config, regenerate_matrix_per_trial=False)
     assert not fixed.regenerate_matrix
@@ -270,14 +270,6 @@ def test_config_validation_errors():
     _config().validate()
 
 
-def _unchecked_signal(k0):
-    """A SignalSpec whose k0 was set past its own type check, which
-    ExperimentConfig.validate must still catch."""
-    spec = SignalSpec(k0=3)
-    object.__setattr__(spec, "k0", k0)
-    return spec
-
-
 @pytest.mark.parametrize(
     "overrides, field",
     [
@@ -291,8 +283,8 @@ def _unchecked_signal(k0):
         ({"design": DesignSpec(kind="identity_hadamard", n=32.0, p=64)}, "design.n"),
         ({"design": DesignSpec(kind="identity_hadamard", n=32, p=True)}, "design.p"),
         ({"design": DesignSpec(kind="gaussian", n=32, p=64, seed=1.5)}, "design.seed"),
-        ({"signal": _unchecked_signal(k0=3.0)}, "signal.k0"),
-        ({"signal": _unchecked_signal(k0=True)}, "signal.k0"),
+        ({"snr_db_list": (True,)}, "snr_db[0]"),
+        ({"design": DesignSpec(kind="gaussian", n=32, p=64, seed=True)}, "design.seed"),
         ({"snr_db_list": (20.0, math.nan)}, "snr_db[1]"),
         ({"snr_db_list": (math.inf,)}, "snr_db[0]"),
         ({"snr_db_list": (-math.inf,)}, "snr_db[0]"),

@@ -271,6 +271,30 @@ def test_rrt_level_is_the_level_of_the_threshold():
         rrt_level(32, 64, 16, 0.1, 17)
 
 
+# The smallest int float() cannot take: it lies halfway between the largest
+# double, 2^1024 - 2^971, and 2^1024, and rounds to even, past the doubles.
+FIRST_INT_PAST_DOUBLES = 2**1024 - 2**970
+
+
+def test_a_level_denominator_past_the_doubles_is_a_domain_error():
+    # k_max p, the denominator of step 1, is past the doubles: a DomainError
+    # at every step, not the OverflowError of int-to-float conversion.
+    for args in ((10, 10**400, 5, 0.1, 1), (10, 10**400, 5, 0.1, 5), (3, FIRST_INT_PAST_DOUBLES, 1, 0.5, 1)):
+        with pytest.raises(DomainError, match="past the double range"):
+            rrt_level(*args)
+    with pytest.raises(DomainError, match="past the double range"):
+        rrt_threshold(10**9, 10**300, 10**9 - 1, 1e-300, 1)
+    with pytest.raises(DomainError, match="past the double range"):
+        build_threshold_table(10, 10**400, 5, 0.1)
+    # Below the limit the level is the quotient by the denominator's double,
+    # as before the check.
+    p = FIRST_INT_PAST_DOUBLES - 1
+    assert float(p) == sys.float_info.max
+    assert rrt_level(3, p, 1, 0.5, 1) == 0.5 / sys.float_info.max
+    assert rrt_level(10, 10**300, 5, 0.1, 3) == 0.1 / float(5 * (10**300 - 2))
+    assert rrt_threshold(10, 10**300, 5, 0.1, 1) > 0.0
+
+
 @pytest.mark.parametrize("a", [0.5, 8.0, 15.5])
 def test_inverse_level_relative_error_against_mpmath(a):
     # The level reached by the returned quantile, I_x(a, 1/2) evaluated in

@@ -131,9 +131,9 @@ def test_generator_draws_equal_numpys():
     geometric = SignalSpec(k0=3, kind="geometric")
     for seed in EDGE_SEEDS + _trial_seeds(500, 4):
         expected = np.random.default_rng(seed).normal(0.0, 1.0 / np.sqrt(32), size=(32, 64))
-        assert np.array_equal(make_gaussian(32, 64, Stream.of(seed)).matrix.values, expected)
+        assert np.array_equal(make_gaussian(32, 64, Stream.of(seed)).matrix, expected)
         noise = synthesize(design, beta, (3, 40), 10.0, Stream.of(seed)).noise
-        sigma = np.linalg.norm(design.matrix.values @ beta) / np.sqrt(32 * 10.0)
+        sigma = np.linalg.norm(design.matrix @ beta) / np.sqrt(32 * 10.0)
         assert np.array_equal(noise, np.random.default_rng(seed).normal(0.0, sigma, size=32))
         values = np.random.default_rng(seed).permutation(geometric.ratio ** np.arange(3))
         assert np.array_equal(make_signal(64, (1, 2, 9), geometric, Stream.of(seed))[[1, 2, 9]], values)
@@ -168,7 +168,7 @@ def test_threads_each_draw_their_own_streams():
     def draw():
         for _ in range(5):
             for seed in seeds:
-                if not np.array_equal(make_gaussian(8, 8, Stream.of(seed)).matrix.values, expected[seed]):
+                if not np.array_equal(make_gaussian(8, 8, Stream.of(seed)).matrix, expected[seed]):
                     errors.append(seed)
 
     interval = sys.getswitchinterval()
