@@ -5,7 +5,7 @@ concatenation [I_n, H_n/sqrt(n)] and i.i.d. Gaussian entries N(0, 1/n).
 
 Every random draw takes a `seed`: an int stands for the stream of
 np.random.default_rng(seed), a streams.Stream for a stream prepared by the
-caller (a sweep seeds its trials' streams a block at a time).
+caller (a sweep seeds its trials' streams a job at a time).
 """
 from __future__ import annotations
 
@@ -22,8 +22,8 @@ from .streams import Stream
 DESIGN_KINDS = ("identity_hadamard", "gaussian", "external")
 SIGNAL_KINDS = ("pm_one", "geometric")
 
-# The +-1 values of a pm_one signal, indexed by a uniform draw from {0, 1}:
-# the draw Generator.choice([-1.0, 1.0], size) makes, without its set-up.
+# The +-1 values of a pm_one signal, indexed by Generator.integers(0, 2, k0):
+# the draw Generator.choice([-1.0, 1.0], k0) makes, without its set-up.
 _PM_ONE = np.array([-1.0, 1.0])
 
 
@@ -144,7 +144,7 @@ def sample_support(p: int, k0: int, seed: int | Stream) -> tuple[int, ...]:
     draw Generator.choice(p, k0, replace=False) makes."""
     if not 1 <= k0 <= p:
         raise ValidationError(f"k0 must lie in [1, p={p}], got {k0}")
-    return tuple(Stream.of(seed).support(p, k0))
+    return tuple(sorted(Stream.of(seed).generator().choice(p, k0, replace=False).tolist()))
 
 
 def make_signal(p: int, support, spec: SignalSpec, seed: int | Stream) -> np.ndarray:
@@ -156,13 +156,12 @@ def make_signal(p: int, support, spec: SignalSpec, seed: int | Stream) -> np.nda
         raise ValidationError(f"support indices must lie in [0, {p})")
     if len(support) != spec.k0:
         raise ValidationError(f"support size {len(support)} != spec k0 {spec.k0}")
-    stream = Stream.of(seed)
+    gen = Stream.of(seed).generator()
     beta = np.zeros(p)
     if spec.kind == "pm_one":
-        beta[list(support)] = _PM_ONE[stream.bits(spec.k0)]
+        beta[list(support)] = _PM_ONE[gen.integers(0, 2, spec.k0)]
     else:
-        values = spec.ratio ** np.arange(spec.k0)
-        beta[list(support)] = stream.generator().permutation(values)
+        beta[list(support)] = gen.permutation(spec.ratio ** np.arange(spec.k0))
     return beta
 
 

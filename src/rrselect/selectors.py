@@ -73,22 +73,14 @@ class ResidualRatios:
         once per path."""
         return special.half_beta_log_cdf_bounds(self.n, self.values.tolist())
 
-    @cached_property
-    def _cdf_memo(self) -> dict[int, float]:
-        return {}
-
     def cdf(self, k: int) -> float:
-        """c(k) = I_{RR(k)^2}((n-k)/2, 1/2), computed once per step: every
-        rrt/rrta level applied to the path shares it."""
+        """c(k) = I_{RR(k)^2}((n-k)/2, 1/2)."""
         if not 1 <= k <= len(self.values):
             raise DomainError(f"k={k} outside [1, K={len(self.values)}]")
-        memo = self._cdf_memo
-        if k not in memo:
-            # special.beta_cdf is looked up at call time, so a wrapper
-            # installed on it (a call counter) sees every evaluation whose
-            # square is a normal double.
-            memo[k] = special.beta_cdf_of_square((self.n - k) / 2.0, 0.5, float(self.values[k - 1]))
-        return memo[k]
+        # special.beta_cdf is looked up at call time, so a wrapper installed
+        # on it (a call counter) sees every evaluation whose square is a
+        # normal double.
+        return special.beta_cdf_of_square((self.n - k) / 2.0, 0.5, float(self.values[k - 1]))
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,8 @@ from .selectors import RrtaParams, prefix_hits, residual_ratios, rrm_select, rrt
 from .streams import Stream, pcg64_states
 
 _MASK64 = (1 << 64) - 1
-# Trials whose streams _count_block seeds in one pass.
+# Most trials in one job: _count_block seeds its job's streams in one pass,
+# so this bounds the streams held at once.
 _SEED_CHUNK = 1024
 
 # The open interval each AlgorithmSpec parameter must lie in: the domains the
@@ -374,9 +375,9 @@ def run_trial(
 
     streams, if given, must be trial_streams' for this trial: a caller that
     seeds a block of trials at once passes them, and without them the trial
-    seeds its own. The draws leave the given streams where they were, so the
-    same streams draw the same data on every call and the record depends
-    only on (config, snr_db, trial_index).
+    seeds its own. A Stream is a value no draw moves, so the same streams
+    draw the same data on every call and the record depends only on
+    (config, snr_db, trial_index).
 
     Selectors (rrt/rrm/rrta) see only the path; known-sigma rules receive the
     trial's true sigma and fixed_k0 the true sparsity, as oracles by design.
@@ -417,13 +418,10 @@ def _count_block(args) -> Counter:
     config, matrix, snr_db, start, stop = args
     snr_index = config.snr_db_list.index(snr_db)
     counts = Counter()
-    # Seeding _SEED_CHUNK trials at a time bounds the streams held at once.
-    for chunk in range(start, stop, _SEED_CHUNK):
-        end = min(chunk + _SEED_CHUNK, stop)
-        for trial_index, trial in enumerate(trial_streams(config, snr_index, chunk, end), start=chunk):
-            for label, outcome in run_trial(config, matrix, snr_db, trial_index, trial).outcomes.items():
-                counts[snr_db, label, "pe"] += not outcome.exact
-                counts[snr_db, label, "pfd"] += outcome.false_discovery
+    for trial_index, trial in enumerate(trial_streams(config, snr_index, start, stop), start=start):
+        for label, outcome in run_trial(config, matrix, snr_db, trial_index, trial).outcomes.items():
+            counts[snr_db, label, "pe"] += not outcome.exact
+            counts[snr_db, label, "pfd"] += outcome.false_discovery
     return counts
 
 
@@ -435,22 +433,22 @@ def _binomial_stderr(successes: int, trials: int) -> float:
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     """Full sweep over the configured SNR points.
 
-    Every trial block of the sweep (one per SNR point on 1 worker, else up to
-    4 per worker) goes through one ordered map, in one process pool when
-    workers > 1. Trials are independent and seed-determined, so any worker
-    count produces the identical SweepResult.
+    Each SNR point's trials are split once into jobs of at most
+    min(_SEED_CHUNK, ceil(trials / workers)) trials, and every job goes
+    through one ordered map, in one process pool when workers > 1. Trials are
+    independent and seed-determined, so any worker count produces the
+    identical SweepResult.
     """
     config.validate()
     if workers < 1:
         raise ValidationError(f"workers: must be >= 1, got {workers}")
     matrix = None if config.regenerate_matrix else build_design(config.design)
     trials = config.trials
-    blocks = min(workers * 4, trials) if workers > 1 else 1
-    bounds = np.linspace(0, trials, blocks + 1, dtype=int).tolist()
+    size = min(_SEED_CHUNK, (trials + workers - 1) // workers)
     jobs = [
-        (config, matrix, snr_db, start, stop)
+        (config, matrix, snr_db, start, min(start + size, trials))
         for snr_db in config.snr_db_list
-        for start, stop in zip(bounds[:-1], bounds[1:])
+        for start in range(0, trials, size)
     ]
     if workers == 1:
         counts = sum(map(_count_block, jobs), Counter())

@@ -3,13 +3,10 @@
 `np.random.default_rng(seed)` is a PCG64 generator seeded through
 `SeedSequence(seed)`. `pcg64_states` reproduces that seeding for a whole
 block of 64-bit seeds: SeedSequence's hash runs as uint32 numpy arithmetic
-over the block, PCG64's set-seed step in Python ints. A `Stream` then steps
-PCG64 (O'Neill 2014: a 128-bit LCG step, then the XSL-RR output) in Python
-ints and draws the two small kinds a trial needs from its raw words: a
-support (`Generator.choice(p, k, replace=False)`) and fair bits
-(`Generator.integers(0, 2, size=k)`), both by numpy's bounded-integer method
-(Lemire 2019). Every other draw goes through a `Generator` that is reused by
-the thread and takes the stream's state first, so it is numpy's own draw.
+over the block, PCG64's set-seed step in Python ints. A `Stream` is the
+(state, inc) pair that seeding gives, and every draw from it goes through a
+`Generator` that is reused by the thread and takes the stream's state first,
+so every draw is numpy's own.
 
 The streams are numpy's, bit for bit, for the installed numpy. numpy does not
 promise that a stream stays the same across its versions (NEP 19); the tests
@@ -18,11 +15,11 @@ use the installed numpy as the oracle.
 from __future__ import annotations
 
 import threading
+from typing import NamedTuple
 
 import numpy as np
 
 _MASK32 = 0xFFFFFFFF
-_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 # PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -33,9 +30,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
-# Below this population size, or for few enough draws, Generator.choice
-# without replacement runs Floyd's algorithm; above it, a tail shuffle.
-_FLOYD_MAX_POP = 10000
 
 
 def _hash_constants(init: int, mult: int, count: int) -> list[tuple[np.uint32, np.uint32]]:
@@ -102,92 +96,34 @@ def pcg64_states(seeds) -> list[tuple[int, int]]:
 _local = threading.local()
 
 
-class Stream:
-    """One PCG64 stream: its 128-bit state and increment, and the high half
-    of a 64-bit word that numpy keeps for the next 32-bit draw
-    (`has_uint32`/`uinteger`), or None."""
+class Stream(NamedTuple):
+    """One PCG64 stream: the 128-bit state and increment PCG64 starts from.
+    No draw moves it, so the same Stream draws the same values every time."""
 
-    __slots__ = ("state", "inc", "half")
-
-    def __init__(self, state: int, inc: int, half: int | None = None) -> None:
-        self.state = state
-        self.inc = inc
-        self.half = half
+    state: int
+    inc: int
 
     @classmethod
     def of(cls, seed: int | Stream) -> Stream:
-        """A new Stream at `seed`'s position if it is a Stream, so drawing
-        from it leaves `seed` where it was, as an int seed would; else the
-        stream of `np.random.default_rng(seed)` for an int seed, which
+        """`seed` itself if it is a Stream, else the stream of
+        `np.random.default_rng(seed)` for an int seed, which
         `np.random.PCG64(seed)` checks as default_rng does."""
         if isinstance(seed, Stream):
-            return cls(seed.state, seed.inc, seed.half)
+            return seed
         state = np.random.PCG64(seed).state["state"]
         return cls(state["state"], state["inc"])
 
-    def next64(self) -> int:
-        """The next 64-bit word: step the LCG, then output XSL-RR of the new state."""
-        self.state = state = (self.state * _PCG_MULT + self.inc) & _MASK128
-        x = ((state >> 64) ^ state) & _MASK64
-        rot = state >> 122
-        return ((x >> rot) | (x << (64 - rot))) & _MASK64
-
-    def next32(self) -> int:
-        """The next 32-bit word: the low half of a new 64-bit word, whose
-        high half is kept for the call after."""
-        half = self.half
-        if half is not None:
-            self.half = None
-            return half
-        word = self.next64()
-        self.half = word >> 32
-        return word & _MASK32
-
-    def bounded(self, j: int) -> int:
-        """Uniform on {0, ..., j} for 0 <= j < 2**32 - 1: numpy's 32-bit
-        Lemire draw, rejections included; j = 0 draws nothing."""
-        if j == 0:
-            return 0
-        span = j + 1
-        m = self.next32() * span
-        if m & _MASK32 < span:
-            threshold = (_MASK32 - j) % span
-            while m & _MASK32 < threshold:
-                m = self.next32() * span
-        return m >> 32
-
-    def bits(self, k: int) -> list[int]:
-        """`Generator.integers(0, 2, size=k)`."""
-        return [self.bounded(1) for _ in range(k)]
-
-    def support(self, p: int, k: int) -> list[int]:
-        """`Generator.choice(p, k, replace=False)`, sorted, for 1 <= k <= p.
-
-        Where numpy runs Floyd's algorithm, draw t in [0, j] for
-        j = p-k, ..., p-1 and keep t, or j when t is already kept; numpy's
-        final shuffle of the picks only reorders them. numpy's tail-shuffle
-        branch (and a population past the 32-bit draws) goes through the
-        Generator.
-        """
-        if p - 1 >= _MASK32 or (p > _FLOYD_MAX_POP and k > p // 50):
-            return sorted(self.generator().choice(p, k, replace=False).tolist())
-        picked: set[int] = set()
-        for j in range(p - k, p):
-            t = self.bounded(j)
-            picked.add(j if t in picked else t)
-        return sorted(picked)
-
     def generator(self) -> np.random.Generator:
-        """The thread's reused Generator, set to continue this stream. Its
-        draws do not advance this Stream, and it serves one stream at a
-        time: the next call to generator() in the thread resets it."""
+        """The thread's reused Generator, set to this stream's start. It
+        serves one stream at a time: the next call to generator() in the
+        thread resets it."""
         gen = getattr(_local, "generator", None)
         if gen is None:
             gen = _local.generator = np.random.Generator(np.random.PCG64(0))
         gen.bit_generator.state = {
             "bit_generator": "PCG64",
             "state": {"state": self.state, "inc": self.inc},
-            "has_uint32": int(self.half is not None),
-            "uinteger": self.half or 0,
+            "has_uint32": 0,
+            "uinteger": 0,
         }
         return gen

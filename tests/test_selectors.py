@@ -117,27 +117,19 @@ def test_rrt_select_examples():
         rrt_select(_ratios([0.5]), 1.0)
 
 
-def test_cdf_vector_is_the_beta_cdf_of_each_squared_ratio_and_memoized(monkeypatch):
-    from rrselect import special
-
+def test_cdf_is_the_beta_cdf_of_each_squared_ratio():
     rr = _ratios([0.9, 0.0, 1.0])
     assert [rr.cdf(k) for k in (1, 2, 3)] == [beta_cdf(15.5, 0.5, 0.81), 0.0, 1.0]
-    # Each step's value is computed once, whichever level reads it next.
-    calls = []
-    original = special.beta_cdf
-    monkeypatch.setattr(special, "beta_cdf", lambda a, b, x: calls.append(a) or original(a, b, x))
-    assert [rr.cdf(k) for k in (3, 2, 1)] == [1.0, 0.0, beta_cdf(15.5, 0.5, 0.81)]
-    assert calls == []
     # The values are the ratios' own: ratios of another size have their own.
-    expected = original(7.5, 0.5, 0.25)
-    assert _ratios([0.5], n=16).cdf(1) == expected
-    assert calls == [7.5]
+    assert _ratios([0.5], n=16).cdf(1) == beta_cdf(7.5, 0.5, 0.25)
     for k in (0, 4):
         with pytest.raises(DomainError):
             rr.cdf(k)
 
 
-def test_settled_steps_hold_a_lower_bound_above_every_level():
+def test_settled_steps_hold_a_lower_bound_above_every_level(monkeypatch):
+    from rrselect import special
+
     # RR = 0.99 at n = 32, p = 64, k_max = 16: c(k) lies far above
     # z_sup(k) = 1/(k_max (p-k+1)), and so does its lower bound; RR = 0.3
     # puts an upper bound of c(2) far below the levels of alpha >= 1e-6.
@@ -154,9 +146,12 @@ def test_settled_steps_hold_a_lower_bound_above_every_level():
     for i in (0, 2):
         assert lows[i] > math.log(1.0 / (k_max * (p - i))) + 1e-9
     assert highs[1] < math.log(rrt_level(n, p, k_max, 1e-6, 2)) - 1e-9
+    calls = []
+    original = special.beta_cdf_of_square
+    monkeypatch.setattr(special, "beta_cdf_of_square", lambda a, b, r: calls.append(a) or original(a, b, r))
     for alpha in (1.0 - 1e-12, 0.1, 1e-6):
         assert rrt_select(ratios, alpha) == 2
-    assert ratios._cdf_memo == {}
+    assert calls == []
 
 
 def test_rrt_select_rejects_more_ratios_than_steps():

@@ -387,10 +387,10 @@ def test_run_trial_computes_residual_ratios_once_per_path(monkeypatch):
 def test_run_trial_builds_the_cdf_vector_once_per_path_and_only_for_rrt(monkeypatch, algorithms, builds):
     from rrselect import selectors, simulate, special
 
-    # Exactly one beta_cdf call per path and per step that some rrt or rrta
-    # scan reaches without its bounds deciding it (the value is memoized on
-    # the path's ratios, and no ratio's square underflows at 5 dB); none for
-    # rrm or fixed_k0. Trials 1, 4 and 25 at 5 dB hold such steps.
+    # Exactly one beta_cdf call per rrt or rrta scan and per step that the
+    # scan reaches without its bounds deciding it (no ratio's square
+    # underflows at 5 dB); none for rrm or fixed_k0. Trials 1, 4 and 25 at
+    # 5 dB hold such steps.
     calls, paths = [], []
     original, original_ratios = special.beta_cdf, simulate.residual_ratios
     monkeypatch.setattr(special, "beta_cdf", lambda a, b, x: calls.append(a) or original(a, b, x))
@@ -405,7 +405,7 @@ def test_run_trial_builds_the_cdf_vector_once_per_path_and_only_for_rrt(monkeypa
         expected = []
         for path in paths:
             ratios = selectors.residual_ratios(path)
-            undecided = set()
+            undecided = []
             for alpha in (0.1, 0.01, selectors.rrta_alpha(ratios, RrtaParams())):
                 for k in range(path.K, 0, -1):
                     a, rr = (32 - k) / 2.0, float(ratios.values[k - 1])
@@ -415,10 +415,10 @@ def test_run_trial_builds_the_cdf_vector_once_per_path_and_only_for_rrt(monkeypa
                         continue
                     if special.log_cdf_of_square_ceiling(a, 0.5, rr) < ln_z - 1e-9:
                         break
-                    undecided.add(a)
+                    undecided.append(a)
                     if special.beta_cdf_of_square(a, 0.5, rr) < z:
                         break
-            expected += sorted(undecided) * builds
+            expected += undecided * builds
         assert made == sorted(expected)
         undecided_steps += len(expected)
     assert undecided_steps >= 3 or builds == 0

@@ -46,6 +46,46 @@ def test_log_beta_symmetry_and_domain():
         log_beta_fn(1.0, -2.0)
 
 
+def _mp_log_beta(mp, a: float, b: float) -> float:
+    """ln B(a, b) by mpmath at 60 + log10(max(a, b)) digits: ln Gamma of a
+    large argument carries that many digits before the difference cancels
+    (at 40 digits loggamma(1e300) cancels to nothing)."""
+    with mp.workdps(60 + int(math.log10(max(a, b)))):
+        a, b = mp.mpf(a), mp.mpf(b)
+        return float(mp.loggamma(a) + mp.loggamma(b) - mp.loggamma(a + b))
+
+
+@pytest.mark.parametrize("b", [0.5, 1.0, 2.5, 7.0, 100.0, 1000.0])
+def test_log_beta_of_a_large_argument_against_mpmath(b):
+    # The sum lgamma(a) + lgamma(b) - lgamma(a + b) is 2.7e-13 off at a = 1e3
+    # and b = 1/2, 4% off at 1e15, and reads lgamma(1/2) = 0.57 at 1e17,
+    # where the value is about -19.
+    mp = pytest.importorskip("mpmath")
+    for e in (2, 3, 6, 9, 15, 17, 30, 100, 300):
+        a = 10.0**e
+        expected = _mp_log_beta(mp, a, b)
+        assert log_beta_fn(a, b) == pytest.approx(expected, rel=4e-16, abs=0), (a, b)
+        assert log_beta_fn(b, a) == log_beta_fn(a, b)
+
+
+def test_log_beta_on_both_sides_of_the_stirling_cutoff():
+    mp = pytest.importorskip("mpmath")
+    # Up to max(a, b) = 64 the value is the lgamma sum, bit for bit, so every
+    # a = (n - k)/2 of an n <= 129 problem keeps its bits; the sum is good to
+    # 1e-13 there. Just past 64 the series takes over, to a few units in the
+    # last place, twice as many where both arguments are large and its terms
+    # cancel to a third.
+    for a in np.arange(0.5, 64.5, 0.5).tolist():
+        for b in (0.5, 64.0):
+            assert log_beta_fn(a, b) == math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    above = float(np.nextafter(64.0, 65.0))
+    for b, rel_above in ((1e-3, 4e-16), (0.5, 4e-16), (1.0, 4e-16), (7.0, 4e-16), (63.5, 1e-15), (64.0, 1e-15)):
+        for a, rel in ((63.0, 1e-13), (64.0, 1e-13), (above, rel_above), (65.0, rel_above), (100.0, rel_above)):
+            expected = _mp_log_beta(mp, a, b)
+            assert log_beta_fn(a, b) == pytest.approx(expected, rel=rel, abs=0), (a, b)
+            assert log_beta_fn(b, a) == log_beta_fn(a, b)
+
+
 def test_beta_cdf_trivial_and_frozen_values():
     assert beta_cdf(1.0, 1.0, 0.3) == pytest.approx(0.3, abs=1e-14)
     assert beta_cdf(0.5, 0.5, 0.5) == pytest.approx(0.5, abs=1e-13)

@@ -20,6 +20,7 @@ from rrselect.simulate import (
     _splitmix64_array,
     build_design,
     derive_trial_seed,
+    run_sweep,
     run_trial,
     trial_streams,
 )
@@ -35,12 +36,6 @@ def _trial_seeds(count: int, tag: int) -> list[int]:
     return _splitmix64_array(_derive_trial_seeds(7, 0, 0, count) ^ np.uint64(tag)).tolist()
 
 
-def _generator(state: int, inc: int) -> np.random.Generator:
-    gen = np.random.Generator(np.random.PCG64(0))
-    gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
-    return gen
-
-
 def test_pcg64_states_equal_numpys_seeding():
     seeds = EDGE_SEEDS + list(range(2, 1000)) + _trial_seeds(MANY, 1)
     for seed, (state, inc) in zip(seeds, pcg64_states(seeds)):
@@ -49,14 +44,8 @@ def test_pcg64_states_equal_numpys_seeding():
     assert pcg64_states([]) == []
 
 
-def test_raw_words_equal_numpys():
-    for seed in EDGE_SEEDS + _trial_seeds(200, 1):
-        stream = Stream.of(seed)
-        assert [stream.next64() for _ in range(5)] == np.random.default_rng(seed).bit_generator.random_raw(5).tolist()
-
-
 # (p, k) shapes cycled over the seeds: the sweeps' 64 and 3, every k of a small
-# population (k = p draws nothing at j = 0), and Floyd's largest population.
+# population, and the largest population numpy samples by Floyd's algorithm.
 SHAPES = [(64, 3)] * 4 + [(5, k) for k in range(1, 6)] + [(32, 2), (200, 12), (10_000, 3)]
 
 
@@ -64,47 +53,15 @@ def test_support_equals_numpys_choice():
     for i, seed in enumerate(_trial_seeds(MANY, 1)):
         p, k = SHAPES[i % len(SHAPES)]
         expected = sorted(np.random.default_rng(seed).choice(p, k, replace=False).tolist())
-        assert Stream.of(seed).support(p, k) == expected, (seed, p, k)
+        assert list(sample_support(p, k, Stream.of(seed))) == expected, (seed, p, k)
 
 
 def test_signs_equal_numpys_integers():
+    # A drawn 0 is the sign -1 and a drawn 1 the sign +1.
     for i, seed in enumerate(_trial_seeds(MANY, 2)):
         k = 1 + i % 5
-        assert Stream.of(seed).bits(k) == np.random.default_rng(seed).integers(0, 2, size=k).tolist(), seed
-
-
-def _stream_whose_next_word_is(word: int, inc: int = 0x1234567 * 2 + 1) -> Stream:
-    """Invert the LCG step so the stream's next 64-bit output is `word`: a state
-    after the step of word itself has 0 in its top six bits (no rotation) and
-    0 in its high half, so XSL-RR outputs word."""
-    after = word
-    before = ((after - inc) * pow(0x2360ED051FC65DA44385DF649FCCF645, -1, 1 << 128)) % (1 << 128)
-    return Stream(before, inc)
-
-
-@pytest.mark.parametrize("j", [2, 2**31, 2**32 - 2])
-def test_lemire_rejection_equals_numpy(j):
-    # A zero word's two halves are rejected by every bound with 2**32 % (j+1) > 0.
-    stream = _stream_whose_next_word_is(0)
-    gen = _generator(stream.state, stream.inc)
-    start = stream.state
-    assert _stream_whose_next_word_is(0).next64() == 0
-    first = stream.bounded(j)
-    # Three 32-bit words went into the first draw: two rejected, one kept.
-    assert stream.half is not None
-    steps = start
-    for _ in range(2):
-        steps = (steps * 0x2360ED051FC65DA44385DF649FCCF645 + stream.inc) % (1 << 128)
-    assert stream.state == steps
-    drawn = [first] + [stream.bounded(j) for _ in range(5)]
-    assert drawn == gen.integers(0, j + 1, size=6).tolist()
-
-
-def test_support_after_a_rejection_equals_numpy():
-    # choice(5, 3) first draws from [0, 2], which rejects a zero word.
-    stream = _stream_whose_next_word_is(0)
-    expected = sorted(_generator(stream.state, stream.inc).choice(5, 3, replace=False).tolist())
-    assert stream.support(5, 3) == expected
+        signs = make_signal(8, range(k), SignalSpec(k0=k), Stream.of(seed))[:k]
+        assert signs.tolist() == (2 * np.random.default_rng(seed).integers(0, 2, size=k) - 1).tolist(), seed
 
 
 @pytest.mark.parametrize("p, k", [(10_001, 200), (10_001, 201), (20_000, 401), (12_000, 12_000)])
@@ -113,15 +70,7 @@ def test_floyd_and_tail_shuffle_branches_equal_numpy(p, k):
     # runs Floyd's algorithm below that.
     for seed in _trial_seeds(5, 1):
         expected = sorted(np.random.default_rng(seed).choice(p, k, replace=False).tolist())
-        assert Stream.of(seed).support(p, k) == expected
-
-
-def test_generator_continues_a_stream_mid_word():
-    for seed in EDGE_SEEDS + _trial_seeds(50, 3):
-        stream = Stream.of(seed)
-        head = stream.bits(1)  # keeps the high half of a word for the next 32-bit draw
-        rest = stream.generator().integers(0, 2, size=4).tolist()
-        assert head + rest == np.random.default_rng(seed).integers(0, 2, size=5).tolist()
+        assert list(sample_support(p, k, Stream.of(seed))) == expected
 
 
 def test_generator_draws_equal_numpys():
@@ -157,7 +106,7 @@ def test_a_stream_draws_the_same_on_every_call():
     for spec in (SignalSpec(k0=3), SignalSpec(k0=3, kind="geometric")):
         first = make_signal(64, (1, 5, 9), spec, stream)
         assert np.array_equal(make_signal(64, (1, 5, 9), spec, stream), first)
-    assert (stream.state, stream.inc, stream.half) == (Stream.of(12345).state, Stream.of(12345).inc, None)
+    assert (stream.state, stream.inc) == (Stream.of(12345).state, Stream.of(12345).inc)
 
 
 def test_threads_each_draw_their_own_streams():
@@ -205,7 +154,7 @@ def test_trial_streams_are_the_trials_seeds():
                     assert tag == 4 and not config.regenerate_matrix
                     continue
                 expected = np.random.PCG64(_splitmix64(seed ^ tag)).state["state"]
-                assert (stream.state, stream.inc, stream.half) == (expected["state"], expected["inc"], None)
+                assert (stream.state, stream.inc) == (expected["state"], expected["inc"])
 
 
 @pytest.mark.parametrize("name", ["fig1_hadamard", "fig2_gaussian"])
@@ -220,10 +169,37 @@ def test_run_trial_with_and_without_streams(name):
             assert record == run_trial(config, matrix, snr_db, t, streams[t])
 
 
-def test_block_counts_do_not_depend_on_the_seeding_chunk(monkeypatch):
-    config = figure_config("fig1_hadamard", 40, 5)
-    matrix = build_design(config.design)
-    job = (config, matrix, config.snr_db_list[4], 3, 40)
-    whole = _count_block(job)
-    monkeypatch.setattr(simulate, "_SEED_CHUNK", 8)
-    assert _count_block(job) == whole
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: maps in this process, starts none."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def test_sweep_rows_do_not_depend_on_the_seeding_chunk(monkeypatch):
+    # 13 trials per point, a prime: jobs of 5, 7 or 8 trials leave a short last one.
+    config = figure_config("fig1_hadamard", 13, 5)
+    whole = run_sweep(config).rows
+    jobs = []
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(simulate, "_count_block", lambda job: jobs.append(job[2:]) or _count_block(job))
+    for chunk in (1, 8, 1024):
+        monkeypatch.setattr(simulate, "_SEED_CHUNK", chunk)
+        for workers in (1, 2, 3):
+            jobs.clear()
+            assert run_sweep(config, workers).rows == whole, (chunk, workers)
+            size = min(chunk, -(-13 // workers))
+            for snr_db in config.snr_db_list:
+                # Each point's jobs cover [0, trials) once, in order, each at most `size` long.
+                spans = [(start, stop) for point, start, stop in jobs if point == snr_db]
+                assert [start for start, _ in spans] == list(range(0, 13, size)), (chunk, workers)
+                assert [stop for _, stop in spans] == [min(start + size, 13) for start, _ in spans]
