@@ -171,7 +171,7 @@ def synthesize(design: DesignMatrix, beta: np.ndarray, support, snr: float, seed
     sigma is derived from the realized ||X beta||, so the SNR identity holds
     exactly for this trial rather than on ensemble average.
     """
-    if snr <= 0.0:
+    if not snr > 0.0:
         raise ValidationError(f"snr must be positive, got {snr}")
     beta = np.asarray(beta, dtype=np.float64)
     support = frozenset(int(i) for i in support)

@@ -93,8 +93,8 @@ class RrtaParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.pfd_finite < 1.0:
             raise DomainError(f"pfd_finite must lie in (0,1), got {self.pfd_finite}")
-        if self.q <= 0.0:
-            raise DomainError(f"q must be positive, got {self.q}")
+        if not 0.0 < self.q < math.inf:
+            raise DomainError(f"q must be positive and finite, got {self.q}")
 
 
 def residual_ratios(path: SolutionPath) -> ResidualRatios:

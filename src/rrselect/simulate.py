@@ -199,6 +199,11 @@ class ExperimentConfig:
         _require(isinstance(self.snr_db_list, tuple), "snr_db", "be a tuple (a JSON list)", self.snr_db_list)
         for i, value in enumerate(self.snr_db_list):
             _require(is_finite_number(value), f"snr_db[{i}]", "be a finite number", value)
+            try:
+                snr = 10.0 ** (value / 10.0)  # the power ratio run_trial takes
+            except OverflowError:
+                snr = math.inf
+            _require(0.0 < snr < math.inf, f"snr_db[{i}]", "give a positive finite 10^(dB/10)", value)
         _require(isinstance(self.algorithms, tuple), "algorithms", "be a tuple (a JSON list)", self.algorithms)
         for i, alg in enumerate(self.algorithms):
             _require(isinstance(alg, AlgorithmSpec), f"algorithms[{i}]", "be an AlgorithmSpec", alg)
@@ -383,6 +388,7 @@ def run_trial(
     trial's true sigma and fixed_k0 the true sparsity, as oracles by design.
     """
     if streams is None:
+        _require(snr_db in config.snr_db_list, "snr_db", f"be one of the config's points {config.snr_db_list}", snr_db)
         snr_index = config.snr_db_list.index(snr_db)
         (streams,) = trial_streams(config, snr_index, trial_index, trial_index + 1)
 
@@ -440,8 +446,8 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     identical SweepResult.
     """
     config.validate()
-    if workers < 1:
-        raise ValidationError(f"workers: must be >= 1, got {workers}")
+    _require(not isinstance(workers, bool) and isinstance(workers, int), "workers", "be an integer", workers)
+    _require(workers >= 1, "workers", "be >= 1", workers)
     matrix = None if config.regenerate_matrix else build_design(config.design)
     trials = config.trials
     size = min(_SEED_CHUNK, (trials + workers - 1) // workers)

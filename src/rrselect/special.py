@@ -6,9 +6,10 @@ z(k) = rrt_level(...). Most steps are decided without the continued fraction:
 the leading term of the CDF's series (log_cdf_of_square_floor) is a lower
 bound of c(k), the series' geometric tail gives an upper bound
 (log_cdf_of_square_ceiling), and a step is exact only where z(k) falls
-between the two. The inverse serves only the reported threshold table.
+between the two. The reported threshold Gamma(k) is the double where that
+test flips, found by bisecting the doubles on the same CDF.
 
-Everything here is scalar and dependency-free (math module only): the
+Everything here is scalar and dependency-free (math and struct only): the
 selectors compare CDF values with levels as small as 1e-300, a regime where
 library wrappers that do not work in the log domain underflow; a threshold
 whose square underflows is taken from the leading term of the series.
@@ -16,6 +17,7 @@ whose square underflows is taken from the leading term of the series.
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from functools import lru_cache
 
@@ -35,14 +37,21 @@ _LN_NORMAL_MIN = math.log(_NORMAL_MIN)
 # Stirling's series past it.
 _STIRLING_CUTOFF = 64.0
 
+# The bits of 1.0 as an integer: those of the doubles in [0, 1] are 0 to this.
+_ONE_BITS = struct.unpack("<q", struct.pack("<d", 1.0))[0]
+
 _CF_EPS = 1e-15
 _CF_TINY = 1e-300
 _CF_MAX_ITER = 500
 
 
 def _check_ab(a: float, b: float) -> None:
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError(f"beta parameters must be positive, got a={a}, b={b}")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise DomainError(f"beta parameters must be finite and positive, got a={a}, b={b}")
+
+
+def _double_of_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
 def _stirling_series(x: float) -> float:
@@ -147,6 +156,7 @@ def beta_cdf_of_square(a: float, b: float, r: float) -> float:
     x = r * r
     if r == 0.0 or x >= _NORMAL_MIN:
         return beta_cdf(a, b, x)
+    _check_ab(a, b)
     ln_val = 2.0 * a * math.log(r) - math.log(a) - log_beta_fn(a, b)
     return math.exp(ln_val)
 
@@ -207,56 +217,34 @@ def half_beta_log_cdf_bounds(n: int, ratios: list[float]) -> tuple[list[float], 
     return lows, highs
 
 
-def _beta_pdf(a: float, b: float, x: float, ln_beta: float) -> float:
-    if not 0.0 < x < 1.0:
-        return 0.0
-    ln_pdf = (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - ln_beta
-    return math.exp(ln_pdf) if ln_pdf > -745.0 else 0.0
+def _first_double_reaching(cdf, z: float) -> float:
+    """A double x in (0, 1] with cdf(x) >= z > cdf(the double before x), for
+    cdf(0) < z <= cdf(1): the smallest double with cdf(x) >= z where cdf is
+    nondecreasing on the doubles.
 
-
-def _beta_inv_core(a: float, b: float, z: float) -> float:
-    # Bracketed Newton with bisection safeguard. For tiny z the leading-order
-    # quantile x ~ (a z B(a,b))^(1/a), evaluated in the log domain, seeds the
-    # iteration; otherwise start from the middle of the bracket.
-    ln_beta = log_beta_fn(a, b)
-    if z < 1e-8:
-        ln_seed = (math.log(a) + math.log(z) + ln_beta) / a
-        x = math.exp(ln_seed) if ln_seed > -745.0 else 0.0
-        if x == 0.0:
-            # True quantile is below the smallest positive double; 0 is the
-            # closest representable point and satisfies |F(0) - z| = z.
-            return 0.0
-        x = min(x, 1.0 - 1e-16)
-    else:
-        x = 0.5
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        f = beta_cdf(a, b, x) - z
-        if f > 0.0:
-            hi = x
-        elif f < 0.0:
-            lo = x
+    The bit patterns of the nonnegative doubles order as their values do, so
+    this bisects the integers between those of 0 and 1 (62 steps), keeping
+    cdf(below) < z <= cdf(above): x is where the test cdf(t) < z flips, not a
+    root to some tolerance.
+    """
+    below, above = 0, _ONE_BITS
+    while above - below > 1:
+        middle = (below + above) // 2
+        if cdf(_double_of_bits(middle)) >= z:
+            above = middle
         else:
-            return x
-        if abs(f) <= 1e-13 * z:
-            return x
-        pdf = _beta_pdf(a, b, x, ln_beta)
-        x_new = x - f / pdf if pdf > 0.0 else -1.0
-        if x_new != x and not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if x_new == x:  # no double is closer to the root
-            return x
-        x = x_new
-    return x
+            below = middle
+    return _double_of_bits(above)
 
 
 def beta_cdf_inv(a: float, b: float, z: float) -> float:
-    """Inverse of beta_cdf in its first argument: x with I_x(a,b) = z.
+    """Inverse of beta_cdf in its first argument: the double x where
+    beta_cdf(a, b, x) reaches z and the double before it does not (see
+    _first_double_reaching), with 0 at z = 0 and 1 at z = 1.
 
-    Stops once |beta_cdf(a, b, x) - z| <= 1e-13 z, relative to z so that
-    tiny levels keep their digits; otherwise the spacing of doubles at x
-    limits the accuracy (near x = 1, and for quantiles below the smallest
-    normal double).
+    Where the CDF increases on the doubles around x, x is the quantile of z
+    to the spacing of doubles there (near x = 1, and among the subnormal
+    quantiles, that spacing is what limits it).
     """
     _check_ab(a, b)
     if not 0.0 <= z <= 1.0:
@@ -265,10 +253,7 @@ def beta_cdf_inv(a: float, b: float, z: float) -> float:
         return 0.0
     if z == 1.0:
         return 1.0
-    if z > 0.75:
-        # Work on the reflected tail for accuracy near 1 (1 - z is exact here).
-        return 1.0 - _beta_inv_core(b, a, 1.0 - z)
-    return _beta_inv_core(a, b, z)
+    return _first_double_reaching(lambda x: beta_cdf(a, b, x), z)
 
 
 def check_level_args(p: int, alpha: float, k: int, k_max: int) -> None:
@@ -312,17 +297,28 @@ def rrt_threshold(n: int, p: int, k_max: int, alpha: float, k: int) -> float:
     variable; Gamma(k) is the quantile that puts total level alpha across all
     steps and candidate columns.
 
+    Gamma(k) is the double r where c(r) = beta_cdf_of_square((n-k)/2, 1/2, r)
+    reaches z(k) and the double before it does not, so RR(k) < Gamma(k) is
+    the selectors' test c(k) < z(k). The double c(r) is not monotone to the
+    last ulp, so the two can still disagree on a double or two next to
+    Gamma(k) (1 of 243,000 doubles within 40 of it, over 3,000 random
+    problems with p <= 1000). Where z(k) is subnormal (alpha near
+    ALPHA_FLOOR with p past about 1e20), c(r) moves on the coarse subnormal
+    grid, and Gamma(k) is where that rounded c(r) reaches z(k): up to 1%
+    below the quantile of z(k) itself (a = 33.5, z = 5e-324).
+
     Where Gamma(k)^2 lies below the normal doubles (possible for a = (n-k)/2
-    <= 1 only), the inverse would lose digits or round it to 0. There
-    I_q(a, 1/2) = q^a / (a B(a, 1/2)) to double precision, so Gamma(k) is
-    taken as (a z B(a, 1/2))^(1/(2a)), the square root first.
+    <= 1 only), Gamma(k) is the quantile of z(k) itself: at a = 1 there c(r)
+    is subnormal too, and its rounding moves the flip by up to 30% (z =
+    5e-324). I_q(a, 1/2) = q^a / (a B(a, 1/2)) to double precision for such
+    q, so Gamma(k) is taken as (a z B(a, 1/2))^(1/(2a)), the square root first.
     """
     z = rrt_level(n, p, k_max, alpha, k)
     a = (n - k) / 2.0
     lead = z * (a * math.exp(log_beta_fn(a, 0.5)))  # a z B(a, 1/2) > z
     if math.log(lead) < a * _LN_NORMAL_MIN:
         return lead ** (0.5 / a)
-    return math.sqrt(beta_cdf_inv(a, 0.5, z))
+    return _first_double_reaching(lambda r: beta_cdf_of_square(a, 0.5, r), z)
 
 
 def build_threshold_table(n: int, p: int, k_max: int, alpha: float) -> np.ndarray:

@@ -238,8 +238,9 @@ def test_synthesize_validation():
     beta[1] = 1.0
     with pytest.raises(ValidationError):
         synthesize(design, beta, (1, 2), snr=1.0, seed=0)  # support mismatch
-    with pytest.raises(ValidationError):
-        synthesize(design, beta, (1,), snr=0.0, seed=0)
+    for snr in (0.0, -1.0, math.nan):
+        with pytest.raises(ValidationError, match="snr must be positive"):
+            synthesize(design, beta, (1,), snr=snr, seed=0)
 
 
 def test_synthesize_reproducible():

@@ -65,15 +65,20 @@ def _ratios(values, n=32, p=64, k_max=3):
     return ResidualRatios(np.array(values, dtype=float), n, p, k_max)
 
 
-def _table_rule(rr, n, p, k_max, alpha):
-    """The reference rule: largest k with RR(k) < Gamma(k) from the threshold table.
+def _thresholds(n, p, k_max, alpha, length):
+    """Gamma(1..length): the first entries of build_threshold_table(n, p, k_max, alpha)."""
+    return [rrt_threshold(n, p, k_max, alpha, k) for k in range(1, length + 1)]
+
+
+def _table_rule(rr, table, n, p, k_max, alpha):
+    """The reference rule: largest k with RR(k) < Gamma(k) from the thresholds
+    of the first len(rr) steps.
 
     Where Gamma(k)^2 lies below the normal doubles the table has lost digits
     or rounded Gamma(k) to 0, so there RR(k) is compared with the exact
     quantile in the log domain: I_q(a, 1/2) = q^a / (a B(a, 1/2)) to double
     precision for such q, hence ln Gamma(k) = ln(a z B(a, 1/2)) / (2a).
     """
-    table = build_threshold_table(n, p, k_max, alpha)
     hits = []
     for k, (x, gamma) in enumerate(zip(rr, table), 1):
         if gamma * gamma >= sys.float_info.min:
@@ -224,12 +229,6 @@ def test_ratio_whose_square_underflows_keeps_its_cdf():
         assert rrt_select(ratios, 1e-300) == selected
 
 
-# Steps whose CDF value lies within this relative distance of the level are
-# too close to call: both rules then decide on rounding (the inverse stops at
-# 1e-13 relative, the forward CDF carries ~1e-13 relative error at 1e-300).
-_MARGIN = 1e-9
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     n=st.integers(2, 200),
@@ -237,20 +236,19 @@ _MARGIN = 1e-9
     log_alpha=st.floats(math.log(1e-300), math.log(0.5)),
 )
 def test_cdf_rule_matches_threshold_table_rule(n, data, log_alpha):
+    # No margin and no exclusion: Gamma(k) is the double where c(k) < z(k)
+    # flips, so the two rules agree without one.
     k_max = data.draw(st.integers(1, n - 1), label="k_max")
     p = data.draw(st.integers(k_max, 1000), label="p")
     length = data.draw(st.integers(0, k_max), label="K")
     alpha = min(math.exp(log_alpha), 0.5)
-    table = build_threshold_table(n, p, k_max, alpha)
+    table = _thresholds(n, p, k_max, alpha, length)
     # Each ratio anywhere in [0,1], or within 0.1% of its threshold.
     rr = [
         data.draw(st.one_of(st.floats(0.0, 1.0), st.floats(0.999, 1.001).map(lambda f: min(f * g, 1.0))))
-        for g in table[:length]
+        for g in table
     ]
-    for k, x in enumerate(rr, 1):
-        c, z = beta_cdf_of_square((n - k) / 2.0, 0.5, x), rrt_level(n, p, k_max, alpha, k)
-        assume(abs(c - z) > _MARGIN * z)
-    assert rrt_select(_ratios(rr, n, p, k_max), alpha) == _table_rule(rr, n, p, k_max, alpha)
+    assert rrt_select(_ratios(rr, n, p, k_max), alpha) == _table_rule(rr, table, n, p, k_max, alpha)
 
 
 def _unscreened_rule(rr, n, p, k_max, alpha):
@@ -281,9 +279,9 @@ def test_screened_rule_matches_the_unscreened_rule(n, data, alpha):
     k_max = data.draw(st.integers(1, n - 1), label="k_max")
     p = data.draw(st.integers(k_max, 1000), label="p")
     length = data.draw(st.integers(0, k_max), label="K")
-    table = build_threshold_table(n, p, k_max, alpha)
+    table = _thresholds(n, p, k_max, alpha, length)
     # The ratio at which c(k) reaches z_sup(k).
-    cut = build_threshold_table(n, p, k_max, 1.0 - 1e-15)
+    cut = _thresholds(n, p, k_max, 1.0 - 1e-15, length)
     rr = [
         data.draw(
             st.one_of(
@@ -292,7 +290,7 @@ def test_screened_rule_matches_the_unscreened_rule(n, data, alpha):
                 st.floats(1.0 - 1e-6, 1.0 + 1e-6).map(lambda f: min(f * h, 1.0)),
             )
         )
-        for g, h in zip(table[:length], cut[:length])
+        for g, h in zip(table, cut)
     ]
     assert rrt_select(_ratios(rr, n, p, k_max), alpha) == _unscreened_rule(rr, n, p, k_max, alpha)
 
@@ -332,7 +330,7 @@ def test_two_sided_decision_matches_the_unscreened_rule_at_extreme_sizes(n, data
     p = max(k_max, int(math.exp(log_p)))
     length = data.draw(st.integers(0, k_max), label="K")
     alpha = math.exp(log_alpha)
-    table = build_threshold_table(n, p, k_max, alpha)
+    table = _thresholds(n, p, k_max, alpha, length)
     near = [st.floats(1.0 - d, 1.0 + d) for d in (1e-6, 1e-9, 1e-12)]
     rr = [
         data.draw(
@@ -342,9 +340,29 @@ def test_two_sided_decision_matches_the_unscreened_rule_at_extreme_sizes(n, data
                 st.integers(-6, 6).map(lambda i: min(_doubles_away(float(g), i), 1.0)),
             )
         )
-        for g in table[:length]
+        for g in table
     ]
     assert rrt_select(_ratios(rr, n, p, k_max), alpha) == _unscreened_rule(rr, n, p, k_max, alpha)
+
+
+def _check_decision_a_few_doubles_from_the_threshold(n, p, k_max, k, alpha, steps):
+    """rrt_select on ratios of 1 up to step k, whose ratio lies `steps` doubles from Gamma(k)."""
+    gamma = rrt_threshold(n, p, k_max, alpha, k)
+    rr = [1.0] * (k - 1) + [min(_doubles_away(gamma, steps), 1.0)]
+    selected = rrt_select(_ratios(rr, n, p, k_max), alpha)
+    assert selected == _unscreened_rule(rr, n, p, k_max, alpha)
+    # Gamma(k) is where that test flips: step k is selected exactly when its
+    # ratio is below Gamma(k). The double CDF wobbles by a few ulps, so this
+    # holds where it does not fall on the doubles from the ratio to Gamma(k)
+    # (it does at n = 5, p = 1, alpha = e^-1.5: c reads above z two doubles
+    # below Gamma(1), and below z one double below it).
+    low, high = sorted((rr[-1], gamma))
+    cdfs = []
+    while low <= high:
+        cdfs.append(beta_cdf_of_square((n - k) / 2.0, 0.5, low))
+        low = math.nextafter(low, math.inf)
+    if gamma * gamma >= sys.float_info.min and cdfs == sorted(cdfs):
+        assert selected == (k if rr[-1] < gamma else None)
 
 
 @settings(max_examples=1000, deadline=None)
@@ -364,9 +382,21 @@ def test_decision_a_few_doubles_from_the_threshold(n, data, log_alpha, log_p, st
     k_max = data.draw(st.integers(1, n - 1), label="k_max")
     k = data.draw(st.integers(1, k_max), label="k")
     p = max(k_max, int(math.exp(log_p)))
-    alpha = math.exp(log_alpha)
-    rr = [1.0] * (k - 1) + [min(_doubles_away(rrt_threshold(n, p, k_max, alpha, k), steps), 1.0)]
-    assert rrt_select(_ratios(rr, n, p, k_max), alpha) == _unscreened_rule(rr, n, p, k_max, alpha)
+    _check_decision_a_few_doubles_from_the_threshold(n, p, k_max, k, math.exp(log_alpha), steps)
+
+
+@pytest.mark.parametrize("steps", range(-6, 7))
+@pytest.mark.parametrize(
+    "n, p, alpha",
+    [
+        (68, 10**30, 1e-300),  # a = 33.5: the level is raised to 5e-324, Gamma(1)^2 ~ 1e-10 is normal
+        (5, 1, math.exp(-1.5)),  # a = 2: the double CDF falls two doubles below Gamma(1)
+    ],
+)
+def test_decision_a_few_doubles_from_the_threshold_at_fixed_sizes(n, p, alpha, steps):
+    # The first case's level is checked in
+    # tests/test_special.py::test_threshold_at_a_subnormal_level_is_where_the_rounded_cdf_reaches_it.
+    _check_decision_a_few_doubles_from_the_threshold(n, p, 1, 1, alpha, steps)
 
 
 # (n, p, k_max, k, alpha) where, at Gamma(k), beta_cdf reads 1.1e-13
@@ -482,8 +512,11 @@ def test_rrta_alpha_examples():
 def test_rrta_params_validation():
     with pytest.raises(DomainError):
         RrtaParams(pfd_finite=0.0, q=2.0)
-    with pytest.raises(DomainError):
-        RrtaParams(pfd_finite=0.1, q=0.0)
+    # min(0.1, nan) is 0.1 and 0.1 ** inf is 0: a q that is not finite would
+    # quietly run rrta as rrt at a fixed level.
+    for q in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            RrtaParams(pfd_finite=0.1, q=q)
 
 
 def test_rrta_select_recovery_dip():
@@ -520,8 +553,8 @@ def test_selectors_on_exact_zero_tail():
     assert rrm_select(rr) == 2
     assert rrta_select(rr, RrtaParams(0.1, 2.0)) == 4
     assert rrt_select(rr, 0.1) == 4
-    assert _table_rule(rr.values, 32, 64, 4, 0.1) == 4
-    assert _table_rule(rr.values, 32, 64, 4, rrta_alpha(rr, RrtaParams(0.1, 2.0))) == 4
+    for alpha in (0.1, rrta_alpha(rr, RrtaParams(0.1, 2.0))):
+        assert _table_rule(rr.values, _thresholds(32, 64, 4, alpha, 4), 32, 64, 4, alpha) == 4
 
 
 def test_rrta_matches_rrt_when_pfd_binds():
@@ -558,7 +591,7 @@ def test_rrta_handles_truncated_paths():
     # so the decision matches the first two entries of the k_max=4 table
     alpha = rrta_alpha(rr, RrtaParams(0.1, 2.0))
     k = rrta_select(rr, RrtaParams(0.1, 2.0))
-    assert k == rrt_select(rr, alpha) == _table_rule(rr.values, 32, 64, 4, alpha) == 1
+    assert k == rrt_select(rr, alpha) == _table_rule(rr.values, _thresholds(32, 64, 4, alpha, 2), 32, 64, 4, alpha) == 1
     # with k_max=2 the level of step 1 is twice as large: a ratio between the
     # two thresholds tells the configured k_max apart from the path length
     between = float(np.mean([build_threshold_table(32, 64, 4, 0.1)[0], build_threshold_table(32, 64, 2, 0.1)[0]]))

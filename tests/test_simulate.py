@@ -303,6 +303,8 @@ def test_config_validation_errors():
         ({"algorithms": (5,)}, "algorithms[0]"),
         ({"design": None}, "design"),
         ({"signal": None}, "signal"),
+        ({"snr_db_list": (20.0, 3090.0)}, "snr_db[1]"),  # 10^309 overflows
+        ({"snr_db_list": (-4000.0,)}, "snr_db[0]"),  # 10^-400 underflows to 0
     ],
 )
 def test_config_validation_names_a_field_of_the_wrong_type(overrides, field):
@@ -428,6 +430,18 @@ def test_run_trial_builds_the_cdf_vector_once_per_path_and_only_for_rrt(monkeypa
 def test_run_sweep_rejects_worker_counts_below_one(workers):
     with pytest.raises(ValidationError, match="workers"):
         run_sweep(_config(), workers=workers)
+
+
+@pytest.mark.parametrize("workers", [2.5, "2", True, None])
+def test_run_sweep_rejects_a_worker_count_that_is_not_an_int(workers):
+    with pytest.raises(ValidationError, match="^workers: must be an integer"):
+        run_sweep(_config(), workers=workers)
+
+
+def test_run_trial_rejects_an_snr_point_the_config_does_not_list():
+    config = _config(snr_db_list=(0.0, 20.0))
+    with pytest.raises(ValidationError, match="^snr_db: must be one of"):
+        run_trial(config, build_design(config.design), 25.0, 0)
 
 
 @pytest.mark.parametrize(

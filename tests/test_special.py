@@ -464,29 +464,17 @@ def _threshold_output(capsys, n, p, k_max, alpha):
     return [float(line.split(",")[1]) for line in lines[1:]]
 
 
-@pytest.mark.parametrize("n, p, k_max, alpha", [(4000, 8000, 16, 0.1), (3000, 3000, 8, 0.5)])
-def test_threshold_output_where_the_density_cut_binds_matches_mpmath(monkeypatch, capsys, n, p, k_max, alpha):
-    # With z >= 1e-8 the inverse starts at x = 1/2, where the Beta((n-k)/2, 1/2)
-    # density of a large a lies below exp(-745): _beta_pdf returns 0 there,
-    # and that step bisects instead of taking a Newton step. The output must
-    # still be Gamma(k) to the 1e-14 of the other 40-digit mpmath checks.
-    from rrselect import special
-
+@pytest.mark.parametrize(
+    "n, p, k_max, alpha", [(4000, 8000, 16, 0.1), (3000, 3000, 8, 0.5), (10**6, 2 * 10**6, 4, 0.1)]
+)
+def test_threshold_output_at_large_n_matches_mpmath(capsys, n, p, k_max, alpha):
+    # At a = (n-k)/2 from the thousands to 5e5 log_beta_fn takes Stirling's
+    # series and the Beta(a, 1/2) density at x = 1/2 underflows. The output
+    # must still be Gamma(k) to the 1e-14 of the other 40-digit mpmath checks.
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
-    cut = []
-    original = special._beta_pdf
-
-    def recording_pdf(a, b, x, ln_beta):
-        value = original(a, b, x, ln_beta)
-        if 0.0 < x < 1.0 and value == 0.0:
-            cut.append((a, x))
-        return value
-
-    monkeypatch.setattr(special, "_beta_pdf", recording_pdf)
     gammas = _threshold_output(capsys, n, p, k_max, alpha)
     assert len(gammas) == k_max
-    assert {(n - k) / 2.0 for k in range(1, k_max + 1)} <= {a for a, _ in cut}
     for k, gamma in enumerate(gammas, start=1):
         a, z = mp.mpf(n - k) / 2, mp.mpf(rrt_level(n, p, k_max, alpha, k))
         # Solve ln I_{g^2}(a, 1/2) = ln z for g in a bracket around the output.
@@ -498,30 +486,64 @@ def test_threshold_output_where_the_density_cut_binds_matches_mpmath(monkeypatch
         assert gamma == pytest.approx(float(root), rel=1e-14, abs=0.0), k
 
 
-@pytest.mark.parametrize("n", [2, 3, 32, 4000, 10**6])
-@pytest.mark.parametrize("alpha", [ALPHA_FLOOR, 1e-100, 1e-10, 0.1, 1.0 - 2.0**-53])
-def test_no_threshold_reaches_the_cut_of_the_inverse_seed(monkeypatch, n, alpha):
-    # _beta_inv_core seeds a level z < 1e-8 at ln x = ln(a z B(a, b)) / a and
-    # cuts it to x = 0 at ln x <= -745. rrt_threshold calls the inverse only
-    # where ln(a z B(a, 1/2)) >= a ln(smallest normal), so ln x >= -708.4.
-    # The reflected call for z > 0.75 seeds with a = 1/2 at 1 - z >= 2**-53,
-    # which puts ln x at -745 only for B(1/2, a) below e^-335, at a > e^670
-    # (n > 1e291); there Gamma^2 = 1 - x rounds to 1.0 with the cut or without.
-    from rrselect import special
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 200),
+    data=st.data(),
+    log_alpha=st.floats(math.log(1e-300), math.log(0.5)),
+    log_p=st.floats(0.0, math.log(1e30)),
+)
+def test_threshold_is_where_the_selectors_test_flips(n, data, log_alpha, log_p):
+    # Wherever Gamma(k)^2 is normal, c(r) = I_{r^2}((n-k)/2, 1/2) reads below
+    # z(k) at the double before Gamma(k) and not at Gamma(k): the table's
+    # Gamma(k) is where the selectors' test c(k) < z(k) flips, with no margin.
+    k_max = data.draw(st.integers(1, n - 1), label="k_max")
+    k = data.draw(st.integers(1, k_max), label="k")
+    p = max(k_max, int(math.exp(log_p)))
+    alpha = math.exp(log_alpha)
+    gamma = rrt_threshold(n, p, k_max, alpha, k)
+    if gamma * gamma < sys.float_info.min:
+        return
+    a, z = (n - k) / 2.0, rrt_level(n, p, k_max, alpha, k)
+    assert beta_cdf_of_square(a, 0.5, math.nextafter(gamma, 0.0)) < z <= beta_cdf_of_square(a, 0.5, gamma)
 
-    seeds = []
-    original = special._beta_inv_core
 
-    def recording_core(a, b, z):
-        if z < 1e-8:
-            seeds.append((math.log(a) + math.log(z) + log_beta_fn(a, b)) / a)
-        return original(a, b, z)
+def test_threshold_at_a_subnormal_level_is_where_the_rounded_cdf_reaches_it():
+    # At n = 68, k = 1 (a = 33.5) the level 1e-300 / 1e30 underflows and is
+    # raised to 5e-324, while Gamma(1)^2 ~ 1e-10 is normal. c(r) below the
+    # normal doubles is rounded to the subnormal grid, and reads 5e-324 once
+    # I_{r^2}(a, 1/2) passes half of it: Gamma(1) is the quantile of 2^-1075,
+    # where the selectors' test flips, and lies 1% below the quantile of
+    # 5e-324 itself, (1/2)^(1/(2a)) of it.
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    args = (68, 10**30, 1, 1e-300, 1)
+    z = rrt_level(*args)
+    assert z == 5e-324
+    gamma = rrt_threshold(*args)
+    a = 33.5
+    assert gamma * gamma >= sys.float_info.min
+    assert beta_cdf_of_square(a, 0.5, math.nextafter(gamma, 0.0)) < z == beta_cdf_of_square(a, 0.5, gamma)
 
-    monkeypatch.setattr(special, "_beta_inv_core", recording_core)
-    for k_max in sorted({1, min(16, n - 1), n - 1} - {0}):
-        for p in (k_max, 2 * n, 10**30):
-            for k in sorted({1, k_max}):
-                rrt_threshold(n, p, k_max, alpha, k)
-    if n >= 32 and alpha <= 1e-10:
-        assert seeds  # the seeded branch ran
-    assert all(ln_x > -745.0 for ln_x in seeds)
+    def quantile(level):
+        ln_g = mp.findroot(
+            lambda t: mp.log(mp.betainc(a, 0.5, 0, mp.exp(2 * t), regularized=True)) - mp.log(level), -11
+        )
+        return float(mp.exp(ln_g))
+
+    assert gamma == pytest.approx(quantile(mp.mpf(2) ** -1075), rel=1e-12, abs=0.0)
+    assert gamma / quantile(mp.mpf(z)) == pytest.approx(0.5 ** (1.0 / 67.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_beta_parameters_must_be_finite(bad):
+    for a, b in ((bad, 0.5), (0.5, bad)):
+        for call in (
+            lambda: log_beta_fn(a, b),
+            lambda: beta_cdf(a, b, 0.5),
+            lambda: beta_cdf_of_square(a, b, 0.5),
+            lambda: beta_cdf_of_square(a, b, 1e-160),
+            lambda: beta_cdf_inv(a, b, 0.5),
+        ):
+            with pytest.raises(DomainError, match="finite and positive"):
+                call()
