@@ -59,7 +59,7 @@ from .special import (
     beta_cdf_inv,
     build_threshold_table,
     log_beta_fn,
-    rrt_level,
+    rrt_log_level,
     rrt_threshold,
 )
 
@@ -98,7 +98,7 @@ __all__ = [
     "ric_bruteforce",
     "rrm_select",
     "rrt_error_lower_bound",
-    "rrt_level",
+    "rrt_log_level",
     "rrt_select",
     "rrt_threshold",
     "rrta_alpha",

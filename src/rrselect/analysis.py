@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -119,14 +120,15 @@ def erc_constant(design: DesignMatrix, support) -> float:
 
 
 def rrt_error_lower_bound(alpha: float, k_max: int, p: int, k0: int) -> float:
-    """High-SNR floor on the RRT support-error probability: alpha/(k_max (p-k0))."""
+    """High-SNR floor on the RRT support-error probability: alpha/(k_max (p-k0)),
+    the exact quotient rounded once, for a p of any size (0 below the doubles)."""
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0,1), got {alpha}")
     if k_max < 1:
         raise DomainError(f"k_max must be >= 1, got {k_max}")
     if p <= k0:
         raise DomainError(f"p={p} must exceed k0={k0}")
-    return alpha / (k_max * (p - k0))
+    return float(Fraction(alpha) / (k_max * (p - k0)))
 
 
 def epsilon_bounds(
@@ -157,8 +159,8 @@ def epsilon_bounds(
         ("beta_max", beta_max),
         ("sigma", sigma),
     ):
-        if value < 0.0:
-            raise DomainError(f"{name} must be nonnegative, got {value}")
+        if not 0.0 <= value < math.inf:
+            raise DomainError(f"{name} must be finite and nonnegative, got {value}")
     if not (delta_k0 < 1.0 and delta_k0p1 < 1.0):
         raise DomainError("RIC values must be < 1")
     if beta_min == 0.0 or beta_max < beta_min:

@@ -223,7 +223,7 @@ def _noise_level(sigma: float, c: float, eta: float | None) -> float:
     Where sigma^-eta or the scaled product leaves the doubles (overflow, or
     underflow to 0) the level itself may not: it is then the double nearest
     exp((1-eta) ln sigma + ln c), taken in 40-digit decimal arithmetic and
-    rounded once, and inf past the double range.
+    rounded once, and inf above the largest double.
     """
     tau = sigma * c
     if eta is None or c == 0.0:

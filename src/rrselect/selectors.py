@@ -1,13 +1,13 @@
 """Residual-ratio statistic and the noise-statistics-oblivious selectors.
 
 RRT keeps the last step whose residual ratio falls below a fixed Beta-quantile
-threshold, tested as "Beta CDF at RR(k)^2 below the step's level" so that no
-quantile is inverted (the CDF is taken from RR(k), so a square that underflows
-does not read as 0, and skipped wherever a lower or an upper bound of it
-already decides the comparison); RRM keeps the step with the smallest ratio
-(hyperparameter free); RRTA is RRT with a data-adaptive level that shrinks as
-the smallest observed ratio shrinks, which restores consistency as the noise
-vanishes.
+threshold, tested as "ln of the Beta CDF at RR(k)^2 below ln of the step's
+level" so that no quantile is inverted (both logs are taken from RR(k) and
+from the level's parts, so neither underflows, and the CDF is skipped wherever
+a lower or an upper bound of it already decides the comparison); RRM keeps the
+step with the smallest ratio (hyperparameter free); RRTA is RRT with a
+data-adaptive level that shrinks as the smallest observed ratio shrinks, which
+restores consistency as the noise vanishes.
 
 None of these read the noise level or the sparsity: they consume only the
 solution path.
@@ -15,7 +15,6 @@ solution path.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -28,12 +27,9 @@ from .omp import SolutionPath
 from .special import ALPHA_FLOOR
 
 # Margin, in ln, by which a bound of c(k) must clear ln z(k) to decide step k
-# without the exact CDF: orders above the ~1e-13 relative rounding of the
-# bounds and of the CDF.
+# without the exact log CDF: orders above the rounding of the bounds and of
+# the log CDF where they lie near ln z(k) (about 1e-13 at |ln z| ~ 1e3).
 _DECIDE_MARGIN = 1e-9
-# Below the normal doubles c(k) rounds on a grid as coarse as z(k) itself, so
-# an upper bound under z(k) does not decide how the rounded c(k) compares.
-_NORMAL_MIN = sys.float_info.min
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,14 +69,11 @@ class ResidualRatios:
         once per path."""
         return special.half_beta_log_cdf_bounds(self.n, self.values.tolist())
 
-    def cdf(self, k: int) -> float:
-        """c(k) = I_{RR(k)^2}((n-k)/2, 1/2)."""
+    def log_cdf(self, k: int) -> float:
+        """ln c(k) = ln I_{RR(k)^2}((n-k)/2, 1/2)."""
         if not 1 <= k <= len(self.values):
             raise DomainError(f"k={k} outside [1, K={len(self.values)}]")
-        # special.beta_cdf is looked up at call time, so a wrapper installed
-        # on it (a call counter) sees every evaluation whose square is a
-        # normal double.
-        return special.beta_cdf_of_square((self.n - k) / 2.0, 0.5, float(self.values[k - 1]))
+        return special.log_cdf_of_square((self.n - k) / 2.0, 0.5, float(self.values[k - 1]))
 
 
 @dataclass(frozen=True)
@@ -114,32 +107,31 @@ def residual_ratios(path: SolutionPath) -> ResidualRatios:
 
 
 def rrt_select(ratios: ResidualRatios, alpha: float) -> int | None:
-    """Largest k with RR(k) < Gamma(k), i.e. c(k) < rrt_level(n, p, k_max, alpha, k)
+    """Largest k with RR(k) < Gamma(k), i.e. ln c(k) < rrt_log_level(n, p, k_max, alpha, k)
     at the ratios' n, p and k_max; None when no step qualifies or the observation
     is zero. A path that ended early has fewer steps; the levels keep k_max.
 
     Steps are scanned from the last: a step whose lower bound of c(k) lies
     above z(k) is a miss, one whose upper bound lies below it is the answer,
-    and only a step between the two reads the exact c(k) (ratios.cdf).
+    and only a step between the two reads the exact ln c(k) (ratios.log_cdf).
     """
     steps = len(ratios)
     p, k_max = ratios.p, ratios.k_max
-    # rrt_level's checks at every step up to the last, made once: ratios
+    # rrt_log_level's checks at every step up to the last, made once: ratios
     # already hold steps <= k_max < n, and p >= k holds below k = steps (a
     # path has a step 1).
-    special.check_level_args(p, alpha, max(steps, 1), k_max)
+    special.check_level_args(p, alpha, max(steps, 1))
     if not steps or ratios.zero_observation:
         return None
     lows, highs = ratios.log_cdf_bounds
-    level = max(alpha, ALPHA_FLOOR)
+    ln_alpha = math.log(max(alpha, ALPHA_FLOOR))
     for k in range(steps, 0, -1):
-        z = level / (k_max * (p - k + 1)) or 5e-324  # rrt_level(n, p, k_max, alpha, k)
-        ln_z = math.log(z)
+        ln_z = ln_alpha - math.log(k_max * (p - k + 1))  # rrt_log_level(n, p, k_max, alpha, k)
         if lows[k - 1] > ln_z + _DECIDE_MARGIN:
             continue
-        if highs[k - 1] < ln_z - _DECIDE_MARGIN and z >= _NORMAL_MIN:
+        if highs[k - 1] < ln_z - _DECIDE_MARGIN:
             return k
-        if ratios.cdf(k) < z:
+        if ratios.log_cdf(k) < ln_z:
             return k
     return None
 

@@ -1,24 +1,24 @@
 """Regularized incomplete Beta CDF, its inverse, and the residual-ratio
 threshold sequence Gamma(k) used by the RRT/RRTA selectors.
 
-The selectors compare c(k) = I_{RR(k)^2}((n-k)/2, 1/2) with the step's level
-z(k) = rrt_level(...). Most steps are decided without the continued fraction:
-the leading term of the CDF's series (log_cdf_of_square_floor) is a lower
-bound of c(k), the series' geometric tail gives an upper bound
-(log_cdf_of_square_ceiling), and a step is exact only where z(k) falls
-between the two. The reported threshold Gamma(k) is the double where that
-test flips, found by bisecting the doubles on the same CDF.
+The selectors compare ln c(k), c(k) = I_{RR(k)^2}((n-k)/2, 1/2), with the
+step's log level ln z(k) = rrt_log_level(...). Most steps are decided without
+the continued fraction: the leading term of the CDF's series
+(log_cdf_of_square_floor) is a lower bound of c(k), the series' geometric tail
+gives an upper bound (log_cdf_of_square_ceiling), and a step reads the exact
+log_cdf_of_square only where ln z(k) falls between the two. The reported
+threshold Gamma(k) is the double where that test flips, found by bisecting the
+doubles on the same log CDF.
 
-Everything here is scalar and dependency-free (math and struct only): the
-selectors compare CDF values with levels as small as 1e-300, a regime where
-library wrappers that do not work in the log domain underflow; a threshold
-whose square underflows is taken from the leading term of the series.
+Everything here is scalar (math and struct; numpy only for the table's
+array). The rule is applied in logs, so a level below the doubles (alpha near
+1e-300 over a huge p) and a ratio whose square underflows both keep their
+digits.
 """
 from __future__ import annotations
 
 import math
 import struct
-import sys
 from functools import lru_cache
 
 import numpy as np
@@ -28,10 +28,6 @@ from .errors import DomainError
 # Probabilities below this floor are clamped up before threshold evaluation so
 # log-domain arithmetic stays finite while "threshold -> 0" behavior survives.
 ALPHA_FLOOR = 1e-300
-
-# Smallest normal double: a square below it has lost digits or rounded to 0.
-_NORMAL_MIN = sys.float_info.min
-_LN_NORMAL_MIN = math.log(_NORMAL_MIN)
 
 # log_beta_fn sums three lgamma values up to this max(a, b), and takes
 # Stirling's series past it.
@@ -120,6 +116,16 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     return h
 
 
+def _log_cdf(a: float, b: float, x: float, ln_x: float) -> float:
+    """ln I_x(a,b) for 0 <= x < 1, given ln x: the first factor
+    x^a (1-x)^b / B(a,b) and the continued fraction that converges at x,
+    combined in logs, so the value is rounded once however small it is."""
+    ln_front = a * ln_x + b * math.log1p(-x) - log_beta_fn(a, b)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return ln_front + math.log(_beta_continued_fraction(a, b, x) / a)
+    return math.log1p(-math.exp(ln_front) * _beta_continued_fraction(b, a, 1.0 - x) / b)
+
+
 def beta_cdf(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta I_x(a,b), i.e. the Beta(a,b) CDF at x."""
     _check_ab(a, b)
@@ -129,43 +135,30 @@ def beta_cdf(a: float, b: float, x: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    ln_front = a * math.log(x) + b * math.log1p(-x) - log_beta_fn(a, b)
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        cf = _beta_continued_fraction(a, b, x)
-        if ln_front < _LN_NORMAL_MIN:
-            # A subnormal front has already been rounded to the coarse
-            # subnormal grid; taking the product in the log domain rounds once.
-            return math.exp(ln_front + math.log(cf / a))
-        val = front * cf / a
-    else:
-        val = 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
-    return min(max(val, 0.0), 1.0)
+    return math.exp(_log_cdf(a, b, x, math.log(x)))
 
 
-def beta_cdf_of_square(a: float, b: float, r: float) -> float:
-    """I_{r^2}(a,b) for r in [0,1]: the Beta(a,b) CDF at r^2.
+def log_cdf_of_square(a: float, b: float, r: float) -> float:
+    """ln I_{r^2}(a,b) for r in [0,1]: -inf at r = 0 and 0 at r = 1.
 
-    Where r^2 falls below the normal doubles (0 < r < 1.5e-154) the square
-    loses digits or rounds to 0, so the leading term r^(2a) / (a B(a,b)) is
-    taken in the log domain; the continued fraction and (1-r^2)^b equal 1 to
-    double precision there.
+    ln r^2 is taken as 2 ln r, so a square below the doubles keeps its digits
+    (the continued fraction and (1-r^2)^b are 1 to double precision there).
     """
+    _check_ab(a, b)
     if not 0.0 <= r <= 1.0:
         raise DomainError(f"r must lie in [0,1], got {r}")
-    x = r * r
-    if r == 0.0 or x >= _NORMAL_MIN:
-        return beta_cdf(a, b, x)
-    _check_ab(a, b)
-    ln_val = 2.0 * a * math.log(r) - math.log(a) - log_beta_fn(a, b)
-    return math.exp(ln_val)
+    if r == 0.0:
+        return -math.inf
+    if r == 1.0:
+        return 0.0
+    return _log_cdf(a, b, r * r, 2.0 * math.log(r))
 
 
 def log_cdf_of_square_floor(a: float, b: float, r: float) -> float:
     """ln L for r in (0,1), where L = x^a (1-x)^b / (a B(a,b)) at x = r^2.
 
     I_x(a,b) = L * 2F1(a+b, 1; a+1; x), a series of positive terms that
-    starts at 1, so L <= I_x(a,b): the first factor of beta_cdf, without the
+    starts at 1, so L <= I_x(a,b): the terms of log_cdf_of_square without the
     continued fraction.
     """
     return 2.0 * a * math.log(r) + b * math.log1p(-r * r) - math.log(a) - log_beta_fn(a, b)
@@ -220,7 +213,8 @@ def half_beta_log_cdf_bounds(n: int, ratios: list[float]) -> tuple[list[float], 
 def _first_double_reaching(cdf, z: float) -> float:
     """A double x in (0, 1] with cdf(x) >= z > cdf(the double before x), for
     cdf(0) < z <= cdf(1): the smallest double with cdf(x) >= z where cdf is
-    nondecreasing on the doubles.
+    nondecreasing on the doubles. cdf may be a CDF or its log, with z a
+    probability or its log.
 
     The bit patterns of the nonnegative doubles order as their values do, so
     this bisects the integers between those of 0 and 1 (62 steps), keeping
@@ -256,27 +250,22 @@ def beta_cdf_inv(a: float, b: float, z: float) -> float:
     return _first_double_reaching(lambda x: beta_cdf(a, b, x), z)
 
 
-def check_level_args(p: int, alpha: float, k: int, k_max: int) -> None:
-    """rrt_level's checks of p and alpha at step k, and of the denominators
-    k_max (p - j + 1) of the levels of steps j = 1..k: the largest, k_max p,
-    must be a finite double."""
+def check_level_args(p: int, alpha: float, k: int) -> None:
+    """rrt_log_level's checks of p and alpha at step k."""
     if p < k:
         raise DomainError(f"p={p} must be >= k={k}")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0,1), got {alpha}")
-    try:
-        float(k_max * p)
-    except OverflowError:  # p itself is not printed: it may have more digits than str() takes
-        raise DomainError(f"the level denominator k_max * p at k_max={k_max} is past the double range") from None
 
 
-def rrt_level(n: int, p: int, k_max: int, alpha: float, k: int) -> float:
-    """Per-step level z(k) = alpha / (k_max (p-k+1)), with alpha floored at
-    ALPHA_FLOOR and an underflowing quotient raised to the smallest double.
+def rrt_log_level(n: int, p: int, k_max: int, alpha: float, k: int) -> float:
+    """ln z(k) of the per-step level z(k) = alpha / (k_max (p-k+1)), with
+    alpha floored at ALPHA_FLOOR.
 
     The Beta CDF is increasing, so RR(k) < Gamma(k) is the same test as
-    beta_cdf_of_square((n-k)/2, 1/2, RR(k)) < z(k). Since alpha < 1, z(k)
-    never exceeds 1/(k_max (p-k+1)).
+    log_cdf_of_square((n-k)/2, 1/2, RR(k)) < ln z(k). math.log takes an int of
+    any size, so z(k) is neither rounded to a double nor raised to one: it may
+    lie far below the doubles. Since alpha < 1, ln z(k) < 0.
     """
     if k >= n:
         raise DomainError(f"k={k} must be < n={n} (beta parameter would be <= 0)")
@@ -284,41 +273,28 @@ def rrt_level(n: int, p: int, k_max: int, alpha: float, k: int) -> float:
         raise DomainError(f"k={k} must lie in [1, k_max={k_max}]")
     if k_max >= n:
         raise DomainError(f"k_max={k_max} must be < n={n}")
-    check_level_args(p, alpha, k, k_max)
-    # A denominator huge enough to underflow the quotient gives the smallest double.
-    return max(alpha, ALPHA_FLOOR) / (k_max * (p - k + 1)) or 5e-324
+    check_level_args(p, alpha, k)
+    return math.log(max(alpha, ALPHA_FLOOR)) - math.log(k_max * (p - k + 1))
 
 
 def rrt_threshold(n: int, p: int, k_max: int, alpha: float, k: int) -> float:
-    """Threshold Gamma(k) = sqrt(F^-1_{(n-k)/2, 1/2}(rrt_level(...))).
+    """Threshold Gamma(k) = sqrt(F^-1_{(n-k)/2, 1/2}(z(k))).
 
     The residual ratio at step k of a greedy path, conditioned on the true
     support being covered, is stochastically bounded by a Beta((n-k)/2, 1/2)
     variable; Gamma(k) is the quantile that puts total level alpha across all
     steps and candidate columns.
 
-    Gamma(k) is the double r where c(r) = beta_cdf_of_square((n-k)/2, 1/2, r)
-    reaches z(k) and the double before it does not, so RR(k) < Gamma(k) is
-    the selectors' test c(k) < z(k). The double c(r) is not monotone to the
-    last ulp, so the two can still disagree on a double or two next to
-    Gamma(k) (1 of 243,000 doubles within 40 of it, over 3,000 random
-    problems with p <= 1000). Where z(k) is subnormal (alpha near
-    ALPHA_FLOOR with p past about 1e20), c(r) moves on the coarse subnormal
-    grid, and Gamma(k) is where that rounded c(r) reaches z(k): up to 1%
-    below the quantile of z(k) itself (a = 33.5, z = 5e-324).
-
-    Where Gamma(k)^2 lies below the normal doubles (possible for a = (n-k)/2
-    <= 1 only), Gamma(k) is the quantile of z(k) itself: at a = 1 there c(r)
-    is subnormal too, and its rounding moves the flip by up to 30% (z =
-    5e-324). I_q(a, 1/2) = q^a / (a B(a, 1/2)) to double precision for such
-    q, so Gamma(k) is taken as (a z B(a, 1/2))^(1/(2a)), the square root first.
+    Gamma(k) is the double r where log_cdf_of_square((n-k)/2, 1/2, r) reaches
+    ln z(k) = rrt_log_level(...) and the double before it does not, so
+    RR(k) < Gamma(k) is the selectors' test, up to a rare double next to
+    Gamma(k) where the double ln c(r) is not monotone (none of 243,000 within
+    40 doubles over 3,000 random problems with p <= 1000). A quantile below
+    the doubles reads as the smallest positive double.
     """
-    z = rrt_level(n, p, k_max, alpha, k)
+    ln_z = rrt_log_level(n, p, k_max, alpha, k)
     a = (n - k) / 2.0
-    lead = z * (a * math.exp(log_beta_fn(a, 0.5)))  # a z B(a, 1/2) > z
-    if math.log(lead) < a * _LN_NORMAL_MIN:
-        return lead ** (0.5 / a)
-    return _first_double_reaching(lambda r: beta_cdf_of_square(a, 0.5, r), z)
+    return _first_double_reaching(lambda r: log_cdf_of_square(a, 0.5, r), ln_z)
 
 
 def build_threshold_table(n: int, p: int, k_max: int, alpha: float) -> np.ndarray:

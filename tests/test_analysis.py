@@ -230,6 +230,10 @@ def test_epsilon_bounds_domain_errors():
         epsilon_bounds(**{**good, "beta_max": 0.5})
     with pytest.raises(DomainError):
         epsilon_bounds(**{**good, "k0": 20})
+    for name in ("sigma", "beta_min", "beta_max"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match=f"{name} must be finite"):
+                epsilon_bounds(**{**good, name: bad})
 
 
 def test_rrt_error_lower_bound_values():
@@ -240,6 +244,14 @@ def test_rrt_error_lower_bound_values():
         rrt_error_lower_bound(0.1, 16, 3, 3)
     with pytest.raises(DomainError):
         rrt_error_lower_bound(0.0, 16, 64, 3)
+
+
+def test_rrt_error_lower_bound_past_the_double_range():
+    # The denominator k_max (p - k0) may be no double: the bound is the exact
+    # quotient, rounded once, and 0 only where that lies below the doubles.
+    assert rrt_error_lower_bound(0.1, 2, 10**300, 1) == 5e-302
+    assert rrt_error_lower_bound(0.5, 1, 2**1024 + 1, 1) == 2.0**-1025
+    assert rrt_error_lower_bound(0.1, 2, 10**400, 1) == 0.0
 
 
 def test_regularity_report_assembly():

@@ -201,11 +201,24 @@ def test_threshold_subcommand(tmp_path, capsys):
     assert out.read_text().splitlines()[0] == "k,gamma"
 
 
-def test_threshold_subcommand_rejects_a_level_denominator_past_the_doubles(capsys):
-    assert main(["threshold", "--n", "10", "--p", str(10**400), "--k-max", "5"]) == 1
+def test_threshold_subcommand_takes_a_level_denominator_past_the_doubles(capsys):
+    # k_max p = 2 * 10^400 is no double, and the level 1e-300 / (2 p) lies
+    # far below the doubles: Gamma(1) is the quantile of that exact level, to
+    # 1e-13 of 50-digit mpmath (ln z ~ -1613 held in a double is ~1e-13 off),
+    # and Gamma(2) = sqrt(2 z) ~ 1e-350 reads as the smallest positive double.
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    p = 10**400
+    assert main(["threshold", "--n", "4", "--p", str(p), "--k-max", "2", "--alpha", "1e-300"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: the level denominator k_max * p") and "past the double range" in captured.err
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[0] == "k,gamma" and len(lines) == 3
+    gammas = [float(line.split(",")[1]) for line in lines[1:]]
+    a, z = mp.mpf(3) / 2, mp.mpf(1e-300) / (2 * p)
+    ln_g = mp.findroot(lambda t: mp.log(mp.betainc(a, 0.5, 0, mp.exp(2 * t), regularized=True)) - mp.log(z), -470)
+    assert gammas[0] == pytest.approx(float(mp.exp(ln_g)), rel=1e-13, abs=0.0)
+    assert gammas[1] == 5e-324
 
 
 def _write_identity_problem(tmp_path):
@@ -417,6 +430,17 @@ def test_diagnose_json(tmp_path, capsys):
     assert payload["regularity"]["ric"]["2"] == pytest.approx(0.5)
     assert payload["regularity"]["erc_constant"] is not None
     assert payload["epsilon_bounds"]["eps_sigma"] > 0.0
+
+
+@pytest.mark.parametrize("flag, value", [("--sigma", "nan"), ("--sigma", "inf"), ("--beta-min", "nan"), ("--beta-max", "inf")])
+def test_diagnose_rejects_a_non_finite_margin_input(tmp_path, capsys, flag, value):
+    # A NaN would reach the JSON as NaN, which is not JSON; an inf gives no margin.
+    mpath = tmp_path / "X.csv"
+    save_matrix_csv(mpath, make_identity_hadamard(4).matrix)
+    assert main(["diagnose", "--matrix", str(mpath), "--k0", "1", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "must be finite and nonnegative" in captured.err
 
 
 def test_simulate_subcommand(tmp_path):

@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -32,13 +31,12 @@ from rrselect.selectors import (
 from rrselect.special import (
     ALPHA_FLOOR,
     beta_cdf,
-    beta_cdf_of_square,
     build_threshold_table,
     half_beta_log_cdf_bounds,
-    log_beta_fn,
+    log_cdf_of_square,
     log_cdf_of_square_ceiling,
     log_cdf_of_square_floor,
-    rrt_level,
+    rrt_log_level,
     rrt_threshold,
 )
 
@@ -70,24 +68,10 @@ def _thresholds(n, p, k_max, alpha, length):
     return [rrt_threshold(n, p, k_max, alpha, k) for k in range(1, length + 1)]
 
 
-def _table_rule(rr, table, n, p, k_max, alpha):
+def _table_rule(rr, table):
     """The reference rule: largest k with RR(k) < Gamma(k) from the thresholds
-    of the first len(rr) steps.
-
-    Where Gamma(k)^2 lies below the normal doubles the table has lost digits
-    or rounded Gamma(k) to 0, so there RR(k) is compared with the exact
-    quantile in the log domain: I_q(a, 1/2) = q^a / (a B(a, 1/2)) to double
-    precision for such q, hence ln Gamma(k) = ln(a z B(a, 1/2)) / (2a).
-    """
-    hits = []
-    for k, (x, gamma) in enumerate(zip(rr, table), 1):
-        if gamma * gamma >= sys.float_info.min:
-            hits.append(x < gamma)
-        else:
-            a = (n - k) / 2.0
-            ln_gamma = (math.log(a * rrt_level(n, p, k_max, alpha, k)) + log_beta_fn(a, 0.5)) / (2.0 * a)
-            hits.append(x == 0.0 or math.log(x) < ln_gamma)
-    return max((k for k, hit in enumerate(hits, 1) if hit), default=None)
+    of the first len(rr) steps."""
+    return max((k for k, (x, gamma) in enumerate(zip(rr, table), 1) if x < gamma), default=None)
 
 
 def test_residual_ratios_examples():
@@ -122,14 +106,15 @@ def test_rrt_select_examples():
         rrt_select(_ratios([0.5]), 1.0)
 
 
-def test_cdf_is_the_beta_cdf_of_each_squared_ratio():
+def test_log_cdf_is_the_log_beta_cdf_of_each_squared_ratio():
     rr = _ratios([0.9, 0.0, 1.0])
-    assert [rr.cdf(k) for k in (1, 2, 3)] == [beta_cdf(15.5, 0.5, 0.81), 0.0, 1.0]
+    assert [rr.log_cdf(k) for k in (1, 2, 3)] == [log_cdf_of_square(15.5, 0.5, 0.9), -math.inf, 0.0]
+    assert rr.log_cdf(1) == pytest.approx(math.log(beta_cdf(15.5, 0.5, 0.81)), rel=1e-15)
     # The values are the ratios' own: ratios of another size have their own.
-    assert _ratios([0.5], n=16).cdf(1) == beta_cdf(7.5, 0.5, 0.25)
+    assert _ratios([0.5], n=16).log_cdf(1) == pytest.approx(math.log(beta_cdf(7.5, 0.5, 0.25)), rel=1e-15)
     for k in (0, 4):
         with pytest.raises(DomainError):
-            rr.cdf(k)
+            rr.log_cdf(k)
 
 
 def test_settled_steps_hold_a_lower_bound_above_every_level(monkeypatch):
@@ -142,18 +127,18 @@ def test_settled_steps_hold_a_lower_bound_above_every_level(monkeypatch):
     n, p, k_max = 32, 64, 16
     ratios = _ratios([0.99, 0.3, 0.99], n, p, k_max)
     lows, highs = ratios.log_cdf_bounds
-    exact = [beta_cdf_of_square((n - k) / 2.0, 0.5, rr) for k, rr in enumerate(ratios.values, 1)]
+    exact = [log_cdf_of_square((n - k) / 2.0, 0.5, rr) for k, rr in enumerate(ratios.values, 1)]
     for k, rr in enumerate(ratios.values, 1):
         a = (n - k) / 2.0
         assert lows[k - 1] == log_cdf_of_square_floor(a, 0.5, rr)
         assert highs[k - 1] == log_cdf_of_square_ceiling(a, 0.5, rr)
-        assert math.exp(lows[k - 1]) <= exact[k - 1] <= math.exp(highs[k - 1])
+        assert lows[k - 1] <= exact[k - 1] <= highs[k - 1]
     for i in (0, 2):
         assert lows[i] > math.log(1.0 / (k_max * (p - i))) + 1e-9
-    assert highs[1] < math.log(rrt_level(n, p, k_max, 1e-6, 2)) - 1e-9
+    assert highs[1] < rrt_log_level(n, p, k_max, 1e-6, 2) - 1e-9
     calls = []
-    original = special.beta_cdf_of_square
-    monkeypatch.setattr(special, "beta_cdf_of_square", lambda a, b, r: calls.append(a) or original(a, b, r))
+    original = special.log_cdf_of_square
+    monkeypatch.setattr(special, "log_cdf_of_square", lambda a, b, r: calls.append(a) or original(a, b, r))
     for alpha in (1.0 - 1e-12, 0.1, 1e-6):
         assert rrt_select(ratios, alpha) == 2
     assert calls == []
@@ -184,13 +169,15 @@ def test_rrt_select_checks_its_arguments_without_ratios():
             rrt_select(_ratios(values, n, p, k_max), alpha)
 
 
-def test_rrt_select_rejects_a_level_denominator_past_the_doubles():
-    # k_max p = 3 * 10^400 is no double: the level of step 1 does not exist,
-    # whether or not the scan would reach it.
-    for values in ([], [0.5], [0.5, 0.0, 1e-300]):
-        with pytest.raises(DomainError, match="past the double range"):
-            rrt_select(_ratios(values, 32, 10**400, 3), 0.1)
-    assert rrt_select(_ratios([0.5, 0.0, 1e-300], 32, 10**300, 3), 0.1) == 3
+def test_rrt_select_applies_the_exact_level_past_the_double_range():
+    # k_max p = 3 * 10^400 is no double, and z(k) ~ 3e-402 lies far below the
+    # doubles; ln z(k) is taken from the integer, so the levels exist. At
+    # RR = 0.5, ln c(1) ~ -22 is far above ln z(1) ~ -924; at RR = 1e-300,
+    # ln c(3) ~ -2e4 is far below ln z(3).
+    for p in (10**400, 10**300):
+        assert rrt_select(_ratios([], 32, p, 3), 0.1) is None
+        assert rrt_select(_ratios([0.5], 32, p, 3), 0.1) is None
+        assert rrt_select(_ratios([0.5, 0.5, 1e-300], 32, p, 3), 0.1) == 3
 
 
 @pytest.mark.parametrize("values", [[math.nan, 0.5], [0.5, math.nan], [1.5, -0.2], [0.5] * 5])
@@ -225,7 +212,7 @@ def test_ratio_whose_square_underflows_keeps_its_cdf():
     # RR(1) = 1e-301 lies below it although Gamma(1)^2 rounds to 0.
     for rr, selected in ((1e-200, None), (1e-301, 1)):
         ratios = _ratios([rr], 2, 1, 1)
-        assert ratios.cdf(1) == pytest.approx(2.0 * rr / math.pi, rel=1e-12, abs=0.0)
+        assert ratios.log_cdf(1) == pytest.approx(math.log(2.0 * rr / math.pi), rel=1e-15, abs=0.0)
         assert rrt_select(ratios, 1e-300) == selected
 
 
@@ -248,15 +235,15 @@ def test_cdf_rule_matches_threshold_table_rule(n, data, log_alpha):
         data.draw(st.one_of(st.floats(0.0, 1.0), st.floats(0.999, 1.001).map(lambda f: min(f * g, 1.0))))
         for g in table
     ]
-    assert rrt_select(_ratios(rr, n, p, k_max), alpha) == _table_rule(rr, table, n, p, k_max, alpha)
+    assert rrt_select(_ratios(rr, n, p, k_max), alpha) == _table_rule(rr, table)
 
 
 def _unscreened_rule(rr, n, p, k_max, alpha):
-    """Largest k with c(k) < z(k), the exact CDF taken at every step."""
+    """Largest k with ln c(k) < ln z(k), the exact log CDF taken at every step."""
     hits = [
         k
         for k, x in enumerate(rr, 1)
-        if beta_cdf_of_square((n - k) / 2.0, 0.5, x) < rrt_level(n, p, k_max, alpha, k)
+        if log_cdf_of_square((n - k) / 2.0, 0.5, x) < rrt_log_level(n, p, k_max, alpha, k)
     ]
     return max(hits, default=None)
 
@@ -302,15 +289,20 @@ def _doubles_away(x, steps):
     return x
 
 
-def test_a_cdf_rounded_up_to_a_subnormal_level_is_not_below_it():
-    # At n = 2, p = 1e30 the level 1e-300 / 1e30 underflows and is raised to
-    # 5e-324. RR(1) = 5e-324 gives c(1) = 2 RR / pi ~ 3.1e-324, whose upper
-    # bound lies below the level, but the double nearest c(1) is 5e-324: not
-    # below it, so no step is selected.
+def test_a_level_below_the_doubles_is_not_raised_to_them():
+    # At n = 2, p = 1e30 the level z(1) = 1e-300 / 1e30 lies below the
+    # doubles. RR(1) = 5e-324 gives c(1) = 2 RR / pi ~ 3.1e-324, far above
+    # z(1) (raised to 5e-324, the level would lie above it). Only RR(1) = 0
+    # is selected, and Gamma(1) = pi z / 2 ~ 1.6e-330 reads as the smallest
+    # positive double.
+    ln_z = rrt_log_level(2, 10**30, 1, 1e-300, 1)
+    assert ln_z == pytest.approx(math.log(1e-300) - math.log(1e30), rel=1e-15)
     ratios = _ratios([5e-324], 2, 10**30, 1)
-    assert ratios.log_cdf_bounds[1][0] < math.log(5e-324) - 1e-9
-    assert ratios.cdf(1) == 5e-324 == rrt_level(2, 10**30, 1, 1e-300, 1)
+    ln_c = ratios.log_cdf(1)
+    assert ln_c == pytest.approx(math.log(2.0 / math.pi) + math.log(5e-324), rel=1e-15) and ln_c > ln_z
     assert rrt_select(ratios, 1e-300) is None
+    assert rrt_select(_ratios([0.0], 2, 10**30, 1), 1e-300) == 1
+    assert rrt_threshold(2, 10**30, 1, 1e-300, 1) == 5e-324
 
 
 @settings(max_examples=200, deadline=None)
@@ -321,11 +313,10 @@ def test_a_cdf_rounded_up_to_a_subnormal_level_is_not_below_it():
     log_p=st.floats(0.0, math.log(1e30)),
 )
 def test_two_sided_decision_matches_the_unscreened_rule_at_extreme_sizes(n, data, log_alpha, log_p):
-    # Levels down to alpha = 1e-300 over up to 1e30 columns reach the
-    # subnormal levels and the 5e-324 floor of rrt_level. Ratios drawn
-    # within 1e-6, 1e-9 and 1e-12 of Gamma(k), or a few doubles from it, put
-    # c(k) next to z(k), inside the bounds' margin, where only the exact CDF
-    # can decide.
+    # Levels down to alpha = 1e-300 over up to 1e30 columns reach levels
+    # below the doubles. Ratios drawn within 1e-6, 1e-9 and 1e-12 of
+    # Gamma(k), or a few doubles from it, put ln c(k) next to ln z(k), inside
+    # the bounds' margin, where only the exact log CDF can decide.
     k_max = data.draw(st.integers(1, n - 1), label="k_max")
     p = max(k_max, int(math.exp(log_p)))
     length = data.draw(st.integers(0, k_max), label="K")
@@ -345,6 +336,63 @@ def test_two_sided_decision_matches_the_unscreened_rule_at_extreme_sizes(n, data
     assert rrt_select(_ratios(rr, n, p, k_max), alpha) == _unscreened_rule(rr, n, p, k_max, alpha)
 
 
+def _mp_log_gaps(mp, rr, n, p, k_max, alpha):
+    """ln c(k) - ln z(k) for each step k of rr in 50-digit mpmath: c(k) from
+    the exact square of the ratio, z(k) from the exact integer denominator."""
+    gaps = []
+    with mp.workdps(50):
+        for k, x in enumerate(rr, 1):
+            ln_z = mp.log(mp.mpf(max(alpha, ALPHA_FLOOR))) - mp.log(k_max * (p - k + 1))
+            c = mp.betainc(mp.mpf(n - k) / 2, 0.5, 0, mp.mpf(x) ** 2, regularized=True)
+            gaps.append(mp.log(c) - ln_z if c > 0 else -mp.inf)
+    return gaps
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 200),
+    data=st.data(),
+    log_alpha=st.floats(math.log(1e-300), math.log(0.5)),
+    p_digits=st.integers(0, 400),
+)
+def test_rrt_select_decides_as_the_papers_level_in_mpmath(n, data, log_alpha, p_digits):
+    # The rule is the paper's: the largest k with c(k) < z(k) = alpha /
+    # (k_max (p-k+1)), the level neither rounded nor raised, for p up to
+    # 10^400 and alpha down to 1e-300. Wherever every step's ln c(k) lies
+    # more than 1e-12 from ln z(k) in 50-digit mpmath, rrt_select decides as
+    # that comparison does. Ratios are drawn anywhere in [0,1], or within
+    # 1e-6 to 1e-12 of Gamma(k).
+    mp = pytest.importorskip("mpmath")
+    k_max = data.draw(st.integers(1, n - 1), label="k_max")
+    p = max(k_max, data.draw(st.integers(1, 9), label="lead") * 10**p_digits)
+    length = data.draw(st.integers(0, min(k_max, 6)), label="K")
+    alpha = math.exp(log_alpha)
+    table = _thresholds(n, p, k_max, alpha, length)
+    near = [st.floats(1.0 - d, 1.0 + d) for d in (1e-6, 1e-9, 1e-12)]
+    rr = [
+        data.draw(st.one_of(st.floats(0.0, 1.0), *(f.map(lambda f: min(f * g, 1.0)) for f in near)))
+        for g in table
+    ]
+    gaps = _mp_log_gaps(mp, rr, n, p, k_max, alpha)
+    assume(all(abs(gap) > 1e-12 for gap in gaps))
+    expected = max((k for k, gap in enumerate(gaps, 1) if gap < 0), default=None)
+    assert rrt_select(_ratios(rr, n, p, k_max), alpha) == expected
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_rrt_select_at_a_million_rows_a_hair_from_the_threshold(side):
+    # At n = 10^6, a ratio 1e-12 (relative) from Gamma(k) moves ln c(k) by
+    # about 2a 1e-12 ~ 1e-6 from ln z(k), far past the rounding of either:
+    # every step decides as 50-digit mpmath does.
+    mp = pytest.importorskip("mpmath")
+    n, p, k_max, alpha = 10**6, 2 * 10**6, 4, 0.1
+    for k in range(1, k_max + 1):
+        rr = [1.0] * (k - 1) + [rrt_threshold(n, p, k_max, alpha, k) * (1.0 + side * 1e-12)]
+        gap = _mp_log_gaps(mp, rr, n, p, k_max, alpha)[-1]
+        assert abs(gap) > 1e-7 and (gap < 0) == (side < 0)
+        assert rrt_select(_ratios(rr, n, p, k_max), alpha) == (k if side < 0 else None)
+
+
 def _check_decision_a_few_doubles_from_the_threshold(n, p, k_max, k, alpha, steps):
     """rrt_select on ratios of 1 up to step k, whose ratio lies `steps` doubles from Gamma(k)."""
     gamma = rrt_threshold(n, p, k_max, alpha, k)
@@ -352,16 +400,15 @@ def _check_decision_a_few_doubles_from_the_threshold(n, p, k_max, k, alpha, step
     selected = rrt_select(_ratios(rr, n, p, k_max), alpha)
     assert selected == _unscreened_rule(rr, n, p, k_max, alpha)
     # Gamma(k) is where that test flips: step k is selected exactly when its
-    # ratio is below Gamma(k). The double CDF wobbles by a few ulps, so this
-    # holds where it does not fall on the doubles from the ratio to Gamma(k)
-    # (it does at n = 5, p = 1, alpha = e^-1.5: c reads above z two doubles
-    # below Gamma(1), and below z one double below it).
+    # ratio is below Gamma(k). The double log CDF wobbles by a few ulps, so
+    # this holds where it does not fall on the doubles from the ratio to
+    # Gamma(k) (it can near Gamma(1) at n = 5, p = 1, alpha = e^-1.5).
     low, high = sorted((rr[-1], gamma))
-    cdfs = []
+    log_cdfs = []
     while low <= high:
-        cdfs.append(beta_cdf_of_square((n - k) / 2.0, 0.5, low))
+        log_cdfs.append(log_cdf_of_square((n - k) / 2.0, 0.5, low))
         low = math.nextafter(low, math.inf)
-    if gamma * gamma >= sys.float_info.min and cdfs == sorted(cdfs):
+    if log_cdfs == sorted(log_cdfs):
         assert selected == (k if rr[-1] < gamma else None)
 
 
@@ -389,18 +436,18 @@ def test_decision_a_few_doubles_from_the_threshold(n, data, log_alpha, log_p, st
 @pytest.mark.parametrize(
     "n, p, alpha",
     [
-        (68, 10**30, 1e-300),  # a = 33.5: the level is raised to 5e-324, Gamma(1)^2 ~ 1e-10 is normal
-        (5, 1, math.exp(-1.5)),  # a = 2: the double CDF falls two doubles below Gamma(1)
+        (68, 10**30, 1e-300),  # a = 33.5: the level lies below the doubles, Gamma(1)^2 ~ 1e-10 is normal
+        (5, 1, math.exp(-1.5)),  # a = 2: the double log CDF wobbles near Gamma(1)
     ],
 )
 def test_decision_a_few_doubles_from_the_threshold_at_fixed_sizes(n, p, alpha, steps):
-    # The first case's level is checked in
-    # tests/test_special.py::test_threshold_at_a_subnormal_level_is_where_the_rounded_cdf_reaches_it.
+    # The first case's threshold is checked in
+    # tests/test_special.py::test_threshold_at_a_level_below_the_doubles_matches_mpmath.
     _check_decision_a_few_doubles_from_the_threshold(n, p, 1, 1, alpha, steps)
 
 
-# (n, p, k_max, k, alpha) where, at Gamma(k), beta_cdf reads 1.1e-13
-# relative above 40-digit mpmath, and so above the upper bound U(k).
+# (n, p, k_max, k, alpha) where, at Gamma(k), beta_cdf read 1.1e-13
+# relative above 40-digit mpmath, and the log CDF reads above ln U(k).
 CDF_ROUNDING_CASES = [
     (51, 45269932611295747127413571584, 22, 15, 1.4955331689308145e-215),
     (78, 522, 73, 35, 1.4238134816150255e-283),
@@ -409,11 +456,11 @@ CDF_ROUNDING_CASES = [
 
 @pytest.mark.parametrize("n, p, k_max, k, alpha", CDF_ROUNDING_CASES)
 def test_bounds_within_the_cdf_rounding_of_the_level_leave_the_step_to_the_cdf(n, p, k_max, k, alpha):
-    # The rule compares the double CDF with z(k); a bound no farther from
-    # z(k) than that double's rounding must not decide the step.
+    # The rule compares the double log CDF with ln z(k); a bound no farther
+    # from ln z(k) than that double's rounding must not decide the step.
     gamma = rrt_threshold(n, p, k_max, alpha, k)
     a = (n - k) / 2.0
-    assert math.exp(log_cdf_of_square_ceiling(a, 0.5, gamma)) < beta_cdf_of_square(a, 0.5, gamma)
+    assert log_cdf_of_square_ceiling(a, 0.5, gamma) < log_cdf_of_square(a, 0.5, gamma)
     for steps in range(-6, 7):
         rr = [1.0] * (k - 1) + [_doubles_away(gamma, steps)]
         assert rrt_select(_ratios(rr, n, p, k_max), alpha) == _unscreened_rule(rr, n, p, k_max, alpha)
@@ -449,8 +496,9 @@ def test_ratios_carry_the_problem_size_of_their_path(rule):
 )
 def test_rrt_select_applies_the_rule_at_its_path_size(seed, n, extra, snr_db, rule, alpha, data):
     # On a Gaussian n x p design, rrt_select(residual_ratios(path), alpha) is
-    # the largest k with c(k) = I_{RR(k)^2}((n-k)/2, 1/2) below
-    # rrt_level(n, p, k_max, alpha, k), with n, p and k_max those of the path.
+    # the largest k with ln c(k), c(k) = I_{RR(k)^2}((n-k)/2, 1/2), below
+    # rrt_log_level(n, p, k_max, alpha, k), with n, p and k_max those of the
+    # path.
     p = n + extra
     k_max = data.draw(st.integers(1, n - 1), label="k_max")
     k0 = data.draw(st.integers(1, k_max), label="k0")
@@ -554,7 +602,7 @@ def test_selectors_on_exact_zero_tail():
     assert rrta_select(rr, RrtaParams(0.1, 2.0)) == 4
     assert rrt_select(rr, 0.1) == 4
     for alpha in (0.1, rrta_alpha(rr, RrtaParams(0.1, 2.0))):
-        assert _table_rule(rr.values, _thresholds(32, 64, 4, alpha, 4), 32, 64, 4, alpha) == 4
+        assert _table_rule(rr.values, _thresholds(32, 64, 4, alpha, 4)) == 4
 
 
 def test_rrta_matches_rrt_when_pfd_binds():
@@ -591,7 +639,7 @@ def test_rrta_handles_truncated_paths():
     # so the decision matches the first two entries of the k_max=4 table
     alpha = rrta_alpha(rr, RrtaParams(0.1, 2.0))
     k = rrta_select(rr, RrtaParams(0.1, 2.0))
-    assert k == rrt_select(rr, alpha) == _table_rule(rr.values, _thresholds(32, 64, 4, alpha, 2), 32, 64, 4, alpha) == 1
+    assert k == rrt_select(rr, alpha) == _table_rule(rr.values, _thresholds(32, 64, 4, alpha, 2)) == 1
     # with k_max=2 the level of step 1 is twice as large: a ratio between the
     # two thresholds tells the configured k_max apart from the path length
     between = float(np.mean([build_threshold_table(32, 64, 4, 0.1)[0], build_threshold_table(32, 64, 2, 0.1)[0]]))

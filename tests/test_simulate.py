@@ -389,13 +389,12 @@ def test_run_trial_computes_residual_ratios_once_per_path(monkeypatch):
 def test_run_trial_builds_the_cdf_vector_once_per_path_and_only_for_rrt(monkeypatch, algorithms, builds):
     from rrselect import selectors, simulate, special
 
-    # Exactly one beta_cdf call per rrt or rrta scan and per step that the
-    # scan reaches without its bounds deciding it (no ratio's square
-    # underflows at 5 dB); none for rrm or fixed_k0. Trials 1, 4 and 25 at
-    # 5 dB hold such steps.
+    # Exactly one log_cdf_of_square call per rrt or rrta scan and per step
+    # that the scan reaches without its bounds deciding it; none for rrm or
+    # fixed_k0. Trials 1, 4 and 25 at 5 dB hold such steps.
     calls, paths = [], []
-    original, original_ratios = special.beta_cdf, simulate.residual_ratios
-    monkeypatch.setattr(special, "beta_cdf", lambda a, b, x: calls.append(a) or original(a, b, x))
+    original, original_ratios = special.log_cdf_of_square, simulate.residual_ratios
+    monkeypatch.setattr(special, "log_cdf_of_square", lambda a, b, r: calls.append(a) or original(a, b, r))
     monkeypatch.setattr(simulate, "residual_ratios", lambda path: paths.append(path) or original_ratios(path))
     config = _config(algorithms=algorithms, snr_db_list=(5.0,))
     undecided_steps = 0
@@ -411,14 +410,13 @@ def test_run_trial_builds_the_cdf_vector_once_per_path_and_only_for_rrt(monkeypa
             for alpha in (0.1, 0.01, selectors.rrta_alpha(ratios, RrtaParams())):
                 for k in range(path.K, 0, -1):
                     a, rr = (32 - k) / 2.0, float(ratios.values[k - 1])
-                    z = special.rrt_level(32, 64, 16, alpha, k)
-                    ln_z = math.log(z)
+                    ln_z = special.rrt_log_level(32, 64, 16, alpha, k)
                     if special.log_cdf_of_square_floor(a, 0.5, rr) > ln_z + 1e-9:
                         continue
                     if special.log_cdf_of_square_ceiling(a, 0.5, rr) < ln_z - 1e-9:
                         break
                     undecided.append(a)
-                    if special.beta_cdf_of_square(a, 0.5, rr) < z:
+                    if original(a, 0.5, rr) < ln_z:
                         break
             expected += undecided * builds
         assert made == sorted(expected)

@@ -11,13 +11,13 @@ from rrselect.special import (
     ALPHA_FLOOR,
     beta_cdf,
     beta_cdf_inv,
-    beta_cdf_of_square,
     build_threshold_table,
     half_beta_log_terms,
     log_beta_fn,
+    log_cdf_of_square,
     log_cdf_of_square_ceiling,
     log_cdf_of_square_floor,
-    rrt_level,
+    rrt_log_level,
     rrt_threshold,
 )
 
@@ -107,29 +107,33 @@ def test_beta_cdf_boundaries_monotone_domain():
         beta_cdf(1.0, 1.0, 1.1)
 
 
-def test_beta_cdf_of_square_matches_beta_cdf_where_the_square_is_normal():
+def test_log_cdf_of_square_is_the_log_of_beta_cdf_where_the_square_is_normal():
+    # Where the CDF is a normal double the two differ only in taking ln r^2
+    # as 2 ln r rather than ln(r * r), and in where they round.
     for a in (0.5, 8.0, 15.5):
-        for r in (0.0, 1.5e-154, 1e-100, 0.3, 0.9, 1.0):
-            assert beta_cdf_of_square(a, 0.5, r) == beta_cdf(a, 0.5, r * r)
+        assert log_cdf_of_square(a, 0.5, 0.0) == -math.inf
+        assert log_cdf_of_square(a, 0.5, 1.0) == 0.0
+        for r in (1.5e-154, 1e-100, 1e-10, 0.3, 0.9):
+            c = beta_cdf(a, 0.5, r * r)
+            if c >= sys.float_info.min:
+                assert log_cdf_of_square(a, 0.5, r) == pytest.approx(math.log(c), rel=1e-15, abs=1e-15), (a, r)
     with pytest.raises(DomainError):
-        beta_cdf_of_square(2.0, 0.5, -1e-200)
+        log_cdf_of_square(2.0, 0.5, -1e-200)
     with pytest.raises(DomainError):
-        beta_cdf_of_square(2.0, 0.5, 1.5)
+        log_cdf_of_square(2.0, 0.5, 1.5)
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.5])
-def test_beta_cdf_of_square_against_mpmath_where_the_square_underflows(a):
-    # r^2 is subnormal or rounds to 0 for r < 1.5e-154, where beta_cdf(a, b,
-    # r * r) loses digits or reads 0. Checked wherever the CDF is at least
-    # 1e-300, to 1e-12 relative: exp() of a log near -700 carries ~1e-13.
+def test_log_cdf_of_square_against_mpmath_where_the_square_underflows(a):
+    # r^2 is subnormal or rounds to 0 for r < 1.5e-154, where ln(r * r) loses
+    # digits or reads -inf; the CDF itself lies below the doubles from about
+    # r = 1e-162 on. Checked down to r = 1e-300, to 1e-15 relative in ln.
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
     for e in range(155, 301, 5):
         r = 10.0**-e
-        expected = mp.betainc(a, 0.5, 0, mp.mpf(r) ** 2, regularized=True)
-        if expected < 1e-300:
-            continue
-        assert beta_cdf_of_square(a, 0.5, r) == pytest.approx(float(expected), rel=1e-12, abs=0.0), (a, r)
+        expected = mp.log(mp.betainc(a, 0.5, 0, mp.mpf(r) ** 2, regularized=True))
+        assert log_cdf_of_square(a, 0.5, r) == pytest.approx(float(expected), rel=1e-15, abs=0.0), (a, r)
 
 
 def _nearest_double(mp, v) -> float:
@@ -145,12 +149,14 @@ def test_cdf_below_exp_minus_745_rounds_to_the_nearest_subnormal():
     # Where the CDF's first factor falls below exp(-745), math.exp returns
     # the nearest subnormal (or 0), not a cut-off 0. 400 digits resolve the
     # second case: I_x(1, 1/2) = 1 - sqrt(1 - x) at x = 2^-1074 exceeds
-    # 2^-1075, half the smallest double, by a relative x/4.
+    # 2^-1075, half the smallest double, by a relative x/4. The log CDF of
+    # the square keeps its digits there.
     mp = pytest.importorskip("mpmath")
     with mp.workdps(400):
         r = 2.317197903108824e-162
         expected = mp.betainc(1, 0.5, 0, mp.mpf(r) ** 2, regularized=True)
-        assert beta_cdf_of_square(1.0, 0.5, r) == _nearest_double(mp, expected) == 5e-324
+        assert _nearest_double(mp, expected) == 5e-324
+        assert log_cdf_of_square(1.0, 0.5, r) == pytest.approx(float(mp.log(expected)), rel=1e-15, abs=0.0)
         x = 5e-324
         expected = mp.betainc(1, 0.5, 0, mp.mpf(x), regularized=True)
         assert beta_cdf(1.0, 0.5, x) == _nearest_double(mp, expected) == 5e-324
@@ -167,15 +173,14 @@ def test_cdf_below_exp_minus_745_rounds_to_the_nearest_subnormal():
     ],
 )
 def test_subnormal_cdf_is_the_nearest_double(a, x):
-    # A CDF below the normal doubles whose square r^2 is normal: the first
-    # factor is subnormal, and rounding it before the continued fraction and
-    # the division by a would round twice.
+    # A CDF below the normal doubles at a normal x: the first factor is
+    # subnormal, and rounding it before the continued fraction and the
+    # division by a would round twice.
     mp = pytest.importorskip("mpmath")
-    r = math.sqrt(x)
     with mp.workdps(60):
-        expected = mp.betainc(a, 0.5, 0, mp.mpf(r) ** 2, regularized=True)
+        expected = mp.betainc(a, 0.5, 0, mp.mpf(x), regularized=True)
         assert 0 < expected < sys.float_info.min
-        assert beta_cdf_of_square(a, 0.5, r) == _nearest_double(mp, expected)
+        assert beta_cdf(a, 0.5, x) == _nearest_double(mp, expected)
 
 
 def test_beta_cdf_inv_trivial_and_frozen_values():
@@ -299,16 +304,21 @@ def test_half_beta_log_terms_are_the_constants_of_the_floor():
         assert half_beta_log_terms(n) == tuple((a, math.log(a), log_beta_fn(a, 0.5)) for a in halves)
 
 
-def test_rrt_level_is_the_level_of_the_threshold():
-    assert rrt_level(32, 64, 16, 0.1, 1) == 0.1 / (16 * 64)
-    assert rrt_level(32, 64, 16, 1e-320, 3) == ALPHA_FLOOR / (16 * 62)  # alpha floored
-    assert rrt_level(32, 10**30, 16, ALPHA_FLOOR, 1) == 5e-324  # underflow raised
+def _mp_level(mp, n, p, k_max, alpha, k):
+    """z(k) = max(alpha, ALPHA_FLOOR) / (k_max (p-k+1)) in mpmath, from the
+    exact integer denominator: no rounding to a double, no raise."""
+    return mp.mpf(max(alpha, ALPHA_FLOOR)) / (k_max * (p - k + 1))
+
+
+def test_rrt_log_level_is_the_level_of_the_threshold():
+    assert rrt_log_level(32, 64, 16, 0.1, 1) == math.log(0.1) - math.log(16 * 64)
+    assert rrt_log_level(32, 64, 16, 1e-320, 3) == math.log(ALPHA_FLOOR) - math.log(16 * 62)  # alpha floored
     for k in (1, 8, 16):
         gamma = rrt_threshold(32, 64, 16, 0.1, k)
-        level = rrt_level(32, 64, 16, 0.1, k)
+        level = math.exp(rrt_log_level(32, 64, 16, 0.1, k))
         assert beta_cdf((32 - k) / 2.0, 0.5, gamma**2) == pytest.approx(level, rel=1e-12, abs=0.0)
     with pytest.raises(DomainError):
-        rrt_level(32, 64, 16, 0.1, 17)
+        rrt_log_level(32, 64, 16, 0.1, 17)
 
 
 # The smallest int float() cannot take: it lies halfway between the largest
@@ -316,23 +326,28 @@ def test_rrt_level_is_the_level_of_the_threshold():
 FIRST_INT_PAST_DOUBLES = 2**1024 - 2**970
 
 
-def test_a_level_denominator_past_the_doubles_is_a_domain_error():
-    # k_max p, the denominator of step 1, is past the doubles: a DomainError
-    # at every step, not the OverflowError of int-to-float conversion.
-    for args in ((10, 10**400, 5, 0.1, 1), (10, 10**400, 5, 0.1, 5), (3, FIRST_INT_PAST_DOUBLES, 1, 0.5, 1)):
-        with pytest.raises(DomainError, match="past the double range"):
-            rrt_level(*args)
-    with pytest.raises(DomainError, match="past the double range"):
-        rrt_threshold(10**9, 10**300, 10**9 - 1, 1e-300, 1)
-    with pytest.raises(DomainError, match="past the double range"):
-        build_threshold_table(10, 10**400, 5, 0.1)
-    # Below the limit the level is the quotient by the denominator's double,
-    # as before the check.
-    p = FIRST_INT_PAST_DOUBLES - 1
-    assert float(p) == sys.float_info.max
-    assert rrt_level(3, p, 1, 0.5, 1) == 0.5 / sys.float_info.max
-    assert rrt_level(10, 10**300, 5, 0.1, 3) == 0.1 / float(5 * (10**300 - 2))
-    assert rrt_threshold(10, 10**300, 5, 0.1, 1) > 0.0
+def test_a_level_denominator_past_the_doubles_gives_the_exact_level():
+    # k_max p, the denominator of step 1, may lie past the doubles, and the
+    # level z(k) far below them: ln z(k) is taken from the integer itself, to
+    # the rounding of a double of its size, and every threshold is the
+    # selectors' flip.
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    cases = [
+        (10, 10**400, 5, 0.1, 1),
+        (10, 10**400, 5, 0.1, 5),
+        (3, FIRST_INT_PAST_DOUBLES, 1, 0.5, 1),
+        (3, FIRST_INT_PAST_DOUBLES - 1, 1, 0.5, 1),
+        (32, 10**30, 16, ALPHA_FLOOR, 1),
+        (10, 10**300, 5, 0.1, 3),
+        (10**9, 10**300, 10**9 - 1, 1e-300, 1),
+    ]
+    for n, p, k_max, alpha, k in cases:
+        ln_z = rrt_log_level(n, p, k_max, alpha, k)
+        assert ln_z == pytest.approx(float(mp.log(_mp_level(mp, n, p, k_max, alpha, k))), rel=4e-16, abs=0.0)
+        gamma, a = rrt_threshold(n, p, k_max, alpha, k), (n - k) / 2.0
+        assert log_cdf_of_square(a, 0.5, math.nextafter(gamma, 0.0)) < ln_z <= log_cdf_of_square(a, 0.5, gamma)
+    assert list(build_threshold_table(10, 10**400, 5, 0.1)) == [rrt_threshold(10, 10**400, 5, 0.1, k) for k in range(1, 6)]
 
 
 @pytest.mark.parametrize("a", [0.5, 8.0, 15.5])
@@ -383,12 +398,8 @@ def test_cdf_floor_is_a_lower_bound_of_the_cdf(a, x):
     floor = log_cdf_of_square_floor(a, 0.5, r)
     slack = 1e-12 * max(1.0, abs(floor))
     assert floor <= float(mp.log(exact)) + slack
-    # Rounding to doubles is monotone, so L <= I carries over to the double
-    # CDF. It is taken on the double grid, not in ln: below the normal
-    # doubles a value keeps few digits, and the nearest double to I can lie
-    # under L by up to half a step of 5e-324.
-    c = beta_cdf_of_square(a, 0.5, r)
-    assert c >= math.exp(floor - slack)
+    # And so for the double log CDF, to its rounding.
+    assert log_cdf_of_square(a, 0.5, r) >= floor - slack
 
 
 @settings(max_examples=200, deadline=None)
@@ -413,8 +424,8 @@ def test_cdf_ceiling_is_an_upper_bound_of_the_cdf(a, b, x):
     slack = 1e-12 * max(1.0, abs(ceiling))
     assert floor <= ceiling
     assert ceiling >= float(mp.log(exact)) - slack
-    # On the double grid, as for the floor: rounding is monotone.
-    assert beta_cdf_of_square(a, b, r) <= math.exp(ceiling + slack)
+    # And so for the double log CDF, to its rounding, as for the floor.
+    assert log_cdf_of_square(a, b, r) <= ceiling + slack
 
 
 # (n, p, k_max, alpha, k) whose Gamma(k)^2 lies below the normal doubles or
@@ -424,8 +435,8 @@ UNDERFLOW_CASES = [
     (32, 64, 31, 1e-152, 31),  # Gamma^2 ~ 2e-310, subnormal
     (32, 64, 31, 1e-200, 31),  # Gamma^2 below every double
     (3, 10**9, 1, 1e-300, 1),  # a = 1: Gamma^2 = 2 z ~ 2e-309
-    (4, 10**20, 2, 1e-300, 2),
-    (4, 10**30, 2, ALPHA_FLOOR, 2),  # the level itself underflows to 5e-324
+    (4, 10**20, 2, 1e-300, 2),  # the level 5e-321 is subnormal
+    (4, 10**30, 2, ALPHA_FLOOR, 2),  # the level 5e-331 lies below the doubles
 ]
 
 
@@ -434,7 +445,7 @@ def test_rrt_threshold_where_its_square_underflows_matches_mpmath(args):
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
     n, p, k_max, alpha, k = args
-    a, z = mp.mpf(n - k) / 2, mp.mpf(rrt_level(*args))
+    a, z = mp.mpf(n - k) / 2, _mp_level(mp, *args)
     # Solve I_{g^2}(a, 1/2) = z for ln g.
     ln_g = mp.findroot(lambda t: mp.log(mp.betainc(a, 0.5, 0, mp.exp(2 * t), regularized=True)) - mp.log(z), -300)
     gamma = rrt_threshold(*args)
@@ -445,14 +456,15 @@ def test_rrt_threshold_where_its_square_underflows_matches_mpmath(args):
 
 def test_rrt_threshold_is_exact_on_both_sides_of_the_underflow_switch():
     # At n = 32, k = 31 (a = 1/2), I_q(1/2, 1/2) = (2/pi) asin(sqrt q), so
-    # Gamma = sin(pi z / 2); Gamma^2 leaves the normal doubles near alpha = 1e-151.
+    # Gamma = sin(pi z / 2); Gamma^2 leaves the normal doubles near alpha =
+    # 1e-151, and one log CDF serves both sides.
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
     for e in range(148, 158):
         alpha = 10.0**-e
-        z = rrt_level(32, 64, 31, alpha, 31)
+        z = _mp_level(mp, 32, 64, 31, alpha, 31)
         gamma = rrt_threshold(32, 64, 31, alpha, 31)
-        assert gamma == pytest.approx(float(mp.sin(mp.pi * mp.mpf(z) / 2)), rel=1e-13, abs=0.0), e
+        assert gamma == pytest.approx(float(mp.sin(mp.pi * z / 2)), rel=1e-13, abs=0.0), e
 
 
 def _threshold_output(capsys, n, p, k_max, alpha):
@@ -476,7 +488,7 @@ def test_threshold_output_at_large_n_matches_mpmath(capsys, n, p, k_max, alpha):
     gammas = _threshold_output(capsys, n, p, k_max, alpha)
     assert len(gammas) == k_max
     for k, gamma in enumerate(gammas, start=1):
-        a, z = mp.mpf(n - k) / 2, mp.mpf(rrt_level(n, p, k_max, alpha, k))
+        a, z = mp.mpf(n - k) / 2, _mp_level(mp, n, p, k_max, alpha, k)
         # Solve ln I_{g^2}(a, 1/2) = ln z for g in a bracket around the output.
         root = mp.findroot(
             lambda g: mp.log(mp.betainc(a, 0.5, 0, g * g, regularized=True)) - mp.log(z),
@@ -494,45 +506,35 @@ def test_threshold_output_at_large_n_matches_mpmath(capsys, n, p, k_max, alpha):
     log_p=st.floats(0.0, math.log(1e30)),
 )
 def test_threshold_is_where_the_selectors_test_flips(n, data, log_alpha, log_p):
-    # Wherever Gamma(k)^2 is normal, c(r) = I_{r^2}((n-k)/2, 1/2) reads below
-    # z(k) at the double before Gamma(k) and not at Gamma(k): the table's
-    # Gamma(k) is where the selectors' test c(k) < z(k) flips, with no margin.
+    # ln c(r) = ln I_{r^2}((n-k)/2, 1/2) reads below ln z(k) at the double
+    # before Gamma(k) and not at Gamma(k): the table's Gamma(k) is where the
+    # selectors' test ln c(k) < ln z(k) flips, with no margin, wherever
+    # Gamma(k)^2 and z(k) lie.
     k_max = data.draw(st.integers(1, n - 1), label="k_max")
     k = data.draw(st.integers(1, k_max), label="k")
     p = max(k_max, int(math.exp(log_p)))
     alpha = math.exp(log_alpha)
     gamma = rrt_threshold(n, p, k_max, alpha, k)
-    if gamma * gamma < sys.float_info.min:
-        return
-    a, z = (n - k) / 2.0, rrt_level(n, p, k_max, alpha, k)
-    assert beta_cdf_of_square(a, 0.5, math.nextafter(gamma, 0.0)) < z <= beta_cdf_of_square(a, 0.5, gamma)
+    a, ln_z = (n - k) / 2.0, rrt_log_level(n, p, k_max, alpha, k)
+    assert log_cdf_of_square(a, 0.5, math.nextafter(gamma, 0.0)) < ln_z <= log_cdf_of_square(a, 0.5, gamma)
 
 
-def test_threshold_at_a_subnormal_level_is_where_the_rounded_cdf_reaches_it():
-    # At n = 68, k = 1 (a = 33.5) the level 1e-300 / 1e30 underflows and is
-    # raised to 5e-324, while Gamma(1)^2 ~ 1e-10 is normal. c(r) below the
-    # normal doubles is rounded to the subnormal grid, and reads 5e-324 once
-    # I_{r^2}(a, 1/2) passes half of it: Gamma(1) is the quantile of 2^-1075,
-    # where the selectors' test flips, and lies 1% below the quantile of
-    # 5e-324 itself, (1/2)^(1/(2a)) of it.
+def test_threshold_at_a_level_below_the_doubles_matches_mpmath():
+    # At n = 68, k = 1 (a = 33.5) the level 1e-300 / 1e30 lies below the
+    # doubles, while Gamma(1)^2 ~ 1e-10 is normal. Gamma(1) is the quantile
+    # of that level itself, where the selectors' test flips; a level rounded
+    # or raised to 5e-324 would move it by up to 1%.
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
     args = (68, 10**30, 1, 1e-300, 1)
-    z = rrt_level(*args)
-    assert z == 5e-324
+    a, z = 33.5, _mp_level(mp, *args)
+    ln_z = rrt_log_level(*args)
+    assert ln_z == pytest.approx(float(mp.log(z)), rel=4e-16, abs=0.0)
     gamma = rrt_threshold(*args)
-    a = 33.5
     assert gamma * gamma >= sys.float_info.min
-    assert beta_cdf_of_square(a, 0.5, math.nextafter(gamma, 0.0)) < z == beta_cdf_of_square(a, 0.5, gamma)
-
-    def quantile(level):
-        ln_g = mp.findroot(
-            lambda t: mp.log(mp.betainc(a, 0.5, 0, mp.exp(2 * t), regularized=True)) - mp.log(level), -11
-        )
-        return float(mp.exp(ln_g))
-
-    assert gamma == pytest.approx(quantile(mp.mpf(2) ** -1075), rel=1e-12, abs=0.0)
-    assert gamma / quantile(mp.mpf(z)) == pytest.approx(0.5 ** (1.0 / 67.0), rel=1e-12)
+    assert log_cdf_of_square(a, 0.5, math.nextafter(gamma, 0.0)) < ln_z <= log_cdf_of_square(a, 0.5, gamma)
+    ln_g = mp.findroot(lambda t: mp.log(mp.betainc(a, 0.5, 0, mp.exp(2 * t), regularized=True)) - mp.log(z), -11)
+    assert gamma == pytest.approx(float(mp.exp(ln_g)), rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -541,8 +543,8 @@ def test_beta_parameters_must_be_finite(bad):
         for call in (
             lambda: log_beta_fn(a, b),
             lambda: beta_cdf(a, b, 0.5),
-            lambda: beta_cdf_of_square(a, b, 0.5),
-            lambda: beta_cdf_of_square(a, b, 1e-160),
+            lambda: log_cdf_of_square(a, b, 0.5),
+            lambda: log_cdf_of_square(a, b, 1e-160),
             lambda: beta_cdf_inv(a, b, 0.5),
         ):
             with pytest.raises(DomainError, match="finite and positive"):
