@@ -49,14 +49,11 @@ from .simulate import (
     DesignSpec,
     ExperimentConfig,
     SweepResult,
-    derive_trial_seed,
     run_sweep,
     run_trial,
-    supported_roster,
 )
 from .special import (
     beta_cdf,
-    beta_cdf_inv,
     build_threshold_table,
     log_beta_fn,
     rrt_log_level,
@@ -81,10 +78,8 @@ __all__ = [
     "SupportEstimate",
     "SweepResult",
     "beta_cdf",
-    "beta_cdf_inv",
     "build_threshold_table",
     "default_kmax",
-    "derive_trial_seed",
     "epsilon_bounds",
     "erc_constant",
     "log_beta_fn",
@@ -110,6 +105,5 @@ __all__ = [
     "stop_fixed",
     "stop_rcsc",
     "stop_rpsc",
-    "supported_roster",
     "synthesize",
 ]

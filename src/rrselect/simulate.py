@@ -94,11 +94,6 @@ def _require(ok: bool, where: str, what: str, value) -> None:
         raise ValidationError(f"{where}: must {what}, got {value!r}")
 
 
-def supported_roster() -> dict[str, dict[str, float]]:
-    """Algorithm families and their default parameters (each runs on omp or ols)."""
-    return {name: AlgorithmSpec(name).params for name in ALGORITHMS}
-
-
 @dataclass(frozen=True)
 class DesignSpec:
     """How to materialize the sensing matrix for a sweep."""
@@ -294,38 +289,26 @@ class SweepResult:
     rows: list[SweepRow]
 
 
-def _splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
 def _splitmix64_array(x: np.ndarray) -> np.ndarray:
-    """_splitmix64 of each word of a uint64 array (its products wrap mod 2**64)."""
+    """splitmix64 of each word of a uint64 array (its products wrap mod 2**64)."""
     x = x + np.uint64(0x9E3779B97F4A7C15)
     x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return x ^ (x >> np.uint64(31))
 
 
-def derive_trial_seed(root_seed: int, snr_index: int, trial_index: int) -> int:
-    """Collision-resistant 64-bit stream id for one (snr point, trial) cell."""
-    h = _splitmix64(root_seed & _MASK64)
-    h = _splitmix64(h ^ (snr_index & _MASK64))
-    h = _splitmix64(h ^ (trial_index & _MASK64))
-    return h
-
-
 def _derive_trial_seeds(root_seed: int, snr_index: int, start: int, stop: int) -> np.ndarray:
-    """derive_trial_seed(root_seed, snr_index, t) for t in [start, stop), as uint64."""
-    h = _splitmix64(_splitmix64(root_seed & _MASK64) ^ (snr_index & _MASK64))
-    # astype wraps an index mod 2**64, as derive_trial_seed's mask does.
-    return _splitmix64_array(np.uint64(h) ^ np.arange(start, stop, dtype=np.int64).astype(np.uint64))
+    """The 64-bit seeds of trials [start, stop) at one SNR point, as uint64:
+    splitmix64(splitmix64(splitmix64(root_seed) ^ snr_index) ^ t), every
+    integer taken mod 2**64. The words are one-element arrays, not numpy
+    scalars, whose wrapping products warn."""
+    root, snr, first = (np.array([word & _MASK64], dtype=np.uint64) for word in (root_seed, snr_index, start))
+    trials = first + np.arange(stop - start, dtype=np.uint64)
+    return _splitmix64_array(_splitmix64_array(_splitmix64_array(root) ^ snr) ^ trials)
 
 
 class TrialStreams(NamedTuple):
-    """One trial's random streams: those of np.random.default_rng(_splitmix64(seed ^ c))
+    """One trial's random streams: those of np.random.default_rng(splitmix64(seed ^ c))
     for its derived seed and c = 1, 2, 3 and 4. matrix is None unless the
     sweep draws a Gaussian design per trial."""
 
@@ -521,22 +504,3 @@ def write_sweep_csv(fh, result: SweepResult, config: ExperimentConfig) -> None:
                 repr(row.pfd_stderr),
             ]
         )
-
-
-def read_sweep_csv(fh) -> list[SweepRow]:
-    reader = csv.DictReader(fh)
-    rows = []
-    for rec in reader:
-        rows.append(
-            SweepRow(
-                snr_db=float(rec["snr_db"]),
-                algorithm=rec["algorithm"],
-                rule=rec["rule"],
-                trials=int(rec["trials"]),
-                pe=float(rec["pe"]),
-                pe_stderr=float(rec["pe_stderr"]),
-                pfd=float(rec["pfd"]),
-                pfd_stderr=float(rec["pfd_stderr"]),
-            )
-        )
-    return rows

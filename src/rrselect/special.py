@@ -1,5 +1,5 @@
-"""Regularized incomplete Beta CDF, its inverse, and the residual-ratio
-threshold sequence Gamma(k) used by the RRT/RRTA selectors.
+"""Regularized incomplete Beta CDF and the residual-ratio threshold sequence
+Gamma(k) used by the RRT/RRTA selectors.
 
 The selectors compare ln c(k), c(k) = I_{RR(k)^2}((n-k)/2, 1/2), with the
 step's log level ln z(k) = rrt_log_level(...). Most steps are decided without
@@ -210,48 +210,12 @@ def half_beta_log_cdf_bounds(n: int, ratios: list[float]) -> tuple[list[float], 
     return lows, highs
 
 
-def _first_double_reaching(cdf, z: float) -> float:
-    """A double x in (0, 1] with cdf(x) >= z > cdf(the double before x), for
-    cdf(0) < z <= cdf(1): the smallest double with cdf(x) >= z where cdf is
-    nondecreasing on the doubles. cdf may be a CDF or its log, with z a
-    probability or its log.
-
-    The bit patterns of the nonnegative doubles order as their values do, so
-    this bisects the integers between those of 0 and 1 (62 steps), keeping
-    cdf(below) < z <= cdf(above): x is where the test cdf(t) < z flips, not a
-    root to some tolerance.
-    """
-    below, above = 0, _ONE_BITS
-    while above - below > 1:
-        middle = (below + above) // 2
-        if cdf(_double_of_bits(middle)) >= z:
-            above = middle
-        else:
-            below = middle
-    return _double_of_bits(above)
-
-
-def beta_cdf_inv(a: float, b: float, z: float) -> float:
-    """Inverse of beta_cdf in its first argument: the double x where
-    beta_cdf(a, b, x) reaches z and the double before it does not (see
-    _first_double_reaching), with 0 at z = 0 and 1 at z = 1.
-
-    Where the CDF increases on the doubles around x, x is the quantile of z
-    to the spacing of doubles there (near x = 1, and among the subnormal
-    quantiles, that spacing is what limits it).
-    """
-    _check_ab(a, b)
-    if not 0.0 <= z <= 1.0:
-        raise DomainError(f"z must lie in [0,1], got {z}")
-    if z == 0.0:
-        return 0.0
-    if z == 1.0:
-        return 1.0
-    return _first_double_reaching(lambda x: beta_cdf(a, b, x), z)
-
-
 def check_level_args(p: int, alpha: float, k: int) -> None:
-    """rrt_log_level's checks of p and alpha at step k."""
+    """rrt_log_level's checks of p and alpha at step k. p must be an int, not
+    a bool: a float p rounds k_max (p-k+1), or overflows it to inf (p = 1e308
+    would give the level 0 and the threshold 5e-324)."""
+    if isinstance(p, bool) or not isinstance(p, int):
+        raise DomainError(f"p must be an integer, got {p!r}")
     if p < k:
         raise DomainError(f"p={p} must be >= k={k}")
     if not 0.0 < alpha < 1.0:
@@ -294,7 +258,18 @@ def rrt_threshold(n: int, p: int, k_max: int, alpha: float, k: int) -> float:
     """
     ln_z = rrt_log_level(n, p, k_max, alpha, k)
     a = (n - k) / 2.0
-    return _first_double_reaching(lambda r: log_cdf_of_square(a, 0.5, r), ln_z)
+    # The bit patterns of the nonnegative doubles order as their values do, so
+    # this bisects the integers between those of 0 and 1 (62 steps), keeping
+    # ln c(below) < ln z <= ln c(above): Gamma(k) is where the test flips, not
+    # a root to some tolerance.
+    below, above = 0, _ONE_BITS
+    while above - below > 1:
+        middle = (below + above) // 2
+        if log_cdf_of_square(a, 0.5, _double_of_bits(middle)) >= ln_z:
+            above = middle
+        else:
+            below = middle
+    return _double_of_bits(above)
 
 
 def build_threshold_table(n: int, p: int, k_max: int, alpha: float) -> np.ndarray:

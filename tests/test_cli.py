@@ -9,13 +9,13 @@ from rrselect.designs import SignalSpec, make_identity_hadamard
 from rrselect.errors import ParseError, ValidationError
 from rrselect.linalg import load_matrix_csv, save_matrix_csv
 from rrselect.simulate import (
+    ALGORITHMS,
     AlgorithmSpec,
     DesignSpec,
     ExperimentConfig,
     build_design,
     run_sweep,
     run_trial,
-    supported_roster,
 )
 from rrselect.special import build_threshold_table
 
@@ -366,7 +366,7 @@ def test_fixed_k0_past_the_path_keeps_the_path_as_exhausted(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("rule", ["omp", "ols"])
-@pytest.mark.parametrize("name", sorted(supported_roster()))
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
 def test_recover_every_algorithm_on_noisy_hadamard(tmp_path, capsys, name, rule):
     mpath, ypath = tmp_path / "X.csv", tmp_path / "y.csv"
     save_matrix_csv(mpath, make_identity_hadamard(32).matrix)

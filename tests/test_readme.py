@@ -1,6 +1,6 @@
 """The README's library quick start runs as written, and at 0 dB, where rrt
 and rrta find no step and return None; its config example keeps its
-experiment id."""
+experiment id; its module table names every export."""
 import contextlib
 import io
 import re
@@ -8,11 +8,16 @@ from pathlib import Path
 
 import pytest
 
+import rrselect
 from rrselect.cli import parse_config
 
 README = (Path(__file__).parent.parent / "README.md").read_text()
 QUICK_START = re.search(r"## Library quick start\s+```python\n(.*?)```", README, re.S).group(1)
 CONFIG_EXAMPLE = re.search(r"### Experiment config schema\s+```json\n(.*?)```", README, re.S).group(1)
+MODULE_MAP = re.search(r"## Module map\n(.*?)(?:\n## |\Z)", README, re.S).group(1)
+MODULE_ROWS = {m.group(1): m.group(0) for m in re.finditer(r"^\| `(\w+)` .*$", MODULE_MAP, re.M)}
+# Public names deleted from the package; the README must not name them either.
+DELETED = ("beta_cdf_inv", "derive_trial_seed", "read_sweep_csv", "supported_roster")
 
 
 @pytest.mark.parametrize(
@@ -35,3 +40,16 @@ def test_readme_quick_start_runs(snr, support_seed):
 
 def test_readme_config_example_keeps_its_experiment_id():
     assert parse_config(CONFIG_EXAMPLE).digest() == "8a8f6129cb96"
+
+
+def test_module_table_names_every_export_in_its_modules_row():
+    def row(name):
+        return MODULE_ROWS[getattr(rrselect, name).__module__.rpartition(".")[2]]
+
+    assert [name for name in rrselect.__all__ if not re.search(rf"`{name}\b", row(name))] == []
+
+
+@pytest.mark.parametrize("name", DELETED)
+def test_deleted_names_are_gone_from_the_package_and_the_readme(name):
+    assert not hasattr(rrselect, name)
+    assert re.search(rf"\b{name}\b", README) is None

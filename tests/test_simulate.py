@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import io
 import math
@@ -16,16 +17,16 @@ from rrselect.errors import ValidationError
 from rrselect.omp import SolutionPath, SupportEstimate, stop_fixed
 from rrselect.selectors import RrtaParams, prefix_hits
 from rrselect.simulate import (
+    ALGORITHMS,
     AlgorithmSpec,
     DesignSpec,
     ExperimentConfig,
+    _derive_trial_seeds,
     build_design,
-    derive_trial_seed,
-    read_sweep_csv,
     run_sweep,
     run_trial,
     score_estimate,
-    supported_roster,
+    trial_streams,
     write_sweep_csv,
 )
 
@@ -46,7 +47,7 @@ def _config(**overrides):
 
 
 def test_roster_families_and_defaults():
-    roster = supported_roster()
+    roster = {name: AlgorithmSpec(name).params for name in ALGORITHMS}
     assert len(roster) == 8
     assert set(roster) == {
         "fixed_k0",
@@ -81,11 +82,15 @@ def test_algorithm_label_is_cached_outside_the_fields():
     assert {spec: 1}[fresh] == 1
 
 
+def _trial_seed(root_seed: int, snr_index: int, trial_index: int) -> int:
+    return int(_derive_trial_seeds(root_seed, snr_index, trial_index, trial_index + 1)[0])
+
+
 def test_derive_trial_seed_deterministic_and_distinct():
-    assert derive_trial_seed(7, 0, 0) == derive_trial_seed(7, 0, 0)
-    assert derive_trial_seed(7, 0, 0) != derive_trial_seed(7, 0, 1)
-    assert derive_trial_seed(7, 1, 0) != derive_trial_seed(7, 0, 0)
-    seeds = {derive_trial_seed(7, i, j) for i in range(20) for j in range(200)}
+    assert _trial_seed(7, 0, 0) == _trial_seed(7, 0, 0)
+    assert _trial_seed(7, 0, 0) != _trial_seed(7, 0, 1)
+    assert _trial_seed(7, 1, 0) != _trial_seed(7, 0, 0)
+    seeds = {seed for i in range(20) for seed in _derive_trial_seeds(7, i, 0, 200).tolist()}
     assert len(seeds) == 20 * 200
     assert all(0 <= s < 2**64 for s in list(seeds)[:10])
 
@@ -97,12 +102,12 @@ def test_derive_trial_seed_avalanche():
         root = int(rng.integers(0, 2**63))
         si = int(rng.integers(0, 2**16))
         ti = int(rng.integers(0, 2**31))
-        base = derive_trial_seed(root, si, ti)
+        base = _trial_seed(root, si, ti)
         which = int(rng.integers(0, 3))
         bit = 1 << int(rng.integers(0, [63, 16, 31][which]))
         args = [root, si, ti]
         args[which] ^= bit
-        flipped = derive_trial_seed(*args)
+        flipped = _trial_seed(*args)
         flips.append(bin(base ^ flipped).count("1"))
     assert np.mean(flips) >= 20.0
 
@@ -199,7 +204,6 @@ def test_parallel_equals_sequential():
 
 def test_gaussian_redraw_gives_fresh_matrices_per_trial():
     from rrselect.designs import make_gaussian
-    from rrselect.simulate import _splitmix64
 
     config = _config(
         design=DesignSpec(kind="gaussian", n=16, p=24, seed=3),
@@ -213,12 +217,10 @@ def test_gaussian_redraw_gives_fresh_matrices_per_trial():
     a = run_trial(config, None, 60.0, 0)
     b = run_trial(config, None, 60.0, 0)
     assert a.true_support == b.true_support
-    # distinct trials derive distinct matrix seeds (tag 0x4 in the seed fanout)
-    seeds = [
-        _splitmix64(derive_trial_seed(config.root_seed, 0, ti) ^ 0x4) for ti in (0, 1)
-    ]
-    m0 = make_gaussian(16, 24, seeds[0])
-    m1 = make_gaussian(16, 24, seeds[1])
+    # distinct trials draw from distinct matrix streams (tag 4 in the seed fanout)
+    first, second = trial_streams(config, 0, 0, 2)
+    m0 = make_gaussian(16, 24, first.matrix)
+    m1 = make_gaussian(16, 24, second.matrix)
     assert not np.array_equal(m0.matrix, m1.matrix)
 
     fixed = dataclasses.replace(config, regenerate_matrix_per_trial=False)
@@ -338,14 +340,15 @@ def test_sweep_csv_round_trip():
     result = run_sweep(config)
     buf = io.StringIO()
     write_sweep_csv(buf, result, config)
-    text = buf.getvalue()
-    header = text.splitlines()[0].split(",")
-    assert header == [
+    records = list(csv.DictReader(io.StringIO(buf.getvalue())))
+    assert list(records[0]) == [
         "experiment_id", "design", "n", "p", "k0", "signal_kind", "snr_db",
         "algorithm", "rule", "trials", "pe", "pe_stderr", "pfd", "pfd_stderr",
     ]
-    back = read_sweep_csv(io.StringIO(text))
-    assert back == result.rows
+    # floats are written by repr, so each reads back as the same double
+    floats = ("snr_db", "pe", "pe_stderr", "pfd", "pfd_stderr")
+    back = [(rec["algorithm"], rec["rule"], int(rec["trials"]), *(float(rec[key]) for key in floats)) for rec in records]
+    assert back == [(row.algorithm, row.rule, row.trials, *(getattr(row, key) for key in floats)) for row in result.rows]
 
 
 def test_stderr_formula():
@@ -372,7 +375,7 @@ def test_run_trial_computes_residual_ratios_once_per_path(monkeypatch):
     calls = []
     original = simulate.residual_ratios
     monkeypatch.setattr(simulate, "residual_ratios", lambda path: calls.append(path.rule) or original(path))
-    algorithms = tuple(AlgorithmSpec(name, rule) for rule in ("omp", "ols") for name in supported_roster())
+    algorithms = tuple(AlgorithmSpec(name, rule) for rule in ("omp", "ols") for name in ALGORITHMS)
     config = _config(algorithms=algorithms)
     record = run_trial(config, build_design(config.design), 20.0, 0)
     assert len(record.outcomes) == 16

@@ -10,7 +10,6 @@ from rrselect.errors import DomainError
 from rrselect.special import (
     ALPHA_FLOOR,
     beta_cdf,
-    beta_cdf_inv,
     build_threshold_table,
     half_beta_log_terms,
     log_beta_fn,
@@ -183,53 +182,6 @@ def test_subnormal_cdf_is_the_nearest_double(a, x):
         assert beta_cdf(a, 0.5, x) == _nearest_double(mp, expected)
 
 
-def test_beta_cdf_inv_trivial_and_frozen_values():
-    assert beta_cdf_inv(1.0, 1.0, 0.42) == pytest.approx(0.42, abs=1e-12)
-    assert beta_cdf_inv(3.0, 2.0, 0.0) == 0.0
-    assert beta_cdf_inv(3.0, 2.0, 1.0) == 1.0
-    assert beta_cdf_inv(15.5, 0.5, 9.765625e-5) == pytest.approx(
-        INV_15P5_0P5_AT_Z, rel=1e-10
-    )
-    with pytest.raises(DomainError):
-        beta_cdf_inv(1.0, 1.0, -0.2)
-    with pytest.raises(DomainError):
-        beta_cdf_inv(1.0, 1.0, 2.0)
-
-
-def test_round_trip_200_random_cases():
-    rng = np.random.default_rng(2024)
-    cases = []
-    for _ in range(200):
-        a = float(rng.uniform(0.5, 50.0))
-        b = float(rng.choice([0.5, 1.0, 5.0]))
-        z = float(10.0 ** rng.uniform(-290.0, math.log10(0.999)))
-        cases.append((a, b, z))
-    cases.append((15.5, 0.5, 1e-290))
-    worst = 0.0
-    for a, b, z in cases:
-        x = beta_cdf_inv(a, b, z)
-        worst = max(worst, abs(beta_cdf(a, b, x) - z))
-    assert worst <= 1e-9
-
-
-def test_leading_order_branch_small_z():
-    # For z -> 0 the quantile approaches (a z B(a,b))^(1/a); with b in
-    # {1/2, 1} the first correction term is small enough for 1% agreement at
-    # z <= 1e-12 across a in [0.5, 50].
-    for b in (0.5, 1.0):
-        for a in (0.5, 2.0, 8.0, 15.5, 50.0):
-            for z in (1e-12, 1e-20, 1e-30):
-                lead = math.exp((math.log(a) + math.log(z) + log_beta_fn(a, b)) / a)
-                x = beta_cdf_inv(a, b, z)
-                assert x == pytest.approx(lead, rel=0.01)
-
-
-def test_inverse_handles_extreme_small_z():
-    x = beta_cdf_inv(8.0, 0.5, 1e-300)
-    assert x > 0.0
-    assert abs(beta_cdf(8.0, 0.5, x) - 1e-300) <= 1e-9
-
-
 def test_rrt_threshold_value_and_limits():
     gamma = rrt_threshold(32, 64, 16, 0.1, 1)
     assert gamma == pytest.approx(math.sqrt(INV_15P5_0P5_AT_Z), rel=1e-10)
@@ -237,7 +189,6 @@ def test_rrt_threshold_value_and_limits():
     # z -> 1 limit: with k_max = 1 and p = k the inner level equals alpha
     near_one = rrt_threshold(3, 1, 1, 1.0 - 1e-9, 1)
     assert near_one > 0.999
-    assert beta_cdf_inv(1.0, 0.5, 1.0) == 1.0
 
 
 def test_rrt_threshold_monotone_in_alpha():
@@ -259,6 +210,35 @@ def test_rrt_threshold_domain_errors():
         rrt_threshold(32, 64, 16, 0.1, 0)
     with pytest.raises(DomainError):
         rrt_threshold(32, 2, 16, 0.1, 3)  # p < k
+
+
+@pytest.mark.parametrize("p", [1e308, 2.5, True])
+def test_p_must_be_an_int_not_a_bool(p):
+    # A float p rounds the level's denominator k_max (p-k+1), or overflows it:
+    # p = 1e308 would give the level 0 and the threshold 5e-324.
+    for call in (
+        lambda: rrt_log_level(4, p, 2, 0.1, 1),
+        lambda: rrt_threshold(4, p, 2, 0.1, 1),
+        lambda: build_threshold_table(4, p, 2, 0.1),
+    ):
+        with pytest.raises(DomainError, match="p must be an integer"):
+            call()
+
+
+def test_threshold_at_the_int_p_10_to_the_308_matches_mpmath():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    args = (4, 10**308, 2, 0.1, 1)
+    a, z = 1.5, _mp_level(mp, *args)
+    ln_z = rrt_log_level(*args)
+    assert ln_z == pytest.approx(float(mp.log(z)), rel=4e-16, abs=0.0)
+    gamma = rrt_threshold(*args)
+    assert log_cdf_of_square(a, 0.5, math.nextafter(gamma, 0.0)) < ln_z <= log_cdf_of_square(a, 0.5, gamma)
+    # ln z ~ -712 carries an absolute error of ~1e-13, which reaches Gamma
+    # divided by 2a = 3 (2.3e-14 here).
+    ln_g = mp.findroot(lambda t: mp.log(mp.betainc(a, 0.5, 0, mp.exp(2 * t), regularized=True)) - mp.log(z), -237)
+    assert gamma == pytest.approx(float(mp.exp(ln_g)), rel=1e-13, abs=0.0)
+    assert gamma == pytest.approx(1.06e-103, rel=0.01)
 
 
 def test_rrt_threshold_tiny_alpha_stays_positive():
@@ -348,29 +328,6 @@ def test_a_level_denominator_past_the_doubles_gives_the_exact_level():
         gamma, a = rrt_threshold(n, p, k_max, alpha, k), (n - k) / 2.0
         assert log_cdf_of_square(a, 0.5, math.nextafter(gamma, 0.0)) < ln_z <= log_cdf_of_square(a, 0.5, gamma)
     assert list(build_threshold_table(10, 10**400, 5, 0.1)) == [rrt_threshold(10, 10**400, 5, 0.1, k) for k in range(1, 6)]
-
-
-@pytest.mark.parametrize("a", [0.5, 8.0, 15.5])
-def test_inverse_level_relative_error_against_mpmath(a):
-    # The level reached by the returned quantile, I_x(a, 1/2) evaluated in
-    # 50-digit arithmetic, must match z to 1e-12 relative for every z from
-    # 1e-8 down to 1e-300. Where the quantile lies among the subnormal
-    # doubles, or below them (a = 0.5, z < 1e-161), their spacing puts that
-    # out of reach; there x must be within one double of the true quantile.
-    mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 50
-
-    def level(x):
-        return mp.betainc(a, 0.5, 0, x, regularized=True)
-
-    for e in range(8, 301):
-        z = 10.0**-e
-        x = beta_cdf_inv(a, 0.5, z)
-        rel = float(abs(level(x) - z) / z)
-        if x < sys.float_info.min and rel > 1e-12:
-            assert level(math.nextafter(x, 0.0)) <= z <= level(math.nextafter(x, 1.0)), (z, x)
-        else:
-            assert rel <= 1e-12, (z, x, rel)
 
 
 def test_oracle_recompute_spot_check():
@@ -545,7 +502,6 @@ def test_beta_parameters_must_be_finite(bad):
             lambda: beta_cdf(a, b, 0.5),
             lambda: log_cdf_of_square(a, b, 0.5),
             lambda: log_cdf_of_square(a, b, 1e-160),
-            lambda: beta_cdf_inv(a, b, 0.5),
         ):
             with pytest.raises(DomainError, match="finite and positive"):
                 call()

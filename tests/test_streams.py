@@ -16,10 +16,8 @@ from rrselect.designs import SignalSpec, make_gaussian, make_identity_hadamard, 
 from rrselect.simulate import (
     _count_block,
     _derive_trial_seeds,
-    _splitmix64,
     _splitmix64_array,
     build_design,
-    derive_trial_seed,
     run_sweep,
     run_trial,
     trial_streams,
@@ -29,10 +27,27 @@ from rrselect.streams import Stream, pcg64_states
 # One and two entropy words, and the largest seed of each.
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 MANY = 100_000
+MASK64 = 2**64 - 1
+
+
+def splitmix64(x: int) -> int:
+    """One splitmix64 step on a 64-bit word, in Python ints: the oracle of
+    the sweep's uint64 arrays."""
+    x = (x + 0x9E3779B97F4A7C15) & MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
+    return x ^ (x >> 31)
+
+
+def trial_seed(root_seed: int, snr_index: int, trial_index: int) -> int:
+    """The seed of one (SNR point, trial) cell, every integer taken mod 2**64."""
+    h = splitmix64(root_seed & MASK64)
+    h = splitmix64(h ^ (snr_index & MASK64))
+    return splitmix64(h ^ (trial_index & MASK64))
 
 
 def _trial_seeds(count: int, tag: int) -> list[int]:
-    """Seeds as a sweep derives them: _splitmix64(derive_trial_seed(...) ^ tag)."""
+    """Seeds as a sweep derives them: splitmix64(trial_seed(7, 0, t) ^ tag)."""
     return _splitmix64_array(_derive_trial_seeds(7, 0, 0, count) ^ np.uint64(tag)).tolist()
 
 
@@ -135,12 +150,24 @@ def test_threads_each_draw_their_own_streams():
 
 
 def test_vectorized_splitmix_equals_the_scalar_one():
+    assert splitmix64(0) == 0xE220A8397B1DCDAF  # the first output of splitmix64 seeded with 0
     words = EDGE_SEEDS + [2**63, 2**63 - 1] + np.random.default_rng(5).integers(0, 2**64, 10_000, dtype=np.uint64).tolist()
-    assert _splitmix64_array(np.array(words, dtype=np.uint64)).tolist() == [_splitmix64(w) for w in words]
+    assert _splitmix64_array(np.array(words, dtype=np.uint64)).tolist() == [splitmix64(w) for w in words]
     for root in (0, 7, 2**64 - 1, 2**70 + 3):
         for snr_index in (0, 5):
             got = _derive_trial_seeds(root, snr_index, 90, 400).tolist()
-            assert got == [derive_trial_seed(root, snr_index, t) for t in range(90, 400)]
+            assert got == [trial_seed(root, snr_index, t) for t in range(90, 400)]
+
+
+@pytest.mark.parametrize("root", [0, 2**64 - 2, 2**64 - 1, 2**64, 2**64 + 9])
+@pytest.mark.parametrize("snr_index", [3, 2**32 - 1, 2**32, 2**32 + 7, 2**40])
+def test_trial_seeds_equal_the_oracle_across_the_wraps(root, snr_index):
+    # Every word is taken mod 2**64: a trial range may cross the int64 limit
+    # 2**63 and wrap at 2**64, as an unsigned 64-bit count does.
+    for start in (0, 2**63 - 4, 2**64 - 4, 2**64 + 2**63 - 4):
+        got = _derive_trial_seeds(root, snr_index, start, start + 9).tolist()
+        assert got == [trial_seed(root, snr_index, t) for t in range(start, start + 9)], start
+    assert _derive_trial_seeds(root, snr_index, 5, 5).tolist() == []
 
 
 def test_trial_streams_are_the_trials_seeds():
@@ -148,12 +175,12 @@ def test_trial_streams_are_the_trials_seeds():
         config = figure_config(name, 30, 11)
         streams = trial_streams(config, 2, 10, 30)
         for t, trial in zip(range(10, 30), streams):
-            seed = derive_trial_seed(11, 2, t)
+            seed = trial_seed(11, 2, t)
             for tag, stream in zip((1, 2, 3, 4), trial):
                 if stream is None:
                     assert tag == 4 and not config.regenerate_matrix
                     continue
-                expected = np.random.PCG64(_splitmix64(seed ^ tag)).state["state"]
+                expected = np.random.PCG64(splitmix64(seed ^ tag)).state["state"]
                 assert (stream.state, stream.inc) == (expected["state"], expected["inc"])
 
 
