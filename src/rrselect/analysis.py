@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from .designs import DesignMatrix
-from .errors import DomainError, RankDeficientError, TooManySubsetsError
+from .errors import DomainError, RankDeficientError, TooManySubsetsError, require_int
 from .linalg import RANK_TOL
 from .special import build_threshold_table
 
@@ -124,6 +124,8 @@ def rrt_error_lower_bound(alpha: float, k_max: int, p: int, k0: int) -> float:
     the exact quotient rounded once, for a p of any size (0 below the doubles)."""
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0,1), got {alpha}")
+    for name, value in (("k_max", k_max), ("p", p), ("k0", k0)):
+        require_int(name, value)
     if k_max < 1:
         raise DomainError(f"k_max must be >= 1, got {k_max}")
     if p <= k0:
@@ -165,6 +167,7 @@ def epsilon_bounds(
         raise DomainError("RIC values must be < 1")
     if beta_min == 0.0 or beta_max < beta_min:
         raise DomainError("need 0 < beta_min <= beta_max")
+    require_int("k0", k0)  # a bool would pass as 0 or 1, and a float cannot index the table
     if not 1 <= k0 <= k_max:
         raise DomainError(f"k0={k0} must lie in [1, k_max={k_max}]")
 

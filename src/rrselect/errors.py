@@ -31,3 +31,10 @@ class ParseError(ValueError):
 
 class ValidationError(ValueError):
     """Structurally valid input with inadmissible field values."""
+
+
+def require_int(name: str, value, error: type[ValueError] = DomainError) -> None:
+    """Raise `error` unless value is an int and not a bool. A float size
+    rounds or overflows the products it enters, and True would pass as 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{name} must be an integer, got {value!r}")

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .designs import DesignMatrix
-from .errors import DimensionMismatchError, DomainError, ValidationError
+from .errors import DimensionMismatchError, DomainError, ValidationError, require_int
 from .linalg import RANK_TOL
 
 RULES = ("omp", "ols")
@@ -79,6 +79,7 @@ class SolutionPath:
 
 def default_kmax(n: int) -> int:
     """Largest sparsity any recovery scheme can hope to identify: floor((n+1)/2)."""
+    require_int("n", n)
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     return (n + 1) // 2
@@ -101,6 +102,7 @@ def solution_path(design: DesignMatrix, y: np.ndarray, k_max: int, rule: str = "
         raise DimensionMismatchError(f"y has shape {y.shape}, expected ({n},)")
     if not np.isfinite(y).all():
         raise ValidationError("y must be finite")
+    require_int("k_max", k_max, ValidationError)
     if not 1 <= k_max <= min(n - 1, p):
         raise ValidationError(f"k_max={k_max} must lie in [1, min(n-1, p)={min(n - 1, p)}]")
 

@@ -22,7 +22,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import special
-from .errors import DomainError, EmptyPathError
+from .errors import DomainError, EmptyPathError, require_int
 from .omp import SolutionPath
 from .special import ALPHA_FLOOR
 
@@ -37,8 +37,9 @@ class ResidualRatios:
     """RR(k) = ||r^k|| / ||r^(k-1)|| for k = 1..K of a path on an n x p
     problem run for up to k_max steps; within [0,1] on every path from
     solution_path, whose residual norms are nonincreasing. Ratios built by
-    hand are checked on construction: a DomainError unless the values are a
-    vector of K <= k_max <= n - 1 ratios, each in [0,1].
+    hand are checked on construction: a DomainError unless n, p and k_max are
+    ints and the values are a vector of K <= k_max <= n - 1 ratios, each in
+    [0,1].
 
     zero_observation marks a path of y = 0, where no step explains anything.
     """
@@ -50,6 +51,8 @@ class ResidualRatios:
     zero_observation: bool = False
 
     def __post_init__(self) -> None:
+        for name, value in (("n", self.n), ("p", self.p), ("k_max", self.k_max)):
+            require_int(name, value)
         values = self.values
         if not (values.ndim == 1 and 2 <= self.n and 1 <= self.k_max < self.n and len(values) <= self.k_max):
             raise DomainError(

@@ -12,7 +12,6 @@ import hashlib
 import json
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -412,6 +411,18 @@ def _count_block(args) -> Counter:
             counts[snr_db, label, "pe"] += not outcome.exact
             counts[snr_db, label, "pfd"] += outcome.false_discovery
     return counts
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """The process pool run_sweep maps its jobs on when workers > 1.
+
+    concurrent.futures.process pulls in multiprocessing and socket, so it is
+    imported here, on a sweep's first pool: a one-worker sweep never loads it.
+    Tests and perfbench patch this name to stand in for or count the pool.
+    """
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
 
 
 def _binomial_stderr(successes: int, trials: int) -> float:

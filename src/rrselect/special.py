@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_int
 
 # Probabilities below this floor are clamped up before threshold evaluation so
 # log-domain arithmetic stays finite while "threshold -> 0" behavior survives.
@@ -214,8 +214,7 @@ def check_level_args(p: int, alpha: float, k: int) -> None:
     """rrt_log_level's checks of p and alpha at step k. p must be an int, not
     a bool: a float p rounds k_max (p-k+1), or overflows it to inf (p = 1e308
     would give the level 0 and the threshold 5e-324)."""
-    if isinstance(p, bool) or not isinstance(p, int):
-        raise DomainError(f"p must be an integer, got {p!r}")
+    require_int("p", p)
     if p < k:
         raise DomainError(f"p={p} must be >= k={k}")
     if not 0.0 < alpha < 1.0:
@@ -229,8 +228,11 @@ def rrt_log_level(n: int, p: int, k_max: int, alpha: float, k: int) -> float:
     The Beta CDF is increasing, so RR(k) < Gamma(k) is the same test as
     log_cdf_of_square((n-k)/2, 1/2, RR(k)) < ln z(k). math.log takes an int of
     any size, so z(k) is neither rounded to a double nor raised to one: it may
-    lie far below the doubles. Since alpha < 1, ln z(k) < 0.
+    lie far below the doubles. Since alpha < 1, ln z(k) < 0. n, k_max and k
+    must be ints too, for the reason check_level_args gives for p.
     """
+    for name, value in (("n", n), ("k_max", k_max), ("k", k)):
+        require_int(name, value)
     if k >= n:
         raise DomainError(f"k={k} must be < n={n} (beta parameter would be <= 0)")
     if not 1 <= k <= k_max:
@@ -274,6 +276,9 @@ def rrt_threshold(n: int, p: int, k_max: int, alpha: float, k: int) -> float:
 
 def build_threshold_table(n: int, p: int, k_max: int, alpha: float) -> np.ndarray:
     """Gamma(1..k_max) as a read-only array."""
+    require_int("k_max", k_max)
+    if k_max < 1:
+        raise DomainError(f"k_max must be >= 1, got {k_max}")
     values = np.array([rrt_threshold(n, p, k_max, alpha, k) for k in range(1, k_max + 1)])
     values.flags.writeable = False
     return values

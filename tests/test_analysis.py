@@ -230,6 +230,9 @@ def test_epsilon_bounds_domain_errors():
         epsilon_bounds(**{**good, "beta_max": 0.5})
     with pytest.raises(DomainError):
         epsilon_bounds(**{**good, "k0": 20})
+    for name, bad in (("k0", 3.0), ("k0", True), ("k_max", 16.0), ("n", 32.0), ("p", 64.0)):
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            epsilon_bounds(**{**good, name: bad})
     for name in ("sigma", "beta_min", "beta_max"):
         for bad in (math.nan, math.inf):
             with pytest.raises(DomainError, match=f"{name} must be finite"):
@@ -244,6 +247,22 @@ def test_rrt_error_lower_bound_values():
         rrt_error_lower_bound(0.1, 16, 3, 3)
     with pytest.raises(DomainError):
         rrt_error_lower_bound(0.0, 16, 64, 3)
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((0.1, 16.5, 64, 3), "k_max"),  # read 9.9e-05
+        ((0.1, True, 64, 3), "k_max"),
+        ((0.1, 16, 64.0, 3), "p"),
+        ((0.1, 16, True, 0), "p"),
+        ((0.1, 16, 64, 3.0), "k0"),
+        ((0.1, 16, 64, False), "k0"),
+    ],
+)
+def test_rrt_error_lower_bound_sizes_must_be_ints_not_bools(args, name):
+    with pytest.raises(DomainError, match=f"{name} must be an integer"):
+        rrt_error_lower_bound(*args)
 
 
 def test_rrt_error_lower_bound_past_the_double_range():

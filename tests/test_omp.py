@@ -63,6 +63,21 @@ def test_default_kmax():
         default_kmax(1)
 
 
+@pytest.mark.parametrize("n", [32.0, True])
+def test_default_kmax_needs_an_int_n(n):
+    # 32.0 read the float 16.0.
+    with pytest.raises(DomainError, match="n must be an integer"):
+        default_kmax(n)
+
+
+@pytest.mark.parametrize("k_max", [2.0, True])
+def test_solution_path_needs_an_int_k_max(k_max):
+    # numpy raised a bare TypeError for both.
+    design = _wrap(np.eye(4), unit=True)
+    with pytest.raises(ValidationError, match="k_max must be an integer"):
+        solution_path(design, np.ones(4), k_max)
+
+
 def test_identity_design_trivial_path():
     design = _wrap(np.eye(4), unit=True)
     y = np.zeros(4)

@@ -193,6 +193,10 @@ def test_ratios_need_a_vector_and_a_path_size():
     for values, n, k_max in (([[0.5]], 32, 3), ([], 1, 1), ([], 32, 0)):
         with pytest.raises(DomainError):
             _ratios(values, n, 64, k_max)
+    # A float size would enter the level as a float, and True would pass as 1.
+    for n, p, k_max in ((32.0, 64, 3), (32, 64.0, 3), (32, 64, 3.0), (32, 64, True)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            _ratios([0.5], n, p, k_max)
 
 
 def test_bounds_of_each_ratio_and_outside_zero_one():

@@ -5,6 +5,8 @@ import math
 import os
 import pickle
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,7 +32,8 @@ from rrselect.simulate import (
     write_sweep_csv,
 )
 
-REFERENCE_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "reference")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+REFERENCE_DIR = os.path.join(ROOT, "perfbench", "reference")
 
 
 def _config(**overrides):
@@ -489,6 +492,35 @@ def test_one_pool_per_sweep(monkeypatch, workers, pools):
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", counted)
     run_sweep(_config(snr_db_list=(0.0, 10.0, 20.0), trials=4), workers=workers)
     assert len(created) == pools
+
+
+_POOL_IMPORT_SCRIPT = """
+import io, sys
+import rrselect
+from rrselect.cli import figure_config
+from rrselect.simulate import run_sweep, write_sweep_csv
+
+def csv_text(workers):
+    config = figure_config("fig1_hadamard", 2, 0)
+    buf = io.StringIO()
+    write_sweep_csv(buf, run_sweep(config, workers=workers), config)
+    return buf.getvalue()
+
+one = csv_text(1)
+loaded = sorted(m for m in ("concurrent.futures.process", "multiprocessing") if m in sys.modules)
+two = csv_text(2)
+print(loaded, one == two, "multiprocessing" in sys.modules)
+"""
+
+
+def test_a_one_worker_sweep_never_imports_the_process_pool():
+    # A fresh interpreter: this test process may have loaded the pool already.
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", _POOL_IMPORT_SCRIPT], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    # Nothing of the pool after 1 worker; the same CSV bytes from the pool 2 workers load.
+    assert out.split() == ["[]", "True", "True"]
 
 
 def test_sweep_csv_is_byte_identical_for_any_worker_count():

@@ -225,6 +225,34 @@ def test_p_must_be_an_int_not_a_bool(p):
             call()
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((4, 10**308, 2.0, 0.1, 1), "k_max"),  # 2.0 * 10**308 is inf: threshold 5e-324, not 1.06e-103
+        ((4.5, 64, 2, 0.1, 1), "n"),
+        ((True, 64, 2, 0.1, 1), "n"),
+        ((32, 64, 16, 0.1, 1.5), "k"),
+        ((32, 64, 16, 0.1, True), "k"),
+        ((32, 64, True, 0.1, 1), "k_max"),
+    ],
+)
+def test_sizes_must_be_ints_not_bools(args, name):
+    # A float size rounds or overflows the level's denominator, and a bool
+    # passes as 0 or 1: each read as a quiet wrong level.
+    for call in (rrt_log_level, rrt_threshold):
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            call(*args)
+
+
+@pytest.mark.parametrize(
+    "k_max, match",
+    [(2.0, "k_max must be an integer"), (True, "k_max must be an integer"), (0, "k_max must be >= 1")],
+)
+def test_threshold_table_needs_an_int_k_max_of_at_least_1(k_max, match):
+    with pytest.raises(DomainError, match=match):
+        build_threshold_table(32, 64, k_max, 0.1)
+
+
 def test_threshold_at_the_int_p_10_to_the_308_matches_mpmath():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
