@@ -40,21 +40,16 @@ class EpsilonBounds:
     eps_sigma: float
 
 
-def _normalized_columns(design: DesignMatrix) -> np.ndarray:
-    x = design.matrix
-    if design.unit_norm_columns:
-        return x
-    norms = np.linalg.norm(x, axis=0)
-    if np.any(norms == 0.0):
-        raise DomainError("design has a zero column; incoherence is undefined")
-    return x / norms
-
-
 def mutual_incoherence(design: DesignMatrix) -> float:
     """Largest |<X_i, X_j>| over distinct normalized columns."""
     if design.p < 2:
         raise DomainError("mutual incoherence needs at least two columns")
-    xn = _normalized_columns(design)
+    xn = design.matrix
+    if not design.unit_norm_columns:
+        norms = np.linalg.norm(xn, axis=0)
+        if np.any(norms == 0.0):
+            raise DomainError("design has a zero column; incoherence is undefined")
+        xn = xn / norms
     gram = np.abs(xn.T @ xn)
     np.fill_diagonal(gram, -np.inf)
     return float(np.max(gram))
@@ -99,7 +94,8 @@ def erc_constant(design: DesignMatrix, support) -> float:
     in the noiseless case.
 
     X_S^+ X_j solves R c = Q^T X_j for X_S = Q R. RankDeficientError for
-    |S| > n or any |R_jj| <= RANK_TOL ||x_j||, OrthoBasisState.append's test.
+    |S| > n or any |R_jj| <= RANK_TOL ||x_j||, the greedy paths' rank test,
+    with ||x_j||^2 read from design.column_sq.
     """
     support = sorted(int(i) for i in support)
     if not support:
@@ -111,7 +107,7 @@ def erc_constant(design: DesignMatrix, support) -> float:
     x = design.matrix
     xs = x[:, support]
     q, r = np.linalg.qr(xs)
-    dependent = np.abs(np.diagonal(r)) <= RANK_TOL * np.linalg.norm(xs, axis=0)
+    dependent = np.abs(np.diagonal(r)) <= RANK_TOL * np.sqrt(design.column_sq[support])
     if dependent.any():
         j = support[int(dependent.argmax())]
         raise RankDeficientError(f"column {j} is in the span of the support columns before it")

@@ -228,7 +228,7 @@ def _cmd_gen_matrix(args) -> int:
     save_matrix_csv(buf, design.matrix)
     _write_text_atomic(args.out, buf.getvalue())
     sidecar = {
-        "kind": design.kind,
+        "kind": args.kind,
         "n": design.n,
         "p": design.p,
         "seed": args.seed,

@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
+from .errors import DimensionMismatchError, ValidationError, require_int
 from .linalg import load_matrix_csv
 from .streams import Stream
 
-DESIGN_KINDS = ("identity_hadamard", "gaussian", "external")
 SIGNAL_KINDS = ("pm_one", "geometric")
 
 # The +-1 values of a pm_one signal, indexed by Generator.integers(0, 2, k0):
@@ -35,7 +35,7 @@ def is_finite_number(value) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class DesignMatrix:
-    """An n x p sensing matrix plus provenance metadata.
+    """An n x p sensing matrix and what is derived from it, once per design.
 
     `matrix` is a read-only float64 copy of the array given, in column-major
     (Fortran) order: greedy paths read whole columns, and a design shared by
@@ -43,8 +43,6 @@ class DesignMatrix:
     """
 
     matrix: np.ndarray
-    kind: str
-    unit_norm_columns: bool
 
     def __post_init__(self) -> None:
         x = np.array(self.matrix, dtype=np.float64, order="F")
@@ -62,6 +60,18 @@ class DesignMatrix:
     @property
     def p(self) -> int:
         return self.matrix.shape[1]
+
+    @cached_property
+    def column_sq(self) -> np.ndarray:
+        """Read-only ||x_j||^2 of each column: the paths' and erc_constant's rank tests scale by it."""
+        sq = np.einsum("ij,ij->j", self.matrix, self.matrix)
+        sq.flags.writeable = False
+        return sq
+
+    @cached_property
+    def unit_norm_columns(self) -> bool:
+        """Every column has norm 1 to within 1e-10."""
+        return bool(np.allclose(np.sqrt(self.column_sq), 1.0, atol=1e-10))
 
 
 @dataclass(frozen=True)
@@ -107,6 +117,7 @@ class SparseProblem:
 
 def sylvester_hadamard(n: int) -> np.ndarray:
     """n x n Hadamard matrix by Sylvester doubling; n must be a power of two."""
+    require_int("n", n, ValidationError)
     if n < 1 or n & (n - 1):
         raise ValidationError(f"n must be a positive power of two, got {n}")
     h = np.array([[1.0]])
@@ -119,29 +130,31 @@ def make_identity_hadamard(n: int) -> DesignMatrix:
     """[I_n, H_n/sqrt(n)]: 2n unit-norm columns with mutual incoherence 1/sqrt(n)."""
     h = sylvester_hadamard(n)
     x = np.hstack([np.eye(n), h / math.sqrt(n)])
-    return DesignMatrix(x, "identity_hadamard", unit_norm_columns=True)
+    return DesignMatrix(x)
 
 
 def load_design_csv(path) -> DesignMatrix:
     """An external design read from CSV (one line per row, no header)."""
-    x = load_matrix_csv(path)
-    norms = np.linalg.norm(x, axis=0)
-    return DesignMatrix(x, "external", unit_norm_columns=bool(np.allclose(norms, 1.0, atol=1e-10)))
+    return DesignMatrix(load_matrix_csv(path))
 
 
 def make_gaussian(n: int, p: int, seed: int | Stream, normalize: bool = False) -> DesignMatrix:
     """i.i.d. N(0, 1/n) entries; optionally rescale each column to unit norm."""
+    require_int("n", n, ValidationError)
+    require_int("p", p, ValidationError)
     if n < 1 or p < 1:
         raise ValidationError(f"n and p must be >= 1, got n={n}, p={p}")
     x = Stream.of(seed).generator().normal(0.0, 1.0 / math.sqrt(n), size=(n, p))
     if normalize:
         x /= np.linalg.norm(x, axis=0, keepdims=True)
-    return DesignMatrix(x, "gaussian", unit_norm_columns=normalize)
+    return DesignMatrix(x)
 
 
 def sample_support(p: int, k0: int, seed: int | Stream) -> tuple[int, ...]:
     """Uniformly random k0-subset of {0, ..., p-1}, sorted ascending: the
     draw Generator.choice(p, k0, replace=False) makes."""
+    require_int("p", p, ValidationError)
+    require_int("k0", k0, ValidationError)
     if not 1 <= k0 <= p:
         raise ValidationError(f"k0 must lie in [1, p={p}], got {k0}")
     return tuple(sorted(Stream.of(seed).generator().choice(p, k0, replace=False).tolist()))
@@ -149,6 +162,7 @@ def sample_support(p: int, k0: int, seed: int | Stream) -> tuple[int, ...]:
 
 def make_signal(p: int, support, spec: SignalSpec, seed: int | Stream) -> np.ndarray:
     """Sparse coefficient vector with the given support and value model."""
+    require_int("p", p, ValidationError)
     support = tuple(sorted(int(i) for i in support))
     if len(set(support)) != len(support):
         raise ValidationError("support contains repeated indices")

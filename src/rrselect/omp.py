@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import decimal
 import math
-import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,12 +22,6 @@ RULES = ("omp", "ols")
 STATUS_OK = "ok"
 STATUS_EMPTY = "empty_selection"
 STATUS_EXHAUSTED = "exhausted"
-
-# Per design, ||x_j|| = math.sqrt(x_j.dot(x_j)) of each column a path has
-# taken, the scale of the rank test: a design shared by many trials computes
-# each once. A design's matrix is read-only.
-_column_norms: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
 
 class SupportEstimate(NamedTuple):
     """A selected model order with how it was terminated; the estimated
@@ -62,6 +55,7 @@ class SolutionPath:
         return len(self.selected)
 
     def _order(self, k: int) -> int:
+        require_int("k", k)
         if not 0 <= k <= self.K:
             raise DomainError(f"k={k} outside [0, K={self.K}]")
         return k
@@ -127,12 +121,9 @@ def solution_path(design: DesignMatrix, y: np.ndarray, k_max: int, rule: str = "
     corr_inf = [float(magnitude[top])]
     selected: list[int] = []
     taken = [False] * p
-    col_norms = _column_norms.get(design)
-    if col_norms is None:
-        col_norms = _column_norms[design] = [None] * p
+    col_sq = design.column_sq
     status = "complete"
     if rule == "ols":
-        col_sq = np.einsum("ij,ij->j", x, x)
         res_col_sq = col_sq.copy()  # a taken column's entry is set to 0: never admissible again
         dependent_sq = (RANK_TOL * RANK_TOL) * col_sq  # at or below: in the span of the basis
         admissible = np.empty(p, dtype=bool)
@@ -165,10 +156,7 @@ def solution_path(design: DesignMatrix, y: np.ndarray, k_max: int, rule: str = "
             v = col - q.dot(qt.dot(col))
             v -= q.dot(qt.dot(v))  # second pass: mops up cancellation in the first
         norm = math.sqrt(v.dot(v))
-        col_norm = col_norms[t]
-        if col_norm is None:
-            col_norm = col_norms[t] = math.sqrt(col.dot(col))
-        if norm <= RANK_TOL * col_norm or norm == 0.0:  # in the span of the basis
+        if norm <= RANK_TOL * math.sqrt(col_sq[t]) or norm == 0.0:  # in the span of the basis
             status = "rank_deficient"
             break
         q = basis[k]
@@ -262,6 +250,7 @@ def stop_fixed(path: SolutionPath, k0: int) -> SupportEstimate:
     """Keep exactly the first k0 selections. A path that ended first (k0 >
     k_max, or a rank-deficient early stop) is kept whole and marked
     exhausted, as the sigma rules do when no step qualifies."""
+    require_int("k0", k0)
     if k0 > path.K:
         return SupportEstimate(path.K, STATUS_EXHAUSTED)
     return path.estimate(k0)

@@ -19,7 +19,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .designs import (
-    DESIGN_KINDS,
     DesignMatrix,
     SignalSpec,
     is_finite_number,
@@ -35,6 +34,7 @@ from .omp import RULES, SupportEstimate, default_kmax, solution_path, stop_fixed
 from .selectors import RrtaParams, prefix_hits, residual_ratios, rrm_select, rrt_select, rrta_select
 from .streams import Stream, pcg64_states
 
+DESIGN_KINDS = ("identity_hadamard", "gaussian", "external")
 _MASK64 = (1 << 64) - 1
 # Most trials in one job: _count_block seeds its job's streams in one pass,
 # so this bounds the streams held at once.

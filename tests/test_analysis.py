@@ -21,12 +21,8 @@ RRT_LB_01_16_64_3 = 1.0245901639344262e-4  # 0.1 / (16 * 61)
 RRT_LB_09_8_32_3 = 3.8793103448275862e-3  # 0.9 / (8 * 29)
 
 
-def _wrap(array, unit=False):
-    return DesignMatrix(array, "external", unit)
-
-
 def test_mutual_incoherence_values():
-    assert mutual_incoherence(_wrap(np.eye(4), unit=True)) == 0.0
+    assert mutual_incoherence(DesignMatrix(np.eye(4))) == 0.0
     d2 = make_identity_hadamard(2)
     assert mutual_incoherence(d2) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
     d32 = make_identity_hadamard(32)
@@ -37,13 +33,20 @@ def test_mutual_incoherence_normalizes_internally():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(8, 6))
     scaled = x * np.array([1.0, 2.0, 0.5, 3.0, 1.0, 4.0])
-    a = mutual_incoherence(_wrap(x))
-    b = mutual_incoherence(_wrap(scaled))
+    a = mutual_incoherence(DesignMatrix(x))
+    b = mutual_incoherence(DesignMatrix(scaled))
     assert a == pytest.approx(b, rel=1e-12)
     with pytest.raises(DomainError):
-        mutual_incoherence(_wrap(np.ones((4, 1))))
+        mutual_incoherence(DesignMatrix(np.ones((4, 1))))
     with pytest.raises(DomainError):  # a zero column has no direction
-        mutual_incoherence(_wrap(np.array([[1.0, 0.0], [0.0, 0.0]])))
+        mutual_incoherence(DesignMatrix(np.array([[1.0, 0.0], [0.0, 0.0]])))
+
+
+def test_mutual_incoherence_normalizes_columns_the_caller_built():
+    # Column norms 2, 1 and 5: the largest normalized inner product is
+    # <x_2, x_3> / (1 * 5) = 4 / 5.
+    x = np.array([[2.0, 0.0, 3.0], [0.0, 1.0, 4.0]])
+    assert mutual_incoherence(DesignMatrix(x)) == pytest.approx(0.8, rel=1e-15)
 
 
 def test_mic_sparsity_limit():
@@ -54,7 +57,7 @@ def test_mic_sparsity_limit():
 
 
 def test_ric_orthonormal_is_zero():
-    d = _wrap(np.eye(5), unit=True)
+    d = DesignMatrix(np.eye(5))
     for order in (1, 2, 3):
         assert ric_bruteforce(d, order) == 0.0
 
@@ -63,7 +66,7 @@ def test_ric_identical_columns():
     x = np.zeros((4, 3))
     x[0, 0] = x[0, 1] = 1.0
     x[1, 2] = 1.0
-    assert ric_bruteforce(_wrap(x), 2) == pytest.approx(1.0, abs=1e-12)
+    assert ric_bruteforce(DesignMatrix(x), 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ric_order2_closed_form_identity_hadamard():
@@ -80,7 +83,7 @@ def test_ric_order2_closed_form_identity_hadamard():
 def test_ric_order1_closed_form():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(6, 5))
-    d = _wrap(x)
+    d = DesignMatrix(x)
     expected = float(np.max(np.abs(np.sum(x * x, axis=0) - 1.0)))
     assert ric_bruteforce(d, 1) == pytest.approx(expected, rel=1e-12)
 
@@ -103,7 +106,7 @@ def test_ric_guard_and_domain():
 
 
 def test_erc_orthonormal_zero():
-    d = _wrap(np.eye(6), unit=True)
+    d = DesignMatrix(np.eye(6))
     assert erc_constant(d, (0, 3)) == 0.0
 
 
@@ -113,14 +116,14 @@ def test_erc_projection_coefficient():
     x[0, 0] = 1.0
     x[:, 1] = 0.3 * x[:, 0]
     x[1, 1] = 1.0
-    assert erc_constant(_wrap(x), (0,)) == pytest.approx(0.3, rel=1e-12)
+    assert erc_constant(DesignMatrix(x), (0,)) == pytest.approx(0.3, rel=1e-12)
 
 
 def test_erc_matches_lstsq_oracle():
     rng = np.random.default_rng(8)
     for trial in range(5):
         x = rng.normal(size=(8, 16))
-        d = _wrap(x)
+        d = DesignMatrix(x)
         support = sorted(rng.choice(16, size=2, replace=False).tolist())
         xs = x[:, support]
         expected = 0.0
@@ -138,7 +141,7 @@ def test_erc_rank_deficient_support():
     x[:, 1] = 2.0 * x[:, 0]
     x[1, 2] = 1.0
     with pytest.raises(RankDeficientError):
-        erc_constant(_wrap(x), (0, 1))
+        erc_constant(DesignMatrix(x), (0, 1))
 
 
 def test_erc_raises_where_the_basis_append_raises():
@@ -151,14 +154,14 @@ def test_erc_raises_where_the_basis_append_raises():
     x[:, 4] = 0.0
     for support in ((0, 0), (0, 1, 3), (4,), (2, 4)):
         with pytest.raises(RankDeficientError):
-            erc_constant(_wrap(x), support)
+            erc_constant(DesignMatrix(x), support)
         state = OrthoBasisState(6)
         with pytest.raises(RankDeficientError):
             for j in sorted(support):
                 state.append(x, j)
     for support in ((-1,), (5,), (0, 5)):
         with pytest.raises(IndexError):
-            erc_constant(_wrap(x), support)
+            erc_constant(DesignMatrix(x), support)
 
 def test_erc_support_larger_than_n_is_rank_deficient():
     # Five columns in dimension 4 are dependent, however well conditioned

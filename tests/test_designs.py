@@ -15,29 +15,47 @@ from rrselect.designs import (
     synthesize,
 )
 from rrselect.errors import DimensionMismatchError, ValidationError
+from rrselect.linalg import save_matrix_csv
 
 
 def test_design_matrix_validates_shape_and_finiteness():
-    d = DesignMatrix([[1.0, 2.0], [3.0, 4.0]], "external", False)
+    d = DesignMatrix([[1.0, 2.0], [3.0, 4.0]])
     assert (d.n, d.p) == (2, 2)
     assert d.matrix.dtype == np.float64 and d.matrix.flags.f_contiguous
     with pytest.raises(DimensionMismatchError):
-        DesignMatrix([1.0, 2.0, 3.0], "external", False)
+        DesignMatrix([1.0, 2.0, 3.0])
     with pytest.raises(ValidationError, match="matrix entries must be finite"):
-        DesignMatrix([[1.0, np.nan]], "external", False)
+        DesignMatrix([[1.0, np.nan]])
     with pytest.raises(ValidationError, match="matrix entries must be finite"):
-        DesignMatrix([[np.inf, 0.0]], "external", False)
+        DesignMatrix([[np.inf, 0.0]])
 
 
 def test_design_matrix_holds_a_read_only_fortran_order_copy():
     x = np.arange(6.0).reshape(2, 3)  # C order
-    d = DesignMatrix(x, "external", False)
+    d = DesignMatrix(x)
     assert d.matrix.flags.f_contiguous and not d.matrix.flags.c_contiguous
     assert np.array_equal(d.matrix, x) and not np.shares_memory(d.matrix, x)
     x[0, 0] = 7.0
     assert d.matrix[0, 0] == 0.0
     with pytest.raises(ValueError):
         d.matrix[0, 0] = 7.0
+
+
+def test_column_sq_is_the_einsum_read_only_and_computed_once():
+    d = make_gaussian(32, 64, 0)
+    sq = d.column_sq
+    assert sq.tobytes() == np.einsum("ij,ij->j", d.matrix, d.matrix).tobytes()
+    assert not sq.flags.writeable
+    assert d.column_sq is sq
+
+
+def test_unit_norm_flag_is_derived_from_the_columns(tmp_path):
+    assert make_identity_hadamard(32).unit_norm_columns
+    assert make_gaussian(32, 64, 0, normalize=True).unit_norm_columns
+    assert not make_gaussian(32, 64, 0).unit_norm_columns
+    path = tmp_path / "x.csv"
+    save_matrix_csv(path, make_identity_hadamard(32).matrix)
+    assert load_design_csv(path).unit_norm_columns
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -67,7 +85,6 @@ def test_identity_hadamard_small_cases():
     expected = np.array([[1.0, 0.0, s, s], [0.0, 1.0, s, -s]])
     assert np.allclose(d2.matrix, expected)
     assert d2.unit_norm_columns
-    assert d2.kind == "identity_hadamard"
 
 
 def test_identity_hadamard_unit_columns():
@@ -128,6 +145,34 @@ def test_sample_support_basics():
         sample_support(4, 5, seed=0)
     with pytest.raises(ValidationError):
         sample_support(4, 0, seed=0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: make_identity_hadamard(32.0),
+        lambda: make_identity_hadamard(True),
+        lambda: make_gaussian(32.0, 64, 0),
+        lambda: make_gaussian(32, 64.0, 0),
+        lambda: sample_support(64, 3.0, 0),
+        lambda: sample_support(64, True, 0),
+        lambda: sample_support(64.0, 3, 0),
+        lambda: make_signal(64.0, (1, 2, 3), SignalSpec(3), 0),
+    ],
+    ids=[
+        "hadamard-float-n",
+        "hadamard-bool-n",
+        "gaussian-float-n",
+        "gaussian-float-p",
+        "support-float-k0",
+        "support-bool-k0",
+        "support-float-p",
+        "signal-float-p",
+    ],
+)
+def test_builders_reject_a_non_int_size(call):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        call()
 
 
 def test_sample_support_marginal_frequency():

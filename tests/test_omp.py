@@ -25,10 +25,6 @@ TAU_RCSC_P64_SIGMA1 = 2.8840537732017660341  # sqrt(2 ln 64)
 ETA_SCALE_001_01 = 1.5848931924611134852  # 0.01 ** -0.1
 
 
-def _wrap(array, unit=False):
-    return DesignMatrix(array, "external", unit)
-
-
 def naive_greedy_path(x, y, k_max, rule="omp"):
     """Reference implementation recomputing least squares from scratch."""
     n, p = x.shape
@@ -73,13 +69,13 @@ def test_default_kmax_needs_an_int_n(n):
 @pytest.mark.parametrize("k_max", [2.0, True])
 def test_solution_path_needs_an_int_k_max(k_max):
     # numpy raised a bare TypeError for both.
-    design = _wrap(np.eye(4), unit=True)
+    design = DesignMatrix(np.eye(4))
     with pytest.raises(ValidationError, match="k_max must be an integer"):
         solution_path(design, np.ones(4), k_max)
 
 
 def test_identity_design_trivial_path():
-    design = _wrap(np.eye(4), unit=True)
+    design = DesignMatrix(np.eye(4))
     y = np.zeros(4)
     y[1] = 2.0
     path = solution_path(design, y, 2, "omp")
@@ -90,7 +86,7 @@ def test_identity_design_trivial_path():
 
 
 def test_orthonormal_design_selects_by_coefficient_magnitude():
-    design = _wrap(np.eye(4), unit=True)
+    design = DesignMatrix(np.eye(4))
     y = 3.0 * np.eye(4)[:, 2] + 1.0 * np.eye(4)[:, 0]
     path = solution_path(design, y, 2, "omp")
     assert path.selected == (2, 0)
@@ -102,7 +98,7 @@ def test_path_matches_naive_reference():
     for trial in range(10):
         x = rng.normal(size=(8, 16)) / math.sqrt(8)
         y = rng.normal(size=8)
-        design = _wrap(x)
+        design = DesignMatrix(x)
         for rule in ("omp", "ols"):
             path = solution_path(design, y, 6, rule)
             sel, norms = naive_greedy_path(x, y, 6, rule)
@@ -113,7 +109,7 @@ def test_path_matches_naive_reference():
 def test_residual_orthogonal_to_selected_columns():
     rng = np.random.default_rng(23)
     x = rng.normal(size=(16, 32))
-    design = _wrap(x)
+    design = DesignMatrix(x)
     y = rng.normal(size=16)
     path = solution_path(design, y, 8, "omp")
     # reconstruct residual at each k and check orthogonality
@@ -128,9 +124,9 @@ def test_residual_orthogonal_to_selected_columns():
 def test_omp_equals_ols_on_orthonormal_designs():
     rng = np.random.default_rng(31)
     y = rng.normal(size=8)
-    eye = _wrap(np.eye(8), unit=True)
+    eye = DesignMatrix(np.eye(8))
     h = sylvester_hadamard(8) / math.sqrt(8)
-    had = _wrap(h, unit=True)
+    had = DesignMatrix(h)
     for design in (eye, had):
         a = solution_path(design, y, 4, "omp")
         b = solution_path(design, y, 4, "ols")
@@ -142,7 +138,7 @@ def test_ols_prefers_energy_reduction_on_unnormalized_columns():
     # column 1 has bigger correlation, column 0 bigger normalized decrease
     x = np.array([[1.0, 3.0], [0.0, 3.0]])
     y = np.array([1.0, 0.1])
-    design = _wrap(x)
+    design = DesignMatrix(x)
     omp_path = solution_path(design, y, 1, "omp")
     ols_path = solution_path(design, y, 1, "ols")
     assert omp_path.selected == (1,)
@@ -151,7 +147,7 @@ def test_ols_prefers_energy_reduction_on_unnormalized_columns():
 
 def test_rank_deficient_path_terminates_early():
     x = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
-    design = _wrap(x)
+    design = DesignMatrix(x)
     y = np.array([1.0, 0.0, 0.0])
     path = solution_path(design, y, 2, "omp")
     # after column 0 the residual is zero; the smallest-index tie goes to the
@@ -169,7 +165,7 @@ def test_rank_deficient_path_terminates_early():
 
 
 def test_solution_path_validation():
-    design = _wrap(np.eye(4), unit=True)
+    design = DesignMatrix(np.eye(4))
     with pytest.raises(DimensionMismatchError):
         solution_path(design, np.ones(5), 2)
     with pytest.raises(ValidationError):
@@ -182,7 +178,7 @@ def test_solution_path_validation():
 
 def test_residual_norms_nonincreasing_and_corr_recorded():
     rng = np.random.default_rng(41)
-    design = _wrap(rng.normal(size=(16, 32)))
+    design = DesignMatrix(rng.normal(size=(16, 32)))
     y = rng.normal(size=16)
     path = solution_path(design, y, 8)
     assert np.all(np.diff(path.residual_norms) <= 0.0)
@@ -192,7 +188,7 @@ def test_residual_norms_nonincreasing_and_corr_recorded():
 
 
 def test_stop_fixed():
-    design = _wrap(np.eye(12), unit=True)
+    design = DesignMatrix(np.eye(12))
     y = np.arange(12.0) + 1.0
     path = solution_path(design, y, 4)
     assert stop_fixed(path, 0) == SupportEstimate(0, "ok")
@@ -204,8 +200,28 @@ def test_stop_fixed():
         stop_fixed(path, -1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda path: stop_fixed(path, 3.0),
+        lambda path: stop_fixed(path, True),
+        lambda path: stop_fixed(path, 20.0),  # past the path's end
+        lambda path: path.estimate(2.0),
+        lambda path: path.support_at(True),
+        lambda path: path.support_at(2.0),
+    ],
+    ids=["stop_fixed-float", "stop_fixed-bool", "stop_fixed-past-end", "estimate-float", "support_at-bool",
+         "support_at-float"],
+)
+def test_model_order_must_be_an_int(call):
+    design = make_identity_hadamard(32)
+    path = solution_path(design, design.matrix[:, [2, 20, 39]] @ [1.0, -1.0, 1.0], 16)
+    with pytest.raises(DomainError, match="must be an integer"):
+        call(path)
+
+
 def test_stop_fixed_recovers_first_selections():
-    path = solution_path(_wrap(np.eye(12), unit=True), np.eye(12)[:, 5] * 3.0, 3)
+    path = solution_path(DesignMatrix(np.eye(12)), np.eye(12)[:, 5] * 3.0, 3)
     assert path.support_at(stop_fixed(path, 1).k_selected) == {5}
 
 
@@ -325,7 +341,7 @@ def test_stop_scan_returns_minimal_k():
 
 
 def test_estimate_accessors():
-    design = _wrap(np.eye(6), unit=True)
+    design = DesignMatrix(np.eye(6))
     path = solution_path(design, np.arange(6.0), 3)
     assert path.estimate(None) == SupportEstimate(0, "empty_selection")
     assert path.estimate(3) == SupportEstimate(3, "ok")
@@ -381,7 +397,7 @@ def test_path_is_equivariant_under_column_permutation(seed, n, extra, rule, norm
     y = rng.normal(size=n)
     k_max = min(n - 1, x.shape[1])
     base = solution_path(design, y, k_max, rule)
-    permuted = solution_path(_wrap(x[:, perm]), y, k_max, rule)
+    permuted = solution_path(DesignMatrix(x[:, perm]), y, k_max, rule)
     inverse = np.argsort(perm)
     assert permuted.selected == tuple(int(inverse[t]) for t in base.selected)
     assert np.array_equal(permuted.residual_norms, base.residual_norms)
@@ -428,7 +444,7 @@ def test_greedy_step_matches_the_naive_path_on_repeated_columns(seed, n, bases, 
     else:
         y = rng.normal(size=n)
     k_max = min(n - 1, p)
-    path = solution_path(_wrap(x), y, k_max, rule)
+    path = solution_path(DesignMatrix(x), y, k_max, rule)
     selected, norms = naive_greedy_path(x, y, k_max, rule)
     explaining = 0
     while explaining < k_max and norms[explaining] - norms[explaining + 1] > 1e-6 * norms[0]:

@@ -64,7 +64,7 @@ def _duplicate_column_paths() -> list:
     """n=6, columns (a, b, a): the third step can only take the copy of a."""
     rng = np.random.default_rng(20181118)
     a, b = rng.normal(size=(2, 6))
-    design = DesignMatrix(np.column_stack([a, b, a]), "external", False)
+    design = DesignMatrix(np.column_stack([a, b, a]))
     y = 2.0 * a - 0.5 * b + 0.1 * rng.normal(size=6)
     return [solution_path(design, y, 3, rule) for rule in ("omp", "ols")]
 

@@ -476,7 +476,7 @@ def test_ratios_carry_the_problem_size_of_their_path(rule):
     # column 0, and OMP's next pick is the duplicate, which stops the path
     # after one step. OLS masks the duplicate and runs to k_max.
     x = np.hstack([np.eye(4)[:, :1], np.eye(4)])
-    design = DesignMatrix(x, "external", True)
+    design = DesignMatrix(x)
     path = solution_path(design, np.eye(4)[:, 0] * 2.0, 3, rule)
     assert path.K == len(path.selected) == (1 if rule == "omp" else 3)
     assert path.status == ("rank_deficient" if rule == "omp" else "complete")
