@@ -53,7 +53,6 @@ from .simulate import (
     run_trial,
 )
 from .special import (
-    beta_cdf,
     build_threshold_table,
     log_beta_fn,
     rrt_log_level,
@@ -77,7 +76,6 @@ __all__ = [
     "SparseProblem",
     "SupportEstimate",
     "SweepResult",
-    "beta_cdf",
     "build_threshold_table",
     "default_kmax",
     "epsilon_bounds",

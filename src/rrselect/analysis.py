@@ -157,7 +157,7 @@ def epsilon_bounds(
         ("beta_max", beta_max),
         ("sigma", sigma),
     ):
-        if not 0.0 <= value < math.inf:
+        if isinstance(value, bool) or not 0.0 <= value < math.inf:  # a bool would pass as 0 or 1
             raise DomainError(f"{name} must be finite and nonnegative, got {value}")
     if not (delta_k0 < 1.0 and delta_k0p1 < 1.0):
         raise DomainError("RIC values must be < 1")

@@ -53,6 +53,11 @@ class DesignMatrix:
         x.flags.writeable = False
         object.__setattr__(self, "matrix", x)
 
+    def __reduce__(self):
+        # Unpickled arrays come back writeable: rebuild from the matrix alone,
+        # so a pool worker's copy is read-only again and derives its own cache.
+        return (DesignMatrix, (self.matrix,))
+
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
@@ -185,7 +190,7 @@ def synthesize(design: DesignMatrix, beta: np.ndarray, support, snr: float, seed
     sigma is derived from the realized ||X beta||, so the SNR identity holds
     exactly for this trial rather than on ensemble average.
     """
-    if not snr > 0.0:
+    if isinstance(snr, bool) or not snr > 0.0:  # True would pass as an SNR of 1
         raise ValidationError(f"snr must be positive, got {snr}")
     beta = np.asarray(beta, dtype=np.float64)
     support = frozenset(int(i) for i in support)

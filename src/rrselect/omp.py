@@ -197,9 +197,10 @@ def _first_below(path: SolutionPath, values: np.ndarray, tau: float) -> SupportE
 
 
 def _check_noise(sigma: float, eta: float | None) -> None:
-    if not (math.isfinite(sigma) and sigma > 0.0):
+    # A bool would pass as 0 or 1.
+    if isinstance(sigma, bool) or not (math.isfinite(sigma) and sigma > 0.0):
         raise DomainError(f"sigma must be finite and positive, got {sigma}")
-    if eta is not None and not math.isfinite(eta):
+    if eta is not None and (isinstance(eta, bool) or not math.isfinite(eta)):
         raise DomainError(f"eta must be finite, got {eta}")
 
 

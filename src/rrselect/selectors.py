@@ -72,12 +72,6 @@ class ResidualRatios:
         once per path."""
         return special.half_beta_log_cdf_bounds(self.n, self.values.tolist())
 
-    def log_cdf(self, k: int) -> float:
-        """ln c(k) = ln I_{RR(k)^2}((n-k)/2, 1/2)."""
-        if not 1 <= k <= len(self.values):
-            raise DomainError(f"k={k} outside [1, K={len(self.values)}]")
-        return special.log_cdf_of_square((self.n - k) / 2.0, 0.5, float(self.values[k - 1]))
-
 
 @dataclass(frozen=True)
 class RrtaParams:
@@ -87,9 +81,10 @@ class RrtaParams:
     q: float = 2.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.pfd_finite < 1.0:
+        # A bool would pass as 0 or 1.
+        if isinstance(self.pfd_finite, bool) or not 0.0 < self.pfd_finite < 1.0:
             raise DomainError(f"pfd_finite must lie in (0,1), got {self.pfd_finite}")
-        if not 0.0 < self.q < math.inf:
+        if isinstance(self.q, bool) or not 0.0 < self.q < math.inf:
             raise DomainError(f"q must be positive and finite, got {self.q}")
 
 
@@ -116,14 +111,14 @@ def rrt_select(ratios: ResidualRatios, alpha: float) -> int | None:
 
     Steps are scanned from the last: a step whose lower bound of c(k) lies
     above z(k) is a miss, one whose upper bound lies below it is the answer,
-    and only a step between the two reads the exact ln c(k) (ratios.log_cdf).
+    and only a step between the two reads the exact ln c(k)
+    (special.log_cdf_of_square).
     """
     steps = len(ratios)
-    p, k_max = ratios.p, ratios.k_max
-    # rrt_log_level's checks at every step up to the last, made once: ratios
-    # already hold steps <= k_max < n, and p >= k holds below k = steps (a
-    # path has a step 1).
-    special.check_level_args(p, alpha, max(steps, 1))
+    n, p, k_max = ratios.n, ratios.p, ratios.k_max
+    # The level's checks, made once at the last step (at step 1 when there is
+    # none): every step below it passes them too, since p >= steps >= k.
+    special.rrt_log_level(n, p, k_max, alpha, max(steps, 1))
     if not steps or ratios.zero_observation:
         return None
     lows, highs = ratios.log_cdf_bounds
@@ -134,7 +129,7 @@ def rrt_select(ratios: ResidualRatios, alpha: float) -> int | None:
             continue
         if highs[k - 1] < ln_z - _DECIDE_MARGIN:
             return k
-        if ratios.log_cdf(k) < ln_z:
+        if special.log_cdf_of_square((n - k) / 2.0, 0.5, float(ratios.values[k - 1])) < ln_z:
             return k
     return None
 

@@ -3,12 +3,12 @@ Gamma(k) used by the RRT/RRTA selectors.
 
 The selectors compare ln c(k), c(k) = I_{RR(k)^2}((n-k)/2, 1/2), with the
 step's log level ln z(k) = rrt_log_level(...). Most steps are decided without
-the continued fraction: the leading term of the CDF's series
-(log_cdf_of_square_floor) is a lower bound of c(k), the series' geometric tail
-gives an upper bound (log_cdf_of_square_ceiling), and a step reads the exact
-log_cdf_of_square only where ln z(k) falls between the two. The reported
-threshold Gamma(k) is the double where that test flips, found by bisecting the
-doubles on the same log CDF.
+the continued fraction: the leading term of the CDF's series is a lower bound
+of c(k), the series' geometric tail gives an upper bound (both per path in
+half_beta_log_cdf_bounds), and a step reads the exact log_cdf_of_square only
+where ln z(k) falls between the two. The reported threshold Gamma(k) is the
+double where that test flips, found by bisecting the doubles on the same log
+CDF.
 
 Everything here is scalar (math and struct; numpy only for the table's
 array). The rule is applied in logs, so a level below the doubles (alpha near
@@ -126,18 +126,6 @@ def _log_cdf(a: float, b: float, x: float, ln_x: float) -> float:
     return math.log1p(-math.exp(ln_front) * _beta_continued_fraction(b, a, 1.0 - x) / b)
 
 
-def beta_cdf(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a,b), i.e. the Beta(a,b) CDF at x."""
-    _check_ab(a, b)
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"x must lie in [0,1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    return math.exp(_log_cdf(a, b, x, math.log(x)))
-
-
 def log_cdf_of_square(a: float, b: float, r: float) -> float:
     """ln I_{r^2}(a,b) for r in [0,1]: -inf at r = 0 and 0 at r = 1.
 
@@ -154,32 +142,10 @@ def log_cdf_of_square(a: float, b: float, r: float) -> float:
     return _log_cdf(a, b, r * r, 2.0 * math.log(r))
 
 
-def log_cdf_of_square_floor(a: float, b: float, r: float) -> float:
-    """ln L for r in (0,1), where L = x^a (1-x)^b / (a B(a,b)) at x = r^2.
-
-    I_x(a,b) = L * 2F1(a+b, 1; a+1; x), a series of positive terms that
-    starts at 1, so L <= I_x(a,b): the terms of log_cdf_of_square without the
-    continued fraction.
-    """
-    return 2.0 * a * math.log(r) + b * math.log1p(-r * r) - math.log(a) - log_beta_fn(a, b)
-
-
-def log_cdf_of_square_ceiling(a: float, b: float, r: float) -> float:
-    """ln U for r in (0,1) and 0 < b <= 1, where U = L (1 + x (a+b) / ((a+1) (1-x)))
-    at x = r^2 and L is the floor above.
-
-    The terms of 2F1(a+b, 1; a+1; x) are positive and, for b <= 1, each is at
-    most x times the one before, so the series is at most 1 + t1 / (1-x) with
-    t1 = x (a+b) / (a+1): I_x(a,b) <= U.
-    """
-    x = r * r
-    return log_cdf_of_square_floor(a, b, r) + math.log1p(x * (a + b) / ((a + 1.0) * (1.0 - x)))
-
-
 @lru_cache(maxsize=64)
 def half_beta_log_terms(n: int) -> tuple[tuple[float, float, float], ...]:
     """(a, ln a, ln B(a, 1/2)) for a = (n-k)/2 at k = 1..n-1: the per-step
-    constants of log_cdf_of_square_floor(a, 0.5, r), computed once per n."""
+    constants of half_beta_log_cdf_bounds, computed once per n."""
     return tuple((a, math.log(a), log_beta_fn(a, 0.5)) for a in ((n - k) / 2.0 for k in range(1, n)))
 
 
@@ -187,9 +153,13 @@ def half_beta_log_cdf_bounds(n: int, ratios: list[float]) -> tuple[list[float], 
     """([ln L(k)], [ln U(k)]) with L(k) <= c(k) = I_{RR(k)^2}((n-k)/2, 1/2) <= U(k)
     for RR(k) = ratios[k-1], k = 1..len(ratios).
 
-    In (0,1) these are log_cdf_of_square_floor and _ceiling at b = 1/2,
-    operation for operation, with the per-n constants of half_beta_log_terms;
-    both are -inf at RR = 0 (c = 0) and +inf at RR = 1 (c = 1).
+    At x = RR(k)^2 in (0,1), with a = (n-k)/2 and b = 1/2, I_x(a,b) =
+    L 2F1(a+b, 1; a+1; x) with L = x^a (1-x)^b / (a B(a,b)). The series' terms
+    are positive and start at 1, so L <= c(k); for b <= 1 each is at most x
+    times the one before, so the series is at most 1 + t1 / (1-x) with
+    t1 = x (a+b) / (a+1), and U = L (1 + t1 / (1-x)). The per-n constants are
+    those of half_beta_log_terms; both bounds are -inf at RR = 0 (c = 0) and
+    +inf at RR = 1 (c = 1).
     """
     if len(ratios) > n - 1:
         raise DomainError(f"{len(ratios)} ratios exceed the n-1={n - 1} steps of an n={n} problem")
@@ -210,17 +180,6 @@ def half_beta_log_cdf_bounds(n: int, ratios: list[float]) -> tuple[list[float], 
     return lows, highs
 
 
-def check_level_args(p: int, alpha: float, k: int) -> None:
-    """rrt_log_level's checks of p and alpha at step k. p must be an int, not
-    a bool: a float p rounds k_max (p-k+1), or overflows it to inf (p = 1e308
-    would give the level 0 and the threshold 5e-324)."""
-    require_int("p", p)
-    if p < k:
-        raise DomainError(f"p={p} must be >= k={k}")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0,1), got {alpha}")
-
-
 def rrt_log_level(n: int, p: int, k_max: int, alpha: float, k: int) -> float:
     """ln z(k) of the per-step level z(k) = alpha / (k_max (p-k+1)), with
     alpha floored at ALPHA_FLOOR.
@@ -228,8 +187,11 @@ def rrt_log_level(n: int, p: int, k_max: int, alpha: float, k: int) -> float:
     The Beta CDF is increasing, so RR(k) < Gamma(k) is the same test as
     log_cdf_of_square((n-k)/2, 1/2, RR(k)) < ln z(k). math.log takes an int of
     any size, so z(k) is neither rounded to a double nor raised to one: it may
-    lie far below the doubles. Since alpha < 1, ln z(k) < 0. n, k_max and k
-    must be ints too, for the reason check_level_args gives for p.
+    lie far below the doubles. Since alpha < 1, ln z(k) < 0.
+
+    n, p, k_max and k must be ints, not bools: a float p rounds k_max (p-k+1),
+    or overflows it to inf (p = 1e308 would give the level 0 and the threshold
+    5e-324), and a bool would pass as 0 or 1.
     """
     for name, value in (("n", n), ("k_max", k_max), ("k", k)):
         require_int(name, value)
@@ -239,7 +201,11 @@ def rrt_log_level(n: int, p: int, k_max: int, alpha: float, k: int) -> float:
         raise DomainError(f"k={k} must lie in [1, k_max={k_max}]")
     if k_max >= n:
         raise DomainError(f"k_max={k_max} must be < n={n}")
-    check_level_args(p, alpha, k)
+    require_int("p", p)
+    if p < k:
+        raise DomainError(f"p={p} must be >= k={k}")
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0,1), got {alpha}")
     return math.log(max(alpha, ALPHA_FLOOR)) - math.log(k_max * (p - k + 1))
 
 

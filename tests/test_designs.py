@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -47,6 +48,18 @@ def test_column_sq_is_the_einsum_read_only_and_computed_once():
     assert sq.tobytes() == np.einsum("ij,ij->j", d.matrix, d.matrix).tobytes()
     assert not sq.flags.writeable
     assert d.column_sq is sq
+
+
+@pytest.mark.parametrize("design", [make_identity_hadamard(4), make_gaussian(3, 5, 0)])
+def test_a_pickled_design_comes_back_read_only_without_its_cache(design):
+    # A pool worker unpickles the sweep's design: it must be the checked
+    # read-only copy again, and derive its column norms itself.
+    design.column_sq
+    clone = pickle.loads(pickle.dumps(design))
+    assert clone.matrix.tobytes() == design.matrix.tobytes()
+    assert clone.matrix.flags.f_contiguous and not clone.matrix.flags.writeable
+    assert "column_sq" not in clone.__dict__
+    assert clone.column_sq.tobytes() == design.column_sq.tobytes() and not clone.column_sq.flags.writeable
 
 
 def test_unit_norm_flag_is_derived_from_the_columns(tmp_path):

@@ -17,7 +17,16 @@ CONFIG_EXAMPLE = re.search(r"### Experiment config schema\s+```json\n(.*?)```", 
 MODULE_MAP = re.search(r"## Module map\n(.*?)(?:\n## |\Z)", README, re.S).group(1)
 MODULE_ROWS = {m.group(1): m.group(0) for m in re.finditer(r"^\| `(\w+)` .*$", MODULE_MAP, re.M)}
 # Public names deleted from the package; the README must not name them either.
-DELETED = ("beta_cdf_inv", "derive_trial_seed", "read_sweep_csv", "supported_roster")
+DELETED = (
+    "beta_cdf",
+    "beta_cdf_inv",
+    "check_level_args",
+    "derive_trial_seed",
+    "log_cdf_of_square_ceiling",
+    "log_cdf_of_square_floor",
+    "read_sweep_csv",
+    "supported_roster",
+)
 
 
 @pytest.mark.parametrize(

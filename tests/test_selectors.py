@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rrselect.analysis import ric_bruteforce
+from rrselect.analysis import epsilon_bounds, ric_bruteforce
 from rrselect.designs import (
     DesignMatrix,
     SignalSpec,
@@ -15,8 +15,8 @@ from rrselect.designs import (
     sample_support,
     synthesize,
 )
-from rrselect.errors import DomainError, EmptyPathError
-from rrselect.omp import RULES, SolutionPath, solution_path
+from rrselect.errors import DomainError, EmptyPathError, ValidationError
+from rrselect.omp import RULES, SolutionPath, solution_path, stop_rcsc, stop_rpsc
 from rrselect.selectors import (
     ResidualRatios,
     RrtaParams,
@@ -30,12 +30,9 @@ from rrselect.selectors import (
 )
 from rrselect.special import (
     ALPHA_FLOOR,
-    beta_cdf,
     build_threshold_table,
     half_beta_log_cdf_bounds,
     log_cdf_of_square,
-    log_cdf_of_square_ceiling,
-    log_cdf_of_square_floor,
     rrt_log_level,
     rrt_threshold,
 )
@@ -106,17 +103,6 @@ def test_rrt_select_examples():
         rrt_select(_ratios([0.5]), 1.0)
 
 
-def test_log_cdf_is_the_log_beta_cdf_of_each_squared_ratio():
-    rr = _ratios([0.9, 0.0, 1.0])
-    assert [rr.log_cdf(k) for k in (1, 2, 3)] == [log_cdf_of_square(15.5, 0.5, 0.9), -math.inf, 0.0]
-    assert rr.log_cdf(1) == pytest.approx(math.log(beta_cdf(15.5, 0.5, 0.81)), rel=1e-15)
-    # The values are the ratios' own: ratios of another size have their own.
-    assert _ratios([0.5], n=16).log_cdf(1) == pytest.approx(math.log(beta_cdf(7.5, 0.5, 0.25)), rel=1e-15)
-    for k in (0, 4):
-        with pytest.raises(DomainError):
-            rr.log_cdf(k)
-
-
 def test_settled_steps_hold_a_lower_bound_above_every_level(monkeypatch):
     from rrselect import special
 
@@ -128,11 +114,7 @@ def test_settled_steps_hold_a_lower_bound_above_every_level(monkeypatch):
     ratios = _ratios([0.99, 0.3, 0.99], n, p, k_max)
     lows, highs = ratios.log_cdf_bounds
     exact = [log_cdf_of_square((n - k) / 2.0, 0.5, rr) for k, rr in enumerate(ratios.values, 1)]
-    for k, rr in enumerate(ratios.values, 1):
-        a = (n - k) / 2.0
-        assert lows[k - 1] == log_cdf_of_square_floor(a, 0.5, rr)
-        assert highs[k - 1] == log_cdf_of_square_ceiling(a, 0.5, rr)
-        assert lows[k - 1] <= exact[k - 1] <= highs[k - 1]
+    assert all(low <= c <= high for low, c, high in zip(lows, exact, highs))
     for i in (0, 2):
         assert lows[i] > math.log(1.0 / (k_max * (p - i))) + 1e-9
     assert highs[1] < rrt_log_level(n, p, k_max, 1e-6, 2) - 1e-9
@@ -202,7 +184,7 @@ def test_ratios_need_a_vector_and_a_path_size():
 def test_bounds_of_each_ratio_and_outside_zero_one():
     lows, highs = half_beta_log_cdf_bounds(32, [0.0, 0.25, 1.0])
     assert (lows[0], highs[0], lows[2], highs[2]) == (-math.inf, -math.inf, math.inf, math.inf)
-    assert (lows[1], highs[1]) == (log_cdf_of_square_floor(15.0, 0.5, 0.25), log_cdf_of_square_ceiling(15.0, 0.5, 0.25))
+    assert lows[1] <= log_cdf_of_square(15.0, 0.5, 0.25) <= highs[1]
     for bad in (-0.1, 1.5, math.nan):
         with pytest.raises(DomainError):
             half_beta_log_cdf_bounds(32, [0.5, bad])
@@ -216,7 +198,7 @@ def test_ratio_whose_square_underflows_keeps_its_cdf():
     # RR(1) = 1e-301 lies below it although Gamma(1)^2 rounds to 0.
     for rr, selected in ((1e-200, None), (1e-301, 1)):
         ratios = _ratios([rr], 2, 1, 1)
-        assert ratios.log_cdf(1) == pytest.approx(math.log(2.0 * rr / math.pi), rel=1e-15, abs=0.0)
+        assert log_cdf_of_square(0.5, 0.5, rr) == pytest.approx(math.log(2.0 * rr / math.pi), rel=1e-15, abs=0.0)
         assert rrt_select(ratios, 1e-300) == selected
 
 
@@ -302,7 +284,7 @@ def test_a_level_below_the_doubles_is_not_raised_to_them():
     ln_z = rrt_log_level(2, 10**30, 1, 1e-300, 1)
     assert ln_z == pytest.approx(math.log(1e-300) - math.log(1e30), rel=1e-15)
     ratios = _ratios([5e-324], 2, 10**30, 1)
-    ln_c = ratios.log_cdf(1)
+    ln_c = log_cdf_of_square(0.5, 0.5, 5e-324)
     assert ln_c == pytest.approx(math.log(2.0 / math.pi) + math.log(5e-324), rel=1e-15) and ln_c > ln_z
     assert rrt_select(ratios, 1e-300) is None
     assert rrt_select(_ratios([0.0], 2, 10**30, 1), 1e-300) == 1
@@ -450,7 +432,7 @@ def test_decision_a_few_doubles_from_the_threshold_at_fixed_sizes(n, p, alpha, s
     _check_decision_a_few_doubles_from_the_threshold(n, p, 1, 1, alpha, steps)
 
 
-# (n, p, k_max, k, alpha) where, at Gamma(k), beta_cdf read 1.1e-13
+# (n, p, k_max, k, alpha) where, at Gamma(k), the double CDF read 1.1e-13
 # relative above 40-digit mpmath, and the log CDF reads above ln U(k).
 CDF_ROUNDING_CASES = [
     (51, 45269932611295747127413571584, 22, 15, 1.4955331689308145e-215),
@@ -464,7 +446,8 @@ def test_bounds_within_the_cdf_rounding_of_the_level_leave_the_step_to_the_cdf(n
     # from ln z(k) than that double's rounding must not decide the step.
     gamma = rrt_threshold(n, p, k_max, alpha, k)
     a = (n - k) / 2.0
-    assert log_cdf_of_square_ceiling(a, 0.5, gamma) < log_cdf_of_square(a, 0.5, gamma)
+    _, highs = half_beta_log_cdf_bounds(n, [1.0] * (k - 1) + [gamma])
+    assert highs[k - 1] < log_cdf_of_square(a, 0.5, gamma)
     for steps in range(-6, 7):
         rr = [1.0] * (k - 1) + [_doubles_away(gamma, steps)]
         assert rrt_select(_ratios(rr, n, p, k_max), alpha) == _unscreened_rule(rr, n, p, k_max, alpha)
@@ -786,3 +769,46 @@ def test_ratio_floor_before_recovery_at_high_snr():
         if np.all(rr[:2] > proxy_bound):
             above += 1
     print(f"[report] n=32 proxy ratio floor {proxy_bound:.4f}: {above}/100 trials above")
+
+
+_EPSILON_ARGS = dict(
+    delta_k0=0.1, delta_k0p1=0.1, beta_min=1.0, beta_max=2.0, n=32, p=64, k_max=16, alpha=0.1, sigma=0.1, k0=3
+)
+_HADAMARD4 = make_identity_hadamard(4)
+
+
+@pytest.mark.parametrize(
+    "call, good, error",
+    [
+        (lambda v: RrtaParams(0.1, v), 2.0, DomainError),
+        (lambda v: stop_rpsc(_path([1.0, 0.5, 0.25]), v), 0.1, DomainError),
+        (lambda v: stop_rcsc(_path([1.0, 0.5, 0.25]), v), 0.1, DomainError),
+        (lambda v: stop_rpsc(_path([1.0, 0.5, 0.25]), 0.1, eta=v), 0.5, DomainError),
+        (lambda v: stop_rcsc(_path([1.0, 0.5, 0.25]), 0.1, eta=v), 0.5, DomainError),
+        (lambda v: synthesize(_HADAMARD4, np.eye(8)[1], (1,), v, 0), 10.0, ValidationError),
+        *(
+            (lambda v, name=name: epsilon_bounds(**{**_EPSILON_ARGS, name: v}), _EPSILON_ARGS[name], DomainError)
+            for name in ("delta_k0", "delta_k0p1", "beta_min", "beta_max", "sigma")
+        ),
+    ],
+    ids=[
+        "rrta_q",
+        "rpsc_sigma",
+        "rcsc_sigma",
+        "rpsc_eta",
+        "rcsc_eta",
+        "synthesize_snr",
+        "epsilon_delta_k0",
+        "epsilon_delta_k0p1",
+        "epsilon_beta_min",
+        "epsilon_beta_max",
+        "epsilon_sigma",
+    ],
+)
+def test_a_bool_where_a_real_is_expected_raises(call, good, error):
+    # True and False would pass as 1.0 and 0.0 and give a quiet value; a
+    # numpy float is a real and passes.
+    call(np.float64(good))
+    for bad in (True, False):
+        with pytest.raises(error):
+            call(bad)

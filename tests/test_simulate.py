@@ -412,14 +412,15 @@ def test_run_trial_builds_the_cdf_vector_once_per_path_and_only_for_rrt(monkeypa
         expected = []
         for path in paths:
             ratios = selectors.residual_ratios(path)
+            lows, highs = ratios.log_cdf_bounds
             undecided = []
             for alpha in (0.1, 0.01, selectors.rrta_alpha(ratios, RrtaParams())):
                 for k in range(path.K, 0, -1):
                     a, rr = (32 - k) / 2.0, float(ratios.values[k - 1])
                     ln_z = special.rrt_log_level(32, 64, 16, alpha, k)
-                    if special.log_cdf_of_square_floor(a, 0.5, rr) > ln_z + 1e-9:
+                    if lows[k - 1] > ln_z + 1e-9:
                         continue
-                    if special.log_cdf_of_square_ceiling(a, 0.5, rr) < ln_z - 1e-9:
+                    if highs[k - 1] < ln_z - 1e-9:
                         break
                     undecided.append(a)
                     if original(a, 0.5, rr) < ln_z:

@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 from rrselect.errors import DomainError
 from rrselect.special import (
     ALPHA_FLOOR,
-    beta_cdf,
     build_threshold_table,
+    half_beta_log_cdf_bounds,
     half_beta_log_terms,
     log_beta_fn,
     log_cdf_of_square,
-    log_cdf_of_square_ceiling,
-    log_cdf_of_square_floor,
     rrt_log_level,
     rrt_threshold,
 )
@@ -85,37 +83,26 @@ def test_log_beta_on_both_sides_of_the_stirling_cutoff():
             assert log_beta_fn(b, a) == log_beta_fn(a, b)
 
 
-def test_beta_cdf_trivial_and_frozen_values():
-    assert beta_cdf(1.0, 1.0, 0.3) == pytest.approx(0.3, abs=1e-14)
-    assert beta_cdf(0.5, 0.5, 0.5) == pytest.approx(0.5, abs=1e-13)
-    assert beta_cdf(15.5, 0.5, 0.9) == pytest.approx(CDF_15P5_0P5_AT_0P9, abs=1e-12)
-    assert beta_cdf(2.5, 0.5, 0.7) == pytest.approx(CDF_2P5_0P5_AT_0P7, abs=1e-12)
-    assert beta_cdf(8.0, 0.5, 0.4) == pytest.approx(CDF_8_0P5_AT_0P4, abs=1e-12)
-    assert beta_cdf(4.0, 5.0, 0.35) == pytest.approx(CDF_4_5_AT_0P35, abs=1e-12)
+def _cdf(a: float, b: float, x: float) -> float:
+    """I_x(a, b), read from the log CDF of the square at r = sqrt(x)."""
+    return math.exp(log_cdf_of_square(a, b, math.sqrt(x)))
 
 
-def test_beta_cdf_boundaries_monotone_domain():
-    assert beta_cdf(2.0, 3.0, 0.0) == 0.0
-    assert beta_cdf(2.0, 3.0, 1.0) == 1.0
-    xs = np.linspace(0.0, 1.0, 101)
-    vals = [beta_cdf(2.5, 0.5, float(x)) for x in xs]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
-    with pytest.raises(DomainError):
-        beta_cdf(1.0, 1.0, -0.1)
-    with pytest.raises(DomainError):
-        beta_cdf(1.0, 1.0, 1.1)
+def test_cdf_trivial_and_frozen_values():
+    assert _cdf(1.0, 1.0, 0.3) == pytest.approx(0.3, abs=1e-14)
+    assert _cdf(0.5, 0.5, 0.5) == pytest.approx(0.5, abs=1e-13)
+    assert _cdf(15.5, 0.5, 0.9) == pytest.approx(CDF_15P5_0P5_AT_0P9, abs=1e-12)
+    assert _cdf(2.5, 0.5, 0.7) == pytest.approx(CDF_2P5_0P5_AT_0P7, abs=1e-12)
+    assert _cdf(8.0, 0.5, 0.4) == pytest.approx(CDF_8_0P5_AT_0P4, abs=1e-12)
+    assert _cdf(4.0, 5.0, 0.35) == pytest.approx(CDF_4_5_AT_0P35, abs=1e-12)
 
 
-def test_log_cdf_of_square_is_the_log_of_beta_cdf_where_the_square_is_normal():
-    # Where the CDF is a normal double the two differ only in taking ln r^2
-    # as 2 ln r rather than ln(r * r), and in where they round.
+def test_log_cdf_of_square_boundaries_monotone_domain():
     for a in (0.5, 8.0, 15.5):
         assert log_cdf_of_square(a, 0.5, 0.0) == -math.inf
         assert log_cdf_of_square(a, 0.5, 1.0) == 0.0
-        for r in (1.5e-154, 1e-100, 1e-10, 0.3, 0.9):
-            c = beta_cdf(a, 0.5, r * r)
-            if c >= sys.float_info.min:
-                assert log_cdf_of_square(a, 0.5, r) == pytest.approx(math.log(c), rel=1e-15, abs=1e-15), (a, r)
+    vals = [log_cdf_of_square(2.5, 0.5, float(r)) for r in np.linspace(0.0, 1.0, 101)]
+    assert all(b >= a for a, b in zip(vals, vals[1:]))
     with pytest.raises(DomainError):
         log_cdf_of_square(2.0, 0.5, -1e-200)
     with pytest.raises(DomainError):
@@ -135,32 +122,6 @@ def test_log_cdf_of_square_against_mpmath_where_the_square_underflows(a):
         assert log_cdf_of_square(a, 0.5, r) == pytest.approx(float(expected), rel=1e-15, abs=0.0), (a, r)
 
 
-def _nearest_double(mp, v) -> float:
-    """v rounded once to the nearest double. float() of an mpf below the
-    normal doubles rounds twice (to 53 bits, then to the subnormal grid), so
-    there it is rounded on the grid of multiples of 2^-1074 directly."""
-    if v >= sys.float_info.min:
-        return float(v)
-    return float(mp.nint(v * mp.mpf(2) ** 1074)) * 5e-324
-
-
-def test_cdf_below_exp_minus_745_rounds_to_the_nearest_subnormal():
-    # Where the CDF's first factor falls below exp(-745), math.exp returns
-    # the nearest subnormal (or 0), not a cut-off 0. 400 digits resolve the
-    # second case: I_x(1, 1/2) = 1 - sqrt(1 - x) at x = 2^-1074 exceeds
-    # 2^-1075, half the smallest double, by a relative x/4. The log CDF of
-    # the square keeps its digits there.
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(400):
-        r = 2.317197903108824e-162
-        expected = mp.betainc(1, 0.5, 0, mp.mpf(r) ** 2, regularized=True)
-        assert _nearest_double(mp, expected) == 5e-324
-        assert log_cdf_of_square(1.0, 0.5, r) == pytest.approx(float(mp.log(expected)), rel=1e-15, abs=0.0)
-        x = 5e-324
-        expected = mp.betainc(1, 0.5, 0, mp.mpf(x), regularized=True)
-        assert beta_cdf(1.0, 0.5, x) == _nearest_double(mp, expected) == 5e-324
-
-
 @pytest.mark.parametrize(
     "a, x",
     [
@@ -171,15 +132,16 @@ def test_cdf_below_exp_minus_745_rounds_to_the_nearest_subnormal():
         (2.882735594636041, 2.990902435724475e-112),
     ],
 )
-def test_subnormal_cdf_is_the_nearest_double(a, x):
-    # A CDF below the normal doubles at a normal x: the first factor is
-    # subnormal, and rounding it before the continued fraction and the
-    # division by a would round twice.
+def test_log_cdf_where_the_cdf_is_subnormal_matches_mpmath(a, x):
+    # A CDF below the normal doubles at a normal square: the first factor
+    # x^a (1-x)^b / B(a,b) is subnormal, and the log CDF keeps every digit
+    # of it.
     mp = pytest.importorskip("mpmath")
     with mp.workdps(60):
-        expected = mp.betainc(a, 0.5, 0, mp.mpf(x), regularized=True)
+        r = math.sqrt(x)
+        expected = mp.betainc(a, 0.5, 0, mp.mpf(r) ** 2, regularized=True)
         assert 0 < expected < sys.float_info.min
-        assert beta_cdf(a, 0.5, x) == _nearest_double(mp, expected)
+        assert log_cdf_of_square(a, 0.5, r) == pytest.approx(float(mp.log(expected)), rel=1e-15, abs=0.0)
 
 
 def test_rrt_threshold_value_and_limits():
@@ -324,7 +286,7 @@ def test_rrt_log_level_is_the_level_of_the_threshold():
     for k in (1, 8, 16):
         gamma = rrt_threshold(32, 64, 16, 0.1, k)
         level = math.exp(rrt_log_level(32, 64, 16, 0.1, k))
-        assert beta_cdf((32 - k) / 2.0, 0.5, gamma**2) == pytest.approx(level, rel=1e-12, abs=0.0)
+        assert math.exp(log_cdf_of_square((32 - k) / 2.0, 0.5, gamma)) == pytest.approx(level, rel=1e-12, abs=0.0)
     with pytest.raises(DomainError):
         rrt_log_level(32, 64, 16, 0.1, 17)
 
@@ -367,20 +329,28 @@ def test_oracle_recompute_spot_check():
     assert float(num / quad_b) == pytest.approx(CDF_15P5_0P5_AT_0P9, rel=1e-11)
 
 
+def _half_beta_bounds_at(two_a, k, r):
+    """(ln L(k), ln U(k)) of half_beta_log_cdf_bounds at n = 2a + k, for RR(k) = r."""
+    lows, highs = half_beta_log_cdf_bounds(two_a + k, [0.5] * (k - 1) + [r])
+    return lows[k - 1], highs[k - 1]
+
+
 @settings(max_examples=200, deadline=None)
-@given(a=st.floats(0.5, 100.0), x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-@example(a=20.375, x=2.220446049250313e-16)  # I ~ 2878.37 subnormal steps
-@example(a=26.576118519616486, x=7.240466228700206e-13)  # I ~ 0.7 of 5e-324
-def test_cdf_floor_is_a_lower_bound_of_the_cdf(a, x):
-    # ln L <= ln I_x(a, 1/2) for x = r^2, against 40-digit mpmath; the slack
-    # covers double rounding where L and I agree (x -> 0).
+@given(two_a=st.integers(1, 200), k=st.integers(1, 8), x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(two_a=41, k=1, x=2.220446049250313e-16)  # I ~ 1.6e-322, subnormal
+@example(two_a=53, k=1, x=7.240466228700206e-13)  # I ~ 2.1e-323, 4 subnormal steps
+def test_cdf_floor_is_a_lower_bound_of_the_cdf(two_a, k, x):
+    # ln L(k) <= ln I_x(a, 1/2) at a = (n-k)/2 and x = RR(k)^2, against
+    # 40-digit mpmath; the slack covers double rounding where L and I agree
+    # (x -> 0).
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
     r = math.sqrt(x)
     if not 0.0 < r < 1.0:
         return
+    a = two_a / 2.0
     exact = mp.betainc(a, 0.5, 0, mp.mpf(r) ** 2, regularized=True)
-    floor = log_cdf_of_square_floor(a, 0.5, r)
+    floor, _ = _half_beta_bounds_at(two_a, k, r)
     slack = 1e-12 * max(1.0, abs(floor))
     assert floor <= float(mp.log(exact)) + slack
     # And so for the double log CDF, to its rounding.
@@ -388,29 +358,26 @@ def test_cdf_floor_is_a_lower_bound_of_the_cdf(a, x):
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    a=st.floats(0.5, 100.0),
-    b=st.sampled_from([0.5, 0.05, 1.0]),
-    x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-)
-@example(a=20.375, b=0.5, x=2.220446049250313e-16)  # I ~ 2878.37 subnormal steps
-@example(a=0.5, b=0.5, x=0.999999)
-def test_cdf_ceiling_is_an_upper_bound_of_the_cdf(a, b, x):
-    # ln I_x(a, b) <= ln U for x = r^2 and b <= 1, against 40-digit mpmath;
-    # the slack covers double rounding where U and I agree (x -> 0).
+@given(two_a=st.integers(1, 200), k=st.integers(1, 8), x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(two_a=41, k=1, x=2.220446049250313e-16)  # I ~ 1.6e-322, subnormal
+@example(two_a=1, k=1, x=0.999999)
+def test_cdf_ceiling_is_an_upper_bound_of_the_cdf(two_a, k, x):
+    # ln I_x(a, 1/2) <= ln U(k) at a = (n-k)/2 and x = RR(k)^2, against
+    # 40-digit mpmath; the slack covers double rounding where U and I agree
+    # (x -> 0).
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
     r = math.sqrt(x)
     if not 0.0 < r < 1.0:
         return
-    exact = mp.betainc(a, b, 0, mp.mpf(r) ** 2, regularized=True)
-    floor = log_cdf_of_square_floor(a, b, r)
-    ceiling = log_cdf_of_square_ceiling(a, b, r)
+    a = two_a / 2.0
+    exact = mp.betainc(a, 0.5, 0, mp.mpf(r) ** 2, regularized=True)
+    floor, ceiling = _half_beta_bounds_at(two_a, k, r)
     slack = 1e-12 * max(1.0, abs(ceiling))
     assert floor <= ceiling
     assert ceiling >= float(mp.log(exact)) - slack
     # And so for the double log CDF, to its rounding, as for the floor.
-    assert log_cdf_of_square(a, b, r) <= ceiling + slack
+    assert log_cdf_of_square(a, 0.5, r) <= ceiling + slack
 
 
 # (n, p, k_max, alpha, k) whose Gamma(k)^2 lies below the normal doubles or
@@ -527,7 +494,6 @@ def test_beta_parameters_must_be_finite(bad):
     for a, b in ((bad, 0.5), (0.5, bad)):
         for call in (
             lambda: log_beta_fn(a, b),
-            lambda: beta_cdf(a, b, 0.5),
             lambda: log_cdf_of_square(a, b, 0.5),
             lambda: log_cdf_of_square(a, b, 1e-160),
         ):
