@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from .designs import DesignMatrix
-from .errors import DomainError, RankDeficientError, TooManySubsetsError, require_int
+from .errors import DomainError, RankDeficientError, TooManySubsetsError, is_real, require_int, require_real
 from .linalg import RANK_TOL
 from .special import build_threshold_table
 
@@ -57,11 +57,11 @@ def mutual_incoherence(design: DesignMatrix) -> float:
 
 def mic_sparsity_limit(mu: float) -> int:
     """Largest k0 with mu < 1/(2 k0 - 1), i.e. floor((1 + 1/mu)/2)."""
-    if mu < 0.0:
-        raise DomainError(f"mu must be nonnegative, got {mu}")
+    if not (is_real(mu) and mu >= 0.0):
+        raise DomainError(f"mu must be finite and nonnegative, got {mu!r}")
     if mu == 0.0:
         return np.iinfo(np.int64).max  # orthonormal columns: no incoherence limit
-    return int(math.floor((1.0 + 1.0 / mu) / 2.0))
+    return int(math.floor((1.0 + 1.0 / float(mu)) / 2.0))
 
 
 def ric_bruteforce(design: DesignMatrix, order: int) -> float:
@@ -118,8 +118,7 @@ def erc_constant(design: DesignMatrix, support) -> float:
 def rrt_error_lower_bound(alpha: float, k_max: int, p: int, k0: int) -> float:
     """High-SNR floor on the RRT support-error probability: alpha/(k_max (p-k0)),
     the exact quotient rounded once, for a p of any size (0 below the doubles)."""
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0,1), got {alpha}")
+    alpha = require_real("alpha", alpha, 0.0, 1.0)
     for name, value in (("k_max", k_max), ("p", p), ("k0", k0)):
         require_int(name, value)
     if k_max < 1:
@@ -150,15 +149,11 @@ def epsilon_bounds(
     eps_rrm: margin for ratio minimization; shrinks as beta_max/beta_min grows.
     eps_sigma: the (1 - 1/n)-probability bound on the Gaussian noise norm.
     """
-    for name, value in (
-        ("delta_k0", delta_k0),
-        ("delta_k0p1", delta_k0p1),
-        ("beta_min", beta_min),
-        ("beta_max", beta_max),
-        ("sigma", sigma),
-    ):
-        if isinstance(value, bool) or not 0.0 <= value < math.inf:  # a bool would pass as 0 or 1
-            raise DomainError(f"{name} must be finite and nonnegative, got {value}")
+    reals = {"delta_k0": delta_k0, "delta_k0p1": delta_k0p1, "beta_min": beta_min, "beta_max": beta_max, "sigma": sigma}
+    for name, value in reals.items():
+        if not (is_real(value) and value >= 0.0):
+            raise DomainError(f"{name} must be finite and nonnegative, got {value!r}")
+    delta_k0, delta_k0p1, beta_min, beta_max, sigma = map(float, reals.values())
     if not (delta_k0 < 1.0 and delta_k0p1 < 1.0):
         raise DomainError("RIC values must be < 1")
     if beta_min == 0.0 or beta_max < beta_min:

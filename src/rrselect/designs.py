@@ -10,13 +10,12 @@ caller (a sweep seeds its trials' streams a job at a time).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError, require_int
+from .errors import DimensionMismatchError, ValidationError, is_int, is_real, require_int
 from .linalg import load_matrix_csv
 from .streams import Stream
 
@@ -25,12 +24,6 @@ SIGNAL_KINDS = ("pm_one", "geometric")
 # The +-1 values of a pm_one signal, indexed by Generator.integers(0, 2, k0):
 # the draw Generator.choice([-1.0, 1.0], k0) makes, without its set-up.
 _PM_ONE = np.array([-1.0, 1.0])
-
-
-def is_finite_number(value) -> bool:
-    """An int or float, not a bool, of finite value: abs(v) <= max compares
-    an int of any size exactly, and fails for nan and both infinities."""
-    return not isinstance(value, bool) and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,12 +86,12 @@ class SignalSpec:
     ratio: float = 1.0 / 3.0
 
     def __post_init__(self) -> None:
-        # Types first: a string or a float would otherwise reach the range
-        # checks, which raise a bare TypeError or let 3.5 and True through.
-        if isinstance(self.k0, bool) or not isinstance(self.k0, int):
+        # Types first: in the range checks a string raises a bare TypeError, and 3.5 or True pass.
+        if not is_int(self.k0):
             raise ValidationError(f"signal.k0: must be an integer, got {self.k0!r}")
-        if not is_finite_number(self.ratio):  # also for pm_one, which reads no ratio
+        if not is_real(self.ratio):  # also for pm_one, which reads no ratio
             raise ValidationError(f"signal.ratio: must be a finite number, got {self.ratio!r}")
+        object.__setattr__(self, "ratio", float(self.ratio))
         if self.k0 < 1:
             raise ValidationError(f"k0 must be >= 1, got {self.k0}")
         if self.kind not in SIGNAL_KINDS:
@@ -190,8 +183,9 @@ def synthesize(design: DesignMatrix, beta: np.ndarray, support, snr: float, seed
     sigma is derived from the realized ||X beta||, so the SNR identity holds
     exactly for this trial rather than on ensemble average.
     """
-    if isinstance(snr, bool) or not snr > 0.0:  # True would pass as an SNR of 1
-        raise ValidationError(f"snr must be positive, got {snr}")
+    if not (is_real(snr) and snr > 0.0):
+        raise ValidationError(f"snr must be positive and finite, got {snr!r}")
+    snr = float(snr)
     beta = np.asarray(beta, dtype=np.float64)
     support = frozenset(int(i) for i in support)
     nonzero = {int(i) for i in np.nonzero(beta)[0]}
@@ -214,5 +208,5 @@ def synthesize(design: DesignMatrix, beta: np.ndarray, support, snr: float, seed
         sigma=sigma,
         noise=noise,
         observation=signal + noise,
-        snr=float(snr),
+        snr=snr,
     )

@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one contract by which
+every entry point checks its scalar arguments: a size is an int and not a
+bool (`is_int`); a real is a finite int, float or numpy integer or floating
+scalar, not a bool or numpy bool (`is_real`), and enters arithmetic as
+float(value). A refusal is a typed error from here, never a bare TypeError."""
+import math
+import sys
+
+import numpy as np
 
 
 class RankDeficientError(ValueError):
@@ -33,8 +41,35 @@ class ValidationError(ValueError):
     """Structurally valid input with inadmissible field values."""
 
 
+def is_int(value) -> bool:
+    """A Python int, not a bool: a numpy int wraps the exact products a size
+    enters (k_max * (p - k + 1) at 2**63), a float rounds or overflows them,
+    and True would pass as 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_MAX = sys.float_info.max
+_NUMPY_MAX = np.float64(_MAX)  # a float32 compared with _MAX would cast it to float32: inf, and a warning
+
+
+def is_real(value) -> bool:
+    """A real of finite value: within the doubles, compared exactly for an int
+    of any size, which nan and both infinities fail. np.bool_ is no np.integer."""
+    if isinstance(value, (int, float)):  # np.float64 is a float
+        return not isinstance(value, bool) and -_MAX <= value <= _MAX
+    return isinstance(value, (np.integer, np.floating)) and bool(-_NUMPY_MAX <= value <= _NUMPY_MAX)
+
+
 def require_int(name: str, value, error: type[ValueError] = DomainError) -> None:
-    """Raise `error` unless value is an int and not a bool. A float size
-    rounds or overflows the products it enters, and True would pass as 1."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    """Raise `error` unless is_int(value)."""
+    if not is_int(value):
         raise error(f"{name} must be an integer, got {value!r}")
+
+
+def require_real(name: str, value, low=-math.inf, high=math.inf, error: type[ValueError] = DomainError) -> float:
+    """float(value); raise `error` unless is_real(value) and low < value < high."""
+    if not (is_real(value) and low < value < high):
+        spans = {(-math.inf, math.inf): "be finite", (0.0, math.inf): "be finite and positive"}
+        raise error(f"{name} must {spans.get((low, high), f'lie in ({low:g},{high:g})')}, got {value!r}")
+    return float(value)
+

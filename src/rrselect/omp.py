@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .designs import DesignMatrix
-from .errors import DimensionMismatchError, DomainError, ValidationError, require_int
+from .errors import DimensionMismatchError, DomainError, ValidationError, require_int, require_real
 from .linalg import RANK_TOL
 
 RULES = ("omp", "ols")
@@ -196,26 +196,21 @@ def _first_below(path: SolutionPath, values: np.ndarray, tau: float) -> SupportE
     return SupportEstimate(path.K, STATUS_EXHAUSTED)
 
 
-def _check_noise(sigma: float, eta: float | None) -> None:
-    # A bool would pass as 0 or 1.
-    if isinstance(sigma, bool) or not (math.isfinite(sigma) and sigma > 0.0):
-        raise DomainError(f"sigma must be finite and positive, got {sigma}")
-    if eta is not None and (isinstance(eta, bool) or not math.isfinite(eta)):
-        raise DomainError(f"eta must be finite, got {eta}")
-
-
 # Enough digits that rounding the level to a double happens once, in effect.
 _WIDE = decimal.Context(prec=40)
 
 
 def _noise_level(sigma: float, c: float, eta: float | None) -> float:
-    """sigma * c, scaled by sigma^-eta when eta is given.
+    """sigma * c, scaled by sigma^-eta when eta is given; DomainError unless
+    sigma is a positive real and eta None or a real.
 
     Where sigma^-eta or the scaled product leaves the doubles (overflow, or
     underflow to 0) the level itself may not: it is then the double nearest
     exp((1-eta) ln sigma + ln c), taken in 40-digit decimal arithmetic and
     rounded once, and inf above the largest double.
     """
+    sigma = require_real("sigma", sigma, 0.0, math.inf)
+    eta = eta if eta is None else require_real("eta", eta)
     tau = sigma * c
     if eta is None or c == 0.0:
         return tau
@@ -237,13 +232,11 @@ def _noise_level(sigma: float, c: float, eta: float | None) -> float:
 def rpsc_threshold(sigma: float, n: int, eta: float | None = None) -> float:
     """Residual-power stopping level sigma*sqrt(n + 2 sqrt(n ln n)), with the
     optional high-SNR-consistent scaling by sigma^-eta."""
-    _check_noise(sigma, eta)
     return _noise_level(sigma, math.sqrt(n + 2.0 * math.sqrt(n * math.log(n))), eta)
 
 
 def rcsc_threshold(sigma: float, p: int, eta: float | None = None) -> float:
     """Residual-correlation stopping level sigma*sqrt(2 ln p) (optional sigma^-eta)."""
-    _check_noise(sigma, eta)
     return _noise_level(sigma, math.sqrt(2.0 * math.log(p)), eta)
 
 

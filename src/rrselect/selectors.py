@@ -22,7 +22,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import special
-from .errors import DomainError, EmptyPathError, require_int
+from .errors import DomainError, EmptyPathError, require_int, require_real
 from .omp import SolutionPath
 from .special import ALPHA_FLOOR
 
@@ -38,8 +38,8 @@ class ResidualRatios:
     problem run for up to k_max steps; within [0,1] on every path from
     solution_path, whose residual norms are nonincreasing. Ratios built by
     hand are checked on construction: a DomainError unless n, p and k_max are
-    ints and the values are a vector of K <= k_max <= n - 1 ratios, each in
-    [0,1].
+    ints and the values are a vector of K <= k_max <= min(n - 1, p) ratios,
+    each in [0,1].
 
     zero_observation marks a path of y = 0, where no step explains anything.
     """
@@ -51,12 +51,12 @@ class ResidualRatios:
     zero_observation: bool = False
 
     def __post_init__(self) -> None:
-        for name, value in (("n", self.n), ("p", self.p), ("k_max", self.k_max)):
+        values, n, p, k_max = self.values, self.n, self.p, self.k_max
+        for name, value in (("n", n), ("p", p), ("k_max", k_max)):
             require_int(name, value)
-        values = self.values
-        if not (values.ndim == 1 and 2 <= self.n and 1 <= self.k_max < self.n and len(values) <= self.k_max):
+        if not (values.ndim == 1 and len(values) <= k_max and 1 <= k_max <= min(n - 1, p)):
             raise DomainError(
-                f"ratios of shape {values.shape} do not fit a path of up to k_max={self.k_max} steps at n={self.n}"
+                f"ratios of shape {values.shape} do not fit a path of up to k_max={k_max} steps at n={n}, p={p}"
             )
         # ndarray.min/max propagate nan, which fails both comparisons.
         if len(values) and not (values.min() >= 0.0 and values.max() <= 1.0):
@@ -81,11 +81,8 @@ class RrtaParams:
     q: float = 2.0
 
     def __post_init__(self) -> None:
-        # A bool would pass as 0 or 1.
-        if isinstance(self.pfd_finite, bool) or not 0.0 < self.pfd_finite < 1.0:
-            raise DomainError(f"pfd_finite must lie in (0,1), got {self.pfd_finite}")
-        if isinstance(self.q, bool) or not 0.0 < self.q < math.inf:
-            raise DomainError(f"q must be positive and finite, got {self.q}")
+        object.__setattr__(self, "pfd_finite", require_real("pfd_finite", self.pfd_finite, 0.0, 1.0))
+        object.__setattr__(self, "q", require_real("q", self.q, 0.0, math.inf))
 
 
 def residual_ratios(path: SolutionPath) -> ResidualRatios:
@@ -116,9 +113,7 @@ def rrt_select(ratios: ResidualRatios, alpha: float) -> int | None:
     """
     steps = len(ratios)
     n, p, k_max = ratios.n, ratios.p, ratios.k_max
-    # The level's checks, made once at the last step (at step 1 when there is
-    # none): every step below it passes them too, since p >= steps >= k.
-    special.rrt_log_level(n, p, k_max, alpha, max(steps, 1))
+    require_real("alpha", alpha, 0.0, 1.0)
     if not steps or ratios.zero_observation:
         return None
     lows, highs = ratios.log_cdf_bounds

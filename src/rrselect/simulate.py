@@ -21,7 +21,6 @@ import numpy as np
 from .designs import (
     DesignMatrix,
     SignalSpec,
-    is_finite_number,
     load_design_csv,
     make_gaussian,
     make_identity_hadamard,
@@ -29,7 +28,7 @@ from .designs import (
     sample_support,
     synthesize,
 )
-from .errors import ValidationError
+from .errors import ValidationError, is_int, is_real
 from .omp import RULES, SupportEstimate, default_kmax, solution_path, stop_fixed, stop_rcsc, stop_rpsc
 from .selectors import RrtaParams, prefix_hits, residual_ratios, rrm_select, rrt_select, rrta_select
 from .streams import Stream, pcg64_states
@@ -141,7 +140,7 @@ class AlgorithmSpec:
         read = ALGORITHMS[name].params
         for key, (low, high) in PARAMETER_DOMAINS.items():
             value = getattr(self, key)
-            _require(is_finite_number(value), f"{where}.{key}", "be a finite number", value)
+            _require(is_real(value), f"{where}.{key}", "be a finite number", value)
             _require(key not in read or low < value < high, f"{where}.{key}", f"lie in ({low:g},{high:g})", value)
 
 
@@ -184,17 +183,17 @@ class ExperimentConfig:
         if self.k_max_override is not None:
             integers["k_max_override"] = self.k_max_override
         for where, value in integers.items():
-            _require(not isinstance(value, bool) and isinstance(value, int), where, "be an integer", value)
-        _require(isinstance(d.normalize, bool), "design.normalize", "be true or false", d.normalize)
+            _require(is_int(value), where, "be an integer", value)
+        _require(type(d.normalize) is bool, "design.normalize", "be true or false", d.normalize)
         _require(d.path is None or isinstance(d.path, str), "design.path", "be a string or None", d.path)
         regenerate = self.regenerate_matrix_per_trial
-        is_flag = regenerate is None or isinstance(regenerate, bool)
+        is_flag = regenerate is None or type(regenerate) is bool
         _require(is_flag, "regenerate_matrix_per_trial", "be a bool or None", regenerate)
         _require(isinstance(self.snr_db_list, tuple), "snr_db", "be a tuple (a JSON list)", self.snr_db_list)
         for i, value in enumerate(self.snr_db_list):
-            _require(is_finite_number(value), f"snr_db[{i}]", "be a finite number", value)
+            _require(is_real(value), f"snr_db[{i}]", "be a finite number", value)
             try:
-                snr = 10.0 ** (value / 10.0)  # the power ratio run_trial takes
+                snr = 10.0 ** (float(value) / 10.0)  # the power ratio run_trial takes
             except OverflowError:
                 snr = math.inf
             _require(0.0 < snr < math.inf, f"snr_db[{i}]", "give a positive finite 10^(dB/10)", value)
@@ -240,7 +239,7 @@ class ExperimentConfig:
         depend on whether a number was written as an int or a float."""
         return {
             "design": asdict(self.design),
-            "signal": dict(asdict(self.signal), ratio=float(self.signal.ratio)),
+            "signal": asdict(self.signal),
             "snr_db": [float(v) for v in self.snr_db_list],
             "trials": self.trials,
             "algorithms": [
@@ -383,7 +382,7 @@ def run_trial(
     p, k0 = config.design.p, config.signal.k0
     support = sample_support(p, k0, streams.support)
     beta = make_signal(p, support, config.signal, streams.signal)
-    snr = 10.0 ** (snr_db / 10.0)
+    snr = 10.0 ** (float(snr_db) / 10.0)
     problem = synthesize(design, beta, support, snr, streams.noise)
 
     oracle = Oracle(sigma=problem.sigma, k0=k0)
@@ -440,7 +439,7 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     identical SweepResult.
     """
     config.validate()
-    _require(not isinstance(workers, bool) and isinstance(workers, int), "workers", "be an integer", workers)
+    _require(is_int(workers), "workers", "be an integer", workers)
     _require(workers >= 1, "workers", "be >= 1", workers)
     matrix = None if config.regenerate_matrix else build_design(config.design)
     trials = config.trials

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, require_int
+from .errors import DomainError, is_real, require_int, require_real
 
 # Probabilities below this floor are clamped up before threshold evaluation so
 # log-domain arithmetic stays finite while "threshold -> 0" behavior survives.
@@ -39,11 +39,6 @@ _ONE_BITS = struct.unpack("<q", struct.pack("<d", 1.0))[0]
 _CF_EPS = 1e-15
 _CF_TINY = 1e-300
 _CF_MAX_ITER = 500
-
-
-def _check_ab(a: float, b: float) -> None:
-    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
-        raise DomainError(f"beta parameters must be finite and positive, got a={a}, b={b}")
 
 
 def _double_of_bits(bits: int) -> float:
@@ -65,7 +60,7 @@ def log_beta_fn(a: float, b: float) -> float:
     every digit from a = 2**53), so with small <= big there ln Gamma(big) -
     ln Gamma(big + small) is taken from Stirling's series in difference form.
     """
-    _check_ab(a, b)
+    a, b = require_real("a", a, 0.0, math.inf), require_real("b", b, 0.0, math.inf)
     small, big = min(a, b), max(a, b)
     if big <= _STIRLING_CUTOFF:
         return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
@@ -132,9 +127,10 @@ def log_cdf_of_square(a: float, b: float, r: float) -> float:
     ln r^2 is taken as 2 ln r, so a square below the doubles keeps its digits
     (the continued fraction and (1-r^2)^b are 1 to double precision there).
     """
-    _check_ab(a, b)
-    if not 0.0 <= r <= 1.0:
-        raise DomainError(f"r must lie in [0,1], got {r}")
+    a, b = require_real("a", a, 0.0, math.inf), require_real("b", b, 0.0, math.inf)
+    if not (is_real(r) and 0.0 <= r <= 1.0):
+        raise DomainError(f"r must lie in [0,1], got {r!r}")
+    r = float(r)
     if r == 0.0:
         return -math.inf
     if r == 1.0:
@@ -187,25 +183,17 @@ def rrt_log_level(n: int, p: int, k_max: int, alpha: float, k: int) -> float:
     The Beta CDF is increasing, so RR(k) < Gamma(k) is the same test as
     log_cdf_of_square((n-k)/2, 1/2, RR(k)) < ln z(k). math.log takes an int of
     any size, so z(k) is neither rounded to a double nor raised to one: it may
-    lie far below the doubles. Since alpha < 1, ln z(k) < 0.
-
-    n, p, k_max and k must be ints, not bools: a float p rounds k_max (p-k+1),
-    or overflows it to inf (p = 1e308 would give the level 0 and the threshold
-    5e-324), and a bool would pass as 0 or 1.
+    lie far below the doubles. Since alpha < 1, ln z(k) < 0. The sizes are
+    ints (errors.is_int): a float p = 1e308 would overflow k_max (p-k+1) and
+    give the level 0.
     """
-    for name, value in (("n", n), ("k_max", k_max), ("k", k)):
+    for name, value in (("n", n), ("k_max", k_max), ("k", k), ("p", p)):
         require_int(name, value)
-    if k >= n:
-        raise DomainError(f"k={k} must be < n={n} (beta parameter would be <= 0)")
-    if not 1 <= k <= k_max:
-        raise DomainError(f"k={k} must lie in [1, k_max={k_max}]")
-    if k_max >= n:
-        raise DomainError(f"k_max={k_max} must be < n={n}")
-    require_int("p", p)
+    if not 1 <= k <= k_max < n:
+        raise DomainError(f"k={k} and k_max={k_max} must satisfy 1 <= k <= k_max < n={n}")
     if p < k:
         raise DomainError(f"p={p} must be >= k={k}")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0,1), got {alpha}")
+    alpha = require_real("alpha", alpha, 0.0, 1.0)
     return math.log(max(alpha, ALPHA_FLOOR)) - math.log(k_max * (p - k + 1))
 
 

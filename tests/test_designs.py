@@ -296,7 +296,7 @@ def test_synthesize_validation():
     beta[1] = 1.0
     with pytest.raises(ValidationError):
         synthesize(design, beta, (1, 2), snr=1.0, seed=0)  # support mismatch
-    for snr in (0.0, -1.0, math.nan):
+    for snr in (0.0, -1.0, math.nan, math.inf):  # inf would give sigma 0, which no sigma rule takes
         with pytest.raises(ValidationError, match="snr must be positive"):
             synthesize(design, beta, (1,), snr=snr, seed=0)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rrselect.analysis import epsilon_bounds, ric_bruteforce
+from rrselect.analysis import epsilon_bounds, mic_sparsity_limit, ric_bruteforce, rrt_error_lower_bound
 from rrselect.designs import (
     DesignMatrix,
     SignalSpec,
@@ -149,6 +149,15 @@ def test_rrt_select_checks_its_arguments_without_ratios():
     ):
         with pytest.raises(DomainError):
             rrt_select(_ratios(values, n, p, k_max), alpha)
+
+
+def test_ratios_fit_a_path_of_at_most_min_n_minus_1_p_steps():
+    # solution_path runs at most min(n-1, p) steps, and the rrt levels need
+    # k_max (p - k + 1) >= 1 at every step: both are checked once, here.
+    assert len(_ratios([0.5, 0.5], 32, 2, 2)) == 2
+    for n, p, k_max in ((32, 2, 3), (32, 0, 1), (4, 64, 4), (1, 64, 1), (32, 64, 0)):
+        with pytest.raises(DomainError, match="do not fit"):
+            _ratios([], n, p, k_max)
 
 
 def test_rrt_select_applies_the_exact_level_past_the_double_range():
@@ -781,6 +790,7 @@ _HADAMARD4 = make_identity_hadamard(4)
     "call, good, error",
     [
         (lambda v: RrtaParams(0.1, v), 2.0, DomainError),
+        (lambda v: RrtaParams(v, 2.0), 0.1, DomainError),
         (lambda v: stop_rpsc(_path([1.0, 0.5, 0.25]), v), 0.1, DomainError),
         (lambda v: stop_rcsc(_path([1.0, 0.5, 0.25]), v), 0.1, DomainError),
         (lambda v: stop_rpsc(_path([1.0, 0.5, 0.25]), 0.1, eta=v), 0.5, DomainError),
@@ -788,11 +798,20 @@ _HADAMARD4 = make_identity_hadamard(4)
         (lambda v: synthesize(_HADAMARD4, np.eye(8)[1], (1,), v, 0), 10.0, ValidationError),
         *(
             (lambda v, name=name: epsilon_bounds(**{**_EPSILON_ARGS, name: v}), _EPSILON_ARGS[name], DomainError)
-            for name in ("delta_k0", "delta_k0p1", "beta_min", "beta_max", "sigma")
+            for name in ("delta_k0", "delta_k0p1", "beta_min", "beta_max", "sigma", "alpha")
         ),
+        (lambda v: rrt_select(_ratios([0.5]), v), 0.1, DomainError),
+        (lambda v: rrt_log_level(32, 64, 16, v, 1), 0.1, DomainError),
+        (lambda v: rrt_threshold(32, 64, 16, v, 1), 0.1, DomainError),
+        (lambda v: rrt_error_lower_bound(v, 16, 64, 3), 0.1, DomainError),
+        (lambda v: log_cdf_of_square(1.5, 0.5, v), 0.5, DomainError),
+        (lambda v: log_cdf_of_square(v, 0.5, 0.5), 2.0, DomainError),
+        (lambda v: SignalSpec(3, "geometric", v), 0.3, ValidationError),
+        (lambda v: mic_sparsity_limit(v), 0.25, DomainError),
     ],
     ids=[
         "rrta_q",
+        "rrta_pfd",
         "rpsc_sigma",
         "rcsc_sigma",
         "rpsc_eta",
@@ -803,12 +822,47 @@ _HADAMARD4 = make_identity_hadamard(4)
         "epsilon_beta_min",
         "epsilon_beta_max",
         "epsilon_sigma",
+        "epsilon_alpha",
+        "rrt_select_alpha",
+        "rrt_log_level_alpha",
+        "rrt_threshold_alpha",
+        "rrt_error_lower_bound_alpha",
+        "log_cdf_of_square_r",
+        "log_cdf_of_square_a",
+        "signal_spec_ratio",
+        "mic_sparsity_limit_mu",
     ],
 )
 def test_a_bool_where_a_real_is_expected_raises(call, good, error):
-    # True and False would pass as 1.0 and 0.0 and give a quiet value; a
-    # numpy float is a real and passes.
+    # True and False would pass as 1.0 and 0.0 and give a quiet value, and so
+    # would numpy's bools; a string is no real either, and nan no finite one.
+    # Each raises the entry point's typed error, never a bare TypeError. A
+    # numpy float is a real and passes, and so does a numpy int.
     call(np.float64(good))
-    for bad in (True, False):
+    if good == int(good):
+        call(np.int64(good))
+    for bad in (True, False, np.True_, np.False_, "0.1", math.nan):
         with pytest.raises(error):
             call(bad)
+
+
+def test_a_numpy_real_is_read_as_its_double():
+    # numpy's float32 arithmetic rounds to float32, and Decimal and Fraction
+    # take no numpy scalar: every entry point reads a real as float(value).
+    def double(*values):
+        return [float(np.float32(v)) for v in values]
+
+    path = _path([1.0, 0.5, 0.25])
+    for f, args in (
+        (lambda s, e: stop_rpsc(path, s, eta=e), (0.1, 0.5)),
+        (lambda s, e: stop_rcsc(path, s, eta=e), (1e-30, 12.0)),  # the level past the doubles: Decimal
+        (lambda s, e: RrtaParams(s, e), (0.1, 1.5)),
+        (lambda a, r: log_cdf_of_square(a, 0.5, r), (2.5, 0.3)),
+        (lambda a, r: log_cdf_of_square(a, 0.5, r), (100.5, 0.9)),  # Stirling's series in log_beta_fn
+        (lambda alpha, mu: (rrt_error_lower_bound(alpha, 16, 64, 3), mic_sparsity_limit(mu)), (0.1, 0.3)),
+        (lambda snr, ratio: synthesize(_HADAMARD4, np.eye(8)[1] * ratio, (1,), snr, 0).sigma, (3.3, 0.7)),
+        (lambda sigma, beta: epsilon_bounds(**{**_EPSILON_ARGS, "sigma": sigma, "beta_min": beta}), (0.3, 0.7)),
+    ):
+        assert f(*map(np.float32, args)) == f(*double(*args))
+    assert SignalSpec(3, "geometric", np.float32(0.3)).ratio == float(np.float32(0.3))
+    assert type(RrtaParams(np.float32(0.1), np.int64(2)).q) is float

@@ -289,6 +289,7 @@ def test_config_validation_errors():
         ({"design": DesignSpec(kind="identity_hadamard", n=32, p=True)}, "design.p"),
         ({"design": DesignSpec(kind="gaussian", n=32, p=64, seed=1.5)}, "design.seed"),
         ({"snr_db_list": (True,)}, "snr_db[0]"),
+        ({"snr_db_list": (np.True_,)}, "snr_db[0]"),
         ({"design": DesignSpec(kind="gaussian", n=32, p=64, seed=True)}, "design.seed"),
         ({"snr_db_list": (20.0, math.nan)}, "snr_db[1]"),
         ({"snr_db_list": (math.inf,)}, "snr_db[0]"),
@@ -334,8 +335,40 @@ def test_an_experiment_has_one_digest_whether_its_numbers_are_ints_or_floats():
         )
 
     as_ints, as_floats = config((0, 10), 2, 0), config((0.0, 10.0), 2.0, 0.0)
-    assert as_ints.digest() == as_floats.digest()
-    assert run_sweep(as_ints) == run_sweep(as_floats)
+    as_numpy = [config((kind(0), kind(10)), kind(2), kind(0)) for kind in (np.float64, np.int64)]
+    for other in (as_ints, *as_numpy):
+        assert other.digest() == as_floats.digest()
+        assert run_sweep(other) == run_sweep(as_floats)
+
+
+def test_a_config_of_numpy_float32_values_runs_as_the_doubles_of_those_values(monkeypatch):
+    # float32 arithmetic would round 10^(dB/10), ratio^k and RR^q to float32;
+    # the digest reads each value as its double, and so does every trial.
+    from rrselect import simulate
+
+    synthesized = []  # each trial's signal and SNR
+    original = simulate.synthesize
+
+    def synthesize(design, beta, support, snr, seed):
+        synthesized.append((beta.tolist(), snr))
+        return original(design, beta, support, snr, seed)
+
+    monkeypatch.setattr(simulate, "synthesize", synthesize)
+
+    def config(kind):
+        return _config(
+            signal=SignalSpec(3, "geometric", kind(0.3)),
+            snr_db_list=(kind(7.3), kind(15.1)),
+            algorithms=(AlgorithmSpec("rrta", q=kind(1.7)), AlgorithmSpec("rpsc_hsc", eta=kind(0.3))),
+            trials=20,
+        )
+
+    as_float32 = config(np.float32)
+    as_doubles = config(lambda v: float(np.float32(v)))
+    assert as_float32.digest() == as_doubles.digest()
+    assert run_sweep(as_float32) == run_sweep(as_doubles)
+    half = len(synthesized) // 2
+    assert half == 40 and synthesized[:half] == synthesized[half:]  # bit for bit
 
 
 def test_sweep_csv_round_trip():
