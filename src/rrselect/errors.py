@@ -66,10 +66,10 @@ def require_int(name: str, value, error: type[ValueError] = DomainError) -> None
         raise error(f"{name} must be an integer, got {value!r}")
 
 
-def require_real(name: str, value, low=-math.inf, high=math.inf, error: type[ValueError] = DomainError) -> float:
-    """float(value); raise `error` unless is_real(value) and low < value < high."""
+def require_real(name: str, value, low=-math.inf, high=math.inf) -> float:
+    """float(value); raise DomainError unless is_real(value) and low < value < high."""
     if not (is_real(value) and low < value < high):
         spans = {(-math.inf, math.inf): "be finite", (0.0, math.inf): "be finite and positive"}
-        raise error(f"{name} must {spans.get((low, high), f'lie in ({low:g},{high:g})')}, got {value!r}")
+        raise DomainError(f"{name} must {spans.get((low, high), f'lie in ({low:g},{high:g})')}, got {value!r}")
     return float(value)
 

@@ -113,7 +113,7 @@ def rrt_select(ratios: ResidualRatios, alpha: float) -> int | None:
     """
     steps = len(ratios)
     n, p, k_max = ratios.n, ratios.p, ratios.k_max
-    require_real("alpha", alpha, 0.0, 1.0)
+    alpha = require_real("alpha", alpha, 0.0, 1.0)
     if not steps or ratios.zero_observation:
         return None
     lows, highs = ratios.log_cdf_bounds

@@ -184,10 +184,10 @@ class ExperimentConfig:
             integers["k_max_override"] = self.k_max_override
         for where, value in integers.items():
             _require(is_int(value), where, "be an integer", value)
-        _require(type(d.normalize) is bool, "design.normalize", "be true or false", d.normalize)
+        _require(isinstance(d.normalize, bool), "design.normalize", "be true or false", d.normalize)
         _require(d.path is None or isinstance(d.path, str), "design.path", "be a string or None", d.path)
         regenerate = self.regenerate_matrix_per_trial
-        is_flag = regenerate is None or type(regenerate) is bool
+        is_flag = regenerate is None or isinstance(regenerate, bool)
         _require(is_flag, "regenerate_matrix_per_trial", "be a bool or None", regenerate)
         _require(isinstance(self.snr_db_list, tuple), "snr_db", "be a tuple (a JSON list)", self.snr_db_list)
         for i, value in enumerate(self.snr_db_list):

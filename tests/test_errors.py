@@ -52,8 +52,8 @@ def test_require_real_returns_the_double_or_names_the_interval():
         (0.0, 1.0, r"x must lie in \(0,1\), got"),
     ):
         for bad in (*BOOLS, "0.1", math.nan, low, high):
-            with pytest.raises(ValidationError, match=f"^{text}"):
-                require_real("x", bad, low, high, ValidationError)
+            with pytest.raises(DomainError, match=f"^{text}"):
+                require_real("x", bad, low, high)
 
 
 def test_require_int_raises_the_given_error():

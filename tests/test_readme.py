@@ -22,6 +22,7 @@ DELETED = (
     "beta_cdf_inv",
     "check_level_args",
     "derive_trial_seed",
+    "is_finite_number",
     "log_cdf_of_square_ceiling",
     "log_cdf_of_square_floor",
     "read_sweep_csv",
