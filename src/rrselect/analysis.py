@@ -72,6 +72,7 @@ def ric_bruteforce(design: DesignMatrix, order: int) -> float:
     matrix. Exact but exponential; guarded at SUBSET_GUARD subsets.
     """
     p = design.p
+    require_int("order", order)
     if not 1 <= order <= p:
         raise DomainError(f"order must lie in [1, p={p}], got {order}")
     count = math.comb(p, order)

@@ -28,12 +28,12 @@ from .special import build_threshold_table
 _JSON_NAMES = {"snr_db_list": "snr_db", "k_max_override": "k_max"}
 
 
-def _fields(raw, cls, context: str, optional=()) -> dict:
+def _fields(raw, cls, context: str) -> dict:
     """The keyword arguments of the dataclass `cls` that the JSON object `raw`
-    gives. An unknown field, or a missing one that has no default and is not
-    `optional`, is a ValidationError naming it; an integral number such as
-    100.0 for a field annotated int becomes an int. The values' types are
-    left to the library's checks."""
+    gives. An unknown field, or a missing one that has no default, is a
+    ValidationError naming it; an integral number such as 100.0 for a field
+    annotated int becomes an int. The values' types are left to the
+    dataclass, which checks its fields when built."""
     if not isinstance(raw, dict):
         raise ValidationError(f"{context}: must be a JSON object, got {raw!r}")
     fields = {_JSON_NAMES.get(f.name, f.name): f for f in dataclasses.fields(cls)}
@@ -47,39 +47,38 @@ def _fields(raw, cls, context: str, optional=()) -> dict:
             if f.type in ("int", "int | None") and isinstance(value, float) and value.is_integer():
                 value = int(value)
             kwargs[f.name] = value
-        elif f.default is dataclasses.MISSING and key not in optional:
+        elif f.default is dataclasses.MISSING:
             raise ValidationError(f"{context}.{key}: required field missing")
     return kwargs
 
 
+def _algorithm(entry, where: str) -> AlgorithmSpec:
+    """An algorithm entry, a name or an object of AlgorithmSpec fields, as an
+    AlgorithmSpec. The spec's ValidationError names the field; `where`, the
+    entry's place, goes before it, as a spec cannot know its own."""
+    fields = {"name": entry} if isinstance(entry, str) else _fields(entry, AlgorithmSpec, where)
+    try:
+        return AlgorithmSpec(**fields)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}.{exc}") from None
+
+
 def parse_config(json_text: str) -> ExperimentConfig:
-    """Parse an experiment config and validate it (ExperimentConfig.validate
-    checks each field's type and range). A field left out takes the default
-    of its dataclass field; design.p of identity_hadamard defaults to 2n."""
+    """Parse an experiment config; each dataclass checks its fields' types
+    and ranges when built. A field left out takes the default of its
+    dataclass field (DesignSpec makes design.p of identity_hadamard 2n)."""
     try:
         raw = json.loads(json_text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     top = _fields(raw, ExperimentConfig, "config")
-    design = _fields(top["design"], DesignSpec, "design", optional=("p",))
-    if design["kind"] == "identity_hadamard" and isinstance(design["n"], int):
-        design.setdefault("p", 2 * design["n"])
-    # A p still missing reaches validate as None; validate reports a wrong
-    # design.kind or design.n before it.
-    top["design"] = DesignSpec(**{"p": None, **design})
+    top["design"] = DesignSpec(**_fields(top["design"], DesignSpec, "design"))
     top["signal"] = SignalSpec(**_fields(top["signal"], SignalSpec, "signal"))
     if isinstance(top["snr_db_list"], list):
         top["snr_db_list"] = tuple(top["snr_db_list"])
     if isinstance(top["algorithms"], list):  # each entry a name or an object
-        top["algorithms"] = tuple(
-            AlgorithmSpec(entry)
-            if isinstance(entry, str)
-            else AlgorithmSpec(**_fields(entry, AlgorithmSpec, f"algorithms[{i}]"))
-            for i, entry in enumerate(top["algorithms"])
-        )
-    config = ExperimentConfig(**top)
-    config.validate()
-    return config
+        top["algorithms"] = tuple(_algorithm(entry, f"algorithms[{i}]") for i, entry in enumerate(top["algorithms"]))
+    return ExperimentConfig(**top)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +177,14 @@ _METHOD_SYNTAX = "|".join(
 )
 
 
+def _number(token: str) -> float | str:
+    """float(token), or the token itself if no number, for the spec to name."""
+    try:
+        return float(token)
+    except ValueError:
+        return token
+
+
 def _parse_method(method: str, rule: str) -> tuple[AlgorithmSpec, int | None]:
     """`name[:v1,v2,...]` as an AlgorithmSpec, plus k0 for the fixed_k0 rule."""
     typed, _, text = method.partition(":")
@@ -185,15 +192,14 @@ def _parse_method(method: str, rule: str) -> tuple[AlgorithmSpec, int | None]:
     if name not in ALGORITHMS:
         raise ValidationError(f"unknown method {typed!r}; expected {_METHOD_SYNTAX}")
     fields = _method_fields(name)
-    values = [float(tok) for tok in text.split(",") if tok]
+    values = [_number(tok) for tok in text.split(",") if tok]
     if len(values) > len(fields):
         raise ValidationError(f"method {typed!r} takes at most {len(fields)} value(s), got {text!r}")
     params = dict(zip(fields, values))
     k0 = params.pop("k0", None)
-    if "k0" in fields and (k0 is None or not k0.is_integer() or k0 < 0):
+    if "k0" in fields and not (isinstance(k0, float) and k0.is_integer() and k0 >= 0):
         raise ValidationError(f"method {typed!r} needs a nonnegative integer k0: {typed}:k0")
-    spec = AlgorithmSpec(name, rule, **params)
-    spec.check(f"--method {typed}")
+    spec = _algorithm({"name": name, "rule": rule, **params}, f"--method {typed}")
     return spec, None if k0 is None else int(k0)
 
 

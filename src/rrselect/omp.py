@@ -229,14 +229,23 @@ def _noise_level(sigma: float, c: float, eta: float | None) -> float:
     return float(_WIDE.exp(ln_level))
 
 
+def _require_size(name: str, value) -> None:
+    """DomainError unless value is an int >= 1."""
+    require_int(name, value)
+    if value < 1:
+        raise DomainError(f"{name} must be >= 1, got {value}")
+
+
 def rpsc_threshold(sigma: float, n: int, eta: float | None = None) -> float:
     """Residual-power stopping level sigma*sqrt(n + 2 sqrt(n ln n)), with the
     optional high-SNR-consistent scaling by sigma^-eta."""
+    _require_size("n", n)
     return _noise_level(sigma, math.sqrt(n + 2.0 * math.sqrt(n * math.log(n))), eta)
 
 
 def rcsc_threshold(sigma: float, p: int, eta: float | None = None) -> float:
     """Residual-correlation stopping level sigma*sqrt(2 ln p) (optional sigma^-eta)."""
+    _require_size("p", p)
     return _noise_level(sigma, math.sqrt(2.0 * math.log(p)), eta)
 
 

@@ -70,7 +70,7 @@ class Algorithm:
     needs: str | None = None  # "sigma" | "k0"
 
 
-# Every stopping rule and selector, read by config validation, the sweep and
+# Every stopping rule and selector, read by AlgorithmSpec's checks, the sweep and
 # the `recover` subcommand alike. The select functions look the kernels up by
 # module-global name at call time, so a caller may wrap those names (as a
 # tracer does).
@@ -94,20 +94,41 @@ def _require(ok: bool, where: str, what: str, value) -> None:
 
 @dataclass(frozen=True)
 class DesignSpec:
-    """How to materialize the sensing matrix for a sweep."""
+    """How to materialize the sensing matrix for a sweep; p of
+    identity_hadamard defaults to 2n, the only p it allows."""
 
     kind: str
     n: int
-    p: int
+    p: int | None = None
     seed: int = 0
     normalize: bool = False
     path: str | None = None  # CSV source for kind == "external"
+
+    def __post_init__(self) -> None:
+        kind, n = self.kind, self.n
+        _require(isinstance(kind, str) and kind in DESIGN_KINDS, "design.kind", f"be one of {DESIGN_KINDS}", kind)
+        _require(is_int(n), "design.n", "be an integer", n)
+        if self.p is None and kind == "identity_hadamard":
+            object.__setattr__(self, "p", 2 * n)
+        for key in ("p", "seed"):
+            _require(is_int(getattr(self, key)), f"design.{key}", "be an integer", getattr(self, key))
+        _require(isinstance(self.normalize, bool), "design.normalize", "be true or false", self.normalize)
+        _require(self.path is None or isinstance(self.path, str), "design.path", "be a string or None", self.path)
+        if kind == "identity_hadamard":
+            if n < 1 or n & (n - 1):
+                raise ValidationError(f"design.n: must be a power of two, got {n}")
+            if self.p != 2 * n:
+                raise ValidationError(f"design.p: must equal 2n={2 * n}, got {self.p}")
+        if kind == "external" and not self.path:
+            raise ValidationError("design.path: required for kind 'external'")
 
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
     """One configured algorithm. The field defaults are every entry point's
-    defaults; parameters the algorithm does not read keep them."""
+    defaults; parameters the algorithm does not read keep them. A spec cannot
+    know its place in a list: whoever builds it from one prefixes the field
+    its ValidationError names with that place."""
 
     name: str
     rule: str = "omp"
@@ -130,22 +151,23 @@ class AlgorithmSpec:
         base = f"{self.name}({params})" if params else self.name
         return base if self.rule == "omp" else f"{base}|{self.rule}"
 
-    def check(self, where: str) -> None:
-        """Raise ValidationError, naming `where` and the field, for a name or
-        rule that is not a known string, a parameter that is not a finite
-        number, or a parameter the algorithm reads outside its domain."""
+    def __post_init__(self) -> None:
         name, rule = self.name, self.rule
-        _require(isinstance(name, str) and name in ALGORITHMS, f"{where}.name", f"be one of {sorted(ALGORITHMS)}", name)
-        _require(isinstance(rule, str) and rule in RULES, f"{where}.rule", f"be one of {RULES}", rule)
+        _require(isinstance(name, str) and name in ALGORITHMS, "name", f"be one of {sorted(ALGORITHMS)}", name)
+        _require(isinstance(rule, str) and rule in RULES, "rule", f"be one of {RULES}", rule)
         read = ALGORITHMS[name].params
         for key, (low, high) in PARAMETER_DOMAINS.items():
             value = getattr(self, key)
-            _require(is_real(value), f"{where}.{key}", "be a finite number", value)
-            _require(key not in read or low < value < high, f"{where}.{key}", f"lie in ({low:g},{high:g})", value)
+            _require(is_real(value), key, "be a finite number", value)
+            _require(key not in read or low < value < high, key, f"lie in ({low:g},{high:g})", value)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One sweep. Every config type checks its fields when built and at every
+    dataclasses.replace, raising a ValidationError that names the field: each
+    spec its own, this what needs more than one. A config that exists is valid."""
+
     design: DesignSpec
     signal: SignalSpec
     snr_db_list: tuple[float, ...]
@@ -165,27 +187,15 @@ class ExperimentConfig:
             return self.design.kind == "gaussian"
         return self.regenerate_matrix_per_trial
 
-    def validate(self) -> None:
-        """Raise ValidationError, naming the field, for a field of the wrong
-        type or out of range. The one check of a config, for library and JSON
-        callers alike; run_sweep runs it once per sweep."""
+    def __post_init__(self) -> None:
         d = self.design
         _require(isinstance(d, DesignSpec), "design", "be a DesignSpec", d)
         _require(isinstance(self.signal, SignalSpec), "signal", "be a SignalSpec", self.signal)
-        _require(isinstance(d.kind, str) and d.kind in DESIGN_KINDS, "design.kind", f"be one of {DESIGN_KINDS}", d.kind)
-        integers = {
-            "trials": self.trials,
-            "root_seed": self.root_seed,
-            "design.n": d.n,
-            "design.p": d.p,
-            "design.seed": d.seed,
-        }
+        integers = {"trials": self.trials, "root_seed": self.root_seed}
         if self.k_max_override is not None:
             integers["k_max_override"] = self.k_max_override
         for where, value in integers.items():
             _require(is_int(value), where, "be an integer", value)
-        _require(isinstance(d.normalize, bool), "design.normalize", "be true or false", d.normalize)
-        _require(d.path is None or isinstance(d.path, str), "design.path", "be a string or None", d.path)
         regenerate = self.regenerate_matrix_per_trial
         is_flag = regenerate is None or isinstance(regenerate, bool)
         _require(is_flag, "regenerate_matrix_per_trial", "be a bool or None", regenerate)
@@ -200,14 +210,6 @@ class ExperimentConfig:
         _require(isinstance(self.algorithms, tuple), "algorithms", "be a tuple (a JSON list)", self.algorithms)
         for i, alg in enumerate(self.algorithms):
             _require(isinstance(alg, AlgorithmSpec), f"algorithms[{i}]", "be an AlgorithmSpec", alg)
-            alg.check(f"algorithms[{i}]")
-        if d.kind == "identity_hadamard":
-            if d.n < 1 or d.n & (d.n - 1):
-                raise ValidationError(f"design.n: must be a power of two, got {d.n}")
-            if d.p != 2 * d.n:
-                raise ValidationError(f"design.p: must equal 2n={2 * d.n}, got {d.p}")
-        if d.kind == "external" and not d.path:
-            raise ValidationError("design.path: required for kind 'external'")
         if d.n < 2 or d.p < 1:
             raise ValidationError(f"design dimensions invalid: n={d.n}, p={d.p}")
         if not self.snr_db_list:
@@ -330,14 +332,10 @@ def build_design(spec: DesignSpec) -> DesignMatrix:
         return make_identity_hadamard(spec.n)
     if spec.kind == "gaussian":
         return make_gaussian(spec.n, spec.p, spec.seed, spec.normalize)
-    if spec.kind == "external":
-        design = load_design_csv(spec.path)
-        if (design.n, design.p) != (spec.n, spec.p):
-            raise ValidationError(
-                f"external matrix is {design.n}x{design.p}, config says {spec.n}x{spec.p}"
-            )
-        return design
-    raise ValidationError(f"unknown design kind {spec.kind!r}")
+    design = load_design_csv(spec.path)  # kind "external"
+    if (design.n, design.p) != (spec.n, spec.p):
+        raise ValidationError(f"external matrix is {design.n}x{design.p}, config says {spec.n}x{spec.p}")
+    return design
 
 
 def score_estimate(estimate: SupportEstimate, hits: list[int], k0: int) -> AlgorithmOutcome:
@@ -438,7 +436,6 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     independent and seed-determined, so any worker count produces the
     identical SweepResult.
     """
-    config.validate()
     _require(is_int(workers), "workers", "be an integer", workers)
     _require(workers >= 1, "workers", "be >= 1", workers)
     matrix = None if config.regenerate_matrix else build_design(config.design)

@@ -103,6 +103,9 @@ def test_ric_guard_and_domain():
         ric_bruteforce(d, 6)  # C(64,6) > 1e6
     with pytest.raises(DomainError):
         ric_bruteforce(d, 0)
+    for order in (True, 2.0):
+        with pytest.raises(DomainError, match="^order must be an integer"):
+            ric_bruteforce(make_identity_hadamard(4), order)
 
 
 def test_erc_orthonormal_zero():

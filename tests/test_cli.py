@@ -184,6 +184,17 @@ def test_gen_matrix_gaussian_deterministic(tmp_path):
     assert out1.read_text() == out2.read_text()
 
 
+def test_gen_matrix_takes_no_p_for_identity_hadamard_but_2n(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    args = ["gen-matrix", "--kind", "identity_hadamard", "--n", "8", "--p", "10", "--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == "error: design.p: must equal 2n=16, got 10\n"
+    assert not out.exists()
+    # A design is checked as a design only: n >= 2 is a sweep's requirement.
+    assert main(["gen-matrix", "--kind", "gaussian", "--n", "1", "--p", "3", "--out", str(out)]) == 0
+    assert load_matrix_csv(out).shape == (1, 3)
+
+
 def test_threshold_subcommand(tmp_path, capsys):
     assert main(["threshold", "--n", "32", "--p", "64", "--k-max", "4", "--alpha", "0.1"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -326,6 +337,21 @@ def test_recover_rejects_incomplete_or_invalid_methods(tmp_path, capsys):
         assert err.startswith("error:") and reason in err, (method, err)
 
 
+@pytest.mark.parametrize(
+    "method, message",
+    [
+        ("rrt:abc", "--method rrt.alpha: must be a finite number, got 'abc'"),
+        ("rrt:nan", "--method rrt.alpha: must be a finite number, got nan"),
+        ("rrta:2,x", "--method rrta.pfd: must be a finite number, got 'x'"),
+        ("fixed_k0:abc", "method 'fixed_k0' needs a nonnegative integer k0: fixed_k0:k0"),
+    ],
+)
+def test_recover_names_the_field_of_a_value_that_is_not_a_number(tmp_path, capsys, method, message):
+    mpath, ypath = _write_identity_problem(tmp_path)
+    assert main(["recover", "--matrix", str(mpath), "--y", str(ypath), "--method", method]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _write_rank_deficient_design(tmp_path):
     """8x6 design whose columns all lie in span(e1, e2): every path stops after
     two steps, short of k0 = 3."""
@@ -347,7 +373,6 @@ def test_fixed_k0_past_the_path_keeps_the_path_as_exhausted(tmp_path, capsys):
         algorithms=(AlgorithmSpec("fixed_k0"), AlgorithmSpec("rrt"), AlgorithmSpec("rrta")),
         root_seed=7,
     )
-    config.validate()
     record = run_trial(config, build_design(config.design), 20.0, 0)
     estimate = record.outcomes["fixed_k0"].estimate
     assert (estimate.k_selected, estimate.status) == (2, "exhausted")

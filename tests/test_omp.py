@@ -296,6 +296,16 @@ def test_hsc_level_of_a_zero_constant_is_zero():
     assert rcsc_threshold(1e300, 1, eta=2.0) == 0.0
 
 
+@pytest.mark.parametrize("threshold, name", [(rpsc_threshold, "n"), (rcsc_threshold, "p")])
+@pytest.mark.parametrize(
+    "size, message",
+    [(0, "must be >= 1"), (-3, "must be >= 1"), (1.5, "must be an integer"), (True, "must be an integer")],
+)
+def test_sigma_rule_levels_require_a_size_of_at_least_one(threshold, name, size, message):
+    with pytest.raises(DomainError, match=f"^{name} {message}"):
+        threshold(0.1, size)
+
+
 def test_stop_rules_scan_semantics():
     design = make_identity_hadamard(32)
     rng = np.random.default_rng(5)

@@ -63,3 +63,11 @@ def test_module_table_names_every_export_in_its_modules_row():
 def test_deleted_names_are_gone_from_the_package_and_the_readme(name):
     assert not hasattr(rrselect, name)
     assert re.search(rf"\b{name}\b", README) is None
+
+
+@pytest.mark.parametrize("method", ["ExperimentConfig.validate", "AlgorithmSpec.check"])
+def test_config_types_check_themselves_and_their_deleted_check_methods_are_unnamed(method):
+    cls, _, name = method.partition(".")
+    assert not hasattr(getattr(rrselect.simulate, cls), name)
+    assert method not in README
+    assert "Each config type checks itself when built" in README

@@ -374,6 +374,25 @@ def test_rrt_select_decides_as_the_papers_level_in_mpmath(n, data, log_alpha, p_
     assert rrt_select(_ratios(rr, n, p, k_max), alpha) == expected
 
 
+def test_rrt_select_and_the_reported_threshold_differ_only_where_the_log_cdf_is_not_monotone():
+    # The double log CDF is not monotone to the last ulp, so no reported
+    # Gamma(k) matches the selectors' test on every double next to it. At
+    # n = 5, p = k_max = 1, alpha = e^-1.5, of the 401 doubles within 200 of
+    # Gamma(1), rrt_select and RR < Gamma(1) disagree only at Gamma(1) - 2 ulp.
+    alpha = math.exp(-1.5)
+    gamma = rrt_threshold(5, 1, 1, alpha, 1)
+    assert gamma == 0.8114198186647038
+    below, above = [gamma], [gamma]
+    for _ in range(200):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], 1.0))
+    doubles = below[:0:-1] + above  # Gamma(1) - 200 ulp .. Gamma(1) + 200 ulp
+    disagree = [
+        i - 200 for i, r in enumerate(doubles) if (rrt_select(_ratios([r], 5, 1, 1), alpha) == 1) != (r < gamma)
+    ]
+    assert len(doubles) == 401 and disagree == [-2]
+
+
 @pytest.mark.parametrize("side", [-1.0, 1.0])
 def test_rrt_select_at_a_million_rows_a_hair_from_the_threshold(side):
     # At n = 10^6, a ratio 1e-12 (relative) from Gamma(k) moves ln c(k) by

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import json
 import math
 import os
 import pickle
@@ -66,7 +67,7 @@ def test_roster_families_and_defaults():
     assert roster["rrt"] == {"alpha": 0.1}
     assert roster["rrta"] == {"pfd": 0.1, "q": 2.0}
     # non-default levels are accepted configuration
-    _config(algorithms=(AlgorithmSpec("rrt", alpha=0.01),)).validate()
+    _config(algorithms=(AlgorithmSpec("rrt", alpha=0.01),))
 
 
 def test_algorithm_label_is_cached_outside_the_fields():
@@ -254,75 +255,122 @@ def test_external_design_sweep(tmp_path):
 
 
 def test_config_validation_errors():
-    with pytest.raises(ValidationError):
-        _config(trials=0).validate()
-    with pytest.raises(ValidationError):
-        _config(snr_db_list=()).validate()
-    with pytest.raises(ValidationError):
-        _config(algorithms=(AlgorithmSpec("lars"),)).validate()
-    with pytest.raises(ValidationError):
-        _config(design=DesignSpec(kind="identity_hadamard", n=12, p=24)).validate()
-    with pytest.raises(ValidationError):
-        _config(design=DesignSpec(kind="identity_hadamard", n=32, p=60)).validate()
-    with pytest.raises(ValidationError):
-        _config(k_max_override=40).validate()
-    with pytest.raises(ValidationError):
-        _config(regenerate_matrix_per_trial=True).validate()  # hadamard design
-    with pytest.raises(ValidationError):
-        _config(algorithms=(AlgorithmSpec("rrm"), AlgorithmSpec("rrm"))).validate()
-    with pytest.raises(ValidationError):
-        _config(snr_db_list=(10.0, 10.0)).validate()
-    _config().validate()
+    base = _config()
+    for overrides in (
+        lambda: {"trials": 0},
+        lambda: {"snr_db_list": ()},
+        lambda: {"algorithms": (AlgorithmSpec("lars"),)},
+        lambda: {"design": DesignSpec(kind="identity_hadamard", n=12, p=24)},
+        lambda: {"design": DesignSpec(kind="identity_hadamard", n=32, p=60)},
+        lambda: {"k_max_override": 40},
+        lambda: {"regenerate_matrix_per_trial": True},  # hadamard design
+        lambda: {"algorithms": (AlgorithmSpec("rrm"), AlgorithmSpec("rrm"))},
+        lambda: {"snr_db_list": (10.0, 10.0)},
+    ):
+        with pytest.raises(ValidationError):
+            _config(**overrides())
+        with pytest.raises(ValidationError):
+            dataclasses.replace(base, **overrides())
+
+
+def test_a_config_that_exists_is_valid_so_run_trial_never_sees_an_invalid_one():
+    preset = cli.figure_config("fig1_hadamard", 3, 7)
+    with pytest.raises(ValidationError, match=r"^k_max=16 must lie in \[k0=20, "):
+        dataclasses.replace(preset, signal=SignalSpec(20))
+    with pytest.raises(ValidationError, match=r"^algorithms: duplicate entries \['rrm', 'rrm'\]"):
+        dataclasses.replace(preset, algorithms=(AlgorithmSpec("rrm"), AlgorithmSpec("rrm")))
+    # A pool worker unpickles the config without building it again.
+    assert pickle.loads(pickle.dumps(preset)) == preset
+
+
+def test_identity_hadamard_p_is_2n_whether_given_or_left_out():
+    assert DesignSpec("identity_hadamard", 32).p == 64
+    assert DesignSpec("identity_hadamard", 32) == DesignSpec("identity_hadamard", 32, 64)
+    with pytest.raises(ValidationError, match=r"^design\.p: must equal 2n=16, got 10$"):
+        DesignSpec("identity_hadamard", 8, 10)
+    with pytest.raises(ValidationError, match=r"^design\.p: must be an integer, got None$"):
+        DesignSpec("gaussian", 8)
+    # A design checks only itself: a 1 x 3 Gaussian matrix is a design, not a sweep's.
+    assert DesignSpec("gaussian", 1, 3).p == 3
+    with pytest.raises(ValidationError, match=r"^design dimensions invalid: n=1, p=3$"):
+        _config(design=DesignSpec("gaussian", 1, 3), signal=SignalSpec(1))
 
 
 @pytest.mark.parametrize(
     "overrides, field",
     [
-        ({"trials": 2.5}, "trials"),
-        ({"trials": True}, "trials"),
-        ({"trials": 3.0}, "trials"),
-        ({"root_seed": 7.5}, "root_seed"),
-        ({"root_seed": False}, "root_seed"),
-        ({"k_max_override": 8.0}, "k_max_override"),
-        ({"k_max_override": True}, "k_max_override"),
-        ({"design": DesignSpec(kind="identity_hadamard", n=32.0, p=64)}, "design.n"),
-        ({"design": DesignSpec(kind="identity_hadamard", n=32, p=True)}, "design.p"),
-        ({"design": DesignSpec(kind="gaussian", n=32, p=64, seed=1.5)}, "design.seed"),
-        ({"snr_db_list": (True,)}, "snr_db[0]"),
-        ({"snr_db_list": (np.True_,)}, "snr_db[0]"),
-        ({"design": DesignSpec(kind="gaussian", n=32, p=64, seed=True)}, "design.seed"),
-        ({"snr_db_list": (20.0, math.nan)}, "snr_db[1]"),
-        ({"snr_db_list": (math.inf,)}, "snr_db[0]"),
-        ({"snr_db_list": (-math.inf,)}, "snr_db[0]"),
-        ({"snr_db_list": ("20",)}, "snr_db[0]"),
-        ({"algorithms": (AlgorithmSpec("rrt", alpha="0.1"),)}, "algorithms[0].alpha"),
-        ({"algorithms": (AlgorithmSpec("rpsc_hsc", eta=None),)}, "algorithms[0].eta"),
-        ({"design": DesignSpec("gaussian", 8, 16, normalize="false")}, "design.normalize"),
-        ({"regenerate_matrix_per_trial": "no"}, "regenerate_matrix_per_trial"),
-        ({"algorithms": (AlgorithmSpec("rrm", alpha="x"),)}, "algorithms[0].alpha"),
-        ({"design": DesignSpec("external", 8, 16, path=5)}, "design.path"),
-        ({"design": DesignSpec(3, 8, 16)}, "design.kind"),
-        ({"algorithms": (AlgorithmSpec(["rrt"]),)}, "algorithms[0].name"),
-        ({"algorithms": (AlgorithmSpec("rrt", rule=["omp"]),)}, "algorithms[0].rule"),
-        ({"snr_db_list": 5}, "snr_db"),
-        ({"algorithms": AlgorithmSpec("rrm")}, "algorithms"),
-        ({"algorithms": (5,)}, "algorithms[0]"),
-        ({"design": None}, "design"),
-        ({"signal": None}, "signal"),
-        ({"snr_db_list": (20.0, 3090.0)}, "snr_db[1]"),  # 10^309 overflows
-        ({"snr_db_list": (-4000.0,)}, "snr_db[0]"),  # 10^-400 underflows to 0
+        (lambda: {"trials": 2.5}, "trials"),
+        (lambda: {"trials": True}, "trials"),
+        (lambda: {"trials": 3.0}, "trials"),
+        (lambda: {"root_seed": 7.5}, "root_seed"),
+        (lambda: {"root_seed": False}, "root_seed"),
+        (lambda: {"k_max_override": 8.0}, "k_max_override"),
+        (lambda: {"k_max_override": True}, "k_max_override"),
+        (lambda: {"design": DesignSpec(kind="identity_hadamard", n=32.0, p=64)}, "design.n"),
+        (lambda: {"design": DesignSpec(kind="identity_hadamard", n=32, p=True)}, "design.p"),
+        (lambda: {"design": DesignSpec(kind="gaussian", n=32, p=64, seed=1.5)}, "design.seed"),
+        (lambda: {"snr_db_list": (True,)}, "snr_db[0]"),
+        (lambda: {"snr_db_list": (np.True_,)}, "snr_db[0]"),
+        (lambda: {"design": DesignSpec(kind="gaussian", n=32, p=64, seed=True)}, "design.seed"),
+        (lambda: {"snr_db_list": (20.0, math.nan)}, "snr_db[1]"),
+        (lambda: {"snr_db_list": (math.inf,)}, "snr_db[0]"),
+        (lambda: {"snr_db_list": (-math.inf,)}, "snr_db[0]"),
+        (lambda: {"snr_db_list": ("20",)}, "snr_db[0]"),
+        (lambda: {"design": DesignSpec("gaussian", 8, 16, normalize="false")}, "design.normalize"),
+        (lambda: {"regenerate_matrix_per_trial": "no"}, "regenerate_matrix_per_trial"),
+        (lambda: {"design": DesignSpec("external", 8, 16, path=5)}, "design.path"),
+        (lambda: {"design": DesignSpec(3, 8, 16)}, "design.kind"),
+        (lambda: {"snr_db_list": 5}, "snr_db"),
+        (lambda: {"algorithms": AlgorithmSpec("rrm")}, "algorithms"),
+        (lambda: {"algorithms": (5,)}, "algorithms[0]"),
+        (lambda: {"design": None}, "design"),
+        (lambda: {"signal": None}, "signal"),
+        (lambda: {"snr_db_list": (20.0, 3090.0)}, "snr_db[1]"),  # 10^309 overflows
+        (lambda: {"snr_db_list": (-4000.0,)}, "snr_db[0]"),  # 10^-400 underflows to 0
     ],
 )
 def test_config_validation_names_a_field_of_the_wrong_type(overrides, field):
-    config = _config(**overrides)
+    # A spec in the overrides raises when it is built, before the config is.
     with pytest.raises(ValidationError, match=rf"^{re.escape(field)}: must "):
-        config.validate()
+        _config(**overrides())
     with pytest.raises(ValidationError, match=rf"^{re.escape(field)}: must "):
-        run_sweep(config)
+        dataclasses.replace(_config(), **overrides())
+
+
+@pytest.mark.parametrize(
+    "fields, key",
+    [
+        ({"name": "rrt", "alpha": "0.1"}, "alpha"),
+        ({"name": "rpsc_hsc", "eta": None}, "eta"),
+        ({"name": "rrm", "alpha": "x"}, "alpha"),
+        ({"name": ["rrt"]}, "name"),
+        ({"name": "rrt", "rule": ["omp"]}, "rule"),
+    ],
+)
+def test_an_algorithm_spec_names_its_field_and_a_config_file_its_place(fields, key):
+    # A spec cannot know its index in a list: parse_config, which does, puts
+    # it before the field.
+    with pytest.raises(ValidationError, match=rf"^{key}: must "):
+        AlgorithmSpec(**fields)
+    with pytest.raises(ValidationError, match=rf"^{key}: must "):
+        dataclasses.replace(AlgorithmSpec("rrt"), **fields)
+    raw = dict(_config().to_dict(), algorithms=["rrm", fields])
+    with pytest.raises(ValidationError, match=rf"^algorithms\[1\]\.{key}: must "):
+        cli.parse_config(json.dumps(raw))
+
+
+@pytest.mark.parametrize("name", [*cli.FIGURE_NAMES, "gauss_ols_oracle"])
+def test_a_config_survives_its_own_dict(name):
+    # The five presets and the benchmark's two configs (fig1_hadamard is one).
+    config = _benchmark_config("fig2_gaussian") if name == "gauss_ols_oracle" else cli.figure_config(name, 100, 0)
+    # to_dict writes the k_max and the matrix redraw a config resolves to: the
+    # same experiment, with one digest.
+    rebuilt = cli.parse_config(json.dumps(config.to_dict()))
+    assert rebuilt.to_dict() == config.to_dict() and rebuilt.digest() == config.digest()
 
 
 def test_config_validation_accepts_integer_snr_points_and_k_max():
-    _config(snr_db_list=(0, 20), k_max_override=8).validate()
+    _config(snr_db_list=(0, 20), k_max_override=8)
 
 
 def test_an_experiment_has_one_digest_whether_its_numbers_are_ints_or_floats():
