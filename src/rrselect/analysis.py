@@ -190,12 +190,11 @@ def build_regularity_report(
     design: DesignMatrix,
     support=None,
     ric_orders=(),
-    notes: str = "",
 ) -> RegularityReport:
     """Assemble the diagnostics; RIC orders beyond the subset guard are skipped
     with a note, and the ERC is computed only when a support is given."""
     mu = mutual_incoherence(design)
-    report = RegularityReport(mu=mu, mic_max_k0=mic_sparsity_limit(mu), notes=notes)
+    report = RegularityReport(mu=mu, mic_max_k0=mic_sparsity_limit(mu))
     ric: dict[int, float] = {}
     skipped = []
     for order in ric_orders:
@@ -206,8 +205,7 @@ def build_regularity_report(
     if ric:
         report.ric = ric
     if skipped:
-        extra = f"RIC orders {skipped} skipped (subset guard)"
-        report.notes = f"{report.notes}; {extra}" if report.notes else extra
+        report.notes = f"RIC orders {skipped} skipped (subset guard)"
     if support is not None:
         report.erc_constant = erc_constant(design, support)
     return report

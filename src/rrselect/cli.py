@@ -15,7 +15,7 @@ import sys
 import tempfile
 
 from . import analysis, simulate
-from .designs import SignalSpec, load_design_csv
+from .designs import SignalSpec, load_design_csv, make_gaussian
 from .errors import ParseError, ValidationError
 from .linalg import load_vector_csv, save_matrix_csv
 from .omp import default_kmax, solution_path
@@ -112,27 +112,22 @@ _GEOMETRIC = SignalSpec(k0=3, kind="geometric", ratio=1.0 / 3.0)
 _SNR_0_40 = tuple(float(v) for v in range(0, 44, 4))
 _SNR_0_60 = tuple(float(v) for v in range(0, 65, 5))
 
-FIGURE_NAMES = (
-    "fig1_hadamard",
-    "fig1_gaussian",
-    "fig2_hadamard",
-    "fig2_gaussian",
-    "fig3_q_sweep",
-)
+# Each figure preset: (design, signal, SNR points, algorithms).
+_FIGURES = {
+    "fig1_hadamard": (_HADAMARD_32, _PM_ONE, _SNR_0_40, _FIG_BASELINES),
+    "fig1_gaussian": (_GAUSSIAN_32, _PM_ONE, _SNR_0_40, _FIG_BASELINES),
+    "fig2_hadamard": (_HADAMARD_32, _GEOMETRIC, _SNR_0_60, _FIG_BASELINES),
+    "fig2_gaussian": (_GAUSSIAN_32, _GEOMETRIC, _SNR_0_60, _FIG_BASELINES),
+    "fig3_q_sweep": (_HADAMARD_32, _PM_ONE, _SNR_0_40, _FIG_Q_SWEEP),
+}
+FIGURE_NAMES = tuple(_FIGURES)
 
 
 def figure_config(name: str, trials: int, root_seed: int) -> ExperimentConfig:
     """Built-in sweep configuration behind each named figure preset."""
-    presets = {
-        "fig1_hadamard": (_HADAMARD_32, _PM_ONE, _SNR_0_40, _FIG_BASELINES),
-        "fig1_gaussian": (_GAUSSIAN_32, _PM_ONE, _SNR_0_40, _FIG_BASELINES),
-        "fig2_hadamard": (_HADAMARD_32, _GEOMETRIC, _SNR_0_60, _FIG_BASELINES),
-        "fig2_gaussian": (_GAUSSIAN_32, _GEOMETRIC, _SNR_0_60, _FIG_BASELINES),
-        "fig3_q_sweep": (_HADAMARD_32, _PM_ONE, _SNR_0_40, _FIG_Q_SWEEP),
-    }
-    if name not in presets:
+    if name not in _FIGURES:
         raise ValidationError(f"unknown figure {name!r}; choose from {FIGURE_NAMES}")
-    design, signal, snr, algorithms = presets[name]
+    design, signal, snr, algorithms = _FIGURES[name]
     return ExperimentConfig(
         design=design,
         signal=signal,
@@ -227,9 +222,12 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_gen_matrix(args) -> int:
-    if args.kind == "gaussian" and args.p is None:
-        raise ValidationError("--p is required for gaussian matrices")
-    design = simulate.build_design(DesignSpec(args.kind, args.n, args.p, args.seed, args.normalize))
+    if args.kind == "gaussian":
+        if args.p is None:
+            raise ValidationError("--p is required for gaussian matrices")
+        design = make_gaussian(args.n, args.p, args.seed, args.normalize)
+    else:
+        design = simulate.build_design(DesignSpec(kind=args.kind, n=args.n, p=args.p))
     buf = io.StringIO()
     save_matrix_csv(buf, design.matrix)
     _write_text_atomic(args.out, buf.getvalue())

@@ -39,7 +39,8 @@ class ResidualRatios:
     solution_path, whose residual norms are nonincreasing. Ratios built by
     hand are checked on construction: a DomainError unless n, p and k_max are
     ints and the values are a vector of K <= k_max <= min(n - 1, p) ratios,
-    each in [0,1].
+    each in [0,1]; an EmptyPathError if K = 0, as no selector has a step to
+    choose from.
 
     zero_observation marks a path of y = 0, where no step explains anything.
     """
@@ -58,8 +59,10 @@ class ResidualRatios:
             raise DomainError(
                 f"ratios of shape {values.shape} do not fit a path of up to k_max={k_max} steps at n={n}, p={p}"
             )
+        if not len(values):
+            raise EmptyPathError("no residual ratios: the path has no steps")
         # ndarray.min/max propagate nan, which fails both comparisons.
-        if len(values) and not (values.min() >= 0.0 and values.max() <= 1.0):
+        if not (values.min() >= 0.0 and values.max() <= 1.0):
             raise DomainError(f"residual ratios must lie in [0,1], got {values.tolist()}")
 
     def __len__(self) -> int:
@@ -92,10 +95,8 @@ def residual_ratios(path: SolutionPath) -> ResidualRatios:
     A zero previous residual means the fit was already perfect, so further
     ratios are taken as 0 (keeps the selectors at the earliest perfect model).
     A zero observation is flagged instead: its earliest perfect model is the
-    empty one.
+    empty one. A path with no steps has no ratios: EmptyPathError.
     """
-    if path.K < 1:
-        raise EmptyPathError("path has no steps")
     norms = path.residual_norms.tolist()
     rr = [cur / prev if prev > 0.0 else 0.0 for prev, cur in zip(norms, norms[1:])]
     return ResidualRatios(np.array(rr), path.n, path.p, path.k_max, zero_observation=norms[0] == 0.0)
@@ -114,7 +115,7 @@ def rrt_select(ratios: ResidualRatios, alpha: float) -> int | None:
     steps = len(ratios)
     n, p, k_max = ratios.n, ratios.p, ratios.k_max
     alpha = require_real("alpha", alpha, 0.0, 1.0)
-    if not steps or ratios.zero_observation:
+    if ratios.zero_observation:
         return None
     lows, highs = ratios.log_cdf_bounds
     ln_alpha = math.log(max(alpha, ALPHA_FLOOR))
@@ -132,8 +133,6 @@ def rrt_select(ratios: ResidualRatios, alpha: float) -> int | None:
 def rrm_select(ratios: ResidualRatios) -> int | None:
     """The k minimizing RR(k); ties resolve to the smallest k. None for a
     zero observation."""
-    if len(ratios) == 0:
-        raise EmptyPathError("no residual ratios")
     if ratios.zero_observation:
         return None
     return int(np.argmin(ratios.values)) + 1
@@ -141,8 +140,6 @@ def rrm_select(ratios: ResidualRatios) -> int | None:
 
 def rrta_alpha(ratios: ResidualRatios, params: RrtaParams) -> float:
     """Adaptive level min(pfd_finite, (min RR)^q), floored at ALPHA_FLOOR."""
-    if len(ratios) == 0:
-        raise EmptyPathError("no residual ratios")
     min_rr = float(np.min(ratios.values))
     level = min(params.pfd_finite, min_rr**params.q)
     return max(level, ALPHA_FLOOR)

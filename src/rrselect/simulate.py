@@ -95,12 +95,13 @@ def _require(ok: bool, where: str, what: str, value) -> None:
 @dataclass(frozen=True)
 class DesignSpec:
     """How to materialize the sensing matrix for a sweep; p of
-    identity_hadamard defaults to 2n, the only p it allows."""
+    identity_hadamard defaults to 2n, the only p it allows. A gaussian
+    design is drawn afresh in every trial; a fixed matrix is an external one
+    (`rrselect gen-matrix` writes a seeded Gaussian one)."""
 
     kind: str
     n: int
     p: int | None = None
-    seed: int = 0
     normalize: bool = False
     path: str | None = None  # CSV source for kind == "external"
 
@@ -110,8 +111,7 @@ class DesignSpec:
         _require(is_int(n), "design.n", "be an integer", n)
         if self.p is None and kind == "identity_hadamard":
             object.__setattr__(self, "p", 2 * n)
-        for key in ("p", "seed"):
-            _require(is_int(getattr(self, key)), f"design.{key}", "be an integer", getattr(self, key))
+        _require(is_int(self.p), "design.p", "be an integer", self.p)
         _require(isinstance(self.normalize, bool), "design.normalize", "be true or false", self.normalize)
         _require(self.path is None or isinstance(self.path, str), "design.path", "be a string or None", self.path)
         if kind == "identity_hadamard":
@@ -175,17 +175,10 @@ class ExperimentConfig:
     algorithms: tuple[AlgorithmSpec, ...]
     root_seed: int
     k_max_override: int | None = None
-    regenerate_matrix_per_trial: bool | None = None  # None: per design default
 
     @property
     def k_max(self) -> int:
         return self.k_max_override if self.k_max_override is not None else default_kmax(self.design.n)
-
-    @property
-    def regenerate_matrix(self) -> bool:
-        if self.regenerate_matrix_per_trial is None:
-            return self.design.kind == "gaussian"
-        return self.regenerate_matrix_per_trial
 
     def __post_init__(self) -> None:
         d = self.design
@@ -196,9 +189,6 @@ class ExperimentConfig:
             integers["k_max_override"] = self.k_max_override
         for where, value in integers.items():
             _require(is_int(value), where, "be an integer", value)
-        regenerate = self.regenerate_matrix_per_trial
-        is_flag = regenerate is None or isinstance(regenerate, bool)
-        _require(is_flag, "regenerate_matrix_per_trial", "be a bool or None", regenerate)
         _require(isinstance(self.snr_db_list, tuple), "snr_db", "be a tuple (a JSON list)", self.snr_db_list)
         for i, value in enumerate(self.snr_db_list):
             _require(is_real(value), f"snr_db[{i}]", "be a finite number", value)
@@ -230,8 +220,6 @@ class ExperimentConfig:
             raise ValidationError(
                 f"k_max={k_max} must lie in [k0={self.signal.k0}, min(n-1, p)={min(d.n - 1, d.p)}]"
             )
-        if regenerate and d.kind != "gaussian":
-            raise ValidationError("regenerate_matrix_per_trial: only meaningful for gaussian designs")
         if self.root_seed < 0:
             raise ValidationError(f"root_seed: must be nonnegative, got {self.root_seed}")
 
@@ -249,11 +237,16 @@ class ExperimentConfig:
             ],
             "root_seed": self.root_seed,
             "k_max": self.k_max,
-            "regenerate_matrix_per_trial": self.regenerate_matrix,
         }
 
     def digest(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
+        # Configs once also held design.seed and regenerate_matrix_per_trial;
+        # they are hashed at the only values a config can now have, so that
+        # every experiment id stays what it was.
+        fields = self.to_dict()
+        fields["design"]["seed"] = 0
+        fields["regenerate_matrix_per_trial"] = self.design.kind == "gaussian"
+        blob = json.dumps(fields, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
@@ -310,7 +303,7 @@ def _derive_trial_seeds(root_seed: int, snr_index: int, start: int, stop: int) -
 class TrialStreams(NamedTuple):
     """One trial's random streams: those of np.random.default_rng(splitmix64(seed ^ c))
     for its derived seed and c = 1, 2, 3 and 4. matrix is None unless the
-    sweep draws a Gaussian design per trial."""
+    design is gaussian, which each trial draws afresh."""
 
     support: Stream
     signal: Stream
@@ -320,18 +313,20 @@ class TrialStreams(NamedTuple):
 
 def trial_streams(config: ExperimentConfig, snr_index: int, start: int, stop: int) -> list[TrialStreams]:
     """The streams of trials [start, stop) at one SNR point, seeded in one pass."""
-    tags = np.arange(1, 5 if config.regenerate_matrix else 4, dtype=np.uint64)
+    tags = np.arange(1, 5 if config.design.kind == "gaussian" else 4, dtype=np.uint64)
     seeds = _splitmix64_array(_derive_trial_seeds(config.root_seed, snr_index, start, stop)[:, None] ^ tags)
     streams = [Stream(state, inc) for state, inc in pcg64_states(seeds)]  # trial by trial
     kinds = len(tags)
     return [TrialStreams(*streams[i : i + kinds]) for i in range(0, len(streams), kinds)]
 
 
-def build_design(spec: DesignSpec) -> DesignMatrix:
+def build_design(spec: DesignSpec) -> DesignMatrix | None:
+    """The matrix every trial of a sweep shares; None for a gaussian design,
+    which each trial draws from its own matrix stream."""
     if spec.kind == "identity_hadamard":
         return make_identity_hadamard(spec.n)
     if spec.kind == "gaussian":
-        return make_gaussian(spec.n, spec.p, spec.seed, spec.normalize)
+        return None
     design = load_design_csv(spec.path)  # kind "external"
     if (design.n, design.p) != (spec.n, spec.p):
         raise ValidationError(f"external matrix is {design.n}x{design.p}, config says {spec.n}x{spec.p}")
@@ -371,11 +366,10 @@ def run_trial(
         snr_index = config.snr_db_list.index(snr_db)
         (streams,) = trial_streams(config, snr_index, trial_index, trial_index + 1)
 
-    design = matrix
-    if config.regenerate_matrix:
+    if streams.matrix is not None:
         design = make_gaussian(config.design.n, config.design.p, streams.matrix, config.design.normalize)
-    if design is None:
-        design = build_design(config.design)
+    else:
+        design = matrix if matrix is not None else build_design(config.design)
 
     p, k0 = config.design.p, config.signal.k0
     support = sample_support(p, k0, streams.support)
@@ -438,7 +432,7 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     """
     _require(is_int(workers), "workers", "be an integer", workers)
     _require(workers >= 1, "workers", "be >= 1", workers)
-    matrix = None if config.regenerate_matrix else build_design(config.design)
+    matrix = build_design(config.design)
     trials = config.trials
     size = min(_SEED_CHUNK, (trials + workers - 1) // workers)
     jobs = [

@@ -25,7 +25,7 @@ from rrselect.selectors import (
     rrt_select,
     rrta_select,
 )
-from rrselect.simulate import AlgorithmSpec, DesignSpec, ExperimentConfig, run_sweep
+from rrselect.simulate import AlgorithmSpec, DesignSpec, ExperimentConfig, build_design, run_sweep
 from rrselect.special import build_threshold_table
 
 HADAMARD32 = DesignSpec(kind="identity_hadamard", n=32, p=64)
@@ -191,14 +191,14 @@ def test_criterion_5_q_sweep_ordering():
 
 def test_criterion_6_gaussian_design_floor_equivalence():
     config = ExperimentConfig(
-        design=DesignSpec(kind="gaussian", n=32, p=64, seed=0),
+        design=DesignSpec(kind="gaussian", n=32, p=64),
         signal=PM_ONE3,
         snr_db_list=(60.0,),
         trials=1000,
         algorithms=(AlgorithmSpec("rrm"), AlgorithmSpec("rrta", pfd=0.1, q=2.0), AlgorithmSpec("fixed_k0")),
         root_seed=606,
     )
-    assert config.regenerate_matrix  # fresh matrix per trial
+    assert build_design(config.design) is None  # fresh matrix per trial
     result = run_sweep(config)
     rrm = _rows_by(result, "rrm")[60.0]
     rrta = _rows_by(result, "rrta(pfd=0.1,q=2)")[60.0]

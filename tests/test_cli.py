@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rrselect.cli import FIGURE_NAMES, figure_config, main, parse_config
-from rrselect.designs import SignalSpec, make_identity_hadamard
+from rrselect.designs import SignalSpec, load_design_csv, make_gaussian, make_identity_hadamard
 from rrselect.errors import ParseError, ValidationError
 from rrselect.linalg import load_matrix_csv, save_matrix_csv
 from rrselect.simulate import (
@@ -107,7 +107,7 @@ def test_parse_config_rejects_parameters_outside_their_domain(entry, field):
         ("signal", "k0", 2.5),
         (None, "root_seed", 7.5),
         ("design", "normalize", "false"),
-        (None, "regenerate_matrix_per_trial", "no"),
+        (None, "regenerate_matrix_per_trial", "no"),  # no longer a field: refused as unknown
         (None, "snr_db", [0, True]),
         ("design", "n", "abc"),
         (None, "k_max", "8"),
@@ -182,6 +182,28 @@ def test_gen_matrix_gaussian_deterministic(tmp_path):
             "--seed", "5", "--out", str(out),
         ]) == 0
     assert out1.read_text() == out2.read_text()
+
+
+def test_gen_matrix_gaussian_is_the_seeded_matrix_bit_for_bit(tmp_path):
+    # A fixed Gaussian design is this CSV read back as an external design.
+    out = tmp_path / "G.csv"
+    args = ["gen-matrix", "--kind", "gaussian", "--n", "32", "--p", "64", "--seed", "5", "--normalize"]
+    assert main(args + ["--out", str(out)]) == 0
+    assert np.array_equal(load_design_csv(out).matrix, make_gaussian(32, 64, 5, True).matrix)
+    sidecar = json.loads((tmp_path / "G.csv.json").read_text())
+    assert sidecar == {"kind": "gaussian", "n": 32, "p": 64, "seed": 5, "normalize": True}
+
+
+@pytest.mark.parametrize(
+    "section, key, context",
+    [("design", "seed", "design"), (None, "regenerate_matrix_per_trial", "config")],
+)
+def test_parse_config_refuses_the_deleted_fixed_gaussian_settings(section, key, context):
+    # A gaussian design is drawn per trial; a fixed one is an external design.
+    raw = json.loads(json.dumps(MINIMAL_CONFIG))
+    (raw[section] if section else raw)[key] = False
+    with pytest.raises(ValidationError, match=rf"^{context}: unknown field\(s\) \['{key}'\]$"):
+        parse_config(json.dumps(raw))
 
 
 def test_gen_matrix_takes_no_p_for_identity_hadamard_but_2n(tmp_path, capsys):

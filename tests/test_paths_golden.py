@@ -44,7 +44,7 @@ def _trial_paths(preset: str, snr_index: int, trial_index: int) -> list:
         cli.figure_config(preset, TRIALS_PER_PRESET, ROOT_SEED),
         algorithms=(AlgorithmSpec("rrm"), AlgorithmSpec("rrm", rule="ols")),
     )
-    matrix = None if config.regenerate_matrix else simulate.build_design(config.design)
+    matrix = simulate.build_design(config.design)
     paths = []
     original = simulate.solution_path
 

@@ -2,6 +2,7 @@
 and rrta find no step and return None; its config example keeps its
 experiment id; its module table names every export."""
 import contextlib
+import dataclasses
 import io
 import re
 from pathlib import Path
@@ -71,3 +72,12 @@ def test_config_types_check_themselves_and_their_deleted_check_methods_are_unnam
     assert not hasattr(getattr(rrselect.simulate, cls), name)
     assert method not in README
     assert "Each config type checks itself when built" in README
+
+
+@pytest.mark.parametrize(
+    "cls, name, spelled",
+    [("DesignSpec", "seed", "design.seed"), ("ExperimentConfig", "regenerate_matrix_per_trial", "regenerate_matrix")],
+)
+def test_the_fixed_gaussian_settings_are_gone_from_the_configs_and_the_readme(cls, name, spelled):
+    assert name not in {f.name for f in dataclasses.fields(getattr(rrselect.simulate, cls))}
+    assert spelled not in README

@@ -76,8 +76,10 @@ def test_residual_ratios_examples():
     assert np.allclose(residual_ratios(_path([4.0, 2.0, 2.0])).values, [0.5, 1.0])
     # zero over zero counts as zero: earliest perfect model wins
     assert np.allclose(residual_ratios(_path([1.0, 0.0, 0.0])).values, [0.0, 0.0])
+    # A path stopped before its first step has no ratios.
+    empty = SolutionPath("omp", (), np.array([3.0]), np.zeros(1), "rank_deficient", 32, 64, 3)
     with pytest.raises(EmptyPathError):
-        residual_ratios(_path([3.0]))
+        residual_ratios(empty)
 
 
 def test_residual_ratios_bounded():
@@ -95,7 +97,6 @@ def test_rrt_select_examples():
     assert rrt_select(_ratios([0.99, 0.99]), 0.1) is None
     # max semantics, not min
     assert rrt_select(_ratios([0.2, 0.2]), 0.1) == 2
-    assert rrt_select(_ratios([]), 0.1) is None
     # more steps than k_max, or a level outside (0,1), is a domain error
     with pytest.raises(DomainError):
         rrt_select(_ratios([0.5, 0.5, 0.5, 0.5]), 0.1)
@@ -137,15 +138,16 @@ def test_rrt_select_rejects_more_ratios_than_steps():
 
 
 def test_rrt_select_checks_its_arguments_without_ratios():
-    # No step to test, but a level outside (0,1), or sizes without a first
-    # step, are as wrong as they are for a path with steps.
-    assert rrt_select(ResidualRatios(np.array([]), 32, 64, 3), 0.1) is None
+    # Ratios without a step are refused when built, as residual_ratios refuses
+    # a path with no steps; sizes that fit no path are refused before that.
+    # A level outside (0,1) is refused by rrt_select itself.
+    with pytest.raises(EmptyPathError):
+        ResidualRatios(np.array([]), 32, 64, 3)
     for values, n, p, k_max, alpha in (
-        ([], 32, 64, 3, 5.0),
-        ([], 32, 64, 3, 0.0),
+        ([0.5], 32, 64, 3, 5.0),
+        ([0.5], 32, 64, 3, 0.0),
         ([], 32, 64, 32, 0.1),
         ([], 32, 0, 3, 0.1),
-        ([0.5], 32, 64, 3, 5.0),
     ):
         with pytest.raises(DomainError):
             rrt_select(_ratios(values, n, p, k_max), alpha)
@@ -166,7 +168,8 @@ def test_rrt_select_applies_the_exact_level_past_the_double_range():
     # RR = 0.5, ln c(1) ~ -22 is far above ln z(1) ~ -924; at RR = 1e-300,
     # ln c(3) ~ -2e4 is far below ln z(3).
     for p in (10**400, 10**300):
-        assert rrt_select(_ratios([], 32, p, 3), 0.1) is None
+        with pytest.raises(EmptyPathError):
+            _ratios([], 32, p, 3)
         assert rrt_select(_ratios([0.5], 32, p, 3), 0.1) is None
         assert rrt_select(_ratios([0.5, 0.5, 1e-300], 32, p, 3), 0.1) == 3
 
@@ -222,7 +225,7 @@ def test_cdf_rule_matches_threshold_table_rule(n, data, log_alpha):
     # flips, so the two rules agree without one.
     k_max = data.draw(st.integers(1, n - 1), label="k_max")
     p = data.draw(st.integers(k_max, 1000), label="p")
-    length = data.draw(st.integers(0, k_max), label="K")
+    length = data.draw(st.integers(1, k_max), label="K")
     alpha = min(math.exp(log_alpha), 0.5)
     table = _thresholds(n, p, k_max, alpha, length)
     # Each ratio anywhere in [0,1], or within 0.1% of its threshold.
@@ -260,7 +263,7 @@ def test_screened_rule_matches_the_unscreened_rule(n, data, alpha):
     # c(k) reaches z_sup(k).
     k_max = data.draw(st.integers(1, n - 1), label="k_max")
     p = data.draw(st.integers(k_max, 1000), label="p")
-    length = data.draw(st.integers(0, k_max), label="K")
+    length = data.draw(st.integers(1, k_max), label="K")
     table = _thresholds(n, p, k_max, alpha, length)
     # The ratio at which c(k) reaches z_sup(k).
     cut = _thresholds(n, p, k_max, 1.0 - 1e-15, length)
@@ -314,7 +317,7 @@ def test_two_sided_decision_matches_the_unscreened_rule_at_extreme_sizes(n, data
     # the bounds' margin, where only the exact log CDF can decide.
     k_max = data.draw(st.integers(1, n - 1), label="k_max")
     p = max(k_max, int(math.exp(log_p)))
-    length = data.draw(st.integers(0, k_max), label="K")
+    length = data.draw(st.integers(1, k_max), label="K")
     alpha = math.exp(log_alpha)
     table = _thresholds(n, p, k_max, alpha, length)
     near = [st.floats(1.0 - d, 1.0 + d) for d in (1e-6, 1e-9, 1e-12)]
@@ -360,7 +363,7 @@ def test_rrt_select_decides_as_the_papers_level_in_mpmath(n, data, log_alpha, p_
     mp = pytest.importorskip("mpmath")
     k_max = data.draw(st.integers(1, n - 1), label="k_max")
     p = max(k_max, data.draw(st.integers(1, 9), label="lead") * 10**p_digits)
-    length = data.draw(st.integers(0, min(k_max, 6)), label="K")
+    length = data.draw(st.integers(1, min(k_max, 6)), label="K")
     alpha = math.exp(log_alpha)
     table = _thresholds(n, p, k_max, alpha, length)
     near = [st.floats(1.0 - d, 1.0 + d) for d in (1e-6, 1e-9, 1e-12)]

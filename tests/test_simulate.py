@@ -210,13 +210,13 @@ def test_gaussian_redraw_gives_fresh_matrices_per_trial():
     from rrselect.designs import make_gaussian
 
     config = _config(
-        design=DesignSpec(kind="gaussian", n=16, p=24, seed=3),
+        design=DesignSpec(kind="gaussian", n=16, p=24),
         snr_db_list=(60.0,),
         trials=2,
         algorithms=(AlgorithmSpec("fixed_k0"),),
         signal=SignalSpec(k0=2, kind="pm_one"),
     )
-    assert config.regenerate_matrix
+    assert build_design(config.design) is None  # no matrix shared by the sweep
     # run_trial regenerates internally; identical trial index -> identical record
     a = run_trial(config, None, 60.0, 0)
     b = run_trial(config, None, 60.0, 0)
@@ -226,9 +226,10 @@ def test_gaussian_redraw_gives_fresh_matrices_per_trial():
     m0 = make_gaussian(16, 24, first.matrix)
     m1 = make_gaussian(16, 24, second.matrix)
     assert not np.array_equal(m0.matrix, m1.matrix)
-
-    fixed = dataclasses.replace(config, regenerate_matrix_per_trial=False)
-    assert not fixed.regenerate_matrix
+    # Only a gaussian design draws a matrix per trial.
+    hadamard = dataclasses.replace(config, design=DesignSpec("identity_hadamard", 16))
+    assert build_design(hadamard.design) is not None
+    assert all(trial.matrix is None for trial in trial_streams(hadamard, 0, 0, 2))
 
 
 def test_external_design_sweep(tmp_path):
@@ -263,7 +264,6 @@ def test_config_validation_errors():
         lambda: {"design": DesignSpec(kind="identity_hadamard", n=12, p=24)},
         lambda: {"design": DesignSpec(kind="identity_hadamard", n=32, p=60)},
         lambda: {"k_max_override": 40},
-        lambda: {"regenerate_matrix_per_trial": True},  # hadamard design
         lambda: {"algorithms": (AlgorithmSpec("rrm"), AlgorithmSpec("rrm"))},
         lambda: {"snr_db_list": (10.0, 10.0)},
     ):
@@ -308,16 +308,16 @@ def test_identity_hadamard_p_is_2n_whether_given_or_left_out():
         (lambda: {"k_max_override": True}, "k_max_override"),
         (lambda: {"design": DesignSpec(kind="identity_hadamard", n=32.0, p=64)}, "design.n"),
         (lambda: {"design": DesignSpec(kind="identity_hadamard", n=32, p=True)}, "design.p"),
-        (lambda: {"design": DesignSpec(kind="gaussian", n=32, p=64, seed=1.5)}, "design.seed"),
+        (lambda: {"design": DesignSpec(kind="gaussian", n=32, p=64.5)}, "design.p"),
         (lambda: {"snr_db_list": (True,)}, "snr_db[0]"),
         (lambda: {"snr_db_list": (np.True_,)}, "snr_db[0]"),
-        (lambda: {"design": DesignSpec(kind="gaussian", n=32, p=64, seed=True)}, "design.seed"),
+        (lambda: {"design": DesignSpec(kind="gaussian", n=True, p=64)}, "design.n"),
         (lambda: {"snr_db_list": (20.0, math.nan)}, "snr_db[1]"),
         (lambda: {"snr_db_list": (math.inf,)}, "snr_db[0]"),
         (lambda: {"snr_db_list": (-math.inf,)}, "snr_db[0]"),
         (lambda: {"snr_db_list": ("20",)}, "snr_db[0]"),
         (lambda: {"design": DesignSpec("gaussian", 8, 16, normalize="false")}, "design.normalize"),
-        (lambda: {"regenerate_matrix_per_trial": "no"}, "regenerate_matrix_per_trial"),
+        (lambda: {"k_max_override": "8"}, "k_max_override"),
         (lambda: {"design": DesignSpec("external", 8, 16, path=5)}, "design.path"),
         (lambda: {"design": DesignSpec(3, 8, 16)}, "design.kind"),
         (lambda: {"snr_db_list": 5}, "snr_db"),
@@ -363,8 +363,8 @@ def test_an_algorithm_spec_names_its_field_and_a_config_file_its_place(fields, k
 def test_a_config_survives_its_own_dict(name):
     # The five presets and the benchmark's two configs (fig1_hadamard is one).
     config = _benchmark_config("fig2_gaussian") if name == "gauss_ols_oracle" else cli.figure_config(name, 100, 0)
-    # to_dict writes the k_max and the matrix redraw a config resolves to: the
-    # same experiment, with one digest.
+    # to_dict writes the k_max a config resolves to: the same experiment,
+    # with one digest.
     rebuilt = cli.parse_config(json.dumps(config.to_dict()))
     assert rebuilt.to_dict() == config.to_dict() and rebuilt.digest() == config.digest()
 

@@ -178,7 +178,7 @@ def test_trial_streams_are_the_trials_seeds():
             seed = trial_seed(11, 2, t)
             for tag, stream in zip((1, 2, 3, 4), trial):
                 if stream is None:
-                    assert tag == 4 and not config.regenerate_matrix
+                    assert tag == 4 and config.design.kind != "gaussian"
                     continue
                 expected = np.random.PCG64(splitmix64(seed ^ tag)).state["state"]
                 assert (stream.state, stream.inc) == (expected["state"], expected["inc"])
@@ -187,7 +187,7 @@ def test_trial_streams_are_the_trials_seeds():
 @pytest.mark.parametrize("name", ["fig1_hadamard", "fig2_gaussian"])
 def test_run_trial_with_and_without_streams(name):
     config = figure_config(name, 20, 3)
-    matrix = None if config.regenerate_matrix else build_design(config.design)
+    matrix = build_design(config.design)
     for snr_index, snr_db in enumerate(config.snr_db_list[:3]):
         streams = trial_streams(config, snr_index, 0, 20)
         for t in range(0, 20, 3):
