@@ -6,7 +6,6 @@ design diagnostics and Monte-Carlo harness used to benchmark them.
 """
 from .analysis import (
     EpsilonBounds,
-    RegularityReport,
     epsilon_bounds,
     erc_constant,
     mutual_incoherence,
@@ -68,7 +67,6 @@ __all__ = [
     "EpsilonBounds",
     "ExperimentConfig",
     "OrthoBasisState",
-    "RegularityReport",
     "ResidualRatios",
     "RrtaParams",
     "SignalSpec",

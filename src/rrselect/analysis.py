@@ -11,22 +11,19 @@ from fractions import Fraction
 import numpy as np
 
 from .designs import DesignMatrix
-from .errors import DomainError, RankDeficientError, TooManySubsetsError, is_real, require_int, require_real
+from .errors import (
+    DomainError,
+    RankDeficientError,
+    TooManySubsetsError,
+    is_real,
+    require_indices,
+    require_int,
+    require_real,
+)
 from .linalg import RANK_TOL
 from .special import build_threshold_table
 
 SUBSET_GUARD = 1_000_000
-
-
-@dataclass
-class RegularityReport:
-    """Design-matrix diagnostics relevant to greedy support recovery."""
-
-    mu: float
-    mic_max_k0: int
-    erc_constant: float | None = None
-    ric: dict[int, float] | None = None
-    notes: str = ""
 
 
 @dataclass(frozen=True)
@@ -94,15 +91,15 @@ def erc_constant(design: DesignMatrix, support) -> float:
     Values below 1 certify that greedy selection started on S never leaves it
     in the noiseless case.
 
-    X_S^+ X_j solves R c = Q^T X_j for X_S = Q R. RankDeficientError for
-    |S| > n or any |R_jj| <= RANK_TOL ||x_j||, the greedy paths' rank test,
-    with ||x_j||^2 read from design.column_sq.
+    DomainError unless S is a nonempty list of column indices
+    (errors.require_indices). X_S^+ X_j solves R c = Q^T X_j for X_S = Q R.
+    RankDeficientError for |S| > n or any |R_jj| <= RANK_TOL ||x_j||, the
+    greedy paths' rank test, with ||x_j||^2 read from design.column_sq; a
+    repeated index fails it.
     """
-    support = sorted(int(i) for i in support)
+    support = list(require_indices("support", support, design.p))
     if not support:
         raise DomainError("support must be nonempty")
-    if not 0 <= support[0] <= support[-1] < design.p:
-        raise IndexError(f"support indices must lie in [0, {design.p})")
     if len(support) > design.n:
         raise RankDeficientError(f"{len(support)} support columns in dimension {design.n} are dependent")
     x = design.matrix
@@ -184,28 +181,3 @@ def epsilon_bounds(
     eps_rrm = scale / (1.0 + ratio * (2.0 + beta_max / beta_min))
     eps_sigma = sigma * math.sqrt(n + 2.0 * math.sqrt(n * math.log(n)))
     return EpsilonBounds(eps_omp, eps_rrt, eps_rrt_tilde, eps_rrm, eps_sigma)
-
-
-def build_regularity_report(
-    design: DesignMatrix,
-    support=None,
-    ric_orders=(),
-) -> RegularityReport:
-    """Assemble the diagnostics; RIC orders beyond the subset guard are skipped
-    with a note, and the ERC is computed only when a support is given."""
-    mu = mutual_incoherence(design)
-    report = RegularityReport(mu=mu, mic_max_k0=mic_sparsity_limit(mu))
-    ric: dict[int, float] = {}
-    skipped = []
-    for order in ric_orders:
-        if math.comb(design.p, order) > SUBSET_GUARD:
-            skipped.append(order)
-            continue
-        ric[order] = ric_bruteforce(design, order)
-    if ric:
-        report.ric = ric
-    if skipped:
-        report.notes = f"RIC orders {skipped} skipped (subset guard)"
-    if support is not None:
-        report.erc_constant = erc_constant(design, support)
-    return report

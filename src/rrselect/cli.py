@@ -16,7 +16,7 @@ import tempfile
 
 from . import analysis, simulate
 from .designs import SignalSpec, load_design_csv, make_gaussian
-from .errors import ParseError, ValidationError
+from .errors import ParseError, TooManySubsetsError, ValidationError
 from .linalg import load_vector_csv, save_matrix_csv
 from .omp import default_kmax, solution_path
 from .selectors import residual_ratios
@@ -260,25 +260,28 @@ def _cmd_threshold(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     design = load_design_csv(args.matrix)
-    support = None
-    if args.support:
-        support = [int(tok) - 1 for tok in args.support.split(",") if tok]
-    orders = tuple(range(1, args.ric_max_order + 1)) if args.ric_max_order else ()
-    report = analysis.build_regularity_report(design, support=support, ric_orders=orders)
+    support = [int(tok) - 1 for tok in args.support.split(",") if tok] if args.support else None
+    mu = analysis.mutual_incoherence(design)
+    mic_max_k0 = analysis.mic_sparsity_limit(mu)
+    ric: dict[int, float] = {}
+    skipped = []
+    for order in range(1, args.ric_max_order + 1):
+        try:
+            ric[order] = analysis.ric_bruteforce(design, order)
+        except TooManySubsetsError:
+            skipped.append(order)
+    erc = None if support is None else analysis.erc_constant(design, support)
+    notes = [f"RIC orders {skipped} skipped (subset guard)"] if skipped else []
 
     k0 = args.k0
     k_max = args.k_max if args.k_max is not None else default_kmax(design.n)
     # RIC inputs: brute-force values when available, else the incoherence
     # bound delta_j <= (j-1) mu as a proxy.
     def delta_for(order: int) -> float:
-        if report.ric and order in report.ric:
-            return report.ric[order]
-        return min((order - 1) * report.mu, 0.999999)
+        return ric[order] if order in ric else min((order - 1) * mu, 0.999999)
 
-    proxy_used = not (report.ric and k0 in report.ric and (k0 + 1) in report.ric)
-    if proxy_used:
-        extra = "epsilon bounds use the incoherence proxy delta_j <= (j-1) mu"
-        report.notes = f"{report.notes}; {extra}" if report.notes else extra
+    if not (k0 in ric and k0 + 1 in ric):
+        notes.append("epsilon bounds use the incoherence proxy delta_j <= (j-1) mu")
     bounds = analysis.epsilon_bounds(
         delta_k0=delta_for(k0),
         delta_k0p1=delta_for(k0 + 1),
@@ -293,11 +296,11 @@ def _cmd_diagnose(args) -> int:
     )
     payload = {
         "regularity": {
-            "mu": report.mu,
-            "mic_max_k0": report.mic_max_k0,
-            "erc_constant": report.erc_constant,
-            "ric": {str(k): v for k, v in report.ric.items()} if report.ric else None,
-            "notes": report.notes,
+            "mu": mu,
+            "mic_max_k0": mic_max_k0,
+            "erc_constant": erc,
+            "ric": {str(k): v for k, v in ric.items()} or None,
+            "notes": "; ".join(notes),
         },
         "epsilon_bounds": dataclasses.asdict(bounds),
     }

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError, is_int, is_real, require_int
+from .errors import DimensionMismatchError, ValidationError, is_int, is_real, require_indices, require_int
 from .linalg import load_matrix_csv
 from .streams import Stream
 
@@ -93,24 +93,22 @@ class SignalSpec:
             raise ValidationError(f"signal.ratio: must be a finite number, got {self.ratio!r}")
         object.__setattr__(self, "ratio", float(self.ratio))
         if self.k0 < 1:
-            raise ValidationError(f"k0 must be >= 1, got {self.k0}")
+            raise ValidationError(f"signal.k0: must be >= 1, got {self.k0!r}")
         if self.kind not in SIGNAL_KINDS:
-            raise ValidationError(f"signal kind must be one of {SIGNAL_KINDS}, got {self.kind!r}")
+            raise ValidationError(f"signal.kind: must be one of {SIGNAL_KINDS}, got {self.kind!r}")
         if self.kind == "geometric" and not 0.0 < self.ratio < 1.0:
-            raise ValidationError(f"geometric ratio must lie in (0,1), got {self.ratio}")
+            raise ValidationError(f"signal.ratio: must lie in (0,1) for a geometric signal, got {self.ratio!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class SparseProblem:
-    """Ground truth for one synthetic trial: y = X beta + w at a known SNR."""
+    """What one synthetic trial draws for y = X beta + w: the noise level
+    sigma, the noise w and the observation y. The design, beta, its support
+    and the SNR are the caller's own inputs."""
 
-    design: DesignMatrix
-    true_support: frozenset[int]
-    beta: np.ndarray
     sigma: float
     noise: np.ndarray
     observation: np.ndarray
-    snr: float
 
 
 def sylvester_hadamard(n: int) -> np.ndarray:
@@ -161,11 +159,9 @@ def sample_support(p: int, k0: int, seed: int | Stream) -> tuple[int, ...]:
 def make_signal(p: int, support, spec: SignalSpec, seed: int | Stream) -> np.ndarray:
     """Sparse coefficient vector with the given support and value model."""
     require_int("p", p, ValidationError)
-    support = tuple(sorted(int(i) for i in support))
+    support = require_indices("support", support, p, ValidationError)
     if len(set(support)) != len(support):
         raise ValidationError("support contains repeated indices")
-    if support and not 0 <= support[0] <= support[-1] < p:
-        raise ValidationError(f"support indices must lie in [0, {p})")
     if len(support) != spec.k0:
         raise ValidationError(f"support size {len(support)} != spec k0 {spec.k0}")
     gen = Stream.of(seed).generator()
@@ -187,7 +183,7 @@ def synthesize(design: DesignMatrix, beta: np.ndarray, support, snr: float, seed
         raise ValidationError(f"snr must be positive and finite, got {snr!r}")
     snr = float(snr)
     beta = np.asarray(beta, dtype=np.float64)
-    support = frozenset(int(i) for i in support)
+    support = frozenset(require_indices("support", support, design.p, ValidationError))
     nonzero = {int(i) for i in np.nonzero(beta)[0]}
     if nonzero != support:
         raise ValidationError("beta must be nonzero exactly on the given support")
@@ -201,12 +197,4 @@ def synthesize(design: DesignMatrix, beta: np.ndarray, support, snr: float, seed
     n = design.n
     sigma = signal_norm / math.sqrt(n * snr)
     noise = Stream.of(seed).generator().normal(0.0, sigma, size=n)
-    return SparseProblem(
-        design=design,
-        true_support=support,
-        beta=beta,
-        sigma=sigma,
-        noise=noise,
-        observation=signal + noise,
-        snr=snr,
-    )
+    return SparseProblem(sigma=sigma, noise=noise, observation=signal + noise)

@@ -2,7 +2,9 @@
 every entry point checks its scalar arguments: a size is an int and not a
 bool (`is_int`); a real is a finite int, float or numpy integer or floating
 scalar, not a bool or numpy bool (`is_real`), and enters arithmetic as
-float(value). A refusal is a typed error from here, never a bare TypeError."""
+float(value); a support index is an int or numpy integer, not a bool, below
+the size it indexes (`require_indices`). A refusal is a typed error from
+here, never a bare TypeError."""
 import math
 import sys
 
@@ -73,3 +75,13 @@ def require_real(name: str, value, low=-math.inf, high=math.inf) -> float:
         raise DomainError(f"{name} must {spans.get((low, high), f'lie in ({low:g},{high:g})')}, got {value!r}")
     return float(value)
 
+
+def require_indices(name: str, indices, size: int, error: type[ValueError] = DomainError) -> tuple[int, ...]:
+    """The entries of `indices` as a sorted tuple of ints; raise `error` unless
+    each is an int or numpy integer, not a bool, in [0, size). A float would
+    be truncated to a wrong index. Repeats are kept, for the caller to judge."""
+    indices = tuple(indices)  # it may be an iterator, read twice here
+    for i in indices:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < size:
+            raise error(f"{name} indices must be integers in [0, {size}), got {i!r}")
+    return tuple(sorted(map(int, indices)))

@@ -22,7 +22,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import special
-from .errors import DomainError, EmptyPathError, require_int, require_real
+from .errors import DomainError, EmptyPathError, require_indices, require_int, require_real
 from .omp import SolutionPath
 from .special import ALPHA_FLOOR
 
@@ -162,6 +162,6 @@ def minimal_superset_index(path: SolutionPath, true_support) -> int | float:
 
     The empty support is contained in every prefix, so it yields 0.
     """
-    target = frozenset(int(i) for i in true_support)
+    target = frozenset(require_indices("true_support", true_support, path.p))
     hits = prefix_hits(path, target)
     return hits.index(len(target)) if hits[-1] == len(target) else math.inf

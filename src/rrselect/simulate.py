@@ -97,7 +97,9 @@ class DesignSpec:
     """How to materialize the sensing matrix for a sweep; p of
     identity_hadamard defaults to 2n, the only p it allows. A gaussian
     design is drawn afresh in every trial; a fixed matrix is an external one
-    (`rrselect gen-matrix` writes a seeded Gaussian one)."""
+    (`rrselect gen-matrix` writes a seeded Gaussian one). normalize is for
+    gaussian and path for external only: elsewhere each would change the
+    experiment id and no row."""
 
     kind: str
     n: int
@@ -112,15 +114,15 @@ class DesignSpec:
         if self.p is None and kind == "identity_hadamard":
             object.__setattr__(self, "p", 2 * n)
         _require(is_int(self.p), "design.p", "be an integer", self.p)
-        _require(isinstance(self.normalize, bool), "design.normalize", "be true or false", self.normalize)
-        _require(self.path is None or isinstance(self.path, str), "design.path", "be a string or None", self.path)
+        normalize_ok = self.normalize is False or self.normalize is True and kind == "gaussian"
+        _require(normalize_ok, "design.normalize", "be false, or true for kind 'gaussian'", self.normalize)
+        path_ok = isinstance(self.path, str) and self.path != "" if kind == "external" else self.path is None
+        _require(path_ok, "design.path", "be a CSV path for kind 'external', else None", self.path)
         if kind == "identity_hadamard":
             if n < 1 or n & (n - 1):
                 raise ValidationError(f"design.n: must be a power of two, got {n}")
             if self.p != 2 * n:
                 raise ValidationError(f"design.p: must equal 2n={2 * n}, got {self.p}")
-        if kind == "external" and not self.path:
-            raise ValidationError("design.path: required for kind 'external'")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rrselect.analysis import (
-    build_regularity_report,
     epsilon_bounds,
     erc_constant,
     mic_sparsity_limit,
@@ -163,7 +162,7 @@ def test_erc_raises_where_the_basis_append_raises():
             for j in sorted(support):
                 state.append(x, j)
     for support in ((-1,), (5,), (0, 5)):
-        with pytest.raises(IndexError):
+        with pytest.raises(DomainError, match=r"support indices must be integers in \[0, 5\)"):
             erc_constant(DesignMatrix(x), support)
 
 def test_erc_support_larger_than_n_is_rank_deficient():
@@ -278,16 +277,3 @@ def test_rrt_error_lower_bound_past_the_double_range():
     assert rrt_error_lower_bound(0.5, 1, 2**1024 + 1, 1) == 2.0**-1025
     assert rrt_error_lower_bound(0.1, 2, 10**400, 1) == 0.0
 
-
-def test_regularity_report_assembly():
-    d = make_identity_hadamard(4)
-    report = build_regularity_report(d, support=(0, 5), ric_orders=(1, 2))
-    assert report.mu == pytest.approx(0.5)
-    assert report.mic_max_k0 == mic_sparsity_limit(report.mu)
-    assert report.ric == {1: pytest.approx(0.0, abs=1e-12), 2: pytest.approx(0.5)}
-    assert report.erc_constant is not None
-
-    big = make_gaussian(8, 64, seed=1)
-    capped = build_regularity_report(big, ric_orders=(1, 6))
-    assert 6 not in (capped.ric or {})
-    assert "guard" in capped.notes

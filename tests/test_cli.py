@@ -1,9 +1,11 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rrselect.analysis import mic_sparsity_limit
 from rrselect.cli import FIGURE_NAMES, figure_config, main, parse_config
 from rrselect.designs import SignalSpec, load_design_csv, make_gaussian, make_identity_hadamard
 from rrselect.errors import ParseError, ValidationError
@@ -473,10 +475,45 @@ def test_diagnose_json(tmp_path, capsys):
     ])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["regularity"]["mu"] == pytest.approx(0.5)
-    assert payload["regularity"]["ric"]["2"] == pytest.approx(0.5)
-    assert payload["regularity"]["erc_constant"] is not None
+    regularity = payload["regularity"]
+    assert regularity["mu"] == pytest.approx(0.5)
+    assert regularity["mic_max_k0"] == mic_sparsity_limit(regularity["mu"])
+    assert regularity["ric"] == {"1": pytest.approx(0.0, abs=1e-12), "2": pytest.approx(0.5)}
+    assert regularity["erc_constant"] is not None
+    assert regularity["notes"] == ""  # RIC orders k0 = 1 and 2 are computed: no proxy
     assert payload["epsilon_bounds"]["eps_sigma"] > 0.0
+
+
+def test_diagnose_skips_the_ric_orders_past_the_subset_guard(tmp_path, capsys):
+    # C(256, 3) = 2,763,520 subsets exceed the guard of 10^6; C(256, 2) does not.
+    mpath = tmp_path / "G.csv"
+    gen = ["gen-matrix", "--kind", "gaussian", "--n", "8", "--p", "256", "--seed", "1", "--normalize"]
+    assert main([*gen, "--out", str(mpath)]) == 0
+    capsys.readouterr()
+    assert main(["diagnose", "--matrix", str(mpath), "--k0", "3", "--ric-max-order", "3"]) == 0
+    regularity = json.loads(capsys.readouterr().out)["regularity"]
+    assert list(regularity["ric"]) == ["1", "2"]
+    assert regularity["notes"] == (
+        "RIC orders [3] skipped (subset guard); epsilon bounds use the incoherence proxy delta_j <= (j-1) mu"
+    )
+    assert regularity["erc_constant"] is None
+
+
+@pytest.mark.parametrize(
+    "matrix, args, message",
+    [
+        (np.ones((3, 1)), [], "mutual incoherence needs at least two columns"),
+        (make_identity_hadamard(4).matrix, ["--support", "0"], r"support indices must be integers in \[0, 8\), got -1"),
+        (make_identity_hadamard(4).matrix, ["--ric-max-order", "9"], r"order must lie in \[1, p=8\], got 9"),
+    ],
+)
+def test_diagnose_fails_with_a_one_line_error(tmp_path, capsys, matrix, args, message):
+    mpath = tmp_path / "X.csv"
+    save_matrix_csv(mpath, matrix)
+    assert main(["diagnose", "--matrix", str(mpath), "--k0", "1", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(f"error: {message}\n", captured.err)
 
 
 @pytest.mark.parametrize("flag, value", [("--sigma", "nan"), ("--sigma", "inf"), ("--beta-min", "nan"), ("--beta-max", "inf")])

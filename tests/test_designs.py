@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 
@@ -7,6 +8,7 @@ import pytest
 from rrselect.designs import (
     DesignMatrix,
     SignalSpec,
+    SparseProblem,
     load_design_csv,
     make_gaussian,
     make_identity_hadamard,
@@ -224,14 +226,23 @@ def test_make_signal_validation():
     spec = SignalSpec(k0=3, kind="pm_one")
     with pytest.raises(ValidationError):
         make_signal(10, (1, 2), spec, seed=0)  # size mismatch
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^support indices must be integers in \[0, 10\), got 12$"):
         make_signal(10, (1, 2, 12), spec, seed=0)  # out of range
-    with pytest.raises(ValidationError):
-        SignalSpec(k0=0)
-    with pytest.raises(ValidationError):
-        SignalSpec(k0=2, kind="geometric", ratio=1.5)
-    with pytest.raises(ValidationError):
-        SignalSpec(k0=2, kind="unknown")
+    with pytest.raises(ValidationError, match="^support contains repeated indices$"):
+        make_signal(10, (1, 2, 2), spec, seed=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"k0": 0}, r"signal\.k0: must be >= 1, got 0"),
+        ({"k0": 2, "kind": "unknown"}, r"signal\.kind: must be one of \('pm_one', 'geometric'\), got 'unknown'"),
+        ({"k0": 2, "kind": "geometric", "ratio": 1.5}, r"signal\.ratio: must lie in \(0,1\) for a geometric signal, got 1\.5"),
+    ],
+)
+def test_signal_spec_range_refusals_name_their_field(kwargs, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        SignalSpec(**kwargs)
 
 
 @pytest.mark.parametrize(
@@ -299,6 +310,10 @@ def test_synthesize_validation():
     for snr in (0.0, -1.0, math.nan, math.inf):  # inf would give sigma 0, which no sigma rule takes
         with pytest.raises(ValidationError, match="snr must be positive"):
             synthesize(design, beta, (1,), snr=snr, seed=0)
+
+
+def test_a_sparse_problem_holds_only_what_synthesize_draws():
+    assert tuple(f.name for f in dataclasses.fields(SparseProblem)) == ("sigma", "noise", "observation")
 
 
 def test_synthesize_reproducible():

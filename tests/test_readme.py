@@ -19,8 +19,10 @@ MODULE_MAP = re.search(r"## Module map\n(.*?)(?:\n## |\Z)", README, re.S).group(
 MODULE_ROWS = {m.group(1): m.group(0) for m in re.finditer(r"^\| `(\w+)` .*$", MODULE_MAP, re.M)}
 # Public names deleted from the package; the README must not name them either.
 DELETED = (
+    "RegularityReport",
     "beta_cdf",
     "beta_cdf_inv",
+    "build_regularity_report",
     "check_level_args",
     "derive_trial_seed",
     "is_finite_number",

@@ -296,6 +296,23 @@ def test_identity_hadamard_p_is_2n_whether_given_or_left_out():
         _config(design=DesignSpec("gaussian", 1, 3), signal=SignalSpec(1))
 
 
+def test_normalize_and_path_are_refused_for_the_kinds_that_do_not_read_them():
+    # Set for another kind, either would split the experiment id of identical rows.
+    preset = dataclasses.replace(cli.figure_config("fig1_hadamard", 20, 7), snr_db_list=(20.0,))
+    assert preset.digest() == "869a2ea8f489"
+    normalize = r"^design\.normalize: must be false, or true for kind 'gaussian', got True$"
+    path = r"^design\.path: must be a CSV path for kind 'external', else None, got "
+    for kind in ("identity_hadamard", "external"):
+        with pytest.raises(ValidationError, match=normalize):
+            DesignSpec(kind, 32, 64, normalize=True, path="X.csv")
+    for kind in ("identity_hadamard", "gaussian"):
+        with pytest.raises(ValidationError, match=path + "'nowhere.csv'$"):
+            DesignSpec(kind, 32, 64, path="nowhere.csv")
+    with pytest.raises(ValidationError, match=path + "''$"):
+        DesignSpec("external", 32, 64, path="")
+    assert DesignSpec("gaussian", 32, 64, normalize=True).normalize is True
+
+
 @pytest.mark.parametrize(
     "overrides, field",
     [
