@@ -34,7 +34,6 @@ from .omp import (
 )
 from .selectors import (
     ResidualRatios,
-    RrtaParams,
     minimal_superset_index,
     prefix_hits,
     residual_ratios,
@@ -68,7 +67,6 @@ __all__ = [
     "ExperimentConfig",
     "OrthoBasisState",
     "ResidualRatios",
-    "RrtaParams",
     "SignalSpec",
     "SolutionPath",
     "SparseProblem",

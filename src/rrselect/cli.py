@@ -260,7 +260,11 @@ def _cmd_threshold(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     design = load_design_csv(args.matrix)
-    support = [int(tok) - 1 for tok in args.support.split(",") if tok] if args.support else None
+    tokens = [tok for tok in args.support.split(",") if tok] if args.support else []
+    for tok in tokens:  # 1-based: a bad one is named as typed
+        if not (tok.strip().isdecimal() and 1 <= int(tok) <= design.p):
+            raise ValidationError(f"--support: indices must be integers in [1, {design.p}], got {tok!r}")
+    support = [int(tok) - 1 for tok in tokens] if args.support else None
     mu = analysis.mutual_incoherence(design)
     mic_max_k0 = analysis.mic_sparsity_limit(mu)
     ric: dict[int, float] = {}
@@ -364,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     thr.add_argument("--n", type=int, required=True)
     thr.add_argument("--p", type=int, required=True)
     thr.add_argument("--k-max", type=int, required=True)
-    thr.add_argument("--alpha", type=float, default=0.1)
+    thr.add_argument("--alpha", type=float, default=AlgorithmSpec.alpha)
     thr.add_argument("--out")
     thr.set_defaults(func=_cmd_threshold)
 
@@ -388,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     diag.add_argument("--matrix", required=True)
     diag.add_argument("--k0", type=int, default=3)
     diag.add_argument("--k-max", type=int)
-    diag.add_argument("--alpha", type=float, default=0.1)
+    diag.add_argument("--alpha", type=float, default=AlgorithmSpec.alpha)
     diag.add_argument("--sigma", type=float, default=0.1)
     diag.add_argument("--beta-min", type=float, default=1.0)
     diag.add_argument("--beta-max", type=float, default=1.0)

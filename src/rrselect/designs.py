@@ -76,7 +76,7 @@ class DesignMatrix:
 class SignalSpec:
     """Shape of the sparse coefficient vector to draw.
 
-    pm_one: each support entry is an independent uniform +-1.
+    pm_one: each support entry is an independent uniform +-1 (ratio unread).
     geometric: the values {1, ratio, ..., ratio^(k0-1)} are placed on the
     support in a random order (dynamic range ratio^-(k0-1)).
     """
@@ -89,7 +89,7 @@ class SignalSpec:
         # Types first: in the range checks a string raises a bare TypeError, and 3.5 or True pass.
         if not is_int(self.k0):
             raise ValidationError(f"signal.k0: must be an integer, got {self.k0!r}")
-        if not is_real(self.ratio):  # also for pm_one, which reads no ratio
+        if not is_real(self.ratio):
             raise ValidationError(f"signal.ratio: must be a finite number, got {self.ratio!r}")
         object.__setattr__(self, "ratio", float(self.ratio))
         if self.k0 < 1:
@@ -98,6 +98,8 @@ class SignalSpec:
             raise ValidationError(f"signal.kind: must be one of {SIGNAL_KINDS}, got {self.kind!r}")
         if self.kind == "geometric" and not 0.0 < self.ratio < 1.0:
             raise ValidationError(f"signal.ratio: must lie in (0,1) for a geometric signal, got {self.ratio!r}")
+        if self.kind == "pm_one" and self.ratio != SignalSpec.ratio:
+            raise ValidationError(f"signal.ratio: must keep its default 1/3 (pm_one reads none), got {self.ratio!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,7 +40,6 @@ class SolutionPath:
     for k = 0..K (index 0 is the raw observation).
     """
 
-    rule: str
     selected: tuple[int, ...]
     residual_norms: np.ndarray
     residual_corr_inf: np.ndarray
@@ -177,7 +176,6 @@ def solution_path(design: DesignMatrix, y: np.ndarray, k_max: int, rule: str = "
             np.maximum(res_col_sq - qx * qx, 0.0, out=res_col_sq)
 
     return SolutionPath(
-        rule=rule,
         selected=tuple(selected),
         residual_norms=np.ldexp(norms, e),
         residual_corr_inf=np.ldexp(corr_inf, e),

@@ -76,18 +76,6 @@ class ResidualRatios:
         return special.half_beta_log_cdf_bounds(self.n, self.values.tolist())
 
 
-@dataclass(frozen=True)
-class RrtaParams:
-    """Adaptive-level parameters: level = min(pfd_finite, (min_k RR(k))^q)."""
-
-    pfd_finite: float = 0.1
-    q: float = 2.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pfd_finite", require_real("pfd_finite", self.pfd_finite, 0.0, 1.0))
-        object.__setattr__(self, "q", require_real("q", self.q, 0.0, math.inf))
-
-
 def residual_ratios(path: SolutionPath) -> ResidualRatios:
     """Per-step relative residual decay along the path, with the path's
     problem size (n, p, k_max).
@@ -138,16 +126,18 @@ def rrm_select(ratios: ResidualRatios) -> int | None:
     return int(np.argmin(ratios.values)) + 1
 
 
-def rrta_alpha(ratios: ResidualRatios, params: RrtaParams) -> float:
-    """Adaptive level min(pfd_finite, (min RR)^q), floored at ALPHA_FLOOR."""
+def rrta_alpha(ratios: ResidualRatios, pfd: float, q: float) -> float:
+    """Adaptive level min(pfd, (min RR)^q), floored at ALPHA_FLOOR; DomainError
+    unless pfd is a real in (0, 1) and q a positive real."""
+    pfd = require_real("pfd", pfd, 0.0, 1.0)
+    q = require_real("q", q, 0.0, math.inf)
     min_rr = float(np.min(ratios.values))
-    level = min(params.pfd_finite, min_rr**params.q)
-    return max(level, ALPHA_FLOOR)
+    return max(min(pfd, min_rr**q), ALPHA_FLOOR)
 
 
-def rrta_select(ratios: ResidualRatios, params: RrtaParams) -> int | None:
-    """RRT at the data-adaptive level rrta_alpha(ratios, params)."""
-    return rrt_select(ratios, rrta_alpha(ratios, params))
+def rrta_select(ratios: ResidualRatios, pfd: float, q: float) -> int | None:
+    """RRT at the data-adaptive level rrta_alpha(ratios, pfd, q)."""
+    return rrt_select(ratios, rrta_alpha(ratios, pfd, q))
 
 
 def prefix_hits(path: SolutionPath, support) -> list[int]:

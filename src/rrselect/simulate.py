@@ -30,7 +30,7 @@ from .designs import (
 )
 from .errors import ValidationError, is_int, is_real
 from .omp import RULES, SupportEstimate, default_kmax, solution_path, stop_fixed, stop_rcsc, stop_rpsc
-from .selectors import RrtaParams, prefix_hits, residual_ratios, rrm_select, rrt_select, rrta_select
+from .selectors import prefix_hits, residual_ratios, rrm_select, rrt_select, rrta_select
 from .streams import Stream, pcg64_states
 
 DESIGN_KINDS = ("identity_hadamard", "gaussian", "external")
@@ -40,8 +40,8 @@ _MASK64 = (1 << 64) - 1
 _SEED_CHUNK = 1024
 
 # The open interval each AlgorithmSpec parameter must lie in: the domains the
-# kernels enforce (rrt_threshold for alpha, RrtaParams for pfd and q); eta,
-# the exponent of the sigma^-eta scaling, only needs to be finite.
+# kernels enforce (rrt_select for alpha, rrta_alpha for pfd and q); eta, the
+# exponent of the sigma^-eta scaling, only needs to be finite.
 PARAMETER_DOMAINS = {
     "alpha": (0.0, 1.0),
     "eta": (-math.inf, math.inf),
@@ -82,7 +82,7 @@ ALGORITHMS: dict[str, Algorithm] = {
     "rcsc_hsc": Algorithm(lambda path, rr, o, s: stop_rcsc(path, o.sigma, eta=s.eta), ("eta",), "sigma"),
     "rrt": Algorithm(lambda path, rr, o, s: path.estimate(rrt_select(rr, s.alpha)), ("alpha",)),
     "rrm": Algorithm(lambda path, rr, o, s: path.estimate(rrm_select(rr))),
-    "rrta": Algorithm(lambda path, rr, o, s: path.estimate(rrta_select(rr, RrtaParams(s.pfd, s.q))), ("q", "pfd")),
+    "rrta": Algorithm(lambda path, rr, o, s: path.estimate(rrta_select(rr, pfd=s.pfd, q=s.q)), ("q", "pfd")),
 }
 
 
@@ -95,11 +95,13 @@ def _require(ok: bool, where: str, what: str, value) -> None:
 @dataclass(frozen=True)
 class DesignSpec:
     """How to materialize the sensing matrix for a sweep; p of
-    identity_hadamard defaults to 2n, the only p it allows. A gaussian
-    design is drawn afresh in every trial; a fixed matrix is an external one
-    (`rrselect gen-matrix` writes a seeded Gaussian one). normalize is for
-    gaussian and path for external only: elsewhere each would change the
-    experiment id and no row."""
+    identity_hadamard defaults to 2n, the only p it allows, and is stored, so
+    dataclasses.replace copies it: replace(DesignSpec("identity_hadamard",
+    32), n=16, p=None) derives p = 32, and without p=None it raises "design.p:
+    must equal 2n=32, got 64". A gaussian design is drawn afresh in every
+    trial; a fixed matrix is an external one (`rrselect gen-matrix` writes a
+    seeded Gaussian one). normalize is for gaussian and path for external
+    only: elsewhere each would change the experiment id and no row."""
 
     kind: str
     n: int
@@ -127,10 +129,10 @@ class DesignSpec:
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
-    """One configured algorithm. The field defaults are every entry point's
-    defaults; parameters the algorithm does not read keep them. A spec cannot
-    know its place in a list: whoever builds it from one prefixes the field
-    its ValidationError names with that place."""
+    """One configured algorithm. The field defaults are every entry point's;
+    a parameter the algorithm does not read must keep its default, as another
+    value would change the experiment id and no row. A spec cannot know its
+    place in a list: its builder prefixes the field its errors name with it."""
 
     name: str
     rule: str = "omp"
@@ -161,7 +163,11 @@ class AlgorithmSpec:
         for key, (low, high) in PARAMETER_DOMAINS.items():
             value = getattr(self, key)
             _require(is_real(value), key, "be a finite number", value)
-            _require(key not in read or low < value < high, key, f"lie in ({low:g},{high:g})", value)
+            if key in read:
+                _require(low < value < high, key, f"lie in ({low:g},{high:g})", value)
+            else:
+                default = getattr(AlgorithmSpec, key)  # the field's default
+                _require(float(value) == default, key, f"keep its default {default:g} ({name} does not read it)", value)
 
 
 @dataclass(frozen=True)

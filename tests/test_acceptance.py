@@ -18,7 +18,6 @@ from rrselect.designs import (
 )
 from rrselect.omp import default_kmax, solution_path
 from rrselect.selectors import (
-    RrtaParams,
     minimal_superset_index,
     residual_ratios,
     rrm_select,
@@ -268,12 +267,11 @@ def test_criterion_8_bruteforce_oracles():
 
 def test_criterion_9_selector_scale_invariance():
     design = make_identity_hadamard(32)
-    params = RrtaParams(0.1, 2.0)
 
     def decisions(y):
         path = solution_path(design, y, 16)
         rr = residual_ratios(path)
-        keys = (path.selected, rrt_select(rr, 0.1), rrm_select(rr), rrta_select(rr, params))
+        keys = (path.selected, rrt_select(rr, 0.1), rrm_select(rr), rrta_select(rr, 0.1, 2.0))
         return keys, rr.values
 
     all_ok = True

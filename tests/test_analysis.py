@@ -1,7 +1,11 @@
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrselect.analysis import (
     epsilon_bounds,
@@ -14,6 +18,8 @@ from rrselect.analysis import (
 from rrselect.designs import DesignMatrix, make_gaussian, make_identity_hadamard
 from rrselect.errors import DomainError, RankDeficientError, TooManySubsetsError
 from rrselect.linalg import OrthoBasisState
+from rrselect.omp import default_kmax, solution_path
+from rrselect.selectors import residual_ratios, rrm_select, rrt_select
 from rrselect.special import build_threshold_table
 
 RRT_LB_01_16_64_3 = 1.0245901639344262e-4  # 0.1 / (16 * 61)
@@ -242,6 +248,129 @@ def test_epsilon_bounds_domain_errors():
         for bad in (math.nan, math.inf):
             with pytest.raises(DomainError, match=f"{name} must be finite"):
                 epsilon_bounds(**{**good, name: bad})
+
+
+# Recovery certificates checked on real paths. On [I, H/4] (16 x 32, mu = 1/4)
+# the OMP, RRT and RRM margins are all positive at k0 = 1 and 2. The two
+# normalized Gaussian designs have delta_3 >= 1, so only k0 = 1 has margins:
+# eps_omp is 0 on seed 0 (delta_2 = 0.75 > 1/sqrt 2), which makes every
+# implication vacuous, and positive on seed 2 (delta_2 = 0.67).
+_CERTIFIED = {"hadamard": (1, 2), "gaussian seed 0": (1,), "gaussian seed 2": (1,)}
+
+
+@functools.cache
+def _certified_design(name: str):
+    return make_identity_hadamard(16) if name == "hadamard" else make_gaussian(16, 32, int(name[-1]), normalize=True)
+
+
+@functools.cache
+def _certificate(name: str, k0: int, alpha: float):
+    """The design's margins at k0 for +-1 signals (beta_min = beta_max = 1),
+    from its brute-force RIC values of order k0 and k0 + 1."""
+    design = _certified_design(name)
+    delta_k0, delta_k0p1 = (ric_bruteforce(design, order) for order in (k0, k0 + 1))
+    return epsilon_bounds(delta_k0, delta_k0p1, 1.0, 1.0, design.n, design.p, default_kmax(design.n), alpha, 1.0, k0)
+
+
+def test_the_certified_designs_have_the_margins_the_certificate_test_reads():
+    for k0 in (1, 2):
+        bounds = _certificate("hadamard", k0, 0.1)
+        assert min(bounds.eps_omp, bounds.eps_rrm, bounds.eps_rrt) > 0.0
+    assert _certificate("gaussian seed 0", 1, 0.1).eps_omp == 0.0
+    assert _certificate("gaussian seed 2", 1, 0.1).eps_omp > 0.0
+    for name in ("gaussian seed 0", "gaussian seed 2"):
+        assert ric_bruteforce(_certified_design(name), 3) >= 1.0  # no margin at k0 = 2
+
+
+def _noisy_signal(design, k0: int, direction: str, seed: int):
+    """(support, X beta, noise direction w) for a random k0-support with +-1
+    values: w random; s_j x_j - s_i x_i, towards the wrong column j most
+    correlated with X beta and away from the true column i least correlated
+    with it; or random and orthogonal to span(X_S)."""
+    x = design.matrix
+    rng = np.random.default_rng(seed)
+    support = sorted(rng.choice(design.p, k0, replace=False).tolist())
+    beta = np.zeros(design.p)
+    beta[support] = rng.choice([-1.0, 1.0], k0)
+    signal = x @ beta
+    if direction == "towards a wrong column":
+        corr = x.T @ signal
+        wrong = max(set(range(design.p)) - set(support), key=lambda j: abs(corr[j]))
+        true = min(support, key=lambda i: abs(corr[i]))
+        towards, away = (math.copysign(1.0, v) for v in (corr[wrong], beta[true]))
+        return support, signal, towards * x[:, wrong] - away * x[:, true]
+    w = rng.normal(size=design.n)
+    if direction == "orthogonal to the support":
+        q, _ = np.linalg.qr(x[:, support])
+        w -= q @ (q.T @ w)
+    return support, signal, w
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    name_k0=st.sampled_from([(name, k0) for name, orders in _CERTIFIED.items() for k0 in orders]),
+    alpha=st.sampled_from([0.1, 1e-4, 1e-8]),  # eps_rrt < eps_omp on [I, H/4] at 1e-8, and at 1e-4 for k0 = 1
+    target=st.sampled_from(["omp", "rrm", "rrt"]),
+    direction=st.sampled_from(["random", "towards a wrong column", "orthogonal to the support"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_noise_below_a_certified_margin_gives_the_certified_recovery(name_k0, alpha, target, direction, seed):
+    # Noise at 0.999 of a margin, in each direction of _noisy_signal: towards
+    # a wrong column is the worst case of OMP's certificate, orthogonal to
+    # the support makes RR(k0) largest for RRM's and RRT's. A margin of 0
+    # (gaussian seed 0) makes its implications vacuous.
+    name, k0 = name_k0
+    design, bounds = _certified_design(name), _certificate(name, k0, alpha)
+    eps = {
+        "omp": bounds.eps_omp,
+        "rrm": min(bounds.eps_omp, bounds.eps_rrm),
+        "rrt": min(bounds.eps_omp, bounds.eps_rrt),
+    }
+    support, signal, w = _noisy_signal(design, k0, direction, seed)
+    w *= 0.999 * eps[target] / np.linalg.norm(w)
+    path = solution_path(design, signal + w, default_kmax(design.n))
+    ratios = residual_ratios(path)
+    noise = float(np.linalg.norm(w))
+    if noise < eps["omp"]:
+        assert path.support_at(k0) == set(support)
+    if noise < eps["rrt"]:
+        k = rrt_select(ratios, alpha)
+        assert k is not None and k >= k0
+    if noise < eps["rrm"]:
+        # RRM stops no earlier than k0 in every direction, and at k0 except
+        # towards a wrong column, where the margin certifies no exact stop
+        # (test_rrm_margin_is_no_certificate_of_an_exact_stop).
+        assert rrm_select(ratios) >= k0
+        if direction != "towards a wrong column":
+            assert rrm_select(ratios) == k0
+
+
+@pytest.mark.parametrize("name, k0", [("hadamard", 1), ("hadamard", 2), ("gaussian seed 2", 1)])
+def test_rrm_margin_is_no_certificate_of_an_exact_stop(name, k0):
+    # Noise in span(X_S, x_j) is fit exactly at step k0 + 1 once OMP takes x_j
+    # there, so RR(k0 + 1) is 0 and RRM stops at k0 + 1, at any noise norm
+    # below min(eps_omp, eps_rrm), however small. Recorded, formula unchanged.
+    design, bounds = _certified_design(name), _certificate(name, k0, 0.1)
+    eps = min(bounds.eps_omp, bounds.eps_rrm)
+    support, signal, w = _noisy_signal(design, k0, "towards a wrong column", 0)
+    for scale in (0.999, 1e-6):
+        path = solution_path(design, signal + w * (scale * eps / np.linalg.norm(w)), default_kmax(design.n))
+        assert path.support_at(k0) == set(support)
+        ratios = residual_ratios(path)
+        assert ratios.values[k0] < 1e-6 and rrm_select(ratios) == k0 + 1  # 0 up to rounding
+
+
+def test_eps_sigma_bounds_the_gaussian_noise_norm_with_probability_one_less_1_over_n():
+    # ||w||^2 / sigma^2 is chi^2_n, whose CDF at x is P(n/2, x/2): at
+    # (eps_sigma / sigma)^2 it must reach 1 - 1/n, read exactly in mpmath.
+    short = []
+    with mpmath.workdps(40):
+        for n in (*range(2, 201), 500, 1000, 2000, 5000, 10**4):
+            eps = epsilon_bounds(0.0, 0.0, 1.0, 1.0, n, 1, 1, 0.1, 1.0, 1).eps_sigma
+            cdf = mpmath.gammainc(mpmath.mpf(n) / 2, 0, mpmath.mpf(eps) ** 2 / 2, regularized=True)
+            if cdf < 1 - mpmath.mpf(1) / n:
+                short.append((n, cdf))
+    assert short == []
 
 
 def test_rrt_error_lower_bound_values():

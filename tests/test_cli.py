@@ -145,9 +145,30 @@ def test_parse_config_accepts_integral_floats_and_leaves_defaults_to_the_datacla
     assert config.algorithms == (AlgorithmSpec("rrm"),)
 
 
-def test_parse_config_ignores_parameters_an_algorithm_does_not_read():
-    raw = dict(MINIMAL_CONFIG, algorithms=[{"name": "rrm", "alpha": 1.5}])
-    assert parse_config(json.dumps(raw)).algorithms[0].label == "rrm"
+@pytest.mark.parametrize(
+    "section, entry, field",
+    [
+        ("algorithms", {"name": "rrm", "alpha": 1.5}, "algorithms[0].alpha"),
+        ("algorithms", {"name": "rrm", "alpha": 0.5}, "algorithms[0].alpha"),
+        ("algorithms", {"name": "rrt", "q": 3}, "algorithms[0].q"),
+        ("algorithms", {"name": "rrta", "alpha": 0.2}, "algorithms[0].alpha"),
+        ("algorithms", {"name": "rpsc_hsc", "pfd": 0.2}, "algorithms[0].pfd"),
+        ("algorithms", {"name": "fixed_k0", "eta": 0.5}, "algorithms[0].eta"),
+        ("signal", {"k0": 3, "kind": "pm_one", "ratio": 0.5}, "signal.ratio"),
+    ],
+)
+def test_parse_config_refuses_a_parameter_that_the_run_does_not_read(section, entry, field):
+    # Such a value would change the experiment id and no row.
+    raw = dict(MINIMAL_CONFIG, **{section: [entry] if section == "algorithms" else entry})
+    with pytest.raises(ValidationError, match=rf"^{re.escape(field)}: must keep its default "):
+        parse_config(json.dumps(raw))
+
+
+def test_parse_config_accepts_an_unread_parameter_at_its_default():
+    algorithms = [{"name": "rrm", "alpha": 0.1, "q": 2}, {"name": "fixed_k0", "eta": 0.1, "pfd": 0.1}]
+    raw = dict(MINIMAL_CONFIG, algorithms=algorithms, signal={"k0": 3, "kind": "pm_one", "ratio": 1 / 3})
+    plain = dict(MINIMAL_CONFIG, algorithms=["rrm", "fixed_k0"])
+    assert parse_config(json.dumps(raw)).digest() == parse_config(json.dumps(plain)).digest()
 
 
 def test_experiment_ids_are_those_recorded():
@@ -503,7 +524,10 @@ def test_diagnose_skips_the_ric_orders_past_the_subset_guard(tmp_path, capsys):
     "matrix, args, message",
     [
         (np.ones((3, 1)), [], "mutual incoherence needs at least two columns"),
-        (make_identity_hadamard(4).matrix, ["--support", "0"], r"support indices must be integers in \[0, 8\), got -1"),
+        (make_identity_hadamard(4).matrix, ["--support", "0"], r"--support: indices must be integers in \[1, 8\], got '0'"),
+        (make_identity_hadamard(4).matrix, ["--support", "1,9"], r"--support: indices must be integers in \[1, 8\], got '9'"),
+        (make_identity_hadamard(4).matrix, ["--support", "1.5"], r"--support: indices must be integers in \[1, 8\], got '1.5'"),
+        (make_identity_hadamard(4).matrix, ["--support", "2,x"], r"--support: indices must be integers in \[1, 8\], got 'x'"),
         (make_identity_hadamard(4).matrix, ["--ric-max-order", "9"], r"order must lie in \[1, p=8\], got 9"),
     ],
 )

@@ -27,10 +27,10 @@ ROOT_SEED = 7
 TRIALS_PER_PRESET = 40
 
 
-def _record(case: str, path) -> dict:
+def _record(case: str, rule: str, path) -> dict:
     return {
         "case": case,
-        "rule": path.rule,
+        "rule": rule,
         "selected": list(path.selected),
         "status": path.status,
         "residual_norms": [float(v).hex() for v in path.residual_norms],
@@ -39,7 +39,8 @@ def _record(case: str, path) -> dict:
 
 
 def _trial_paths(preset: str, snr_index: int, trial_index: int) -> list:
-    """The OMP and OLS paths of one trial of `preset`, as run_trial computes them."""
+    """The (rule, path) of the OMP and OLS paths of one trial of `preset`, as
+    run_trial computes them."""
     config = dataclasses.replace(
         cli.figure_config(preset, TRIALS_PER_PRESET, ROOT_SEED),
         algorithms=(AlgorithmSpec("rrm"), AlgorithmSpec("rrm", rule="ols")),
@@ -48,9 +49,9 @@ def _trial_paths(preset: str, snr_index: int, trial_index: int) -> list:
     paths = []
     original = simulate.solution_path
 
-    def recording(*args, **kwargs):
-        paths.append(original(*args, **kwargs))
-        return paths[-1]
+    def recording(design, y, k_max, rule):
+        paths.append((rule, original(design, y, k_max, rule)))
+        return paths[-1][1]
 
     simulate.solution_path = recording
     try:
@@ -61,12 +62,13 @@ def _trial_paths(preset: str, snr_index: int, trial_index: int) -> list:
 
 
 def _duplicate_column_paths() -> list:
-    """n=6, columns (a, b, a): the third step can only take the copy of a."""
+    """(rule, path) of both rules on n=6, columns (a, b, a): the third step
+    can only take the copy of a."""
     rng = np.random.default_rng(20181118)
     a, b = rng.normal(size=(2, 6))
     design = DesignMatrix(np.column_stack([a, b, a]))
     y = 2.0 * a - 0.5 * b + 0.1 * rng.normal(size=6)
-    return [solution_path(design, y, 3, rule) for rule in ("omp", "ols")]
+    return [(rule, solution_path(design, y, 3, rule)) for rule in ("omp", "ols")]
 
 
 GROUPS = ("fig1_hadamard", "fig2_gaussian", "duplicated column")
@@ -74,13 +76,13 @@ GROUPS = ("fig1_hadamard", "fig2_gaussian", "duplicated column")
 
 def golden_records(group: str) -> list[dict]:
     if group == "duplicated column":
-        return [_record(group, path) for path in _duplicate_column_paths()]
+        return [_record(group, rule, path) for rule, path in _duplicate_column_paths()]
     records = []
     snr_points = len(cli.figure_config(group, 1, ROOT_SEED).snr_db_list)
     for trial_index in range(TRIALS_PER_PRESET):
         snr_index = trial_index % snr_points
         case = f"{group} snr_index={snr_index} trial={trial_index}"
-        records += [_record(case, path) for path in _trial_paths(group, snr_index, trial_index)]
+        records += [_record(case, rule, path) for rule, path in _trial_paths(group, snr_index, trial_index)]
     return records
 
 

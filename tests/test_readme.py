@@ -20,6 +20,7 @@ MODULE_ROWS = {m.group(1): m.group(0) for m in re.finditer(r"^\| `(\w+)` .*$", M
 # Public names deleted from the package; the README must not name them either.
 DELETED = (
     "RegularityReport",
+    "RrtaParams",
     "beta_cdf",
     "beta_cdf_inv",
     "build_regularity_report",
@@ -28,6 +29,7 @@ DELETED = (
     "is_finite_number",
     "log_cdf_of_square_ceiling",
     "log_cdf_of_square_floor",
+    "pfd_finite",
     "read_sweep_csv",
     "supported_roster",
 )

@@ -19,7 +19,6 @@ from rrselect.errors import DomainError, EmptyPathError, ValidationError
 from rrselect.omp import RULES, SolutionPath, solution_path, stop_rcsc, stop_rpsc
 from rrselect.selectors import (
     ResidualRatios,
-    RrtaParams,
     minimal_superset_index,
     prefix_hits,
     residual_ratios,
@@ -38,13 +37,12 @@ from rrselect.special import (
 )
 
 
-def _path(norms, selected=None, rule="omp"):
+def _path(norms, selected=None):
     """A complete path of len(norms) - 1 steps on a 32 x 64 problem."""
     norms = np.asarray(norms, dtype=float)
     k = len(norms) - 1
     selected = tuple(range(k)) if selected is None else tuple(selected)
     return SolutionPath(
-        rule=rule,
         selected=selected,
         residual_norms=norms,
         residual_corr_inf=np.zeros(k + 1),
@@ -77,7 +75,7 @@ def test_residual_ratios_examples():
     # zero over zero counts as zero: earliest perfect model wins
     assert np.allclose(residual_ratios(_path([1.0, 0.0, 0.0])).values, [0.0, 0.0])
     # A path stopped before its first step has no ratios.
-    empty = SolutionPath("omp", (), np.array([3.0]), np.zeros(1), "rank_deficient", 32, 64, 3)
+    empty = SolutionPath((), np.array([3.0]), np.zeros(1), "rank_deficient", 32, 64, 3)
     with pytest.raises(EmptyPathError):
         residual_ratios(empty)
 
@@ -177,7 +175,7 @@ def test_rrt_select_applies_the_exact_level_past_the_double_range():
 @pytest.mark.parametrize("values", [[math.nan, 0.5], [0.5, math.nan], [1.5, -0.2], [0.5] * 5])
 def test_every_selector_rejects_ratios_outside_zero_one_or_past_k_max(values):
     # k_max = 3; built by hand, since residual_ratios(path) never gives these
-    selectors = (rrm_select, lambda rr: rrta_alpha(rr, RrtaParams()), lambda rr: rrt_select(rr, 0.1))
+    selectors = (rrm_select, lambda rr: rrta_alpha(rr, 0.1, 2.0), lambda rr: rrt_select(rr, 0.1))
     for select in selectors:
         with pytest.raises(DomainError):
             select(_ratios(values))
@@ -540,7 +538,7 @@ def test_zero_observation_selects_nothing():
     assert rr.zero_observation and np.all(rr.values == 0.0)
     assert rrm_select(rr) is None
     assert rrt_select(rr, 0.1) is None
-    assert rrta_select(rr, RrtaParams(0.1, 2.0)) is None
+    assert rrta_select(rr, 0.1, 2.0) is None
     assert path.estimate(rrm_select(rr)).status == "empty_selection"
     # A perfect fit after one step is not a zero observation.
     fitted = residual_ratios(solution_path(design, design.matrix[:, 7].copy(), 16))
@@ -566,23 +564,26 @@ def test_rrm_finds_exact_recovery_step():
 
 
 def test_rrta_alpha_examples():
-    params = RrtaParams(pfd_finite=0.1, q=2.0)
-    assert rrta_alpha(_ratios([0.3, 0.9]), params) == pytest.approx(0.09)
-    assert rrta_alpha(_ratios([0.5, 0.9]), params) == pytest.approx(0.1)
-    assert rrta_alpha(_ratios([0.0, 0.9]), params) == ALPHA_FLOOR
+    assert rrta_alpha(_ratios([0.3, 0.9]), 0.1, 2.0) == pytest.approx(0.09)
+    assert rrta_alpha(_ratios([0.5, 0.9]), 0.1, 2.0) == pytest.approx(0.1)
+    assert rrta_alpha(_ratios([0.0, 0.9]), 0.1, 2.0) == ALPHA_FLOOR
     # deep underflow also clamps
-    tiny = rrta_alpha(_ratios([1e-200]), params)
+    tiny = rrta_alpha(_ratios([1e-200]), 0.1, 2.0)
     assert tiny == ALPHA_FLOOR
 
 
-def test_rrta_params_validation():
-    with pytest.raises(DomainError):
-        RrtaParams(pfd_finite=0.0, q=2.0)
+def test_rrta_refuses_pfd_and_q_outside_their_domains():
+    rr = _ratios([0.3, 0.9])
+    for pfd in (0.0, 1.0, -0.1, math.nan):
+        for select in (rrta_alpha, rrta_select):
+            with pytest.raises(DomainError, match=r"^pfd must lie in \(0,1\)"):
+                select(rr, pfd, 2.0)
     # min(0.1, nan) is 0.1 and 0.1 ** inf is 0: a q that is not finite would
     # quietly run rrta as rrt at a fixed level.
-    for q in (0.0, math.nan, math.inf, -math.inf):
-        with pytest.raises(DomainError):
-            RrtaParams(pfd_finite=0.1, q=q)
+    for q in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        for select in (rrta_alpha, rrta_select):
+            with pytest.raises(DomainError, match=r"^q must be finite and positive"):
+                select(rr, 0.1, q)
 
 
 def test_rrta_select_recovery_dip():
@@ -590,9 +591,9 @@ def test_rrta_select_recovery_dip():
     # level clamps to the floor, the thresholds stay positive, and only the
     # k0 step qualifies.
     rr = _ratios([0.8, 0.9, 0.0, 0.95, 0.97, 0.9, 0.92, 0.99], k_max=8)
-    k = rrta_select(rr, RrtaParams(0.1, 2.0))
+    k = rrta_select(rr, 0.1, 2.0)
     assert k == 3
-    assert rrta_alpha(rr, RrtaParams(0.1, 2.0)) == ALPHA_FLOOR
+    assert rrta_alpha(rr, 0.1, 2.0) == ALPHA_FLOOR
 
 
 def test_rrta_select_noiseless_path():
@@ -606,7 +607,7 @@ def test_rrta_select_noiseless_path():
     path = solution_path(design, y, 16)
     rr = residual_ratios(path)
     assert rrm_select(rr) == 3
-    assert rrta_select(rr, RrtaParams(0.1, 2.0)) == 3
+    assert rrta_select(rr, 0.1, 2.0) == 3
     assert path.support_at(3) == {5, 17, 50}
 
 
@@ -617,18 +618,17 @@ def test_selectors_on_exact_zero_tail():
     # path end. Unreachable at any finite SNR.
     rr = _ratios([0.5, 0.0, 0.0, 0.0], k_max=4)
     assert rrm_select(rr) == 2
-    assert rrta_select(rr, RrtaParams(0.1, 2.0)) == 4
+    assert rrta_select(rr, 0.1, 2.0) == 4
     assert rrt_select(rr, 0.1) == 4
-    for alpha in (0.1, rrta_alpha(rr, RrtaParams(0.1, 2.0))):
+    for alpha in (0.1, rrta_alpha(rr, 0.1, 2.0)):
         assert _table_rule(rr.values, _thresholds(32, 64, 4, alpha, 4)) == 4
 
 
 def test_rrta_matches_rrt_when_pfd_binds():
     # when (min RR)^q >= pfd the adaptive level equals pfd exactly
     rr = _ratios([0.8, 0.7, 0.9, 0.95], k_max=4)
-    params = RrtaParams(pfd_finite=0.1, q=2.0)
-    assert rrta_alpha(rr, params) == pytest.approx(0.1)
-    assert rrta_select(rr, params) == rrt_select(rr, 0.1)
+    assert rrta_alpha(rr, 0.1, 2.0) == pytest.approx(0.1)
+    assert rrta_select(rr, 0.1, 2.0) == rrt_select(rr, 0.1)
 
 
 def test_rrta_agrees_with_rrt_on_seeded_trials():
@@ -636,7 +636,6 @@ def test_rrta_agrees_with_rrt_on_seeded_trials():
     # selectors coincide; the premise fires at low SNR (large ratios)
     design = make_identity_hadamard(32)
     spec = SignalSpec(k0=3, kind="pm_one")
-    params = RrtaParams(0.1, 2.0)
     agree_checked = 0
     for snr, tag in ((100.0, 0), (1.0, 10_000)):  # 20 dB and 0 dB
         for seed in range(30):
@@ -646,7 +645,7 @@ def test_rrta_agrees_with_rrt_on_seeded_trials():
             path = solution_path(design, problem.observation, 16)
             rr = residual_ratios(path)
             if float(np.min(rr.values)) ** 2 >= 0.1:
-                assert rrta_select(rr, params) == rrt_select(rr, 0.1)
+                assert rrta_select(rr, 0.1, 2.0) == rrt_select(rr, 0.1)
                 agree_checked += 1
     assert agree_checked > 0
 
@@ -655,8 +654,8 @@ def test_rrta_handles_truncated_paths():
     rr = _ratios([0.2, 0.9], k_max=4)
     # path shorter than k_max: the levels of steps 1..2 still use k_max=4,
     # so the decision matches the first two entries of the k_max=4 table
-    alpha = rrta_alpha(rr, RrtaParams(0.1, 2.0))
-    k = rrta_select(rr, RrtaParams(0.1, 2.0))
+    alpha = rrta_alpha(rr, 0.1, 2.0)
+    k = rrta_select(rr, 0.1, 2.0)
     assert k == rrt_select(rr, alpha) == _table_rule(rr.values, _thresholds(32, 64, 4, alpha, 2)) == 1
     # with k_max=2 the level of step 1 is twice as large: a ratio between the
     # two thresholds tells the configured k_max apart from the path length
@@ -689,7 +688,6 @@ def test_prefix_hits_and_minimal_superset_match_brute_force(selected, support):
 def test_selector_scale_invariance_quick():
     design = make_identity_hadamard(32)
     spec = SignalSpec(k0=3, kind="pm_one")
-    params = RrtaParams(0.1, 2.0)
     for seed in range(10):
         support = sample_support(64, 3, seed=seed)
         beta = make_signal(64, support, spec, seed=seed + 50)
@@ -698,7 +696,7 @@ def test_selector_scale_invariance_quick():
         for c in (1e-6, 1.0, 1e6):
             path = solution_path(design, c * problem.observation, 16)
             rr = residual_ratios(path)
-            keys = (path.selected, rrt_select(rr, 0.1), rrm_select(rr), rrta_select(rr, params))
+            keys = (path.selected, rrt_select(rr, 0.1), rrm_select(rr), rrta_select(rr, 0.1, 2.0))
             if baseline is None:
                 baseline = keys
             else:
@@ -732,11 +730,10 @@ def test_path_ratios_and_selections_are_invariant_under_binary_scaling(seed, kin
     assert np.array_equal(path.residual_corr_inf, np.ldexp(base.residual_corr_inf, m))
     base_rr, rr = residual_ratios(base), residual_ratios(path)
     assert np.array_equal(rr.values, base_rr.values)
-    params = RrtaParams(0.1, 2.0)
     for select in (
         rrm_select,
         lambda r: rrt_select(r, 0.1),
-        lambda r: rrta_select(r, params),
+        lambda r: rrta_select(r, 0.1, 2.0),
     ):
         assert select(rr) == select(base_rr)
 
@@ -811,8 +808,8 @@ _HADAMARD4 = make_identity_hadamard(4)
 @pytest.mark.parametrize(
     "call, good, error",
     [
-        (lambda v: RrtaParams(0.1, v), 2.0, DomainError),
-        (lambda v: RrtaParams(v, 2.0), 0.1, DomainError),
+        (lambda v: rrta_alpha(_ratios([0.5]), 0.1, v), 2.0, DomainError),
+        (lambda v: rrta_alpha(_ratios([0.5]), v, 2.0), 0.1, DomainError),
         (lambda v: stop_rpsc(_path([1.0, 0.5, 0.25]), v), 0.1, DomainError),
         (lambda v: stop_rcsc(_path([1.0, 0.5, 0.25]), v), 0.1, DomainError),
         (lambda v: stop_rpsc(_path([1.0, 0.5, 0.25]), 0.1, eta=v), 0.5, DomainError),
@@ -878,7 +875,7 @@ def test_a_numpy_real_is_read_as_its_double():
     for f, args in (
         (lambda s, e: stop_rpsc(path, s, eta=e), (0.1, 0.5)),
         (lambda s, e: stop_rcsc(path, s, eta=e), (1e-30, 12.0)),  # the level past the doubles: Decimal
-        (lambda s, e: RrtaParams(s, e), (0.1, 1.5)),
+        (lambda pfd, q: rrta_alpha(_ratios([0.3, 0.9]), pfd, q), (0.5, 1.3)),
         (lambda a, r: log_cdf_of_square(a, 0.5, r), (2.5, 0.3)),
         (lambda a, r: log_cdf_of_square(a, 0.5, r), (100.5, 0.9)),  # Stirling's series in log_beta_fn
         (lambda alpha, mu: (rrt_error_lower_bound(alpha, 16, 64, 3), mic_sparsity_limit(mu)), (0.1, 0.3)),
@@ -887,4 +884,4 @@ def test_a_numpy_real_is_read_as_its_double():
     ):
         assert f(*map(np.float32, args)) == f(*double(*args))
     assert SignalSpec(3, "geometric", np.float32(0.3)).ratio == float(np.float32(0.3))
-    assert type(RrtaParams(np.float32(0.1), np.int64(2)).q) is float
+    assert type(rrta_alpha(_ratios([0.3, 0.9]), np.float32(0.5), np.int64(2))) is float

@@ -18,9 +18,10 @@ from rrselect import cli
 from rrselect.designs import SignalSpec
 from rrselect.errors import ValidationError
 from rrselect.omp import SolutionPath, SupportEstimate, stop_fixed
-from rrselect.selectors import RrtaParams, prefix_hits
+from rrselect.selectors import prefix_hits
 from rrselect.simulate import (
     ALGORITHMS,
+    PARAMETER_DOMAINS,
     AlgorithmSpec,
     DesignSpec,
     ExperimentConfig,
@@ -68,6 +69,41 @@ def test_roster_families_and_defaults():
     assert roster["rrta"] == {"pfd": 0.1, "q": 2.0}
     # non-default levels are accepted configuration
     _config(algorithms=(AlgorithmSpec("rrt", alpha=0.01),))
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_a_spec_refuses_a_parameter_its_algorithm_does_not_read_unless_at_its_default(name):
+    read = ALGORITHMS[name].params
+    for key in PARAMETER_DOMAINS:
+        default = getattr(AlgorithmSpec(name), key)
+        if key in read:
+            assert getattr(AlgorithmSpec(name, **{key: 0.5}), key) == 0.5  # 0.5 lies in every domain
+            continue
+        # An int or a numpy real equal to the default is the default.
+        for same in (default, np.float64(default), *([int(default)] if default == int(default) else [])):
+            assert AlgorithmSpec(name, **{key: same}).label == AlgorithmSpec(name).label
+        # 0.5 lies in the domain, 5.0 outside alpha's and pfd's: both are unread.
+        for other in (0.5, 5.0):
+            with pytest.raises(ValidationError, match=rf"^{key}: must keep its default {default:g} \({name} does not "):
+                AlgorithmSpec(name, **{key: other})
+        # A value that is no real is named as such first.
+        with pytest.raises(ValidationError, match=rf"^{key}: must be a finite number"):
+            AlgorithmSpec(name, **{key: "0.1"})
+
+
+def test_one_experiment_has_one_id_whatever_its_unread_fields_say():
+    config = cli.figure_config("fig1_hadamard", 20, 0)
+    assert config.digest() == "8217573ab23b"
+    rrm = config.algorithms.index(AlgorithmSpec("rrm"))
+    with pytest.raises(ValidationError, match=r"^alpha: must keep its default 0\.1 \(rrm does not read it\), got 0\.5$"):
+        dataclasses.replace(config.algorithms[rrm], alpha=0.5)
+    raw = config.to_dict()
+    raw["algorithms"][rrm]["alpha"] = 0.5
+    with pytest.raises(ValidationError, match=rf"^algorithms\[{rrm}\]\.alpha: must keep its default "):
+        cli.parse_config(json.dumps(raw))
+    with pytest.raises(ValidationError, match=r"^signal\.ratio: must keep its default 1/3 \(pm_one reads none\), got 0\.5$"):
+        dataclasses.replace(config.signal, ratio=0.5)
+    assert dataclasses.replace(config.signal, ratio=1 / 3) == config.signal
 
 
 def test_algorithm_label_is_cached_outside_the_fields():
@@ -166,7 +202,7 @@ def test_score_from_prefix_hits_matches_the_set_definition(selected, support, da
     # them is not in it. k is an empty selection, any order 0..K, or the
     # exhausted estimate at K.
     K = len(selected)
-    path = SolutionPath("omp", tuple(selected), np.zeros(K + 1), np.zeros(K + 1), "complete", 12, 12, max(K, 1))
+    path = SolutionPath(tuple(selected), np.zeros(K + 1), np.zeros(K + 1), "complete", 12, 12, max(K, 1))
     k = data.draw(st.sampled_from([None, "exhausted", *range(K + 1)]))
     estimate = stop_fixed(path, K + 1) if k == "exhausted" else path.estimate(k)
     picked = set(selected[: estimate.k_selected])
@@ -296,6 +332,14 @@ def test_identity_hadamard_p_is_2n_whether_given_or_left_out():
         _config(design=DesignSpec("gaussian", 1, 3), signal=SignalSpec(1))
 
 
+def test_replace_copies_a_derived_hadamard_p_unless_p_none_asks_for_it_again():
+    # The derived p is a field, so replace copies it, as the docstring and the README say.
+    spec = DesignSpec("identity_hadamard", 32)
+    assert dataclasses.replace(spec, n=16, p=None) == DesignSpec("identity_hadamard", 16, 32)
+    with pytest.raises(ValidationError, match=r"^design\.p: must equal 2n=32, got 64$"):
+        dataclasses.replace(spec, n=16)
+
+
 def test_normalize_and_path_are_refused_for_the_kinds_that_do_not_read_them():
     # Set for another kind, either would split the experiment id of identical rows.
     preset = dataclasses.replace(cli.figure_config("fig1_hadamard", 20, 7), snr_db_list=(20.0,))
@@ -394,13 +438,14 @@ def test_an_experiment_has_one_digest_whether_its_numbers_are_ints_or_floats():
     def config(snr_db_list, q, ratio):
         return _config(
             design=DesignSpec("identity_hadamard", 8, 16),
-            signal=SignalSpec(2, ratio=ratio),
+            signal=SignalSpec(2, "geometric", ratio),
             snr_db_list=snr_db_list,
             algorithms=(AlgorithmSpec("rrta", q=q),),
         )
 
-    as_ints, as_floats = config((0, 10), 2, 0), config((0.0, 10.0), 2.0, 0.0)
-    as_numpy = [config((kind(0), kind(10)), kind(2), kind(0)) for kind in (np.float64, np.int64)]
+    # A geometric ratio lies in (0,1), so no int can give it.
+    as_ints, as_floats = config((0, 10), 2, 0.5), config((0.0, 10.0), 2.0, 0.5)
+    as_numpy = [config((kind(0), kind(10)), kind(2), np.float64(0.5)) for kind in (np.float64, np.int64)]
     for other in (as_ints, *as_numpy):
         assert other.digest() == as_floats.digest()
         assert run_sweep(other) == run_sweep(as_floats)
@@ -473,14 +518,21 @@ def test_run_trial_computes_residual_ratios_once_per_path(monkeypatch):
 
     # The registry looks the kernels up in simulate's namespace at call time,
     # so a wrapper installed there sees every call.
-    calls = []
-    original = simulate.residual_ratios
-    monkeypatch.setattr(simulate, "residual_ratios", lambda path: calls.append(path.rule) or original(path))
+    paths, calls = {}, []  # rule -> its path; the paths given residual_ratios
+    original_path, original_ratios = simulate.solution_path, simulate.residual_ratios
+
+    def solution_path(design, y, k_max, rule):
+        paths[rule] = original_path(design, y, k_max, rule)
+        return paths[rule]
+
+    monkeypatch.setattr(simulate, "solution_path", solution_path)
+    monkeypatch.setattr(simulate, "residual_ratios", lambda path: calls.append(path) or original_ratios(path))
     algorithms = tuple(AlgorithmSpec(name, rule) for rule in ("omp", "ols") for name in ALGORITHMS)
     config = _config(algorithms=algorithms)
     record = run_trial(config, build_design(config.design), 20.0, 0)
     assert len(record.outcomes) == 16
-    assert sorted(calls) == ["ols", "omp"]
+    assert sorted(paths) == ["ols", "omp"]
+    assert calls == list(paths.values())
 
 
 @pytest.mark.parametrize(
@@ -512,7 +564,7 @@ def test_run_trial_builds_the_cdf_vector_once_per_path_and_only_for_rrt(monkeypa
             ratios = selectors.residual_ratios(path)
             lows, highs = ratios.log_cdf_bounds
             undecided = []
-            for alpha in (0.1, 0.01, selectors.rrta_alpha(ratios, RrtaParams())):
+            for alpha in (0.1, 0.01, selectors.rrta_alpha(ratios, 0.1, 2.0)):
                 for k in range(path.K, 0, -1):
                     a, rr = (32 - k) / 2.0, float(ratios.values[k - 1])
                     ln_z = special.rrt_log_level(32, 64, 16, alpha, k)
