@@ -1,5 +1,5 @@
 """Regularity diagnostics (mutual incoherence, RIC, ERC) and the closed-form
-noise-level bounds under which each recovery scheme is guaranteed to succeed.
+noise-norm margins of each recovery scheme.
 """
 from __future__ import annotations
 
@@ -28,7 +28,12 @@ SUBSET_GUARD = 1_000_000
 
 @dataclass(frozen=True)
 class EpsilonBounds:
-    """Noise-norm levels below which each scheme provably recovers the support."""
+    """Noise-norm margins of each scheme, 0 where its RIC condition fails.
+
+    Below eps_omp, k0 greedy steps select the support. Below
+    min(eps_omp, eps_rrm), RRM stops no earlier than k0, but not necessarily
+    at k0 (tests/test_analysis.py::test_rrm_margin_is_no_certificate_of_an_exact_stop).
+    """
 
     eps_omp: float
     eps_rrt: float
@@ -140,44 +145,48 @@ def epsilon_bounds(
 ) -> EpsilonBounds:
     """Closed-form recovery margins from the RIC values of order k0 and k0+1.
 
-    eps_omp: noise norm under which greedy selection with k0 steps is exact
-    (0 when delta_{k0+1} >= 1/sqrt(k0+1), i.e. no guarantee).
+    Each RIC value is the design's constant or any upper bound on it, math.inf
+    when none is known. A margin whose RIC condition fails is 0, no guarantee:
+    eps_omp: noise norm under which greedy selection with k0 steps is exact;
+    needs delta_{k0+1} < 1/sqrt(k0+1).
     eps_rrt / eps_rrt_tilde: margins for threshold selection at the step-k0
     threshold and at the worst-case (minimum) threshold respectively.
-    eps_rrm: margin for ratio minimization; shrinks as beta_max/beta_min grows.
+    eps_rrm: margin for ratio minimization; shrinks as beta_max/beta_min grows,
+    and certifies no exact stop at k0 (see EpsilonBounds).
+    These three need delta_k0 < 1, and each goes to 0 as delta_k0 -> 1.
     eps_sigma: the (1 - 1/n)-probability bound on the Gaussian noise norm.
     """
-    reals = {"delta_k0": delta_k0, "delta_k0p1": delta_k0p1, "beta_min": beta_min, "beta_max": beta_max, "sigma": sigma}
-    for name, value in reals.items():
-        if not (is_real(value) and value >= 0.0):
-            raise DomainError(f"{name} must be finite and nonnegative, got {value!r}")
-    delta_k0, delta_k0p1, beta_min, beta_max, sigma = map(float, reals.values())
-    if not (delta_k0 < 1.0 and delta_k0p1 < 1.0):
-        raise DomainError("RIC values must be < 1")
-    if beta_min == 0.0 or beta_max < beta_min:
-        raise DomainError("need 0 < beta_min <= beta_max")
     require_int("k0", k0)  # a bool would pass as 0 or 1, and a float cannot index the table
     if not 1 <= k0 <= k_max:
         raise DomainError(f"k0={k0} must lie in [1, k_max={k_max}]")
+    for name, value in (("delta_k0", delta_k0), ("delta_k0p1", delta_k0p1)):
+        if not (value == math.inf or is_real(value) and value >= 0.0):
+            raise DomainError(f"{name} must be nonnegative, or inf when unknown, got {value!r}")
+    reals = {"beta_min": beta_min, "beta_max": beta_max, "sigma": sigma}
+    for name, value in reals.items():
+        if not (is_real(value) and value >= 0.0):
+            raise DomainError(f"{name} must be finite and nonnegative, got {value!r}")
+    delta_k0, delta_k0p1, beta_min, beta_max, sigma = map(float, (delta_k0, delta_k0p1, *reals.values()))
+    if beta_min == 0.0 or beta_max < beta_min:
+        raise DomainError("need 0 < beta_min <= beta_max")
 
     root = math.sqrt(k0 + 1.0)
-    if delta_k0p1 < 1.0 / root:
+    eps_omp = eps_rrt = eps_rrt_tilde = eps_rrm = 0.0
+    if root * delta_k0p1 < 1.0:
         eps_omp = (
             beta_min
             * math.sqrt(1.0 - delta_k0p1)
             * (1.0 - root * delta_k0p1)
             / (1.0 + math.sqrt(1.0 - delta_k0p1**2) - root * delta_k0p1)
         )
-    else:
-        eps_omp = 0.0
-
     gammas = build_threshold_table(n, p, k_max, alpha)
-    g_k0 = float(gammas[k0 - 1])
-    g_min = float(np.min(gammas))
-    scale = math.sqrt(1.0 - delta_k0) * beta_min
-    eps_rrt = g_k0 * scale / (1.0 + g_k0)
-    eps_rrt_tilde = g_min * scale / (1.0 + g_min)
-    ratio = math.sqrt((1.0 + delta_k0) / (1.0 - delta_k0))
-    eps_rrm = scale / (1.0 + ratio * (2.0 + beta_max / beta_min))
+    if delta_k0 < 1.0:
+        g_k0 = float(gammas[k0 - 1])
+        g_min = float(np.min(gammas))
+        scale = math.sqrt(1.0 - delta_k0) * beta_min
+        eps_rrt = g_k0 * scale / (1.0 + g_k0)
+        eps_rrt_tilde = g_min * scale / (1.0 + g_min)
+        ratio = math.sqrt((1.0 + delta_k0) / (1.0 - delta_k0))
+        eps_rrm = scale / (1.0 + ratio * (2.0 + beta_max / beta_min))
     eps_sigma = sigma * math.sqrt(n + 2.0 * math.sqrt(n * math.log(n)))
     return EpsilonBounds(eps_omp, eps_rrt, eps_rrt_tilde, eps_rrm, eps_sigma)

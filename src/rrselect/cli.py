@@ -10,6 +10,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -265,6 +266,8 @@ def _cmd_diagnose(args) -> int:
         if not (tok.strip().isdecimal() and 1 <= int(tok) <= design.p):
             raise ValidationError(f"--support: indices must be integers in [1, {design.p}], got {tok!r}")
     support = [int(tok) - 1 for tok in tokens] if args.support else None
+    if not 0 <= args.ric_max_order <= design.p:
+        raise ValidationError(f"--ric-max-order: must lie in [0, {design.p}], got {args.ric_max_order}")
     mu = analysis.mutual_incoherence(design)
     mic_max_k0 = analysis.mic_sparsity_limit(mu)
     ric: dict[int, float] = {}
@@ -280,12 +283,21 @@ def _cmd_diagnose(args) -> int:
     k0 = args.k0
     k_max = args.k_max if args.k_max is not None else default_kmax(design.n)
     # RIC inputs: brute-force values when available, else the incoherence
-    # bound delta_j <= (j-1) mu as a proxy.
+    # bound delta_j <= (j-1) mu, which holds only for unit-norm columns;
+    # with none known, inf voids the margins that read delta_j.
     def delta_for(order: int) -> float:
-        return ric[order] if order in ric else min((order - 1) * mu, 0.999999)
+        if order in ric:
+            return ric[order]
+        return (order - 1) * mu if design.unit_norm_columns else math.inf
 
     if not (k0 in ric and k0 + 1 in ric):
-        notes.append("epsilon bounds use the incoherence proxy delta_j <= (j-1) mu")
+        if design.unit_norm_columns:
+            notes.append("epsilon bounds use the incoherence proxy delta_j <= (j-1) mu")
+        else:
+            notes.append(
+                "columns are not unit norm, so mu bounds no RIC: the margins that read "
+                "an uncomputed delta_j are 0 (they need --ric-max-order >= k0+1)"
+            )
     bounds = analysis.epsilon_bounds(
         delta_k0=delta_for(k0),
         delta_k0p1=delta_for(k0 + 1),

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -233,14 +234,22 @@ def test_epsilon_bounds_domain_errors():
         delta_k0=0.1, delta_k0p1=0.1, beta_min=1.0, beta_max=2.0,
         n=32, p=64, k_max=16, alpha=0.1, sigma=0.1, k0=3,
     )
-    with pytest.raises(DomainError):
-        epsilon_bounds(**{**good, "delta_k0": -0.1})
-    with pytest.raises(DomainError):
-        epsilon_bounds(**{**good, "delta_k0p1": 1.2})
+    for name in ("delta_k0", "delta_k0p1"):
+        for bad in (-0.1, math.nan, -math.inf, True):
+            with pytest.raises(DomainError, match=f"{name} must be nonnegative"):
+                epsilon_bounds(**{**good, name: bad})
+    # A RIC value past its condition is no domain error: the margins that
+    # read it are 0, and so they are for inf, a RIC with no known bound.
+    base = epsilon_bounds(**good)
+    for delta in (1.2, math.inf):
+        assert epsilon_bounds(**{**good, "delta_k0p1": delta}) == dataclasses.replace(base, eps_omp=0.0)
+        void = dataclasses.replace(base, eps_rrt=0.0, eps_rrt_tilde=0.0, eps_rrm=0.0)
+        assert epsilon_bounds(**{**good, "delta_k0": delta}) == void
     with pytest.raises(DomainError):
         epsilon_bounds(**{**good, "beta_max": 0.5})
-    with pytest.raises(DomainError):
-        epsilon_bounds(**{**good, "k0": 20})
+    for k0 in (0, 20):  # checked first: diagnose's proxy for delta_0 is negative
+        with pytest.raises(DomainError, match=f"k0={k0} must lie in"):
+            epsilon_bounds(**{**good, "k0": k0, "delta_k0": -1.0})
     for name, bad in (("k0", 3.0), ("k0", True), ("k_max", 16.0), ("n", 32.0), ("p", 64.0)):
         with pytest.raises(DomainError, match=f"{name} must be an integer"):
             epsilon_bounds(**{**good, name: bad})
@@ -250,12 +259,31 @@ def test_epsilon_bounds_domain_errors():
                 epsilon_bounds(**{**good, name: bad})
 
 
+_RIC = st.one_of(st.floats(0.0, 3.0), st.just(math.inf))
+
+
+@settings(max_examples=300, deadline=None)
+@given(k0=st.integers(1, 16), deltas_k0=st.lists(_RIC, min_size=2, max_size=2), deltas_k0p1=st.lists(_RIC, min_size=2, max_size=2))
+def test_each_margin_is_nonincreasing_in_its_ric_value_and_0_where_its_condition_fails(k0, deltas_k0, deltas_k0p1):
+    # A larger RIC value never gives a larger margin, so an upper bound on the
+    # RIC gives a margin no larger than the exact RIC's.
+    (low_k0, high_k0), (low_k0p1, high_k0p1) = sorted(deltas_k0), sorted(deltas_k0p1)
+    low = dataclasses.asdict(epsilon_bounds(low_k0, low_k0p1, 1.0, 2.0, 32, 64, 16, 0.1, 0.1, k0))
+    high = dataclasses.asdict(epsilon_bounds(high_k0, high_k0p1, 1.0, 2.0, 32, 64, 16, 0.1, 0.1, k0))
+    for key in ("eps_omp", "eps_rrt", "eps_rrt_tilde", "eps_rrm"):
+        assert high[key] <= low[key] * (1.0 + 1e-12), key  # eps_omp's quotient may round up an ulp
+    for delta_k0, delta_k0p1, bounds in ((low_k0, low_k0p1, low), (high_k0, high_k0p1, high)):
+        assert (bounds["eps_omp"] > 0.0) == (math.sqrt(k0 + 1.0) * delta_k0p1 < 1.0)
+        for key in ("eps_rrt", "eps_rrt_tilde", "eps_rrm"):
+            assert (bounds[key] > 0.0) == (delta_k0 < 1.0), key
+
+
 # Recovery certificates checked on real paths. On [I, H/4] (16 x 32, mu = 1/4)
 # the OMP, RRT and RRM margins are all positive at k0 = 1 and 2. The two
-# normalized Gaussian designs have delta_3 >= 1, so only k0 = 1 has margins:
-# eps_omp is 0 on seed 0 (delta_2 = 0.75 > 1/sqrt 2), which makes every
-# implication vacuous, and positive on seed 2 (delta_2 = 0.67).
-_CERTIFIED = {"hadamard": (1, 2), "gaussian seed 0": (1,), "gaussian seed 2": (1,)}
+# normalized Gaussian designs have delta_3 >= 1, so eps_omp is 0 at k0 = 2,
+# which makes every implication vacuous there; at k0 = 1 it is 0 on seed 0
+# (delta_2 = 0.75 > 1/sqrt 2) and positive on seed 2 (delta_2 = 0.67).
+_CERTIFIED = {"hadamard": (1, 2), "gaussian seed 0": (1, 2), "gaussian seed 2": (1, 2)}
 
 
 @functools.cache
@@ -279,7 +307,9 @@ def test_the_certified_designs_have_the_margins_the_certificate_test_reads():
     assert _certificate("gaussian seed 0", 1, 0.1).eps_omp == 0.0
     assert _certificate("gaussian seed 2", 1, 0.1).eps_omp > 0.0
     for name in ("gaussian seed 0", "gaussian seed 2"):
-        assert ric_bruteforce(_certified_design(name), 3) >= 1.0  # no margin at k0 = 2
+        assert ric_bruteforce(_certified_design(name), 3) >= 1.0
+        bounds = _certificate(name, 2, 0.1)  # delta_3 voids OMP's margin alone
+        assert bounds.eps_omp == 0.0 and min(bounds.eps_rrm, bounds.eps_rrt) > 0.0
 
 
 def _noisy_signal(design, k0: int, direction: str, seed: int):

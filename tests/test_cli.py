@@ -1,11 +1,17 @@
+import contextlib
+import dataclasses
+import functools
+import io
 import json
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rrselect.analysis import mic_sparsity_limit
+from rrselect.analysis import epsilon_bounds, mic_sparsity_limit, ric_bruteforce
 from rrselect.cli import FIGURE_NAMES, figure_config, main, parse_config
 from rrselect.designs import SignalSpec, load_design_csv, make_gaussian, make_identity_hadamard
 from rrselect.errors import ParseError, ValidationError
@@ -528,7 +534,9 @@ def test_diagnose_skips_the_ric_orders_past_the_subset_guard(tmp_path, capsys):
         (make_identity_hadamard(4).matrix, ["--support", "1,9"], r"--support: indices must be integers in \[1, 8\], got '9'"),
         (make_identity_hadamard(4).matrix, ["--support", "1.5"], r"--support: indices must be integers in \[1, 8\], got '1.5'"),
         (make_identity_hadamard(4).matrix, ["--support", "2,x"], r"--support: indices must be integers in \[1, 8\], got 'x'"),
-        (make_identity_hadamard(4).matrix, ["--ric-max-order", "9"], r"order must lie in \[1, p=8\], got 9"),
+        (make_identity_hadamard(4).matrix, ["--ric-max-order", "9"], r"--ric-max-order: must lie in \[0, 8\], got 9"),
+        (make_identity_hadamard(4).matrix, ["--ric-max-order", "-2"], r"--ric-max-order: must lie in \[0, 8\], got -2"),
+        (make_identity_hadamard(4).matrix, ["--k0", "0"], r"k0=0 must lie in \[1, k_max=2\]"),
     ],
 )
 def test_diagnose_fails_with_a_one_line_error(tmp_path, capsys, matrix, args, message):
@@ -549,6 +557,78 @@ def test_diagnose_rejects_a_non_finite_margin_input(tmp_path, capsys, flag, valu
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "must be finite and nonnegative" in captured.err
+
+
+def _diagnose(mpath, *args) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["diagnose", "--matrix", str(mpath), *args]) == 0
+    return json.loads(out.getvalue())
+
+
+def test_diagnose_gives_a_margin_of_0_where_a_ric_value_voids_it(tmp_path):
+    # The normalized 16 x 32 Gaussian of seed 0 has delta_2 = 0.748 and
+    # delta_3 = 1.087: delta_3 voids every margin at k0 = 3 and OMP's at
+    # k0 = 2, where the exact delta_2 still gives RRT and RRM a margin.
+    mpath = tmp_path / "G.csv"
+    save_matrix_csv(mpath, make_gaussian(16, 32, 0, normalize=True).matrix)
+    payload = _diagnose(mpath, "--k0", "3", "--ric-max-order", "3")
+    assert payload["regularity"]["ric"]["3"] == pytest.approx(1.0867572832758299, rel=1e-12)
+    margins = {key: value for key, value in payload["epsilon_bounds"].items() if key != "eps_sigma"}
+    assert margins == dict.fromkeys(["eps_omp", "eps_rrt", "eps_rrt_tilde", "eps_rrm"], 0.0)
+    bounds = _diagnose(mpath, "--k0", "2", "--ric-max-order", "3")["epsilon_bounds"]
+    assert bounds["eps_omp"] == 0.0
+    assert bounds["eps_rrt"] == pytest.approx(0.19405187368471816, rel=1e-12)  # from delta_2 = 0.748
+
+
+def test_diagnose_bounds_no_ric_by_incoherence_on_columns_of_other_norms(tmp_path):
+    # Unnormalized, (j-1) mu bounds no RIC: delta_1 = 0.95 and delta_2 = 1.32
+    # on this design, where the proxy would read 0 and 0.68.
+    mpath = tmp_path / "U.csv"
+    save_matrix_csv(mpath, make_gaussian(32, 64, 0).matrix)
+    payload = _diagnose(mpath, "--k0", "2")
+    assert payload["regularity"]["notes"] == (
+        "columns are not unit norm, so mu bounds no RIC: the margins that read "
+        "an uncomputed delta_j are 0 (they need --ric-max-order >= k0+1)"
+    )
+    bounds = payload["epsilon_bounds"]
+    assert [bounds[key] for key in ("eps_omp", "eps_rrt", "eps_rrt_tilde", "eps_rrm")] == [0.0] * 4
+
+
+@functools.cache
+def _small_design(name: str, seed: int):
+    if name == "hadamard":
+        return make_identity_hadamard(8)
+    return make_gaussian(8, 16, seed, normalize=name == "gaussian, unit-norm columns")
+
+
+@functools.cache
+def _exact_ric(name: str, seed: int, order: int) -> float:
+    return ric_bruteforce(_small_design(name, seed), order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["hadamard", "gaussian, unit-norm columns", "gaussian"]),
+    seed=st.integers(0, 3),
+    k0=st.integers(1, 4),  # k_max = 4 for n = 8
+    ric_max_order=st.integers(0, 5),
+)
+def test_diagnose_margins_never_exceed_those_of_the_exact_ric(tmp_path_factory, name, seed, k0, ric_max_order):
+    # 8 x 16 designs, [I, H/sqrt 8] and Gaussians with and without unit-norm
+    # columns, whose RIC of every order diagnose reads is within brute-force
+    # reach. The RIC values diagnose feeds epsilon_bounds (exact,
+    # the incoherence proxy, or none) must bound the exact ones, so that no
+    # margin it prints exceeds the margin of the exact RIC.
+    mpath = tmp_path_factory.getbasetemp() / f"{name}-{seed}.csv"
+    if not mpath.exists():
+        save_matrix_csv(mpath, _small_design(name, seed).matrix)
+    printed = _diagnose(mpath, "--k0", str(k0), "--ric-max-order", str(ric_max_order))["epsilon_bounds"]
+    exact = dataclasses.asdict(
+        epsilon_bounds(_exact_ric(name, seed, k0), _exact_ric(name, seed, k0 + 1), 1.0, 1.0, 8, 16, 4, 0.1, 0.1, k0)
+    )
+    for key, value in printed.items():
+        assert value <= exact[key] * (1.0 + 1e-9), key
 
 
 def test_simulate_subcommand(tmp_path):
