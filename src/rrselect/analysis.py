@@ -20,10 +20,12 @@ from .errors import (
     require_int,
     require_real,
 )
-from .linalg import RANK_TOL
+from .omp import RANK_TOL, rpsc_threshold
 from .special import build_threshold_table
 
 SUBSET_GUARD = 1_000_000
+# Bytes of stacked subset Gram matrices that ric_bruteforce passes to one eigvalsh call.
+RIC_CHUNK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,11 @@ def ric_bruteforce(design: DesignMatrix, order: int) -> float:
 
     delta = max over all column subsets T of that size of
     max(1 - lambda_min(G_T), lambda_max(G_T) - 1) with G_T the subset Gram
-    matrix. Exact but exponential; guarded at SUBSET_GUARD subsets.
+    matrix. Exact but exponential; guarded at SUBSET_GUARD subsets. The
+    subsets go to np.linalg.eigvalsh in stacks of RIC_CHUNK_BYTES, each
+    matrix by the LAPACK call a lone one gets; rounding is monotone, so
+    max fl(1 - lambda_min) = fl(1 - min lambda_min): the same bits as a
+    per-subset loop.
     """
     p = design.p
     require_int("order", order)
@@ -82,12 +88,15 @@ def ric_bruteforce(design: DesignMatrix, order: int) -> float:
         raise TooManySubsetsError(f"C({p},{order}) = {count} exceeds guard {SUBSET_GUARD}")
     x = design.matrix
     gram = x.T @ x
-    delta = 0.0
-    for subset in itertools.combinations(range(p), order):
-        g = gram[np.ix_(subset, subset)]
-        ev = np.linalg.eigvalsh(g)
-        delta = max(delta, 1.0 - float(ev[0]), float(ev[-1]) - 1.0)
-    return delta
+    subsets = itertools.combinations(range(p), order)
+    per_stack = max(1, RIC_CHUNK_BYTES // (8 * order * order))
+    lowest, highest = math.inf, -math.inf
+    for _ in range(0, count, per_stack):
+        flat = itertools.chain.from_iterable(itertools.islice(subsets, per_stack))
+        idx = np.fromiter(flat, dtype=np.intp).reshape(-1, order)
+        ev = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
+        lowest, highest = min(lowest, float(ev[:, 0].min())), max(highest, float(ev[:, -1].max()))
+    return max(0.0, 1.0 - lowest, highest - 1.0)
 
 
 def erc_constant(design: DesignMatrix, support) -> float:
@@ -154,7 +163,8 @@ def epsilon_bounds(
     eps_rrm: margin for ratio minimization; shrinks as beta_max/beta_min grows,
     and certifies no exact stop at k0 (see EpsilonBounds).
     These three need delta_k0 < 1, and each goes to 0 as delta_k0 -> 1.
-    eps_sigma: the (1 - 1/n)-probability bound on the Gaussian noise norm.
+    eps_sigma: the (1 - 1/n)-probability bound on the Gaussian noise norm,
+    omp.rpsc_threshold(sigma, n), and 0 at sigma = 0.
     """
     require_int("k0", k0)  # a bool would pass as 0 or 1, and a float cannot index the table
     if not 1 <= k0 <= k_max:
@@ -188,5 +198,5 @@ def epsilon_bounds(
         eps_rrt_tilde = g_min * scale / (1.0 + g_min)
         ratio = math.sqrt((1.0 + delta_k0) / (1.0 - delta_k0))
         eps_rrm = scale / (1.0 + ratio * (2.0 + beta_max / beta_min))
-    eps_sigma = sigma * math.sqrt(n + 2.0 * math.sqrt(n * math.log(n)))
+    eps_sigma = rpsc_threshold(sigma, n) if sigma > 0.0 else 0.0
     return EpsilonBounds(eps_omp, eps_rrt, eps_rrt_tilde, eps_rrm, eps_sigma)

@@ -16,9 +16,8 @@ import sys
 import tempfile
 
 from . import analysis, simulate
-from .designs import SignalSpec, load_design_csv, make_gaussian
+from .designs import SignalSpec, load_design_csv, load_vector_csv, make_gaussian, save_matrix_csv
 from .errors import ParseError, TooManySubsetsError, ValidationError
-from .linalg import load_vector_csv, save_matrix_csv
 from .omp import default_kmax, solution_path
 from .selectors import residual_ratios
 from .simulate import ALGORITHMS, AlgorithmSpec, DesignSpec, ExperimentConfig, Oracle

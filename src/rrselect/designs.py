@@ -1,4 +1,5 @@
-"""Design matrices, sparse signals, and noisy observations at a target SNR.
+"""Design matrices, their CSV format, sparse signals, and noisy observations
+at a target SNR.
 
 Two matrix models are built in: the deterministic identity+Hadamard
 concatenation [I_n, H_n/sqrt(n)] and i.i.d. Gaussian entries N(0, 1/n).
@@ -16,7 +17,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError, is_int, is_real, require_indices, require_int
-from .linalg import load_matrix_csv
 from .streams import Stream
 
 SIGNAL_KINDS = ("pm_one", "geometric")
@@ -131,9 +131,29 @@ def make_identity_hadamard(n: int) -> DesignMatrix:
     return DesignMatrix(x)
 
 
+def _read_csv(path) -> np.ndarray:
+    """A 2-d float64 array from CSV: one line per row, comma separated, no header."""
+    return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+
+
 def load_design_csv(path) -> DesignMatrix:
-    """An external design read from CSV (one line per row, no header)."""
-    return DesignMatrix(load_matrix_csv(path))
+    """An external design read from CSV; DesignMatrix checks its entries."""
+    return DesignMatrix(_read_csv(path))
+
+
+def load_vector_csv(path) -> np.ndarray:
+    """A vector read from CSV as one column or one row; every entry must be finite."""
+    arr = _read_csv(path)
+    if 1 not in arr.shape:
+        raise DimensionMismatchError(f"expected a vector, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError("vector entries must be finite")
+    return arr.reshape(-1)
+
+
+def save_matrix_csv(path, matrix: np.ndarray) -> None:
+    """Write a matrix as CSV with full float64 round-trip precision."""
+    np.savetxt(path, np.atleast_2d(matrix), delimiter=",", fmt="%.17g")
 
 
 def make_gaussian(n: int, p: int, seed: int | Stream, normalize: bool = False) -> DesignMatrix:

@@ -1,4 +1,4 @@
-"""An incrementally updatable thin QR factorization, and matrix CSV I/O.
+"""An incrementally updatable thin QR factorization.
 
 Appending one column to the QR state costs O(n*k), and the residual of a
 least-squares fit on the selected columns is obtained by projecting against
@@ -12,9 +12,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, EmptyBasisError, RankDeficientError, ValidationError
-
-# Relative tolerance below which an orthogonalized column counts as dependent.
-RANK_TOL = 1e-12
+from .omp import RANK_TOL
 
 
 class OrthoBasisState:
@@ -135,24 +133,3 @@ class OrthoBasisState:
             c[i] = (c[i] - r[i, i + 1 : k] @ c[i + 1 : k]) / r[i, i]
         return c
 
-
-def load_matrix_csv(path) -> np.ndarray:
-    """Read a matrix from CSV: one line per row, comma separated, no header.
-    The entries are not checked: designs.DesignMatrix checks them."""
-    return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-
-
-def load_vector_csv(path) -> np.ndarray:
-    """Read a vector from CSV, accepting either a single column or row; every
-    entry must be finite."""
-    arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    if 1 not in arr.shape:
-        raise DimensionMismatchError(f"expected a vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValidationError("vector entries must be finite")
-    return arr.reshape(-1)
-
-
-def save_matrix_csv(path, matrix: np.ndarray) -> None:
-    """Write a matrix as CSV with full float64 round-trip precision."""
-    np.savetxt(path, np.atleast_2d(matrix), delimiter=",", fmt="%.17g")

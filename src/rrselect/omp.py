@@ -15,9 +15,12 @@ import numpy as np
 
 from .designs import DesignMatrix
 from .errors import DimensionMismatchError, DomainError, ValidationError, require_int, require_real
-from .linalg import RANK_TOL
 
 RULES = ("omp", "ols")
+
+# Relative tolerance below which an orthogonalized column counts as dependent:
+# the rank test of both greedy rules, erc_constant and OrthoBasisState.append.
+RANK_TOL = 1e-12
 
 STATUS_OK = "ok"
 STATUS_EMPTY = "empty_selection"

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 
 import mpmath
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrselect import analysis
 from rrselect.analysis import (
     epsilon_bounds,
     erc_constant,
@@ -19,7 +21,7 @@ from rrselect.analysis import (
 from rrselect.designs import DesignMatrix, make_gaussian, make_identity_hadamard
 from rrselect.errors import DomainError, RankDeficientError, TooManySubsetsError
 from rrselect.linalg import OrthoBasisState
-from rrselect.omp import default_kmax, solution_path
+from rrselect.omp import default_kmax, rpsc_threshold, solution_path
 from rrselect.selectors import residual_ratios, rrm_select, rrt_select
 from rrselect.special import build_threshold_table
 
@@ -101,6 +103,39 @@ def test_ric_monotone_in_order():
     d3 = ric_bruteforce(d, 3)
     assert mu <= d2 + 1e-12
     assert d2 <= d3 + 1e-12
+
+
+def _ric_loop(design, order):
+    """The RIC by one eigvalsh per column subset: the loop ric_bruteforce stacks."""
+    x = design.matrix
+    gram = x.T @ x
+    delta = 0.0
+    for subset in itertools.combinations(range(design.p), order):
+        ev = np.linalg.eigvalsh(gram[np.ix_(subset, subset)])
+        delta = max(delta, 1.0 - float(ev[0]), float(ev[-1]) - 1.0)
+    return delta
+
+
+_RIC_8X16 = {
+    "hadamard": lambda: make_identity_hadamard(8),
+    "gaussian normalized": lambda: make_gaussian(8, 16, 0, normalize=True),
+    "gaussian": lambda: make_gaussian(8, 16, 1),
+}
+
+
+@pytest.mark.parametrize("name", _RIC_8X16)
+def test_ric_bruteforce_is_the_per_subset_loop_bit_for_bit_at_every_order(name):
+    design = _RIC_8X16[name]()
+    for order in range(1, design.p + 1):
+        assert ric_bruteforce(design, order) == _ric_loop(design, order)
+
+
+@pytest.mark.parametrize("per_stack", [1, 9, 559, 561])
+def test_ric_bruteforce_stacks_need_not_divide_the_subset_count(monkeypatch, per_stack):
+    design = make_gaussian(8, 16, 1)
+    order = 3  # C(16, 3) = 560 subsets: 9 and 559 leave a short last stack
+    monkeypatch.setattr(analysis, "RIC_CHUNK_BYTES", per_stack * 8 * order * order)
+    assert ric_bruteforce(design, order) == _ric_loop(design, order)
 
 
 def test_ric_guard_and_domain():
@@ -300,6 +335,13 @@ def _certificate(name: str, k0: int, alpha: float):
     return epsilon_bounds(delta_k0, delta_k0p1, 1.0, 1.0, design.n, design.p, default_kmax(design.n), alpha, 1.0, k0)
 
 
+def test_the_certified_designs_ric_is_the_per_subset_loop_bit_for_bit():
+    for name in _CERTIFIED:
+        design = _certified_design(name)
+        for order in (1, 2, 3):
+            assert ric_bruteforce(design, order) == _ric_loop(design, order)
+
+
 def test_the_certified_designs_have_the_margins_the_certificate_test_reads():
     for k0 in (1, 2):
         bounds = _certificate("hadamard", k0, 0.1)
@@ -401,6 +443,14 @@ def test_eps_sigma_bounds_the_gaussian_noise_norm_with_probability_one_less_1_ov
             if cdf < 1 - mpmath.mpf(1) / n:
                 short.append((n, cdf))
     assert short == []
+
+
+def test_eps_sigma_is_the_rpsc_level_and_0_at_sigma_0():
+    for n in (2, 3, 5, 16, 32, 100, 1000, 10**6):
+        assert epsilon_bounds(0.0, 0.0, 1.0, 1.0, n, 1, 1, 0.1, 0.0, 1).eps_sigma == 0.0
+        for sigma in (1e-300, 0.05, 0.3, 1.0, 7.5, 1e200):
+            eps = epsilon_bounds(0.0, 0.0, 1.0, 1.0, n, 1, 1, 0.1, sigma, 1).eps_sigma
+            assert eps == rpsc_threshold(sigma, n)
 
 
 def test_rrt_error_lower_bound_values():

@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 
 from rrselect.analysis import epsilon_bounds, mic_sparsity_limit, ric_bruteforce
 from rrselect.cli import FIGURE_NAMES, figure_config, main, parse_config
-from rrselect.designs import SignalSpec, load_design_csv, make_gaussian, make_identity_hadamard
+from rrselect.designs import SignalSpec, load_design_csv, make_gaussian, make_identity_hadamard, save_matrix_csv
 from rrselect.errors import ParseError, ValidationError
-from rrselect.linalg import load_matrix_csv, save_matrix_csv
 from rrselect.simulate import (
     ALGORITHMS,
     AlgorithmSpec,
@@ -196,7 +195,7 @@ def test_gen_matrix_and_sidecar(tmp_path, capsys):
         "gen-matrix", "--kind", "identity_hadamard", "--n", "8", "--out", str(out)
     ])
     assert code == 0
-    matrix = load_matrix_csv(out)
+    matrix = load_design_csv(out).matrix
     assert matrix.shape == (8, 16)
     sidecar = json.loads((tmp_path / "m.csv.json").read_text())
     assert sidecar == {"kind": "identity_hadamard", "n": 8, "p": 16, "seed": 0, "normalize": False}
@@ -243,7 +242,7 @@ def test_gen_matrix_takes_no_p_for_identity_hadamard_but_2n(tmp_path, capsys):
     assert not out.exists()
     # A design is checked as a design only: n >= 2 is a sweep's requirement.
     assert main(["gen-matrix", "--kind", "gaussian", "--n", "1", "--p", "3", "--out", str(out)]) == 0
-    assert load_matrix_csv(out).shape == (1, 3)
+    assert load_design_csv(out).matrix.shape == (1, 3)
 
 
 def test_threshold_subcommand(tmp_path, capsys):
@@ -492,8 +491,7 @@ def test_recover_unknown_method(tmp_path, capsys):
 
 def test_diagnose_json(tmp_path, capsys):
     mpath = tmp_path / "X.csv"
-    from rrselect.designs import SignalSpec, make_identity_hadamard
-    from rrselect.linalg import save_matrix_csv
+    from rrselect.designs import SignalSpec, make_identity_hadamard, save_matrix_csv
 
     save_matrix_csv(mpath, make_identity_hadamard(4).matrix)
     code = main([

@@ -10,15 +10,16 @@ from rrselect.designs import (
     SignalSpec,
     SparseProblem,
     load_design_csv,
+    load_vector_csv,
     make_gaussian,
     make_identity_hadamard,
     make_signal,
     sample_support,
+    save_matrix_csv,
     sylvester_hadamard,
     synthesize,
 )
 from rrselect.errors import DimensionMismatchError, ValidationError
-from rrselect.linalg import save_matrix_csv
 
 
 def test_design_matrix_validates_shape_and_finiteness():
@@ -326,3 +327,29 @@ def test_synthesize_reproducible():
     assert np.array_equal(p1.noise, p2.noise)
     assert np.array_equal(p1.observation, p2.observation)
     assert p1.sigma == p2.sigma
+
+
+def test_csv_round_trip(tmp_path):
+    rng = np.random.default_rng(9)
+    m = rng.normal(size=(5, 3))
+    path = tmp_path / "m.csv"
+    save_matrix_csv(path, m)
+    back = load_design_csv(path).matrix
+    assert np.array_equal(back, m)
+
+    v = rng.normal(size=6)
+    vpath = tmp_path / "v.csv"
+    save_matrix_csv(vpath, v.reshape(-1, 1))
+    assert np.array_equal(load_vector_csv(vpath), v)
+
+    with pytest.raises(DimensionMismatchError):
+        save_matrix_csv(vpath, rng.normal(size=(2, 2)))
+        load_vector_csv(vpath)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_load_vector_csv_rejects_non_finite_entries(tmp_path, bad):
+    vpath = tmp_path / "v.csv"
+    vpath.write_text(f"1.0\n{bad}\n2.0\n")
+    with pytest.raises(ValidationError):
+        load_vector_csv(vpath)

@@ -10,12 +10,7 @@ from rrselect.errors import (
     RankDeficientError,
     ValidationError,
 )
-from rrselect.linalg import (
-    OrthoBasisState,
-    load_matrix_csv,
-    load_vector_csv,
-    save_matrix_csv,
-)
+from rrselect.linalg import OrthoBasisState
 
 
 def test_basis_needs_an_ambient_dimension():
@@ -192,29 +187,3 @@ def test_least_squares_reconstructs_observation():
     c = state.least_squares_coeffs(y)
     recon = m[:, :4] @ c + state.project_out(y)
     assert np.linalg.norm(recon - y) <= 1e-9 * np.linalg.norm(y)
-
-
-def test_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(9)
-    m = rng.normal(size=(5, 3))
-    path = tmp_path / "m.csv"
-    save_matrix_csv(path, m)
-    back = load_matrix_csv(path)
-    assert np.array_equal(back, m)
-
-    v = rng.normal(size=6)
-    vpath = tmp_path / "v.csv"
-    save_matrix_csv(vpath, v.reshape(-1, 1))
-    assert np.array_equal(load_vector_csv(vpath), v)
-
-    with pytest.raises(DimensionMismatchError):
-        save_matrix_csv(vpath, rng.normal(size=(2, 2)))
-        load_vector_csv(vpath)
-
-
-@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-def test_load_vector_csv_rejects_non_finite_entries(tmp_path, bad):
-    vpath = tmp_path / "v.csv"
-    vpath.write_text(f"1.0\n{bad}\n2.0\n")
-    with pytest.raises(ValidationError):
-        load_vector_csv(vpath)

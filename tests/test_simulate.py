@@ -269,8 +269,7 @@ def test_gaussian_redraw_gives_fresh_matrices_per_trial():
 
 
 def test_external_design_sweep(tmp_path):
-    from rrselect.designs import make_identity_hadamard
-    from rrselect.linalg import save_matrix_csv
+    from rrselect.designs import make_identity_hadamard, save_matrix_csv
 
     mpath = tmp_path / "X.csv"
     save_matrix_csv(mpath, make_identity_hadamard(16).matrix)
