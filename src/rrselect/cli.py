@@ -1,5 +1,6 @@
-"""Command-line front end: config parsing, subcommand dispatch, CSV/JSON
-emission, and plot-data export for the built-in experiment presets.
+"""Command-line front end: subcommand dispatch, CSV/JSON emission, and
+plot-data export for the built-in experiment presets. The config file is read
+by simulate.parse_config, beside the to_dict that writes it.
 
 User-facing column indices are 1-based; everything internal is 0-based.
 """
@@ -16,69 +17,12 @@ import sys
 import tempfile
 
 from . import analysis, simulate
-from .designs import SignalSpec, load_design_csv, load_vector_csv, make_gaussian, save_matrix_csv
-from .errors import ParseError, TooManySubsetsError, ValidationError
+from .designs import SignalSpec, load_design_csv, load_vector_csv, save_matrix_csv
+from .errors import TooManySubsetsError, ValidationError
 from .omp import default_kmax, solution_path
 from .selectors import residual_ratios
-from .simulate import ALGORITHMS, AlgorithmSpec, DesignSpec, ExperimentConfig, Oracle
+from .simulate import ALGORITHMS, AlgorithmSpec, DesignSpec, ExperimentConfig, Oracle, algorithm_from_json
 from .special import build_threshold_table
-
-
-# The JSON names of the ExperimentConfig fields that are spelled differently.
-_JSON_NAMES = {"snr_db_list": "snr_db", "k_max_override": "k_max"}
-
-
-def _fields(raw, cls, context: str) -> dict:
-    """The keyword arguments of the dataclass `cls` that the JSON object `raw`
-    gives. An unknown field, or a missing one that has no default, is a
-    ValidationError naming it; an integral number such as 100.0 for a field
-    annotated int becomes an int. The values' types are left to the
-    dataclass, which checks its fields when built."""
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{context}: must be a JSON object, got {raw!r}")
-    fields = {_JSON_NAMES.get(f.name, f.name): f for f in dataclasses.fields(cls)}
-    unknown = set(raw) - set(fields)
-    if unknown:
-        raise ValidationError(f"{context}: unknown field(s) {sorted(unknown)}")
-    kwargs = {}
-    for key, f in fields.items():
-        if key in raw:
-            value = raw[key]
-            if f.type in ("int", "int | None") and isinstance(value, float) and value.is_integer():
-                value = int(value)
-            kwargs[f.name] = value
-        elif f.default is dataclasses.MISSING:
-            raise ValidationError(f"{context}.{key}: required field missing")
-    return kwargs
-
-
-def _algorithm(entry, where: str) -> AlgorithmSpec:
-    """An algorithm entry, a name or an object of AlgorithmSpec fields, as an
-    AlgorithmSpec. The spec's ValidationError names the field; `where`, the
-    entry's place, goes before it, as a spec cannot know its own."""
-    fields = {"name": entry} if isinstance(entry, str) else _fields(entry, AlgorithmSpec, where)
-    try:
-        return AlgorithmSpec(**fields)
-    except ValidationError as exc:
-        raise ValidationError(f"{where}.{exc}") from None
-
-
-def parse_config(json_text: str) -> ExperimentConfig:
-    """Parse an experiment config; each dataclass checks its fields' types
-    and ranges when built. A field left out takes the default of its
-    dataclass field (DesignSpec makes design.p of identity_hadamard 2n)."""
-    try:
-        raw = json.loads(json_text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    top = _fields(raw, ExperimentConfig, "config")
-    top["design"] = DesignSpec(**_fields(top["design"], DesignSpec, "design"))
-    top["signal"] = SignalSpec(**_fields(top["signal"], SignalSpec, "signal"))
-    if isinstance(top["snr_db_list"], list):
-        top["snr_db_list"] = tuple(top["snr_db_list"])
-    if isinstance(top["algorithms"], list):  # each entry a name or an object
-        top["algorithms"] = tuple(_algorithm(entry, f"algorithms[{i}]") for i, entry in enumerate(top["algorithms"]))
-    return ExperimentConfig(**top)
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +100,6 @@ def _write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-# Older spellings that `recover --method` still accepts.
-_OLD_METHOD_NAMES = {"fixed": "fixed_k0", "rpsc-hsc": "rpsc_hsc", "rcsc-hsc": "rcsc_hsc"}
-
-
 def _method_fields(name: str) -> tuple[str, ...]:
     """The positional values of `--method name:v1,v2`: k0 for a rule that
     needs the sparsity, then the parameters."""
@@ -182,19 +122,18 @@ def _number(token: str) -> float | str:
 
 def _parse_method(method: str, rule: str) -> tuple[AlgorithmSpec, int | None]:
     """`name[:v1,v2,...]` as an AlgorithmSpec, plus k0 for the fixed_k0 rule."""
-    typed, _, text = method.partition(":")
-    name = _OLD_METHOD_NAMES.get(typed, typed)
+    name, _, text = method.partition(":")
     if name not in ALGORITHMS:
-        raise ValidationError(f"unknown method {typed!r}; expected {_METHOD_SYNTAX}")
+        raise ValidationError(f"unknown method {name!r}; expected {_METHOD_SYNTAX}")
     fields = _method_fields(name)
     values = [_number(tok) for tok in text.split(",") if tok]
     if len(values) > len(fields):
-        raise ValidationError(f"method {typed!r} takes at most {len(fields)} value(s), got {text!r}")
+        raise ValidationError(f"method {name!r} takes at most {len(fields)} value(s), got {text!r}")
     params = dict(zip(fields, values))
     k0 = params.pop("k0", None)
     if "k0" in fields and not (isinstance(k0, float) and k0.is_integer() and k0 >= 0):
-        raise ValidationError(f"method {typed!r} needs a nonnegative integer k0: {typed}:k0")
-    spec = _algorithm({"name": name, "rule": rule, **params}, f"--method {typed}")
+        raise ValidationError(f"method {name!r} needs a nonnegative integer k0: {name}:k0")
+    spec = algorithm_from_json({"name": name, "rule": rule, **params}, f"--method {name}")
     return spec, None if k0 is None else int(k0)
 
 
@@ -222,21 +161,20 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_gen_matrix(args) -> int:
-    if args.kind == "gaussian":
-        if args.p is None:
-            raise ValidationError("--p is required for gaussian matrices")
-        design = make_gaussian(args.n, args.p, args.seed, args.normalize)
-    else:
-        design = simulate.build_design(DesignSpec(kind=args.kind, n=args.n, p=args.p))
+    spec = DesignSpec(kind=args.kind, n=args.n, p=args.p, normalize=args.normalize)
+    # A gaussian draw's seed defaults to 0; a fixed kind draws nothing, so
+    # build_design refuses a --seed for it, and its sidecar records 0.
+    seed = 0 if args.seed is None and spec.kind == "gaussian" else args.seed
+    design = simulate.build_design(spec, seed)
     buf = io.StringIO()
     save_matrix_csv(buf, design.matrix)
     _write_text_atomic(args.out, buf.getvalue())
     sidecar = {
-        "kind": args.kind,
+        "kind": spec.kind,
         "n": design.n,
         "p": design.p,
-        "seed": args.seed,
-        "normalize": bool(args.normalize),
+        "seed": 0 if seed is None else seed,
+        "normalize": spec.normalize,
     }
     _write_text_atomic(args.out + ".json", json.dumps(sidecar, indent=2) + "\n")
     print(f"wrote {args.out} ({design.n}x{design.p}) and {args.out}.json")
@@ -331,7 +269,7 @@ def _sweep_csv_text(result, config) -> str:
 
 def _cmd_simulate(args) -> int:
     with open(args.config) as fh:
-        config = parse_config(fh.read())
+        config = simulate.parse_config(fh.read())
     if args.trials is not None:
         config = dataclasses.replace(config, trials=args.trials)
     if args.root_seed is not None:
@@ -370,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--kind", required=True, choices=["identity_hadamard", "gaussian"])
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--p", type=int)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--normalize", action="store_true")
+    gen.add_argument("--seed", type=int, help="gaussian only; default 0")
+    gen.add_argument("--normalize", action="store_true", help="gaussian only")
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_gen_matrix)
 
@@ -386,14 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec = sub.add_parser("recover", help="estimate a support from matrix/observation CSVs")
     rec.add_argument("--matrix", required=True)
     rec.add_argument("--y", required=True)
-    rec.add_argument(
-        "--method",
-        "--stop",
-        dest="method",
-        required=True,
-        help=f"{_METHOD_SYNTAX}; a value left out takes its default "
-        "(fixed, rpsc-hsc and rcsc-hsc are accepted as old spellings)",
-    )
+    rec.add_argument("--method", required=True, help=f"{_METHOD_SYNTAX}; a value left out takes its default")
     rec.add_argument("--rule", choices=["omp", "ols"], default="omp")
     rec.add_argument("--k-max", type=int)
     rec.add_argument("--sigma", type=float)

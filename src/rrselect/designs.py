@@ -16,7 +16,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError, is_int, is_real, require_indices, require_int
+from .errors import (
+    DimensionMismatchError,
+    ValidationError,
+    is_int,
+    is_real,
+    require_field,
+    require_indices,
+    require_int,
+)
 from .streams import Stream
 
 SIGNAL_KINDS = ("pm_one", "geometric")
@@ -87,19 +95,17 @@ class SignalSpec:
 
     def __post_init__(self) -> None:
         # Types first: in the range checks a string raises a bare TypeError, and 3.5 or True pass.
-        if not is_int(self.k0):
-            raise ValidationError(f"signal.k0: must be an integer, got {self.k0!r}")
-        if not is_real(self.ratio):
-            raise ValidationError(f"signal.ratio: must be a finite number, got {self.ratio!r}")
-        object.__setattr__(self, "ratio", float(self.ratio))
-        if self.k0 < 1:
-            raise ValidationError(f"signal.k0: must be >= 1, got {self.k0!r}")
-        if self.kind not in SIGNAL_KINDS:
-            raise ValidationError(f"signal.kind: must be one of {SIGNAL_KINDS}, got {self.kind!r}")
-        if self.kind == "geometric" and not 0.0 < self.ratio < 1.0:
-            raise ValidationError(f"signal.ratio: must lie in (0,1) for a geometric signal, got {self.ratio!r}")
-        if self.kind == "pm_one" and self.ratio != SignalSpec.ratio:
-            raise ValidationError(f"signal.ratio: must keep its default 1/3 (pm_one reads none), got {self.ratio!r}")
+        k0, kind, ratio = self.k0, self.kind, self.ratio
+        require_field(is_int(k0), "signal.k0", "be an integer", k0)
+        require_field(is_real(ratio), "signal.ratio", "be a finite number", ratio)
+        ratio = float(ratio)
+        object.__setattr__(self, "ratio", ratio)
+        require_field(k0 >= 1, "signal.k0", "be >= 1", k0)
+        require_field(kind in SIGNAL_KINDS, "signal.kind", f"be one of {SIGNAL_KINDS}", kind)
+        geometric_ok = kind != "geometric" or 0.0 < ratio < 1.0
+        require_field(geometric_ok, "signal.ratio", "lie in (0,1) for a geometric signal", ratio)
+        pm_one_ok = kind != "pm_one" or ratio == SignalSpec.ratio
+        require_field(pm_one_ok, "signal.ratio", "keep its default 1/3 (pm_one reads none)", ratio)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,8 +3,9 @@ every entry point checks its scalar arguments: a size is an int and not a
 bool (`is_int`); a real is a finite int, float or numpy integer or floating
 scalar, not a bool or numpy bool (`is_real`), and enters arithmetic as
 float(value); a support index is an int or numpy integer, not a bool, below
-the size it indexes (`require_indices`). A refusal is a typed error from
-here, never a bare TypeError."""
+the size it indexes (`require_indices`); a config field is refused as
+"field: must ..., got ..." (`require_field`). A refusal is a typed error
+from here, never a bare TypeError."""
 import math
 import sys
 
@@ -74,6 +75,13 @@ def require_real(name: str, value, low=-math.inf, high=math.inf) -> float:
         spans = {(-math.inf, math.inf): "be finite", (0.0, math.inf): "be finite and positive"}
         raise DomainError(f"{name} must {spans.get((low, high), f'lie in ({low:g},{high:g})')}, got {value!r}")
     return float(value)
+
+
+def require_field(ok: bool, field: str, what: str, value) -> None:
+    """Raise ValidationError "field: must what, got value!r" unless ok: the
+    one form of every config refusal, which names the field it refuses."""
+    if not ok:
+        raise ValidationError(f"{field}: must {what}, got {value!r}")
 
 
 def require_indices(name: str, indices, size: int, error: type[ValueError] = DomainError) -> tuple[int, ...]:

@@ -1,13 +1,14 @@
-"""Seeded Monte-Carlo engine: sweep SNR, run every configured algorithm on the
+"""Experiment configs, with their JSON form and the designs they build, and the
+seeded Monte-Carlo engine: sweep SNR, run every configured algorithm on the
 same trials, and aggregate support-error / false-discovery rates.
 
 Each trial is a pure function of (config, derived seed), so sweeps are
-bit-reproducible and trivially parallel: worker count never changes the
-output.
+bit-reproducible and trivially parallel: worker count never changes the output.
 """
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -28,7 +29,7 @@ from .designs import (
     sample_support,
     synthesize,
 )
-from .errors import ValidationError, is_int, is_real
+from .errors import ParseError, ValidationError, is_int, is_real, require_field
 from .omp import RULES, SupportEstimate, default_kmax, solution_path, stop_fixed, stop_rcsc, stop_rpsc
 from .selectors import prefix_hits, residual_ratios, rrm_select, rrt_select, rrta_select
 from .streams import Stream, pcg64_states
@@ -86,12 +87,6 @@ ALGORITHMS: dict[str, Algorithm] = {
 }
 
 
-def _require(ok: bool, where: str, what: str, value) -> None:
-    """Raise ValidationError "where: must what, got value" unless ok."""
-    if not ok:
-        raise ValidationError(f"{where}: must {what}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class DesignSpec:
     """How to materialize the sensing matrix for a sweep; p of
@@ -111,20 +106,21 @@ class DesignSpec:
 
     def __post_init__(self) -> None:
         kind, n = self.kind, self.n
-        _require(isinstance(kind, str) and kind in DESIGN_KINDS, "design.kind", f"be one of {DESIGN_KINDS}", kind)
-        _require(is_int(n), "design.n", "be an integer", n)
+        kind_ok = isinstance(kind, str) and kind in DESIGN_KINDS
+        require_field(kind_ok, "design.kind", f"be one of {DESIGN_KINDS}", kind)
+        require_field(is_int(n), "design.n", "be an integer", n)
         if self.p is None and kind == "identity_hadamard":
             object.__setattr__(self, "p", 2 * n)
-        _require(is_int(self.p), "design.p", "be an integer", self.p)
+        require_field(is_int(self.p), "design.p", "be an integer", self.p)
+        require_field(n >= 1, "design.n", "be >= 1", n)
+        require_field(self.p >= 1, "design.p", "be >= 1", self.p)
         normalize_ok = self.normalize is False or self.normalize is True and kind == "gaussian"
-        _require(normalize_ok, "design.normalize", "be false, or true for kind 'gaussian'", self.normalize)
+        require_field(normalize_ok, "design.normalize", "be false, or true for kind 'gaussian'", self.normalize)
         path_ok = isinstance(self.path, str) and self.path != "" if kind == "external" else self.path is None
-        _require(path_ok, "design.path", "be a CSV path for kind 'external', else None", self.path)
+        require_field(path_ok, "design.path", "be a CSV path for kind 'external', else None", self.path)
         if kind == "identity_hadamard":
-            if n < 1 or n & (n - 1):
-                raise ValidationError(f"design.n: must be a power of two, got {n}")
-            if self.p != 2 * n:
-                raise ValidationError(f"design.p: must equal 2n={2 * n}, got {self.p}")
+            require_field(not n & (n - 1), "design.n", "be a power of two", n)
+            require_field(self.p == 2 * n, "design.p", f"equal 2n={2 * n}", self.p)
 
 
 @dataclass(frozen=True)
@@ -157,17 +153,19 @@ class AlgorithmSpec:
 
     def __post_init__(self) -> None:
         name, rule = self.name, self.rule
-        _require(isinstance(name, str) and name in ALGORITHMS, "name", f"be one of {sorted(ALGORITHMS)}", name)
-        _require(isinstance(rule, str) and rule in RULES, "rule", f"be one of {RULES}", rule)
+        name_ok = isinstance(name, str) and name in ALGORITHMS
+        require_field(name_ok, "name", f"be one of {sorted(ALGORITHMS)}", name)
+        require_field(isinstance(rule, str) and rule in RULES, "rule", f"be one of {RULES}", rule)
         read = ALGORITHMS[name].params
         for key, (low, high) in PARAMETER_DOMAINS.items():
             value = getattr(self, key)
-            _require(is_real(value), key, "be a finite number", value)
+            require_field(is_real(value), key, "be a finite number", value)
             if key in read:
-                _require(low < value < high, key, f"lie in ({low:g},{high:g})", value)
+                require_field(low < value < high, key, f"lie in ({low:g},{high:g})", value)
             else:
                 default = getattr(AlgorithmSpec, key)  # the field's default
-                _require(float(value) == default, key, f"keep its default {default:g} ({name} does not read it)", value)
+                unread = f"keep its default {default:g} ({name} does not read it)"
+                require_field(float(value) == default, key, unread, value)
 
 
 @dataclass(frozen=True)
@@ -190,46 +188,36 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         d = self.design
-        _require(isinstance(d, DesignSpec), "design", "be a DesignSpec", d)
-        _require(isinstance(self.signal, SignalSpec), "signal", "be a SignalSpec", self.signal)
+        require_field(isinstance(d, DesignSpec), "design", "be a DesignSpec", d)
+        require_field(isinstance(self.signal, SignalSpec), "signal", "be a SignalSpec", self.signal)
         integers = {"trials": self.trials, "root_seed": self.root_seed}
         if self.k_max_override is not None:
             integers["k_max_override"] = self.k_max_override
         for where, value in integers.items():
-            _require(is_int(value), where, "be an integer", value)
-        _require(isinstance(self.snr_db_list, tuple), "snr_db", "be a tuple (a JSON list)", self.snr_db_list)
+            require_field(is_int(value), where, "be an integer", value)
+        require_field(isinstance(self.snr_db_list, tuple), "snr_db", "be a tuple (a JSON list)", self.snr_db_list)
         for i, value in enumerate(self.snr_db_list):
-            _require(is_real(value), f"snr_db[{i}]", "be a finite number", value)
+            require_field(is_real(value), f"snr_db[{i}]", "be a finite number", value)
             try:
                 snr = 10.0 ** (float(value) / 10.0)  # the power ratio run_trial takes
             except OverflowError:
                 snr = math.inf
-            _require(0.0 < snr < math.inf, f"snr_db[{i}]", "give a positive finite 10^(dB/10)", value)
-        _require(isinstance(self.algorithms, tuple), "algorithms", "be a tuple (a JSON list)", self.algorithms)
+            require_field(0.0 < snr < math.inf, f"snr_db[{i}]", "give a positive finite 10^(dB/10)", value)
+        require_field(isinstance(self.algorithms, tuple), "algorithms", "be a tuple (a JSON list)", self.algorithms)
         for i, alg in enumerate(self.algorithms):
-            _require(isinstance(alg, AlgorithmSpec), f"algorithms[{i}]", "be an AlgorithmSpec", alg)
-        if d.n < 2 or d.p < 1:
-            raise ValidationError(f"design dimensions invalid: n={d.n}, p={d.p}")
-        if not self.snr_db_list:
-            raise ValidationError("snr_db: must be nonempty")
-        if len(set(self.snr_db_list)) != len(self.snr_db_list):
-            raise ValidationError("snr_db: values must be distinct (they key the trial seeds)")
-        if self.trials < 1:
-            raise ValidationError(f"trials: must be >= 1, got {self.trials}")
-        if not self.algorithms:
-            raise ValidationError("algorithms: must be nonempty")
+            require_field(isinstance(alg, AlgorithmSpec), f"algorithms[{i}]", "be an AlgorithmSpec", alg)
+        require_field(d.n >= 2, "design.n", "be >= 2", d.n)
+        snr_db = self.snr_db_list
+        require_field(len(snr_db) > 0, "snr_db", "be nonempty", snr_db)
+        require_field(len(set(snr_db)) == len(snr_db), "snr_db", "be distinct (they key the trial seeds)", snr_db)
+        require_field(self.trials >= 1, "trials", "be >= 1", self.trials)
+        require_field(len(self.algorithms) > 0, "algorithms", "be nonempty", self.algorithms)
         labels = [a.label for a in self.algorithms]
-        if len(set(labels)) != len(labels):
-            raise ValidationError(f"algorithms: duplicate entries {labels}")
-        if not 1 <= self.signal.k0 <= self.design.p:
-            raise ValidationError(f"signal.k0: must lie in [1, p], got {self.signal.k0}")
-        k_max = self.k_max
-        if not self.signal.k0 <= k_max <= min(d.n - 1, d.p):
-            raise ValidationError(
-                f"k_max={k_max} must lie in [k0={self.signal.k0}, min(n-1, p)={min(d.n - 1, d.p)}]"
-            )
-        if self.root_seed < 0:
-            raise ValidationError(f"root_seed: must be nonnegative, got {self.root_seed}")
+        require_field(len(set(labels)) == len(labels), "algorithms", "have distinct labels", labels)
+        k0, longest = self.signal.k0, min(d.n - 1, d.p)  # a path's most steps
+        require_field(k0 <= d.p, "signal.k0", f"lie in [1, {d.p}]", k0)
+        require_field(k0 <= self.k_max <= longest, "k_max", f"lie in [{k0}, {longest}]", self.k_max)
+        require_field(self.root_seed >= 0, "root_seed", "be nonnegative", self.root_seed)
 
     def to_dict(self) -> dict:
         """The config as JSON values, with the SNR points, signal.ratio and
@@ -256,6 +244,64 @@ class ExperimentConfig:
         fields["regenerate_matrix_per_trial"] = self.design.kind == "gaussian"
         blob = json.dumps(fields, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
+
+
+# The JSON names of the ExperimentConfig fields that to_dict spells differently.
+_JSON_NAMES = {"snr_db_list": "snr_db", "k_max_override": "k_max"}
+
+
+def _fields(raw, cls, context: str) -> dict:
+    """The keyword arguments of the dataclass `cls` that the JSON object `raw`
+    gives. An unknown field, or a missing one that has no default, is a
+    ValidationError naming it; an integral number such as 100.0 for a field
+    annotated int becomes an int. The values' types are left to the
+    dataclass, which checks its fields when built."""
+    require_field(isinstance(raw, dict), context, "be a JSON object", raw)
+    fields = {_JSON_NAMES.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+    unknown = set(raw) - set(fields)
+    if unknown:
+        raise ValidationError(f"{context}: unknown field(s) {sorted(unknown)}")
+    kwargs = {}
+    for key, f in fields.items():
+        if key in raw:
+            value = raw[key]
+            if f.type in ("int", "int | None") and isinstance(value, float) and value.is_integer():
+                value = int(value)
+            kwargs[f.name] = value
+        elif f.default is dataclasses.MISSING:
+            raise ValidationError(f"{context}.{key}: required field missing")
+    return kwargs
+
+
+def algorithm_from_json(entry, where: str) -> AlgorithmSpec:
+    """An algorithm entry in its JSON form, a name or an object of
+    AlgorithmSpec fields, as an AlgorithmSpec. The spec's ValidationError
+    names the field; `where`, the entry's place in a config file or on the
+    command line, goes before it, as a spec cannot know its own."""
+    fields = {"name": entry} if isinstance(entry, str) else _fields(entry, AlgorithmSpec, where)
+    try:
+        return AlgorithmSpec(**fields)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}.{exc}") from None
+
+
+def parse_config(json_text: str) -> ExperimentConfig:
+    """The config that JSON text in to_dict's form describes; each dataclass
+    checks its fields' types and ranges when built. A field left out takes
+    the default of its dataclass field (DesignSpec makes design.p of
+    identity_hadamard 2n), and parse_config(json.dumps(c.to_dict())) == c."""
+    try:
+        raw = json.loads(json_text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    top = _fields(raw, ExperimentConfig, "config")
+    top["design"] = DesignSpec(**_fields(top["design"], DesignSpec, "design"))
+    top["signal"] = SignalSpec(**_fields(top["signal"], SignalSpec, "signal"))
+    if isinstance(top["snr_db_list"], list):
+        top["snr_db_list"] = tuple(top["snr_db_list"])
+    if isinstance(top["algorithms"], list):  # each entry a name or an object
+        top["algorithms"] = tuple(algorithm_from_json(a, f"algorithms[{i}]") for i, a in enumerate(top["algorithms"]))
+    return ExperimentConfig(**top)
 
 
 class AlgorithmOutcome(NamedTuple):
@@ -328,16 +374,20 @@ def trial_streams(config: ExperimentConfig, snr_index: int, start: int, stop: in
     return [TrialStreams(*streams[i : i + kinds]) for i in range(0, len(streams), kinds)]
 
 
-def build_design(spec: DesignSpec) -> DesignMatrix | None:
-    """The matrix every trial of a sweep shares; None for a gaussian design,
-    which each trial draws from its own matrix stream."""
+def build_design(spec: DesignSpec, seed: int | Stream | None = None) -> DesignMatrix | None:
+    """The design spec describes, for a sweep and for `rrselect gen-matrix`.
+    A gaussian design is make_gaussian(n, p, seed, normalize), and None
+    without a seed: each trial of a sweep then draws its own from its matrix
+    stream. A fixed kind, which every trial of a sweep shares, draws nothing
+    and refuses a seed."""
+    if spec.kind == "gaussian":
+        return None if seed is None else make_gaussian(spec.n, spec.p, seed, spec.normalize)
+    require_field(seed is None, "seed", f"be None for kind {spec.kind!r}, which draws nothing", seed)
     if spec.kind == "identity_hadamard":
         return make_identity_hadamard(spec.n)
-    if spec.kind == "gaussian":
-        return None
     design = load_design_csv(spec.path)  # kind "external"
-    if (design.n, design.p) != (spec.n, spec.p):
-        raise ValidationError(f"external matrix is {design.n}x{design.p}, config says {spec.n}x{spec.p}")
+    shape_ok = design.matrix.shape == (spec.n, spec.p)
+    require_field(shape_ok, "design.path", f"hold an n x p = {spec.n}x{spec.p} matrix", design.matrix.shape)
     return design
 
 
@@ -360,6 +410,11 @@ def run_trial(
     """One synthetic trial: draw data, compute one path per rule, apply all
     algorithms to identical data, and record outcomes.
 
+    matrix is the design the trial uses, if given: a sweep passes
+    build_design(config.design) to every trial, which is None for a gaussian
+    design. Without one, the trial builds its own, from its matrix stream
+    if the design is gaussian.
+
     streams, if given, must be trial_streams' for this trial: a caller that
     seeds a block of trials at once passes them, and without them the trial
     seeds its own. A Stream is a value no draw moves, so the same streams
@@ -370,14 +425,12 @@ def run_trial(
     trial's true sigma and fixed_k0 the true sparsity, as oracles by design.
     """
     if streams is None:
-        _require(snr_db in config.snr_db_list, "snr_db", f"be one of the config's points {config.snr_db_list}", snr_db)
-        snr_index = config.snr_db_list.index(snr_db)
+        points = config.snr_db_list
+        require_field(snr_db in points, "snr_db", f"be one of the config's points {points}", snr_db)
+        snr_index = points.index(snr_db)
         (streams,) = trial_streams(config, snr_index, trial_index, trial_index + 1)
 
-    if streams.matrix is not None:
-        design = make_gaussian(config.design.n, config.design.p, streams.matrix, config.design.normalize)
-    else:
-        design = matrix if matrix is not None else build_design(config.design)
+    design = matrix if matrix is not None else build_design(config.design, streams.matrix)
 
     p, k0 = config.design.p, config.signal.k0
     support = sample_support(p, k0, streams.support)
@@ -438,8 +491,8 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     independent and seed-determined, so any worker count produces the
     identical SweepResult.
     """
-    _require(is_int(workers), "workers", "be an integer", workers)
-    _require(workers >= 1, "workers", "be >= 1", workers)
+    require_field(is_int(workers), "workers", "be an integer", workers)
+    require_field(workers >= 1, "workers", "be >= 1", workers)
     matrix = build_design(config.design)
     trials = config.trials
     size = min(_SEED_CHUNK, (trials + workers - 1) // workers)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrselect.analysis import epsilon_bounds, mic_sparsity_limit, ric_bruteforce
-from rrselect.cli import FIGURE_NAMES, figure_config, main, parse_config
+from rrselect.cli import FIGURE_NAMES, figure_config, main
 from rrselect.designs import SignalSpec, load_design_csv, make_gaussian, make_identity_hadamard, save_matrix_csv
 from rrselect.errors import ParseError, ValidationError
 from rrselect.simulate import (
@@ -21,6 +21,7 @@ from rrselect.simulate import (
     DesignSpec,
     ExperimentConfig,
     build_design,
+    parse_config,
     run_sweep,
     run_trial,
 )
@@ -29,8 +30,7 @@ from rrselect.special import build_threshold_table
 # A noisy 32x64 identity+Hadamard problem: k0=3 random-sign signal at 3 dB
 # (sample_support seed 11, make_signal seed 12, synthesize seed 13), with the
 # stdout of `recover` for every algorithm and rule. The outputs were recorded
-# with the per-command dispatch that the algorithm registry replaced, under its
-# spellings fixed:3, rpsc-hsc and rcsc-hsc.
+# with the per-command dispatch that the algorithm registry replaced.
 RECOVER_FIXTURE = json.loads((Path(__file__).parent / "data" / "recover_hadamard32.json").read_text())
 
 MINIMAL_CONFIG = {
@@ -245,6 +245,27 @@ def test_gen_matrix_takes_no_p_for_identity_hadamard_but_2n(tmp_path, capsys):
     assert load_design_csv(out).matrix.shape == (1, 3)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--kind", "identity_hadamard", "--n", "4", "--normalize"],
+         "design.normalize: must be false, or true for kind 'gaussian', got True"),
+        (["--kind", "identity_hadamard", "--n", "4", "--seed", "9"],
+         "seed: must be None for kind 'identity_hadamard', which draws nothing, got 9"),
+        (["--kind", "identity_hadamard", "--n", "4", "--seed", "0"],
+         "seed: must be None for kind 'identity_hadamard', which draws nothing, got 0"),
+        (["--kind", "gaussian", "--n", "4"], "design.p: must be an integer, got None"),
+        (["--kind", "gaussian", "--n", "0", "--p", "3"], "design.n: must be >= 1, got 0"),
+    ],
+)
+def test_gen_matrix_refuses_a_setting_its_build_does_not_read(tmp_path, capsys, args, message):
+    # The sidecar records what the build read: a fixed kind draws nothing.
+    out = tmp_path / "m.csv"
+    assert main(["gen-matrix", *args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_threshold_subcommand(tmp_path, capsys):
     assert main(["threshold", "--n", "32", "--p", "64", "--k-max", "4", "--alpha", "0.1"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -335,24 +356,24 @@ def test_recover_rrt_and_fixed(tmp_path, capsys):
     assert payload["k_selected"] == 2
 
     assert main([
-        "recover", "--matrix", str(mpath), "--y", str(ypath), "--method", "fixed:0"
+        "recover", "--matrix", str(mpath), "--y", str(ypath), "--method", "fixed_k0:0"
     ]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["support"] == [] and payload["status"] == "ok"
 
 
-def test_recover_stop_alias_and_sigma_rules(tmp_path, capsys):
+def test_recover_sigma_rules(tmp_path, capsys):
     mpath, ypath = _write_identity_problem(tmp_path)
     assert main([
         "recover", "--matrix", str(mpath), "--y", str(ypath),
-        "--stop", "rpsc", "--sigma", "0.001",
+        "--method", "rpsc", "--sigma", "0.001",
     ]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["support"] == [2]
 
     assert main([
         "recover", "--matrix", str(mpath), "--y", str(ypath),
-        "--method", "rcsc-hsc:0.2", "--sigma", "0.001",
+        "--method", "rcsc_hsc:0.2", "--sigma", "0.001",
     ]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["support"] == [2]
@@ -376,7 +397,7 @@ def test_recover_rejects_a_sigma_that_is_not_finite_and_positive(tmp_path, capsy
 def test_recover_rejects_incomplete_or_invalid_methods(tmp_path, capsys):
     mpath, ypath = _write_identity_problem(tmp_path)
     for method, reason in (
-        ("fixed", "k0"),  # bare fixed used to mean k0 = 0
+        ("fixed_k0", "k0"),
         ("fixed_k0:1.5", "k0"),
         ("rrt:1.5", "alpha"),
         ("rrta:2,1", "pfd"),
@@ -433,11 +454,10 @@ def test_fixed_k0_past_the_path_keeps_the_path_as_exhausted(tmp_path, capsys):
 
     ypath = tmp_path / "y.csv"
     np.savetxt(ypath, np.arange(1.0, 9.0).reshape(-1, 1), delimiter=",", fmt="%.17g")
-    for method in ("fixed:3", "fixed_k0:3"):
-        assert main(["recover", "--matrix", str(mpath), "--y", str(ypath), "--method", method]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert (payload["k_selected"], payload["status"]) == (2, "exhausted")
-        assert len(payload["support"]) == 2
+    assert main(["recover", "--matrix", str(mpath), "--y", str(ypath), "--method", "fixed_k0:3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["k_selected"], payload["status"]) == (2, "exhausted")
+    assert len(payload["support"]) == 2
 
 
 @pytest.mark.parametrize("rule", ["omp", "ols"])

@@ -239,6 +239,7 @@ def test_make_signal_validation():
         ({"k0": 0}, r"signal\.k0: must be >= 1, got 0"),
         ({"k0": 2, "kind": "unknown"}, r"signal\.kind: must be one of \('pm_one', 'geometric'\), got 'unknown'"),
         ({"k0": 2, "kind": "geometric", "ratio": 1.5}, r"signal\.ratio: must lie in \(0,1\) for a geometric signal, got 1\.5"),
+        ({"k0": 2, "ratio": 0.5}, r"signal\.ratio: must keep its default 1/3 \(pm_one reads none\), got 0\.5"),
     ],
 )
 def test_signal_spec_range_refusals_name_their_field(kwargs, message):

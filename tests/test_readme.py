@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import rrselect
-from rrselect.cli import parse_config
+from rrselect.simulate import parse_config
 
 README = (Path(__file__).parent.parent / "README.md").read_text()
 QUICK_START = re.search(r"## Library quick start\s+```python\n(.*?)```", README, re.S).group(1)

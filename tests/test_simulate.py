@@ -27,6 +27,7 @@ from rrselect.simulate import (
     ExperimentConfig,
     _derive_trial_seeds,
     build_design,
+    parse_config,
     run_sweep,
     run_trial,
     score_estimate,
@@ -100,7 +101,7 @@ def test_one_experiment_has_one_id_whatever_its_unread_fields_say():
     raw = config.to_dict()
     raw["algorithms"][rrm]["alpha"] = 0.5
     with pytest.raises(ValidationError, match=rf"^algorithms\[{rrm}\]\.alpha: must keep its default "):
-        cli.parse_config(json.dumps(raw))
+        parse_config(json.dumps(raw))
     with pytest.raises(ValidationError, match=r"^signal\.ratio: must keep its default 1/3 \(pm_one reads none\), got 0\.5$"):
         dataclasses.replace(config.signal, ratio=0.5)
     assert dataclasses.replace(config.signal, ratio=1 / 3) == config.signal
@@ -290,29 +291,55 @@ def test_external_design_sweep(tmp_path):
         run_sweep(wrong)
 
 
-def test_config_validation_errors():
-    base = _config()
-    for overrides in (
-        lambda: {"trials": 0},
-        lambda: {"snr_db_list": ()},
-        lambda: {"algorithms": (AlgorithmSpec("lars"),)},
-        lambda: {"design": DesignSpec(kind="identity_hadamard", n=12, p=24)},
-        lambda: {"design": DesignSpec(kind="identity_hadamard", n=32, p=60)},
-        lambda: {"k_max_override": 40},
-        lambda: {"algorithms": (AlgorithmSpec("rrm"), AlgorithmSpec("rrm"))},
-        lambda: {"snr_db_list": (10.0, 10.0)},
-    ):
-        with pytest.raises(ValidationError):
-            _config(**overrides())
-        with pytest.raises(ValidationError):
-            dataclasses.replace(base, **overrides())
+def _replaced(**overrides):
+    return dataclasses.replace(_config(), **overrides)
+
+
+@pytest.mark.parametrize("make", [_config, _replaced], ids=["built", "replaced"])
+@pytest.mark.parametrize(
+    "refuse, field",
+    [
+        (lambda make, csv: make(design=DesignSpec("identity_hadamard", 12, 24)), "design.n"),
+        (lambda make, csv: make(design=DesignSpec("identity_hadamard", 32, 60)), "design.p"),
+        (lambda make, csv: make(design=DesignSpec("gaussian", 1, 3), signal=SignalSpec(1)), "design.n"),
+        (lambda make, csv: make(design=DesignSpec("gaussian", 8, 0)), "design.p"),
+        (lambda make, csv: make(design=DesignSpec("external", 0, 8, path=csv)), "design.n"),
+        (lambda make, csv: make(design=DesignSpec("identity_hadamard", 0)), "design.n"),
+        (lambda make, csv: make(signal=SignalSpec(0)), "signal.k0"),
+        (lambda make, csv: make(signal=SignalSpec(3, "geometric", 1.5)), "signal.ratio"),
+        (lambda make, csv: make(signal=SignalSpec(65)), "signal.k0"),
+        (lambda make, csv: make(snr_db_list=()), "snr_db"),
+        (lambda make, csv: make(snr_db_list=(10.0, 10.0)), "snr_db"),
+        (lambda make, csv: make(trials=0), "trials"),
+        (lambda make, csv: make(algorithms=()), "algorithms"),
+        (lambda make, csv: make(algorithms=(AlgorithmSpec("lars"),)), "name"),
+        (lambda make, csv: make(algorithms=(AlgorithmSpec("rrm"), AlgorithmSpec("rrm"))), "algorithms"),
+        (lambda make, csv: make(k_max_override=40), "k_max"),
+        (lambda make, csv: make(k_max_override=2), "k_max"),
+        (lambda make, csv: make(root_seed=-1), "root_seed"),
+        (lambda make, csv: build_design(DesignSpec("identity_hadamard", 4), seed=0), "seed"),
+        (lambda make, csv: build_design(DesignSpec("external", 4, 8, path=csv), seed=0), "seed"),
+        (lambda make, csv: build_design(DesignSpec("external", 8, 16, path=csv)), "design.path"),
+        (lambda make, csv: run_sweep(make(design=DesignSpec("external", 4, 16, path=csv), signal=SignalSpec(1))),
+         "design.path"),
+    ],
+)
+def test_config_validation_errors(refuse, field, make, tmp_path):
+    # Every range refusal of a config type, and each of build_design, names
+    # its field in one form; the type refusals are the test below.
+    from rrselect.designs import make_identity_hadamard, save_matrix_csv
+
+    csv = str(tmp_path / "X.csv")
+    save_matrix_csv(csv, make_identity_hadamard(4).matrix)  # 4 x 8
+    with pytest.raises(ValidationError, match=rf"^{re.escape(field)}: must "):
+        refuse(make, csv)
 
 
 def test_a_config_that_exists_is_valid_so_run_trial_never_sees_an_invalid_one():
     preset = cli.figure_config("fig1_hadamard", 3, 7)
-    with pytest.raises(ValidationError, match=r"^k_max=16 must lie in \[k0=20, "):
+    with pytest.raises(ValidationError, match=r"^k_max: must lie in \[20, 31\], got 16$"):
         dataclasses.replace(preset, signal=SignalSpec(20))
-    with pytest.raises(ValidationError, match=r"^algorithms: duplicate entries \['rrm', 'rrm'\]"):
+    with pytest.raises(ValidationError, match=r"^algorithms: must have distinct labels, got \['rrm', 'rrm'\]$"):
         dataclasses.replace(preset, algorithms=(AlgorithmSpec("rrm"), AlgorithmSpec("rrm")))
     # A pool worker unpickles the config without building it again.
     assert pickle.loads(pickle.dumps(preset)) == preset
@@ -327,7 +354,7 @@ def test_identity_hadamard_p_is_2n_whether_given_or_left_out():
         DesignSpec("gaussian", 8)
     # A design checks only itself: a 1 x 3 Gaussian matrix is a design, not a sweep's.
     assert DesignSpec("gaussian", 1, 3).p == 3
-    with pytest.raises(ValidationError, match=r"^design dimensions invalid: n=1, p=3$"):
+    with pytest.raises(ValidationError, match=r"^design\.n: must be >= 2, got 1$"):
         _config(design=DesignSpec("gaussian", 1, 3), signal=SignalSpec(1))
 
 
@@ -416,7 +443,7 @@ def test_an_algorithm_spec_names_its_field_and_a_config_file_its_place(fields, k
         dataclasses.replace(AlgorithmSpec("rrt"), **fields)
     raw = dict(_config().to_dict(), algorithms=["rrm", fields])
     with pytest.raises(ValidationError, match=rf"^algorithms\[1\]\.{key}: must "):
-        cli.parse_config(json.dumps(raw))
+        parse_config(json.dumps(raw))
 
 
 @pytest.mark.parametrize("name", [*cli.FIGURE_NAMES, "gauss_ols_oracle"])
@@ -425,7 +452,7 @@ def test_a_config_survives_its_own_dict(name):
     config = _benchmark_config("fig2_gaussian") if name == "gauss_ols_oracle" else cli.figure_config(name, 100, 0)
     # to_dict writes the k_max a config resolves to: the same experiment,
     # with one digest.
-    rebuilt = cli.parse_config(json.dumps(config.to_dict()))
+    rebuilt = parse_config(json.dumps(config.to_dict()))
     assert rebuilt.to_dict() == config.to_dict() and rebuilt.digest() == config.digest()
 
 
