@@ -162,20 +162,17 @@ def _cmd_recover(args) -> int:
 
 def _cmd_gen_matrix(args) -> int:
     spec = DesignSpec(kind=args.kind, n=args.n, p=args.p, normalize=args.normalize)
-    # A gaussian draw's seed defaults to 0; a fixed kind draws nothing, so
-    # build_design refuses a --seed for it, and its sidecar records 0.
-    seed = 0 if args.seed is None and spec.kind == "gaussian" else args.seed
+    # A gaussian draw's seed defaults to 0; a fixed kind draws nothing and is
+    # never normalized, so it refuses both flags, and its sidecar holds neither.
+    gaussian = spec.kind == "gaussian"
+    seed = 0 if args.seed is None and gaussian else args.seed
     design = simulate.build_design(spec, seed)
     buf = io.StringIO()
     save_matrix_csv(buf, design.matrix)
     _write_text_atomic(args.out, buf.getvalue())
-    sidecar = {
-        "kind": spec.kind,
-        "n": design.n,
-        "p": design.p,
-        "seed": 0 if seed is None else seed,
-        "normalize": spec.normalize,
-    }
+    sidecar = {"kind": spec.kind, "n": design.n, "p": design.p}
+    if gaussian:
+        sidecar.update(seed=seed, normalize=spec.normalize)
     _write_text_atomic(args.out + ".json", json.dumps(sidecar, indent=2) + "\n")
     print(f"wrote {args.out} ({design.n}x{design.p}) and {args.out}.json")
     return 0
@@ -298,13 +295,15 @@ def _cmd_figure(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False on every parser: --meth is refused, not read as --method.
     parser = argparse.ArgumentParser(
         prog="rrselect",
         description="Greedy sparse support recovery with residual-ratio selection.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen-matrix", help="write a design matrix as CSV + JSON sidecar")
+    gen = sub.add_parser("gen-matrix", help="write a design matrix as CSV + JSON sidecar", allow_abbrev=False)
     gen.add_argument("--kind", required=True, choices=["identity_hadamard", "gaussian"])
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--p", type=int)
@@ -313,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_gen_matrix)
 
-    thr = sub.add_parser("threshold", help="print the threshold table as CSV (k, gamma)")
+    thr = sub.add_parser("threshold", help="print the threshold table as CSV (k, gamma)", allow_abbrev=False)
     thr.add_argument("--n", type=int, required=True)
     thr.add_argument("--p", type=int, required=True)
     thr.add_argument("--k-max", type=int, required=True)
@@ -321,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     thr.add_argument("--out")
     thr.set_defaults(func=_cmd_threshold)
 
-    rec = sub.add_parser("recover", help="estimate a support from matrix/observation CSVs")
+    rec = sub.add_parser("recover", help="estimate a support from matrix/observation CSVs", allow_abbrev=False)
     rec.add_argument("--matrix", required=True)
     rec.add_argument("--y", required=True)
     rec.add_argument("--method", required=True, help=f"{_METHOD_SYNTAX}; a value left out takes its default")
@@ -330,7 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--sigma", type=float)
     rec.set_defaults(func=_cmd_recover)
 
-    diag = sub.add_parser("diagnose", help="print regularity diagnostics and recovery margins as JSON")
+    diag = sub.add_parser(
+        "diagnose", help="print regularity diagnostics and recovery margins as JSON", allow_abbrev=False
+    )
     diag.add_argument("--matrix", required=True)
     diag.add_argument("--k0", type=int, default=3)
     diag.add_argument("--k-max", type=int)
@@ -342,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     diag.add_argument("--support", help="1-based column indices, comma separated (enables ERC)")
     diag.set_defaults(func=_cmd_diagnose)
 
-    sim = sub.add_parser("simulate", help="run a sweep from a JSON config and write CSV")
+    sim = sub.add_parser("simulate", help="run a sweep from a JSON config and write CSV", allow_abbrev=False)
     sim.add_argument("--config", required=True)
     sim.add_argument("--out", required=True)
     sim.add_argument("--trials", type=int, help="override config trials")
@@ -350,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--threads", type=int, default=1)
     sim.set_defaults(func=_cmd_simulate)
 
-    fig = sub.add_parser("figure", help="run a built-in experiment preset")
+    fig = sub.add_parser("figure", help="run a built-in experiment preset", allow_abbrev=False)
     fig.add_argument("name", choices=list(FIGURE_NAMES))
     fig.add_argument("--trials", type=int, default=10000)
     fig.add_argument("--root-seed", type=int, default=7)

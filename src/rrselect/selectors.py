@@ -24,7 +24,6 @@ import numpy as np
 from . import special
 from .errors import DomainError, EmptyPathError, require_indices, require_int, require_real
 from .omp import SolutionPath
-from .special import ALPHA_FLOOR
 
 # Margin, in ln, by which a bound of c(k) must clear ln z(k) to decide step k
 # without the exact log CDF: orders above the rounding of the bounds and of
@@ -106,7 +105,7 @@ def rrt_select(ratios: ResidualRatios, alpha: float) -> int | None:
     if ratios.zero_observation:
         return None
     lows, highs = ratios.log_cdf_bounds
-    ln_alpha = math.log(max(alpha, ALPHA_FLOOR))
+    ln_alpha = math.log(alpha)
     for k in range(steps, 0, -1):
         ln_z = ln_alpha - math.log(k_max * (p - k + 1))  # rrt_log_level(n, p, k_max, alpha, k)
         if lows[k - 1] > ln_z + _DECIDE_MARGIN:
@@ -124,6 +123,13 @@ def rrm_select(ratios: ResidualRatios) -> int | None:
     if ratios.zero_observation:
         return None
     return int(np.argmin(ratios.values)) + 1
+
+
+# The least level rrta_alpha returns. (min RR)^q underflows to 0 for a small
+# ratio or a large q, and at min RR = 0 (an exact fit) it is 0 itself: the
+# floor keeps the level positive, so RRT's test still selects the exact-fit
+# step, whose c(k) = 0 lies below every positive level.
+ALPHA_FLOOR = 1e-300
 
 
 def rrta_alpha(ratios: ResidualRatios, pfd: float, q: float) -> float:

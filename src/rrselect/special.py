@@ -11,9 +11,9 @@ double where that test flips, found by bisecting the doubles on the same log
 CDF.
 
 Everything here is scalar (math and struct; numpy only for the table's
-array). The rule is applied in logs, so a level below the doubles (alpha near
-1e-300 over a huge p) and a ratio whose square underflows both keep their
-digits.
+array). The rule is applied in logs, so a level below the doubles (a
+subnormal alpha, or any alpha over a huge p) and a ratio whose square
+underflows both keep their digits.
 """
 from __future__ import annotations
 
@@ -24,10 +24,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, is_real, require_int, require_real
-
-# Probabilities below this floor are clamped up before threshold evaluation so
-# log-domain arithmetic stays finite while "threshold -> 0" behavior survives.
-ALPHA_FLOOR = 1e-300
 
 # log_beta_fn sums three lgamma values up to this max(a, b), and takes
 # Stirling's series past it.
@@ -177,8 +173,8 @@ def half_beta_log_cdf_bounds(n: int, ratios: list[float]) -> tuple[list[float], 
 
 
 def rrt_log_level(n: int, p: int, k_max: int, alpha: float, k: int) -> float:
-    """ln z(k) of the per-step level z(k) = alpha / (k_max (p-k+1)), with
-    alpha floored at ALPHA_FLOOR.
+    """ln z(k) of the per-step level z(k) = alpha / (k_max (p-k+1)), for any
+    double alpha in (0, 1): ln alpha is finite down to the smallest subnormal.
 
     The Beta CDF is increasing, so RR(k) < Gamma(k) is the same test as
     log_cdf_of_square((n-k)/2, 1/2, RR(k)) < ln z(k). math.log takes an int of
@@ -194,7 +190,7 @@ def rrt_log_level(n: int, p: int, k_max: int, alpha: float, k: int) -> float:
     if p < k:
         raise DomainError(f"p={p} must be >= k={k}")
     alpha = require_real("alpha", alpha, 0.0, 1.0)
-    return math.log(max(alpha, ALPHA_FLOOR)) - math.log(k_max * (p - k + 1))
+    return math.log(alpha) - math.log(k_max * (p - k + 1))
 
 
 def rrt_threshold(n: int, p: int, k_max: int, alpha: float, k: int) -> float:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import functools
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrselect.analysis import epsilon_bounds, mic_sparsity_limit, ric_bruteforce
-from rrselect.cli import FIGURE_NAMES, figure_config, main
+from rrselect.cli import FIGURE_NAMES, build_parser, figure_config, main
 from rrselect.designs import SignalSpec, load_design_csv, make_gaussian, make_identity_hadamard, save_matrix_csv
 from rrselect.errors import ParseError, ValidationError
 from rrselect.simulate import (
@@ -198,7 +199,8 @@ def test_gen_matrix_and_sidecar(tmp_path, capsys):
     matrix = load_design_csv(out).matrix
     assert matrix.shape == (8, 16)
     sidecar = json.loads((tmp_path / "m.csv.json").read_text())
-    assert sidecar == {"kind": "identity_hadamard", "n": 8, "p": 16, "seed": 0, "normalize": False}
+    # A fixed kind draws nothing and is not normalized: its sidecar records no seed and no normalize.
+    assert sidecar == {"kind": "identity_hadamard", "n": 8, "p": 16}
 
 
 def test_gen_matrix_gaussian_deterministic(tmp_path):
@@ -727,3 +729,92 @@ def test_figure_rejects_thread_counts_below_one(tmp_path, capsys, threads):
 def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["threshold", "--n", "8", "--p", "16", "--k-max", "2", "--bogus", "1"])
+
+
+def _subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
+    """{name: parser} of every subcommand, read off build_parser()'s actions."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _options(parser):
+    """Every action of a subcommand but --help, each with a value it accepts
+    as typed and that value as parsed."""
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if action.nargs == 0:
+            yield action, [], action.const
+        else:
+            token = str(list(action.choices)[0]) if action.choices else {int: "1", float: "0.5"}.get(action.type, "v")
+            yield action, [token], action.type(token) if action.type else token
+
+
+def _required_argv(parser, skip=None) -> list[str]:
+    """The required options and positionals of a subcommand, each with a value."""
+    argv = []
+    for action, tokens, _ in _options(parser):
+        if action.required and action is not skip:
+            argv += action.option_strings[:1] + tokens
+    return argv
+
+
+@pytest.mark.parametrize("name", sorted(_subcommand_parsers()))
+def test_every_option_parses_under_its_full_spelling(name):
+    parser = _subcommand_parsers()[name]
+    for action, tokens, value in _options(parser):
+        for spelling in action.option_strings or [None]:
+            typed = ([spelling] if spelling else []) + tokens
+            args = build_parser().parse_args([name, *_required_argv(parser, skip=action), *typed])
+            assert getattr(args, action.dest) == value, (name, spelling)
+
+
+@pytest.mark.parametrize("name", sorted(_subcommand_parsers()))
+def test_no_option_takes_an_abbreviation(name, capsys):
+    # An option has one spelling: a prefix of it is refused with argparse's
+    # usage error, not expanded to the option.
+    parser = _subcommand_parsers()[name]
+    abbreviated = 0
+    for action, tokens, _ in _options(parser):
+        for spelling in action.option_strings:
+            if len(spelling) <= 3:  # --n, --p, --y: no prefix is an option
+                continue
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([name, *_required_argv(parser, skip=action), spelling[:-1], *tokens])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: rrselect ") and "error: " in err and spelling[:-1] in err, err
+            abbreviated += 1
+    assert abbreviated
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["recover", "--matrix", "{X}", "--y", "{y}", "--meth", "rrm"],
+        ["recover", "--matrix", "{X}", "--y", "{y}", "--method", "rrm", "--ru", "ols"],
+        ["gen-matrix", "--kind", "identity_hadamard", "--n", "8", "--ou", "{out}"],
+        ["gen-matrix", "--kind", "gaussian", "--n", "8", "--p", "16", "--norm", "--out", "{out}"],
+        ["threshold", "--n", "8", "--p", "16", "--k-max", "2", "--alph", "0.01"],
+        ["diagnose", "--matrix", "{X}", "--k0", "1", "--ric", "2"],
+        ["simulate", "--config", "{config}", "--out", "{out}", "--tri", "2"],
+        ["figure", "fig1_hadamard", "--tri", "2", "--out", "{out}"],
+    ],
+)
+def test_each_subcommand_refuses_an_abbreviated_option(tmp_path, capsys, args):
+    # Each command runs as typed when spelled out: only the abbreviation fails.
+    mpath, ypath = _write_identity_problem(tmp_path)
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps(dict(MINIMAL_CONFIG, snr_db=[20], trials=2)))
+    out = tmp_path / "out"
+    argv = [a.format(X=mpath, y=ypath, config=cpath, out=out) for a in args]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    spellings = _subcommand_parsers()[args[0]]._option_string_actions
+    (prefix,) = [a for a in argv if a.startswith("--") and a not in spellings]
+    assert err.startswith("usage: rrselect ") and "error: " in err and prefix in err, err
+    assert not out.exists()
+    (full,) = [spelling for spelling in spellings if spelling.startswith(prefix)]
+    assert main([full if a == prefix else a for a in argv]) == 0

@@ -18,6 +18,7 @@ from rrselect.designs import (
 from rrselect.errors import DomainError, EmptyPathError, ValidationError
 from rrselect.omp import RULES, SolutionPath, solution_path, stop_rcsc, stop_rpsc
 from rrselect.selectors import (
+    ALPHA_FLOOR,
     ResidualRatios,
     minimal_superset_index,
     prefix_hits,
@@ -28,7 +29,6 @@ from rrselect.selectors import (
     rrta_select,
 )
 from rrselect.special import (
-    ALPHA_FLOOR,
     build_threshold_table,
     half_beta_log_cdf_bounds,
     log_cdf_of_square,
@@ -299,6 +299,11 @@ def test_a_level_below_the_doubles_is_not_raised_to_them():
     assert rrt_select(ratios, 1e-300) is None
     assert rrt_select(_ratios([0.0], 2, 10**30, 1), 1e-300) == 1
     assert rrt_threshold(2, 10**30, 1, 1e-300, 1) == 5e-324
+    # Nor is a subnormal alpha raised to 1e-300: at alpha = 1e-310, n = 32,
+    # p = 64, k_max = 2, Gamma(1) ~ 9.1e-11 (1.9e-10 at alpha = 1e-300), so
+    # RR(1) = 1.2e-10 is not selected, and RR(2) = 0.9 is far above Gamma(2).
+    assert rrt_select(ResidualRatios(np.array([1.2e-10, 0.9]), 32, 64, 2), 1e-310) is None
+    assert rrt_select(ResidualRatios(np.array([1.2e-10, 0.9]), 32, 64, 2), 1e-300) == 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -338,7 +343,7 @@ def _mp_log_gaps(mp, rr, n, p, k_max, alpha):
     gaps = []
     with mp.workdps(50):
         for k, x in enumerate(rr, 1):
-            ln_z = mp.log(mp.mpf(max(alpha, ALPHA_FLOOR))) - mp.log(k_max * (p - k + 1))
+            ln_z = mp.log(mp.mpf(alpha)) - mp.log(k_max * (p - k + 1))
             c = mp.betainc(mp.mpf(n - k) / 2, 0.5, 0, mp.mpf(x) ** 2, regularized=True)
             gaps.append(mp.log(c) - ln_z if c > 0 else -mp.inf)
     return gaps
@@ -348,13 +353,13 @@ def _mp_log_gaps(mp, rr, n, p, k_max, alpha):
 @given(
     n=st.integers(2, 200),
     data=st.data(),
-    log_alpha=st.floats(math.log(1e-300), math.log(0.5)),
+    log_alpha=st.floats(math.log(5e-324), math.log(0.5)),
     p_digits=st.integers(0, 400),
 )
 def test_rrt_select_decides_as_the_papers_level_in_mpmath(n, data, log_alpha, p_digits):
     # The rule is the paper's: the largest k with c(k) < z(k) = alpha /
     # (k_max (p-k+1)), the level neither rounded nor raised, for p up to
-    # 10^400 and alpha down to 1e-300. Wherever every step's ln c(k) lies
+    # 10^400 and alpha down to the smallest subnormal, 5e-324. Wherever every step's ln c(k) lies
     # more than 1e-12 from ln z(k) in 50-digit mpmath, rrt_select decides as
     # that comparison does. Ratios are drawn anywhere in [0,1], or within
     # 1e-6 to 1e-12 of Gamma(k).

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from rrselect.errors import DomainError
 from rrselect.special import (
-    ALPHA_FLOOR,
     build_threshold_table,
     half_beta_log_cdf_bounds,
     half_beta_log_terms,
@@ -232,7 +231,7 @@ def test_threshold_at_the_int_p_10_to_the_308_matches_mpmath():
 
 
 def test_rrt_threshold_tiny_alpha_stays_positive():
-    gamma = rrt_threshold(32, 64, 16, ALPHA_FLOOR, 3)
+    gamma = rrt_threshold(32, 64, 16, 1e-300, 3)
     assert 0.0 < gamma < 1.0
 
 
@@ -275,14 +274,14 @@ def test_half_beta_log_terms_are_the_constants_of_the_floor():
 
 
 def _mp_level(mp, n, p, k_max, alpha, k):
-    """z(k) = max(alpha, ALPHA_FLOOR) / (k_max (p-k+1)) in mpmath, from the
-    exact integer denominator: no rounding to a double, no raise."""
-    return mp.mpf(max(alpha, ALPHA_FLOOR)) / (k_max * (p - k + 1))
+    """z(k) = alpha / (k_max (p-k+1)) in mpmath, from the exact integer
+    denominator: no rounding to a double, no raise."""
+    return mp.mpf(alpha) / (k_max * (p - k + 1))
 
 
 def test_rrt_log_level_is_the_level_of_the_threshold():
     assert rrt_log_level(32, 64, 16, 0.1, 1) == math.log(0.1) - math.log(16 * 64)
-    assert rrt_log_level(32, 64, 16, 1e-320, 3) == math.log(ALPHA_FLOOR) - math.log(16 * 62)  # alpha floored
+    assert rrt_log_level(32, 64, 16, 1e-320, 3) == math.log(1e-320) - math.log(16 * 62)  # alpha as given
     for k in (1, 8, 16):
         gamma = rrt_threshold(32, 64, 16, 0.1, k)
         level = math.exp(rrt_log_level(32, 64, 16, 0.1, k))
@@ -308,7 +307,7 @@ def test_a_level_denominator_past_the_doubles_gives_the_exact_level():
         (10, 10**400, 5, 0.1, 5),
         (3, FIRST_INT_PAST_DOUBLES, 1, 0.5, 1),
         (3, FIRST_INT_PAST_DOUBLES - 1, 1, 0.5, 1),
-        (32, 10**30, 16, ALPHA_FLOOR, 1),
+        (32, 10**30, 16, 1e-300, 1),
         (10, 10**300, 5, 0.1, 3),
         (10**9, 10**300, 10**9 - 1, 1e-300, 1),
     ]
@@ -388,7 +387,7 @@ UNDERFLOW_CASES = [
     (32, 64, 31, 1e-200, 31),  # Gamma^2 below every double
     (3, 10**9, 1, 1e-300, 1),  # a = 1: Gamma^2 = 2 z ~ 2e-309
     (4, 10**20, 2, 1e-300, 2),  # the level 5e-321 is subnormal
-    (4, 10**30, 2, ALPHA_FLOOR, 2),  # the level 5e-331 lies below the doubles
+    (4, 10**30, 2, 1e-300, 2),  # the level 5e-331 lies below the doubles
 ]
 
 
@@ -475,18 +474,26 @@ def test_threshold_at_a_level_below_the_doubles_matches_mpmath():
     # At n = 68, k = 1 (a = 33.5) the level 1e-300 / 1e30 lies below the
     # doubles, while Gamma(1)^2 ~ 1e-10 is normal. Gamma(1) is the quantile
     # of that level itself, where the selectors' test flips; a level rounded
-    # or raised to 5e-324 would move it by up to 1%.
+    # or raised to 5e-324 would move it by up to 1%. So too for a subnormal
+    # alpha, taken as given and not raised to 1e-300: at alpha = 1e-310,
+    # Gamma(1) ~ 9.1066e-11, not the 1.914e-10 of alpha = 1e-300.
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
-    args = (68, 10**30, 1, 1e-300, 1)
-    a, z = 33.5, _mp_level(mp, *args)
-    ln_z = rrt_log_level(*args)
-    assert ln_z == pytest.approx(float(mp.log(z)), rel=4e-16, abs=0.0)
-    gamma = rrt_threshold(*args)
-    assert gamma * gamma >= sys.float_info.min
-    assert log_cdf_of_square(a, 0.5, math.nextafter(gamma, 0.0)) < ln_z <= log_cdf_of_square(a, 0.5, gamma)
-    ln_g = mp.findroot(lambda t: mp.log(mp.betainc(a, 0.5, 0, mp.exp(2 * t), regularized=True)) - mp.log(z), -11)
-    assert gamma == pytest.approx(float(mp.exp(ln_g)), rel=1e-14, abs=0.0)
+    cases = [(68, 10**30, 1, 1e-300, 1)]
+    cases += [(32, 64, 2, alpha, k) for alpha in (1e-310, 1e-320, 5e-324) for k in (1, 2)]
+    for args in cases:
+        a, z = (args[0] - args[4]) / 2.0, _mp_level(mp, *args)
+        ln_z = rrt_log_level(*args)
+        assert ln_z == pytest.approx(float(mp.log(z)), rel=4e-16, abs=0.0), args
+        gamma = rrt_threshold(*args)
+        assert gamma * gamma >= sys.float_info.min
+        assert log_cdf_of_square(a, 0.5, math.nextafter(gamma, 0.0)) < ln_z <= log_cdf_of_square(a, 0.5, gamma)
+        ln_g = mp.findroot(
+            lambda t: mp.log(mp.betainc(a, 0.5, 0, mp.exp(2 * t), regularized=True)) - mp.log(z), math.log(gamma)
+        )
+        assert gamma == pytest.approx(float(mp.exp(ln_g)), rel=1e-14, abs=0.0), args
+    assert rrt_threshold(32, 64, 2, 1e-310, 1) == pytest.approx(9.106592217312887e-11, rel=1e-14, abs=0.0)
+    assert rrt_threshold(32, 64, 2, 1e-310, 2) == pytest.approx(4.21368709783359e-11, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
