@@ -359,12 +359,16 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--out", required=True, help="output directory")
     fig.set_defaults(func=_cmd_figure)
 
+    for subparser in sub.choices.values():  # main reports an unknown option with its subcommand's usage
+        subparser.set_defaults(error=subparser.error)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        args.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -134,14 +134,13 @@ def solution_path(design: DesignMatrix, y: np.ndarray, k_max: int, rule: str = "
     for k in range(k_max):
         if rule == "omp":
             # The first column of largest |correlation| is the pick unless it
-            # is taken; then mask every taken column and look again.
+            # is taken; then mask every taken column with -1 and look again.
+            # Only k < p are taken, and an untaken magnitude is >= 0 or nan,
+            # which argmax takes first: the pick is never a taken column.
             t = top
             if taken[t]:
                 magnitude[selected] = -1.0
                 t = int(magnitude.argmax())
-                if magnitude[t] < 0.0:  # every column already selected (p exhausted)
-                    status = "rank_deficient"
-                    break
         else:
             np.greater(res_col_sq, dependent_sq, out=admissible)
             score.fill(-1.0)

@@ -727,8 +727,16 @@ def test_figure_rejects_thread_counts_below_one(tmp_path, capsys, threads):
 
 
 def test_unknown_flag_rejected(capsys):
-    with pytest.raises(SystemExit):
-        main(["threshold", "--n", "8", "--p", "16", "--k-max", "2", "--bogus", "1"])
+    # Reported under the subcommand's own usage, whose options the user must read.
+    parsers = _subcommand_parsers()
+    assert len(parsers) == 6
+    for name, parser in parsers.items():
+        with pytest.raises(SystemExit) as exc:
+            main([name, *_required_argv(parser), "--bogus", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: rrselect {name} "), err
+        assert f"\nrrselect {name}: error: unrecognized arguments: --bogus 1\n" in err, err
 
 
 def _subcommand_parsers() -> dict[str, argparse.ArgumentParser]:

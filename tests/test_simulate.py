@@ -22,6 +22,7 @@ from rrselect.selectors import prefix_hits
 from rrselect.simulate import (
     ALGORITHMS,
     PARAMETER_DOMAINS,
+    SNR_DB_LIMIT,
     AlgorithmSpec,
     DesignSpec,
     ExperimentConfig,
@@ -412,8 +413,13 @@ def test_normalize_and_path_are_refused_for_the_kinds_that_do_not_read_them():
         (lambda: {"algorithms": (5,)}, "algorithms[0]"),
         (lambda: {"design": None}, "design"),
         (lambda: {"signal": None}, "signal"),
-        (lambda: {"snr_db_list": (20.0, 3090.0)}, "snr_db[1]"),  # 10^309 overflows
-        (lambda: {"snr_db_list": (-4000.0,)}, "snr_db[0]"),  # 10^-400 underflows to 0
+        (lambda: {"snr_db_list": (20.0, 3090.0)}, "snr_db[1]"),  # far past +SNR_DB_LIMIT
+        (lambda: {"snr_db_list": (-4000.0,)}, "snr_db[0]"),  # far past -SNR_DB_LIMIT
+        # y = X beta + w holds w only to about 1e-4 at 250 dB, X beta at -250 dB.
+        (lambda: {"snr_db_list": (20.0, 250.0)}, "snr_db[1]"),
+        (lambda: {"snr_db_list": (-250.0,)}, "snr_db[0]"),
+        (lambda: {"snr_db_list": (math.nextafter(SNR_DB_LIMIT, math.inf),)}, "snr_db[0]"),
+        (lambda: {"snr_db_list": (0.0, math.nextafter(-SNR_DB_LIMIT, -math.inf))}, "snr_db[1]"),
     ],
 )
 def test_config_validation_names_a_field_of_the_wrong_type(overrides, field):
@@ -458,6 +464,27 @@ def test_a_config_survives_its_own_dict(name):
 
 def test_config_validation_accepts_integer_snr_points_and_k_max():
     _config(snr_db_list=(0, 20), k_max_override=8)
+    # Both ends of the SNR range, SNR_DB_LIMIT = 200 dB, as ints and as floats.
+    _config(snr_db_list=(-200, 200))
+    _config(snr_db_list=(-SNR_DB_LIMIT, SNR_DB_LIMIT))
+
+
+def test_rpsc_at_the_highest_snr_point_errs_at_the_chi_square_tail():
+    # On fig1's design mu = 1/sqrt(32) < 1/(2 k0 - 1), so at high SNR OMP takes
+    # the support first (Tropp 2004) and rpsc errs exactly when the residual
+    # power ||P_S^perp w||^2 / sigma^2, chi-square with n - k0 = 29 degrees of
+    # freedom, exceeds n + 2 sqrt(n ln n) (Cai & Wang 2011). A trial that did
+    # not carry w in y would read a different rate.
+    import mpmath
+
+    config = cli.figure_config("fig1_hadamard", 20_000, 0)
+    config = dataclasses.replace(config, snr_db_list=(SNR_DB_LIMIT,), algorithms=(AlgorithmSpec("rpsc"),))
+    (row,) = run_sweep(config).rows
+    n, k0 = 32, 3
+    level = n + 2.0 * math.sqrt(n * math.log(n))
+    tail = float(mpmath.gammainc(mpmath.mpf(n - k0) / 2, mpmath.mpf(level) / 2, mpmath.inf, regularized=True))
+    assert tail == pytest.approx(0.00414, abs=5e-6)
+    assert abs(row.pe - tail) <= 3.0 * math.sqrt(tail * (1.0 - tail) / config.trials), row
 
 
 def test_an_experiment_has_one_digest_whether_its_numbers_are_ints_or_floats():
