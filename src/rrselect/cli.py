@@ -53,8 +53,8 @@ _HADAMARD_32 = DesignSpec(kind="identity_hadamard", n=32, p=64)
 _GAUSSIAN_32 = DesignSpec(kind="gaussian", n=32, p=64)
 _PM_ONE = SignalSpec(k0=3, kind="pm_one")
 _GEOMETRIC = SignalSpec(k0=3, kind="geometric", ratio=1.0 / 3.0)
-_SNR_0_40 = tuple(float(v) for v in range(0, 44, 4))
-_SNR_0_60 = tuple(float(v) for v in range(0, 65, 5))
+_SNR_0_40 = tuple(range(0, 44, 4))
+_SNR_0_60 = tuple(range(0, 65, 5))
 
 # Each figure preset: (design, signal, SNR points, algorithms).
 _FIGURES = {

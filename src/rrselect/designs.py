@@ -4,14 +4,14 @@ at a target SNR.
 Two matrix models are built in: the deterministic identity+Hadamard
 concatenation [I_n, H_n/sqrt(n)] and i.i.d. Gaussian entries N(0, 1/n).
 
-Every random draw takes a `seed`: an int stands for the stream of
-np.random.default_rng(seed), a streams.Stream for a stream prepared by the
+Every random draw takes a `seed`: an int in [0, 2**64) stands for the stream
+of np.random.default_rng(seed), a streams.Stream for a stream prepared by the
 caller (a sweep seeds its trials' streams a job at a time).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -41,9 +41,12 @@ class DesignMatrix:
     `matrix` is a read-only float64 copy of the array given, in column-major
     (Fortran) order: greedy paths read whole columns, and a design shared by
     many paths is not changed under them. Every entry must be finite.
+    `column_sq` is the read-only ||x_j||^2 of each column, which the paths'
+    and erc_constant's rank tests scale by; each must be a double too.
     """
 
     matrix: np.ndarray
+    column_sq: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         x = np.array(self.matrix, dtype=np.float64, order="F")
@@ -51,12 +54,17 @@ class DesignMatrix:
             raise DimensionMismatchError(f"expected a 2-d array, got ndim={x.ndim}")
         if x.size and not np.isfinite(x).all():
             raise ValidationError("matrix entries must be finite")
-        x.flags.writeable = False
+        sq = np.einsum("ij,ij->j", x, x)
+        overflow = np.flatnonzero(np.isinf(sq))
+        if overflow.size:
+            raise ValidationError(f"matrix column {overflow[0]}: its squared norm overflows a double")
+        x.flags.writeable = sq.flags.writeable = False
         object.__setattr__(self, "matrix", x)
+        object.__setattr__(self, "column_sq", sq)
 
     def __reduce__(self):
         # Unpickled arrays come back writeable: rebuild from the matrix alone,
-        # so a pool worker's copy is read-only again and derives its own cache.
+        # so a pool worker's copy is read-only again and derives its own norms.
         return (DesignMatrix, (self.matrix,))
 
     @property
@@ -66,13 +74,6 @@ class DesignMatrix:
     @property
     def p(self) -> int:
         return self.matrix.shape[1]
-
-    @cached_property
-    def column_sq(self) -> np.ndarray:
-        """Read-only ||x_j||^2 of each column: the paths' and erc_constant's rank tests scale by it."""
-        sq = np.einsum("ij,ij->j", self.matrix, self.matrix)
-        sq.flags.writeable = False
-        return sq
 
     @cached_property
     def unit_norm_columns(self) -> bool:

@@ -157,7 +157,7 @@ def solution_path(design: DesignMatrix, y: np.ndarray, k_max: int, rule: str = "
             v = col - q.dot(qt.dot(col))
             v -= q.dot(qt.dot(v))  # second pass: mops up cancellation in the first
         norm = math.sqrt(v.dot(v))
-        if norm <= RANK_TOL * math.sqrt(col_sq[t]) or norm == 0.0:  # in the span of the basis
+        if norm <= RANK_TOL * math.sqrt(col_sq[t]):  # in the span of the basis
             status = "rank_deficient"
             break
         q = basis[k]

@@ -37,9 +37,9 @@ class ResidualRatios:
     problem run for up to k_max steps; within [0,1] on every path from
     solution_path, whose residual norms are nonincreasing. Ratios built by
     hand are checked on construction: a DomainError unless n, p and k_max are
-    ints and the values are a vector of K <= k_max <= min(n - 1, p) ratios,
-    each in [0,1]; an EmptyPathError if K = 0, as no selector has a step to
-    choose from.
+    ints and the values are a numpy vector of K <= k_max <= min(n - 1, p)
+    ratios, each in [0,1]; an EmptyPathError if K = 0, as no selector has a
+    step to choose from.
 
     zero_observation marks a path of y = 0, where no step explains anything.
     """
@@ -54,6 +54,8 @@ class ResidualRatios:
         values, n, p, k_max = self.values, self.n, self.p, self.k_max
         for name, value in (("n", n), ("p", p), ("k_max", k_max)):
             require_int(name, value)
+        if not isinstance(values, np.ndarray):
+            raise DomainError(f"residual ratios must be a numpy array, got {values!r}")
         if not (values.ndim == 1 and len(values) <= k_max and 1 <= k_max <= min(n - 1, p)):
             raise DomainError(
                 f"ratios of shape {values.shape} do not fit a path of up to k_max={k_max} steps at n={n}, p={p}"

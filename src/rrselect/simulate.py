@@ -32,7 +32,7 @@ from .designs import (
 from .errors import ParseError, ValidationError, is_int, is_real, require_field
 from .omp import RULES, SupportEstimate, default_kmax, solution_path, stop_fixed, stop_rcsc, stop_rpsc
 from .selectors import prefix_hits, residual_ratios, rrm_select, rrt_select, rrta_select
-from .streams import Stream, pcg64_states
+from .streams import SEED_LIMIT, Stream, pcg64_states
 
 DESIGN_KINDS = ("identity_hadamard", "gaussian", "external")
 _MASK64 = (1 << 64) - 1
@@ -131,8 +131,9 @@ class DesignSpec:
 class AlgorithmSpec:
     """One configured algorithm. The field defaults are every entry point's;
     a parameter the algorithm does not read must keep its default, as another
-    value would change the experiment id and no row. A spec cannot know its
-    place in a list: its builder prefixes the field its errors name with it."""
+    value would change the experiment id and no row. Each parameter is stored
+    as a float. A spec cannot know its place in a list: its builder prefixes
+    the field its errors name with it."""
 
     name: str
     rule: str = "omp"
@@ -164,19 +165,22 @@ class AlgorithmSpec:
         for key, (low, high) in PARAMETER_DOMAINS.items():
             value = getattr(self, key)
             require_field(is_real(value), key, "be a finite number", value)
+            object.__setattr__(self, key, float(value))
             if key in read:
                 require_field(low < value < high, key, f"lie in ({low:g},{high:g})", value)
             else:
                 default = getattr(AlgorithmSpec, key)  # the field's default
                 unread = f"keep its default {default:g} ({name} does not read it)"
-                require_field(float(value) == default, key, unread, value)
+                require_field(value == default, key, unread, value)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One sweep. Every config type checks its fields when built and at every
     dataclasses.replace, raising a ValidationError that names the field: each
-    spec its own, this what needs more than one. A config that exists is valid."""
+    spec its own, this what needs more than one. A config that exists is valid.
+    It stores what it runs: SNR points as floats, and k_max, which None makes
+    default_kmax(design.n); replace copies it, as DesignSpec's p."""
 
     design: DesignSpec
     signal: SignalSpec
@@ -184,30 +188,27 @@ class ExperimentConfig:
     trials: int
     algorithms: tuple[AlgorithmSpec, ...]
     root_seed: int
-    k_max_override: int | None = None
-
-    @property
-    def k_max(self) -> int:
-        return self.k_max_override if self.k_max_override is not None else default_kmax(self.design.n)
+    k_max: int | None = None
 
     def __post_init__(self) -> None:
         d = self.design
         require_field(isinstance(d, DesignSpec), "design", "be a DesignSpec", d)
         require_field(isinstance(self.signal, SignalSpec), "signal", "be a SignalSpec", self.signal)
-        integers = {"trials": self.trials, "root_seed": self.root_seed}
-        if self.k_max_override is not None:
-            integers["k_max_override"] = self.k_max_override
-        for where, value in integers.items():
+        require_field(d.n >= 2, "design.n", "be >= 2", d.n)
+        if self.k_max is None:
+            object.__setattr__(self, "k_max", default_kmax(d.n))
+        for where in ("trials", "root_seed", "k_max"):
+            value = getattr(self, where)
             require_field(is_int(value), where, "be an integer", value)
         require_field(isinstance(self.snr_db_list, tuple), "snr_db", "be a tuple (a JSON list)", self.snr_db_list)
         for i, value in enumerate(self.snr_db_list):
             in_range = is_real(value) and -SNR_DB_LIMIT <= value <= SNR_DB_LIMIT
             require_field(in_range, f"snr_db[{i}]", f"lie in [{-SNR_DB_LIMIT:g}, {SNR_DB_LIMIT:g}] dB", value)
+        snr_db = tuple(map(float, self.snr_db_list))
+        object.__setattr__(self, "snr_db_list", snr_db)
         require_field(isinstance(self.algorithms, tuple), "algorithms", "be a tuple (a JSON list)", self.algorithms)
         for i, alg in enumerate(self.algorithms):
             require_field(isinstance(alg, AlgorithmSpec), f"algorithms[{i}]", "be an AlgorithmSpec", alg)
-        require_field(d.n >= 2, "design.n", "be >= 2", d.n)
-        snr_db = self.snr_db_list
         require_field(len(snr_db) > 0, "snr_db", "be nonempty", snr_db)
         require_field(len(set(snr_db)) == len(snr_db), "snr_db", "be distinct (they key the trial seeds)", snr_db)
         require_field(self.trials >= 1, "trials", "be >= 1", self.trials)
@@ -217,23 +218,13 @@ class ExperimentConfig:
         k0, longest = self.signal.k0, min(d.n - 1, d.p)  # a path's most steps
         require_field(k0 <= d.p, "signal.k0", f"lie in [1, {d.p}]", k0)
         require_field(k0 <= self.k_max <= longest, "k_max", f"lie in [{k0}, {longest}]", self.k_max)
-        require_field(self.root_seed >= 0, "root_seed", "be nonnegative", self.root_seed)
+        require_field(0 <= self.root_seed < SEED_LIMIT, "root_seed", "lie in [0, 2**64)", self.root_seed)
 
     def to_dict(self) -> dict:
-        """The config as JSON values, with the SNR points, signal.ratio and
-        the algorithm parameters as floats: an experiment's digest does not
-        depend on whether a number was written as an int or a float."""
-        return {
-            "design": asdict(self.design),
-            "signal": asdict(self.signal),
-            "snr_db": [float(v) for v in self.snr_db_list],
-            "trials": self.trials,
-            "algorithms": [
-                dict(asdict(a), **{key: float(getattr(a, key)) for key in PARAMETER_DOMAINS}) for a in self.algorithms
-            ],
-            "root_seed": self.root_seed,
-            "k_max": self.k_max,
-        }
+        """The config's fields under their JSON names, tuples as lists. A
+        number that may be an int or a float is stored as a float, so the
+        digest does not depend on which one a config was given."""
+        return {_JSON_NAMES.get(key, key): list(v) if isinstance(v, tuple) else v for key, v in asdict(self).items()}
 
     def digest(self) -> str:
         # Configs once also held design.seed and regenerate_matrix_per_trial;
@@ -247,7 +238,7 @@ class ExperimentConfig:
 
 
 # The JSON names of the ExperimentConfig fields that to_dict spells differently.
-_JSON_NAMES = {"snr_db_list": "snr_db", "k_max_override": "k_max"}
+_JSON_NAMES = {"snr_db_list": "snr_db"}
 
 
 def _fields(raw, cls, context: str) -> dict:
@@ -512,7 +503,7 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
             err, fd = counts[snr_db, alg.label, "pe"], counts[snr_db, alg.label, "pfd"]
             rows.append(
                 SweepRow(
-                    snr_db=float(snr_db),
+                    snr_db=snr_db,
                     algorithm=alg.label,
                     rule=alg.rule,
                     trials=trials,

@@ -19,6 +19,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import is_int, require_field
+
+# Every seed is a 64-bit word: an int in [0, SEED_LIMIT).
+SEED_LIMIT = 1 << 64
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
 # PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).
@@ -106,12 +110,13 @@ class Stream(NamedTuple):
     @classmethod
     def of(cls, seed: int | Stream) -> Stream:
         """`seed` itself if it is a Stream, else the stream of
-        `np.random.default_rng(seed)` for an int seed, which
-        `np.random.PCG64(seed)` checks as default_rng does."""
+        `np.random.default_rng(seed)` for an int seed in [0, 2**64), seeded
+        by pcg64_states; any other seed is a ValidationError naming `seed`."""
         if isinstance(seed, Stream):
             return seed
-        state = np.random.PCG64(seed).state["state"]
-        return cls(state["state"], state["inc"])
+        require_field(is_int(seed) and 0 <= seed < SEED_LIMIT, "seed", "be an integer in [0, 2**64)", seed)
+        ((state, inc),) = pcg64_states([seed])
+        return cls(state, inc)
 
     def generator(self) -> np.random.Generator:
         """The thread's reused Generator, set to this stream's start. It

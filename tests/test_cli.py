@@ -680,6 +680,29 @@ def test_simulate_trials_override_and_failure_leaves_no_file(tmp_path):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["gen-matrix", "--kind", "gaussian", "--n", "8", "--p", "16", "--seed", "-1", "--out", "{out}"],
+         "seed: must be an integer in [0, 2**64), got -1"),
+        (["simulate", "--config", "{wide}", "--out", "{out}"],
+         "root_seed: must lie in [0, 2**64), got 18446744073709551616"),
+        (["simulate", "--config", "{config}", "--out", "{out}", "--root-seed", "-1"],
+         "root_seed: must lie in [0, 2**64), got -1"),
+    ],
+)
+def test_a_seed_is_a_64_bit_word_on_the_command_line(tmp_path, capsys, args, message):
+    # numpy would take -1 as a bare ValueError, and a root seed of 2**64 would
+    # sweep as 0 under another experiment id.
+    paths = {name: tmp_path / f"{name}.json" for name in ("config", "wide")}
+    paths["config"].write_text(json.dumps(dict(MINIMAL_CONFIG, trials=5)))
+    paths["wide"].write_text(json.dumps(dict(MINIMAL_CONFIG, trials=5, root_seed=2**64)))
+    out = tmp_path / "out.csv"
+    assert main([arg.format(out=out, **paths) for arg in args]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_figure_config_presets():
     for name in ("fig1_hadamard", "fig1_gaussian", "fig2_hadamard", "fig2_gaussian"):
         config = figure_config(name, trials=10, root_seed=7)

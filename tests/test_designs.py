@@ -34,6 +34,20 @@ def test_design_matrix_validates_shape_and_finiteness():
         DesignMatrix([[np.inf, 0.0]])
 
 
+@pytest.mark.parametrize("scale, overflows", [(1e160, True), (1e150, False)])
+def test_design_matrix_refuses_a_column_whose_squared_norm_overflows(scale, overflows):
+    # 8 entries of 1e160 square to 8e320 > 1.8e308: the paths' rank test
+    # would read an inf column norm (OMP stopped at step 0 as rank deficient,
+    # OLS ran amid overflow warnings). 8e300 is still a double.
+    x = np.ones((8, 16))
+    x[:, 3] = scale
+    if overflows:
+        with pytest.raises(ValidationError, match=r"^matrix column 3: its squared norm overflows a double$"):
+            DesignMatrix(x)
+    else:
+        assert DesignMatrix(x).column_sq[3] == 8 * scale * scale
+
+
 def test_design_matrix_holds_a_read_only_fortran_order_copy():
     x = np.arange(6.0).reshape(2, 3)  # C order
     d = DesignMatrix(x)
@@ -56,12 +70,12 @@ def test_column_sq_is_the_einsum_read_only_and_computed_once():
 @pytest.mark.parametrize("design", [make_identity_hadamard(4), make_gaussian(3, 5, 0)])
 def test_a_pickled_design_comes_back_read_only_without_its_cache(design):
     # A pool worker unpickles the sweep's design: it must be the checked
-    # read-only copy again, and derive its column norms itself.
-    design.column_sq
+    # read-only copy again, and derive its column norms itself. The pickle
+    # holds the matrix alone, and the clone's build derives the norms.
+    assert design.__reduce__() == (DesignMatrix, (design.matrix,))
     clone = pickle.loads(pickle.dumps(design))
     assert clone.matrix.tobytes() == design.matrix.tobytes()
     assert clone.matrix.flags.f_contiguous and not clone.matrix.flags.writeable
-    assert "column_sq" not in clone.__dict__
     assert clone.column_sq.tobytes() == design.column_sq.tobytes() and not clone.column_sq.flags.writeable
 
 

@@ -4,6 +4,7 @@ experiment id; its module table names every export."""
 import contextlib
 import dataclasses
 import io
+import json
 import re
 from pathlib import Path
 
@@ -54,7 +55,10 @@ def test_readme_quick_start_runs(snr, support_seed):
 
 
 def test_readme_config_example_keeps_its_experiment_id():
-    assert parse_config(CONFIG_EXAMPLE).digest() == "8a8f6129cb96"
+    config = parse_config(CONFIG_EXAMPLE)
+    assert config.digest() == "8a8f6129cb96"
+    # It leaves k_max out, and its to_dict JSON reads back as the config itself.
+    assert parse_config(json.dumps(config.to_dict())) == config
 
 
 def test_module_table_names_every_export_in_its_modules_row():

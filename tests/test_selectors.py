@@ -141,6 +141,8 @@ def test_rrt_select_checks_its_arguments_without_ratios():
     # A level outside (0,1) is refused by rrt_select itself.
     with pytest.raises(EmptyPathError):
         ResidualRatios(np.array([]), 32, 64, 3)
+    with pytest.raises(DomainError, match=r"^residual ratios must be a numpy array, got \[0\.5\]$"):
+        ResidualRatios([0.5], 8, 16, 3)  # a list has no ndim
     for values, n, p, k_max, alpha in (
         ([0.5], 32, 64, 3, 5.0),
         ([0.5], 32, 64, 3, 0.0),

@@ -315,14 +315,16 @@ def _replaced(**overrides):
         (lambda make, csv: make(algorithms=()), "algorithms"),
         (lambda make, csv: make(algorithms=(AlgorithmSpec("lars"),)), "name"),
         (lambda make, csv: make(algorithms=(AlgorithmSpec("rrm"), AlgorithmSpec("rrm"))), "algorithms"),
-        (lambda make, csv: make(k_max_override=40), "k_max"),
-        (lambda make, csv: make(k_max_override=2), "k_max"),
+        (lambda make, csv: make(k_max=40), "k_max"),
+        (lambda make, csv: make(k_max=2), "k_max"),
         (lambda make, csv: make(root_seed=-1), "root_seed"),
+        (lambda make, csv: make(root_seed=2**64), "root_seed"),  # would seed as root_seed 0
         (lambda make, csv: build_design(DesignSpec("identity_hadamard", 4), seed=0), "seed"),
         (lambda make, csv: build_design(DesignSpec("external", 4, 8, path=csv), seed=0), "seed"),
         (lambda make, csv: build_design(DesignSpec("external", 8, 16, path=csv)), "design.path"),
-        (lambda make, csv: run_sweep(make(design=DesignSpec("external", 4, 16, path=csv), signal=SignalSpec(1))),
-         "design.path"),
+        # k_max=None: replace would copy the n = 32 config's stored k_max 16 into this n = 4 one.
+        (lambda make, csv: run_sweep(make(design=DesignSpec("external", 4, 16, path=csv), signal=SignalSpec(1),
+                                          k_max=None)), "design.path"),
     ],
 )
 def test_config_validation_errors(refuse, field, make, tmp_path):
@@ -392,8 +394,8 @@ def test_normalize_and_path_are_refused_for_the_kinds_that_do_not_read_them():
         (lambda: {"trials": 3.0}, "trials"),
         (lambda: {"root_seed": 7.5}, "root_seed"),
         (lambda: {"root_seed": False}, "root_seed"),
-        (lambda: {"k_max_override": 8.0}, "k_max_override"),
-        (lambda: {"k_max_override": True}, "k_max_override"),
+        (lambda: {"k_max": 8.0}, "k_max"),
+        (lambda: {"k_max": True}, "k_max"),
         (lambda: {"design": DesignSpec(kind="identity_hadamard", n=32.0, p=64)}, "design.n"),
         (lambda: {"design": DesignSpec(kind="identity_hadamard", n=32, p=True)}, "design.p"),
         (lambda: {"design": DesignSpec(kind="gaussian", n=32, p=64.5)}, "design.p"),
@@ -405,7 +407,7 @@ def test_normalize_and_path_are_refused_for_the_kinds_that_do_not_read_them():
         (lambda: {"snr_db_list": (-math.inf,)}, "snr_db[0]"),
         (lambda: {"snr_db_list": ("20",)}, "snr_db[0]"),
         (lambda: {"design": DesignSpec("gaussian", 8, 16, normalize="false")}, "design.normalize"),
-        (lambda: {"k_max_override": "8"}, "k_max_override"),
+        (lambda: {"k_max": "8"}, "k_max"),
         (lambda: {"design": DesignSpec("external", 8, 16, path=5)}, "design.path"),
         (lambda: {"design": DesignSpec(3, 8, 16)}, "design.kind"),
         (lambda: {"snr_db_list": 5}, "snr_db"),
@@ -456,14 +458,31 @@ def test_an_algorithm_spec_names_its_field_and_a_config_file_its_place(fields, k
 def test_a_config_survives_its_own_dict(name):
     # The five presets and the benchmark's two configs (fig1_hadamard is one).
     config = _benchmark_config("fig2_gaussian") if name == "gauss_ols_oracle" else cli.figure_config(name, 100, 0)
-    # to_dict writes the k_max a config resolves to: the same experiment,
-    # with one digest.
+    # The config stores the k_max it resolves to and its numbers as floats,
+    # so the JSON to_dict writes reads back as the config itself.
     rebuilt = parse_config(json.dumps(config.to_dict()))
-    assert rebuilt.to_dict() == config.to_dict() and rebuilt.digest() == config.digest()
+    assert rebuilt == config and rebuilt.digest() == config.digest()
 
 
 def test_config_validation_accepts_integer_snr_points_and_k_max():
-    _config(snr_db_list=(0, 20), k_max_override=8)
+    # Ints are stored as the floats JSON reads back, under the digest the
+    # config had when to_dict converted them.
+    given = _config(
+        snr_db_list=(0, 20),
+        k_max=8,
+        algorithms=(AlgorithmSpec("rrta", q=5), AlgorithmSpec("rpsc_hsc", eta=1), AlgorithmSpec("rrm", q=2)),
+    )
+    assert given == _config(
+        snr_db_list=(0.0, 20.0),
+        k_max=8,
+        algorithms=(AlgorithmSpec("rrta", q=5.0), AlgorithmSpec("rpsc_hsc", eta=1.0), AlgorithmSpec("rrm")),
+    )
+    assert [type(v) for v in given.snr_db_list] == [float, float]
+    assert {type(getattr(a, key)) for a in given.algorithms for key in PARAMETER_DOMAINS} == {float}
+    assert given.digest() == "403be5a88679"
+    # k_max is stored, as design.p is: replace copies it, and k_max=None derives it again.
+    assert dataclasses.replace(given, k_max=None).k_max == 16
+    assert dataclasses.replace(_config(), design=DesignSpec("identity_hadamard", 64)).k_max == 16
     # Both ends of the SNR range, SNR_DB_LIMIT = 200 dB, as ints and as floats.
     _config(snr_db_list=(-200, 200))
     _config(snr_db_list=(-SNR_DB_LIMIT, SNR_DB_LIMIT))

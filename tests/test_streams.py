@@ -13,6 +13,7 @@ import pytest
 from rrselect import simulate
 from rrselect.cli import figure_config
 from rrselect.designs import SignalSpec, make_gaussian, make_identity_hadamard, make_signal, sample_support, synthesize
+from rrselect.errors import ValidationError
 from rrselect.simulate import (
     _count_block,
     _derive_trial_seeds,
@@ -104,15 +105,44 @@ def test_generator_draws_equal_numpys():
 
 
 def test_int_seed_and_its_stream_draw_alike():
+    # Stream.of seeds an int through pcg64_states, the sweep's own seeding:
+    # the stream of default_rng(seed) at each end of both entropy widths.
     spec = SignalSpec(k0=3)
-    for seed in EDGE_SEEDS + [12345]:
-        assert sample_support(64, 3, seed) == sample_support(64, 3, Stream.of(seed))
+    for seed in EDGE_SEEDS + [2**63, 12345]:
+        expected = np.random.PCG64(seed).state["state"]
+        assert Stream.of(seed) == Stream(expected["state"], expected["inc"]), seed
+        support = tuple(sorted(np.random.default_rng(seed).choice(64, 3, replace=False).tolist()))
+        assert sample_support(64, 3, seed) == sample_support(64, 3, Stream.of(seed)) == support
         assert np.array_equal(make_signal(64, (1, 5, 9), spec, seed), make_signal(64, (1, 5, 9), spec, Stream.of(seed)))
-    # A seed default_rng rejects is rejected alike, and one it accepts past
-    # 64 bits gives its stream.
-    with pytest.raises(ValueError):
-        sample_support(64, 3, -1)
-    assert sample_support(64, 3, 2**70) == tuple(sorted(np.random.default_rng(2**70).choice(64, 3, replace=False).tolist()))
+
+
+_SEED_REFUSAL = r"^seed: must be an integer in \[0, 2\*\*64\), got "
+_DRAWS = {
+    "Stream.of": lambda seed: Stream.of(seed),
+    "make_gaussian": lambda seed: make_gaussian(4, 8, seed),
+    "sample_support": lambda seed: sample_support(8, 2, seed),
+    "make_signal": lambda seed: make_signal(8, (1, 5), SignalSpec(k0=2), seed),
+    "synthesize": lambda seed: synthesize(make_identity_hadamard(4), np.eye(8)[1] + np.eye(8)[5], (1, 5), 10.0, seed),
+    "build_design": lambda seed: build_design(simulate.DesignSpec("gaussian", 4, 8), seed),
+}
+
+
+@pytest.mark.parametrize("draw", sorted(_DRAWS))
+@pytest.mark.parametrize(
+    "seed",
+    [-1, 2**64, 2**70, 1.5, 3.0, True, np.int64(3), np.uint64(3), "3", [1, 2], None],
+    ids=lambda seed: repr(seed),
+)
+def test_a_seed_is_a_64_bit_word(draw, seed):
+    # numpy would take -1 as a bare ValueError and 1.5 as a TypeError, True
+    # as 1, None as OS entropy, [1, 2] as entropy words and 2**64 as a longer
+    # seed; each is a ValidationError naming the seed here. build_design takes
+    # None as no seed: a sweep's gaussian design is drawn per trial.
+    if draw == "build_design" and seed is None:
+        assert _DRAWS[draw](seed) is None
+        return
+    with pytest.raises(ValidationError, match=_SEED_REFUSAL):
+        _DRAWS[draw](seed)
 
 
 def test_a_stream_draws_the_same_on_every_call():
