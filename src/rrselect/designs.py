@@ -105,6 +105,9 @@ class SignalSpec:
         require_field(kind in SIGNAL_KINDS, "signal.kind", f"be one of {SIGNAL_KINDS}", kind)
         geometric_ok = kind != "geometric" or 0.0 < ratio < 1.0
         require_field(geometric_ok, "signal.ratio", "lie in (0,1) for a geometric signal", ratio)
+        # A scalar power, as k0 meets p only later; past 2**63 any ratio < 1 underflows.
+        nonzero_ok = kind != "geometric" or ratio ** min(k0 - 1, 2**63) > 0.0
+        require_field(nonzero_ok, "signal.ratio", "keep ratio^(k0-1) above 0 in doubles", ratio)
         pm_one_ok = kind != "pm_one" or ratio == SignalSpec.ratio
         require_field(pm_one_ok, "signal.ratio", "keep its default 1/3 (pm_one reads none)", ratio)
 
@@ -112,8 +115,8 @@ class SignalSpec:
 @dataclass(frozen=True, eq=False)
 class SparseProblem:
     """What one synthetic trial draws for y = X beta + w: the noise level
-    sigma, the noise w and the observation y. The design, beta, its support
-    and the SNR are the caller's own inputs."""
+    sigma, the noise w and the observation y. The design, beta and the SNR
+    are the caller's own inputs."""
 
     sigma: float
     noise: np.ndarray
@@ -202,28 +205,33 @@ def make_signal(p: int, support, spec: SignalSpec, seed: int | Stream) -> np.nda
     return beta
 
 
-def synthesize(design: DesignMatrix, beta: np.ndarray, support, snr: float, seed: int | Stream) -> SparseProblem:
+def synthesize(design: DesignMatrix, beta: np.ndarray, snr: float, seed: int | Stream) -> SparseProblem:
     """Assemble y = X beta + w with sigma chosen so ||X beta||^2/(n sigma^2) = snr.
 
-    sigma is derived from the realized ||X beta||, so the SNR identity holds
-    exactly for this trial rather than on ensemble average.
+    beta's support is where it is nonzero. sigma is derived from the realized
+    ||X beta||, so the SNR identity holds exactly for this trial rather than
+    on ensemble average; an ||X beta||, sigma or y that overflows is refused,
+    and so is a sigma that underflows to 0.
     """
     if not (is_real(snr) and snr > 0.0):
         raise ValidationError(f"snr must be positive and finite, got {snr!r}")
     snr = float(snr)
     beta = np.asarray(beta, dtype=np.float64)
-    support = frozenset(require_indices("support", support, design.p, ValidationError))
-    nonzero = {int(i) for i in np.nonzero(beta)[0]}
-    if nonzero != support:
-        raise ValidationError("beta must be nonzero exactly on the given support")
-    x = design.matrix
     if beta.shape != (design.p,):
         raise ValidationError(f"beta has shape {beta.shape}, expected ({design.p},)")
-    signal = x @ beta
-    signal_norm = math.sqrt(signal.dot(signal))  # np.linalg.norm of a 1-d vector, same bits
-    if signal_norm == 0.0:
-        raise ValidationError("X beta vanishes; SNR is undefined for a zero signal")
     n = design.n
-    sigma = signal_norm / math.sqrt(n * snr)
-    noise = Stream.of(seed).generator().normal(0.0, sigma, size=n)
-    return SparseProblem(sigma=sigma, noise=noise, observation=signal + noise)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        signal = design.matrix @ beta
+        signal_norm = math.sqrt(signal.dot(signal))  # np.linalg.norm of a 1-d vector, same bits
+        if signal_norm == 0.0:
+            raise ValidationError("X beta vanishes; SNR is undefined for a zero signal")
+        if not math.isfinite(signal_norm):
+            raise ValidationError(f"||X beta|| is {signal_norm}: X beta overflows a double or beta is not finite")
+        sigma = signal_norm / math.sqrt(n * snr)
+        if not 0.0 < sigma < math.inf:
+            raise ValidationError(f"sigma = ||X beta||/sqrt(n snr) {'over' if sigma else 'under'}flows at snr {snr!r}")
+        noise = Stream.of(seed).generator().normal(0.0, sigma, size=n)
+        observation = signal + noise
+    if not np.isfinite(observation).all():
+        raise ValidationError("y = X beta + w overflows a double")
+    return SparseProblem(sigma=sigma, noise=noise, observation=observation)

@@ -427,7 +427,7 @@ def run_trial(
     support = sample_support(p, k0, streams.support)
     beta = make_signal(p, support, config.signal, streams.signal)
     snr = 10.0 ** (float(snr_db) / 10.0)
-    problem = synthesize(design, beta, support, snr, streams.noise)
+    problem = synthesize(design, beta, snr, streams.noise)
 
     oracle = Oracle(sigma=problem.sigma, k0=k0)
     paths: dict[str, tuple] = {}  # rule -> (path, its residual ratios, its prefix hits)

@@ -113,7 +113,7 @@ def test_criterion_3_threshold_coverage_beyond_minimal_superset():
     for seed in range(trials):
         support = sample_support(64, 3, seed=7_000_000 + seed)
         beta = make_signal(64, support, PM_ONE3, seed=8_000_000 + seed)
-        problem = synthesize(design, beta, support, snr=10.0, seed=9_000_000 + seed)
+        problem = synthesize(design, beta, snr=10.0, seed=9_000_000 + seed)
         path = solution_path(design, problem.observation, 16)
         rr = residual_ratios(path).values
         k_min = minimal_superset_index(path, support)
@@ -279,7 +279,7 @@ def test_criterion_9_selector_scale_invariance():
     for seed in range(100):
         support = sample_support(64, 3, seed=90_000 + seed)
         beta = make_signal(64, support, PM_ONE3, seed=91_000 + seed)
-        y = synthesize(design, beta, support, snr=100.0, seed=92_000 + seed).observation
+        y = synthesize(design, beta, snr=100.0, seed=92_000 + seed).observation
         baseline, base_rr = decisions(y)
         for c in (1e-300, 1e-200, 1e-6, 1e6, 1e200, 1e300):
             # c * y is rounded entrywise, so its ratios agree to rounding ...

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import pickle
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -247,6 +249,9 @@ def test_make_signal_validation():
         make_signal(10, (1, 2, 2), spec, seed=0)
 
 
+_UNDERFLOW = r"signal\.ratio: must keep ratio\^\(k0-1\) above 0 in doubles, got "
+
+
 @pytest.mark.parametrize(
     "kwargs, message",
     [
@@ -254,6 +259,10 @@ def test_make_signal_validation():
         ({"k0": 2, "kind": "unknown"}, r"signal\.kind: must be one of \('pm_one', 'geometric'\), got 'unknown'"),
         ({"k0": 2, "kind": "geometric", "ratio": 1.5}, r"signal\.ratio: must lie in \(0,1\) for a geometric signal, got 1\.5"),
         ({"k0": 2, "ratio": 0.5}, r"signal\.ratio: must keep its default 1/3 \(pm_one reads none\), got 0\.5"),
+        ({"k0": 3, "kind": "geometric", "ratio": 1e-200}, _UNDERFLOW + "1e-200"),
+        # The largest ratio below 1 underflows past k0 = 2**63; a float power takes no exponent past a double.
+        ({"k0": 2**63 + 1, "kind": "geometric", "ratio": 1 - 2**-53}, _UNDERFLOW + r"0\.9999999999999999"),
+        ({"k0": 10**400, "kind": "geometric", "ratio": 1 - 2**-53}, _UNDERFLOW + r"0\.9999999999999999"),
     ],
 )
 def test_signal_spec_range_refusals_name_their_field(kwargs, message):
@@ -281,11 +290,73 @@ def test_signal_spec_checks_types_before_ranges(kwargs, field):
         SignalSpec(**kwargs)
 
 
+@pytest.mark.parametrize("k0", [2, 3, 10, 50])
+def test_a_geometric_ratio_is_refused_exactly_where_its_draw_would_hold_a_zero(k0):
+    # ratio^(k0-1) underflows to 0 below a threshold ratio (for k0 = 2, below
+    # the smallest double, where the (0,1) range check refuses). Zero-ness
+    # only: the scalar power and make_signal's array power may differ in the
+    # last ulp.
+    def refused(ratio):
+        try:
+            SignalSpec(k0, "geometric", ratio)
+        except ValidationError as error:
+            assert str(error).startswith("signal.ratio: must ")
+            return True
+        return False
+
+    def draw_holds_a_zero(ratio):  # make_signal reads only these three fields of its spec
+        spec = types.SimpleNamespace(k0=k0, kind="geometric", ratio=ratio)
+        return not make_signal(k0, tuple(range(k0)), spec, seed=0).all()
+
+    def double(bits):
+        return float(np.int64(bits).view(np.float64))
+
+    refused_bits, accepted_bits = 0, int(np.float64(0.5).view(np.int64))  # 0.0 and 0.5
+    while accepted_bits - refused_bits > 1:  # bisect over the doubles between
+        mid = (refused_bits + accepted_bits) // 2
+        if refused(double(mid)):
+            refused_bits = mid
+        else:
+            accepted_bits = mid
+    for bits in range(max(accepted_bits - 40, 0), accepted_bits + 40):
+        ratio = double(bits)
+        assert refused(ratio) == (bits < accepted_bits) == draw_holds_a_zero(ratio), ratio
+
+
+def _no_warning_refusal(message, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=message):
+            call()
+
+
+def test_synthesize_refuses_an_x_beta_sigma_or_y_that_is_no_double_without_a_warning():
+    x = np.eye(8, 16)
+    x[:, 3] = 0.0
+    x[0, 3] = 1e150  # its squared norm 1e300 is a double, but (1e150 * 1e10)^2 is not
+    design = DesignMatrix(x)
+    beta = np.zeros(16)
+    beta[3] = 1e10
+    _no_warning_refusal(r"^\|\|X beta\|\| is inf: X beta overflows a double", lambda: synthesize(design, beta, 10.0, 0))
+    beta[3] = 1e-5  # ||X beta|| = 1e145, and y at 10 dB is finite
+    assert np.isfinite(synthesize(design, beta, 10.0, 0).observation).all()
+
+    unit = make_identity_hadamard(4)
+    tiny_snr = 5e-324  # sqrt(n snr) = 4.4e-162
+    _no_warning_refusal(r"^sigma = .* overflows at snr", lambda: synthesize(unit, 1e150 * np.eye(8)[1], tiny_snr, 0))
+    # at snr 1e308, n snr overflows, and sigma would be 0 with y = X beta
+    _no_warning_refusal(r"^sigma = .* underflows at snr", lambda: synthesize(unit, np.eye(8)[1], 1e308, 0))
+    big = synthesize(unit, 1e146 * np.eye(8)[1], tiny_snr, 0)  # sigma 2.2e307, and y finite
+    assert math.isfinite(big.sigma) and np.isfinite(big.observation).all()
+    # sigma 1.57e308 is a double, but w = sigma z overflows where |z| > 1.14, as in seed 2's draw
+    _no_warning_refusal(r"^y = X beta \+ w overflows a double", lambda: synthesize(unit, 7e146 * np.eye(8)[1], tiny_snr, 2))
+
+
 def test_synthesize_sigma_formula():
     design = make_identity_hadamard(32)
     beta = np.zeros(64)
     beta[2] = math.sqrt(3.0)  # ||X beta||^2 = 3 on a unit-norm column
-    problem = synthesize(design, beta, (2,), snr=1.0, seed=0)
+    problem = synthesize(design, beta, snr=1.0, seed=0)
     assert problem.sigma**2 == pytest.approx(3.0 / 32.0, rel=1e-12)
     assert np.array_equal(problem.observation, design.matrix @ beta + problem.noise)
     # the SNR identity holds exactly per trial
@@ -299,7 +370,7 @@ def test_synthesize_high_snr_limit():
     spec = SignalSpec(k0=3, kind="pm_one")
     support = sample_support(64, 3, seed=1)
     beta = make_signal(64, support, spec, seed=2)
-    problem = synthesize(design, beta, support, snr=1e12, seed=3)
+    problem = synthesize(design, beta, snr=1e12, seed=3)
     xb = design.matrix @ beta
     assert np.linalg.norm(problem.noise) / np.linalg.norm(xb) <= 1e-4
 
@@ -310,7 +381,7 @@ def test_synthesize_noise_power_matches_sigma():
     beta[5] = 1.0
     ratios = []
     for seed in range(1000):
-        problem = synthesize(design, beta, (5,), snr=4.0, seed=seed)
+        problem = synthesize(design, beta, snr=4.0, seed=seed)
         ratios.append(np.sum(problem.noise**2) / (32 * problem.sigma**2))
     assert np.mean(ratios) == pytest.approx(1.0, abs=0.05)
 
@@ -319,13 +390,11 @@ def test_synthesize_validation():
     design = make_identity_hadamard(4)
     beta = np.zeros(8)
     with pytest.raises(ValidationError):
-        synthesize(design, beta, (), snr=1.0, seed=0)  # zero signal
+        synthesize(design, beta, snr=1.0, seed=0)  # zero signal
     beta[1] = 1.0
-    with pytest.raises(ValidationError):
-        synthesize(design, beta, (1, 2), snr=1.0, seed=0)  # support mismatch
     for snr in (0.0, -1.0, math.nan, math.inf):  # inf would give sigma 0, which no sigma rule takes
         with pytest.raises(ValidationError, match="snr must be positive"):
-            synthesize(design, beta, (1,), snr=snr, seed=0)
+            synthesize(design, beta, snr=snr, seed=0)
 
 
 def test_a_sparse_problem_holds_only_what_synthesize_draws():
@@ -337,8 +406,8 @@ def test_synthesize_reproducible():
     spec = SignalSpec(k0=2, kind="pm_one")
     support = sample_support(32, 2, seed=10)
     beta = make_signal(32, support, spec, seed=20)
-    p1 = synthesize(design, beta, support, snr=10.0, seed=30)
-    p2 = synthesize(design, beta, support, snr=10.0, seed=30)
+    p1 = synthesize(design, beta, snr=10.0, seed=30)
+    p2 = synthesize(design, beta, snr=10.0, seed=30)
     assert np.array_equal(p1.noise, p2.noise)
     assert np.array_equal(p1.observation, p2.observation)
     assert p1.sigma == p2.sigma

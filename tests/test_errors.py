@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from rrselect.analysis import erc_constant
-from rrselect.designs import SignalSpec, make_identity_hadamard, make_signal, synthesize
+from rrselect.designs import SignalSpec, make_identity_hadamard, make_signal
 from rrselect.errors import DomainError, ValidationError, is_int, is_real, require_indices, require_int, require_real
 from rrselect.omp import solution_path
 from rrselect.selectors import minimal_superset_index
@@ -92,10 +92,9 @@ _PATH = solution_path(_HADAMARD_4, _HADAMARD_4.matrix @ _BETA_0_3, 2)
         (lambda s: erc_constant(_HADAMARD_4, s), [0.7, 5], DomainError),
         (lambda s: erc_constant(_HADAMARD_4, s), [True, 5], DomainError),
         (lambda s: make_signal(8, s, SignalSpec(k0=2), 1), [0.5, 3.9], ValidationError),
-        (lambda s: synthesize(_HADAMARD_4, _BETA_0_3, s, 1.0, 0), [0.2, 3.1], ValidationError),
         (lambda s: minimal_superset_index(_PATH, s), [0.4, 3.3], DomainError),
     ],
-    ids=["erc_constant-float", "erc_constant-bool", "make_signal", "synthesize", "minimal_superset_index"],
+    ids=["erc_constant-float", "erc_constant-bool", "make_signal", "minimal_superset_index"],
 )
 def test_a_support_entry_that_is_no_index_is_refused_and_a_numpy_array_is_not(call, support, error):
     # Each call once truncated the floats (or read True as 1) to the indices 0 and 3 or 1 and 5.

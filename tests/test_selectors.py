@@ -528,7 +528,7 @@ def test_rrt_select_applies_the_rule_at_its_path_size(seed, n, extra, snr_db, ru
     design = make_gaussian(n, p, seed)
     support = sample_support(p, k0, seed + 1)
     beta = make_signal(p, support, SignalSpec(k0=k0), seed + 2)
-    y = synthesize(design, beta, support, 10.0 ** (snr_db / 10.0), seed + 3).observation
+    y = synthesize(design, beta, 10.0 ** (snr_db / 10.0), seed + 3).observation
     path = solution_path(design, y, k_max, rule)
     ratios = residual_ratios(path)
     assert (ratios.n, ratios.p, ratios.k_max) == (path.n, path.p, path.k_max) == (n, p, k_max)
@@ -648,7 +648,7 @@ def test_rrta_agrees_with_rrt_on_seeded_trials():
         for seed in range(30):
             support = sample_support(64, 3, seed=seed + tag)
             beta = make_signal(64, support, spec, seed=seed + tag + 1000)
-            problem = synthesize(design, beta, support, snr=snr, seed=seed + tag + 2000)
+            problem = synthesize(design, beta, snr=snr, seed=seed + tag + 2000)
             path = solution_path(design, problem.observation, 16)
             rr = residual_ratios(path)
             if float(np.min(rr.values)) ** 2 >= 0.1:
@@ -698,7 +698,7 @@ def test_selector_scale_invariance_quick():
     for seed in range(10):
         support = sample_support(64, 3, seed=seed)
         beta = make_signal(64, support, spec, seed=seed + 50)
-        problem = synthesize(design, beta, support, snr=100.0, seed=seed + 99)
+        problem = synthesize(design, beta, snr=100.0, seed=seed + 99)
         baseline = None
         for c in (1e-6, 1.0, 1e6):
             path = solution_path(design, c * problem.observation, 16)
@@ -726,7 +726,7 @@ def test_path_ratios_and_selections_are_invariant_under_binary_scaling(seed, kin
     design = make_identity_hadamard(32)
     support = sample_support(64, 3, seed)
     beta = make_signal(64, support, SignalSpec(k0=3, kind=kind), seed + 1)
-    y = synthesize(design, beta, support, 10.0 ** (snr_db / 10.0), seed + 2).observation
+    y = synthesize(design, beta, 10.0 ** (snr_db / 10.0), seed + 2).observation
     scaled = np.ldexp(y, m)
     assume(np.all(np.abs(scaled) >= np.finfo(float).tiny))
     base, path = (solution_path(design, v, 16, rule) for v in (y, scaled))
@@ -756,7 +756,7 @@ def test_threshold_coverage_statistics():
     for seed in range(trials):
         support = sample_support(64, 3, seed=seed)
         beta = make_signal(64, support, spec, seed=seed + 10_000)
-        problem = synthesize(design, beta, support, snr=10.0, seed=seed + 20_000)  # 10 dB
+        problem = synthesize(design, beta, snr=10.0, seed=seed + 20_000)  # 10 dB
         path = solution_path(design, problem.observation, 16)
         rr = residual_ratios(path).values
         k_min = minimal_superset_index(path, support)
@@ -780,7 +780,7 @@ def test_ratio_floor_before_recovery_at_high_snr():
     for seed in range(trials):
         support = sample_support(32, 2, seed=seed)
         beta = make_signal(32, support, spec, seed=seed + 1)
-        problem = synthesize(design, beta, support, snr=1e6, seed=seed + 2)  # 60 dB
+        problem = synthesize(design, beta, snr=1e6, seed=seed + 2)  # 60 dB
         path = solution_path(design, problem.observation, 8)
         rr = residual_ratios(path).values
         if rr[0] > bound:  # k < k0 means k = 1 here
@@ -798,7 +798,7 @@ def test_ratio_floor_before_recovery_at_high_snr():
     for seed in range(100):
         support = sample_support(64, 3, seed=seed)
         beta = make_signal(64, support, spec3, seed=seed + 1)
-        problem = synthesize(design32, beta, support, snr=1e6, seed=seed + 2)
+        problem = synthesize(design32, beta, snr=1e6, seed=seed + 2)
         path = solution_path(design32, problem.observation, 16)
         rr = residual_ratios(path).values
         if np.all(rr[:2] > proxy_bound):
@@ -821,7 +821,7 @@ _HADAMARD4 = make_identity_hadamard(4)
         (lambda v: stop_rcsc(_path([1.0, 0.5, 0.25]), v), 0.1, DomainError),
         (lambda v: stop_rpsc(_path([1.0, 0.5, 0.25]), 0.1, eta=v), 0.5, DomainError),
         (lambda v: stop_rcsc(_path([1.0, 0.5, 0.25]), 0.1, eta=v), 0.5, DomainError),
-        (lambda v: synthesize(_HADAMARD4, np.eye(8)[1], (1,), v, 0), 10.0, ValidationError),
+        (lambda v: synthesize(_HADAMARD4, np.eye(8)[1], v, 0), 10.0, ValidationError),
         *(
             (lambda v, name=name: epsilon_bounds(**{**_EPSILON_ARGS, name: v}), _EPSILON_ARGS[name], DomainError)
             for name in ("delta_k0", "delta_k0p1", "beta_min", "beta_max", "sigma", "alpha")
@@ -886,7 +886,7 @@ def test_a_numpy_real_is_read_as_its_double():
         (lambda a, r: log_cdf_of_square(a, 0.5, r), (2.5, 0.3)),
         (lambda a, r: log_cdf_of_square(a, 0.5, r), (100.5, 0.9)),  # Stirling's series in log_beta_fn
         (lambda alpha, mu: (rrt_error_lower_bound(alpha, 16, 64, 3), mic_sparsity_limit(mu)), (0.1, 0.3)),
-        (lambda snr, ratio: synthesize(_HADAMARD4, np.eye(8)[1] * ratio, (1,), snr, 0).sigma, (3.3, 0.7)),
+        (lambda snr, ratio: synthesize(_HADAMARD4, np.eye(8)[1] * ratio, snr, 0).sigma, (3.3, 0.7)),
         (lambda sigma, beta: epsilon_bounds(**{**_EPSILON_ARGS, "sigma": sigma, "beta_min": beta}), (0.3, 0.7)),
     ):
         assert f(*map(np.float32, args)) == f(*double(*args))

@@ -8,6 +8,7 @@ import pickle
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrselect import cli
-from rrselect.designs import SignalSpec
+from rrselect.designs import SignalSpec, make_identity_hadamard, save_matrix_csv
 from rrselect.errors import ValidationError
 from rrselect.omp import SolutionPath, SupportEstimate, stop_fixed
 from rrselect.selectors import prefix_hits
@@ -292,6 +293,26 @@ def test_external_design_sweep(tmp_path):
         run_sweep(wrong)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_sweep_whose_signal_overflows_a_double_is_refused_naming_the_overflow(tmp_path, workers):
+    # Each squared column norm 7e307 is a double, but ||X beta||^2 of three
+    # +-1 entries on orthogonal columns is 2.1e308, past the largest double.
+    mpath = tmp_path / "X.csv"
+    save_matrix_csv(mpath, math.sqrt(7e307) * make_identity_hadamard(32).matrix)
+    config = _config(design=DesignSpec("external", 32, 64, path=str(mpath)), trials=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=r"^\|\|X beta\|\| is inf: X beta overflows a double"):
+            run_sweep(config, workers)
+
+
+def test_parse_config_refuses_a_geometric_ratio_whose_draw_would_hold_a_zero():
+    raw = {"design": {"kind": "identity_hadamard", "n": 32}, "signal": {"k0": 3, "kind": "geometric", "ratio": 1e-200},
+           "snr_db": [20], "trials": 5, "algorithms": ["rrm"], "root_seed": 1}
+    with pytest.raises(ValidationError, match=r"^signal\.ratio: must keep ratio\^\(k0-1\) above 0 in doubles, got 1e-200$"):
+        parse_config(json.dumps(raw))
+
+
 def _replaced(**overrides):
     return dataclasses.replace(_config(), **overrides)
 
@@ -531,9 +552,9 @@ def test_a_config_of_numpy_float32_values_runs_as_the_doubles_of_those_values(mo
     synthesized = []  # each trial's signal and SNR
     original = simulate.synthesize
 
-    def synthesize(design, beta, support, snr, seed):
+    def synthesize(design, beta, snr, seed):
         synthesized.append((beta.tolist(), snr))
-        return original(design, beta, support, snr, seed)
+        return original(design, beta, snr, seed)
 
     monkeypatch.setattr(simulate, "synthesize", synthesize)
 

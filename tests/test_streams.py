@@ -97,7 +97,7 @@ def test_generator_draws_equal_numpys():
     for seed in EDGE_SEEDS + _trial_seeds(500, 4):
         expected = np.random.default_rng(seed).normal(0.0, 1.0 / np.sqrt(32), size=(32, 64))
         assert np.array_equal(make_gaussian(32, 64, Stream.of(seed)).matrix, expected)
-        noise = synthesize(design, beta, (3, 40), 10.0, Stream.of(seed)).noise
+        noise = synthesize(design, beta, 10.0, Stream.of(seed)).noise
         sigma = np.linalg.norm(design.matrix @ beta) / np.sqrt(32 * 10.0)
         assert np.array_equal(noise, np.random.default_rng(seed).normal(0.0, sigma, size=32))
         values = np.random.default_rng(seed).permutation(geometric.ratio ** np.arange(3))
@@ -122,7 +122,7 @@ _DRAWS = {
     "make_gaussian": lambda seed: make_gaussian(4, 8, seed),
     "sample_support": lambda seed: sample_support(8, 2, seed),
     "make_signal": lambda seed: make_signal(8, (1, 5), SignalSpec(k0=2), seed),
-    "synthesize": lambda seed: synthesize(make_identity_hadamard(4), np.eye(8)[1] + np.eye(8)[5], (1, 5), 10.0, seed),
+    "synthesize": lambda seed: synthesize(make_identity_hadamard(4), np.eye(8)[1] + np.eye(8)[5], 10.0, seed),
     "build_design": lambda seed: build_design(simulate.DesignSpec("gaussian", 4, 8), seed),
 }
 
