@@ -131,10 +131,9 @@ def rrt_error_lower_bound(alpha: float, k_max: int, p: int, k0: int) -> float:
     """High-SNR floor on the RRT support-error probability: alpha/(k_max (p-k0)),
     the exact quotient rounded once, for a p of any size (0 below the doubles)."""
     alpha = require_real("alpha", alpha, 0.0, 1.0)
-    for name, value in (("k_max", k_max), ("p", p), ("k0", k0)):
-        require_int(name, value)
-    if k_max < 1:
-        raise DomainError(f"k_max must be >= 1, got {k_max}")
+    require_int("k_max", k_max, 1)
+    require_int("p", p)
+    require_int("k0", k0)
     if p <= k0:
         raise DomainError(f"p={p} must exceed k0={k0}")
     return float(Fraction(alpha) / (k_max * (p - k0)))

@@ -125,7 +125,7 @@ class SparseProblem:
 
 def sylvester_hadamard(n: int) -> np.ndarray:
     """n x n Hadamard matrix by Sylvester doubling; n must be a power of two."""
-    require_int("n", n, ValidationError)
+    require_int("n", n)
     if n < 1 or n & (n - 1):
         raise ValidationError(f"n must be a positive power of two, got {n}")
     h = np.array([[1.0]])
@@ -168,10 +168,8 @@ def save_matrix_csv(path, matrix: np.ndarray) -> None:
 
 def make_gaussian(n: int, p: int, seed: int | Stream, normalize: bool = False) -> DesignMatrix:
     """i.i.d. N(0, 1/n) entries; optionally rescale each column to unit norm."""
-    require_int("n", n, ValidationError)
-    require_int("p", p, ValidationError)
-    if n < 1 or p < 1:
-        raise ValidationError(f"n and p must be >= 1, got n={n}, p={p}")
+    require_int("n", n, 1)
+    require_int("p", p, 1)
     x = Stream.of(seed).generator().normal(0.0, 1.0 / math.sqrt(n), size=(n, p))
     if normalize:
         x /= np.linalg.norm(x, axis=0, keepdims=True)
@@ -181,8 +179,8 @@ def make_gaussian(n: int, p: int, seed: int | Stream, normalize: bool = False) -
 def sample_support(p: int, k0: int, seed: int | Stream) -> tuple[int, ...]:
     """Uniformly random k0-subset of {0, ..., p-1}, sorted ascending: the
     draw Generator.choice(p, k0, replace=False) makes."""
-    require_int("p", p, ValidationError)
-    require_int("k0", k0, ValidationError)
+    require_int("p", p)
+    require_int("k0", k0)
     if not 1 <= k0 <= p:
         raise ValidationError(f"k0 must lie in [1, p={p}], got {k0}")
     return tuple(sorted(Stream.of(seed).generator().choice(p, k0, replace=False).tolist()))
@@ -190,8 +188,8 @@ def sample_support(p: int, k0: int, seed: int | Stream) -> tuple[int, ...]:
 
 def make_signal(p: int, support, spec: SignalSpec, seed: int | Stream) -> np.ndarray:
     """Sparse coefficient vector with the given support and value model."""
-    require_int("p", p, ValidationError)
-    support = require_indices("support", support, p, ValidationError)
+    require_int("p", p)
+    support = require_indices("support", support, p)
     if len(set(support)) != len(support):
         raise ValidationError("support contains repeated indices")
     if len(support) != spec.k0:
@@ -211,7 +209,7 @@ def synthesize(design: DesignMatrix, beta: np.ndarray, snr: float, seed: int | S
     beta's support is where it is nonzero. sigma is derived from the realized
     ||X beta||, so the SNR identity holds exactly for this trial rather than
     on ensemble average; an ||X beta||, sigma or y that overflows is refused,
-    and so is a sigma that underflows to 0.
+    and so is an ||X beta||^2 or a sigma that underflows to 0.
     """
     if not (is_real(snr) and snr > 0.0):
         raise ValidationError(f"snr must be positive and finite, got {snr!r}")
@@ -224,6 +222,8 @@ def synthesize(design: DesignMatrix, beta: np.ndarray, snr: float, seed: int | S
         signal = design.matrix @ beta
         signal_norm = math.sqrt(signal.dot(signal))  # np.linalg.norm of a 1-d vector, same bits
         if signal_norm == 0.0:
+            if signal.any():
+                raise ValidationError("||X beta||^2 underflows a double though X beta is nonzero: sigma is undefined")
             raise ValidationError("X beta vanishes; SNR is undefined for a zero signal")
         if not math.isfinite(signal_norm):
             raise ValidationError(f"||X beta|| is {signal_norm}: X beta overflows a double or beta is not finite")

@@ -1,11 +1,12 @@
 """Exception types shared across the package, and the one contract by which
-every entry point checks its scalar arguments: a size is an int and not a
-bool (`is_int`); a real is a finite int, float or numpy integer or floating
-scalar, not a bool or numpy bool (`is_real`), and enters arithmetic as
-float(value); a support index is an int or numpy integer, not a bool, below
-the size it indexes (`require_indices`); a config field is refused as
-"field: must ..., got ..." (`require_field`). A refusal is a typed error
-from here, never a bare TypeError."""
+every entry point checks its scalar arguments: a size is an int, not a
+bool, at or above its floor (`is_int`, `require_int`); a real is a finite
+int, float or numpy integer or floating scalar, not a bool or numpy bool
+(`is_real`), and enters arithmetic as float(value); a support is an
+iterable of ints or numpy integers, not bools, below the size it indexes
+(`require_indices`); a config field is refused as "field: must ..., got
+..." (`require_field`). Each of these refusals is a ValidationError
+(DomainError is one), never a bare TypeError."""
 import math
 import sys
 
@@ -24,10 +25,6 @@ class EmptyBasisError(ValueError):
     """Operation requires at least one selected column."""
 
 
-class DomainError(ValueError):
-    """Scalar argument outside its mathematical domain."""
-
-
 class EmptyPathError(ValueError):
     """Operation requires a solution path with at least one step."""
 
@@ -41,7 +38,11 @@ class ParseError(ValueError):
 
 
 class ValidationError(ValueError):
-    """Structurally valid input with inadmissible field values."""
+    """Structurally valid input with inadmissible values; a DomainError is one."""
+
+
+class DomainError(ValidationError):
+    """Scalar argument outside its mathematical domain."""
 
 
 def is_int(value) -> bool:
@@ -63,10 +64,12 @@ def is_real(value) -> bool:
     return isinstance(value, (np.integer, np.floating)) and bool(-_NUMPY_MAX <= value <= _NUMPY_MAX)
 
 
-def require_int(name: str, value, error: type[ValueError] = DomainError) -> None:
-    """Raise `error` unless is_int(value)."""
+def require_int(name: str, value, low: int | None = None) -> None:
+    """Raise DomainError unless is_int(value) and, when low is given, value >= low."""
     if not is_int(value):
-        raise error(f"{name} must be an integer, got {value!r}")
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise DomainError(f"{name} must be >= {low}, got {value}")
 
 
 def require_real(name: str, value, low=-math.inf, high=math.inf) -> float:
@@ -84,12 +87,17 @@ def require_field(ok: bool, field: str, what: str, value) -> None:
         raise ValidationError(f"{field}: must {what}, got {value!r}")
 
 
-def require_indices(name: str, indices, size: int, error: type[ValueError] = DomainError) -> tuple[int, ...]:
-    """The entries of `indices` as a sorted tuple of ints; raise `error` unless
-    each is an int or numpy integer, not a bool, in [0, size). A float would
-    be truncated to a wrong index. Repeats are kept, for the caller to judge."""
-    indices = tuple(indices)  # it may be an iterator, read twice here
+def require_indices(name: str, indices, size: int) -> tuple[int, ...]:
+    """The entries of `indices` as a sorted tuple of ints; raise DomainError
+    unless `indices` is iterable and each entry is an int or numpy integer,
+    not a bool, in [0, size). A float would be truncated to a wrong index.
+    Repeats are kept, for the caller to judge."""
+    what = f"{name} indices must be integers in [0, {size}), got"
+    try:
+        indices = tuple(indices)  # it may be an iterator, read twice here
+    except TypeError:
+        raise DomainError(f"{what} {indices!r}") from None
     for i in indices:
         if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < size:
-            raise error(f"{name} indices must be integers in [0, {size}), got {i!r}")
+            raise DomainError(f"{what} {i!r}")
     return tuple(sorted(map(int, indices)))

@@ -11,7 +11,14 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, EmptyBasisError, RankDeficientError, ValidationError
+from .errors import (
+    DimensionMismatchError,
+    EmptyBasisError,
+    RankDeficientError,
+    ValidationError,
+    require_indices,
+    require_int,
+)
 from .omp import RANK_TOL
 
 
@@ -24,11 +31,10 @@ class OrthoBasisState:
     reorthogonalization pass, adequate for the ambient dimensions used here.
     """
 
-    def __init__(self, ambient_dim: int, capacity: int = 8) -> None:
-        if ambient_dim < 1:
-            raise DomainError(f"ambient_dim must be >= 1, got {ambient_dim}")
-        capacity = max(1, min(capacity, ambient_dim))
-        self.ambient_dim = int(ambient_dim)
+    def __init__(self, ambient_dim: int) -> None:
+        require_int("ambient_dim", ambient_dim, 1)
+        capacity = min(8, ambient_dim)
+        self.ambient_dim = ambient_dim
         self.selected_cols: list[int] = []
         self._q = np.zeros((ambient_dim, capacity), order="F")
         self._r = np.zeros((capacity, capacity))
@@ -60,15 +66,15 @@ class OrthoBasisState:
         """Add column col_index of the 2-d array `matrix` to the basis.
 
         Raises RankDeficientError when the orthogonalized remainder of the
-        column falls below RANK_TOL relative to its norm, IndexError for an
-        out-of-range column index and ValidationError for a non-finite column.
+        column falls below RANK_TOL relative to its norm, DomainError for a
+        column index that is no int in range (errors.require_indices) and
+        ValidationError for a non-finite column.
         """
         if matrix.shape[0] != self.ambient_dim:
             raise DimensionMismatchError(
                 f"matrix has {matrix.shape[0]} rows, basis lives in dim {self.ambient_dim}"
             )
-        if not 0 <= col_index < matrix.shape[1]:
-            raise IndexError(f"column index {col_index} out of range for {matrix.shape[1]} columns")
+        (col_index,) = require_indices("column", (col_index,), matrix.shape[1])
         col = matrix[:, col_index]
         if not np.isfinite(col).all():  # a nan norm would pass the rank test
             raise ValidationError(f"column {col_index} has a non-finite entry")
@@ -97,7 +103,7 @@ class OrthoBasisState:
         np.divide(v, norm, out=self._q[:, k])
         self._r[:k, k] = coeffs
         self._r[k, k] = norm
-        self.selected_cols.append(int(col_index))
+        self.selected_cols.append(col_index)
         return self
 
     def project_out(self, y: np.ndarray) -> np.ndarray:

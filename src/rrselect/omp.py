@@ -75,9 +75,7 @@ class SolutionPath:
 
 def default_kmax(n: int) -> int:
     """Largest sparsity any recovery scheme can hope to identify: floor((n+1)/2)."""
-    require_int("n", n)
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
+    require_int("n", n, 2)
     return (n + 1) // 2
 
 
@@ -98,7 +96,7 @@ def solution_path(design: DesignMatrix, y: np.ndarray, k_max: int, rule: str = "
         raise DimensionMismatchError(f"y has shape {y.shape}, expected ({n},)")
     if not np.isfinite(y).all():
         raise ValidationError("y must be finite")
-    require_int("k_max", k_max, ValidationError)
+    require_int("k_max", k_max)
     if not 1 <= k_max <= min(n - 1, p):
         raise ValidationError(f"k_max={k_max} must lie in [1, min(n-1, p)={min(n - 1, p)}]")
 
@@ -229,23 +227,16 @@ def _noise_level(sigma: float, c: float, eta: float | None) -> float:
     return float(_WIDE.exp(ln_level))
 
 
-def _require_size(name: str, value) -> None:
-    """DomainError unless value is an int >= 1."""
-    require_int(name, value)
-    if value < 1:
-        raise DomainError(f"{name} must be >= 1, got {value}")
-
-
 def rpsc_threshold(sigma: float, n: int, eta: float | None = None) -> float:
     """Residual-power stopping level sigma*sqrt(n + 2 sqrt(n ln n)), with the
     optional high-SNR-consistent scaling by sigma^-eta."""
-    _require_size("n", n)
+    require_int("n", n, 1)
     return _noise_level(sigma, math.sqrt(n + 2.0 * math.sqrt(n * math.log(n))), eta)
 
 
 def rcsc_threshold(sigma: float, p: int, eta: float | None = None) -> float:
     """Residual-correlation stopping level sigma*sqrt(2 ln p) (optional sigma^-eta)."""
-    _require_size("p", p)
+    require_int("p", p, 1)
     return _noise_level(sigma, math.sqrt(2.0 * math.log(p)), eta)
 
 

@@ -153,6 +153,7 @@ def half_beta_log_cdf_bounds(n: int, ratios: list[float]) -> tuple[list[float], 
     those of half_beta_log_terms; both bounds are -inf at RR = 0 (c = 0) and
     +inf at RR = 1 (c = 1).
     """
+    require_int("n", n)
     if len(ratios) > n - 1:
         raise DomainError(f"{len(ratios)} ratios exceed the n-1={n - 1} steps of an n={n} problem")
     lows, highs = [], []
@@ -226,9 +227,7 @@ def rrt_threshold(n: int, p: int, k_max: int, alpha: float, k: int) -> float:
 
 def build_threshold_table(n: int, p: int, k_max: int, alpha: float) -> np.ndarray:
     """Gamma(1..k_max) as a read-only array."""
-    require_int("k_max", k_max)
-    if k_max < 1:
-        raise DomainError(f"k_max must be >= 1, got {k_max}")
+    require_int("k_max", k_max, 1)
     values = np.array([rrt_threshold(n, p, k_max, alpha, k) for k in range(1, k_max + 1)])
     values.flags.writeable = False
     return values

@@ -352,6 +352,16 @@ def test_synthesize_refuses_an_x_beta_sigma_or_y_that_is_no_double_without_a_war
     _no_warning_refusal(r"^y = X beta \+ w overflows a double", lambda: synthesize(unit, 7e146 * np.eye(8)[1], tiny_snr, 2))
 
 
+
+def test_synthesize_names_an_x_beta_whose_squared_norm_underflows():
+    unit = make_identity_hadamard(4)
+    # X beta = 1e-200 e_0 is nonzero, but its squared norm 1e-400 is below the doubles.
+    underflow = r"^\|\|X beta\|\|\^2 underflows a double though X beta is nonzero"
+    _no_warning_refusal(underflow, lambda: synthesize(unit, 1e-200 * np.eye(8)[0], 10.0, 0))
+    zero = r"^X beta vanishes; SNR is undefined for a zero signal$"
+    _no_warning_refusal(zero, lambda: synthesize(unit, np.zeros(8), 10.0, 0))
+    assert synthesize(unit, 1e-150 * np.eye(8)[0], 10.0, 0).sigma > 0.0  # 1e-300 is a double
+
 def test_synthesize_sigma_formula():
     design = make_identity_hadamard(32)
     beta = np.zeros(64)

@@ -57,7 +57,7 @@ def test_append_rejects_dependent_and_duplicate_columns():
     state2.append(m, 0)
     with pytest.raises(RankDeficientError):
         state2.append(m, 0)  # same column twice
-    with pytest.raises(IndexError):
+    with pytest.raises(DomainError):
         state2.append(m, 7)
 
 
