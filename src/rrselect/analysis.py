@@ -26,6 +26,8 @@ from .special import build_threshold_table
 SUBSET_GUARD = 1_000_000
 # Bytes of stacked subset Gram matrices that ric_bruteforce passes to one eigvalsh call.
 RIC_CHUNK_BYTES = 8 << 20
+# mic_sparsity_limit where mu sets no limit.
+_NO_LIMIT = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -60,12 +62,13 @@ def mutual_incoherence(design: DesignMatrix) -> float:
 
 
 def mic_sparsity_limit(mu: float) -> int:
-    """Largest k0 with mu < 1/(2 k0 - 1), i.e. floor((1 + 1/mu)/2)."""
+    """Largest k0 with mu < 1/(2 k0 - 1), i.e. floor((1 + 1/mu)/2), capped at
+    the int64 maximum: orthonormal columns (mu = 0), or a mu so small that
+    1/mu passes it or the doubles, set no incoherence limit."""
     if not (is_real(mu) and mu >= 0.0):
         raise DomainError(f"mu must be finite and nonnegative, got {mu!r}")
-    if mu == 0.0:
-        return np.iinfo(np.int64).max  # orthonormal columns: no incoherence limit
-    return int(math.floor((1.0 + 1.0 / float(mu)) / 2.0))
+    limit = (1.0 + 1.0 / float(mu)) / 2.0 if mu else math.inf
+    return math.floor(limit) if limit < _NO_LIMIT else _NO_LIMIT
 
 
 def ric_bruteforce(design: DesignMatrix, order: int) -> float:

@@ -11,19 +11,22 @@ caller (a sweep seeds its trials' streams a job at a time).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
+    MAX_LENGTH,
+    ParseError,
     ValidationError,
     is_int,
     is_real,
     require_field,
     require_indices,
     require_int,
+    shown,
 )
 from .streams import Stream
 
@@ -51,7 +54,7 @@ class DesignMatrix:
     def __post_init__(self) -> None:
         x = np.array(self.matrix, dtype=np.float64, order="F")
         if x.ndim != 2:
-            raise DimensionMismatchError(f"expected a 2-d array, got ndim={x.ndim}")
+            raise ValidationError(f"expected a 2-d array, got ndim={x.ndim}")
         if x.size and not np.isfinite(x).all():
             raise ValidationError("matrix entries must be finite")
         sq = np.einsum("ij,ij->j", x, x)
@@ -142,8 +145,18 @@ def make_identity_hadamard(n: int) -> DesignMatrix:
 
 
 def _read_csv(path) -> np.ndarray:
-    """A 2-d float64 array from CSV: one line per row, comma separated, no header."""
-    return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    """A 2-d float64 array from CSV: one line per row, comma separated, no
+    header. Text that is no such array, or none, is a ParseError naming the
+    path, with numpy's row and column where it has them."""
+    try:
+        with warnings.catch_warnings():  # no data is refused below, not warned of
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    if not arr.size:
+        raise ParseError(f"{path}: no data")
+    return arr
 
 
 def load_design_csv(path) -> DesignMatrix:
@@ -155,7 +168,7 @@ def load_vector_csv(path) -> np.ndarray:
     """A vector read from CSV as one column or one row; every entry must be finite."""
     arr = _read_csv(path)
     if 1 not in arr.shape:
-        raise DimensionMismatchError(f"expected a vector, got shape {arr.shape}")
+        raise ValidationError(f"expected a vector, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValidationError("vector entries must be finite")
     return arr.reshape(-1)
@@ -170,6 +183,8 @@ def make_gaussian(n: int, p: int, seed: int | Stream, normalize: bool = False) -
     """i.i.d. N(0, 1/n) entries; optionally rescale each column to unit norm."""
     require_int("n", n, 1)
     require_int("p", p, 1)
+    if n * p > MAX_LENGTH:
+        raise ValidationError(f"n * p must be <= {MAX_LENGTH}, the doubles of an array, got n={shown(n)}, p={shown(p)}")
     x = Stream.of(seed).generator().normal(0.0, 1.0 / math.sqrt(n), size=(n, p))
     if normalize:
         x /= np.linalg.norm(x, axis=0, keepdims=True)
@@ -179,7 +194,7 @@ def make_gaussian(n: int, p: int, seed: int | Stream, normalize: bool = False) -
 def sample_support(p: int, k0: int, seed: int | Stream) -> tuple[int, ...]:
     """Uniformly random k0-subset of {0, ..., p-1}, sorted ascending: the
     draw Generator.choice(p, k0, replace=False) makes."""
-    require_int("p", p)
+    require_int("p", p, high=MAX_LENGTH)
     require_int("k0", k0)
     if not 1 <= k0 <= p:
         raise ValidationError(f"k0 must lie in [1, p={p}], got {k0}")
@@ -188,7 +203,7 @@ def sample_support(p: int, k0: int, seed: int | Stream) -> tuple[int, ...]:
 
 def make_signal(p: int, support, spec: SignalSpec, seed: int | Stream) -> np.ndarray:
     """Sparse coefficient vector with the given support and value model."""
-    require_int("p", p)
+    require_int("p", p, high=MAX_LENGTH)
     support = require_indices("support", support, p)
     if len(set(support)) != len(support):
         raise ValidationError("support contains repeated indices")

@@ -1,48 +1,39 @@
-"""Exception types shared across the package, and the one contract by which
-every entry point checks its scalar arguments: a size is an int, not a
-bool, at or above its floor (`is_int`, `require_int`); a real is a finite
-int, float or numpy integer or floating scalar, not a bool or numpy bool
-(`is_real`), and enters arithmetic as float(value); a support is an
-iterable of ints or numpy integers, not bools, below the size it indexes
-(`require_indices`); a config field is refused as "field: must ..., got
-..." (`require_field`). Each of these refusals is a ValidationError
-(DomainError is one), never a bare TypeError."""
+"""The package's one refusal family, ValidationError and its subclasses, and
+the one contract by which every entry point checks its scalar arguments: a
+size is an int, not a bool, within its bounds (`is_int`, `require_int`; an
+array's length at most MAX_LENGTH); a real is a finite int, float or numpy
+integer or floating scalar, not a bool or numpy bool (`is_real`), and enters
+arithmetic as float(value); a support is an iterable of ints or numpy
+integers, not bools, below the size it indexes (`require_indices`); a config
+field is refused as "field: must ..., got ..." (`require_field`). Each of
+these refusals is a ValidationError (DomainError is one), never a bare
+TypeError."""
 import math
 import sys
 
 import numpy as np
 
 
-class RankDeficientError(ValueError):
-    """A column to be added is (numerically) in the span of the current basis."""
-
-
-class DimensionMismatchError(ValueError):
-    """Vector/matrix dimensions are incompatible."""
-
-
-class EmptyBasisError(ValueError):
-    """Operation requires at least one selected column."""
-
-
-class EmptyPathError(ValueError):
-    """Operation requires a solution path with at least one step."""
-
-
-class TooManySubsetsError(ValueError):
-    """Exhaustive subset enumeration would exceed the configured guard."""
-
-
-class ParseError(ValueError):
-    """Malformed input text (JSON/CSV)."""
-
-
 class ValidationError(ValueError):
-    """Structurally valid input with inadmissible values; a DomainError is one."""
+    """An argument the package refuses: the one family every entry point
+    raises, caught by one `except ValidationError`. A subclass names a
+    condition a caller may want to tell apart."""
 
 
 class DomainError(ValidationError):
     """Scalar argument outside its mathematical domain."""
+
+
+class ParseError(ValidationError):
+    """Malformed input text (JSON/CSV)."""
+
+
+class RankDeficientError(ValidationError):
+    """A column to be added is (numerically) in the span of the current basis."""
+
+
+class TooManySubsetsError(ValidationError):
+    """Exhaustive subset enumeration would exceed the configured guard."""
 
 
 def is_int(value) -> bool:
@@ -64,19 +55,32 @@ def is_real(value) -> bool:
     return isinstance(value, (np.integer, np.floating)) and bool(-_NUMPY_MAX <= value <= _NUMPY_MAX)
 
 
-def require_int(name: str, value, low: int | None = None) -> None:
-    """Raise DomainError unless is_int(value) and, when low is given, value >= low."""
+# The most doubles one numpy array holds, as its byte count is an intp: the
+# ceiling of a size that is an array's length, such as a design's n.
+MAX_LENGTH = sys.maxsize // 8
+
+
+def shown(value) -> str:
+    """repr(value), but an int past the doubles by its length: str() refuses
+    an int of more than 4,300 digits."""
+    return f"an integer of {value.bit_length()} bits" if is_int(value) and not is_real(value) else repr(value)
+
+
+def require_int(name: str, value, low: int | None = None, high: int | None = None) -> None:
+    """Raise DomainError unless is_int(value) and low <= value <= high, each where given."""
     if not is_int(value):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
+        raise DomainError(f"{name} must be an integer, got {shown(value)}")
     if low is not None and value < low:
-        raise DomainError(f"{name} must be >= {low}, got {value}")
+        raise DomainError(f"{name} must be >= {low}, got {shown(value)}")
+    if high is not None and value > high:
+        raise DomainError(f"{name} must be <= {high}, got {shown(value)}")
 
 
 def require_real(name: str, value, low=-math.inf, high=math.inf) -> float:
     """float(value); raise DomainError unless is_real(value) and low < value < high."""
     if not (is_real(value) and low < value < high):
         spans = {(-math.inf, math.inf): "be finite", (0.0, math.inf): "be finite and positive"}
-        raise DomainError(f"{name} must {spans.get((low, high), f'lie in ({low:g},{high:g})')}, got {value!r}")
+        raise DomainError(f"{name} must {spans.get((low, high), f'lie in ({low:g},{high:g})')}, got {shown(value)}")
     return float(value)
 
 
@@ -84,7 +88,7 @@ def require_field(ok: bool, field: str, what: str, value) -> None:
     """Raise ValidationError "field: must what, got value!r" unless ok: the
     one form of every config refusal, which names the field it refuses."""
     if not ok:
-        raise ValidationError(f"{field}: must {what}, got {value!r}")
+        raise ValidationError(f"{field}: must {what}, got {shown(value)}")
 
 
 def require_indices(name: str, indices, size: int) -> tuple[int, ...]:
@@ -96,8 +100,8 @@ def require_indices(name: str, indices, size: int) -> tuple[int, ...]:
     try:
         indices = tuple(indices)  # it may be an iterator, read twice here
     except TypeError:
-        raise DomainError(f"{what} {indices!r}") from None
+        raise DomainError(f"{what} {shown(indices)}") from None
     for i in indices:
         if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < size:
-            raise DomainError(f"{what} {i!r}")
+            raise DomainError(f"{what} {shown(i)}")
     return tuple(sorted(map(int, indices)))

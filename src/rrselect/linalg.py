@@ -11,14 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EmptyBasisError,
-    RankDeficientError,
-    ValidationError,
-    require_indices,
-    require_int,
-)
+from .errors import MAX_LENGTH, RankDeficientError, ValidationError, require_indices, require_int
 from .omp import RANK_TOL
 
 
@@ -32,7 +25,7 @@ class OrthoBasisState:
     """
 
     def __init__(self, ambient_dim: int) -> None:
-        require_int("ambient_dim", ambient_dim, 1)
+        require_int("ambient_dim", ambient_dim, 1, MAX_LENGTH)
         capacity = min(8, ambient_dim)
         self.ambient_dim = ambient_dim
         self.selected_cols: list[int] = []
@@ -71,9 +64,7 @@ class OrthoBasisState:
         ValidationError for a non-finite column.
         """
         if matrix.shape[0] != self.ambient_dim:
-            raise DimensionMismatchError(
-                f"matrix has {matrix.shape[0]} rows, basis lives in dim {self.ambient_dim}"
-            )
+            raise ValidationError(f"matrix has {matrix.shape[0]} rows, basis lives in dim {self.ambient_dim}")
         (col_index,) = require_indices("column", (col_index,), matrix.shape[1])
         col = matrix[:, col_index]
         if not np.isfinite(col).all():  # a nan norm would pass the rank test
@@ -110,9 +101,7 @@ class OrthoBasisState:
         """Residual of y after removing its component in the basis span."""
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.ambient_dim,):
-            raise DimensionMismatchError(
-                f"vector has shape {y.shape}, expected ({self.ambient_dim},)"
-            )
+            raise ValidationError(f"vector has shape {y.shape}, expected ({self.ambient_dim},)")
         k = self.size
         if k == 0:
             return y.copy()
@@ -127,12 +116,10 @@ class OrthoBasisState:
         """
         k = self.size
         if k == 0:
-            raise EmptyBasisError("no columns selected")
+            raise ValidationError("no columns selected")
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.ambient_dim,):
-            raise DimensionMismatchError(
-                f"vector has shape {y.shape}, expected ({self.ambient_dim},)"
-            )
+            raise ValidationError(f"vector has shape {y.shape}, expected ({self.ambient_dim},)")
         c = self._q[:, :k].T @ y
         r = self._r
         for i in range(k - 1, -1, -1):

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .designs import DesignMatrix
-from .errors import DimensionMismatchError, DomainError, ValidationError, require_int, require_real
+from .errors import MAX_LENGTH, DomainError, ValidationError, require_int, require_real
 
 RULES = ("omp", "ols")
 
@@ -93,7 +93,7 @@ def solution_path(design: DesignMatrix, y: np.ndarray, k_max: int, rule: str = "
     n, p = x.shape
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (n,):
-        raise DimensionMismatchError(f"y has shape {y.shape}, expected ({n},)")
+        raise ValidationError(f"y has shape {y.shape}, expected ({n},)")
     if not np.isfinite(y).all():
         raise ValidationError("y must be finite")
     require_int("k_max", k_max)
@@ -230,7 +230,7 @@ def _noise_level(sigma: float, c: float, eta: float | None) -> float:
 def rpsc_threshold(sigma: float, n: int, eta: float | None = None) -> float:
     """Residual-power stopping level sigma*sqrt(n + 2 sqrt(n ln n)), with the
     optional high-SNR-consistent scaling by sigma^-eta."""
-    require_int("n", n, 1)
+    require_int("n", n, 1, MAX_LENGTH)
     return _noise_level(sigma, math.sqrt(n + 2.0 * math.sqrt(n * math.log(n))), eta)
 
 

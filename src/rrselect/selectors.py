@@ -22,7 +22,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import special
-from .errors import DomainError, EmptyPathError, require_indices, require_int, require_real
+from .errors import DomainError, require_indices, require_int, require_real
 from .omp import SolutionPath
 
 # Margin, in ln, by which a bound of c(k) must clear ln z(k) to decide step k
@@ -38,8 +38,8 @@ class ResidualRatios:
     solution_path, whose residual norms are nonincreasing. Ratios built by
     hand are checked on construction: a DomainError unless n, p and k_max are
     ints and the values are a numpy vector of K <= k_max <= min(n - 1, p)
-    ratios, each in [0,1]; an EmptyPathError if K = 0, as no selector has a
-    step to choose from.
+    ratios, each in [0,1], and K >= 1, as no selector has a step to choose
+    from.
 
     zero_observation marks a path of y = 0, where no step explains anything.
     """
@@ -61,7 +61,7 @@ class ResidualRatios:
                 f"ratios of shape {values.shape} do not fit a path of up to k_max={k_max} steps at n={n}, p={p}"
             )
         if not len(values):
-            raise EmptyPathError("no residual ratios: the path has no steps")
+            raise DomainError("no residual ratios: the path has no steps")
         # ndarray.min/max propagate nan, which fails both comparisons.
         if not (values.min() >= 0.0 and values.max() <= 1.0):
             raise DomainError(f"residual ratios must lie in [0,1], got {values.tolist()}")
@@ -84,7 +84,7 @@ def residual_ratios(path: SolutionPath) -> ResidualRatios:
     A zero previous residual means the fit was already perfect, so further
     ratios are taken as 0 (keeps the selectors at the earliest perfect model).
     A zero observation is flagged instead: its earliest perfect model is the
-    empty one. A path with no steps has no ratios: EmptyPathError.
+    empty one. A path with no steps has no ratios: DomainError.
     """
     norms = path.residual_norms.tolist()
     rr = [cur / prev if prev > 0.0 else 0.0 for prev, cur in zip(norms, norms[1:])]

@@ -285,6 +285,8 @@ def parse_config(json_text: str) -> ExperimentConfig:
         raw = json.loads(json_text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # a number of more than 4,300 digits
+        raise ParseError(str(exc)) from exc
     top = _fields(raw, ExperimentConfig, "config")
     top["design"] = DesignSpec(**_fields(top["design"], DesignSpec, "design"))
     top["signal"] = SignalSpec(**_fields(top["signal"], SignalSpec, "signal"))

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, is_real, require_int, require_real
+from .errors import MAX_LENGTH, DomainError, is_real, require_int, require_real
 
 # log_beta_fn sums three lgamma values up to this max(a, b), and takes
 # Stirling's series past it.
@@ -35,6 +35,27 @@ _ONE_BITS = struct.unpack("<q", struct.pack("<d", 1.0))[0]
 _CF_EPS = 1e-15
 _CF_TINY = 1e-300
 _CF_MAX_ITER = 500
+_CF_REACH = 2.0 * _CF_MAX_ITER + 1.0  # the most a factor of a coefficient exceeds a or a + b
+
+# Temme's expansion of I_x(a, 1/2) for large a (_log_cdf_half_large_a): the
+# Taylor coefficients of (sinh(w/2)/(w/2))^(-1/2) in w^2 after the leading 1,
+# exact fractions; each is about -1/(2 pi)^2 times the one before. _log_cdf
+# reads it at b = 1/2 from a = _TEMME_MIN_A on, where the continued fraction,
+# which needs O(sqrt(a)) terms near the mean, loses digits (2e-9 at a = 5e7,
+# 5e-3 at 5e15), and for -ln x <= _TEMME_MAX_W, where 8 terms leave less than
+# 1e-20.
+_TEMME_C = (
+    -1 / 48,
+    1 / 2560,
+    -61 / 7741440,
+    1261 / 7431782400,
+    -79 / 20761804800,
+    66643 / 761775532277760,
+    -16820653 / 8227175748599808000,
+    3745813 / 77499283242221568000,
+)
+_TEMME_MIN_A = 1e3
+_TEMME_MAX_W = 0.5
 
 
 def _double_of_bits(bits: int) -> float:
@@ -71,10 +92,14 @@ def log_beta_fn(a: float, b: float) -> float:
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     # Modified Lentz evaluation of the standard continued fraction for the
-    # incomplete beta; converges quickly for x < (a+1)/(a+b+2).
+    # incomplete beta; converges quickly for x < (a+1)/(a+b+2). Each
+    # coefficient is a product of two factors over a product of two. Where
+    # such a product can overflow (a (a + b) past the doubles) it is taken as
+    # a product of quotients; every other a and b keeps the product form's bits.
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
+    wide = (a + _CF_REACH) * (qab + _CF_REACH) == math.inf
     c = 1.0
     d = 1.0 - qab * x / qap
     if abs(d) < _CF_TINY:
@@ -83,20 +108,24 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
+        if wide:
+            even = m * ((b - m) / (a + m2)) * (x / (qam + m2))
+            odd = -((a + m) / (a + m2)) * ((qab + m) / (qap + m2)) * x
+        else:
+            even = m * (b - m) * x / ((qam + m2) * (a + m2))
+            odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + even * d
         if abs(d) < _CF_TINY:
             d = _CF_TINY
-        c = 1.0 + aa / c
+        c = 1.0 + even / c
         if abs(c) < _CF_TINY:
             c = _CF_TINY
         d = 1.0 / d
         h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
+        d = 1.0 + odd * d
         if abs(d) < _CF_TINY:
             d = _CF_TINY
-        c = 1.0 + aa / c
+        c = 1.0 + odd / c
         if abs(c) < _CF_TINY:
             c = _CF_TINY
         d = 1.0 / d
@@ -107,14 +136,60 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     return h
 
 
+def _log_cdf_half_large_a(a: float, w: float) -> float:
+    """ln I_x(a, 1/2) at x = e^-w for large a and small w, by Temme's
+    expansion: with nu = a - 1/4 and z = nu w,
+    I = Gamma(1/2) / (B(a, 1/2) nu^(1/2)) sum_k c_k Gamma(1/2 + 2k) Q(1/2 + 2k, z) / nu^2k,
+    Q the regularized upper incomplete gamma, Q(1/2, z) = erfc(sqrt(z)) and
+    Gamma(s+1) Q(s+1, z) = s Gamma(s) Q(s, z) + z^s e^-z. Past z = 50 erfc
+    is taken from its asymptotic series, so ln Q keeps its digits below the
+    doubles. Reads w, not 1 - x, which x = r^2 rounds near 1."""
+    nu = a - 0.25
+    z = nu * w
+    root = math.sqrt(z)
+    if z < 50.0:
+        q = math.erfc(root)
+        ln_q = math.log1p(-math.erf(root)) if root < 0.5 else math.log(q)
+        ratio = math.exp(-z) / q  # e^-z / Q(1/2, z)
+    else:
+        series, term = 1.0, 1.0  # erfc(s) = e^-s^2 / (s sqrt(pi)) (1 - 1/(2 s^2) + 3/(2 s^2)^2 - ...)
+        for n in range(1, 25):
+            term *= -(2 * n - 1) / (2.0 * z)
+            series += term
+        ln_q = -z - 0.5 * math.log(math.pi * z) + math.log(series)
+        ratio = root * math.sqrt(math.pi) / series
+    # v = Gamma(s) Q(s, z) / (Gamma(1/2) Q(1/2, z) nu^(s - 1/2)) for s = 1/2, 3/2, ...
+    total, v, s = 1.0, 1.0, 0.5
+    step = ratio / math.sqrt(math.pi * nu)
+    for c in _TEMME_C:
+        for _ in range(2):
+            v = s / nu * v + w**s * step
+            s += 1.0
+        total += c * v
+    return 0.5 * math.log(math.pi / nu) - log_beta_fn(a, 0.5) + ln_q + math.log(total)
+
+
 def _log_cdf(a: float, b: float, x: float, ln_x: float) -> float:
-    """ln I_x(a,b) for 0 <= x < 1, given ln x: the first factor
+    """ln I_x(a,b) for 0 <= x < 1, given ln x: at b = 1/2 and large a near
+    x = 1, Temme's expansion; otherwise the first factor
     x^a (1-x)^b / B(a,b) and the continued fraction that converges at x,
     combined in logs, so the value is rounded once however small it is."""
+    if a >= _TEMME_MIN_A and b == 0.5 and ln_x >= -_TEMME_MAX_W:
+        return _log_cdf_half_large_a(a, -ln_x)
     ln_front = a * ln_x + b * math.log1p(-x) - log_beta_fn(a, b)
     if x < (a + 1.0) / (a + b + 2.0):
         return ln_front + math.log(_beta_continued_fraction(a, b, x) / a)
-    return math.log1p(-math.exp(ln_front) * _beta_continued_fraction(b, a, 1.0 - x) / b)
+    complement = math.exp(ln_front) * _beta_continued_fraction(b, a, 1.0 - x) / b
+    if 0.0 <= complement < 0.99:  # at most 0.917 at b = 1/2, where the selectors read it
+        return math.log1p(-complement)
+    # A b < 1 puts the mass at 1: I_x(a,b) may be tiny there, 1 - complement
+    # keeps few of its digits, and the fraction at x converges. From b = 1 on
+    # such a complement is the fraction's failure at a 1 - x that rounds to 1
+    # (a huge b at a tiny x), and no digit of I_x(a,b) is left.
+    fraction = _beta_continued_fraction(a, b, x) if b < 1.0 else math.nan
+    if not 0.0 < fraction < math.inf:
+        raise DomainError(f"I_x(a,b) is out of reach at a={a!r}, b={b!r}, x={x!r}: no fraction holds its digits")
+    return ln_front + math.log(fraction / a)
 
 
 def log_cdf_of_square(a: float, b: float, r: float) -> float:
@@ -122,6 +197,8 @@ def log_cdf_of_square(a: float, b: float, r: float) -> float:
 
     ln r^2 is taken as 2 ln r, so a square below the doubles keeps its digits
     (the continued fraction and (1-r^2)^b are 1 to double precision there).
+    Raises DomainError where no form reaches I_{r^2}(a,b): a b past 1e15 at
+    an r whose 1 - r^2 rounds to 1.
     """
     a, b = require_real("a", a, 0.0, math.inf), require_real("b", b, 0.0, math.inf)
     if not (is_real(r) and 0.0 <= r <= 1.0):
@@ -135,10 +212,10 @@ def log_cdf_of_square(a: float, b: float, r: float) -> float:
 
 
 @lru_cache(maxsize=64)
-def half_beta_log_terms(n: int) -> tuple[tuple[float, float, float], ...]:
-    """(a, ln a, ln B(a, 1/2)) for a = (n-k)/2 at k = 1..n-1: the per-step
-    constants of half_beta_log_cdf_bounds, computed once per n."""
-    return tuple((a, math.log(a), log_beta_fn(a, 0.5)) for a in ((n - k) / 2.0 for k in range(1, n)))
+def half_beta_log_terms(n: int, steps: int) -> tuple[tuple[float, float, float], ...]:
+    """(a, ln a, ln B(a, 1/2)) for a = (n-k)/2 at k = 1..steps: the per-step
+    constants of half_beta_log_cdf_bounds, computed once per path length."""
+    return tuple((a, math.log(a), log_beta_fn(a, 0.5)) for a in ((n - k) / 2.0 for k in range(1, steps + 1)))
 
 
 def half_beta_log_cdf_bounds(n: int, ratios: list[float]) -> tuple[list[float], list[float]]:
@@ -149,15 +226,15 @@ def half_beta_log_cdf_bounds(n: int, ratios: list[float]) -> tuple[list[float], 
     L 2F1(a+b, 1; a+1; x) with L = x^a (1-x)^b / (a B(a,b)). The series' terms
     are positive and start at 1, so L <= c(k); for b <= 1 each is at most x
     times the one before, so the series is at most 1 + t1 / (1-x) with
-    t1 = x (a+b) / (a+1), and U = L (1 + t1 / (1-x)). The per-n constants are
-    those of half_beta_log_terms; both bounds are -inf at RR = 0 (c = 0) and
-    +inf at RR = 1 (c = 1).
+    t1 = x (a+b) / (a+1), and U = L (1 + t1 / (1-x)). The per-step constants
+    are those of half_beta_log_terms for the path's steps; both bounds are -inf
+    at RR = 0 (c = 0) and +inf at RR = 1 (c = 1).
     """
-    require_int("n", n)
+    require_int("n", n, high=MAX_LENGTH)
     if len(ratios) > n - 1:
         raise DomainError(f"{len(ratios)} ratios exceed the n-1={n - 1} steps of an n={n} problem")
     lows, highs = [], []
-    for (a, ln_a, ln_beta), r in zip(half_beta_log_terms(n), ratios):
+    for (a, ln_a, ln_beta), r in zip(half_beta_log_terms(n, len(ratios)), ratios):
         if 0.0 < r < 1.0:
             x = r * r
             low = 2.0 * a * math.log(r) + 0.5 * math.log1p(-x) - ln_a - ln_beta
@@ -210,6 +287,7 @@ def rrt_threshold(n: int, p: int, k_max: int, alpha: float, k: int) -> float:
     the doubles reads as the smallest positive double.
     """
     ln_z = rrt_log_level(n, p, k_max, alpha, k)
+    require_int("n", n, high=MAX_LENGTH)
     a = (n - k) / 2.0
     # The bit patterns of the nonnegative doubles order as their values do, so
     # this bisects the integers between those of 0 and 1 (62 steps), keeping

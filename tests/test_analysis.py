@@ -62,6 +62,10 @@ def test_mic_sparsity_limit():
     assert mic_sparsity_limit(mu32) == 3
     assert mic_sparsity_limit(0.3) == 2
     assert mic_sparsity_limit(0.0) > 10**9
+    # Where 1/mu passes the int64 range or the doubles, mu sets no limit, as at mu = 0.
+    for tiny in (1e-20, 1e-300, 1e-320, 5e-324):
+        assert mic_sparsity_limit(tiny) == mic_sparsity_limit(0.0) == 2**63 - 1
+    assert mic_sparsity_limit(1e-17) == 50_000_000_000_000_000
 
 
 def test_ric_orthonormal_is_zero():

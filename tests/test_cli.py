@@ -72,6 +72,8 @@ def test_parse_config_errors():
     with pytest.raises(ParseError) as err:
         parse_config("{not json")
     assert "line" in str(err.value)
+    with pytest.raises(ParseError, match="^Exceeds the limit"):
+        parse_config(json.dumps(MINIMAL_CONFIG).replace('"trials": 1000', '"trials": 1' + "0" * 5000))
 
     bad_trials = dict(MINIMAL_CONFIG, trials=0)
     with pytest.raises(ValidationError):
@@ -344,6 +346,16 @@ def test_recover_rejects_non_finite_matrix(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: matrix entries must be finite\n"
+
+
+@pytest.mark.parametrize("bad", ["matrix", "y"])
+def test_recover_names_a_csv_that_does_not_parse(tmp_path, capsys, bad):
+    paths = dict(zip(("matrix", "y"), _write_identity_problem(tmp_path)))
+    paths[bad].write_text("1,0,0,0\n0,x,0,0\n")
+    assert main(["recover", "--matrix", str(paths["matrix"]), "--y", str(paths["y"]), "--method", "rrm"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {paths[bad]}: could not convert string 'x' to float64 at row ")
 
 
 def test_recover_rrt_and_fixed(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import re
 import types
 import warnings
 
@@ -21,14 +22,14 @@ from rrselect.designs import (
     sylvester_hadamard,
     synthesize,
 )
-from rrselect.errors import DimensionMismatchError, ValidationError
+from rrselect.errors import ParseError, ValidationError
 
 
 def test_design_matrix_validates_shape_and_finiteness():
     d = DesignMatrix([[1.0, 2.0], [3.0, 4.0]])
     assert (d.n, d.p) == (2, 2)
     assert d.matrix.dtype == np.float64 and d.matrix.flags.f_contiguous
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValidationError, match=r"^expected a 2-d array, got ndim=1$"):
         DesignMatrix([1.0, 2.0, 3.0])
     with pytest.raises(ValidationError, match="matrix entries must be finite"):
         DesignMatrix([[1.0, np.nan]])
@@ -88,6 +89,26 @@ def test_unit_norm_flag_is_derived_from_the_columns(tmp_path):
     path = tmp_path / "x.csv"
     save_matrix_csv(path, make_identity_hadamard(32).matrix)
     assert load_design_csv(path).unit_norm_columns
+
+
+@pytest.mark.parametrize("load", [load_design_csv, load_vector_csv])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1,x\n2,3\n", "could not convert string 'x' to float64 at row 0, column 2"),
+        ("1,2\n3\n", "the number of columns changed from 2 to 1 at row 2"),
+        ("", "no data"),
+        ("\n\n", "no data"),
+    ],
+    ids=["non-numeric", "ragged", "empty", "blank-lines"],
+)
+def test_csv_text_that_is_no_array_is_a_parse_error_naming_the_path(tmp_path, load, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an empty file is refused, not warned of
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}"):
+            load(path)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -436,7 +457,7 @@ def test_csv_round_trip(tmp_path):
     save_matrix_csv(vpath, v.reshape(-1, 1))
     assert np.array_equal(load_vector_csv(vpath), v)
 
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValidationError, match=r"^expected a vector, got shape \(2, 2\)$"):
         save_matrix_csv(vpath, rng.normal(size=(2, 2)))
         load_vector_csv(vpath)
 

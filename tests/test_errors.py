@@ -8,20 +8,35 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rrselect.analysis import erc_constant, rrt_error_lower_bound
+from rrselect import errors
+from rrselect.analysis import epsilon_bounds, erc_constant, ric_bruteforce, rrt_error_lower_bound
 from rrselect.designs import (
     SignalSpec,
+    load_design_csv,
     make_gaussian,
     make_identity_hadamard,
     make_signal,
     sample_support,
     sylvester_hadamard,
 )
-from rrselect.errors import DomainError, ValidationError, is_int, is_real, require_indices, require_int, require_real
+from rrselect.errors import (
+    MAX_LENGTH,
+    DomainError,
+    ParseError,
+    RankDeficientError,
+    TooManySubsetsError,
+    ValidationError,
+    is_int,
+    is_real,
+    require_indices,
+    require_int,
+    require_real,
+)
 from rrselect.linalg import OrthoBasisState
 from rrselect.omp import default_kmax, rcsc_threshold, rpsc_threshold, solution_path
-from rrselect.selectors import minimal_superset_index
-from rrselect.special import build_threshold_table, half_beta_log_cdf_bounds
+from rrselect.selectors import ResidualRatios, minimal_superset_index
+from rrselect.simulate import parse_config
+from rrselect.special import build_threshold_table, half_beta_log_cdf_bounds, log_cdf_of_square, rrt_threshold
 
 BOOLS = (True, False, np.True_, np.False_)
 
@@ -78,6 +93,17 @@ def test_require_int_checks_the_type_then_the_floor():
             require_int("n", bad, 2)
     with pytest.raises(DomainError, match="^n must be >= 2, got 1$"):
         require_int("n", 1, 2)
+
+
+def test_require_int_checks_a_ceiling_and_names_an_int_past_the_doubles_by_its_length():
+    require_int("n", 3, 1, 3)
+    with pytest.raises(DomainError, match="^n must be <= 3, got 4$"):
+        require_int("n", 4, 1, 3)
+    # str() of an int past 4,300 digits raises ValueError: no message prints one.
+    with pytest.raises(DomainError, match="^n must be <= 3, got an integer of 16610 bits$"):
+        require_int("n", 10**5000, high=3)
+    with pytest.raises(DomainError, match="^x must be finite, got an integer of 16610 bits$"):
+        require_real("x", -(10**5000))
 
 
 def test_require_indices_sorts_int_entries_below_the_size():
@@ -147,6 +173,21 @@ _NOT_N = (2.5, None, "3", math.nan, math.inf, 1j)
         *_refusals("half_beta_log_cdf_bounds-n", lambda v: half_beta_log_cdf_bounds(v, [0.5]), *_NOT_N),
         *_refusals("OrthoBasisState-ambient_dim", OrthoBasisState, *_NOT_SIZES, 0),
         *_refusals("append-column", lambda v: OrthoBasisState(2).append(np.eye(2), v), True, 2.5, 2, -1),
+        # Sizes past the doubles or past the length of an array, and a real past the doubles.
+        pytest.param(lambda v: make_gaussian(v, 4, 0), 10**400, id="make_gaussian-n-10**400"),
+        pytest.param(lambda v: make_gaussian(4, v, 0), 2**70, id="make_gaussian-p-2**70"),
+        pytest.param(lambda v: make_gaussian(v, v, 0), 2**40, id="make_gaussian-n-and-p-2**40"),
+        pytest.param(lambda v: sample_support(v, 2, 0), 10**400, id="sample_support-p-10**400"),
+        pytest.param(lambda v: sample_support(v, v // 2, 0), 2**70, id="sample_support-p-2**70-k0-2**69"),
+        pytest.param(lambda v: make_signal(v, [0, 1], SignalSpec(k0=2), 0), 10**400, id="make_signal-p-10**400"),
+        pytest.param(lambda v: rrt_threshold(v, 8, 2, 0.1, 1), 10**400, id="rrt_threshold-n-10**400"),
+        pytest.param(lambda v: half_beta_log_cdf_bounds(v, [0.5]), 10**400, id="half_beta_log_cdf_bounds-n-10**400"),
+        pytest.param(lambda v: rpsc_threshold(1.0, v), 10**400, id="rpsc_threshold-n-10**400"),
+        pytest.param(
+            lambda v: epsilon_bounds(0.1, 0.1, 1.0, 1.0, v, 8, 2, 0.1, 1.0, 1), 10**400, id="epsilon_bounds-n-10**400"
+        ),
+        pytest.param(OrthoBasisState, 2**70, id="OrthoBasisState-ambient_dim-2**70"),
+        pytest.param(lambda v: log_cdf_of_square(v, 0.5, 0.5), 10**5000, id="log_cdf_of_square-a-10**5000"),
     ],
 )
 def test_every_refused_argument_is_a_validation_error_from_errors(call, bad):
@@ -154,3 +195,60 @@ def test_every_refused_argument_is_a_validation_error_from_errors(call, bad):
     with pytest.raises(ValidationError) as refused:
         call(bad)
     assert type(refused.value).__module__ == "rrselect.errors"
+
+
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        (lambda v: make_gaussian(v, 4, 0), 10**400),
+        (lambda v: sample_support(v, 2, 0), 10**400),
+        (lambda v: make_signal(v, [0, 1], SignalSpec(k0=2), 0), 10**400),
+        (lambda v: rrt_threshold(v, 8, 2, 0.1, 1), 10**400),
+        (lambda v: rpsc_threshold(1.0, v), MAX_LENGTH + 1),
+    ],
+    ids=["make_gaussian", "sample_support", "make_signal", "rrt_threshold", "rpsc_threshold"],
+)
+def test_a_size_past_an_array_names_itself_and_the_ceiling(call, bad):
+    with pytest.raises(ValidationError, match=rf"^(n|p)\b.* {MAX_LENGTH}\b"):
+        call(bad)
+
+
+def test_the_largest_sizes_are_accepted_where_no_array_is_made():
+    # A p of any size stays exact where it enters only a log or a compare.
+    assert len(sample_support(MAX_LENGTH, 2, 0)) == 2
+    assert rpsc_threshold(1.0, MAX_LENGTH) > 0.0
+    assert rcsc_threshold(1.0, 10**400) > 0.0
+    assert build_threshold_table(8, 10**400, 2, 0.1).shape == (2,)
+
+
+def test_errors_defines_one_refusal_family():
+    classes = {v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, BaseException)}
+    assert classes == {ValidationError, DomainError, ParseError, RankDeficientError, TooManySubsetsError}
+    assert all(issubclass(c, ValidationError) for c in classes)
+
+
+def _malformed_csv(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_text("1,x\n")
+    return load_design_csv(path)
+
+
+@pytest.mark.parametrize(
+    "refuse, error",
+    [
+        pytest.param(lambda _: solution_path(_HADAMARD_4, np.ones(3), 2), ValidationError, id="shape"),
+        pytest.param(lambda _: ResidualRatios(np.array([]), 32, 64, 3), DomainError, id="empty-ratios"),
+        pytest.param(lambda _: OrthoBasisState(2).least_squares_coeffs(np.zeros(2)), ValidationError, id="empty-basis"),
+        pytest.param(lambda _: erc_constant(_HADAMARD_4, (0, 1, 2, 3, 4)), RankDeficientError, id="dependent-support"),
+        pytest.param(lambda _: ric_bruteforce(make_gaussian(8, 64, 0), 6), TooManySubsetsError, id="subset-guard"),
+        pytest.param(lambda _: parse_config("{not json"), ParseError, id="malformed-json"),
+        pytest.param(_malformed_csv, ParseError, id="malformed-csv"),
+    ],
+)
+def test_one_except_validation_error_catches_every_kind_of_refusal(tmp_path, refuse, error):
+    try:
+        refuse(tmp_path)
+    except ValidationError as exc:
+        assert type(exc) is error
+    else:
+        pytest.fail("nothing was refused")

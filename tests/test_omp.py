@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrselect.designs import DesignMatrix, make_gaussian, make_identity_hadamard, sylvester_hadamard
-from rrselect.errors import DimensionMismatchError, DomainError, ValidationError
+from rrselect.errors import DomainError, ValidationError
 from rrselect.omp import (
     RULES,
     SupportEstimate,
@@ -166,7 +166,7 @@ def test_rank_deficient_path_terminates_early():
 
 def test_solution_path_validation():
     design = DesignMatrix(np.eye(4))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValidationError, match=r"^y has shape \(5,\), expected \(4,\)$"):
         solution_path(design, np.ones(5), 2)
     with pytest.raises(ValidationError):
         solution_path(design, np.ones(4), 0)

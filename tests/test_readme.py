@@ -20,6 +20,9 @@ MODULE_MAP = re.search(r"## Module map\n(.*?)(?:\n## |\Z)", README, re.S).group(
 MODULE_ROWS = {m.group(1): m.group(0) for m in re.finditer(r"^\| `(\w+)` .*$", MODULE_MAP, re.M)}
 # Public names deleted from the package; the README must not name them either.
 DELETED = (
+    "DimensionMismatchError",
+    "EmptyBasisError",
+    "EmptyPathError",
     "RegularityReport",
     "RrtaParams",
     "beta_cdf",

@@ -15,7 +15,7 @@ from rrselect.designs import (
     sample_support,
     synthesize,
 )
-from rrselect.errors import DomainError, EmptyPathError, ValidationError
+from rrselect.errors import DomainError, ValidationError
 from rrselect.omp import RULES, SolutionPath, solution_path, stop_rcsc, stop_rpsc
 from rrselect.selectors import (
     ALPHA_FLOOR,
@@ -76,7 +76,7 @@ def test_residual_ratios_examples():
     assert np.allclose(residual_ratios(_path([1.0, 0.0, 0.0])).values, [0.0, 0.0])
     # A path stopped before its first step has no ratios.
     empty = SolutionPath((), np.array([3.0]), np.zeros(1), "rank_deficient", 32, 64, 3)
-    with pytest.raises(EmptyPathError):
+    with pytest.raises(DomainError, match="^no residual ratios: the path has no steps$"):
         residual_ratios(empty)
 
 
@@ -139,7 +139,7 @@ def test_rrt_select_checks_its_arguments_without_ratios():
     # Ratios without a step are refused when built, as residual_ratios refuses
     # a path with no steps; sizes that fit no path are refused before that.
     # A level outside (0,1) is refused by rrt_select itself.
-    with pytest.raises(EmptyPathError):
+    with pytest.raises(DomainError, match="^no residual ratios: the path has no steps$"):
         ResidualRatios(np.array([]), 32, 64, 3)
     with pytest.raises(DomainError, match=r"^residual ratios must be a numpy array, got \[0\.5\]$"):
         ResidualRatios([0.5], 8, 16, 3)  # a list has no ndim
@@ -168,7 +168,7 @@ def test_rrt_select_applies_the_exact_level_past_the_double_range():
     # RR = 0.5, ln c(1) ~ -22 is far above ln z(1) ~ -924; at RR = 1e-300,
     # ln c(3) ~ -2e4 is far below ln z(3).
     for p in (10**400, 10**300):
-        with pytest.raises(EmptyPathError):
+        with pytest.raises(DomainError, match="^no residual ratios: the path has no steps$"):
             _ratios([], 32, p, 3)
         assert rrt_select(_ratios([0.5], 32, p, 3), 0.1) is None
         assert rrt_select(_ratios([0.5, 0.5, 1e-300], 32, p, 3), 0.1) == 3
@@ -556,7 +556,7 @@ def test_zero_observation_selects_nothing():
 def test_rrm_select_examples():
     assert rrm_select(_ratios([0.9, 0.05, 0.8])) == 2
     assert rrm_select(_ratios([0.5, 0.5])) == 1  # tie -> smallest
-    with pytest.raises(EmptyPathError):
+    with pytest.raises(DomainError, match="^no residual ratios: the path has no steps$"):
         rrm_select(_ratios([]))
 
 

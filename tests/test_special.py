@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rrselect.errors import DomainError
+from rrselect import special
+from rrselect.errors import MAX_LENGTH, DomainError
 from rrselect.special import (
     build_threshold_table,
     half_beta_log_cdf_bounds,
@@ -270,7 +271,96 @@ def test_rrt_threshold_matches_mpmath(args):
 def test_half_beta_log_terms_are_the_constants_of_the_floor():
     for n in (2, 3, 32):
         halves = [(n - k) / 2.0 for k in range(1, n)]
-        assert half_beta_log_terms(n) == tuple((a, math.log(a), log_beta_fn(a, 0.5)) for a in halves)
+        assert half_beta_log_terms(n, n - 1) == tuple((a, math.log(a), log_beta_fn(a, 0.5)) for a in halves)
+
+
+def test_half_beta_log_cdf_bounds_builds_constants_for_the_path_steps_only(monkeypatch):
+    # One ln B(a, 1/2) per ratio, not one per k = 1..n-1: 2 calls here, not 10**4.
+    calls = []
+    monkeypatch.setattr(special, "log_beta_fn", lambda a, b: calls.append(a) or log_beta_fn(a, b))
+    half_beta_log_terms.cache_clear()
+    lows, highs = half_beta_log_cdf_bounds(10**4 + 1, [0.5, 0.4])
+    assert calls == [5000.0, 4999.5]
+    half_beta_log_terms.cache_clear()
+    longer = half_beta_log_cdf_bounds(10**4 + 1, [0.5, 0.4, 0.3])
+    assert (longer[0][:2], longer[1][:2]) == (lows, highs)
+    assert half_beta_log_cdf_bounds(MAX_LENGTH, [0.5])[0][0] < 0.0  # the largest n, in one step
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    a=st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+    b=st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+    r=st.floats(0.0, 1.0),
+)
+@example(a=1.4e154, b=0.5, r=0.5)  # (a + m)(a + b + m) overflows the continued fraction's coefficients
+@example(a=0.5, b=1e300, r=0.5)
+@example(a=2.0, b=1.4e154, r=0.01)
+@example(a=4.512402310128062e-45, b=4.72039685613429e-267, r=0.8700101551766398)  # complement rounds past 1
+@example(a=1.0000000002302585, b=1e23, r=1e-10)  # 1 - r^2 rounds to 1
+def test_log_cdf_of_square_is_never_nan(a, b, r):
+    # Nor a bare error: where neither continued fraction converges, which
+    # takes a b past 1e15 at an x whose 1 - x rounds to 1, it refuses by name.
+    try:
+        value = log_cdf_of_square(a, b, r)
+    except DomainError as refused:
+        assert str(refused).startswith("I_x(a,b) is out of reach") and b > 1e15, (a, b, r)
+        return
+    assert not math.isnan(value), (a, b, r)
+
+
+@pytest.mark.parametrize("a", [1.3e154, 1.4e154, 1e200, 1e300])
+def test_log_cdf_of_square_past_the_square_of_a_matches_mpmath(a):
+    # a (a + b) passes the doubles from a = 1.34e154 on; the coefficients are
+    # then taken as products of quotients.
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for r in (1e-300, 0.5, 1.0 - 2.0**-53):
+            expected = float(mp.log(mp.betainc(a, 0.5, 0, mp.mpf(r) ** 2, regularized=True)))
+            assert log_cdf_of_square(a, 0.5, r) == pytest.approx(expected, rel=1e-15, abs=0.0), (a, r)
+
+
+def _ln_cdf_by_quadrature(mp, a, r):
+    """ln I_{r^2}(a, 1/2) = ln of int_{w0}^inf e^(-a w) (1 - e^-w)^(-1/2) dw / B(a, 1/2),
+    w0 = -2 ln r (t = e^-w), by quadrature split at w0 + k/a: an oracle for the
+    a where mpmath's hypergeometric series fails to converge."""
+    a, w0 = mp.mpf(a), -2 * mp.log(mp.mpf(r))
+    nodes = [w0 + mp.mpf(k) / a for k in (0, 1, 4, 16, 64, 256)] + [mp.inf]
+    integral = mp.quad(lambda w: mp.exp(-a * (w - w0)) * (-mp.expm1(-w)) ** -0.5, nodes)
+    return float(-a * w0 + mp.log(integral) - mp.log(mp.beta(a, 0.5)))
+
+
+@pytest.mark.parametrize("a", [1e3, 5e5, 5e9, 5e15, 5.7e17])
+def test_log_cdf_of_square_at_large_a_matches_the_quadrature_of_its_integral(a):
+    # Near x = 1 the continued fraction needs O(sqrt(a)) terms; from a = 1e3
+    # on, Temme's expansion is read there instead (parent: 2e-9 off at
+    # a = 5e7, 5e-3 at a = 5e15).
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for z in (0.01, 1.0, 10.0, 100.0, 1000.0):  # z ~ -a ln x
+            r = math.exp(-z / (2.0 * a))
+            if r < 1.0:
+                expected = _ln_cdf_by_quadrature(mp, a, r)
+                assert log_cdf_of_square(a, 0.5, r) == pytest.approx(expected, rel=1e-13, abs=0.0), (a, z)
+
+
+def test_log_cdf_of_square_where_b_is_tiny_matches_mpmath():
+    # I_x(a, b) ~ 1e-222: 1 - I_x rounds to 1, so the fraction at x is read.
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for a, b, r in ((4.512402310128062e-45, 4.72039685613429e-267, 0.8700101551766398), (2.0, 1e-20, 0.99)):
+            expected = float(mp.log(mp.betainc(a, b, 0, mp.mpf(r) ** 2, regularized=True)))
+            assert log_cdf_of_square(a, b, r) == pytest.approx(expected, rel=1e-14, abs=0.0), (a, b, r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(two_a=st.integers(1, MAX_LENGTH - 1), r=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(two_a=41175768021673109, r=0.9999999999999998)  # the continued fraction read -10.53 for -10.87
+def test_log_cdf_of_square_lies_between_the_bounds_for_any_n(two_a, r):
+    lows, highs = half_beta_log_cdf_bounds(two_a + 1, [r])
+    value = log_cdf_of_square(two_a / 2.0, 0.5, r)
+    slack = 1e-12 * max(1.0, abs(value))
+    assert lows[0] - slack <= value <= highs[0] + slack
 
 
 def _mp_level(mp, n, p, k_max, alpha, k):
