@@ -74,7 +74,7 @@ class ResidualRatios:
         """([ln L(k)], [ln U(k)]) with L(k) <= c(k) = I_{RR(k)^2}((n-k)/2, 1/2)
         <= U(k) for k = 1..K (special.half_beta_log_cdf_bounds), computed
         once per path."""
-        return special.half_beta_log_cdf_bounds(self.n, self.values.tolist())
+        return special.half_beta_log_cdf_bounds(self.n, self.values.tolist(), self.k_max)
 
 
 def residual_ratios(path: SolutionPath) -> ResidualRatios:

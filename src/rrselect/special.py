@@ -37,26 +37,6 @@ _CF_TINY = 1e-300
 _CF_MAX_ITER = 500
 _CF_REACH = 2.0 * _CF_MAX_ITER + 1.0  # the most a factor of a coefficient exceeds a or a + b
 
-# Temme's expansion of I_x(a, 1/2) for large a (_log_cdf_half_large_a): the
-# Taylor coefficients of (sinh(w/2)/(w/2))^(-1/2) in w^2 after the leading 1,
-# exact fractions; each is about -1/(2 pi)^2 times the one before. _log_cdf
-# reads it at b = 1/2 from a = _TEMME_MIN_A on, where the continued fraction,
-# which needs O(sqrt(a)) terms near the mean, loses digits (2e-9 at a = 5e7,
-# 5e-3 at 5e15), and for -ln x <= _TEMME_MAX_W, where 8 terms leave less than
-# 1e-20.
-_TEMME_C = (
-    -1 / 48,
-    1 / 2560,
-    -61 / 7741440,
-    1261 / 7431782400,
-    -79 / 20761804800,
-    66643 / 761775532277760,
-    -16820653 / 8227175748599808000,
-    3745813 / 77499283242221568000,
-)
-_TEMME_MIN_A = 1e3
-_TEMME_MAX_W = 0.5
-
 
 def _double_of_bits(bits: int) -> float:
     return struct.unpack("<d", struct.pack("<q", bits))[0]
@@ -90,12 +70,13 @@ def log_beta_fn(a: float, b: float) -> float:
     )
 
 
-def _beta_continued_fraction(a: float, b: float, x: float) -> float:
+def _beta_continued_fraction(a: float, b: float, x: float, strict: bool = False) -> float:
     # Modified Lentz evaluation of the standard continued fraction for the
     # incomplete beta; converges quickly for x < (a+1)/(a+b+2). Each
     # coefficient is a product of two factors over a product of two. Where
     # such a product can overflow (a (a + b) past the doubles) it is taken as
     # a product of quotients; every other a and b keeps the product form's bits.
+    # A strict call returns nan where _CF_MAX_ITER steps do not converge.
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -132,64 +113,33 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _CF_EPS:
-            break
-    return h
-
-
-def _log_cdf_half_large_a(a: float, w: float) -> float:
-    """ln I_x(a, 1/2) at x = e^-w for large a and small w, by Temme's
-    expansion: with nu = a - 1/4 and z = nu w,
-    I = Gamma(1/2) / (B(a, 1/2) nu^(1/2)) sum_k c_k Gamma(1/2 + 2k) Q(1/2 + 2k, z) / nu^2k,
-    Q the regularized upper incomplete gamma, Q(1/2, z) = erfc(sqrt(z)) and
-    Gamma(s+1) Q(s+1, z) = s Gamma(s) Q(s, z) + z^s e^-z. Past z = 50 erfc
-    is taken from its asymptotic series, so ln Q keeps its digits below the
-    doubles. Reads w, not 1 - x, which x = r^2 rounds near 1."""
-    nu = a - 0.25
-    z = nu * w
-    root = math.sqrt(z)
-    if z < 50.0:
-        q = math.erfc(root)
-        ln_q = math.log1p(-math.erf(root)) if root < 0.5 else math.log(q)
-        ratio = math.exp(-z) / q  # e^-z / Q(1/2, z)
-    else:
-        series, term = 1.0, 1.0  # erfc(s) = e^-s^2 / (s sqrt(pi)) (1 - 1/(2 s^2) + 3/(2 s^2)^2 - ...)
-        for n in range(1, 25):
-            term *= -(2 * n - 1) / (2.0 * z)
-            series += term
-        ln_q = -z - 0.5 * math.log(math.pi * z) + math.log(series)
-        ratio = root * math.sqrt(math.pi) / series
-    # v = Gamma(s) Q(s, z) / (Gamma(1/2) Q(1/2, z) nu^(s - 1/2)) for s = 1/2, 3/2, ...
-    total, v, s = 1.0, 1.0, 0.5
-    step = ratio / math.sqrt(math.pi * nu)
-    for c in _TEMME_C:
-        for _ in range(2):
-            v = s / nu * v + w**s * step
-            s += 1.0
-        total += c * v
-    return 0.5 * math.log(math.pi / nu) - log_beta_fn(a, 0.5) + ln_q + math.log(total)
+            return h
+    return math.nan if strict else h
 
 
 def _log_cdf(a: float, b: float, x: float, ln_x: float) -> float:
-    """ln I_x(a,b) for 0 <= x < 1, given ln x: at b = 1/2 and large a near
-    x = 1, Temme's expansion; otherwise the first factor
+    """ln I_x(a,b) for 0 <= x < 1, given ln x: the first factor
     x^a (1-x)^b / B(a,b) and the continued fraction that converges at x,
     combined in logs, so the value is rounded once however small it is."""
-    if a >= _TEMME_MIN_A and b == 0.5 and ln_x >= -_TEMME_MAX_W:
-        return _log_cdf_half_large_a(a, -ln_x)
     ln_front = a * ln_x + b * math.log1p(-x) - log_beta_fn(a, b)
     if x < (a + 1.0) / (a + b + 2.0):
         return ln_front + math.log(_beta_continued_fraction(a, b, x) / a)
     complement = math.exp(ln_front) * _beta_continued_fraction(b, a, 1.0 - x) / b
+    # 1 - complement loses digits as 1 / I_x(a,b).
     if 0.0 <= complement < 0.99:  # at most 0.917 at b = 1/2, where the selectors read it
         return math.log1p(-complement)
-    # A b < 1 puts the mass at 1: I_x(a,b) may be tiny there, 1 - complement
-    # keeps few of its digits, and the fraction at x converges. From b = 1 on
-    # such a complement is the fraction's failure at a 1 - x that rounds to 1
-    # (a huge b at a tiny x), and no digit of I_x(a,b) is left.
-    fraction = _beta_continued_fraction(a, b, x) if b < 1.0 else math.nan
-    if not 0.0 < fraction < math.inf:
-        raise DomainError(f"I_x(a,b) is out of reach at a={a!r}, b={b!r}, x={x!r}: no fraction holds its digits")
-    return ln_front + math.log(fraction / a)
+    # A b < 1 puts the mass at 1, so I_x(a,b) may be tiny there: the fraction
+    # at x is read where it converges (its steps grow as a (1-x) shrinks), and
+    # else the complement while I_x(a,b) is at least 1e-3. From b = 1 on such
+    # a complement is the fraction's failure at a 1 - x that rounds to 1 (a
+    # huge b at a tiny x), and no digit of I_x(a,b) is left.
+    if b < 1.0:
+        fraction = _beta_continued_fraction(a, b, x, strict=True)
+        if 0.0 < fraction < math.inf:
+            return ln_front + math.log(fraction / a)
+        if 0.99 <= complement <= 0.999:
+            return math.log1p(-complement)
+    raise DomainError(f"I_x(a,b) is out of reach at a={a!r}, b={b!r}, x={x!r}: no fraction holds its digits")
 
 
 def log_cdf_of_square(a: float, b: float, r: float) -> float:
@@ -198,7 +148,8 @@ def log_cdf_of_square(a: float, b: float, r: float) -> float:
     ln r^2 is taken as 2 ln r, so a square below the doubles keeps its digits
     (the continued fraction and (1-r^2)^b are 1 to double precision there).
     Raises DomainError where no form reaches I_{r^2}(a,b): a b past 1e15 at
-    an r whose 1 - r^2 rounds to 1.
+    an r whose 1 - r^2 rounds to 1, or a small b at an r so near 1 that
+    I_{r^2}(a,b) is below 1e-3 and its continued fraction does not converge.
     """
     a, b = require_real("a", a, 0.0, math.inf), require_real("b", b, 0.0, math.inf)
     if not (is_real(r) and 0.0 <= r <= 1.0):
@@ -214,11 +165,11 @@ def log_cdf_of_square(a: float, b: float, r: float) -> float:
 @lru_cache(maxsize=64)
 def half_beta_log_terms(n: int, steps: int) -> tuple[tuple[float, float, float], ...]:
     """(a, ln a, ln B(a, 1/2)) for a = (n-k)/2 at k = 1..steps: the per-step
-    constants of half_beta_log_cdf_bounds, computed once per path length."""
+    constants of half_beta_log_cdf_bounds, computed once per n and steps."""
     return tuple((a, math.log(a), log_beta_fn(a, 0.5)) for a in ((n - k) / 2.0 for k in range(1, steps + 1)))
 
 
-def half_beta_log_cdf_bounds(n: int, ratios: list[float]) -> tuple[list[float], list[float]]:
+def half_beta_log_cdf_bounds(n: int, ratios: list[float], k_max: int = 0) -> tuple[list[float], list[float]]:
     """([ln L(k)], [ln U(k)]) with L(k) <= c(k) = I_{RR(k)^2}((n-k)/2, 1/2) <= U(k)
     for RR(k) = ratios[k-1], k = 1..len(ratios).
 
@@ -227,14 +178,16 @@ def half_beta_log_cdf_bounds(n: int, ratios: list[float]) -> tuple[list[float], 
     are positive and start at 1, so L <= c(k); for b <= 1 each is at most x
     times the one before, so the series is at most 1 + t1 / (1-x) with
     t1 = x (a+b) / (a+1), and U = L (1 + t1 / (1-x)). The per-step constants
-    are those of half_beta_log_terms for the path's steps; both bounds are -inf
-    at RR = 0 (c = 0) and +inf at RR = 1 (c = 1).
+    are those of half_beta_log_terms for max(k_max, len(ratios)) steps, so the
+    paths of one configuration, which pass its k_max, share them; both bounds
+    are -inf at RR = 0 (c = 0) and +inf at RR = 1 (c = 1).
     """
     require_int("n", n, high=MAX_LENGTH)
     if len(ratios) > n - 1:
         raise DomainError(f"{len(ratios)} ratios exceed the n-1={n - 1} steps of an n={n} problem")
+    require_int("k_max", k_max, 0, n - 1)
     lows, highs = [], []
-    for (a, ln_a, ln_beta), r in zip(half_beta_log_terms(n, len(ratios)), ratios):
+    for (a, ln_a, ln_beta), r in zip(half_beta_log_terms(n, max(k_max, len(ratios))), ratios):
         if 0.0 < r < 1.0:
             x = r * r
             low = 2.0 * a * math.log(r) + 0.5 * math.log1p(-x) - ln_a - ln_beta
